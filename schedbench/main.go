@@ -63,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var trace int
 	fs.StringVar(&o.workload, "workload", "", "workload: "+fmt.Sprint(workloadNames()))
 	fs.Int64Var(&o.seed, "seed", 1, "input seed")
-	fs.IntVar(&o.seconds, "seconds", 20, "nominal measured seconds; fixes the op count")
+	fs.IntVar(&o.seconds, "seconds", 30, "nominal measured seconds; fixes the op count")
 	fs.IntVar(&trace, "trace", 0, "1 reports the per-layer metrics instead of the end-to-end ones")
 	fs.StringVar(&o.root, "root", ".", "checkout root; scratch files go under <root>/.bench_build")
 	if err := fs.Parse(args); err != nil {
@@ -179,7 +179,7 @@ func runWorkload(o options) (*report, error) {
 	debug.FreeOSMemory()
 	rssReset := resetPeakRSS()
 
-	samples := b.runOps(wl.clients)
+	samples := b.runOps()
 	peak := peakRSSBytes()
 
 	rep := &report{peakRSSReset: rssReset, attempted: len(b.recs), recs: b.recs}

@@ -2,7 +2,7 @@
 # Builds the schedule-service benchmark from the checkout's sources and runs
 # it. Run from the repository root:
 #
-#   bash schedbench/run.sh --workload serve-warm --seed 1 --seconds 20 --trace 0
+#   bash schedbench/run.sh --workload serve-warm --seed 1 --seconds 30 --trace 0
 #
 # Everything the build and the run write stays under .bench_build/ in the
 # current directory (Go build cache included). The last line of standard

@@ -122,7 +122,7 @@ func TestCheckerCountsTamperedAnswers(t *testing.T) {
 	tp := &tamper{inner: b.h, edits: edits}
 	b.h = tp
 	tp.armed.Store(true)
-	samples := b.runOps(1)
+	samples := b.runOps()
 	_, extra := b.endToEnd(samples, 1, 1)
 	if got, want := extra["error_rate"].Value, float64(len(edits))/40; got != want {
 		for _, r := range b.recs {
@@ -143,7 +143,7 @@ func TestRetainedStateDriftFailsRun(t *testing.T) {
 	if err := b.setup(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
-	b.runOps(2)
+	b.runOps()
 	if err := b.checkRetained(); err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
