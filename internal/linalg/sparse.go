@@ -1,20 +1,22 @@
 package linalg
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // ErrNoConverge is returned when an iterative solver exhausts its iteration
 // budget without reaching the requested tolerance.
 var ErrNoConverge = errors.New("linalg: iterative solver did not converge")
 
-// coo is one coordinate-format entry during sparse assembly.
+// coo is one coordinate-format entry during sparse assembly; key packs
+// (row, col) as row<<32 | col, so key order is row-major order.
 type coo struct {
-	i, j int
-	v    float64
+	key uint64
+	v   float64
 }
 
 // SparseBuilder accumulates stencil entries (duplicates are summed) and
@@ -26,9 +28,9 @@ type SparseBuilder struct {
 	entries []coo
 }
 
-// NewSparseBuilder creates a builder for an n×n matrix.
+// NewSparseBuilder creates a builder for an n×n matrix, n ≤ 2³² (packed keys).
 func NewSparseBuilder(n int) *SparseBuilder {
-	if n <= 0 {
+	if n <= 0 || uint64(n) > 1<<32 {
 		panic(fmt.Sprintf("linalg: invalid sparse dimension %d", n))
 	}
 	return &SparseBuilder{n: n}
@@ -39,7 +41,7 @@ func (b *SparseBuilder) Add(i, j int, v float64) {
 	if i < 0 || i >= b.n || j < 0 || j >= b.n {
 		panic(fmt.Sprintf("linalg: sparse index (%d,%d) out of range for n=%d", i, j, b.n))
 	}
-	b.entries = append(b.entries, coo{i, j, v})
+	b.entries = append(b.entries, coo{uint64(i)<<32 | uint64(j), v})
 }
 
 // AddConductance inserts the symmetric stencil of a conductance g between
@@ -55,26 +57,22 @@ func (b *SparseBuilder) AddConductance(a, c int, g float64) {
 // (diagonal only).
 func (b *SparseBuilder) AddGround(a int, g float64) { b.Add(a, a, g) }
 
-// Build compiles the accumulated entries into CSR form, summing duplicates.
+// Build compiles the accumulated entries into CSR form, summing duplicates in
+// sorted order — pdqsort's, which slices.SortFunc shares with sort.Slice. A
+// stable sort would change the last bits of summed diagonals.
 func (b *SparseBuilder) Build() *Sparse {
-	sort.Slice(b.entries, func(x, y int) bool {
-		if b.entries[x].i != b.entries[y].i {
-			return b.entries[x].i < b.entries[y].i
-		}
-		return b.entries[x].j < b.entries[y].j
-	})
+	slices.SortFunc(b.entries, func(x, y coo) int { return cmp.Compare(x.key, y.key) })
 	s := &Sparse{n: b.n, rowPtr: make([]int, b.n+1)}
 	for k := 0; k < len(b.entries); {
-		e := b.entries[k]
+		key := b.entries[k].key
 		v := 0.0
-		for k < len(b.entries) && b.entries[k].i == e.i && b.entries[k].j == e.j {
+		for ; k < len(b.entries) && b.entries[k].key == key; k++ {
 			v += b.entries[k].v
-			k++
 		}
 		if v != 0 {
-			s.cols = append(s.cols, e.j)
+			s.cols = append(s.cols, int(key&(1<<32-1)))
 			s.vals = append(s.vals, v)
-			s.rowPtr[e.i+1]++
+			s.rowPtr[key>>32+1]++
 		}
 	}
 	for i := 0; i < b.n; i++ {
@@ -451,18 +449,17 @@ func (s *Sparse) IsSymmetricSparse(tol float64) bool {
 	if scale == 0 {
 		return true
 	}
+	// at returns S(i, j), 0 when not stored; columns are sorted within rows.
 	at := func(i, j int) float64 {
-		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-			if s.cols[k] == j {
-				return s.vals[k]
-			}
+		lo := s.rowPtr[i]
+		if p, ok := slices.BinarySearch(s.cols[lo:s.rowPtr[i+1]], j); ok {
+			return s.vals[lo+p]
 		}
 		return 0
 	}
 	for i := 0; i < s.n; i++ {
 		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-			j := s.cols[k]
-			if j > i && math.Abs(s.vals[k]-at(j, i)) > tol*scale {
+			if j := s.cols[k]; j > i && math.Abs(s.vals[k]-at(j, i)) > tol*scale {
 				return false
 			}
 		}

@@ -392,9 +392,10 @@ func (c *SparseCholesky) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// SolveInto solves A·x = b into dst, mirroring the dense Cholesky API. dst
-// may alias b: the right-hand side is fully gathered into an internal work
-// vector before dst is written. The work vector is pooled, so the call is
+// SolveInto solves A·x = b into dst, mirroring the dense Cholesky API; an
+// in-core factor runs the per-column loops (see applyFactor). dst may alias
+// b: the right-hand side is fully gathered into an internal work vector
+// before dst is written. The work vector is pooled, so the call is
 // allocation-free in steady state and safe for concurrent use.
 func (c *SparseCholesky) SolveInto(dst, b []float64) error {
 	n := c.sym.n
@@ -421,35 +422,22 @@ func (c *SparseCholesky) SolveInto(dst, b []float64) error {
 
 // applyFactor runs the forward (L·y = w) and backward (Lᵀ·z = y) triangular
 // solves in place on w, which holds k interleaved right-hand sides in permuted
-// order (entry j of RHS r at w[j*k+r]). Supernodal factors walk panels —
-// dense block triangles plus packed below-row updates — while scalar factors
-// use the per-column loops; both apply every per-entry operation in the same
-// order, so the two paths (and batched vs single solves) are bit-identical.
-// The error return is the out-of-core streaming path's; in-core factors never
-// fail.
+// order (entry j of RHS r at w[j*k+r]). One RHS on an in-core factor runs
+// the per-column loops, which beat the panel kernel at k = 1; batches and
+// out-of-core factors run the panel kernel, or interleaved column loops on a
+// scalar factor. All apply every per-entry operation in the same order, so
+// they are bit-identical. Only the out-of-core streaming path can fail.
 func (c *SparseCholesky) applyFactor(w []float64, k int) error {
+	n := c.sym.n
+	if k == 1 && c.segs == nil {
+		for j := 0; j < n; j++ {
+			c.forwardColumn(w, j)
+		}
+		c.backward(w)
+		return nil
+	}
 	if c.panels != nil {
 		return c.panels.apply(c, w, k)
-	}
-	n := c.sym.n
-	if k == 1 {
-		// Forward: L·y = P·b, column-oriented, in place.
-		for j := 0; j < n; j++ {
-			yj := w[j] / c.lx[c.lp[j]]
-			w[j] = yj
-			for p := c.lp[j] + 1; p < c.lp[j+1]; p++ {
-				w[c.li[p]] -= c.lx[p] * yj
-			}
-		}
-		// Backward: Lᵀ·z = y, row-oriented over L's columns, in place.
-		for j := n - 1; j >= 0; j-- {
-			s := w[j]
-			for p := c.lp[j] + 1; p < c.lp[j+1]; p++ {
-				s -= c.lx[p] * w[c.li[p]]
-			}
-			w[j] = s / c.lx[c.lp[j]]
-		}
-		return nil
 	}
 	for j := 0; j < n; j++ {
 		base := j * k
@@ -478,6 +466,26 @@ func (c *SparseCholesky) applyFactor(w []float64, k int) error {
 		}
 	}
 	return nil
+}
+
+// forwardColumn eliminates column j of L from one in-core permuted RHS w.
+func (c *SparseCholesky) forwardColumn(w []float64, j int) {
+	yj := w[j] / c.lx[c.lp[j]]
+	w[j] = yj
+	for p := c.lp[j] + 1; p < c.lp[j+1]; p++ {
+		w[c.li[p]] -= c.lx[p] * yj
+	}
+}
+
+// backward solves Lᵀ·z = y in place on one in-core permuted RHS w.
+func (c *SparseCholesky) backward(w []float64) {
+	for j := c.sym.n - 1; j >= 0; j-- {
+		s := w[j]
+		for p := c.lp[j] + 1; p < c.lp[j+1]; p++ {
+			s -= c.lx[p] * w[c.li[p]]
+		}
+		w[j] = s / c.lx[c.lp[j]]
+	}
 }
 
 // SolveSparseInto solves A·x = b for a *sparse* right-hand side: nz lists the
@@ -543,20 +551,10 @@ func (c *SparseCholesky) SolveSparseInto(dst, b []float64, nz []int) error {
 	// etree ancestors of j, which are in the reach by closure, so no update
 	// escapes the set.
 	for _, j := range reach {
-		yj := w[j] / c.lx[c.lp[j]]
-		w[j] = yj
-		for p := c.lp[j] + 1; p < c.lp[j+1]; p++ {
-			w[c.li[p]] -= c.lx[p] * yj
-		}
+		c.forwardColumn(w, j)
 	}
 	// Backward: Lᵀ·z = y, dense — x has no useful sparsity.
-	for j := n - 1; j >= 0; j-- {
-		s := w[j]
-		for p := c.lp[j] + 1; p < c.lp[j+1]; p++ {
-			s -= c.lx[p] * w[c.li[p]]
-		}
-		w[j] = s / c.lx[c.lp[j]]
-	}
+	c.backward(w)
 	perm := c.sym.perm
 	for k := 0; k < n; k++ {
 		dst[perm[k]] = w[k]
@@ -583,9 +581,6 @@ func (c *SparseCholesky) SolveManyInto(dst, b [][]float64) error {
 	k := len(b)
 	if k == 0 {
 		return nil
-	}
-	if k == 1 {
-		return c.SolveInto(dst[0], b[0])
 	}
 	n := c.sym.n
 	for r := 0; r < k; r++ {

@@ -597,7 +597,8 @@ func (ss *SuperSymbolic) factorPanel(sn int, s *Sparse, lp, li []int, sc *superS
 // backward pass against a gather of the below rows' solution values. Every
 // per-entry operation order matches the per-column loops exactly (block terms
 // before below terms, source columns ascending), so results are bit-identical
-// to the scalar solve paths.
+// to the scalar solve paths. It serves batches (k > 1) and out-of-core
+// factors; in-core single-RHS solves run the column loops (see applyFactor).
 //
 // Out-of-core factors stream each spilled panel's value segment into a pooled
 // buffer as the pass reaches it (so each pass touches one panel at a time and

@@ -240,6 +240,7 @@ func (g *GridModel) buildSolver() error {
 		var ch *linalg.SparseCholesky
 		if g.factor == linalg.FactorSupernodal {
 			ss := sym.Supernodes(g.panelOpts)
+			start = time.Now() // the partition is symbolic work too
 			inCore := int64(sym.LNNZ())*16 + ss.WorkspaceBytes()
 			if g.peakBudget > 0 && inCore > g.peakBudget {
 				// The in-core working set exceeds the peak-bytes budget:
@@ -354,9 +355,9 @@ type GridFactorStats struct {
 	// Mode is the kernel that built the factor: "supernodal" or "scalar";
 	// "" on the CG fallback.
 	Mode string
-	// FactorTime is the numeric factorization alone (ordering and symbolic
-	// analysis excluded), so scalar-vs-supernodal comparisons isolate the
-	// kernel.
+	// FactorTime is the numeric factorization alone (ordering, symbolic
+	// analysis and supernode partition excluded), so scalar-vs-supernodal
+	// comparisons isolate the kernel.
 	FactorTime time.Duration
 	// FactorNNZ is the factor's non-zero count (== FillBudget gate input).
 	FactorNNZ int
@@ -436,16 +437,20 @@ func (g *GridModel) cellRect(x, y int) (x0, y0, x1, y1 float64) {
 		die.X + float64(x+1)*g.cellW, die.Y + float64(y+1)*g.cellH
 }
 
-// mapBlocks computes the block→cell coverage fractions.
+// mapBlocks computes the block→cell coverage fractions, testing only the
+// cells of each block's bounding box, widened by one cell against rounding.
 func (g *GridModel) mapBlocks() {
 	n := g.fp.NumBlocks()
 	g.cellPowerWeight = make([][]cellShare, n)
 	g.blockCells = make([][]int, n)
+	die := g.fp.Die()
 	for b := 0; b < n; b++ {
 		r := g.fp.Block(b).Rect
 		area := r.Area()
-		for y := 0; y < g.ny; y++ {
-			for x := 0; x < g.nx; x++ {
+		x0, x1 := max(int((r.X-die.X)/g.cellW)-1, 0), min(int((r.MaxX()-die.X)/g.cellW)+2, g.nx)
+		y0, y1 := max(int((r.Y-die.Y)/g.cellH)-1, 0), min(int((r.MaxY()-die.Y)/g.cellH)+2, g.ny)
+		for y := y0; y < y1; y++ {
+			for x := x0; x < x1; x++ {
 				cx0, cy0, cx1, cy1 := g.cellRect(x, y)
 				ox := math.Min(cx1, r.MaxX()) - math.Max(cx0, r.X)
 				oy := math.Min(cy1, r.MaxY()) - math.Max(cy0, r.Y)

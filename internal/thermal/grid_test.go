@@ -2,11 +2,14 @@ package thermal
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/floorplan"
+	"repro/internal/geom"
 	"repro/internal/linalg"
 )
 
@@ -529,6 +532,86 @@ func TestGridFactorStats(t *testing.T) {
 			if math.Float64bits(ra[i].temps[j]) != math.Float64bits(rb[i].temps[j]) {
 				t.Fatalf("batch width 5 vs auto differ at %d/%d", i, j)
 			}
+		}
+	}
+}
+
+// mapBlocksFullScan is mapBlocks without the bounding-box bound: every block
+// tests every cell, in y-then-x order.
+func mapBlocksFullScan(g *GridModel) ([][]cellShare, [][]int) {
+	n := g.fp.NumBlocks()
+	weights := make([][]cellShare, n)
+	cells := make([][]int, n)
+	for b := 0; b < n; b++ {
+		r := g.fp.Block(b).Rect
+		area := r.Area()
+		for y := 0; y < g.ny; y++ {
+			for x := 0; x < g.nx; x++ {
+				cx0, cy0, cx1, cy1 := g.cellRect(x, y)
+				ox := math.Min(cx1, r.MaxX()) - math.Max(cx0, r.X)
+				oy := math.Min(cy1, r.MaxY()) - math.Max(cy0, r.Y)
+				if ox <= 0 || oy <= 0 {
+					continue
+				}
+				id := g.cellID(x, y)
+				weights[b] = append(weights[b], cellShare{id, ox * oy / area})
+				cells[b] = append(cells[b], id)
+			}
+		}
+	}
+	return weights, cells
+}
+
+// TestGridMapBlocksMatchesFullScan checks the bounded block→cell scan
+// against the full-grid scan, bit for bit, on floorplans whose blocks touch
+// the die edges (random tilings) or are narrower than one cell, over square
+// and non-square grids.
+func TestGridMapBlocksMatchesFullScan(t *testing.T) {
+	fps := []*floorplan.Floorplan{floorplan.Alpha21364(), floorplan.Figure1SoC()}
+	for seed := int64(1); seed <= 4; seed++ {
+		fp, err := floorplan.Random(floorplan.RandomOptions{
+			Blocks: 10 * int(seed), MinDim: 16e-3 / 400, AreaSkew: 0.8, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps = append(fps, fp)
+	}
+	// Slivers narrower than one cell, off the cell lines, one on each die
+	// edge and one in the interior.
+	mm := func(v float64) float64 { return v * 1e-3 }
+	slivers, err := floorplan.New("slivers", geom.Rect{X: mm(1), Y: mm(2), W: mm(10), H: mm(10)}, []floorplan.Block{
+		{Name: "west", Rect: geom.Rect{X: mm(1), Y: mm(2), W: mm(0.07), H: mm(10)}},
+		{Name: "east", Rect: geom.Rect{X: mm(10.97), Y: mm(5.13), W: mm(0.03), H: mm(0.05)}},
+		{Name: "south", Rect: geom.Rect{X: mm(3.31), Y: mm(2), W: mm(4), H: mm(0.011)}},
+		{Name: "north", Rect: geom.Rect{X: mm(1.5), Y: mm(11.9), W: mm(9.5), H: mm(0.1)}},
+		{Name: "speck", Rect: geom.Rect{X: mm(6.123), Y: mm(7.377), W: mm(0.02), H: mm(0.02)}},
+		{Name: "bulk", Rect: geom.Rect{X: mm(2), Y: mm(3), W: mm(3.7), H: mm(4.1)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fps = append(fps, slivers)
+	for _, fp := range fps {
+		for _, dim := range [][2]int{{2, 2}, {17, 31}, {31, 17}, {64, 64}, {64, 65}, {200, 3}} {
+			nx, ny := dim[0], dim[1]
+			t.Run(fmt.Sprintf("%s/%dx%d", fp.Name(), nx, ny), func(t *testing.T) {
+				die := fp.Die()
+				g := &GridModel{fp: fp, nx: nx, ny: ny, cellW: die.W / float64(nx), cellH: die.H / float64(ny)}
+				g.mapBlocks()
+				weights, cells := mapBlocksFullScan(g)
+				if !reflect.DeepEqual(g.cellPowerWeight, weights) {
+					t.Error("cellPowerWeight differs from the full-grid scan")
+				}
+				if !reflect.DeepEqual(g.blockCells, cells) {
+					t.Error("blockCells differs from the full-grid scan")
+				}
+				for b, cs := range g.blockCells {
+					if len(cs) == 0 {
+						t.Errorf("block %d maps to no cell", b)
+					}
+				}
+			})
 		}
 	}
 }
