@@ -340,11 +340,15 @@ func (g *Generator) Run() (*Result, error) {
 		}
 		res.Attempts++
 		sessionAttempts++
-		sess, err := schedule.NewSession(ps.cores...)
-		if err != nil {
-			return false, err
+		// The attempt's length is its longest test, a max that ignores member
+		// order, so discarded attempts never pay for a sorted Session.
+		var length float64
+		for _, c := range ps.cores {
+			if l := g.spec.Test(c).Length; l > length {
+				length = l
+			}
 		}
-		res.Effort += sess.Length(g.spec)
+		res.Effort += length
 		if res.Attempts > g.cfg.MaxAttempts {
 			unsched := make([]int, 0, left)
 			for i, r := range remaining {
@@ -371,6 +375,10 @@ func (g *Generator) Run() (*Result, error) {
 		if !valid {
 			res.Violations++
 			return false, nil
+		}
+		sess, err := schedule.NewSession(ps.cores...)
+		if err != nil {
+			return false, err
 		}
 		sched = sched.Append(sess)
 		res.Records = append(res.Records, SessionRecord{

@@ -616,3 +616,68 @@ func TestMaxAttemptsStructuredError(t *testing.T) {
 		}
 	}
 }
+
+// recordingOracle logs every session it is asked about, in call order.
+type recordingOracle struct {
+	inner    Oracle
+	sessions [][]int
+}
+
+func (r *recordingOracle) BlockTemps(active []int) ([]float64, error) {
+	r.sessions = append(r.sessions, append([]int(nil), active...))
+	return r.inner.BlockTemps(active)
+}
+
+// TestEffortSumOverQueriedSessions: with distinct test lengths, Effort is the
+// in-order sum of the longest test of every phase-2 session the oracle was
+// asked about — discarded violations included.
+func TestEffortSumOverQueriedSessions(t *testing.T) {
+	alpha, sm, sim := alphaGenSetup(t)
+	n := alpha.NumCores()
+	lengths := make([]float64, n)
+	for i := range lengths {
+		lengths[i] = 0.5 + float64((i*5)%7)
+	}
+	spec, err := testspec.New("alpha-lengths", alpha.Profile(), lengths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo := make([]float64, n)
+	for i := range solo {
+		solo[i] = 100
+	}
+	for _, tc := range []struct {
+		name   string
+		oracle Oracle
+		cfg    Config
+	}{
+		{"sim", sim, Config{TL: 145, STCL: 100}},
+		{"pairs violate", &fakeOracle{solo: solo, coupling: 100, ambient: 45}, Config{TL: 150, STCL: 1e6}},
+	} {
+		rec := &recordingOracle{inner: tc.oracle}
+		tc.cfg.Phase1Workers = 1
+		res, err := Generate(spec, sm, rec, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phase2 := rec.sessions[n:]
+		if len(phase2) != res.Attempts || res.Violations == 0 {
+			t.Fatalf("%s: %d phase-2 queries, %d attempts, %d violations; want equal counts and violations",
+				tc.name, len(phase2), res.Attempts, res.Violations)
+		}
+		var want float64
+		for _, s := range phase2 {
+			var longest float64
+			for _, c := range s {
+				longest = math.Max(longest, lengths[c])
+			}
+			want += longest
+		}
+		if math.Float64bits(res.Effort) != math.Float64bits(want) {
+			t.Errorf("%s: Effort = %v, want %v", tc.name, res.Effort, want)
+		}
+		if res.Effort == float64(res.Attempts) {
+			t.Errorf("%s: Effort equals Attempts; lengths should tell them apart", tc.name)
+		}
+	}
+}

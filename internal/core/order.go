@@ -52,7 +52,7 @@ func OrderPolicies() []OrderPolicy {
 }
 
 // candidateOrder returns core indices sorted by the policy, with ascending
-// index as the deterministic tie-break.
+// index as the deterministic tie-break. Each key is evaluated once, up front.
 func candidateOrder(policy OrderPolicy, spec *testspec.Spec, sm *SessionModel) ([]int, error) {
 	n := spec.NumCores()
 	idx := make([]int, n)
@@ -74,8 +74,12 @@ func candidateOrder(policy OrderPolicy, spec *testspec.Spec, sm *SessionModel) (
 	default:
 		return nil, fmt.Errorf("%w: unknown order policy %d", ErrCore, int(policy))
 	}
+	keys := make([]float64, n)
+	for i := range keys {
+		keys[i] = key(i)
+	}
 	sort.SliceStable(idx, func(a, b int) bool {
-		ka, kb := key(idx[a]), key(idx[b])
+		ka, kb := keys[idx[a]], keys[idx[b]]
 		if ka != kb {
 			return ka < kb
 		}

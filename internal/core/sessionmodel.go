@@ -138,15 +138,16 @@ func (sm *SessionModel) TC(i int, active []bool) (float64, error) {
 }
 
 // SoloTC returns TC of core i in a session where it is the only active core
-// — the value used for candidate ordering.
+// — the value used for candidate ordering. gBase holds EquivalentR's first
+// terms (vertical, then rim) summed in its order, and every lateral edge's g
+// is its 1/r, so adding the edges in order gives a result bit-equal to
+// TC(i, solo mask) without building the mask.
 func (sm *SessionModel) SoloTC(i int) float64 {
-	mask := make([]bool, sm.n)
-	mask[i] = true
-	tc, err := sm.TC(i, mask)
-	if err != nil { // index is in range by construction of callers
-		panic(err)
+	g := sm.gBase[i]
+	for _, e := range sm.lat[i] {
+		g += e.g
 	}
-	return tc
+	return sm.power[i] * (1 / g)
 }
 
 // STC evaluates the session thermal characteristic

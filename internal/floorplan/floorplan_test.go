@@ -2,7 +2,9 @@ package floorplan
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -386,5 +388,45 @@ func TestSortedNames(t *testing.T) {
 	got := SortedNames(fp)
 	if got[0] != "A" || got[1] != "B" || got[2] != "C" {
 		t.Errorf("SortedNames = %v", got)
+	}
+}
+
+// TestNewNamesAnyOverlapPair: New's ErrOverlap names the first overlapping
+// pair in declaration order, the same pair the O(n²) pair scan finds.
+func TestNewNamesAnyOverlapPair(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	die := geom.Rect{W: 10e-3, H: 10e-3}
+	mm := func(lo, hi int) float64 { return float64(lo+rng.Intn(hi-lo+1)) * 1e-3 }
+	overlaps := 0
+	for trial := 0; trial < 2000; trial++ {
+		blocks := make([]Block, 2+rng.Intn(12))
+		for k := range blocks {
+			blocks[k] = Block{Name: fmt.Sprintf("b%d", k),
+				Rect: geom.Rect{X: mm(0, 7), Y: mm(0, 7), W: mm(1, 3), H: mm(1, 3)}}
+		}
+		var want string
+	scan:
+		for i := range blocks {
+			for j := i + 1; j < len(blocks); j++ {
+				if blocks[i].Rect.Overlaps(blocks[j].Rect) {
+					want = fmt.Sprintf("%q and %q", blocks[i].Name, blocks[j].Name)
+					break scan
+				}
+			}
+		}
+		_, err := New("t", die, blocks)
+		if want == "" {
+			if err != nil {
+				t.Fatalf("trial %d: New() = %v for a non-overlapping plan", trial, err)
+			}
+			continue
+		}
+		overlaps++
+		if !errors.Is(err, ErrOverlap) || !strings.HasSuffix(err.Error(), want) {
+			t.Fatalf("trial %d: New() = %v, want ErrOverlap naming %s", trial, err, want)
+		}
+	}
+	if overlaps < 100 {
+		t.Errorf("only %d overlapping plans drawn", overlaps)
 	}
 }

@@ -9,8 +9,10 @@
 package geom
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Eps is the default geometric tolerance in metres (0.1 µm). Floorplan
@@ -309,25 +311,43 @@ func TotalArea(rects []Rect) float64 {
 	return sum
 }
 
-// AnyOverlap returns the indices of the first overlapping pair found, or
-// (-1, -1) when no pair of rectangles overlaps. O(n²) — floorplans are small.
+// AnyOverlap returns the lexicographically smallest pair i < j of
+// overlapping rectangles, or (-1, -1) when no pair overlaps. It sweeps the
+// rectangles in ascending X (NaN first): for each i it checks the later
+// rectangles j until the first with MaxX_i − X_j ≤ Eps, which bounds the
+// x-overlap of that j and of every j after it. A rectangle with a NaN
+// coordinate never stops its sweep, but it overlaps nothing either. On a
+// floorplan the cost is O(n log n) plus the pairs whose x-spans overlap.
 func AnyOverlap(rects []Rect) (int, int) {
-	for i := 0; i < len(rects); i++ {
-		for j := i + 1; j < len(rects); j++ {
-			if rects[i].Overlaps(rects[j]) {
-				return i, j
+	order := make([]int, len(rects))
+	for k := range order {
+		order[k] = k
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(rects[a].X, rects[b].X) })
+	bi, bj := -1, -1
+	for p, i := range order {
+		hi := rects[i].MaxX()
+		for _, j := range order[p+1:] {
+			if hi-rects[j].X <= Eps {
+				break
+			}
+			if !rects[i].Overlaps(rects[j]) {
+				continue
+			}
+			lo, up := min(i, j), max(i, j)
+			if bi < 0 || lo < bi || lo == bi && up < bj {
+				bi, bj = lo, up
 			}
 		}
 	}
-	return -1, -1
+	return bi, bj
 }
 
 // IsTiling reports whether the rectangles exactly tile the outer rectangle:
 // pairwise non-overlapping, all contained in outer, and their areas summing to
 // outer's area within tolerance tol (relative).
 func IsTiling(rects []Rect, outer Rect, tol float64) bool {
-	if i, j := AnyOverlap(rects); i >= 0 {
-		_ = j
+	if i, _ := AnyOverlap(rects); i >= 0 {
 		return false
 	}
 	for _, r := range rects {

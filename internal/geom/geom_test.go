@@ -349,3 +349,64 @@ func TestTotalArea(t *testing.T) {
 		t.Errorf("TotalArea(nil) = %g, want 0", got)
 	}
 }
+
+// pairScanOverlap is the O(n²) reference AnyOverlap must agree with: the
+// first overlapping pair in (i, j) lexicographic order.
+func pairScanOverlap(rects []Rect) (int, int) {
+	for i := range rects {
+		for j := i + 1; j < len(rects); j++ {
+			if rects[i].Overlaps(rects[j]) {
+				return i, j
+			}
+		}
+	}
+	return -1, -1
+}
+
+// randomOverlapSet draws rectangles on a coarse grid, so exact overlaps,
+// shared edges and duplicates are common, then perturbs some coordinates by
+// less than (or just over) Eps and poisons a few with NaN or ±Inf.
+func randomOverlapSet(rng *rand.Rand) []Rect {
+	const step = 1e-3
+	rects := make([]Rect, rng.Intn(40))
+	coord := func(lo, hi int) float64 { return float64(lo+rng.Intn(hi-lo+1)) * step }
+	specials := [...]float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for k := range rects {
+		if k > 0 && rng.Intn(8) == 0 {
+			rects[k] = rects[rng.Intn(k)] // duplicate
+			continue
+		}
+		r := Rect{X: coord(0, 8), Y: coord(0, 8), W: coord(1, 3), H: coord(1, 3)}
+		for _, v := range []*float64{&r.X, &r.Y, &r.W, &r.H} {
+			switch rng.Intn(40) {
+			case 0, 1, 2:
+				*v += (rng.Float64()*2 - 1) * 1.5 * Eps
+			case 3:
+				*v = specials[rng.Intn(len(specials))]
+			}
+		}
+		rects[k] = r
+	}
+	return rects
+}
+
+// TestAnyOverlapMatchesPairScan: the sweep names exactly the pair the pair
+// scan names, on seeded random sets full of ties, touching edges, offsets
+// within Eps, duplicates and non-finite coordinates.
+func TestAnyOverlapMatchesPairScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	found := 0
+	for trial := 0; trial < 20000; trial++ {
+		rects := randomOverlapSet(rng)
+		wi, wj := pairScanOverlap(rects)
+		if gi, gj := AnyOverlap(rects); gi != wi || gj != wj {
+			t.Fatalf("trial %d: AnyOverlap = (%d,%d), pair scan (%d,%d) on %v", trial, gi, gj, wi, wj, rects)
+		}
+		if wi >= 0 {
+			found++
+		}
+	}
+	if found < 1000 || found > 19000 {
+		t.Errorf("%d of 20000 sets overlap; the generator should mix both outcomes", found)
+	}
+}

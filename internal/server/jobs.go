@@ -28,16 +28,44 @@ var (
 // defaultMaxJobs bounds tracked non-terminal jobs when Config.MaxJobs is 0.
 const defaultMaxJobs = 1024
 
-// decodeScheduleRequest decodes a request body with the same strictness the
-// synchronous endpoint applies.
-func decodeScheduleRequest(body []byte) (*ScheduleRequest, error) {
+// decodeScheduleRequest strictly decodes one request body: unknown fields
+// and anything but whitespace after the JSON object are errors.
+func decodeScheduleRequest(body io.Reader) (*ScheduleRequest, error) {
 	var req ScheduleRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return nil, err
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the JSON object")
+		}
+		return nil, err
+	}
 	return &req, nil
+}
+
+// readScheduleRequest decodes a POST body of at most maxBodyBytes and, when
+// raw is non-nil, copies the bytes it read into raw. On failure it writes the
+// error response itself — 413 body_too_large past the limit, 400 bad_json
+// otherwise — and returns false.
+func readScheduleRequest(w http.ResponseWriter, r *http.Request, raw io.Writer) (*ScheduleRequest, bool) {
+	var body io.Reader = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if raw != nil {
+		body = io.TeeReader(body, raw)
+	}
+	req, err := decodeScheduleRequest(body)
+	if err == nil {
+		return req, true
+	}
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+	} else {
+		writeError(w, http.StatusBadRequest, "bad_json", fmt.Sprintf("decoding request body: %v", err))
+	}
+	return nil, false
 }
 
 // jobDeadline resolves an async job's per-run deadline. Only the body's
@@ -56,14 +84,9 @@ func (s *Server) jobDeadline(req *ScheduleRequest) time.Duration {
 // synchronous endpoint), journal, 202 with the job id, and run in the
 // background.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_body", fmt.Sprintf("reading request body: %v", err))
-		return
-	}
-	req, err := decodeScheduleRequest(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_json", fmt.Sprintf("decoding request body: %v", err))
+	var body bytes.Buffer
+	req, ok := readScheduleRequest(w, r, &body)
+	if !ok {
 		return
 	}
 	if _, code, err := s.resolveProblem(req); err != nil {
@@ -91,7 +114,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			"server is draining; not admitting new jobs")
 		return
 	}
-	j := s.jobs.Submit(json.RawMessage(body))
+	// The job keeps its payload while it is retained; an exact-size copy
+	// does not pin the buffer's growth slack.
+	j := s.jobs.Submit(json.RawMessage(bytes.Clone(body.Bytes())))
 	s.jobs.SetQueued(j)
 	s.jobsWG.Add(1)
 	s.drainMu.Unlock()
@@ -233,7 +258,7 @@ func (s *Server) runJob(j *jobs.Job) {
 	defer s.jobsWG.Done()
 	start := time.Now()
 
-	req, err := decodeScheduleRequest(j.Snapshot().Request)
+	req, err := decodeScheduleRequest(bytes.NewReader(j.Snapshot().Request))
 	if err != nil {
 		// Unreachable for jobs submitted by this binary (validated on POST);
 		// reachable for a journal written by an older schema.

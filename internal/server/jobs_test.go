@@ -289,6 +289,8 @@ func TestJobSubmitValidates(t *testing.T) {
 		{`{"workload":"alpha21364","tl_celsius":165,"stcl":60,"nope":1}`, "bad_json"},
 		{`{"workload":"alpha21364","stcl":60}`, "bad_config"},
 		{`{"workload":"nonesuch","tl_celsius":165,"stcl":60}`, "bad_workload"},
+		{`{"workload":"alpha21364","tl_celsius":165,"stcl":60} {"stcl":-1}`, "bad_json"},
+		{oversizedBody(), "body_too_large"},
 	} {
 		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -297,8 +299,12 @@ func TestJobSubmitValidates(t *testing.T) {
 		var e ErrorResponse
 		err = json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusBadRequest || e.Error.Code != tc.code {
-			t.Errorf("body %s: status %d code %q (want 400 %s)", tc.body, resp.StatusCode, e.Error.Code, tc.code)
+		want := http.StatusBadRequest
+		if tc.code == "body_too_large" {
+			want = http.StatusRequestEntityTooLarge
+		}
+		if err != nil || resp.StatusCode != want || e.Error.Code != tc.code {
+			t.Errorf("body %.80s: status %d code %q (want %d %s)", tc.body, resp.StatusCode, e.Error.Code, want, tc.code)
 		}
 	}
 }

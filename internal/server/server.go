@@ -701,19 +701,16 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			"server is draining; not admitting new work")
 		return
 	}
-	var req ScheduleRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_json", fmt.Sprintf("decoding request body: %v", err))
+	req, ok := readScheduleRequest(w, r, nil)
+	if !ok {
 		return
 	}
-	deadline, err := s.requestDeadline(r, &req)
+	deadline, err := s.requestDeadline(r, req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_deadline", err.Error())
 		return
 	}
-	p, code, err := s.resolveProblem(&req)
+	p, code, err := s.resolveProblem(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, code, err.Error())
 		return
@@ -796,7 +793,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := ScheduleResponse{
-		Result: buildScheduleResult(&req, p, res),
+		Result: buildScheduleResult(req, p, res),
 		Cache:  cacheInfo(env, warm, t0),
 		Timing: TimingInfo{
 			QueueMS:    float64(queueDur) / float64(time.Millisecond),

@@ -200,12 +200,19 @@ func TestScheduleHandlerBadRequests(t *testing.T) {
 		{"negative grid res", `{"workload":"alpha21364","tl_celsius":165,"stcl":60,"grid_res":-2}`, "bad_config"},
 		{"unknown order", `{"workload":"alpha21364","tl_celsius":165,"stcl":60,"order":"alphabetical"}`, "bad_config"},
 		{"invalid package", `{"workload":"alpha21364","tl_celsius":165,"stcl":60,"package":{"k_silicon":-5}}`, "bad_package"},
+		{"trailing object", `{"workload":"alpha21364","tl_celsius":165,"stcl":60} {"stcl":-1}`, "bad_json"},
+		{"trailing garbage", `{"workload":"alpha21364","tl_celsius":165,"stcl":60}x`, "bad_json"},
+		{"body too large", oversizedBody(), "body_too_large"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			status, e := postRaw(t, url, tc.body)
-			if status != http.StatusBadRequest {
-				t.Fatalf("status = %d, want 400 (error %+v)", status, e)
+			want := http.StatusBadRequest
+			if tc.wantCode == "body_too_large" {
+				want = http.StatusRequestEntityTooLarge
+			}
+			if status != want {
+				t.Fatalf("status = %d, want %d (error %+v)", status, want, e)
 			}
 			if e.Error.Code != tc.wantCode {
 				t.Errorf("error code = %q, want %q (message %q)", e.Error.Code, tc.wantCode, e.Error.Message)
@@ -214,6 +221,30 @@ func TestScheduleHandlerBadRequests(t *testing.T) {
 				t.Error("empty error message")
 			}
 		})
+	}
+}
+
+// oversizedBody is well-formed JSON one floorplan string past maxBodyBytes.
+func oversizedBody() string {
+	return `{"workload":"alpha21364","tl_celsius":165,"stcl":60,"floorplan":"` +
+		strings.Repeat("x", maxBodyBytes) + `"}`
+}
+
+// TestTrailingBodyWhitespaceAccepted: whitespace after the JSON object is
+// not trailing data; both endpoints still accept it.
+func TestTrailingBodyWhitespaceAccepted(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	body := "{\"workload\":\"alpha21364\",\"tl_celsius\":165,\"stcl\":60}\n \t\r\n"
+	for path, want := range map[string]int{"/v1/schedule": http.StatusOK, "/v1/jobs": http.StatusAccepted} {
+		resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("POST %s: status %d, want %d: %s", path, resp.StatusCode, want, data)
+		}
 	}
 }
 
