@@ -22,7 +22,6 @@ import (
 	thermalsched "repro"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/linalg"
 	"repro/internal/oraclestore"
 	"repro/internal/power"
 	"repro/internal/server"
@@ -504,13 +503,12 @@ func BenchmarkGridSteadyState(b *testing.B) {
 }
 
 // BenchmarkGridFactor is the numeric-kernel ladder: full grid-model
-// construction (assembly + symbolic + numeric) per kernel and resolution,
-// with the numeric factorization alone reported as numeric_ms. The scalar
-// and supernodal kernels share everything outside the numeric phase and
-// produce bit-identical factors, so numeric_ms is a pure execution-strategy
-// comparison; n131k is the 256×256 tentpole rung. The 1024×1024 rung
-// (n2097k, ~2.1M nodes) factors out of core under a 3 GiB peak-bytes budget
-// and takes minutes — it only runs with THERM_BENCH_1024=1, supernodal only.
+// construction (assembly + symbolic + numeric) per resolution, with the
+// supernodal numeric factorization alone reported as numeric_ms; n131k is
+// the 256×256 tentpole rung. The 1024×1024 rung (n2097k, ~2.1M nodes)
+// factors out of core under a 3 GiB peak-bytes budget and takes minutes — it
+// only runs with THERM_BENCH_1024=1. Sub-benchmarks keep their historical
+// "/supernodal" suffix so reports compare against earlier BENCH_*.json runs.
 func BenchmarkGridFactor(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -522,50 +520,44 @@ func BenchmarkGridFactor(b *testing.B) {
 		{"n2097k", 1024, thermal.GridOptions{FillBudget: 1 << 29, PeakBytesBudget: 3 << 30}},
 	} {
 		gated := c.res >= 1024
-		for _, mode := range []linalg.FactorMode{linalg.FactorSupernodal, linalg.FactorScalar} {
-			if gated && mode == linalg.FactorScalar {
-				continue // the scalar kernel has no out-of-core mode
+		b.Run(c.name+"/supernodal", func(b *testing.B) {
+			if gated && os.Getenv("THERM_BENCH_1024") == "" {
+				b.Skip("set THERM_BENCH_1024=1 to run the 1024×1024 rung (minutes)")
 			}
-			b.Run(c.name+"/"+mode.String(), func(b *testing.B) {
-				if gated && os.Getenv("THERM_BENCH_1024") == "" {
-					b.Skip("set THERM_BENCH_1024=1 to run the 1024×1024 rung (minutes)")
+			fp := thermalsched.Alpha21364Floorplan()
+			opts := c.opts
+			if opts.PeakBytesBudget > 0 {
+				opts.SpillDir = b.TempDir()
+			}
+			var numeric time.Duration
+			var fs thermal.GridFactorStats
+			for i := 0; i < b.N; i++ {
+				gm, err := thermal.NewGridModelWithOptions(fp, thermalsched.DefaultPackage(),
+					c.res, c.res, opts)
+				if err != nil {
+					b.Fatal(err)
 				}
-				fp := thermalsched.Alpha21364Floorplan()
-				opts := c.opts
-				opts.Factor = mode
-				if opts.PeakBytesBudget > 0 {
-					opts.SpillDir = b.TempDir()
+				if got := gm.SolverBackend(); got != "sparse-cholesky" {
+					b.Fatalf("backend = %q, want sparse-cholesky", got)
 				}
-				var numeric time.Duration
-				var fs thermal.GridFactorStats
-				for i := 0; i < b.N; i++ {
-					gm, err := thermal.NewGridModelWithOptions(fp, thermalsched.DefaultPackage(),
-						c.res, c.res, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if got := gm.SolverBackend(); got != "sparse-cholesky" {
-						b.Fatalf("backend = %q, want sparse-cholesky", got)
-					}
-					fs = gm.FactorStats()
-					numeric += fs.FactorTime
-					if err := gm.Close(); err != nil {
-						b.Fatal(err)
-					}
+				fs = gm.FactorStats()
+				numeric += fs.FactorTime
+				if err := gm.Close(); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(numeric.Microseconds())/1e3/float64(b.N), "numeric_ms")
-				if opts.PeakBytesBudget > 0 {
-					if fs.SpillDegraded {
-						b.Fatalf("spill degraded: %+v", fs)
-					}
-					if fs.PeakResidentBytes > opts.PeakBytesBudget {
-						b.Fatalf("peak resident %d exceeds budget %d", fs.PeakResidentBytes, opts.PeakBytesBudget)
-					}
-					b.ReportMetric(float64(fs.SpilledPanels), "spilled_panels")
-					b.ReportMetric(float64(fs.PeakResidentBytes)/(1<<20), "peak_resident_mb")
+			}
+			b.ReportMetric(float64(numeric.Microseconds())/1e3/float64(b.N), "numeric_ms")
+			if opts.PeakBytesBudget > 0 {
+				if fs.SpillDegraded {
+					b.Fatalf("spill degraded: %+v", fs)
 				}
-			})
-		}
+				if fs.PeakResidentBytes > opts.PeakBytesBudget {
+					b.Fatalf("peak resident %d exceeds budget %d", fs.PeakResidentBytes, opts.PeakBytesBudget)
+				}
+				b.ReportMetric(float64(fs.SpilledPanels), "spilled_panels")
+				b.ReportMetric(float64(fs.PeakResidentBytes)/(1<<20), "peak_resident_mb")
+			}
+		})
 	}
 }
 
@@ -644,35 +636,9 @@ func BenchmarkGridSteadyBatch(b *testing.B) {
 	b.ReportMetric(float64(perQuery.Nanoseconds()), "ns/query")
 }
 
-// legacyGridOracle is the PR 3-era candidate scan: every candidate session
-// pays one dense-RHS SolveInto against the shared factor — no sparse-RHS
-// reach restriction, no batching. It exists only as the benchmark baseline.
-type legacyGridOracle struct {
-	gm   *thermal.GridModel
-	prof *power.Profile
-}
-
-func (o *legacyGridOracle) BlockTemps(active []int) ([]float64, error) {
-	pm, err := o.prof.TestPowerMap(active)
-	if err != nil {
-		return nil, err
-	}
-	res, err := o.gm.SteadyState(pm)
-	if err != nil {
-		return nil, err
-	}
-	n := o.gm.Floorplan().NumBlocks()
-	out := make([]float64, n)
-	for blk := 0; blk < n; blk++ {
-		out[blk] = res.BlockMaxTemp(blk)
-	}
-	return out, nil
-}
-
-// table1GridModes are the three phase-2 candidate-scan strategies the grid
-// benchmarks compare; all render byte-identical schedules:
+// table1GridModes are the two phase-2 candidate-scan strategies the grid
+// benchmarks compare; both render byte-identical schedules:
 //
-//   - legacy:        one dense-RHS SolveInto per candidate (the pre-ND flow)
 //   - per-candidate: sparse-RHS solves through the active footprint's reach
 //   - batched:       sparse RHS + speculative chain tails on blocked multi-RHS
 func table1GridModes(gm *thermal.GridModel, prof *power.Profile) []struct {
@@ -685,7 +651,6 @@ func table1GridModes(gm *thermal.GridModel, prof *power.Profile) []struct {
 		oracle core.Oracle
 		batch  bool
 	}{
-		{"legacy", &legacyGridOracle{gm: gm, prof: prof}, false},
 		{"per-candidate", core.NewGridOracle(gm, prof), false},
 		{"batched", core.NewGridOracle(gm, prof), true},
 	}
@@ -729,7 +694,7 @@ func BenchmarkTable1CellGridCold(b *testing.B) {
 // cold-cell bench — hands the batched mode almost nothing to amortise:
 // fresh sessions surface one at a time (as chain heads) once the cache is
 // warm, so per-candidate and batched bracket a few percent of each other and
-// the sparse-RHS solo path carries the win over legacy.
+// the sparse-RHS solo path carries the win.
 func BenchmarkTable1GridOracle(b *testing.B) {
 	const gridRes = 96
 	spec := thermalsched.AlphaWorkload()
@@ -757,27 +722,5 @@ func BenchmarkTable1GridOracle(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkGridSteadyLegacyCG measures the same 16k-node query on the
-// pre-factorization path (a fresh Jacobi-preconditioned CG solve at tol 1e-9
-// per query) — the baseline the sparse backend's ≥10x claim is made against.
-func BenchmarkGridSteadyLegacyCG(b *testing.B) {
-	fp := thermalsched.Alpha21364Floorplan()
-	gm, err := thermalsched.NewGridThermalModel(fp, thermalsched.DefaultPackage(), 90, 90)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := thermalsched.AlphaWorkload()
-	pm := make([]float64, fp.NumBlocks())
-	for i := range pm {
-		pm[i] = spec.Test(i).Power / 3
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gm.SteadyStateCG(pm); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

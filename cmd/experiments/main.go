@@ -39,8 +39,6 @@ import (
 type options struct {
 	parallel    bool
 	gridres     []int
-	orderings   []linalg.Ordering
-	factors     []linalg.FactorMode
 	panel       linalg.SupernodalOptions
 	fillBudget  int
 	peakBytes   int64
@@ -54,13 +52,8 @@ type options struct {
 }
 
 // grid returns the solver options every grid model of this run is built with.
-// A zero-valued options (no parsed -factor flag) means FactorAuto.
 func (o options) grid() thermal.GridOptions {
-	g := thermal.GridOptions{Panel: o.panel, PeakBytesBudget: o.peakBytes, SpillDir: o.spillDir}
-	if len(o.factors) > 0 {
-		g.Factor = o.factors[0]
-	}
-	return g
+	return thermal.GridOptions{Panel: o.panel, PeakBytesBudget: o.peakBytes, SpillDir: o.spillDir}
 }
 
 func main() {
@@ -72,17 +65,9 @@ func main() {
 		gridres = flag.String("gridres", "",
 			"comma-separated grid-resolution ladder for -run gridres (e.g. 32,64,128); "+
 				"runs the Table 1 flow per resolution and prints solver backend and factor/solve timings")
-		ordering = flag.String("ordering", "nd",
-			"fill-reducing ordering for -run gridres: nd, rcm or both (one ladder row per ordering)")
 		fillBudget = flag.Int("fillbudget", 0,
 			"factor fill budget (non-zeros) for -run gridres grid models; 0 = default 2^24, "+
 				"past it the model falls back to preconditioned CG")
-		factor = flag.String("factor", "auto",
-			"numeric Cholesky kernel for grid models: auto, supernodal, scalar or both "+
-				"(both ladders -run gridres through each kernel; elsewhere it means auto). "+
-				"Kernels are bit-identical — this only changes execution strategy")
-		supernodal = flag.Bool("supernodal", true,
-			"shorthand for -factor scalar when false; kept for scripting symmetry with cmd/thermsim")
 		panelWidth = flag.String("panel", "",
 			"max supernodal panel width in columns: a positive integer, \"auto\" to micro-calibrate for the host, or empty for the default")
 		peakBytes = flag.String("peak-bytes", "",
@@ -115,16 +100,6 @@ func main() {
 	flag.Parse()
 
 	ladder, err := parseGridRes(*gridres)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	orderings, err := parseOrderings(*ordering)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	factors, err := parseFactors(*factor, *supernodal)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
@@ -174,8 +149,6 @@ func main() {
 	runErr := run(*which, options{
 		parallel:    *parallel,
 		gridres:     ladder,
-		orderings:   orderings,
-		factors:     factors,
 		panel:       panelOptions(width, *relax),
 		fillBudget:  *fillBudget,
 		peakBytes:   peak,
@@ -219,44 +192,6 @@ func writeHeapProfile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// parseOrderings maps the -ordering flag to the ladder's ordering list:
-// "nd", "rcm" or "both" (nd first, matching the render's row order).
-func parseOrderings(s string) ([]linalg.Ordering, error) {
-	switch strings.TrimSpace(s) {
-	case "", "nd":
-		return []linalg.Ordering{linalg.OrderND}, nil
-	case "rcm":
-		return []linalg.Ordering{linalg.OrderRCM}, nil
-	case "both":
-		return []linalg.Ordering{linalg.OrderND, linalg.OrderRCM}, nil
-	default:
-		return nil, fmt.Errorf("bad -ordering %q (want nd, rcm or both)", s)
-	}
-}
-
-// parseFactors maps the -factor/-supernodal flags to the kernel list used for
-// grid models. "-supernodal=false" is shorthand for "-factor scalar";
-// combining it with an explicit conflicting -factor is an error.
-func parseFactors(s string, supernodal bool) ([]linalg.FactorMode, error) {
-	if strings.TrimSpace(s) == "both" {
-		if !supernodal {
-			return nil, fmt.Errorf("-factor both conflicts with -supernodal=false")
-		}
-		return []linalg.FactorMode{linalg.FactorSupernodal, linalg.FactorScalar}, nil
-	}
-	mode, err := linalg.ParseFactorMode(strings.TrimSpace(s))
-	if err != nil {
-		return nil, fmt.Errorf("bad -factor %q (want auto, supernodal, scalar or both)", s)
-	}
-	if !supernodal {
-		if mode == linalg.FactorSupernodal {
-			return nil, fmt.Errorf("-factor supernodal conflicts with -supernodal=false")
-		}
-		mode = linalg.FactorScalar
-	}
-	return []linalg.FactorMode{mode}, nil
 }
 
 // panelOptions maps the -panel/-relax knobs onto SupernodalOptions: the flag
@@ -417,9 +352,7 @@ func run(which string, opts options) error {
 	if wants("gridres") {
 		ran = true
 		res, err := experiments.RunGridScale(env, opts.gridres, experiments.GridScaleOptions{
-			Orderings:  opts.orderings,
 			FillBudget: opts.fillBudget,
-			Factors:    opts.factors,
 			Panel:      opts.panel,
 			PeakBytes:  opts.peakBytes,
 			SpillDir:   opts.spillDir,

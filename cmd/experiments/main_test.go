@@ -22,32 +22,13 @@ func TestRunGridResLadder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid ladder in -short mode")
 	}
-	orderings, err := parseOrderings("both")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := run("gridres", options{gridres: []int{8, 12}, orderings: orderings}); err != nil {
-		t.Errorf("run(gridres, both orderings): %v", err)
+	if err := run("gridres", options{gridres: []int{8, 12}}); err != nil {
+		t.Errorf("run(gridres): %v", err)
 	}
 	// A starved fill budget must degrade the ladder to the CG fallback, not
 	// fail it.
 	if err := run("gridres", options{gridres: []int{8}, fillBudget: 128}); err != nil {
 		t.Errorf("run(gridres, fillbudget 128): %v", err)
-	}
-}
-
-func TestParseOrderings(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want int
-	}{{"", 1}, {"nd", 1}, {"rcm", 1}, {"both", 2}} {
-		got, err := parseOrderings(c.in)
-		if err != nil || len(got) != c.want {
-			t.Errorf("parseOrderings(%q) = %v, %v (want %d orderings)", c.in, got, err, c.want)
-		}
-	}
-	if _, err := parseOrderings("metis"); err == nil {
-		t.Error("parseOrderings should reject unknown names")
 	}
 }
 

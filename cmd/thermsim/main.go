@@ -30,11 +30,7 @@ func main() {
 		duration   = flag.Float64("duration", 5, "transient duration (s)")
 		step       = flag.Float64("step", 0, "transient step (s), 0 = auto")
 		grid       = flag.Int("grid", 0, "also solve an N×N grid model and print its heatmap")
-		gridOrd    = flag.String("gridord", "nd", "grid factor ordering: nd (nested dissection) or rcm")
 		gridFill   = flag.Int("fillbudget", 0, "grid factor fill budget in non-zeros; 0 = default 2^24")
-		supernodal = flag.Bool("supernodal", true,
-			"factor the grid model with the panel-blocked supernodal kernel "+
-				"(false = scalar reference kernel; both produce bit-identical factors)")
 		panelWidth = flag.String("panel", "", "max supernodal panel width in columns: a positive integer, \"auto\" to micro-calibrate for the host, or empty for the default")
 		relax      = flag.Float64("relax", -1,
 			"relaxed-amalgamation pad budget as a fraction of a panel's packed entries "+
@@ -44,11 +40,6 @@ func main() {
 	)
 	flag.Parse()
 
-	ord, err := linalg.ParseOrdering(*gridOrd)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "thermsim:", err)
-		os.Exit(1)
-	}
 	width, err := cliutil.ParsePanelWidth(*panelWidth)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "thermsim: -panel:", err)
@@ -59,10 +50,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "thermsim: -peak-bytes:", err)
 		os.Exit(1)
 	}
-	factor := linalg.FactorAuto
-	if !*supernodal {
-		factor = linalg.FactorScalar
-	}
 	panel := linalg.SupernodalOptions{MaxPanel: width}
 	switch {
 	case *relax < 0: // keep the canonical default ratio
@@ -72,7 +59,7 @@ func main() {
 		panel.RelaxRatio = *relax
 	}
 	gopts := thermal.GridOptions{
-		Ordering: ord, FillBudget: *gridFill, Factor: factor, Panel: panel,
+		FillBudget: *gridFill, Panel: panel,
 		PeakBytesBudget: peak, SpillDir: *spillDir,
 	}
 	if err := run(*workload, *flpPath, *specPath, *activeStr, *transient, *duration, *step, *grid, gopts); err != nil {
@@ -126,16 +113,14 @@ func run(workload, flpPath, specPath, activeStr string, transient bool, duration
 			if err != nil {
 				return err
 			}
-			fmt.Printf("\ngrid model (%d×%d, %s ordering, %s backend): max %.2f °C (block model: %.2f °C)\n",
-				grid, grid, gm.Ordering(), gm.SolverBackend(), gres.MaxTemp(), res.MaxTemp())
+			fmt.Printf("\ngrid model (%d×%d, nd ordering, %s backend): max %.2f °C (block model: %.2f °C)\n",
+				grid, grid, gm.SolverBackend(), gres.MaxTemp(), res.MaxTemp())
+			// The CG fallback builds no factor; the header already names it.
 			fs := gm.FactorStats()
 			if fs.Panels > 0 {
 				fmt.Printf("factor: %s kernel, %v numeric, %d nnz, %d panels (max width %d, %d padded zeros), batch width %d\n",
 					fs.Mode, fs.FactorTime.Round(time.Microsecond), fs.FactorNNZ,
 					fs.Panels, fs.MaxPanelWidth, fs.PaddedZeros, fs.BatchWidth)
-			} else {
-				fmt.Printf("factor: %s kernel, %v numeric, %d nnz, batch width %d\n",
-					fs.Mode, fs.FactorTime.Round(time.Microsecond), fs.FactorNNZ, fs.BatchWidth)
 			}
 			switch {
 			case fs.SpilledPanels > 0:

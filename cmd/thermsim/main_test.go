@@ -1,9 +1,11 @@
 package main
 
 import (
+	"io"
+	"os"
+	"strings"
 	"testing"
 
-	"repro/internal/linalg"
 	"repro/internal/thermal"
 )
 
@@ -13,14 +15,55 @@ func TestRunSteadyState(t *testing.T) {
 	}
 }
 
+// captureStdout runs fn with os.Stdout redirected into a pipe and returns
+// what it printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	runErr := fn()
+	os.Stdout = orig
+	w.Close()
+	return <-out, runErr
+}
+
 func TestRunSteadyStateGridOptions(t *testing.T) {
-	// Both orderings and a starved fill budget (CG fallback) must render.
-	for _, opts := range []thermal.GridOptions{
-		{Ordering: linalg.OrderRCM},
-		{Ordering: linalg.OrderND, FillBudget: 256},
+	// The default options print the supernodal factor line; a starved fill
+	// budget (CG fallback) builds no factor, so it prints none — the header
+	// already names the cg-ic0 backend.
+	for _, c := range []struct {
+		opts       thermal.GridOptions
+		wantFactor bool
+	}{
+		{thermal.GridOptions{}, true},
+		{thermal.GridOptions{FillBudget: 256}, false},
 	} {
-		if err := run("alpha21364", "", "", "IntExec", false, 0, 0, 12, opts); err != nil {
-			t.Fatalf("grid options %+v: %v", opts, err)
+		out, err := captureStdout(t, func() error {
+			return run("alpha21364", "", "", "IntExec", false, 0, 0, 12, c.opts)
+		})
+		if err != nil {
+			t.Fatalf("grid options %+v: %v", c.opts, err)
+		}
+		if c.wantFactor {
+			if !strings.Contains(out, "factor: supernodal kernel") {
+				t.Errorf("grid options %+v: no supernodal factor line in:\n%s", c.opts, out)
+			}
+			continue
+		}
+		if !strings.Contains(out, "cg-ic0 backend") {
+			t.Errorf("grid options %+v: header does not name cg-ic0:\n%s", c.opts, out)
+		}
+		if strings.Contains(out, "factor:") {
+			t.Errorf("grid options %+v: CG fallback printed a factor line:\n%s", c.opts, out)
 		}
 	}
 }

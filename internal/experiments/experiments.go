@@ -70,11 +70,11 @@ type EnvOptions struct {
 	// GridRes, when > 0, validates sessions on a GridRes×GridRes
 	// grid-resolution thermal model instead of the block model.
 	GridRes int
-	// Grid tunes the grid oracle's solver (ordering, fill budget, factor
-	// kernel, panel shape, batch width). The zero value is the canonical
-	// default. Only the round-off-relevant fields (Ordering, FillBudget)
-	// enter the store key — factor-kernel choices are bit-identical, so
-	// cached results stay shared across them.
+	// Grid tunes the grid oracle's solver (fill budget, panel shape, batch
+	// width, peak-bytes budget). The zero value is the canonical default.
+	// Only the round-off-relevant FillBudget enters the store key — the
+	// other knobs are bit-identical execution strategies, so cached results
+	// stay shared across them.
 	Grid thermal.GridOptions
 }
 

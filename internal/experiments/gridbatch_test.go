@@ -4,18 +4,16 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/linalg"
 	"repro/internal/testspec"
 	"repro/internal/thermal"
 )
 
-// TestGridScheduleByteIdenticalAcrossOrderingsAndPaths is the acceptance
-// check of the grid-scale fast path: the same workload validated on the same
-// grid discretisation must render the byte-identical schedule whether the
-// factor was ordered by nested dissection or RCM, and whether sessions were
-// validated one at a time, through the speculative batch, behind a memo
+// TestGridScheduleByteIdenticalAcrossPaths is the acceptance check of the
+// grid-scale fast path: the same workload validated on the same grid
+// discretisation must render the byte-identical schedule whether sessions
+// were validated one at a time, through the speculative batch, behind a memo
 // cache, or with parallel phase 1. CI runs this under -race.
-func TestGridScheduleByteIdenticalAcrossOrderingsAndPaths(t *testing.T) {
+func TestGridScheduleByteIdenticalAcrossPaths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid-oracle generation in -short mode")
 	}
@@ -31,34 +29,31 @@ func TestGridScheduleByteIdenticalAcrossOrderingsAndPaths(t *testing.T) {
 	}
 	base := core.Config{TL: 165, STCL: 60}
 
+	gm, err := thermal.NewGridModel(spec.Floorplan(), pkg, 24, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := core.NewGridOracle(gm, spec.Profile())
+	configs := map[string]core.Config{
+		"serial":          base,
+		"batched":         {TL: base.TL, STCL: base.STCL, BatchValidate: true},
+		"parallel-phase1": {TL: base.TL, STCL: base.STCL, Phase1Workers: 4},
+	}
 	var want string
-	for _, ord := range []linalg.Ordering{linalg.OrderND, linalg.OrderRCM} {
-		gm, err := thermal.NewGridModelWithOptions(spec.Floorplan(), pkg, 24, 24,
-			thermal.GridOptions{Ordering: ord})
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle := core.NewGridOracle(gm, spec.Profile())
-		configs := map[string]core.Config{
-			"serial":          base,
-			"batched":         {TL: base.TL, STCL: base.STCL, BatchValidate: true},
-			"parallel-phase1": {TL: base.TL, STCL: base.STCL, Phase1Workers: 4},
-		}
-		for name, cfg := range configs {
-			for _, o := range []core.Oracle{oracle, core.NewCachedOracle(oracle)} {
-				res, err := core.Generate(spec, sm, o, cfg)
-				if err != nil {
-					t.Fatalf("%s/%s: %v", ord, name, err)
-				}
-				got := res.Describe(spec)
-				if want == "" {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Errorf("%s/%s (%T) schedule differs:\n--- want ---\n%s\n--- got ---\n%s",
-						ord, name, o, want, got)
-				}
+	for name, cfg := range configs {
+		for _, o := range []core.Oracle{oracle, core.NewCachedOracle(oracle)} {
+			res, err := core.Generate(spec, sm, o, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got := res.Describe(spec)
+			if want == "" {
+				want = got
+				continue
+			}
+			if got != want {
+				t.Errorf("%s (%T) schedule differs:\n--- want ---\n%s\n--- got ---\n%s",
+					name, o, want, got)
 			}
 		}
 	}

@@ -12,17 +12,15 @@ import (
 
 // GridScalePoint is one rung of the grid-resolution ladder: the Table 1
 // schedule's sessions re-simulated on an n×n grid discretisation, with the
-// solver backend, ordering and timing split that tells direct-factor
+// solver backend and timing split that tells direct-factor
 // amortisation from per-query cost — and the batched multi-RHS pass from the
 // per-query triangular solves it replaces.
 type GridScalePoint struct {
 	Res        int           // grid is Res×Res cells
-	Ordering   string        // fill-reducing ordering ("nd", "rcm")
-	Factor     string        // numeric kernel ("supernodal", "scalar")
 	Nodes      int           // total RC nodes (2·Res² + 2)
 	NNZ        int           // conductance matrix non-zeros
 	FactorNNZ  int           // Cholesky factor non-zeros (0 on the CG fallback)
-	Panels     int           // supernodal panel count (0 on the scalar kernel)
+	Panels     int           // supernodal panel count (0 on the CG fallback)
 	Backend    string        // thermal.GridModel.SolverBackend()
 	BuildTime  time.Duration // model assembly + symbolic + numeric factorization
 	FactorTime time.Duration // numeric factorization alone (inside BuildTime)
@@ -56,8 +54,7 @@ func (p GridScalePoint) PerQueryBatched() time.Duration {
 
 // GridScaleResult is the grid-resolution study: the Table 1 flow (generate a
 // schedule at the mid operating point, then validate every committed session)
-// run against increasingly fine grid models of the same package, under one or
-// more elimination orderings.
+// run against increasingly fine grid models of the same package.
 type GridScaleResult struct {
 	TL, STCL float64
 	Sessions int
@@ -66,19 +63,11 @@ type GridScaleResult struct {
 
 // GridScaleOptions tunes the ladder.
 type GridScaleOptions struct {
-	// Orderings lists the fill-reducing orderings to ladder each resolution
-	// through; empty runs the grid default (nested dissection) only.
-	Orderings []linalg.Ordering
 	// FillBudget overrides the factor fill budget (0 keeps the default), so
 	// fine rungs can be pushed past — or pinned under — the stock bound.
 	FillBudget int
-	// Factors lists the numeric kernels to ladder each resolution×ordering
-	// cell through; empty runs the grid default (supernodal) only. Both
-	// kernels are bit-identical, so any factor-time gap between them is pure
-	// execution strategy.
-	Factors []linalg.FactorMode
 	// Panel tunes the supernodal panel geometry (zero value = canonical
-	// defaults); ignored by the scalar kernel.
+	// defaults).
 	Panel linalg.SupernodalOptions
 	// PeakBytes caps each rung's resident factorization working set; over it,
 	// finished factor panels spill to SpillDir and stream back during solves
@@ -90,7 +79,7 @@ type GridScaleOptions struct {
 
 // RunGridScale generates the TL=165/STCL=60 Table 1 schedule in env, then
 // re-simulates its sessions on each grid resolution, reporting backend
-// choice, ordering, factorization fill and the per-query vs batched solve
+// choice, factorization fill and the per-query vs batched solve
 // timings per rung. This is the scaling probe for the sparse steady-state
 // backend: per-query time should stay near-linear in the node count because
 // the factorization is built once and reused, and the batched column should
@@ -105,85 +94,68 @@ func RunGridScale(env *Env, resolutions []int, opts GridScaleOptions) (*GridScal
 	sessions := res.Schedule.Sessions()
 	out := &GridScaleResult{TL: tl, STCL: stcl, Sessions: len(sessions)}
 	prof := env.Spec.Profile()
-	orderings := opts.Orderings
-	if len(orderings) == 0 {
-		orderings = []linalg.Ordering{linalg.OrderAuto}
-	}
-	factors := opts.Factors
-	if len(factors) == 0 {
-		factors = []linalg.FactorMode{linalg.FactorAuto}
-	}
 	for _, r := range resolutions {
 		if r < 2 {
 			return nil, fmt.Errorf("experiments: grid resolution %d too small", r)
 		}
-		for _, ord := range orderings {
-			for _, fm := range factors {
-				start := time.Now()
-				gm, err := thermal.NewGridModelWithOptions(env.Spec.Floorplan(), env.Model.Config(), r, r,
-					thermal.GridOptions{Ordering: ord, FillBudget: opts.FillBudget,
-						Factor: fm, Panel: opts.Panel,
-						PeakBytesBudget: opts.PeakBytes, SpillDir: opts.SpillDir})
-				if err != nil {
-					return nil, fmt.Errorf("experiments: %d×%d grid: %w", r, r, err)
-				}
-				fs := gm.FactorStats()
-				pt := GridScalePoint{
-					Res:        r,
-					Ordering:   gm.Ordering(),
-					Factor:     gm.FactorMode(),
-					Nodes:      gm.NumNodes(),
-					NNZ:        gm.NNZ(),
-					FactorNNZ:  gm.FactorNNZ(),
-					Panels:     fs.Panels,
-					Backend:    gm.SolverBackend(),
-					BuildTime:  time.Since(start),
-					FactorTime: fs.FactorTime,
-					Queries:    len(sessions),
+		start := time.Now()
+		gm, err := thermal.NewGridModelWithOptions(env.Spec.Floorplan(), env.Model.Config(), r, r,
+			thermal.GridOptions{FillBudget: opts.FillBudget, Panel: opts.Panel,
+				PeakBytesBudget: opts.PeakBytes, SpillDir: opts.SpillDir})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %d×%d grid: %w", r, r, err)
+		}
+		fs := gm.FactorStats()
+		pt := GridScalePoint{
+			Res:        r,
+			Nodes:      gm.NumNodes(),
+			NNZ:        gm.NNZ(),
+			FactorNNZ:  gm.FactorNNZ(),
+			Panels:     fs.Panels,
+			Backend:    gm.SolverBackend(),
+			BuildTime:  time.Since(start),
+			FactorTime: fs.FactorTime,
+			Queries:    len(sessions),
 
-					SpilledPanels: fs.SpilledPanels,
-					SpilledBytes:  fs.SpilledBytes,
-					PeakResident:  fs.PeakResidentBytes,
-				}
-				pms := make([][]float64, 0, len(sessions))
-				peaks := make([]float64, 0, len(sessions))
-				for _, s := range sessions {
-					pm, err := prof.TestPowerMap(s.Cores())
-					if err != nil {
-						return nil, err
-					}
-					pms = append(pms, pm)
-					t0 := time.Now()
-					gr, err := gm.SteadyState(pm)
-					pt.SolveTime += time.Since(t0)
-					if err != nil {
-						return nil, fmt.Errorf("experiments: %d×%d grid solve: %w", r, r, err)
-					}
-					peaks = append(peaks, gr.MaxTemp())
-					if mt := gr.MaxTemp(); mt > pt.PeakT {
-						pt.PeakT = mt
-					}
-				}
-				t0 := time.Now()
-				batch, err := gm.SteadyStateBatch(pms)
-				pt.BatchTime = time.Since(t0)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: %d×%d grid batch solve: %w", r, r, err)
-				}
-				// The batched pass must reproduce the per-query answers bit for
-				// bit — cheap to verify here, and it keeps every ladder run an
-				// end-to-end identity check of the fast path. With both kernels
-				// laddered it also pins the scalar and supernodal peaks to the
-				// same bits across rungs.
-				for i, gr := range batch {
-					if gr.MaxTemp() != peaks[i] {
-						return nil, fmt.Errorf("experiments: %d×%d batched solve diverged at session %d: %g vs %g",
-							r, r, i, gr.MaxTemp(), peaks[i])
-					}
-				}
-				out.Points = append(out.Points, pt)
+			SpilledPanels: fs.SpilledPanels,
+			SpilledBytes:  fs.SpilledBytes,
+			PeakResident:  fs.PeakResidentBytes,
+		}
+		pms := make([][]float64, 0, len(sessions))
+		peaks := make([]float64, 0, len(sessions))
+		for _, s := range sessions {
+			pm, err := prof.TestPowerMap(s.Cores())
+			if err != nil {
+				return nil, err
+			}
+			pms = append(pms, pm)
+			t0 := time.Now()
+			gr, err := gm.SteadyState(pm)
+			pt.SolveTime += time.Since(t0)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %d×%d grid solve: %w", r, r, err)
+			}
+			peaks = append(peaks, gr.MaxTemp())
+			if mt := gr.MaxTemp(); mt > pt.PeakT {
+				pt.PeakT = mt
 			}
 		}
+		t0 := time.Now()
+		batch, err := gm.SteadyStateBatch(pms)
+		pt.BatchTime = time.Since(t0)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %d×%d grid batch solve: %w", r, r, err)
+		}
+		// The batched pass must reproduce the per-query answers bit for bit —
+		// cheap to verify here, and it keeps every ladder run an end-to-end
+		// identity check of the fast path.
+		for i, gr := range batch {
+			if gr.MaxTemp() != peaks[i] {
+				return nil, fmt.Errorf("experiments: %d×%d batched solve diverged at session %d: %g vs %g",
+					r, r, i, gr.MaxTemp(), peaks[i])
+			}
+		}
+		out.Points = append(out.Points, pt)
 	}
 	return out, nil
 }
@@ -193,15 +165,15 @@ func (g *GridScaleResult) Render() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Grid-resolution ladder — Table 1 schedule (TL=%.0f, STCL=%.0f, %d sessions) on n×n grids\n",
 		g.TL, g.STCL, g.Sessions)
-	fmt.Fprintf(&sb, "%6s %5s %10s %8s %9s %10s %7s %7s %10s %16s %12s %12s %12s %12s %9s\n",
-		"grid", "ord", "kernel", "nodes", "nnz", "factor", "panels", "spilled", "resident", "backend", "build", "numeric", "per-query", "batch/query", "peak °C")
+	fmt.Fprintf(&sb, "%6s %8s %9s %10s %7s %7s %10s %16s %12s %12s %12s %12s %9s\n",
+		"grid", "nodes", "nnz", "factor", "panels", "spilled", "resident", "backend", "build", "numeric", "per-query", "batch/query", "peak °C")
 	for _, p := range g.Points {
 		resident := "-"
 		if p.SpilledPanels > 0 {
 			resident = fmt.Sprintf("%d", p.PeakResident)
 		}
-		fmt.Fprintf(&sb, "%3dx%-3d %5s %10s %8d %9d %10d %7d %7d %10s %16s %12s %12s %12s %12s %9.2f\n",
-			p.Res, p.Res, p.Ordering, p.Factor, p.Nodes, p.NNZ, p.FactorNNZ, p.Panels,
+		fmt.Fprintf(&sb, "%3dx%-3d %8d %9d %10d %7d %7d %10s %16s %12s %12s %12s %12s %9.2f\n",
+			p.Res, p.Res, p.Nodes, p.NNZ, p.FactorNNZ, p.Panels,
 			p.SpilledPanels, resident, p.Backend,
 			p.BuildTime.Round(time.Microsecond), p.FactorTime.Round(time.Microsecond),
 			p.PerQuery().Round(time.Microsecond),

@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/linalg"
 )
 
 func TestRunGridScale(t *testing.T) {
@@ -15,23 +13,17 @@ func TestRunGridScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunGridScale(env, []int{8, 16}, GridScaleOptions{
-		Orderings: []linalg.Ordering{linalg.OrderND, linalg.OrderRCM},
-	})
+	res, err := RunGridScale(env, []int{8, 16}, GridScaleOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 4 {
-		t.Fatalf("got %d points, want 4 (2 resolutions × 2 orderings)", len(res.Points))
+	if len(res.Points) != 2 {
+		t.Fatalf("got %d points, want 2 (one per resolution)", len(res.Points))
 	}
 	if res.Sessions == 0 {
 		t.Fatal("no sessions in the Table 1 schedule")
 	}
-	for i, p := range res.Points {
-		wantOrd := []string{"nd", "rcm"}[i%2]
-		if p.Ordering != wantOrd {
-			t.Errorf("point %d: ordering %q, want %q", i, p.Ordering, wantOrd)
-		}
+	for _, p := range res.Points {
 		if p.Nodes != 2*p.Res*p.Res+2 {
 			t.Errorf("res %d: nodes = %d", p.Res, p.Nodes)
 		}
@@ -53,23 +45,13 @@ func TestRunGridScale(t *testing.T) {
 			t.Errorf("res %d: implausible peak %g °C", p.Res, p.PeakT)
 		}
 	}
-	// Finer grids resolve hotter intra-block peaks; rungs of one ordering
-	// must at least agree loosely on the temperature field, and the two
-	// orderings must agree on it closely (they solve the same system).
-	if d := res.Points[2].PeakT - res.Points[0].PeakT; d < -20 {
+	// Finer grids resolve hotter intra-block peaks; the rungs must at least
+	// agree loosely on the temperature field.
+	if d := res.Points[1].PeakT - res.Points[0].PeakT; d < -20 {
 		t.Errorf("peak fell by %g K when refining the grid", -d)
 	}
-	for i := 0; i < len(res.Points); i += 2 {
-		nd, rcm := res.Points[i], res.Points[i+1]
-		if d := nd.PeakT - rcm.PeakT; d > 1e-6 || d < -1e-6 {
-			t.Errorf("res %d: nd and rcm peaks differ by %g K", nd.Res, d)
-		}
-		if nd.FactorNNZ >= rcm.FactorNNZ {
-			t.Errorf("res %d: nd fill %d not below rcm fill %d", nd.Res, nd.FactorNNZ, rcm.FactorNNZ)
-		}
-	}
 	text := res.Render()
-	for _, want := range []string{"Grid-resolution ladder", "sparse-cholesky", "per-query", "batch/query", " nd ", " rcm "} {
+	for _, want := range []string{"Grid-resolution ladder", "sparse-cholesky", "per-query", "batch/query"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("Render missing %q:\n%s", want, text)
 		}

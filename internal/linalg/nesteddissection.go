@@ -1,266 +1,5 @@
 package linalg
 
-import (
-	"fmt"
-	"sort"
-)
-
-// Ordering names a fill-reducing elimination ordering for the sparse Cholesky
-// symbolic analysis. The zero value is OrderAuto, which lets each consumer
-// resolve its own default: generic conductance graphs get hub-aware RCM,
-// while thermal.GridModel — whose k×k topology is known exactly — resolves to
-// the geometric nested-dissection fast path.
-type Ordering int
-
-const (
-	// OrderAuto defers the choice to the consumer. NewCholSymbolicOrdered
-	// resolves it to OrderRCM, the robust default for arbitrary graphs.
-	OrderAuto Ordering = iota
-	// OrderRCM is the hub-aware reverse Cuthill–McKee ordering (see RCM):
-	// profile-reducing, with hub vertices deferred to the end.
-	OrderRCM
-	// OrderND is nested dissection (see NestedDissection): recursive
-	// separator-based ordering whose fill on mesh-like graphs grows as
-	// O(n·log n) instead of the O(n^1.5) of any bandwidth ordering — the
-	// difference between a 128×128 grid factor fitting in cache-adjacent
-	// memory and spilling past the fill budget.
-	OrderND
-)
-
-// String returns the short name used by CLI flags and experiment tables.
-func (o Ordering) String() string {
-	switch o {
-	case OrderRCM:
-		return "rcm"
-	case OrderND:
-		return "nd"
-	default:
-		return "auto"
-	}
-}
-
-// ParseOrdering maps a CLI name ("auto", "rcm", "nd") to an Ordering.
-func ParseOrdering(s string) (Ordering, error) {
-	switch s {
-	case "auto", "":
-		return OrderAuto, nil
-	case "rcm":
-		return OrderRCM, nil
-	case "nd":
-		return OrderND, nil
-	default:
-		return OrderAuto, fmt.Errorf("linalg: unknown ordering %q (want auto, rcm or nd)", s)
-	}
-}
-
-// Perm computes the ordering's permutation for the pattern of s (new
-// position → original index). OrderAuto resolves to RCM.
-func (o Ordering) Perm(s *Sparse) []int {
-	if o == OrderND {
-		return NestedDissection(s)
-	}
-	return RCM(s)
-}
-
-// ndLeafSize is the subgraph size below which dissection stops recursing:
-// tiny leaves are ordered by index, where any fill is bounded by the leaf
-// size squared and the bookkeeping of further bisection costs more than it
-// saves.
-const ndLeafSize = 32
-
-// NestedDissection computes a fill-reducing nested-dissection ordering of the
-// symmetric sparsity pattern of s: each connected component is recursively
-// split by a small vertex separator, with the separator eliminated after both
-// halves, so fill is confined to the separator blocks instead of smearing
-// across a band. The returned slice maps new position to original index.
-//
-// Separators come from BFS level structures rooted at a George–Liu
-// pseudo-peripheral vertex: the level containing the median vertex separates
-// the levels below it from the levels above. This is the general-graph
-// fallback; consumers with known grid topology should build the geometric
-// ordering directly via NestedDissectionGrid, which finds minimal straight
-// separators instead of level sets.
-//
-// Hub vertices (degree far above average — the heat-sink node of a thermal
-// network) are deferred to the very end of the elimination order, exactly as
-// RCM does: a hub is adjacent to nearly everything, so it belongs in the
-// outermost "separator" rather than inside any half.
-func NestedDissection(s *Sparse) []int {
-	n := s.n
-	perm := make([]int, n)
-	if n == 0 {
-		return perm
-	}
-	deg, hub, hubs := hubPartition(s)
-	free := n - len(hubs)
-	copy(perm[free:], hubs)
-
-	// setID[v] names the dissection subproblem v currently belongs to; a BFS
-	// restricted to one id can never escape its subgraph. Hubs and already
-	// placed separators keep id −1.
-	setID := make([]int, n)
-	for i := range setID {
-		if hub[i] {
-			setID[i] = -1
-		}
-	}
-	nextID := 1
-
-	mark := make([]int, n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	stamp := 0
-	order := make([]int, 0, free)
-	levelPtr := make([]int, 0, 16)
-
-	// bfs fills order level-by-level with the id-subgraph component of root.
-	// Neighbour visit order follows the CSR column order, so the traversal —
-	// and with it the whole ordering — is deterministic.
-	bfs := func(root, id int) {
-		stamp++
-		order = append(order[:0], root)
-		levelPtr = append(levelPtr[:0], 0)
-		mark[root] = stamp
-		for begin := 0; begin < len(order); {
-			end := len(order)
-			for h := begin; h < end; h++ {
-				u := order[h]
-				for k := s.rowPtr[u]; k < s.rowPtr[u+1]; k++ {
-					v := s.cols[k]
-					if v != u && setID[v] == id && mark[v] != stamp {
-						mark[v] = stamp
-						order = append(order, v)
-					}
-				}
-			}
-			if len(order) > end {
-				levelPtr = append(levelPtr, end)
-			}
-			begin = end
-		}
-	}
-
-	type task struct {
-		verts []int // a connected subgraph, owned by the task
-		lo    int   // its position range in perm is [lo, lo+len(verts))
-		id    int
-	}
-	var tasks []task
-
-	// claimComponents splits part (all carrying partID) into connected
-	// components and pushes each as a task occupying consecutive position
-	// ranges starting at pos. Returns the next free position.
-	claimComponents := func(part []int, partID, pos int) int {
-		for _, u := range part {
-			if setID[u] != partID {
-				continue // already claimed by an earlier component
-			}
-			bfs(u, partID)
-			comp := append([]int(nil), order...)
-			id := nextID
-			nextID++
-			for _, w := range comp {
-				setID[w] = id
-			}
-			tasks = append(tasks, task{verts: comp, lo: pos, id: id})
-			pos += len(comp)
-		}
-		return pos
-	}
-
-	// Seed: the connected components of the hub-free graph, discovered in
-	// ascending smallest-vertex order. All non-hub vertices start with id 0.
-	seed := make([]int, 0, free)
-	for v := 0; v < n; v++ {
-		if !hub[v] {
-			seed = append(seed, v)
-		}
-	}
-	claimComponents(seed, 0, 0)
-
-	for len(tasks) > 0 {
-		t := tasks[len(tasks)-1]
-		tasks = tasks[:len(tasks)-1]
-		if len(t.verts) <= ndLeafSize {
-			sort.Ints(t.verts)
-			copy(perm[t.lo:], t.verts)
-			continue
-		}
-
-		// George–Liu pseudo-peripheral level structure, starting from the
-		// subgraph's min-degree vertex.
-		root := t.verts[0]
-		for _, u := range t.verts {
-			if deg[u] < deg[root] || (deg[u] == deg[root] && u < root) {
-				root = u
-			}
-		}
-		bfs(root, t.id)
-		for ecc := len(levelPtr); ; {
-			last := order[levelPtr[len(levelPtr)-1]:]
-			cand := last[0]
-			for _, u := range last[1:] {
-				if deg[u] < deg[cand] {
-					cand = u
-				}
-			}
-			bfs(cand, t.id)
-			if len(levelPtr) <= ecc {
-				break
-			}
-			ecc = len(levelPtr)
-		}
-		nl := len(levelPtr)
-		if nl < 3 {
-			// Diameter ≤ 1 inside the subgraph (clique-like): no level can
-			// separate anything, so the whole set is one dense-ish leaf.
-			sort.Ints(t.verts)
-			copy(perm[t.lo:], t.verts)
-			continue
-		}
-
-		// Separator = the level holding the median vertex, clamped so both
-		// sides stay non-empty; it ends up at the tail of this task's range.
-		levelEnd := func(i int) int {
-			if i+1 < nl {
-				return levelPtr[i+1]
-			}
-			return len(order)
-		}
-		mid := 0
-		for mid+1 < nl && levelPtr[mid+1] <= len(order)/2 {
-			mid++
-		}
-		if mid < 1 {
-			mid = 1
-		}
-		if mid > nl-2 {
-			mid = nl - 2
-		}
-		sep := append([]int(nil), order[levelPtr[mid]:levelEnd(mid)]...)
-		below := append([]int(nil), order[:levelPtr[mid]]...)
-		above := append([]int(nil), order[levelEnd(mid):]...)
-
-		hi := t.lo + len(t.verts)
-		sort.Ints(sep)
-		copy(perm[hi-len(sep):hi], sep)
-		for _, u := range sep {
-			setID[u] = -1
-		}
-		pos := t.lo
-		for _, part := range [2][]int{below, above} {
-			partID := nextID
-			nextID++
-			for _, u := range part {
-				setID[u] = partID
-			}
-			pos = claimComponents(part, partID, pos)
-		}
-	}
-	return perm
-}
-
 // NestedDissectionGrid computes the geometric nested-dissection elimination
 // order for an nx×ny mesh replicated across layers vertically coupled copies
 // — the exact topology of thermal.GridModel's silicon + spreader stack. Node
@@ -268,9 +7,9 @@ func NestedDissection(s *Sparse) []int {
 // recursive coordinate bisection: each recursion removes a one-cell-wide
 // straight strip (all layer copies of it) perpendicular to the longer axis,
 // orders both halves first and the strip last. Straight geometric separators
-// are minimal for grid graphs, so the fill beats both RCM and the BFS-level
-// separators of the general NestedDissection on this topology. Callers with
-// extra off-grid nodes (rim, sink) append them after this permutation.
+// are minimal for grid graphs, so the fill stays well under RCM's band
+// profile on this topology. Callers with extra off-grid nodes (rim, sink)
+// append them after this permutation.
 //
 // The ordering is also what makes the supernodal kernel effective here: each
 // separator strip is emitted contiguously (cells in ascending coordinate,

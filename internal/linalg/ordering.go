@@ -1,55 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"sort"
-)
-
-// FactorMode names the numeric Cholesky kernel run against a symbolic
-// analysis. Both kernels produce bit-identical factors (see SuperSymbolic);
-// the mode only selects the execution strategy, so it never participates in
-// content-addressing of cached results.
-type FactorMode int
-
-const (
-	// FactorAuto defers the choice to the consumer; thermal.GridModel
-	// resolves it to FactorSupernodal.
-	FactorAuto FactorMode = iota
-	// FactorSupernodal is the panel-blocked left-looking kernel with
-	// etree-parallel task scheduling (SuperSymbolic.Factorize).
-	FactorSupernodal
-	// FactorScalar is the column-at-a-time up-looking kernel
-	// (CholSymbolic.Factorize) — the serial reference the supernodal kernel
-	// is cross-checked against.
-	FactorScalar
-)
-
-// String returns the short name used by CLI flags and experiment tables.
-func (m FactorMode) String() string {
-	switch m {
-	case FactorSupernodal:
-		return "supernodal"
-	case FactorScalar:
-		return "scalar"
-	default:
-		return "auto"
-	}
-}
-
-// ParseFactorMode maps a CLI name ("auto", "supernodal", "scalar") to a
-// FactorMode.
-func ParseFactorMode(s string) (FactorMode, error) {
-	switch s {
-	case "auto", "":
-		return FactorAuto, nil
-	case "supernodal":
-		return FactorSupernodal, nil
-	case "scalar":
-		return FactorScalar, nil
-	default:
-		return FactorAuto, fmt.Errorf("linalg: unknown factor mode %q (want auto, supernodal or scalar)", s)
-	}
-}
+import "sort"
 
 // RCM computes a reverse Cuthill–McKee ordering of the symmetric sparsity
 // pattern of s: a permutation that clusters the non-zeros of each connected
@@ -164,10 +115,10 @@ func RCM(s *Sparse) []int {
 // hubPartition computes the off-diagonal degree of every vertex and splits
 // out the hubs: vertices whose degree dwarfs both the average degree and a
 // fixed floor (so small graphs never trigger the path) — the heat-sink node
-// every spreader cell ties into is the canonical example. Both RCM and
-// NestedDissection defer hubs to the very end of the elimination order,
-// lowest degree first (ties by index), mirroring the dense-row deferral
-// production sparse solvers apply before ordering.
+// every spreader cell ties into is the canonical example. RCM defers hubs to
+// the very end of the elimination order, lowest degree first (ties by
+// index), mirroring the dense-row deferral production sparse solvers apply
+// before ordering.
 func hubPartition(s *Sparse) (deg []int, hub []bool, hubs []int) {
 	n := s.n
 	deg = make([]int, n)

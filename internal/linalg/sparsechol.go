@@ -31,14 +31,6 @@ type CholSymbolic struct {
 	srcRowPtr, srcCols []int
 }
 
-// NewCholSymbolicOrdered analyses the pattern of the SPD matrix s under the
-// named fill-reducing ordering (OrderAuto resolves to RCM). Callers that
-// compute their own permutation — e.g. a geometric nested dissection for a
-// known grid topology — pass it to NewCholSymbolic directly.
-func NewCholSymbolicOrdered(s *Sparse, ord Ordering) (*CholSymbolic, error) {
-	return NewCholSymbolic(s, ord.Perm(s))
-}
-
 // NewCholSymbolic analyses the pattern of the SPD matrix s under the given
 // fill-reducing permutation (nil selects RCM). It returns ErrNotSPD when s is
 // not symmetric.
@@ -328,16 +320,6 @@ type spScratch struct {
 // and call Factorize per matrix.
 func NewSparseCholesky(s *Sparse) (*SparseCholesky, error) {
 	sym, err := NewCholSymbolic(s, nil)
-	if err != nil {
-		return nil, err
-	}
-	return sym.Factorize(s)
-}
-
-// NewSparseCholeskyOrdered analyses and factorizes s in one call under the
-// named fill-reducing ordering.
-func NewSparseCholeskyOrdered(s *Sparse, ord Ordering) (*SparseCholesky, error) {
-	sym, err := NewCholSymbolicOrdered(s, ord)
 	if err != nil {
 		return nil, err
 	}

@@ -78,9 +78,9 @@ type SystemDesc struct {
 	// Backend identifies the solver configuration that produced the cached
 	// answers, e.g. "dense-cholesky", "sparse-cholesky" (block models, from
 	// Model.SolverBackend) or "grid-nd-48x48" (grid oracles, from DescForGrid
-	// — the concrete solver, its elimination ordering and its fixed
+	// — the concrete solver, its nested-dissection ordering and its fixed
 	// tolerance are deterministic functions of the dimensions, so they are
-	// folded in implicitly; anyone changing GridModel's default ordering,
+	// folded in implicitly; anyone changing GridModel's ordering, default
 	// fill budget or CG tolerance must also version this string or old
 	// files will answer with different round-off).
 	// Different backends differ in discretisation and round-off, so their
@@ -118,18 +118,19 @@ func DescForBlockModel(fp *floorplan.Floorplan, cfg thermal.PackageConfig, prof 
 // DescForGrid describes the grid-resolution oracle (core.GridOracle) of an
 // nx×ny discretisation under the given solver options — without needing the
 // grid model built, so a lazily-constructed oracle can be content-addressed
-// before paying for its factorization. The backend name is derived from the
-// *canonical* options (thermal.GridOptions.Canonical), because they change
-// the solve's round-off: the elimination ordering always, and the fill
-// budget by flipping the model onto the CG fallback. The concrete solver is
-// a deterministic function of these inputs plus the dimensions, so equal
-// names guarantee bit-equal answers; keys written under the earlier
-// implicit-RCM scheme ("grid-NxN") are left behind rather than mixed in.
-// A non-default budget is folded in only when set, keeping default keys
-// stable across budget-constant releases.
+// before paying for its factorization. The "nd" in the backend name records
+// the grid model's one elimination ordering, geometric nested dissection;
+// keys written under the earlier implicit-RCM scheme ("grid-NxN") are left
+// behind rather than mixed in. Of the *canonical* options
+// (thermal.GridOptions.Canonical) only the fill budget can change the
+// solve's round-off, by flipping the model onto the CG fallback, so a
+// non-default budget is folded in as a "-fb" suffix; default keys stay
+// stable across budget-constant releases. The concrete solver is a
+// deterministic function of these inputs plus the dimensions, so equal names
+// guarantee bit-equal answers.
 func DescForGrid(fp *floorplan.Floorplan, cfg thermal.PackageConfig, prof *power.Profile, nx, ny int, opts thermal.GridOptions) SystemDesc {
 	opts = opts.Canonical()
-	backend := fmt.Sprintf("grid-%s-%dx%d", opts.Ordering, nx, ny)
+	backend := fmt.Sprintf("grid-nd-%dx%d", nx, ny)
 	if opts.FillBudget != thermal.DefaultGridFillBudget {
 		backend = fmt.Sprintf("%s-fb%d", backend, opts.FillBudget)
 	}

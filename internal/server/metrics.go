@@ -281,7 +281,7 @@ func (m *metrics) render(tc tierCounters) string {
 		for _, f := range tc.Factors {
 			fmt.Fprintf(&sb, "thermserve_grid_factor_seconds{system=%q,kernel=%q} %g\n", f.Key, f.Kernel, f.FactorSeconds)
 		}
-		sb.WriteString("# HELP thermserve_grid_factor_panels Supernodal panel count of a live grid system's factor (0 on the scalar kernel).\n")
+		sb.WriteString("# HELP thermserve_grid_factor_panels Supernodal panel count of a live grid system's factor.\n")
 		sb.WriteString("# TYPE thermserve_grid_factor_panels gauge\n")
 		for _, f := range tc.Factors {
 			fmt.Fprintf(&sb, "thermserve_grid_factor_panels{system=%q} %d\n", f.Key, f.Panels)

@@ -122,11 +122,10 @@ func TestBlockModelSolversCrossValidate(t *testing.T) {
 }
 
 func TestGridOrderingsCrossValidate(t *testing.T) {
-	// Dense Cholesky vs sparse Cholesky under RCM, the general
-	// nested-dissection fallback and the geometric grid fast path: all four
-	// must agree to 1e-8 on fuzzed grid systems. This is the correctness
-	// anchor for the ordering becoming configurable — a permutation bug shows
-	// up here before it can corrupt a schedule.
+	// Dense Cholesky vs sparse Cholesky under RCM (the nil-perm default) and
+	// under the geometric nested dissection the grid model factors with: all
+	// three must agree to 1e-8 on fuzzed grid systems. A permutation bug
+	// shows up here before it can corrupt a schedule.
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 6; trial++ {
 		blocks := 2 + rng.Intn(8)
@@ -156,10 +155,7 @@ func TestGridOrderingsCrossValidate(t *testing.T) {
 			scaleMax = math.Max(scaleMax, math.Abs(v))
 		}
 		solvers := map[string]*linalg.SparseCholesky{}
-		if solvers["rcm"], err = linalg.NewSparseCholeskyOrdered(gm.sys, linalg.OrderRCM); err != nil {
-			t.Fatal(err)
-		}
-		if solvers["nd"], err = linalg.NewSparseCholeskyOrdered(gm.sys, linalg.OrderND); err != nil {
+		if solvers["rcm"], err = linalg.NewSparseCholesky(gm.sys); err != nil {
 			t.Fatal(err)
 		}
 		geoSym, err := linalg.NewCholSymbolic(gm.sys, gm.ndPerm())

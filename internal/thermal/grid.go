@@ -15,29 +15,20 @@ import (
 // DefaultGridFillBudget bounds the sparse Cholesky fill GridModel will accept
 // before falling back to preconditioned CG when GridOptions.FillBudget is
 // unset: 2²⁴ factor entries is roughly 200 MB, which comfortably covers the
-// 256×256 grid (131k nodes) under the default geometric nested-dissection
-// ordering — and only ~100k nodes under RCM, whose fill grows as n^1.5 —
-// while keeping pathological resolutions from exhausting memory. The active
-// ordering therefore decides where the budget bites; the symbolic analysis
-// reports the exact fill before any numeric work, so the decision is free.
+// 256×256 grid (131k nodes) under the geometric nested-dissection ordering
+// while keeping pathological resolutions from exhausting memory. The
+// symbolic analysis reports the exact fill before any numeric work, so the
+// decision is free.
 const DefaultGridFillBudget = 1 << 24
 
-// GridOptions tunes the grid model's solver construction.
+// GridOptions tunes the grid model's solver construction. The model always
+// factors under the geometric nested-dissection ordering with the supernodal
+// panel kernel; these options bound its memory and shape its panels.
 type GridOptions struct {
 	// FillBudget caps the factor non-zeros the direct backend may allocate
 	// before the model falls back to IC(0)-preconditioned CG. 0 selects
 	// DefaultGridFillBudget.
 	FillBudget int
-	// Ordering selects the fill-reducing elimination ordering. OrderAuto (the
-	// zero value) resolves to nested dissection — the grid's k×k topology is
-	// known exactly, so the geometric separator fast path applies; OrderRCM
-	// keeps the band-profile ordering for comparison runs.
-	Ordering linalg.Ordering
-	// Factor selects the numeric factorization kernel. FactorAuto (the zero
-	// value) resolves to the supernodal panel kernel; FactorScalar keeps the
-	// column-at-a-time reference. The two produce bit-identical factors, so
-	// the choice affects build time and memory, never results.
-	Factor linalg.FactorMode
 	// Panel tunes the supernodal kernel (panel width, relaxed-amalgamation
 	// bounds, factorization workers). Zero fields take the linalg defaults.
 	Panel linalg.SupernodalOptions
@@ -66,24 +57,18 @@ type GridOptions struct {
 	PanelAuto bool
 }
 
-// Canonical resolves the option defaults (OrderAuto → nested dissection,
-// FactorAuto → supernodal, zero budget → DefaultGridFillBudget). It is the
-// single source of truth for what a zero GridOptions means:
-// NewGridModelWithOptions builds from it, and the oracle store derives its
-// content-address from it. Only options that change solver round-off
-// (Ordering, FillBudget) version the content-address — Factor, Panel,
-// BatchWidth and the peak-bytes/spill/auto-width knobs select bit-identical
-// execution strategies, so cached results remain valid across them by
-// construction. Canonical must stay side-effect-free (it runs inside
-// content-address derivation), so PanelAuto resolves to the PanelWidthAuto
-// sentinel here and the measurement happens at factorization time.
+// Canonical resolves the option defaults (zero budget →
+// DefaultGridFillBudget, canonical panel geometry). It is the single source
+// of truth for what a zero GridOptions means: NewGridModelWithOptions builds
+// from it, and the oracle store derives its content-address from it. Only
+// FillBudget can change solver round-off (by flipping the model onto the CG
+// fallback), so it alone versions the content-address — Panel, BatchWidth
+// and the peak-bytes/spill/auto-width knobs select bit-identical execution
+// strategies, so cached results remain valid across them by construction.
+// Canonical must stay side-effect-free (it runs inside content-address
+// derivation), so PanelAuto resolves to the PanelWidthAuto sentinel here and
+// the measurement happens at factorization time.
 func (o GridOptions) Canonical() GridOptions {
-	if o.Ordering == linalg.OrderAuto {
-		o.Ordering = linalg.OrderND
-	}
-	if o.Factor == linalg.FactorAuto {
-		o.Factor = linalg.FactorSupernodal
-	}
 	if o.PanelAuto && o.Panel.MaxPanel == 0 {
 		o.Panel.MaxPanel = linalg.PanelWidthAuto
 	}
@@ -107,11 +92,12 @@ func (o GridOptions) Canonical() GridOptions {
 // discretisations of the same package — and for visualising temperature
 // fields.
 //
-// The steady-state backend is a fill-reducing sparse Cholesky factored once
-// at construction — under a geometric nested-dissection ordering by default
-// (GridOptions.Ordering) — so every SteadyState query costs two sparse
-// triangular solves; SteadyStateActive further restricts the forward solve to
-// the elimination-tree reach of the active power footprint and
+// The steady-state backend is a sparse Cholesky factored once at
+// construction — under the geometric nested-dissection ordering, with the
+// supernodal panel kernel, out of core when GridOptions.PeakBytesBudget
+// demands it — so every SteadyState query costs two sparse triangular
+// solves; SteadyStateActive further restricts the forward solve to the
+// elimination-tree reach of the active power footprint and
 // SteadyStateBatch amortises one factor pass over many queries. Together
 // these are what make per-session oracle sweeps over one floorplan cheap at
 // grid scale. Resolutions whose factor would exceed the fill budget fall back
@@ -127,8 +113,6 @@ type GridModel struct {
 	cellW      float64
 	cellH      float64
 	sys        *linalg.Sparse
-	ord        linalg.Ordering   // resolved ordering (never OrderAuto)
-	factor     linalg.FactorMode // resolved kernel (never FactorAuto)
 	panelOpts  linalg.SupernodalOptions
 	fillBudget int
 	peakBudget int64 // resident-bytes bound; 0 = unbudgeted
@@ -162,7 +146,7 @@ func NewGridModel(fp *floorplan.Floorplan, cfg PackageConfig, nx, ny int) (*Grid
 }
 
 // NewGridModelWithOptions discretises fp's die into an nx×ny grid under cfg
-// with an explicit ordering and fill budget.
+// with explicit solver options.
 func NewGridModelWithOptions(fp *floorplan.Floorplan, cfg PackageConfig, nx, ny int, opts GridOptions) (*GridModel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -182,8 +166,6 @@ func NewGridModelWithOptions(fp *floorplan.Floorplan, cfg PackageConfig, nx, ny 
 		ny:         ny,
 		cellW:      die.W / float64(nx),
 		cellH:      die.H / float64(ny),
-		ord:        opts.Ordering,
-		factor:     opts.Factor,
 		panelOpts:  opts.Panel,
 		fillBudget: opts.FillBudget,
 		peakBudget: opts.PeakBytesBudget,
@@ -220,85 +202,64 @@ func (g *GridModel) ndPerm() []int {
 	return append(perm, g.rimNode(), g.sinkNode())
 }
 
-// buildSolver factorizes the assembled system once under the configured
-// ordering — the symbolic analysis predicts the exact fill, steering
-// oversized grids onto the preconditioned CG fallback instead of an
-// out-of-memory factor. The numeric kernel is the supernodal panel
-// factorization unless FactorScalar was requested; both yield bit-identical
-// factors, so the choice is invisible to every query path.
+// buildSolver factorizes the assembled system once under the geometric
+// nested-dissection ordering with the supernodal panel kernel — the symbolic
+// analysis predicts the exact fill, steering oversized grids onto the
+// preconditioned CG fallback instead of an out-of-memory factor.
 func (g *GridModel) buildSolver() error {
-	var perm []int // nil → hub-aware RCM inside NewCholSymbolic
-	if g.ord == linalg.OrderND {
-		perm = g.ndPerm()
-	}
-	sym, err := linalg.NewCholSymbolic(g.sys, perm)
+	sym, err := linalg.NewCholSymbolic(g.sys, g.ndPerm())
 	if err != nil {
 		return fmt.Errorf("%w: grid system not SPD: %v", ErrModel, err)
 	}
 	if sym.LNNZ() <= g.fillBudget {
-		start := time.Now() // numeric factorization only — symbolic excluded
+		ss := sym.Supernodes(g.panelOpts)
+		start := time.Now() // numeric factorization only — symbolic and partition excluded
+		inCore := int64(sym.LNNZ())*16 + ss.WorkspaceBytes()
 		var ch *linalg.SparseCholesky
-		if g.factor == linalg.FactorSupernodal {
-			ss := sym.Supernodes(g.panelOpts)
-			start = time.Now() // the partition is symbolic work too
-			inCore := int64(sym.LNNZ())*16 + ss.WorkspaceBytes()
-			if g.peakBudget > 0 && inCore > g.peakBudget {
-				// The in-core working set exceeds the peak-bytes budget:
-				// factor out of core, spilling finished panels to disk.
-				ch, err = ss.FactorizeSpill(g.sys, linalg.SpillPolicy{
-					BudgetBytes: g.peakBudget,
-					Dir:         g.spillDir,
-					FS:          g.spillFS,
-				})
-				if err != nil && errors.Is(err, linalg.ErrSpill) {
-					// Spill I/O failed before the factor completed (the
-					// breaker covers write failures; this is e.g. an
-					// unreadable reload): availability over budget — retry
-					// fully in core.
-					ch, err = ss.Factorize(g.sys)
-					if err == nil {
-						g.stats.SpillDegraded = true
-					}
-				}
-				if errors.Is(err, linalg.ErrPeakBudget) {
-					// No out-of-core schedule fits (indices + scratch alone
-					// exceed the budget): fall through to the CG tier.
-					err = nil
-					ch = nil
-				}
-			} else {
+		if g.peakBudget > 0 && inCore > g.peakBudget {
+			// The in-core working set exceeds the peak-bytes budget: factor
+			// out of core, spilling finished panels to disk.
+			ch, err = ss.FactorizeSpill(g.sys, linalg.SpillPolicy{
+				BudgetBytes: g.peakBudget,
+				Dir:         g.spillDir,
+				FS:          g.spillFS,
+			})
+			if err != nil && errors.Is(err, linalg.ErrSpill) {
+				// Spill I/O failed before the factor completed (the breaker
+				// covers write failures; this is e.g. an unreadable reload):
+				// availability over budget — retry fully in core.
 				ch, err = ss.Factorize(g.sys)
-			}
-			if err == nil && ch != nil {
-				st := ch.SpillStats()
-				g.stats.Panels = ss.Panels()
-				g.stats.MaxPanelWidth = ss.MaxPanelWidth()
-				g.stats.PaddedZeros = ss.PaddedZeros()
-				g.stats.PeakFactorBytes = inCore
-				g.stats.PeakResidentBytes = inCore
-				if st.SpilledPanels > 0 || st.Degraded {
-					g.stats.PeakResidentBytes = st.PeakResidentBytes
-					g.stats.SpilledPanels = st.SpilledPanels
-					g.stats.SpilledBytes = st.SpilledBytes
-					g.stats.SpillDegraded = g.stats.SpillDegraded || st.Degraded
+				if err == nil {
+					g.stats.SpillDegraded = true
 				}
+			}
+			if errors.Is(err, linalg.ErrPeakBudget) {
+				// No out-of-core schedule fits (indices + scratch alone
+				// exceed the budget): fall through to the CG tier.
+				err = nil
+				ch = nil
 			}
 		} else {
-			if g.peakBudget > 0 && int64(sym.LNNZ())*16 > g.peakBudget {
-				// The scalar kernel has no out-of-core mode; honor the
-				// budget by taking the CG tier instead.
-				ch = nil
-			} else if ch, err = sym.Factorize(g.sys); err == nil {
-				g.stats.PeakFactorBytes = int64(sym.LNNZ()) * 16
-				g.stats.PeakResidentBytes = g.stats.PeakFactorBytes
-			}
+			ch, err = ss.Factorize(g.sys)
 		}
 		if err != nil {
 			return fmt.Errorf("%w: grid system not SPD: %v", ErrModel, err)
 		}
 		if ch != nil {
+			st := ch.SpillStats()
+			g.stats.Panels = ss.Panels()
+			g.stats.MaxPanelWidth = ss.MaxPanelWidth()
+			g.stats.PaddedZeros = ss.PaddedZeros()
+			g.stats.PeakFactorBytes = inCore
+			g.stats.PeakResidentBytes = inCore
+			if st.SpilledPanels > 0 || st.Degraded {
+				g.stats.PeakResidentBytes = st.PeakResidentBytes
+				g.stats.SpilledPanels = st.SpilledPanels
+				g.stats.SpilledBytes = st.SpilledBytes
+				g.stats.SpillDegraded = g.stats.SpillDegraded || st.Degraded
+			}
 			g.chol = ch
-			g.stats.Mode = g.factor.String()
+			g.stats.Mode = "supernodal"
 			g.stats.FactorNNZ = sym.LNNZ()
 			g.stats.FactorTime = time.Since(start)
 			// Resolve the multi-RHS chunk width once the factor's panel geometry
@@ -338,31 +299,21 @@ func (g *GridModel) SolverBackend() string {
 	}
 }
 
-// Ordering reports the fill-reducing ordering the model was configured with
-// ("nd" or "rcm"). On the CG fallback it names the ordering whose symbolic
-// fill probe exceeded the budget, even though no factor was kept.
-func (g *GridModel) Ordering() string { return g.ord.String() }
-
-// FactorMode reports the numeric kernel the model was configured with
-// ("supernodal" or "scalar").
-func (g *GridModel) FactorMode() string { return g.factor.String() }
-
 // GridFactorStats describes the one-time factorization cost behind a grid
 // model's direct backend — the construction-side numbers the benchmarks and
 // the service /metrics endpoint share a vocabulary for. The zero value means
 // the model runs the iterative fallback and never built a factor.
 type GridFactorStats struct {
-	// Mode is the kernel that built the factor: "supernodal" or "scalar";
-	// "" on the CG fallback.
+	// Mode is the kernel that built the factor: "supernodal", or "" on the
+	// CG fallback.
 	Mode string
 	// FactorTime is the numeric factorization alone (ordering, symbolic
-	// analysis and supernode partition excluded), so scalar-vs-supernodal
-	// comparisons isolate the kernel.
+	// analysis and supernode partition excluded), so it times the kernel.
 	FactorTime time.Duration
 	// FactorNNZ is the factor's non-zero count (== FillBudget gate input).
 	FactorNNZ int
 	// Panels, MaxPanelWidth and PaddedZeros describe the supernode
-	// partition (zero for the scalar kernel).
+	// partition.
 	Panels        int
 	MaxPanelWidth int
 	PaddedZeros   int64
@@ -701,31 +652,6 @@ func (g *GridModel) SteadyStateBatch(powers [][]float64) ([]*GridResult, error) 
 		out[i] = &GridResult{model: g, temps: v}
 	}
 	return out, nil
-}
-
-// SteadyStateCG solves the grid with a from-scratch Jacobi-preconditioned CG
-// run at tol 1e-9, bypassing the cached factorization — the per-query cost
-// every solve paid before the sparse direct backend existed. It is retained
-// as the honest comparison baseline for benchmarks and cross-validation
-// tests; production queries should use SteadyState.
-func (g *GridModel) SteadyStateCG(power []float64) (*GridResult, error) {
-	if len(power) != g.fp.NumBlocks() {
-		return nil, fmt.Errorf("%w: got %d entries, floorplan has %d blocks",
-			ErrPowerShape, len(power), g.fp.NumBlocks())
-	}
-	rhs := make([]float64, g.NumNodes())
-	if err := g.depositPower(rhs, power); err != nil {
-		return nil, err
-	}
-	rise, err := g.sys.SolveCG(rhs, linalg.CGOptions{Tol: 1e-9})
-	if err != nil {
-		return nil, fmt.Errorf("thermal: grid solve: %w", err)
-	}
-	temps := make([]float64, len(rise))
-	for i, dt := range rise {
-		temps[i] = g.cfg.Ambient + dt
-	}
-	return &GridResult{model: g, temps: temps}, nil
 }
 
 // NumCells returns the silicon cell count.

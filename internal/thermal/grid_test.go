@@ -257,7 +257,7 @@ func TestGridOrderingFillReduction(t *testing.T) {
 		g := &GridModel{
 			fp: fp, cfg: cfg, nx: res, ny: res,
 			cellW: die.W / float64(res), cellH: die.H / float64(res),
-			ord: linalg.OrderND, fillBudget: DefaultGridFillBudget,
+			fillBudget: DefaultGridFillBudget,
 		}
 		g.mapBlocks()
 		g.assemble()
@@ -269,7 +269,7 @@ func TestGridOrderingFillReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcmSym, err := linalg.NewCholSymbolicOrdered(g.sys, linalg.OrderRCM)
+	rcmSym, err := linalg.NewCholSymbolic(g.sys, nil) // nil perm: hub-aware RCM
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,18 +357,11 @@ func TestGridFillBudgetOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if direct.SolverBackend() != "sparse-cholesky" || direct.Ordering() != "nd" {
-		t.Fatalf("default options: backend %q ordering %q", direct.SolverBackend(), direct.Ordering())
+	if direct.SolverBackend() != "sparse-cholesky" {
+		t.Fatalf("default options: backend %q", direct.SolverBackend())
 	}
 	if direct.FillBudget() != DefaultGridFillBudget {
 		t.Errorf("FillBudget = %d, want default %d", direct.FillBudget(), DefaultGridFillBudget)
-	}
-	rcm, err := NewGridModelWithOptions(fp, cfg, 16, 16, GridOptions{Ordering: linalg.OrderRCM})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rcm.Ordering() != "rcm" || rcm.SolverBackend() != "sparse-cholesky" {
-		t.Fatalf("rcm options: backend %q ordering %q", rcm.SolverBackend(), rcm.Ordering())
 	}
 	// A starved budget forces the iterative fallback; answers must still
 	// agree with the direct backend.
@@ -416,66 +409,6 @@ func TestGridSteadyStateActiveValidatesOnFallback(t *testing.T) {
 	pm := make([]float64, tiny.Floorplan().NumBlocks())
 	if _, err := tiny.SteadyStateActive(pm, []int{999}); !errors.Is(err, ErrPowerShape) {
 		t.Errorf("out-of-range active on fallback: err = %v, want ErrPowerShape", err)
-	}
-}
-
-// TestGridFactorModeBitIdentical builds the same grid under the supernodal
-// (default) and scalar kernels and demands byte-identical temperature fields
-// on every query path — the invariant that lets the oracle store share
-// content-addressed results across factor modes.
-func TestGridFactorModeBitIdentical(t *testing.T) {
-	fp := floorplan.Alpha21364()
-	cfg := DefaultPackageConfig()
-	for _, ord := range []linalg.Ordering{linalg.OrderND, linalg.OrderRCM} {
-		super, err := NewGridModelWithOptions(fp, cfg, 24, 24, GridOptions{Ordering: ord})
-		if err != nil {
-			t.Fatal(err)
-		}
-		scalar, err := NewGridModelWithOptions(fp, cfg, 24, 24, GridOptions{
-			Ordering: ord, Factor: linalg.FactorScalar,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if super.FactorMode() != "supernodal" || scalar.FactorMode() != "scalar" {
-			t.Fatalf("factor modes: %q / %q", super.FactorMode(), scalar.FactorMode())
-		}
-		nb := fp.NumBlocks()
-		powers := make([][]float64, 7)
-		for i := range powers {
-			powers[i] = make([]float64, nb)
-			for b := range powers[i] {
-				powers[i][b] = float64((i*7+b*13)%29) / 3
-			}
-		}
-		rs, err := super.SteadyStateBatch(powers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rc, err := scalar.SteadyStateBatch(powers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range rs {
-			for j := range rs[i].temps {
-				if math.Float64bits(rs[i].temps[j]) != math.Float64bits(rc[i].temps[j]) {
-					t.Fatalf("ord %v: batch %d node %d differs: %g vs %g",
-						ord, i, j, rs[i].temps[j], rc[i].temps[j])
-				}
-			}
-		}
-		a, err := super.SteadyStateActive(powers[0], []int{0, 1, 2})
-		if err == nil {
-			b, err2 := scalar.SteadyStateActive(powers[0], []int{0, 1, 2})
-			if err2 != nil {
-				t.Fatal(err2)
-			}
-			for j := range a.temps {
-				if math.Float64bits(a.temps[j]) != math.Float64bits(b.temps[j]) {
-					t.Fatalf("ord %v: active solve node %d differs", ord, j)
-				}
-			}
-		}
 	}
 }
 

@@ -144,17 +144,6 @@ func TestGridSpillInfeasibleBudgetFallsBackToCG(t *testing.T) {
 	if d := math.Abs(rg.MaxTemp() - rr.MaxTemp()); d > 1e-5 {
 		t.Fatalf("CG tier disagrees with direct backend by %g K", d)
 	}
-	// The scalar kernel has no out-of-core mode: over budget it must take
-	// the CG tier too, never an unbounded factor.
-	sc, err := NewGridModelWithOptions(fp, cfg, 24, 24, GridOptions{
-		Factor: linalg.FactorScalar, PeakBytesBudget: 4096,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.SolverBackend() != "cg-ic0" {
-		t.Fatalf("scalar over budget: backend %q, want cg-ic0", sc.SolverBackend())
-	}
 }
 
 // brokenSpillFS fails every file creation — the whole spill device is gone.
