@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -529,6 +530,12 @@ func BenchmarkGridFactor(b *testing.B) {
 			if opts.PeakBytesBudget > 0 {
 				opts.SpillDir = b.TempDir()
 			}
+			// Let models dropped by earlier benchmarks release their shared
+			// factors, so every iteration below factors afresh.
+			for i := 0; i < 1000 && thermal.LiveGridFactors() > 0; i++ {
+				runtime.GC()
+				time.Sleep(time.Millisecond)
+			}
 			var numeric time.Duration
 			var fs thermal.GridFactorStats
 			for i := 0; i < b.N; i++ {
@@ -541,6 +548,9 @@ func BenchmarkGridFactor(b *testing.B) {
 					b.Fatalf("backend = %q, want sparse-cholesky", got)
 				}
 				fs = gm.FactorStats()
+				if fs.Shared {
+					b.Fatal("model reused a shared factor; this benchmark times real factorizations")
+				}
 				numeric += fs.FactorTime
 				if err := gm.Close(); err != nil {
 					b.Fatal(err)

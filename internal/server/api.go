@@ -210,9 +210,11 @@ type CacheInfo struct {
 	Tier1Misses int64 `json:"tier1_misses"`
 	Tier2Hits   int64 `json:"tier2_hits"`
 	Tier2Misses int64 `json:"tier2_misses"`
-	// GridFactorized reports whether this system has paid its grid
-	// factorization (always false for block-model systems and for
-	// grid-resolution systems answered entirely from warm tiers).
+	// GridFactorized reports whether this system has built its grid model
+	// (always false for block-model systems and for grid-resolution systems
+	// answered entirely from warm tiers). The build reuses the factor of a
+	// live system with the same package, die size and resolution, so it
+	// does not always pay a numeric factorization.
 	GridFactorized bool `json:"grid_factorized"`
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/oraclestore"
+	"repro/internal/thermal"
 )
 
 // fetchMetric scrapes one sample (by exact exposition prefix, label set
@@ -42,6 +44,21 @@ func fetchMetric(t *testing.T, base, name string) float64 {
 	}
 	t.Fatalf("metric %s not found in:\n%s", name, data)
 	return 0
+}
+
+// waitNoGridFactors runs the collector until no grid factor stays resident,
+// so servers that earlier tests dropped release their shared factors and
+// thermserve_grid_factors_live counts only this test's systems.
+func waitNoGridFactors(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for thermal.LiveGridFactors() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d grid factors still resident after GC", thermal.LiveGridFactors())
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // fetchHealth decodes GET /healthz.
@@ -257,6 +274,30 @@ func TestMaxSystemsLRUDropsIdle(t *testing.T) {
 	}
 	if out.Cache.SystemWarm {
 		t.Error("re-requested dropped system claims to be warm")
+	}
+
+	// Dropping an idle grid system closes its model at once: the factor it
+	// alone held leaves the process, while two alpha systems at different
+	// ambients share one.
+	waitNoGridFactors(t)
+	grid := func(r map[string]any) map[string]any {
+		r["grid_res"] = 16
+		return r
+	}
+	for i, r := range []map[string]any{grid(reqs[1]), grid(reqs[0])} {
+		if _, _, err := tryPostSchedule(hs.URL, r); err != nil {
+			t.Fatalf("grid request %d: %v", i, err)
+		}
+	}
+	if got := fetchMetric(t, hs.URL, "thermserve_grid_factors_live"); got != 2 {
+		t.Fatalf("thermserve_grid_factors_live = %v for figure1 and alpha, want 2", got)
+	}
+	// alpha at ambient 50 shares alpha's factor and LRU-drops figure1's system.
+	if _, _, err := tryPostSchedule(hs.URL, grid(reqs[2])); err != nil {
+		t.Fatal(err)
+	}
+	if got := fetchMetric(t, hs.URL, "thermserve_grid_factors_live"); got != 1 {
+		t.Errorf("thermserve_grid_factors_live = %v after dropping figure1, want 1", got)
 	}
 }
 

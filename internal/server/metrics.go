@@ -68,6 +68,7 @@ type tierCounters struct {
 	Tier1Hits, Tier1Misses int64
 	Tier2Hits, Tier2Misses int64
 	SystemsLive            int
+	GridFactorsLive        int // distinct grid factors resident in the process
 	StoreFiles             int
 	StoreBytes             int64
 	StoreEvictedFiles      int
@@ -175,6 +176,9 @@ func (m *metrics) render(tc tierCounters) string {
 	sb.WriteString("# HELP thermserve_systems_live Warm systems held in memory.\n")
 	sb.WriteString("# TYPE thermserve_systems_live gauge\n")
 	fmt.Fprintf(&sb, "thermserve_systems_live %d\n", tc.SystemsLive)
+	sb.WriteString("# HELP thermserve_grid_factors_live Distinct grid factors resident in the process; live systems with the same package, die size and resolution share one.\n")
+	sb.WriteString("# TYPE thermserve_grid_factors_live gauge\n")
+	fmt.Fprintf(&sb, "thermserve_grid_factors_live %d\n", tc.GridFactorsLive)
 	sb.WriteString("# HELP thermserve_store_files Record files in the persistent store.\n")
 	sb.WriteString("# TYPE thermserve_store_files gauge\n")
 	fmt.Fprintf(&sb, "thermserve_store_files %d\n", tc.StoreFiles)

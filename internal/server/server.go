@@ -478,8 +478,23 @@ func (s *Server) boundSystemsLocked() {
 		if len(s.systems) <= max {
 			break
 		}
+		s.closeGrid(s.systems[c.key].env)
 		delete(s.systems, c.key)
 		s.systemsDropped.Add(1)
+	}
+}
+
+// closeGrid closes a dropped system's built grid model, releasing its spill
+// file and its hold on a shared factor now rather than at collection. The
+// caller guarantees no request is using the system.
+func (s *Server) closeGrid(env *experiments.Env) {
+	if env == nil || env.Lazy == nil {
+		return
+	}
+	if gro, ok := env.Lazy.Inner().(*core.GridOracle); ok {
+		if err := gro.Grid().Close(); err != nil && s.cfg.Logf != nil {
+			s.cfg.Logf("closing dropped grid system: %v", err)
+		}
 	}
 }
 
@@ -918,6 +933,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var tc tierCounters
 	s.mu.Lock()
 	tc.SystemsLive = len(s.systems)
+	tc.GridFactorsLive = thermal.LiveGridFactors()
 	for _, e := range s.systems {
 		if e.env == nil {
 			continue

@@ -369,6 +369,22 @@ func TestSystemsAndMetricsEndpoints(t *testing.T) {
 	if strings.Contains(text, `thermserve_tier_hit_rate{tier="1"} 0`+"\n") {
 		t.Error("tier-1 hit rate rendered as zero after a warm request")
 	}
+
+	// Grid systems with one package, die size and resolution share one
+	// resident factor: three live systems, one factor.
+	waitNoGridFactors(t)
+	for _, ambient := range []float64{45, 50} {
+		req := table1Request()
+		req["grid_res"] = 16
+		req["package"] = map[string]any{"ambient_celsius": ambient}
+		postSchedule(t, hs.URL, req)
+	}
+	if got := fetchMetric(t, hs.URL, "thermserve_systems_live"); got != 3 {
+		t.Errorf("thermserve_systems_live = %v, want 3", got)
+	}
+	if got := fetchMetric(t, hs.URL, "thermserve_grid_factors_live"); got != 1 {
+		t.Errorf("thermserve_grid_factors_live = %v for two alpha grid systems, want 1", got)
+	}
 }
 
 // TestMetricsGridFactorStats: after a grid-resolution request pays its

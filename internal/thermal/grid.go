@@ -104,6 +104,15 @@ func (o GridOptions) Canonical() GridOptions {
 // to IC(0)-preconditioned conjugate gradients with pooled scratch. GridModel
 // is safe for concurrent queries.
 //
+// The conductance matrix depends only on the package stack's conductances
+// and geometry, the die's width and height and the resolution — never on the
+// block layout or the ambient. So every live model whose matrix bits and
+// solver options match shares one process-wide factor, built once even under
+// concurrent construction (FactorStats().Shared). The shared factor lives
+// while some model holds it; Close, or a cleanup when the model is dropped,
+// releases the hold. Models under a peak-bytes budget or a custom SpillFS,
+// whose factor may own a spill file, and the CG fallback stay per-model.
+//
 // Node layout for nc = nx·ny cells: [0, nc) silicon, [nc, 2nc) spreader,
 // 2nc rim, 2nc+1 sink; ambient is the eliminated ground.
 type GridModel struct {
@@ -120,6 +129,7 @@ type GridModel struct {
 	spillFS    linalg.SpillFS
 	batchWidth int // resolved multi-RHS chunk width
 	stats      GridFactorStats
+	share      *factorRef // hold on the process-wide factor; nil when per-model
 
 	chol    *linalg.SparseCholesky // direct backend; nil → iterative fallback
 	precond linalg.Preconditioner  // CG preconditioner on the fallback path
@@ -174,9 +184,19 @@ func NewGridModelWithOptions(fp *floorplan.Floorplan, cfg PackageConfig, nx, ny 
 		batchWidth: opts.BatchWidth,
 	}
 	g.mapBlocks()
-	g.assemble()
-	if err := g.buildSolver(); err != nil {
+	if opts.PeakBytesBudget > 0 || opts.SpillFS != nil {
+		// A possibly spilled factor owns its file, so it stays per-model.
+		g.assemble()
+		if err := g.buildSolver(); err != nil {
+			return nil, err
+		}
+	} else if err := g.shareSolver(newGridFactorKey(cfg, die.W, die.H, nx, ny, opts)); err != nil {
 		return nil, err
+	}
+	// Resolve the multi-RHS chunk width once the factor's panel geometry is
+	// known (see PreferredBatchWidth for the cache reasoning).
+	if g.batchWidth <= 0 && g.chol != nil {
+		g.batchWidth = g.chol.PreferredBatchWidth()
 	}
 	size := 2*g.numCells() + 2
 	g.rhsPool.New = func() any {
@@ -262,11 +282,6 @@ func (g *GridModel) buildSolver() error {
 			g.stats.Mode = "supernodal"
 			g.stats.FactorNNZ = sym.LNNZ()
 			g.stats.FactorTime = time.Since(start)
-			// Resolve the multi-RHS chunk width once the factor's panel geometry
-			// is known (see PreferredBatchWidth for the cache reasoning).
-			if g.batchWidth <= 0 {
-				g.batchWidth = ch.PreferredBatchWidth()
-			}
 			return nil
 		}
 	}
@@ -309,7 +324,12 @@ type GridFactorStats struct {
 	Mode string
 	// FactorTime is the numeric factorization alone (ordering, symbolic
 	// analysis and supernode partition excluded), so it times the kernel.
+	// It is 0 when Shared: this model did no numeric work.
 	FactorTime time.Duration
+	// Shared reports that the model reuses the factor another live model
+	// with a bit-identical matrix built; the remaining fields describe that
+	// shared factor.
+	Shared bool
 	// FactorNNZ is the factor's non-zero count (== FillBudget gate input).
 	FactorNNZ int
 	// Panels, MaxPanelWidth and PaddedZeros describe the supernode
@@ -347,12 +367,16 @@ func (g *GridModel) FactorStats() GridFactorStats {
 // FillBudget returns the factor-fill bound the direct backend was allowed.
 func (g *GridModel) FillBudget() int { return g.fillBudget }
 
-// Close releases resources the solver backend holds beyond the Go heap —
-// today the spill file of an out-of-core factor. It is idempotent, a no-op
-// for in-core backends, and must not race in-flight queries. Models dropped
-// without Close are covered by a finalizer, but long-lived servers that
+// Close releases what the solver backend holds beyond the model itself: the
+// spill file of an out-of-core factor, and this model's hold on a shared
+// in-core factor (the factor is freed with its last holder). It is
+// idempotent and must not race in-flight queries. Models dropped without
+// Close are covered by a finalizer and a cleanup, but long-lived servers that
 // evict systems should call it promptly.
 func (g *GridModel) Close() error {
+	if g.share != nil {
+		g.share.release()
+	}
 	if g.chol == nil {
 		return nil
 	}

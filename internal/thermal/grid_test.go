@@ -413,12 +413,18 @@ func TestGridSteadyStateActiveValidatesOnFallback(t *testing.T) {
 }
 
 // TestGridFactorStats checks the construction-side stats the /metrics
-// endpoint and the perf reports consume.
+// endpoint and the perf reports consume. Earlier tests' dropped models are
+// collected first, so this model factors afresh.
 func TestGridFactorStats(t *testing.T) {
+	waitLiveGridFactors(t, 0)
 	g := alphaGrid(t, 24, 24)
+	defer g.Close()
 	st := g.FactorStats()
 	if st.Mode != "supernodal" {
 		t.Fatalf("Mode = %q, want supernodal", st.Mode)
+	}
+	if st.Shared {
+		t.Fatal("Shared = true with no other live model")
 	}
 	if st.FactorTime <= 0 {
 		t.Errorf("FactorTime = %v, want > 0", st.FactorTime)

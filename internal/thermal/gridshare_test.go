@@ -1,0 +1,364 @@
+package thermal
+
+import (
+	"math"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/floorplan"
+	"repro/internal/geom"
+	"repro/internal/linalg"
+)
+
+// waitLiveGridFactors runs the collector until at most want shared factors
+// stay resident, so models that earlier tests dropped release their holds
+// and the next build of their key factors afresh.
+func waitLiveGridFactors(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for LiveGridFactors() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("LiveGridFactors = %d after GC, want <= %d", LiveGridFactors(), want)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// assembled returns the conductance matrix NewGridModelWithOptions would
+// assemble for fp under cfg, without factoring it.
+func assembled(fp *floorplan.Floorplan, cfg PackageConfig, nx, ny int) *linalg.Sparse {
+	die := fp.Die()
+	g := &GridModel{fp: fp, cfg: cfg, nx: nx, ny: ny,
+		cellW: die.W / float64(nx), cellH: die.H / float64(ny)}
+	g.assemble()
+	return g.sys
+}
+
+// sameSparseBits reports whether a and b have the same pattern and
+// bit-identical values.
+func sameSparseBits(a, b *linalg.Sparse) bool {
+	if a.N() != b.N() || a.NNZ() != b.NNZ() {
+		return false
+	}
+	for i := 0; i < a.N(); i++ {
+		ac, av := a.RowNZ(i)
+		bc, bv := b.RowNZ(i)
+		if !reflect.DeepEqual(ac, bc) {
+			return false
+		}
+		for k := range av {
+			if math.Float64bits(av[k]) != math.Float64bits(bv[k]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestGridFactorKeyGuard perturbs every PackageConfig field by reflection:
+// the share key must change exactly when the assembled matrix bits change,
+// so a field added later cannot slip past it. A 1-ULP change of the die's
+// width or height, the resolution, the fill budget and every panel option
+// must change the key too.
+func TestGridFactorKeyGuard(t *testing.T) {
+	const n = 8
+	fp := floorplan.Alpha21364()
+	die := fp.Die()
+	opts := GridOptions{}.Canonical()
+	base := DefaultPackageConfig()
+	baseKey := newGridFactorKey(base, die.W, die.H, n, n, opts)
+	baseSys := assembled(fp, base, n, n)
+
+	rv := reflect.ValueOf(&base).Elem()
+	keyed := 0
+	for i := 0; i < rv.NumField(); i++ {
+		name := rv.Type().Field(i).Name
+		if rv.Field(i).Kind() != reflect.Float64 {
+			t.Fatalf("PackageConfig.%s is not a float64: extend this guard", name)
+		}
+		cfg := base
+		f := reflect.ValueOf(&cfg).Elem().Field(i)
+		f.SetFloat(f.Float() * 1.25)
+		keyChanged := newGridFactorKey(cfg, die.W, die.H, n, n, opts) != baseKey
+		matrixChanged := !sameSparseBits(assembled(fp, cfg, n, n), baseSys)
+		if keyChanged != matrixChanged {
+			t.Errorf("%s: key changed %v, matrix changed %v", name, keyChanged, matrixChanged)
+		}
+		if keyChanged {
+			keyed++
+		}
+	}
+	if keyed != len(baseKey.pkg) {
+		t.Errorf("%d PackageConfig fields change the matrix, key holds %d", keyed, len(baseKey.pkg))
+	}
+
+	// A die 1 ULP wider or taller assembles a different matrix and must miss.
+	for _, d := range []geom.Rect{
+		{X: die.X, Y: die.Y, W: math.Nextafter(die.W, 1), H: die.H},
+		{X: die.X, Y: die.Y, W: die.W, H: math.Nextafter(die.H, 1)},
+	} {
+		wide, err := floorplan.New("ulp", d, fp.Blocks())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sameSparseBits(assembled(wide, base, n, n), baseSys) {
+			t.Errorf("die %v: matrix bits unchanged by a 1-ULP die", d)
+		}
+		if newGridFactorKey(base, d.W, d.H, n, n, opts) == baseKey {
+			t.Errorf("die %v: key unchanged by a 1-ULP die", d)
+		}
+	}
+
+	for name, k := range map[string]gridFactorKey{
+		"nx":         newGridFactorKey(base, die.W, die.H, n+1, n, opts),
+		"ny":         newGridFactorKey(base, die.W, die.H, n, n+1, opts),
+		"FillBudget": newGridFactorKey(base, die.W, die.H, n, n, GridOptions{FillBudget: 1 << 20}.Canonical()),
+	} {
+		if k == baseKey {
+			t.Errorf("%s: key unchanged", name)
+		}
+	}
+	pv := reflect.ValueOf(&opts.Panel).Elem()
+	for i := 0; i < pv.NumField(); i++ {
+		o := opts
+		f := reflect.ValueOf(&o.Panel).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Int:
+			f.SetInt(f.Int() + 1)
+		case reflect.Float64:
+			f.SetFloat(math.Nextafter(f.Float(), 1))
+		default:
+			t.Fatalf("Panel.%s: unhandled kind %v", pv.Type().Field(i).Name, f.Kind())
+		}
+		if newGridFactorKey(base, die.W, die.H, n, n, o) == baseKey {
+			t.Errorf("Panel.%s: key unchanged", pv.Type().Field(i).Name)
+		}
+	}
+	nan := opts
+	nan.Panel.RelaxRatio = math.NaN()
+	if k := newGridFactorKey(base, die.W, die.H, n, n, nan); k != k {
+		t.Error("NaN RelaxRatio makes the key unequal to itself")
+	}
+}
+
+// gridAnswers are one model's SteadyState, SteadyStateActive and
+// SteadyStateBatch node temperatures on fixed power maps.
+func gridAnswers(t *testing.T, g *GridModel) [][]float64 {
+	t.Helper()
+	nb := g.Floorplan().NumBlocks()
+	var maps, out [][]float64
+	for s := 0; s < 3; s++ {
+		pm := make([]float64, nb)
+		pa := make([]float64, nb) // two active blocks, the rest idle
+		var active []int
+		for b := s; b < nb; b += 3 {
+			pm[b] = 0.5 + float64(b%7)
+			if len(active) < 2 {
+				active = append(active, b)
+				pa[b] = pm[b]
+			}
+		}
+		r, err := g.SteadyState(pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra, err := g.SteadyStateActive(pa, active)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maps, out = append(maps, pm), append(out, r.temps, ra.temps)
+	}
+	rs, err := g.SteadyStateBatch(maps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rs {
+		out = append(out, r.temps)
+	}
+	return out
+}
+
+func sameBits(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestGridSharedFactorBitIdentical: a model answering from a shared factor
+// and one that factored afresh give bitwise-equal SteadyState,
+// SteadyStateActive and SteadyStateBatch results — for alpha, and for a
+// random SoC on the same 16 mm die at a different ambient.
+func TestGridSharedFactorBitIdentical(t *testing.T) {
+	const n = 20
+	waitLiveGridFactors(t, 0)
+	alpha := floorplan.Alpha21364()
+	soc, err := floorplan.Random(floorplan.RandomOptions{Blocks: 24, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alpha.Die().W != soc.Die().W || alpha.Die().H != soc.Die().H {
+		t.Fatalf("dies differ: alpha %v, soc %v", alpha.Die(), soc.Die())
+	}
+	warm := DefaultPackageConfig()
+	warm.Ambient = 52.5
+	build := func(fp *floorplan.Floorplan, cfg PackageConfig, wantShared bool) *GridModel {
+		t.Helper()
+		g, err := NewGridModel(fp, cfg, n, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := g.FactorStats(); st.Shared != wantShared {
+			t.Fatalf("%s: Shared = %v, want %v", fp.Name(), st.Shared, wantShared)
+		}
+		return g
+	}
+
+	a1 := build(alpha, DefaultPackageConfig(), false)
+	s1 := build(soc, warm, true)
+	a2 := build(alpha, DefaultPackageConfig(), true)
+	if st := s1.FactorStats(); st.FactorTime != 0 || st.FactorNNZ != a1.FactorStats().FactorNNZ ||
+		st.Panels != a1.FactorStats().Panels || st.PeakFactorBytes != a1.FactorStats().PeakFactorBytes {
+		t.Errorf("shared stats %+v do not describe the factor %+v", st, a1.FactorStats())
+	}
+	if got := LiveGridFactors(); got != 1 {
+		t.Errorf("LiveGridFactors = %d with three models on one factor, want 1", got)
+	}
+	alphaFresh, alphaShared, socShared := gridAnswers(t, a1), gridAnswers(t, a2), gridAnswers(t, s1)
+	for _, g := range []*GridModel{a1, s1, a2} {
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := LiveGridFactors(); got != 0 {
+		t.Fatalf("LiveGridFactors = %d after closing every holder, want 0", got)
+	}
+	s2 := build(soc, warm, false)
+	defer s2.Close()
+	if !sameBits(alphaShared, alphaFresh) {
+		t.Error("alpha: shared-factor answers differ from the fresh factor's")
+	}
+	if !sameBits(socShared, gridAnswers(t, s2)) {
+		t.Error("random SoC: shared-factor answers differ from the fresh factor's")
+	}
+}
+
+// TestGridFactorSingleflight: concurrent cold builds of one key factor once;
+// closing every holder frees the entry, so the next build factors afresh.
+func TestGridFactorSingleflight(t *testing.T) {
+	waitLiveGridFactors(t, 0)
+	fp := floorplan.Alpha21364()
+	models := make([]*GridModel, 8)
+	var wg sync.WaitGroup
+	for i := range models {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, err := NewGridModel(fp, DefaultPackageConfig(), 18, 18)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			models[i] = g
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	fresh := 0
+	for _, g := range models {
+		if st := g.FactorStats(); !st.Shared {
+			fresh++
+			if st.FactorTime <= 0 {
+				t.Errorf("fresh factor FactorTime = %v, want > 0", st.FactorTime)
+			}
+		} else if st.FactorTime != 0 {
+			t.Errorf("shared factor FactorTime = %v, want 0", st.FactorTime)
+		}
+		if g.chol != models[0].chol {
+			t.Error("models of one key hold different factors")
+		}
+	}
+	if fresh != 1 {
+		t.Errorf("%d of 8 concurrent builds factored, want exactly 1", fresh)
+	}
+	if got := LiveGridFactors(); got != 1 {
+		t.Errorf("LiveGridFactors = %d, want 1", got)
+	}
+	for _, g := range models {
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Close(); err != nil { // idempotent
+			t.Fatal(err)
+		}
+	}
+	if got := LiveGridFactors(); got != 0 {
+		t.Errorf("LiveGridFactors = %d after closing every holder, want 0", got)
+	}
+	g, err := NewGridModel(fp, DefaultPackageConfig(), 18, 18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if st := g.FactorStats(); st.Shared || st.FactorTime <= 0 {
+		t.Errorf("build after closing every holder: Shared %v, FactorTime %v; want a fresh factor", st.Shared, st.FactorTime)
+	}
+}
+
+// TestGridFactorDroppedWithoutClose: a model dropped without Close frees its
+// shared-factor entry once collected.
+func TestGridFactorDroppedWithoutClose(t *testing.T) {
+	waitLiveGridFactors(t, 0)
+	g, err := NewGridModel(floorplan.Alpha21364(), DefaultPackageConfig(), 14, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := LiveGridFactors(); got != 1 {
+		t.Fatalf("LiveGridFactors = %d with one live model, want 1", got)
+	}
+	runtime.KeepAlive(g)
+	waitLiveGridFactors(t, 0)
+}
+
+// TestGridFactorNotSharedWhenSpilledOrFallback: a model under a peak-bytes
+// budget keeps its own factor, and the CG fallback leaves no entry behind.
+func TestGridFactorNotSharedWhenSpilledOrFallback(t *testing.T) {
+	waitLiveGridFactors(t, 0)
+	fp := floorplan.Alpha21364()
+	budgeted, err := NewGridModelWithOptions(fp, DefaultPackageConfig(), 16, 16,
+		GridOptions{PeakBytesBudget: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer budgeted.Close()
+	cg, err := NewGridModelWithOptions(fp, DefaultPackageConfig(), 16, 16, GridOptions{FillBudget: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cg.Close()
+	if cg.SolverBackend() != "cg-ic0" {
+		t.Fatalf("backend %q, want cg-ic0", cg.SolverBackend())
+	}
+	if got := LiveGridFactors(); got != 0 {
+		t.Errorf("LiveGridFactors = %d, want 0 for budgeted and fallback models", got)
+	}
+	if budgeted.FactorStats().Shared || cg.FactorStats().Shared {
+		t.Errorf("budgeted %+v / fallback %+v stats, want unshared", budgeted.FactorStats(), cg.FactorStats())
+	}
+}
