@@ -646,11 +646,13 @@ func BenchmarkGridSteadyBatch(b *testing.B) {
 	b.ReportMetric(float64(perQuery.Nanoseconds()), "ns/query")
 }
 
-// table1GridModes are the two phase-2 candidate-scan strategies the grid
-// benchmarks compare; both render byte-identical schedules:
+// table1GridModes are the two validation strategies the grid benchmarks
+// compare; both render byte-identical schedules:
 //
-//   - per-candidate: sparse-RHS solves through the active footprint's reach
-//   - batched:       sparse RHS + speculative chain tails on blocked multi-RHS
+//   - per-candidate: one solve per candidate, in the generator's goroutine
+//     (phase 1 through the Phase1Workers sweep)
+//   - batched:       phase 1's solos and each speculative phase-2 chain go to
+//     GridOracle.BlockTempsBatch, which fans them out across GOMAXPROCS
 func table1GridModes(gm *thermal.GridModel, prof *power.Profile) []struct {
 	name   string
 	oracle core.Oracle
@@ -671,8 +673,9 @@ func table1GridModes(gm *thermal.GridModel, prof *power.Profile) []struct {
 // a 96×96 grid-resolution oracle (18 434 nodes — the regime the fast path
 // targets) with an empty memo cache per iteration; the factorization happens
 // outside the timer, so the candidate-scan cost is what moves. Cold is where
-// batching pays: the whole phase-2 chain is fresh, so the tail rides one
-// blocked multi-RHS factor pass and phase 1's solos take the sparse-RHS path.
+// batching pays: the whole phase-2 chain is fresh, so its sessions are solved
+// concurrently by the grid oracle's fan-out (each through the same sparse-RHS
+// or dense route a single query takes).
 func BenchmarkTable1CellGridCold(b *testing.B) {
 	const gridRes = 96
 	spec := thermalsched.AlphaWorkload()
@@ -701,7 +704,7 @@ func BenchmarkTable1CellGridCold(b *testing.B) {
 // BenchmarkTable1GridOracle sweeps the full 81-cell Table 1 grid on the same
 // 96×96 oracle with one shared memo cache per iteration. The cache collapses
 // ~1100 generator attempts to ~120 distinct simulations and — unlike the
-// cold-cell bench — hands the batched mode almost nothing to amortise:
+// cold-cell bench — hands the batched mode almost nothing to fan out:
 // fresh sessions surface one at a time (as chain heads) once the cache is
 // warm, so per-candidate and batched bracket a few percent of each other and
 // the sparse-RHS solo path carries the win.

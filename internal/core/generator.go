@@ -40,8 +40,9 @@ type Config struct {
 	// call, and phase 2 speculatively builds the whole chain of follow-on
 	// sessions its candidate would unlock (weights only change on a
 	// violation, so the chain is exact until the first failure) and
-	// validates the chain in one call — at grid resolution, one blocked
-	// multi-RHS triangular pass instead of one factor pass per candidate.
+	// validates the chain in one call — at grid resolution, one call the
+	// grid oracle fans out across GOMAXPROCS goroutines, so the chain's
+	// solves run concurrently instead of one after another.
 	// Results are byte-identical to serial validation: the consumption loop
 	// replays the chain in order, commits the validated prefix, and discards
 	// everything after the first violation, which is exactly what the serial
@@ -52,8 +53,10 @@ type Config struct {
 	// simulations. 0 → GOMAXPROCS; 1 → fully serial (use this with an
 	// oracle that is not safe for concurrent use, or when the caller
 	// already saturates the cores — e.g. a parallel experiment sweep
-	// running one generator per worker). Results and errors are identical
-	// at any worker count.
+	// running one generator per worker). Under BatchValidate a BatchOracle
+	// takes phase 1 in one BlockTempsBatch call instead and this cap does
+	// not apply; the grid oracle fans that call out across GOMAXPROCS
+	// itself. Results and errors are identical at any worker count.
 	Phase1Workers int
 	// Interrupt, when non-nil, is polled before phase 1 and before every
 	// phase-2 candidate build; a non-nil return aborts the run with an error
@@ -475,10 +478,11 @@ func (g *Generator) Run() (*Result, error) {
 	return res, nil
 }
 
-// runPhase1 fills bcmt with each core's solo steady-state temperature,
-// fanning the independent simulations across Config.Phase1Workers
-// goroutines (0 → GOMAXPROCS). On failure the lowest-index error is
-// reported, matching the serial loop.
+// runPhase1 fills bcmt with each core's solo steady-state temperature. Under
+// BatchValidate a BatchOracle answers all solos in one call; otherwise the
+// independent simulations fan out across Config.Phase1Workers goroutines
+// (0 → GOMAXPROCS). On failure the lowest-index error is reported, matching
+// the serial loop.
 func (g *Generator) runPhase1(n int, bcmt []float64) error {
 	if g.cfg.BatchValidate {
 		if batch, ok := g.oracle.(BatchOracle); ok {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 
+	"repro/internal/conc"
 	"repro/internal/power"
 	"repro/internal/thermal"
 )
@@ -60,47 +62,15 @@ func (o *GridOracle) BlockTemps(active []int) ([]float64, error) {
 	return o.reduce(res), nil
 }
 
-// BlockTempsBatch implements BatchOracle: multi-core sessions' right-hand
-// sides ride one blocked pass over the shared factor
-// (GridModel.SteadyStateBatch), so the multi-megabyte factor streams once for
-// the whole sub-batch instead of once per session. Solo sessions are carved
-// out and solved through the sparse-RHS path instead — a one-core footprint's
-// elimination-tree reach is a sliver of the factor, which beats any dense
-// amortisation. Results are bit-identical to per-session BlockTemps calls on
-// every route.
+// BlockTempsBatch implements BatchOracle by fanning per-session BlockTemps
+// calls across GOMAXPROCS goroutines (serially at GOMAXPROCS=1). Each session
+// keeps the sparse-RHS or dense route SteadyStateActive picks for it, so every
+// result is bit-identical to the corresponding BlockTemps call; results come
+// back in index order and the lowest-index error wins, as in a serial loop.
 func (o *GridOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
-	out := make([][]float64, len(sessions))
-	var denseIdx []int
-	for i, s := range sessions {
-		if len(s) <= 1 {
-			temps, err := o.BlockTemps(s)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = temps
-		} else {
-			denseIdx = append(denseIdx, i)
-		}
-	}
-	if len(denseIdx) == 0 {
-		return out, nil
-	}
-	pms := make([][]float64, len(denseIdx))
-	for k, i := range denseIdx {
-		pm := make([]float64, o.grid.Floorplan().NumBlocks())
-		if err := o.profile.TestPowerMapInto(pm, sessions[i]); err != nil {
-			return nil, err
-		}
-		pms[k] = pm
-	}
-	results, err := o.grid.SteadyStateBatch(pms)
-	if err != nil {
-		return nil, err
-	}
-	for k, i := range denseIdx {
-		out[i] = o.reduce(results[k])
-	}
-	return out, nil
+	return conc.Sweep(runtime.GOMAXPROCS(0), len(sessions), func(i int) ([]float64, error) {
+		return o.BlockTemps(sessions[i])
+	})
 }
 
 // reduce folds a grid field to one temperature per block (the hottest covered

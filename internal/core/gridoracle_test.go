@@ -1,11 +1,118 @@
 package core
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 
+	"repro/internal/floorplan"
+	"repro/internal/power"
 	"repro/internal/testspec"
 	"repro/internal/thermal"
 )
+
+// forceGridFanOut raises GOMAXPROCS so GridOracle.BlockTempsBatch runs its
+// sessions on concurrent goroutines even on a single-CPU machine.
+func forceGridFanOut(t *testing.T) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// gridBatchOracles returns 24×24 grid oracles over alpha and over a seeded
+// random SoC.
+func gridBatchOracles(t *testing.T) map[string]*GridOracle {
+	t.Helper()
+	pkg := thermal.DefaultPackageConfig()
+	spec := testspec.Alpha21364()
+	alpha, err := thermal.NewGridModel(spec.Floorplan(), pkg, 24, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := floorplan.Random(floorplan.RandomOptions{Blocks: 24, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	functional := make([]float64, fp.NumBlocks())
+	factors := make([]float64, fp.NumBlocks())
+	for i := range functional {
+		functional[i] = 2 + float64(i%5)
+		factors[i] = 2
+	}
+	prof, err := power.FromFactors(fp, functional, factors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	soc, err := thermal.NewGridModel(fp, pkg, 24, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*GridOracle{
+		"alpha":  NewGridOracle(alpha, spec.Profile()),
+		"random": NewGridOracle(soc, prof),
+	}
+}
+
+func TestGridOracleBatchBitIdenticalToBlockTemps(t *testing.T) {
+	forceGridFanOut(t)
+	for name, o := range gridBatchOracles(t) {
+		n := o.Grid().Floorplan().NumBlocks()
+		solos := make([][]int, n)
+		all := make([]int, n)
+		for i := range solos {
+			solos[i] = []int{i}
+			all[i] = i
+		}
+		// The all-cores session covers the whole die, so SteadyStateActive
+		// takes its dense route; the small sessions take the sparse one.
+		batches := map[string][][]int{
+			"all-solo": solos,
+			"mixed":    {{0}, {1, 3}, all, {2}, {n - 1, 0, 4}, {5}},
+			"repeated": {{2, 6}, {1}, {2, 6}, {6, 2}},
+			"single":   {{1, 4}},
+			"empty":    {},
+		}
+		for bname, sessions := range batches {
+			got, err := o.BlockTempsBatch(sessions)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, bname, err)
+			}
+			if len(got) != len(sessions) {
+				t.Fatalf("%s/%s: %d results for %d sessions", name, bname, len(got), len(sessions))
+			}
+			for i, s := range sessions {
+				want, err := o.BlockTemps(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for b := range want {
+					if got[i][b] != want[b] {
+						t.Fatalf("%s/%s session %d %v block %d: batch %v, BlockTemps %v",
+							name, bname, i, s, b, got[i][b], want[b])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestGridOracleBatchLowestIndexError(t *testing.T) {
+	forceGridFanOut(t)
+	o := gridBatchOracles(t)["alpha"]
+	n := o.Grid().Floorplan().NumBlocks()
+	_, want := o.BlockTemps([]int{0, n + 3})
+	if want == nil {
+		t.Fatal("BlockTemps accepted an out-of-range core")
+	}
+	sessions := [][]int{{0}, {1}, {2, 3}, {0, n + 3}, {4}, {n + 9}, {5}}
+	_, got := o.BlockTempsBatch(sessions)
+	if got == nil || got.Error() != want.Error() {
+		t.Fatalf("batch error = %v, want the index-3 session's %v", got, want)
+	}
+	if !errors.Is(got, power.ErrShape) {
+		t.Errorf("batch error %v does not wrap power.ErrShape", got)
+	}
+}
 
 func TestGridOracleMatchesDirectGridSolve(t *testing.T) {
 	spec := testspec.Alpha21364()

@@ -22,14 +22,13 @@ type Oracle interface {
 }
 
 // BatchOracle is the optional batching extension of Oracle: simulate several
-// sessions in one call. Implementations whose solver amortises work across
-// right-hand sides — the grid oracle's blocked multi-RHS triangular passes —
-// answer a k-session batch for far less than k single queries; every result
-// must be bit-identical to the corresponding BlockTemps call, so callers may
-// mix the two paths freely. A whole-batch error carries no per-session
-// attribution: callers that need exact serial error semantics fall back to
-// per-session BlockTemps (the oracle is deterministic, so the error resurfaces
-// at the same session).
+// sessions in one call. Handing an implementation the whole batch lets it
+// answer k sessions in less wall time than k single queries — the grid oracle
+// fans them out across GOMAXPROCS goroutines. Every result must be
+// bit-identical to the corresponding BlockTemps call, so callers may mix the
+// two paths freely. A batch error need not name the failing session: callers
+// that need exact serial error semantics fall back to per-session BlockTemps
+// (the oracle is deterministic, so the error resurfaces at the same session).
 type BatchOracle interface {
 	Oracle
 	BlockTempsBatch(sessions [][]int) ([][]float64, error)

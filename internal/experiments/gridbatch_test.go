@@ -12,11 +12,14 @@ import (
 // grid-scale fast path: the same workload validated on the same grid
 // discretisation must render the byte-identical schedule whether sessions
 // were validated one at a time, through the speculative batch, behind a memo
-// cache, or with parallel phase 1. CI runs this under -race.
+// cache, or with parallel phase 1. GOMAXPROCS is forced to 4 so the batched
+// arm really fans its grid solves out across goroutines (GridOracle's batch
+// path runs at GOMAXPROCS width). CI runs this under -race.
 func TestGridScheduleByteIdenticalAcrossPaths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid-oracle generation in -short mode")
 	}
+	forceParallelism(t, 4)
 	spec := testspec.Alpha21364()
 	pkg := thermal.DefaultPackageConfig()
 	m, err := thermal.NewModel(spec.Floorplan(), pkg)

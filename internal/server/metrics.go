@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -179,6 +180,9 @@ func (m *metrics) render(tc tierCounters) string {
 	sb.WriteString("# HELP thermserve_grid_factors_live Distinct grid factors resident in the process; live systems with the same package, die size and resolution share one.\n")
 	sb.WriteString("# TYPE thermserve_grid_factors_live gauge\n")
 	fmt.Fprintf(&sb, "thermserve_grid_factors_live %d\n", tc.GridFactorsLive)
+	sb.WriteString("# HELP thermserve_gomaxprocs Goroutine width of the grid oracle's batch fan-out (runtime.GOMAXPROCS).\n")
+	sb.WriteString("# TYPE thermserve_gomaxprocs gauge\n")
+	fmt.Fprintf(&sb, "thermserve_gomaxprocs %d\n", runtime.GOMAXPROCS(0))
 	sb.WriteString("# HELP thermserve_store_files Record files in the persistent store.\n")
 	sb.WriteString("# TYPE thermserve_store_files gauge\n")
 	fmt.Fprintf(&sb, "thermserve_store_files %d\n", tc.StoreFiles)

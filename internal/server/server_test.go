@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -368,6 +369,13 @@ func TestSystemsAndMetricsEndpoints(t *testing.T) {
 	}
 	if strings.Contains(text, `thermserve_tier_hit_rate{tier="1"} 0`+"\n") {
 		t.Error("tier-1 hit rate rendered as zero after a warm request")
+	}
+	// The fan-out width gauge reads GOMAXPROCS at scrape time.
+	old := runtime.GOMAXPROCS(3)
+	got := fetchMetric(t, hs.URL, "thermserve_gomaxprocs")
+	runtime.GOMAXPROCS(old)
+	if got != 3 {
+		t.Errorf("thermserve_gomaxprocs = %v under GOMAXPROCS=3", got)
 	}
 
 	// Grid systems with one package, die size and resolution share one
