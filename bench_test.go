@@ -652,7 +652,8 @@ func BenchmarkGridSteadyBatch(b *testing.B) {
 //   - per-candidate: one solve per candidate, in the generator's goroutine
 //     (phase 1 through the Phase1Workers sweep)
 //   - batched:       phase 1's solos and each speculative phase-2 chain go to
-//     GridOracle.BlockTempsBatch, which fans them out across GOMAXPROCS
+//     GridOracle.BlockTempsBatch, which fans them out across GOMAXPROCS and
+//     groups the multi-core sessions into blocked multi-RHS passes
 func table1GridModes(gm *thermal.GridModel, prof *power.Profile) []struct {
 	name   string
 	oracle core.Oracle
@@ -674,8 +675,8 @@ func table1GridModes(gm *thermal.GridModel, prof *power.Profile) []struct {
 // targets) with an empty memo cache per iteration; the factorization happens
 // outside the timer, so the candidate-scan cost is what moves. Cold is where
 // batching pays: the whole phase-2 chain is fresh, so its sessions are solved
-// concurrently by the grid oracle's fan-out (each through the same sparse-RHS
-// or dense route a single query takes).
+// concurrently by the grid oracle's fan-out (solos on the sparse-RHS route,
+// multi-core sessions sharing blocked passes).
 func BenchmarkTable1CellGridCold(b *testing.B) {
 	const gridRes = 96
 	spec := thermalsched.AlphaWorkload()

@@ -130,7 +130,7 @@ func (c *CachedOracle) BlockTemps(active []int) ([]float64, error) {
 // BlockTempsBatch implements BatchOracle: the misses of one batch are
 // forwarded to the inner oracle's batch path in a single call (when it has
 // one), so a grid-resolution miss burst is solved by the grid oracle's
-// fan-out while the memo fills stay in index order.
+// fan-out and blocked passes while the memo fills stay in index order.
 // Hit/miss accounting is identical to querying the sessions one at a time —
 // each entryFor call counts exactly once, and a session repeated within the
 // batch hits the entry its first occurrence created. If the inner batch call

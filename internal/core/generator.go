@@ -41,8 +41,9 @@ type Config struct {
 	// sessions its candidate would unlock (weights only change on a
 	// violation, so the chain is exact until the first failure) and
 	// validates the chain in one call — at grid resolution, one call the
-	// grid oracle fans out across GOMAXPROCS goroutines, so the chain's
-	// solves run concurrently instead of one after another.
+	// grid oracle fans out across GOMAXPROCS goroutines, with multi-core
+	// sessions sharing blocked multi-RHS passes, so the chain's solves run
+	// concurrently instead of one after another.
 	// Results are byte-identical to serial validation: the consumption loop
 	// replays the chain in order, commits the validated prefix, and discards
 	// everything after the first violation, which is exactly what the serial
@@ -55,8 +56,9 @@ type Config struct {
 	// already saturates the cores — e.g. a parallel experiment sweep
 	// running one generator per worker). Under BatchValidate a BatchOracle
 	// takes phase 1 in one BlockTempsBatch call instead and this cap does
-	// not apply; the grid oracle fans that call out across GOMAXPROCS
-	// itself. Results and errors are identical at any worker count.
+	// not apply: the grid oracle fans that call out across GOMAXPROCS
+	// itself, so 1 does not keep a grid-fidelity generator serial. Results
+	// and errors are identical at any worker count.
 	Phase1Workers int
 	// Interrupt, when non-nil, is polled before phase 1 and before every
 	// phase-2 candidate build; a non-nil return aborts the run with an error

@@ -11,11 +11,17 @@ import (
 	"repro/internal/thermal"
 )
 
-// forceGridFanOut raises GOMAXPROCS so GridOracle.BlockTempsBatch runs its
-// sessions on concurrent goroutines even on a single-CPU machine.
-func forceGridFanOut(t *testing.T) {
+// gridWidths are the GOMAXPROCS values the batch tests run at: 1 puts every
+// dense session in one blocked pass on one goroutine, and 4 splits them into
+// groups that run concurrently with the lone sessions, even on a single-CPU
+// machine.
+var gridWidths = []int{1, 4}
+
+// setGridWidth sets GOMAXPROCS, the width GridOracle.BlockTempsBatch fans out
+// to, and restores the original value when the test ends.
+func setGridWidth(t *testing.T, width int) {
 	t.Helper()
-	old := runtime.GOMAXPROCS(4)
+	old := runtime.GOMAXPROCS(width)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
@@ -54,7 +60,13 @@ func gridBatchOracles(t *testing.T) map[string]*GridOracle {
 }
 
 func TestGridOracleBatchBitIdenticalToBlockTemps(t *testing.T) {
-	forceGridFanOut(t)
+	for _, width := range gridWidths {
+		setGridWidth(t, width)
+		testGridOracleBatchBitIdentical(t)
+	}
+}
+
+func testGridOracleBatchBitIdentical(t *testing.T) {
 	for name, o := range gridBatchOracles(t) {
 		n := o.Grid().Floorplan().NumBlocks()
 		solos := make([][]int, n)
@@ -63,22 +75,25 @@ func TestGridOracleBatchBitIdenticalToBlockTemps(t *testing.T) {
 			solos[i] = []int{i}
 			all[i] = i
 		}
-		// The all-cores session covers the whole die, so SteadyStateActive
-		// takes its dense route; the small sessions take the sparse one.
+		// Solo sessions are solved alone; the multi-core ones share blocked
+		// passes, one group at width 1 and up to four at width 4.
 		batches := map[string][][]int{
 			"all-solo": solos,
 			"mixed":    {{0}, {1, 3}, all, {2}, {n - 1, 0, 4}, {5}},
-			"repeated": {{2, 6}, {1}, {2, 6}, {6, 2}},
+			"multi":    {all[1:], {1}, {0, 2}, all, {2, 5}, all[3:], {3, 4, 6}, {0}, all[:5], {1, 6}},
+			"repeated": {{2, 6}, {1}, {2, 6}, {6, 2}, all, all},
 			"single":   {{1, 4}},
+			"no-cores": {{}, {3}},
 			"empty":    {},
 		}
 		for bname, sessions := range batches {
 			got, err := o.BlockTempsBatch(sessions)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", name, bname, err)
+				t.Fatalf("GOMAXPROCS=%d %s/%s: %v", runtime.GOMAXPROCS(0), name, bname, err)
 			}
 			if len(got) != len(sessions) {
-				t.Fatalf("%s/%s: %d results for %d sessions", name, bname, len(got), len(sessions))
+				t.Fatalf("GOMAXPROCS=%d %s/%s: %d results for %d sessions",
+					runtime.GOMAXPROCS(0), name, bname, len(got), len(sessions))
 			}
 			for i, s := range sessions {
 				want, err := o.BlockTemps(s)
@@ -87,8 +102,8 @@ func TestGridOracleBatchBitIdenticalToBlockTemps(t *testing.T) {
 				}
 				for b := range want {
 					if got[i][b] != want[b] {
-						t.Fatalf("%s/%s session %d %v block %d: batch %v, BlockTemps %v",
-							name, bname, i, s, b, got[i][b], want[b])
+						t.Fatalf("GOMAXPROCS=%d %s/%s session %d %v block %d: batch %v, BlockTemps %v",
+							runtime.GOMAXPROCS(0), name, bname, i, s, b, got[i][b], want[b])
 					}
 				}
 			}
@@ -97,20 +112,28 @@ func TestGridOracleBatchBitIdenticalToBlockTemps(t *testing.T) {
 }
 
 func TestGridOracleBatchLowestIndexError(t *testing.T) {
-	forceGridFanOut(t)
 	o := gridBatchOracles(t)["alpha"]
 	n := o.Grid().Floorplan().NumBlocks()
 	_, want := o.BlockTemps([]int{0, n + 3})
 	if want == nil {
 		t.Fatal("BlockTemps accepted an out-of-range core")
 	}
-	sessions := [][]int{{0}, {1}, {2, 3}, {0, n + 3}, {4}, {n + 9}, {5}}
-	_, got := o.BlockTempsBatch(sessions)
-	if got == nil || got.Error() != want.Error() {
-		t.Fatalf("batch error = %v, want the index-3 session's %v", got, want)
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
 	}
-	if !errors.Is(got, power.ErrShape) {
-		t.Errorf("batch error %v does not wrap power.ErrShape", got)
+	// Multi-core sessions on both sides of the failing ones ride blocked
+	// passes, which must not mask or reorder the per-session error.
+	sessions := [][]int{{0}, all, {1}, {2, 3}, {0, n + 3}, all[1:], {4}, {n + 9}, all[2:], {5}, all[3:], all}
+	for _, width := range gridWidths {
+		setGridWidth(t, width)
+		_, got := o.BlockTempsBatch(sessions)
+		if got == nil || got.Error() != want.Error() {
+			t.Fatalf("GOMAXPROCS=%d: batch error = %v, want the index-4 session's %v", width, got, want)
+		}
+		if !errors.Is(got, power.ErrShape) {
+			t.Errorf("GOMAXPROCS=%d: batch error %v does not wrap power.ErrShape", width, got)
+		}
 	}
 }
 

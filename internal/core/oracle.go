@@ -23,8 +23,9 @@ type Oracle interface {
 
 // BatchOracle is the optional batching extension of Oracle: simulate several
 // sessions in one call. Handing an implementation the whole batch lets it
-// answer k sessions in less wall time than k single queries — the grid oracle
-// fans them out across GOMAXPROCS goroutines. Every result must be
+// answer k sessions for less than k single queries — the grid oracle fans
+// them out across GOMAXPROCS goroutines and solves multi-core sessions in
+// shared blocked multi-RHS passes. Every result must be
 // bit-identical to the corresponding BlockTemps call, so callers may mix the
 // two paths freely. A batch error need not name the failing session: callers
 // that need exact serial error semantics fall back to per-session BlockTemps

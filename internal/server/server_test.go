@@ -372,9 +372,8 @@ func TestSystemsAndMetricsEndpoints(t *testing.T) {
 	}
 	// The fan-out width gauge reads GOMAXPROCS at scrape time.
 	old := runtime.GOMAXPROCS(3)
-	got := fetchMetric(t, hs.URL, "thermserve_gomaxprocs")
-	runtime.GOMAXPROCS(old)
-	if got != 3 {
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	if got := fetchMetric(t, hs.URL, "thermserve_gomaxprocs"); got != 3 {
 		t.Errorf("thermserve_gomaxprocs = %v under GOMAXPROCS=3", got)
 	}
 
