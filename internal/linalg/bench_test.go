@@ -105,6 +105,36 @@ func BenchmarkCholeskySolveSparse(b *testing.B) {
 	}
 }
 
+// BenchmarkCholeskySolveSparseND is BenchmarkCholeskySolveSparse on the grid
+// solver's own factor: geometric nested dissection, supernodal kernel. RCM's
+// elimination tree is one chain, so only this order exercises the lane-paired
+// backward pass.
+func BenchmarkCholeskySolveSparseND(b *testing.B) {
+	for _, n := range []int{4096, 16384} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			nx, ny := benchDims(n)
+			s := buildLaplacian(nx, ny)
+			sym, err := NewCholSymbolic(s, NestedDissectionGrid(nx, ny, 1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ch, err := sym.Supernodes(SupernodalOptions{}).Factorize(s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rhs := make([]float64, n)
+			rhs[n/2] = 1
+			dst := make([]float64, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ch.SolveInto(dst, rhs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSolveCGJacobi and BenchmarkSolveCGIC0 time the iterative fallback
 // per query at the grid solver's production tolerance, for the PERF.md
 // direct-vs-iterative comparison.

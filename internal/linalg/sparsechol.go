@@ -21,6 +21,10 @@ type CholSymbolic struct {
 	parent []int // elimination tree over permuted indices (-1 = root)
 	colPtr []int // column pointers of L (CSC), len n+1
 
+	// lanes schedules the single-RHS backward pass over disjoint subtrees
+	// of the elimination tree (see backwardLanes).
+	lanes []laneStep
+
 	// Permuted lower-triangular pattern of the input: row k holds the
 	// permuted columns j <= k, with cmap mapping each slot back into the
 	// source matrix's vals array so Factorize is a pure gather.
@@ -127,7 +131,86 @@ func NewCholSymbolic(s *Sparse, perm []int) (*CholSymbolic, error) {
 	for k := 0; k < n; k++ {
 		sym.colPtr[k+1] = sym.colPtr[k] + counts[k]
 	}
+	sym.lanes = backwardLanes(sym.parent)
 	return sym, nil
+}
+
+// laneDepth is how many etree branching levels backwardLanes splits before
+// it pairs whole subtrees. Each level re-aligns the two lanes of a pair on
+// matching separators; past a few levels the gain is flat (PERF.md,
+// "interleaved elimination subtrees").
+const laneDepth = 4
+
+// laneStep is one step of the backward pass: columns [a0, a1) descending,
+// interleaved in lockstep with columns [b0, b1) descending. The two ranges
+// are disjoint elimination subtrees (or chains of them), so neither lane
+// reads a value the other writes; an empty B lane runs A alone.
+type laneStep struct{ a0, a1, b0, b1 int }
+
+// backwardLanes derives the backward pass's lane schedule from the
+// elimination tree alone, so every factor of one pattern shares it. Column j
+// of Lᵀ·z = y needs only its etree ancestors, so disjoint subtrees may run
+// interleaved. The schedule is level by level from the roots: the chain of
+// each frontier subtree down to its first branching node (the trunk), with
+// the trunks of one level paired, then the branching nodes' children as the
+// next frontier; at laneDepth the frontier subtrees are paired whole. Unless
+// the order is a postorder (every subtree a contiguous column range) and the
+// forest branches somewhere, the schedule is one serial step over all
+// columns.
+func backwardLanes(parent []int) []laneStep {
+	n := len(parent)
+	serial := []laneStep{{a1: n}}
+	first := make([]int, n) // lowest column in each subtree
+	size := make([]int, n)
+	for j := range first {
+		first[j] = j
+	}
+	for j, p := range parent {
+		size[j]++
+		if p != -1 {
+			size[p] += size[j]
+			first[p] = min(first[p], first[j])
+		}
+	}
+	for j := range first {
+		if first[j] != j-size[j]+1 {
+			return serial
+		}
+	}
+	// In a postorder the children of node r are r-1, first[r-1]-1, … down
+	// to first[r]; the roots are those of a virtual node n.
+	var frontier []int
+	for r := n - 1; r >= 0; r = first[r] - 1 {
+		frontier = append(frontier, r)
+	}
+	var steps []laneStep
+	paired := false
+	for depth := 0; len(frontier) > 0; depth++ {
+		var next []int
+		for i, r := range frontier {
+			lo := r // the trunk: r and its chain of single children
+			if depth == laneDepth {
+				lo = first[r] // the whole subtree
+			}
+			for lo > first[lo] && first[lo-1] == first[lo] {
+				lo--
+			}
+			for c := lo - 1; c >= first[lo]; c = first[c] - 1 {
+				next = append(next, c)
+			}
+			if i%2 == 0 {
+				steps = append(steps, laneStep{a0: lo, a1: r + 1})
+			} else {
+				steps[len(steps)-1].b0, steps[len(steps)-1].b1 = lo, r+1
+				paired = true
+			}
+		}
+		frontier = next
+	}
+	if !paired {
+		return serial
+	}
+	return steps
 }
 
 // LNNZ returns the number of non-zeros the factor L will have (including the
@@ -375,7 +458,8 @@ func (c *SparseCholesky) Solve(b []float64) ([]float64, error) {
 }
 
 // SolveInto solves A·x = b into dst, mirroring the dense Cholesky API; an
-// in-core factor runs the per-column loops (see applyFactor). dst may alias
+// in-core factor runs the column loops, with the backward pass lane-paired
+// over disjoint elimination subtrees (see applyFactor). dst may alias
 // b: the right-hand side is fully gathered into an internal work vector
 // before dst is written. The work vector is pooled, so the call is
 // allocation-free in steady state and safe for concurrent use.
@@ -405,10 +489,12 @@ func (c *SparseCholesky) SolveInto(dst, b []float64) error {
 // applyFactor runs the forward (L·y = w) and backward (Lᵀ·z = y) triangular
 // solves in place on w, which holds k interleaved right-hand sides in permuted
 // order (entry j of RHS r at w[j*k+r]). One RHS on an in-core factor runs
-// the per-column loops, which beat the panel kernel at k = 1; batches and
-// out-of-core factors run the panel kernel, or interleaved column loops on a
-// scalar factor. All apply every per-entry operation in the same order, so
-// they are bit-identical. Only the out-of-core streaming path can fail.
+// the column loops, which beat the panel kernel at k = 1: a forward loop
+// and the lane-scheduled backward pass, which advances two independent
+// subtrees at once. Batches and out-of-core factors run the panel kernel, or
+// interleaved column loops on a scalar factor. All apply every per-entry
+// operation in the same order, so they are bit-identical. Only the
+// out-of-core streaming path can fail.
 func (c *SparseCholesky) applyFactor(w []float64, k int) error {
 	n := c.sym.n
 	if k == 1 && c.segs == nil {
@@ -459,15 +545,58 @@ func (c *SparseCholesky) forwardColumn(w []float64, j int) {
 	}
 }
 
-// backward solves Lᵀ·z = y in place on one in-core permuted RHS w.
+// backward solves Lᵀ·z = y in place on one in-core permuted RHS w, following
+// the symbolic analysis's lane schedule. Each column is a chain of dependent
+// subtractions, so a lone chain runs at floating-point latency; a paired step
+// advances two independent chains at once. Every column still applies the
+// same operations in the same order, so the result is bit-identical to the
+// serial loop.
 func (c *SparseCholesky) backward(w []float64) {
-	for j := c.sym.n - 1; j >= 0; j-- {
-		s := w[j]
-		for p := c.lp[j] + 1; p < c.lp[j+1]; p++ {
-			s -= c.lx[p] * w[c.li[p]]
-		}
-		w[j] = s / c.lx[c.lp[j]]
+	for _, st := range c.sym.lanes {
+		c.backwardPair(w, st)
 	}
+}
+
+// backwardRange runs the backward pass over columns [lo, hi), descending.
+func (c *SparseCholesky) backwardRange(w []float64, lo, hi int) {
+	lp, li, lx := c.lp, c.li, c.lx
+	for j := hi - 1; j >= lo; j-- {
+		s := w[j]
+		for p := lp[j] + 1; p < lp[j+1]; p++ {
+			s -= lx[p] * w[li[p]]
+		}
+		w[j] = s / lx[lp[j]]
+	}
+}
+
+// backwardPair runs the two lanes of st in lockstep: per column pair one
+// fused loop over the shorter column's entries, then each column's tail.
+// The longer lane finishes alone in the plain descending loop.
+func (c *SparseCholesky) backwardPair(w []float64, st laneStep) {
+	lp, li, lx := c.lp, c.li, c.lx
+	ja, jb := st.a1-1, st.b1-1
+	for ; ja >= st.a0 && jb >= st.b0; ja, jb = ja-1, jb-1 {
+		pa, ea := lp[ja]+1, lp[ja+1]
+		pb, eb := lp[jb]+1, lp[jb+1]
+		m := min(ea-pa, eb-pb)
+		xa, ia := lx[pa:pa+m], li[pa:pa+m]
+		xb, ib := lx[pb:pb+m], li[pb:pb+m]
+		sa, sb := w[ja], w[jb]
+		for q := range xa {
+			sa -= xa[q] * w[ia[q]]
+			sb -= xb[q] * w[ib[q]]
+		}
+		for p := pa + m; p < ea; p++ {
+			sa -= lx[p] * w[li[p]]
+		}
+		for p := pb + m; p < eb; p++ {
+			sb -= lx[p] * w[li[p]]
+		}
+		w[ja] = sa / lx[lp[ja]]
+		w[jb] = sb / lx[lp[jb]]
+	}
+	c.backwardRange(w, st.a0, ja+1)
+	c.backwardRange(w, st.b0, jb+1)
 }
 
 // SolveSparseInto solves A·x = b for a *sparse* right-hand side: nz lists the
@@ -478,7 +607,8 @@ func (c *SparseCholesky) backward(w []float64) {
 // (Gilbert–Peierls: the pattern of y in L·y = P·b is the union of the etree
 // paths from supp(P·b) to the root), so a right-hand side touching one test
 // session's power footprint skips the forward work of every untouched
-// subtree. The backward pass stays dense because the solution itself is.
+// subtree. The backward pass still covers every column, because the
+// solution is dense; it is the same lane-scheduled pass SolveInto runs.
 //
 // The result is bit-identical to SolveInto on the same b (the skipped columns
 // contribute exact zeros), so callers may mix the two paths freely. dst may
@@ -535,7 +665,7 @@ func (c *SparseCholesky) SolveSparseInto(dst, b []float64, nz []int) error {
 	for _, j := range reach {
 		c.forwardColumn(w, j)
 	}
-	// Backward: Lᵀ·z = y, dense — x has no useful sparsity.
+	// Backward: Lᵀ·z = y over every column — x has no useful sparsity.
 	c.backward(w)
 	perm := c.sym.perm
 	for k := 0; k < n; k++ {

@@ -96,7 +96,8 @@ func (o GridOptions) Canonical() GridOptions {
 // construction — under the geometric nested-dissection ordering, with the
 // supernodal panel kernel, out of core when GridOptions.PeakBytesBudget
 // demands it — so every SteadyState query costs two sparse triangular
-// solves; SteadyStateActive further restricts the forward solve to the
+// solves, the backward one advancing two independent elimination subtrees
+// at once; SteadyStateActive further restricts the forward solve to the
 // elimination-tree reach of the active power footprint and
 // SteadyStateBatch amortises one factor pass over many queries. Together
 // these are what make per-session oracle sweeps over one floorplan cheap at
@@ -534,8 +535,10 @@ type GridResult struct {
 // SteadyState solves the grid for a per-block power map (W). Block power is
 // deposited uniformly over the block footprint. The factorization built at
 // construction is reused, so a query costs two sparse triangular solves (or
-// one preconditioned CG run past the factor budget); scratch vectors are
-// pooled, leaving the returned temperature field as the only allocation.
+// one preconditioned CG run past the factor budget). The backward solve
+// interleaves pairs of disjoint nested-dissection subtrees, bit-identical to
+// a plain column loop. Scratch vectors are pooled, leaving the returned
+// temperature field as the only allocation.
 func (g *GridModel) SteadyState(power []float64) (*GridResult, error) {
 	if len(power) != g.fp.NumBlocks() {
 		return nil, fmt.Errorf("%w: got %d entries, floorplan has %d blocks",

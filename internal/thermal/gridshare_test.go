@@ -362,3 +362,61 @@ func TestGridFactorNotSharedWhenSpilledOrFallback(t *testing.T) {
 		t.Errorf("budgeted %+v / fallback %+v stats, want unshared", budgeted.FactorStats(), cg.FactorStats())
 	}
 }
+
+// TestGridSharedFactorBackwardLanesBitIdentical: single-query solves on a
+// factor shared through the grid factor cache run the lane-paired backward
+// pass; they must match the blocked multi-RHS pass (the panel kernel, which
+// has no lanes) bit for bit, on the model that factored and on the one that
+// reused the factor, through both SteadyState and SteadyStateActive.
+func TestGridSharedFactorBackwardLanesBitIdentical(t *testing.T) {
+	const n = 48
+	waitLiveGridFactors(t, 0)
+	alpha := floorplan.Alpha21364()
+	warm := DefaultPackageConfig()
+	warm.Ambient = 61
+	g1, err := NewGridModel(alpha, DefaultPackageConfig(), n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g1.Close()
+	g2, err := NewGridModel(alpha, warm, n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g2.Close()
+	if !g2.FactorStats().Shared || g2.chol != g1.chol {
+		t.Fatal("second model did not reuse the first model's factor")
+	}
+	nb := alpha.NumBlocks()
+	for _, g := range []*GridModel{g1, g2} {
+		var maps [][]float64
+		var single []*GridResult
+		for b := 0; b < nb; b++ {
+			pm := make([]float64, nb)
+			pm[b] = 1 + float64(b%5)
+			r, err := g.SteadyStateActive(pm, []int{b})
+			if err != nil {
+				t.Fatal(err)
+			}
+			maps, single = append(maps, pm), append(single, r)
+		}
+		all := make([]float64, nb)
+		for b := range all {
+			all[b] = 0.25 + float64(b%3)
+		}
+		r, err := g.SteadyState(all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maps, single = append(maps, all), append(single, r)
+		batch, err := g.SteadyStateBatch(maps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range single {
+			if !sameBits([][]float64{single[i].temps}, [][]float64{batch[i].temps}) {
+				t.Fatalf("ambient %v, map %d: single-query solve differs from the blocked pass", g.cfg.Ambient, i)
+			}
+		}
+	}
+}
