@@ -20,7 +20,8 @@ func backwardSerial(c *SparseCholesky, w []float64) {
 	}
 }
 
-// solveSerial solves A·x = b with the forward column loop and backwardSerial.
+// solveSerial solves A·x = b with its own plain forward column loop and
+// backwardSerial — a reference independent of the solve kernels under test.
 func solveSerial(c *SparseCholesky, b []float64) []float64 {
 	n := c.sym.n
 	w := make([]float64, n)
@@ -28,7 +29,11 @@ func solveSerial(c *SparseCholesky, b []float64) []float64 {
 		w[k] = b[old]
 	}
 	for j := 0; j < n; j++ {
-		c.forwardColumn(w, j)
+		yj := w[j] / c.lx[c.lp[j]]
+		w[j] = yj
+		for p := c.lp[j] + 1; p < c.lp[j+1]; p++ {
+			w[c.li[p]] -= c.lx[p] * yj
+		}
 	}
 	backwardSerial(c, w)
 	x := make([]float64, n)

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -164,7 +165,7 @@ func TestSolveManyIntoBitIdenticalToSolveInto(t *testing.T) {
 			}
 			for r := 0; r < k; r++ {
 				for i := range want[r] {
-					if want[r][i] != got[r][i] {
+					if math.Float64bits(want[r][i]) != math.Float64bits(got[r][i]) {
 						t.Fatalf("%s k=%d: rhs %d differs at index %d: %g vs %g",
 							ord.name, k, r, i, got[r][i], want[r][i])
 					}
@@ -189,13 +190,88 @@ func TestSolveManyIntoBitIdenticalToSolveInto(t *testing.T) {
 		}
 		for r := range alias {
 			for i := range alias[r] {
-				if alias[r][i] != want[r][i] {
+				if math.Float64bits(alias[r][i]) != math.Float64bits(want[r][i]) {
 					t.Fatalf("%s aliased batch differs at rhs %d index %d", ord.name, r, i)
 				}
 			}
 		}
 		if err := ch.SolveManyInto(make([][]float64, 2), make([][]float64, 3)); err == nil {
 			t.Error("mismatched batch shapes should fail")
+		}
+	}
+}
+
+// TestSolveManyIntoChunkRemaindersBitIdentical: the panel kernel runs four
+// right-hand sides at a time and the remainder one at a time, so every batch
+// width from 1 to 9, and 16 and 17, must answer bit for bit like SolveInto —
+// on two-layer nested-dissection grids with a hub, over uniform and padded
+// panels, with the factor in core and streamed from a spill file.
+func TestSolveManyIntoChunkRemaindersBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, d := range []int{24, 64} {
+		s, perm := layeredGrid(d, d, 2, rng)
+		sym, err := NewCholSymbolic(s, perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss := sym.Supernodes(SupernodalOptions{})
+		uniform := 0
+		for _, u := range ss.uniform {
+			if u {
+				uniform++
+			}
+		}
+		if uniform == 0 || uniform == ss.ns {
+			t.Fatalf("%d²: %d of %d panels uniform, want both kinds", d, uniform, ss.ns)
+		}
+		inCore, err := ss.Factorize(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget := spillFixedBytes(ss) + 2*spillMaxSegBytes(ss)
+		spilled, err := ss.FactorizeSpill(s, SpillPolicy{BudgetBytes: budget, Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spilled.SpillStats().SpilledPanels == 0 {
+			t.Fatalf("%d²: budget %d spilled nothing", d, budget)
+		}
+		n := s.N()
+		for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17} {
+			bs, want := make([][]float64, k), make([][]float64, k)
+			for r := range bs {
+				bs[r] = make([]float64, n)
+				for i := range bs[r] {
+					bs[r][i] = rng.NormFloat64()
+				}
+				want[r] = make([]float64, n)
+				if err := inCore.SolveInto(want[r], bs[r]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, f := range []struct {
+				name string
+				ch   *SparseCholesky
+			}{{"in core", inCore}, {"spilled", spilled}} {
+				got := make([][]float64, k)
+				for r := range got {
+					got[r] = make([]float64, n)
+				}
+				if err := f.ch.SolveManyInto(got, bs); err != nil {
+					t.Fatal(err)
+				}
+				for r := range got {
+					for i := range got[r] {
+						if math.Float64bits(got[r][i]) != math.Float64bits(want[r][i]) {
+							t.Fatalf("%s %d² k=%d: rhs %d differs from SolveInto at %d: %v vs %v",
+								f.name, d, k, r, i, got[r][i], want[r][i])
+						}
+					}
+				}
+			}
+		}
+		if err := spilled.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -489,11 +489,12 @@ func (c *SparseCholesky) SolveInto(dst, b []float64) error {
 // applyFactor runs the forward (L·y = w) and backward (Lᵀ·z = y) triangular
 // solves in place on w, which holds k interleaved right-hand sides in permuted
 // order (entry j of RHS r at w[j*k+r]). One RHS on an in-core factor runs
-// the column loops, which beat the panel kernel at k = 1: a forward loop
-// and the lane-scheduled backward pass, which advances two independent
-// subtrees at once. Batches and out-of-core factors run the panel kernel, or
-// interleaved column loops on a scalar factor. All apply every per-entry
-// operation in the same order, so they are bit-identical. Only the
+// the column loops, which beat the panel kernel at k = 1: forwardColumn over
+// each column sliced once, and the lane-scheduled backward pass, which
+// advances two independent subtrees at once. Batches and out-of-core factors
+// run the panel kernel, which keeps four right-hand sides' running sums in
+// registers, or interleaved column loops on a scalar factor. All apply every
+// per-entry operation in the same order, so they are bit-identical. Only the
 // out-of-core streaming path can fail.
 func (c *SparseCholesky) applyFactor(w []float64, k int) error {
 	n := c.sym.n
@@ -537,11 +538,16 @@ func (c *SparseCholesky) applyFactor(w []float64, k int) error {
 }
 
 // forwardColumn eliminates column j of L from one in-core permuted RHS w.
+// The column's values and rows are sliced once, so the per-entry loop keeps
+// them in registers and checks bounds only on w; the operations and their
+// order are those of the plain loop over lp[j]+1 … lp[j+1]-1.
 func (c *SparseCholesky) forwardColumn(w []float64, j int) {
-	yj := w[j] / c.lx[c.lp[j]]
+	p0, p1 := c.lp[j], c.lp[j+1]
+	yj := w[j] / c.lx[p0]
 	w[j] = yj
-	for p := c.lp[j] + 1; p < c.lp[j+1]; p++ {
-		w[c.li[p]] -= c.lx[p] * yj
+	xs, is := c.lx[p0+1:p1], c.li[p0+1:p1]
+	for q, x := range xs {
+		w[is[q]] -= x * yj
 	}
 }
 
@@ -681,11 +687,13 @@ func (c *SparseCholesky) SolveSparseInto(dst, b []float64, nz []int) error {
 // blocked pass over the factor: each column of L is loaded once and applied
 // to all k work vectors (interleaved layout), so the memory traffic over a
 // multi-megabyte factor — the cost that dominates grid-scale solves — is paid
-// once instead of k times. Every solution is bit-identical to a SolveInto on
-// its own right-hand side (per-vector operations run in the same order), so
-// batched and per-query paths may be mixed freely. dst[r] may alias b[r];
-// the workspace is pooled, so the call is allocation-free in steady state and
-// safe for concurrent use.
+// once instead of k times. On a supernodal factor the panel kernel keeps the
+// running sums of four right-hand sides at a time in registers and solves a
+// remainder of k mod 4 one at a time. Every solution is bit-identical to a
+// SolveInto on its own right-hand side (per-vector operations run in the same
+// order), so batched and per-query paths may be mixed freely. dst[r] may
+// alias b[r]; the workspace is pooled, so the call is allocation-free in
+// steady state and safe for concurrent use.
 func (c *SparseCholesky) SolveManyInto(dst, b [][]float64) error {
 	if len(dst) != len(b) {
 		return fmt.Errorf("%w: SolveManyInto with %d dst vectors, %d rhs", ErrShape, len(dst), len(b))

@@ -244,6 +244,59 @@ func TestGridHeatmap(t *testing.T) {
 	}
 }
 
+// TestGridReadBackBuiltinMaxMatchesMathMax: the read-back's builtin min and
+// max give the bits math.Min and math.Max give on finite fields that hold
+// ±0 and ±Inf — the only NaN-free cases where the two could differ.
+func TestGridReadBackBuiltinMaxMatchesMathMax(t *testing.T) {
+	g := alphaGrid(t, 12, 12)
+	res, err := g.SteadyState(make([]float64, g.Floorplan().NumBlocks()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := res.temps[:g.NumCells()]
+	fields := map[string]func(i int) float64{
+		"signed zeros":   func(i int) float64 { return math.Copysign(0, float64(i%2)-0.5) },
+		"negative zeros": func(int) float64 { return math.Copysign(0, -1) },
+		"mixed": func(i int) float64 {
+			return []float64{-3.5, math.Copysign(0, -1), 0, 41.25, -1e300}[i%5]
+		},
+		"infinities": func(i int) float64 {
+			return []float64{math.Inf(-1), 7, math.Inf(1), math.Copysign(0, -1)}[i%4]
+		},
+		"all -Inf": func(int) float64 { return math.Inf(-1) },
+	}
+	same := func(name, what string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: %s = %v (%#x), math.Max fold gives %v (%#x)",
+				name, what, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for name, f := range fields {
+		for i := range cells {
+			cells[i] = f(i)
+		}
+		mn, mx := math.Inf(1), math.Inf(-1)
+		for _, v := range cells {
+			mn, mx = math.Min(mn, v), math.Max(mx, v)
+		}
+		same(name, "MaxTemp", res.MaxTemp(), mx)
+		for b := 0; b < g.Floorplan().NumBlocks(); b++ {
+			want := math.Inf(-1)
+			for _, id := range g.blockCells[b] {
+				want = math.Max(want, res.temps[id])
+			}
+			same(name, fmt.Sprintf("BlockMaxTemp(%d)", b), res.BlockMaxTemp(b), want)
+		}
+		if !math.IsInf(mn, 0) && !math.IsInf(mx, 0) {
+			head := fmt.Sprintf("die temperature field %.2f–%.2f °C", mn, mx)
+			if hm := res.Heatmap(); !strings.HasPrefix(hm, head) {
+				t.Errorf("%s: heatmap header %q, want prefix %q", name, strings.SplitN(hm, "\n", 2)[0], head)
+			}
+		}
+	}
+}
+
 func TestGridOrderingFillReduction(t *testing.T) {
 	// The acceptance bar of the nested-dissection fast path: at 128×128 the
 	// ND factor holds at most half the non-zeros of the RCM factor, and a
