@@ -79,6 +79,8 @@ type tierCounters struct {
 	DeadlineQueued     int64
 	DeadlineGenerating int64
 	SystemsDropped     int64
+	IndexHits          int64
+	IndexMisses        int64
 	QueueDepth         int
 	QueueLimit         int // -1 = unbounded
 	// Remote is the tier-3 store cluster's traffic, nil without one.
@@ -212,6 +214,12 @@ func (m *metrics) render(tc tierCounters) string {
 	sb.WriteString("# HELP thermserve_systems_dropped_total Idle live systems dropped by the max-systems LRU bound.\n")
 	sb.WriteString("# TYPE thermserve_systems_dropped_total counter\n")
 	fmt.Fprintf(&sb, "thermserve_systems_dropped_total %d\n", tc.SystemsDropped)
+	sb.WriteString("# HELP thermserve_request_index_hits_total Schedule and job requests whose system fields matched a live system, skipping the parse.\n")
+	sb.WriteString("# TYPE thermserve_request_index_hits_total counter\n")
+	fmt.Fprintf(&sb, "thermserve_request_index_hits_total %d\n", tc.IndexHits)
+	sb.WriteString("# HELP thermserve_request_index_misses_total Schedule and job requests resolved from scratch (parse and system keys).\n")
+	sb.WriteString("# TYPE thermserve_request_index_misses_total counter\n")
+	fmt.Fprintf(&sb, "thermserve_request_index_misses_total %d\n", tc.IndexMisses)
 
 	if jc := tc.Jobs; jc != nil {
 		for _, c := range []struct {

@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"net/http"
@@ -142,6 +143,13 @@ type Server struct {
 	// lengths (two specs may share oracle answers — same physics — while
 	// needing distinct schedules).
 	systems map[[32]byte]*systemEntry
+	// index maps indexHash (a process-local maphash; tests replace it to
+	// force collisions) of a request's system fields to the entry they last
+	// resolved to. Each live system owns at most one entry, which leaves with
+	// it (removeSystemLocked).
+	index                  map[uint64]*indexEntry
+	indexHash              func(systemFields) uint64
+	indexHits, indexMisses atomic.Int64
 
 	// evictSeen is the Store.AppendedBytes value at the last budget check:
 	// when nothing new has been persisted since, the post-request eviction
@@ -176,8 +184,28 @@ type systemEntry struct {
 	name      string
 	cores     int
 	gridRes   int
-	lastUse   time.Time // guarded by the server mu
-	inflight  int       // requests currently using this system; guarded by the server mu
+	lastUse   time.Time   // guarded by the server mu
+	inflight  int         // requests currently using this system; guarded by the server mu
+	ix        *indexEntry // the request-index entry this system owns; guarded by the server mu
+}
+
+// systemFields are the request fields that define a system. The strings
+// compare byte for byte; pkg compares with ==, which is a bit comparison here
+// because packageConfig never yields -0 or NaN.
+type systemFields struct {
+	workload, name, floorplan, testSpec string
+	pkg                                 thermal.PackageConfig
+	gridRes                             int
+}
+
+// indexEntry is what one request's system fields resolved to. It is
+// immutable and shared by every request that hits it: testspec.Spec and the
+// floorplan and power profile it holds expose no mutators after parsing.
+type indexEntry struct {
+	systemFields
+	hash              uint64
+	spec              *testspec.Spec
+	mapKey, oracleKey [32]byte
 }
 
 // defaultQueueDepth is the admission bound when Config.QueueDepth is 0:
@@ -197,7 +225,10 @@ func New(cfg Config) (*Server, error) {
 		pool:    conc.NewQueuedPool(cfg.Workers, queueDepth),
 		met:     newMetrics(),
 		systems: make(map[[32]byte]*systemEntry),
+		index:   make(map[uint64]*indexEntry),
 	}
+	seed := maphash.MakeSeed()
+	s.indexHash = func(f systemFields) uint64 { return maphash.Comparable(seed, f) }
 	if len(cfg.StoreNodes) > 0 && cfg.CacheDir == "" {
 		return nil, fmt.Errorf("server: StoreNodes requires CacheDir (the sharded tier backs a local store)")
 	}
@@ -416,33 +447,61 @@ func systemKeys(spec *testspec.Spec, cfg thermal.PackageConfig, gridRes int, gri
 	return mapKey, oracleKey, nil
 }
 
-// system returns the live entry for a key, creating a cold one if needed;
-// warm reports whether it already existed. The entry is returned with its
+// system returns the live entry for a problem's system, creating a cold one
+// if needed; warm reports whether it already existed. Either way the entry
+// takes over p's request-index entry. The entry is returned with its
 // inflight count raised — callers must pair with release(e) — which is what
 // keeps MaxSystems eviction from dropping a system mid-request.
-func (s *Server) system(mapKey, oracleKey [32]byte, spec *testspec.Spec, pkg thermal.PackageConfig, gridRes int) (e *systemEntry, warm bool) {
+func (s *Server) system(p *problem) (e *systemEntry, warm bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.systems[mapKey]; ok {
+	if e, ok := s.systems[p.mapKey]; ok {
 		e.lastUse = time.Now()
 		e.inflight++
+		s.indexLocked(e, p.indexEntry)
 		return e, true
 	}
 	e = &systemEntry{
-		oracleKey: oracleKey,
-		name:      spec.Name(),
-		cores:     spec.NumCores(),
-		gridRes:   gridRes,
+		oracleKey: p.oracleKey,
+		name:      p.spec.Name(),
+		cores:     p.spec.NumCores(),
+		gridRes:   p.gridRes,
 		lastUse:   time.Now(),
 		inflight:  1,
 	}
 	e.bld = func() (*experiments.Env, error) {
-		return experiments.NewEnvWithOptions(spec, pkg,
-			experiments.EnvOptions{Store: s.store, GridRes: gridRes, Grid: s.cfg.Grid})
+		return experiments.NewEnvWithOptions(p.spec, p.pkg,
+			experiments.EnvOptions{Store: s.store, GridRes: p.gridRes, Grid: s.cfg.Grid})
 	}
-	s.systems[mapKey] = e
+	s.systems[p.mapKey] = e
+	s.indexLocked(e, p.indexEntry)
 	s.boundSystemsLocked()
 	return e, false
+}
+
+// indexLocked makes ix the request-index entry of live system e in place of
+// its previous one (the most recent resolving body wins); nil only removes
+// it. A slot a colliding entry has since taken is left alone. Callers hold
+// s.mu.
+func (s *Server) indexLocked(e *systemEntry, ix *indexEntry) {
+	if e.ix == ix {
+		return
+	}
+	if old := e.ix; old != nil && s.index[old.hash] == old {
+		delete(s.index, old.hash)
+	}
+	e.ix = ix
+	if ix != nil {
+		s.index[ix.hash] = ix
+	}
+}
+
+// removeSystemLocked drops a live system together with its request-index
+// entry. Every removal goes through here: the MaxSystems bound, store
+// eviction and a failed build. Callers hold s.mu.
+func (s *Server) removeSystemLocked(key [32]byte, e *systemEntry) {
+	s.indexLocked(e, nil)
+	delete(s.systems, key)
 }
 
 // release drops a request's hold on its system entry.
@@ -478,8 +537,9 @@ func (s *Server) boundSystemsLocked() {
 		if len(s.systems) <= max {
 			break
 		}
-		s.closeGrid(s.systems[c.key].env)
-		delete(s.systems, c.key)
+		e := s.systems[c.key]
+		s.closeGrid(e.env)
+		s.removeSystemLocked(c.key, e)
 		s.systemsDropped.Add(1)
 	}
 }
@@ -503,7 +563,7 @@ func (s *Server) dropSystem(mapKey [32]byte, e *systemEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if cur, ok := s.systems[mapKey]; ok && cur == e {
-		delete(s.systems, mapKey)
+		s.removeSystemLocked(mapKey, e)
 	}
 }
 
@@ -533,7 +593,7 @@ func (s *Server) maybeEvict() {
 	defer s.mu.Unlock()
 	for k, e := range s.systems {
 		if e.env != nil && e.env.StoreCache != nil && e.env.StoreCache.Evicted() {
-			delete(s.systems, k)
+			s.removeSystemLocked(k, e)
 		}
 	}
 }
@@ -596,39 +656,57 @@ func (s *Server) requestDeadline(r *http.Request, req *ScheduleRequest) (time.Du
 }
 
 // problem is a fully validated scheduling problem — the shared currency of
-// the synchronous handler and the async job runner.
+// the synchronous handler and the async job runner. Its system half is a
+// request-index entry, possibly shared with earlier requests.
 type problem struct {
-	spec      *testspec.Spec
-	genCfg    core.Config
-	pkg       thermal.PackageConfig
-	gridRes   int
-	mapKey    [32]byte
-	oracleKey [32]byte
+	*indexEntry
+	genCfg core.Config
 }
 
 // resolveProblem validates a decoded request into a problem; on failure the
 // returned code is the stable machine-readable error code (HTTP 400).
+//
+// A warm request skips resolveSpec and systemKeys: when its system fields
+// equal those of the index entry under their hash (a hash match alone never
+// counts), it reuses the entry's spec and keys. The generator options are
+// validated on every request, with the same error codes either way. A miss
+// resolves from scratch; its entry joins the index when acquireSystem takes
+// it live, and leaves when that system leaves the map.
 func (s *Server) resolveProblem(req *ScheduleRequest) (*problem, string, error) {
-	spec, err := req.resolveSpec()
-	if err != nil {
-		return nil, "bad_workload", err
+	f := systemFields{req.Workload, req.Name, req.Floorplan, req.TestSpec,
+		req.Package.packageConfig(), req.GridRes}
+	h := s.indexHash(f)
+	s.mu.Lock()
+	ix := s.index[h]
+	s.mu.Unlock()
+	if ix == nil || ix.systemFields != f {
+		ix = nil
+		s.indexMisses.Add(1)
+	} else {
+		s.indexHits.Add(1)
+	}
+	var spec *testspec.Spec
+	if ix == nil {
+		var err error
+		if spec, err = req.resolveSpec(); err != nil {
+			return nil, "bad_workload", err
+		}
 	}
 	genCfg, err := req.scheduleConfig()
 	if err != nil {
 		return nil, "bad_config", err
 	}
-	pkg := req.Package.packageConfig()
-	if err := pkg.Validate(); err != nil {
+	if err := f.pkg.Validate(); err != nil {
 		return nil, "bad_package", err
 	}
-	mapKey, oracleKey, err := systemKeys(spec, pkg, req.GridRes, s.cfg.Grid)
-	if err != nil {
-		return nil, "bad_workload", err
+	if ix == nil {
+		mapKey, oracleKey, err := systemKeys(spec, f.pkg, f.gridRes, s.cfg.Grid)
+		if err != nil {
+			return nil, "bad_workload", err
+		}
+		ix = &indexEntry{systemFields: f, hash: h, spec: spec, mapKey: mapKey, oracleKey: oracleKey}
 	}
-	return &problem{
-		spec: spec, genCfg: genCfg, pkg: pkg, gridRes: req.GridRes,
-		mapKey: mapKey, oracleKey: oracleKey,
-	}, "", nil
+	return &problem{indexEntry: ix, genCfg: genCfg}, "", nil
 }
 
 // tierSnap is a point-in-time read of one system's cache counters, so a
@@ -688,7 +766,7 @@ func buildScheduleResult(req *ScheduleRequest, p *problem, res *core.Result) Sch
 // acquireSystem returns the built environment for a problem, building it cold
 // if needed; callers must s.release(entry) when done.
 func (s *Server) acquireSystem(p *problem) (entry *systemEntry, env *experiments.Env, warm bool, err error) {
-	entry, warm = s.system(p.mapKey, p.oracleKey, p.spec, p.pkg, p.gridRes)
+	entry, warm = s.system(p)
 	entry.once.Do(func() {
 		env, err := entry.bld()
 		s.mu.Lock()
@@ -964,6 +1042,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	tc.DeadlineQueued = s.dlQueued.Load()
 	tc.DeadlineGenerating = s.dlGenerating.Load()
 	tc.SystemsDropped = s.systemsDropped.Load()
+	tc.IndexHits = s.indexHits.Load()
+	tc.IndexMisses = s.indexMisses.Load()
 	tc.QueueDepth = s.pool.Queued()
 	tc.QueueLimit = s.pool.QueueDepth()
 	jc := s.jobs.Counts()
