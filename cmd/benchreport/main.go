@@ -12,8 +12,8 @@
 //
 // The gate only inspects tier-1 benchmarks (see tier1Prefixes): a fresh
 // ns/op more than -maxregress above the committed one fails the gate. Key
-// custom metrics (numeric_ms, warm_ms, cold_ms, warm_job_ms, speedup_x,
-// ns/query) are gated too, each with its own noise floor and tolerance (see
+// custom metrics (numeric_ms, warm_ms, cold_ms, warm_job_ms, ns/query) are
+// gated too, each with its own noise floor and tolerance (see
 // metricGates) — service-path latencies swing far more between runs than
 // factorization times, so one global threshold fits none of them. Metrics
 // outside that list (temperatures, claim flags, spill gauges, ...) ride
@@ -247,9 +247,6 @@ type metricGate struct {
 	// floor is the noise cutoff: when old and new are both below it, the
 	// metric is too small to compare meaningfully and is skipped.
 	floor float64
-	// higherBetter flips the comparison for ratio metrics like speedup_x,
-	// where a *smaller* fresh value is the regression.
-	higherBetter bool
 	// maxRegress is the tolerated fractional change in the losing direction.
 	maxRegress float64
 }
@@ -258,13 +255,14 @@ type metricGate struct {
 // benchmarks, with per-metric noise floors and tolerances calibrated from
 // the committed BENCH_* history: numeric factorization times repeat within a
 // few percent, while the warm service paths (store + HTTP + scheduler) have
-// swung ±70% between otherwise-identical runs.
+// swung ±70% between otherwise-identical runs. Ratios such as speedup_x
+// (cold / warm) are not gated: a faster cold path would read as a warm
+// regression, and cold_ms and warm_ms are each gated on their own.
 var metricGates = map[string]metricGate{
 	"numeric_ms":  {floor: 1, maxRegress: 0.30},
 	"cold_ms":     {floor: 20, maxRegress: 0.75},
 	"warm_ms":     {floor: 1, maxRegress: 1.0},
 	"warm_job_ms": {floor: 1, maxRegress: 1.0},
-	"speedup_x":   {floor: 2, higherBetter: true, maxRegress: 0.50},
 	"ns/query":    {floor: 1e5, maxRegress: 0.35},
 }
 
@@ -293,12 +291,7 @@ func gateMetrics(name string, oldM, newM map[string]float64) []string {
 		if ov <= 0 {
 			continue
 		}
-		ratio := nv / ov
-		bad := ratio > 1+g.maxRegress
-		if g.higherBetter {
-			bad = ratio < 1/(1+g.maxRegress)
-		}
-		if bad {
+		if ratio := nv / ov; ratio > 1+g.maxRegress {
 			failures = append(failures, fmt.Sprintf("%s %s: %.3g -> %.3g (%+.1f%%)",
 				name, k, ov, nv, 100*(ratio-1)))
 		}

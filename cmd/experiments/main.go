@@ -18,8 +18,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -37,18 +35,17 @@ import (
 
 // options carries the flag values into run.
 type options struct {
-	parallel    bool
-	gridres     []int
-	panel       linalg.SupernodalOptions
-	fillBudget  int
-	peakBytes   int64
-	spillDir    string
-	cacheDir    string
-	gridOracle  int
-	fleetSize   int
-	fleetSeed   int64
-	storeNodes  []string
-	workerAddrs []string
+	parallel   bool
+	gridres    []int
+	panel      linalg.SupernodalOptions
+	fillBudget int
+	peakBytes  int64
+	spillDir   string
+	cacheDir   string
+	gridOracle int
+	fleetSize  int
+	fleetSeed  int64
+	storeNodes []string
 }
 
 // grid returns the solver options every grid model of this run is built with.
@@ -69,7 +66,7 @@ func main() {
 			"factor fill budget (non-zeros) for -run gridres grid models; 0 = default 2^24, "+
 				"past it the model falls back to preconditioned CG")
 		panelWidth = flag.String("panel", "",
-			"max supernodal panel width in columns: a positive integer, \"auto\" to micro-calibrate for the host, or empty for the default")
+			"max supernodal panel width in columns: a positive integer, or empty for the default (8 on one CPU, 32 on more)")
 		peakBytes = flag.String("peak-bytes", "",
 			"grid factorization peak memory with optional K/M/G suffix, e.g. 2G; "+
 				"over it, factor panels spill to disk and stream back during solves (empty: unbounded)")
@@ -88,12 +85,6 @@ func main() {
 		storeNodes = flag.String("storenodes", "",
 			"comma-separated thermstore node addresses; the -cachedir store shards reads and writes "+
 				"across them by content address (tier 3). A dead node degrades to local-only")
-		workers = flag.String("workers", "",
-			"comma-separated fleet-worker addresses for -run fleet; scenarios scatter across them "+
-				"and the merged table is byte-identical to the local run")
-		fleetWorker = flag.String("fleetworker", "",
-			"serve as a fleet worker on this listen address (e.g. :9191) instead of running experiments; "+
-				"combine with -cachedir and -storenodes so results accumulate in the shared cluster")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -120,13 +111,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments: -storenodes requires -cachedir (the sharded tier backs a local store)")
 		os.Exit(1)
 	}
-	if *fleetWorker != "" {
-		if err := serveFleetWorker(*fleetWorker, *cacheDir, nodes); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	// Profiles are finalized before any exit path below: a profile of a
 	// *failing* run is precisely when you want readable pprof output, so
@@ -147,18 +131,17 @@ func main() {
 	}
 
 	runErr := run(*which, options{
-		parallel:    *parallel,
-		gridres:     ladder,
-		panel:       panelOptions(width, *relax),
-		fillBudget:  *fillBudget,
-		peakBytes:   peak,
-		spillDir:    *spillDir,
-		cacheDir:    *cacheDir,
-		gridOracle:  *gridOracle,
-		fleetSize:   *fleetSize,
-		fleetSeed:   *fleetSeed,
-		storeNodes:  nodes,
-		workerAddrs: splitAddrs(*workers),
+		parallel:   *parallel,
+		gridres:    ladder,
+		panel:      panelOptions(width, *relax),
+		fillBudget: *fillBudget,
+		peakBytes:  peak,
+		spillDir:   *spillDir,
+		cacheDir:   *cacheDir,
+		gridOracle: *gridOracle,
+		fleetSize:  *fleetSize,
+		fleetSeed:  *fleetSeed,
+		storeNodes: nodes,
 	})
 
 	if cpuFile != nil {
@@ -383,16 +366,7 @@ func run(which string, opts options) error {
 			GridRes:   opts.gridOracle,
 			Grid:      opts.grid(),
 		}
-		var res *experiments.FleetResult
-		if len(opts.workerAddrs) > 0 {
-			// Coordinator mode: scenarios scatter across worker processes;
-			// the local store (if any) stays untouched — each worker brings
-			// its own, ideally sharing one -storenodes cluster.
-			fl.Store = nil
-			res, err = fl.RunScattered(httpBases(opts.workerAddrs), nil)
-		} else {
-			res, err = fl.Run()
-		}
+		res, err := fl.Run()
 		if err != nil {
 			return err
 		}
@@ -439,19 +413,6 @@ func splitAddrs(s string) []string {
 	return out
 }
 
-// httpBases gives bare host:port addresses an http scheme, as URLs pass
-// through unchanged.
-func httpBases(addrs []string) []string {
-	out := make([]string, len(addrs))
-	for i, a := range addrs {
-		if !strings.Contains(a, "://") {
-			a = "http://" + a
-		}
-		out[i] = strings.TrimRight(a, "/")
-	}
-	return out
-}
-
 // openStore opens the persistent oracle store, attaching the sharded remote
 // tier when node addresses were given.
 func openStore(dir string, nodes []string) (*oraclestore.Store, error) {
@@ -463,28 +424,4 @@ func openStore(dir string, nodes []string) (*oraclestore.Store, error) {
 		return nil, err
 	}
 	return oraclestore.OpenWithOptions(dir, oraclestore.StoreOptions{Remote: client})
-}
-
-// serveFleetWorker runs this process as a fleet worker until killed: it
-// accepts scattered scenarios over HTTP and answers with their cell rows,
-// persisting every simulation to its store (and, with -storenodes, pushing
-// them to the shared cluster after each scenario).
-func serveFleetWorker(addr, cacheDir string, nodes []string) error {
-	fw := &experiments.FleetWorker{
-		Logf: func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
-	}
-	if cacheDir != "" {
-		store, err := openStore(cacheDir, nodes)
-		if err != nil {
-			return err
-		}
-		defer store.Close()
-		fw.Store = store
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "experiments: fleet worker listening on %s\n", ln.Addr())
-	return http.Serve(ln, fw.Handler())
 }

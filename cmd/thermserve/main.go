@@ -23,8 +23,8 @@
 //
 // Memory discipline: -peak-bytes caps each grid system's resident
 // factorization working set (finished factor panels spill to -spill-dir and
-// stream back during solves, bit-identical), and -panel auto micro-calibrates
-// the supernodal panel width for the host.
+// stream back during solves, bit-identical), and -panel caps the supernodal
+// panel width.
 package main
 
 import (
@@ -60,7 +60,7 @@ func main() {
 		drainTO     = flag.Duration("drain-timeout", 10*time.Second, "on shutdown, how long running async jobs may finish before being interrupted (journaled for resume; 0: interrupt immediately)")
 		peakBytes   = flag.String("peak-bytes", "", "per-system peak factorization memory with optional K/M/G suffix, e.g. 2G; over it, factor panels spill to disk (empty: unbounded)")
 		spillDir    = flag.String("spill-dir", "", "directory for out-of-core factor panel files (empty: os.TempDir)")
-		panel       = flag.String("panel", "", "supernodal panel width: a positive integer, \"auto\" to micro-calibrate for the host, or empty for the default")
+		panel       = flag.String("panel", "", "supernodal panel width: a positive integer, or empty for the default (8 on one CPU, 32 on more)")
 		quiet       = flag.Bool("q", false, "suppress per-request logging")
 		smoke       = flag.Bool("smoke", false, "self-check: serve one cold and one warm request plus one async job, then exit")
 	)

@@ -31,7 +31,7 @@ func main() {
 		step       = flag.Float64("step", 0, "transient step (s), 0 = auto")
 		grid       = flag.Int("grid", 0, "also solve an N×N grid model and print its heatmap")
 		gridFill   = flag.Int("fillbudget", 0, "grid factor fill budget in non-zeros; 0 = default 2^24")
-		panelWidth = flag.String("panel", "", "max supernodal panel width in columns: a positive integer, \"auto\" to micro-calibrate for the host, or empty for the default")
+		panelWidth = flag.String("panel", "", "max supernodal panel width in columns: a positive integer, or empty for the default (8 on one CPU, 32 on more)")
 		relax      = flag.Float64("relax", -1,
 			"relaxed-amalgamation pad budget as a fraction of a panel's packed entries "+
 				"(negative = default 0.10, 0 disables padding)")

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"repro/internal/floorplan"
-	"repro/internal/linalg"
 	"repro/internal/testspec"
 )
 
@@ -41,19 +40,16 @@ func ParseByteSize(s string) (int64, error) {
 }
 
 // ParsePanelWidth reads a -panel flag value: "" or "0" selects the host
-// default, "auto" the measured micro-calibration (linalg.PanelWidthAuto),
-// and a positive integer an explicit width.
+// default (linalg.DefaultPanelWidth) and a positive integer an explicit
+// width.
 func ParsePanelWidth(s string) (int, error) {
-	s = strings.TrimSpace(strings.ToLower(s))
-	switch s {
-	case "", "0":
+	s = strings.TrimSpace(s)
+	if s == "" {
 		return 0, nil
-	case "auto":
-		return linalg.PanelWidthAuto, nil
 	}
 	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("invalid panel width %q (want a positive integer or \"auto\")", s)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("invalid panel width %q (want a positive integer)", s)
 	}
 	return n, nil
 }

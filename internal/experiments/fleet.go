@@ -70,10 +70,8 @@ type Fleet struct {
 	// TLs and STCLs define the per-scenario operating-point grid; nil
 	// selects FleetTLs / FleetSTCLs.
 	TLs, STCLs []float64
-	// Parallel fans the flattened cell list across Workers goroutines.
+	// Parallel fans the flattened cell list across GOMAXPROCS goroutines.
 	Parallel bool
-	// Workers bounds the shared pool; 0 → GOMAXPROCS (when Parallel).
-	Workers int
 	// Store, when non-nil, backs every scenario's oracle with the
 	// persistent content-addressed cache.
 	Store *oraclestore.Store
@@ -178,10 +176,7 @@ func (f *Fleet) Run() (*FleetResult, error) {
 	cells := len(tls) * len(stcls)
 	workers := 1
 	if f.Parallel {
-		workers = f.Workers
-		if workers <= 0 {
-			workers = defaultFleetWorkers()
-		}
+		workers = runtime.GOMAXPROCS(0)
 	}
 	rows, err := conc.Sweep(workers, len(envs)*cells, func(i int) (Table1Row, error) {
 		si, ci := i/cells, i%cells
@@ -209,9 +204,7 @@ func (f *Fleet) Run() (*FleetResult, error) {
 	return out, nil
 }
 
-// fleetCell generates one (scenario, TL, STCL) cell — the unit of fleet work,
-// shared by the local pool (Run) and the scattered workers (FleetWorker.Run)
-// so both produce identical rows by construction.
+// fleetCell generates one (scenario, TL, STCL) cell — the unit of fleet work.
 func fleetCell(env *Env, name string, tl, stcl float64) (Table1Row, error) {
 	res, err := env.Generate(core.Config{TL: tl, STCL: stcl, AutoRaiseTL: true})
 	if err != nil {
@@ -228,9 +221,6 @@ func fleetCell(env *Env, name string, tl, stcl float64) (Table1Row, error) {
 		Forced:     res.ForcedSingletons,
 	}, nil
 }
-
-// defaultFleetWorkers is the pool size when Parallel is set and Workers is 0.
-func defaultFleetWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Render formats one line per scenario. Every column is deterministic, so
 // serial and parallel fleets render byte-identically (asserted under -race

@@ -344,36 +344,19 @@ func TestSpillCloseRemovesFile(t *testing.T) {
 	}
 }
 
-// TestAutoPanelWidth pins the calibration contract: a sane candidate width,
-// stable across calls, and the serial static default is 8 (the measured
-// single-core winner).
-func TestAutoPanelWidth(t *testing.T) {
-	w := AutoPanelWidth()
-	if w != 8 && w != 16 && w != 32 {
-		t.Fatalf("AutoPanelWidth() = %d, want one of 8/16/32", w)
-	}
-	if w2 := AutoPanelWidth(); w2 != w {
-		t.Fatalf("AutoPanelWidth not stable: %d then %d", w, w2)
-	}
+// TestDefaultPanelWidth pins the static panel widths: 8 for a serial
+// factorization (the measured single-core winner), 32 with real parallelism,
+// and Canonical resolving a zero or negative width to them.
+func TestDefaultPanelWidth(t *testing.T) {
 	if got := DefaultPanelWidth(1); got != 8 {
 		t.Fatalf("DefaultPanelWidth(1) = %d, want 8", got)
 	}
 	if got := DefaultPanelWidth(4); got != 32 {
 		t.Fatalf("DefaultPanelWidth(4) = %d, want 32", got)
 	}
-	// The sentinel survives Canonical (content addressing must not measure).
-	opts := SupernodalOptions{MaxPanel: PanelWidthAuto}.Canonical()
-	if opts.MaxPanel != PanelWidthAuto {
-		t.Fatalf("Canonical resolved PanelWidthAuto to %d", opts.MaxPanel)
-	}
-	// And Supernodes resolves it to the calibrated width.
-	s := spillTestGrid(16, 16, nil)
-	sym, err := NewCholSymbolic(s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := sym.Supernodes(SupernodalOptions{MaxPanel: PanelWidthAuto, Workers: 1})
-	if got := ss.Options().MaxPanel; got != w {
-		t.Fatalf("Supernodes resolved auto to %d, calibration says %d", got, w)
+	for _, w := range []int{0, -1} {
+		if got := (SupernodalOptions{MaxPanel: w, Workers: 1}).Canonical().MaxPanel; got != 8 {
+			t.Fatalf("Canonical MaxPanel %d with 1 worker = %d, want 8", w, got)
+		}
 	}
 }

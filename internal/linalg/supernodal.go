@@ -17,9 +17,8 @@ type SupernodalOptions struct {
 	// of the factor's memory traffic per load but grow the dense workspace
 	// quadratically; 32 keeps a 512×512-grid separator panel's frontal
 	// workspace inside L2, but the measured serial sweet spot is 8 (the
-	// 256×256 sweep shows 8 beating 32 by ~17% on one core). 0 selects
-	// DefaultPanelWidth for the configured Workers; PanelWidthAuto (-1)
-	// micro-calibrates the width against the host at Supernodes time.
+	// 256×256 sweep shows 8 beating 32 by ~17% on one core). 0 (or a
+	// negative value) selects DefaultPanelWidth for the configured Workers.
 	MaxPanel int
 
 	// RelaxZeros and RelaxRatio bound relaxed amalgamation: two adjacent
@@ -38,13 +37,23 @@ type SupernodalOptions struct {
 	Workers int
 }
 
+// DefaultPanelWidth returns the static panel-width default for a
+// factorization bounded to the given worker count (0 = GOMAXPROCS). Serial
+// factorization is memory-traffic-bound and measures fastest with narrow
+// panels (the 256×256 sweep shows 8 beating 32 by ~17% on one core); with
+// real parallelism wider panels win by giving the etree scheduler
+// coarser-grained tasks and fewer panel loads per worker.
+func DefaultPanelWidth(workers int) int {
+	if workers == 1 || (workers <= 0 && runtime.GOMAXPROCS(0) == 1) {
+		return 8
+	}
+	return 32
+}
+
 // Canonical resolves defaulted fields. Workers is left as-is: it is resolved
-// at Factorize time against the live GOMAXPROCS. The PanelWidthAuto sentinel
-// is preserved, not resolved: Canonical runs inside content-address
-// derivation (oraclestore.DescForGrid), which must stay side-effect-free, so
-// the measurement happens in Supernodes instead.
+// at Factorize time against the live GOMAXPROCS.
 func (o SupernodalOptions) Canonical() SupernodalOptions {
-	if o.MaxPanel == 0 || (o.MaxPanel < 0 && o.MaxPanel != PanelWidthAuto) {
+	if o.MaxPanel <= 0 {
 		o.MaxPanel = DefaultPanelWidth(o.Workers)
 	}
 	if o.RelaxZeros == 0 {
@@ -123,9 +132,6 @@ type superScratch struct {
 // Supernodes builds the supernode partition for this symbolic analysis.
 func (sym *CholSymbolic) Supernodes(opts SupernodalOptions) *SuperSymbolic {
 	opts = opts.Canonical()
-	if opts.MaxPanel == PanelWidthAuto {
-		opts.MaxPanel = AutoPanelWidth()
-	}
 	n := sym.n
 	ss := &SuperSymbolic{sym: sym, opts: opts}
 

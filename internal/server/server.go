@@ -96,9 +96,9 @@ type Config struct {
 	MaxJobs int
 	// Grid tunes every grid-resolution system the server builds: solver
 	// knobs plus the memory discipline (PeakBytesBudget caps the resident
-	// factorization working set, SpillDir roots the out-of-core panel files,
-	// PanelAuto micro-calibrates the supernodal panel width). The zero value
-	// is the canonical default.
+	// factorization working set, SpillDir roots the out-of-core panel
+	// files, Panel shapes the supernodal panels). The zero value is the
+	// canonical default.
 	Grid thermal.GridOptions
 	// Logf receives one line per served request; nil disables logging.
 	Logf func(format string, args ...any)

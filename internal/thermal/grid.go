@@ -32,11 +32,6 @@ type GridOptions struct {
 	// Panel tunes the supernodal kernel (panel width, relaxed-amalgamation
 	// bounds, factorization workers). Zero fields take the linalg defaults.
 	Panel linalg.SupernodalOptions
-	// BatchWidth overrides how many right-hand sides one SteadyStateBatch
-	// factor pass carries. 0 auto-tunes from the factor's panel geometry
-	// (SparseCholesky.PreferredBatchWidth). Results are bit-identical at any
-	// width; only throughput changes.
-	BatchWidth int
 	// PeakBytesBudget caps the resident bytes the direct backend may hold
 	// while factoring (indices + resident panel values + frontal scratch).
 	// When the in-core estimate exceeds it, the supernodal kernel factors
@@ -51,10 +46,6 @@ type GridOptions struct {
 	// SpillFS overrides the spill filesystem seam (nil = real filesystem);
 	// tests inject fault-raising wrappers through it.
 	SpillFS linalg.SpillFS
-	// PanelAuto micro-calibrates the supernodal panel width against the
-	// host at first factorization instead of using the static default.
-	// Ignored when Panel.MaxPanel is set explicitly.
-	PanelAuto bool
 }
 
 // Canonical resolves the option defaults (zero budget →
@@ -62,20 +53,11 @@ type GridOptions struct {
 // of truth for what a zero GridOptions means: NewGridModelWithOptions builds
 // from it, and the oracle store derives its content-address from it. Only
 // FillBudget can change solver round-off (by flipping the model onto the CG
-// fallback), so it alone versions the content-address — Panel, BatchWidth
-// and the peak-bytes/spill/auto-width knobs select bit-identical execution
-// strategies, so cached results remain valid across them by construction.
-// Canonical must stay side-effect-free (it runs inside content-address
-// derivation), so PanelAuto resolves to the PanelWidthAuto sentinel here and
-// the measurement happens at factorization time.
+// fallback), so it alone versions the content-address — Panel and the
+// peak-bytes/spill knobs select bit-identical execution strategies, so
+// cached results remain valid across them by construction.
 func (o GridOptions) Canonical() GridOptions {
-	if o.PanelAuto && o.Panel.MaxPanel == 0 {
-		o.Panel.MaxPanel = linalg.PanelWidthAuto
-	}
 	o.Panel = o.Panel.Canonical()
-	if o.BatchWidth < 0 {
-		o.BatchWidth = 0
-	}
 	if o.FillBudget == 0 {
 		o.FillBudget = DefaultGridFillBudget
 	}
@@ -182,7 +164,6 @@ func NewGridModelWithOptions(fp *floorplan.Floorplan, cfg PackageConfig, nx, ny 
 		peakBudget: opts.PeakBytesBudget,
 		spillDir:   opts.SpillDir,
 		spillFS:    opts.SpillFS,
-		batchWidth: opts.BatchWidth,
 	}
 	g.mapBlocks()
 	if opts.PeakBytesBudget > 0 || opts.SpillFS != nil {
@@ -196,7 +177,7 @@ func NewGridModelWithOptions(fp *floorplan.Floorplan, cfg PackageConfig, nx, ny 
 	}
 	// Resolve the multi-RHS chunk width once the factor's panel geometry is
 	// known (see PreferredBatchWidth for the cache reasoning).
-	if g.batchWidth <= 0 && g.chol != nil {
+	if g.chol != nil {
 		g.batchWidth = g.chol.PreferredBatchWidth()
 	}
 	size := 2*g.numCells() + 2
@@ -635,10 +616,9 @@ func (g *GridModel) SteadyStateActive(power []float64, active []int) (*GridResul
 // SteadyStateBatch solves many power maps against the shared factorization
 // with blocked multi-RHS triangular passes (SolveManyInto): the factor is
 // streamed once per chunk of queries instead of once per query. The chunk
-// width was historically a fixed 16; it is now GridOptions.BatchWidth, and
-// when unset it is auto-tuned from the factor's panel geometry at
-// construction (SparseCholesky.PreferredBatchWidth — wide enough to amortise
-// factor traffic, narrow enough that the interleaved panel workspace stays
+// width is tuned from the factor's panel geometry at construction
+// (SparseCholesky.PreferredBatchWidth — wide enough to amortise factor
+// traffic, narrow enough that the interleaved panel workspace stays
 // cache-resident). Every result is bit-identical to the corresponding
 // SteadyState call at any width; on the CG fallback the maps are solved one
 // at a time.

@@ -498,31 +498,27 @@ func TestGridFactorStats(t *testing.T) {
 		t.Errorf("BatchWidth = %d not a multiple of 4", st.BatchWidth)
 	}
 
-	// An explicit override wins over auto-tuning and stays bit-identical.
-	o, err := NewGridModelWithOptions(g.Floorplan(), g.Config(), 24, 24, GridOptions{BatchWidth: 5})
+	// BatchWidth+1 maps make SteadyStateBatch run one full chunk and a
+	// one-RHS remainder; every answer matches a lone SteadyState bitwise.
+	powers := make([][]float64, st.BatchWidth+1)
+	for k := range powers {
+		powers[k] = make([]float64, g.Floorplan().NumBlocks())
+		for i := range powers[k] {
+			powers[k][i] = float64((i+k)%5) + 1
+		}
+	}
+	batch, err := g.SteadyStateBatch(powers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bw := o.FactorStats().BatchWidth; bw != 5 {
-		t.Fatalf("BatchWidth override = %d, want 5", bw)
-	}
-	power := make([]float64, g.Floorplan().NumBlocks())
-	for i := range power {
-		power[i] = float64(i%5) + 1
-	}
-	powers := [][]float64{power, power, power, power, power, power}
-	ra, err := g.SteadyStateBatch(powers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := o.SteadyStateBatch(powers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ra {
-		for j := range ra[i].temps {
-			if math.Float64bits(ra[i].temps[j]) != math.Float64bits(rb[i].temps[j]) {
-				t.Fatalf("batch width 5 vs auto differ at %d/%d", i, j)
+	for k, pm := range powers {
+		lone, err := g.SteadyState(pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range lone.temps {
+			if math.Float64bits(batch[k].temps[j]) != math.Float64bits(lone.temps[j]) {
+				t.Fatalf("batch entry %d of %d differs from SteadyState at node %d", k, len(powers), j)
 			}
 		}
 	}

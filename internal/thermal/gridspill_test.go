@@ -248,32 +248,20 @@ func TestGridPeakBudgetAcceptance(t *testing.T) {
 	t.Logf("steady state: max %.2f °C", res.MaxTemp())
 }
 
-// TestGridOptionsCanonicalSpill pins the canonicalization of the new knobs:
-// PanelAuto resolves to the side-effect-free sentinel (content addressing
-// must never trigger a measurement), and negative budgets clear to zero.
+// TestGridOptionsCanonicalSpill pins the canonicalization of the memory
+// knobs and panel width: an explicit width survives, a negative one takes
+// the default, and negative budgets clear to zero.
 func TestGridOptionsCanonicalSpill(t *testing.T) {
-	c := GridOptions{PanelAuto: true}.Canonical()
-	if c.Panel.MaxPanel != linalg.PanelWidthAuto {
-		t.Fatalf("PanelAuto canonical MaxPanel = %d, want PanelWidthAuto", c.Panel.MaxPanel)
-	}
-	c = GridOptions{PanelAuto: true, Panel: linalg.SupernodalOptions{MaxPanel: 16}}.Canonical()
+	c := GridOptions{Panel: linalg.SupernodalOptions{MaxPanel: 16}}.Canonical()
 	if c.Panel.MaxPanel != 16 {
-		t.Fatalf("explicit width overrides PanelAuto: got %d, want 16", c.Panel.MaxPanel)
+		t.Fatalf("explicit width canonical = %d, want 16", c.Panel.MaxPanel)
+	}
+	c = GridOptions{Panel: linalg.SupernodalOptions{MaxPanel: -1, Workers: 1}}.Canonical()
+	if want := linalg.DefaultPanelWidth(1); c.Panel.MaxPanel != want {
+		t.Fatalf("negative width canonical = %d, want %d", c.Panel.MaxPanel, want)
 	}
 	c = GridOptions{PeakBytesBudget: -5}.Canonical()
 	if c.PeakBytesBudget != 0 {
 		t.Fatalf("negative budget canonical = %d, want 0", c.PeakBytesBudget)
-	}
-	// A model built with PanelAuto must factor and solve normally.
-	g, err := NewGridModelWithOptions(floorplan.Alpha21364(), DefaultPackageConfig(),
-		16, 16, GridOptions{PanelAuto: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.SolverBackend() != "sparse-cholesky" {
-		t.Fatalf("PanelAuto backend %q", g.SolverBackend())
-	}
-	if w := g.FactorStats().MaxPanelWidth; w < 1 || w > 32 {
-		t.Fatalf("PanelAuto resolved to width %d", w)
 	}
 }
