@@ -649,11 +649,14 @@ func BenchmarkGridSteadyBatch(b *testing.B) {
 // table1GridModes are the two validation strategies the grid benchmarks
 // compare; both render byte-identical schedules:
 //
-//   - per-candidate: one solve per candidate, in the generator's goroutine
-//     (phase 1 through the Phase1Workers sweep)
-//   - batched:       phase 1's solos and each speculative phase-2 chain go to
-//     GridOracle.BlockTempsBatch, which fans them out across GOMAXPROCS and
+//   - per-candidate: one solve per phase-2 candidate, in the generator's
+//     goroutine
+//   - batched:       each speculative phase-2 chain goes to
+//     GridOracle.BlockTempsBatch, which fans it out across GOMAXPROCS and
 //     groups the multi-core sessions into blocked multi-RHS passes
+//
+// Phase 1 takes the same route in both: its solos go to BlockTempsBatch in
+// one call.
 func table1GridModes(gm *thermal.GridModel, prof *power.Profile) []struct {
 	name   string
 	oracle core.Oracle

@@ -1,5 +1,5 @@
-// Package conc holds the one worker-pool primitive shared by the generator's
-// parallel phase 1 and the experiment sweeps, so the index-ordered-results /
+// Package conc holds the one worker-pool primitive shared by the oracles'
+// batch paths and the experiment sweeps, so the index-ordered-results /
 // lowest-index-error contract is implemented exactly once.
 package conc
 

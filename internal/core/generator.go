@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 
-	"repro/internal/conc"
 	"repro/internal/schedule"
 	"repro/internal/testspec"
 )
@@ -35,31 +33,21 @@ type Config struct {
 	// MaxAttempts bounds the number of candidate-session simulations as a
 	// safety valve; 0 → 100000. Exceeding it returns a *MaxAttemptsError.
 	MaxAttempts int
-	// BatchValidate routes validation through the oracle's batch path when
-	// it implements BatchOracle: phase 1 submits all solo simulations in one
-	// call, and phase 2 speculatively builds the whole chain of follow-on
-	// sessions its candidate would unlock (weights only change on a
-	// violation, so the chain is exact until the first failure) and
-	// validates the chain in one call — at grid resolution, one call the
-	// grid oracle fans out across GOMAXPROCS goroutines, with multi-core
-	// sessions sharing blocked multi-RHS passes, so the chain's solves run
+	// BatchValidate makes phase 2 speculate: it builds the whole chain of
+	// follow-on sessions its candidate would unlock (weights only change on
+	// a violation, so the chain is exact until the first failure) and
+	// validates the chain's tail in one BlockTempsBatch call when the oracle
+	// implements BatchOracle — at grid resolution, one call the grid oracle
+	// fans out across GOMAXPROCS goroutines, with multi-core sessions
+	// sharing blocked multi-RHS passes, so the chain's solves run
 	// concurrently instead of one after another.
 	// Results are byte-identical to serial validation: the consumption loop
 	// replays the chain in order, commits the validated prefix, and discards
 	// everything after the first violation, which is exactly what the serial
 	// loop would have simulated. Off by default: with a microsecond block
-	// oracle the discarded speculative work costs more than it saves.
+	// oracle the discarded speculative work costs more than it saves. Phase 1
+	// does not depend on it (see Run).
 	BatchValidate bool
-	// Phase1Workers caps the goroutines fanning out the phase-1 solo
-	// simulations. 0 → GOMAXPROCS; 1 → fully serial (use this with an
-	// oracle that is not safe for concurrent use, or when the caller
-	// already saturates the cores — e.g. a parallel experiment sweep
-	// running one generator per worker). Under BatchValidate a BatchOracle
-	// takes phase 1 in one BlockTempsBatch call instead and this cap does
-	// not apply: the grid oracle fans that call out across GOMAXPROCS
-	// itself, so 1 does not keep a grid-fidelity generator serial. Results
-	// and errors are identical at any worker count.
-	Phase1Workers int
 	// Interrupt, when non-nil, is polled before phase 1 and before every
 	// phase-2 candidate build; a non-nil return aborts the run with an error
 	// wrapping both *ErrInterrupted and the returned cause. Wire a request
@@ -283,18 +271,21 @@ func (g *Generator) Run() (*Result, error) {
 	}
 
 	// Phase 1 (lines 1–7): per-core solo simulation, BCMT check. The n solo
-	// simulations are independent, so they fan out across GOMAXPROCS
-	// goroutines; results land in per-core slots, keeping everything that
-	// follows deterministic.
+	// simulations are independent, so a BatchOracle gets them in one call and
+	// spends its own parallelism on them; results land in per-core slots,
+	// keeping everything that follows deterministic.
 	if err := g.runPhase1(n, res.BCMT); err != nil {
 		return nil, err
 	}
 	var violation BCMTViolationError
-	for i := 0; i < n; i++ {
-		if res.BCMT[i] >= g.cfg.TL {
+	for i, t := range res.BCMT {
+		if math.IsNaN(t) || math.IsInf(t, 0) {
+			return nil, g.nonFinite(1, i, []int{i}, t)
+		}
+		if t >= g.cfg.TL {
 			violation.Cores = append(violation.Cores, i)
 			violation.Names = append(violation.Names, g.spec.Test(i).Name)
-			violation.Temps = append(violation.Temps, res.BCMT[i])
+			violation.Temps = append(violation.Temps, t)
 		}
 	}
 	if len(violation.Cores) > 0 {
@@ -371,8 +362,12 @@ func (g *Generator) Run() (*Result, error) {
 		valid := true
 		sessionMax := math.Inf(-1)
 		for _, c := range ps.cores {
-			sessionMax = math.Max(sessionMax, temps[c])
-			if temps[c] >= tl {
+			t := temps[c]
+			if math.IsNaN(t) || math.IsInf(t, 0) {
+				return false, g.nonFinite(2, c, ps.cores, t)
+			}
+			sessionMax = math.Max(sessionMax, t)
+			if t >= tl {
 				weights[c] *= g.cfg.WeightGrowth // line 20
 				valid = false
 			}
@@ -480,45 +475,44 @@ func (g *Generator) Run() (*Result, error) {
 	return res, nil
 }
 
-// runPhase1 fills bcmt with each core's solo steady-state temperature. Under
-// BatchValidate a BatchOracle answers all solos in one call; otherwise the
-// independent simulations fan out across Config.Phase1Workers goroutines
-// (0 → GOMAXPROCS). On failure the lowest-index error is reported, matching
-// the serial loop.
+// runPhase1 fills bcmt with each core's solo steady-state temperature. A
+// BatchOracle answers all n solos in one call: a memo answers its hits in
+// place and forwards only the misses, and the leaf oracles fan those out
+// where a solve is worth a goroutine. Without a batch path, or when the batch
+// call fails, the solos run one at a time in core order, so the reported
+// error is the lowest-index one, as a whole-batch error names no core.
 func (g *Generator) runPhase1(n int, bcmt []float64) error {
-	if g.cfg.BatchValidate {
-		if batch, ok := g.oracle.(BatchOracle); ok {
-			sessions := make([][]int, n)
-			for i := range sessions {
-				sessions[i] = []int{i}
+	cores := make([]int, n)
+	sessions := make([][]int, n)
+	for i := range sessions {
+		cores[i] = i
+		sessions[i] = cores[i : i+1 : i+1]
+	}
+	if batch, ok := g.oracle.(BatchOracle); ok {
+		if temps, err := batch.BlockTempsBatch(sessions); err == nil && len(temps) == n {
+			for i, t := range temps {
+				bcmt[i] = t[i]
 			}
-			if temps, err := batch.BlockTempsBatch(sessions); err == nil {
-				for i, t := range temps {
-					bcmt[i] = t[i]
-				}
-				return nil
-			}
-			// On a batch error fall through: the sweep reruns the solo
-			// simulations one at a time and reports the lowest-index error,
-			// exactly like a serial run.
+			return nil
 		}
 	}
-	workers := g.cfg.Phase1Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	temps, err := conc.Sweep(workers, n, func(i int) (float64, error) {
-		field, err := g.oracle.BlockTemps([]int{i})
+	for i, s := range sessions {
+		field, err := g.oracle.BlockTemps(s)
 		if err != nil {
-			return 0, fmt.Errorf("core: phase-1 simulation of core %d: %w", i, err)
+			return fmt.Errorf("core: phase-1 simulation of core %d: %w", i, err)
 		}
-		return field[i], nil
-	})
-	if err != nil {
-		return err
+		bcmt[i] = field[i]
 	}
-	copy(bcmt, temps)
 	return nil
+}
+
+// nonFinite reports an active core whose simulated temperature is NaN or
+// ±Inf. Every TL comparison is false for NaN and −Inf passes as cool, so
+// such a field would be committed as thermally safe; +Inf would raise an
+// AutoRaiseTL limit to +Inf. The field is rejected instead.
+func (g *Generator) nonFinite(phase, core int, session []int, t float64) error {
+	return fmt.Errorf("%w: phase-%d simulation gave core %d (%s) a non-finite temperature %g in session %v",
+		ErrCore, phase, core, g.spec.Test(core).Name, t, session)
 }
 
 // pendingSession is one built-but-not-yet-validated session: an owned copy of

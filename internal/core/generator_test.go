@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -33,8 +34,8 @@ func (f *fakeOracle) BlockTemps(active []int) ([]float64, error) {
 	return temps, nil
 }
 
-// failingOracle errors on the k-th call. The counter is atomic because the
-// generator's phase-1 loop queries the oracle from multiple goroutines.
+// failingOracle errors on the k-th call. The counter is atomic because a
+// batch path may query the oracle from multiple goroutines.
 type failingOracle struct {
 	inner Oracle
 	after int64
@@ -440,31 +441,6 @@ func TestNewTransientOracleValidation(t *testing.T) {
 	}
 }
 
-func TestPhase1WorkersEquivalent(t *testing.T) {
-	// Serial, default (GOMAXPROCS) and over-provisioned phase-1 pools must
-	// produce identical results.
-	spec, sm, oracle := alphaGenSetup(t)
-	var ref *Result
-	for _, workers := range []int{1, 0, 64} {
-		res, err := Generate(spec, sm, oracle, Config{TL: 165, STCL: 60, Phase1Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if res.Schedule.Describe(spec) != ref.Schedule.Describe(spec) {
-			t.Errorf("workers=%d produced a different schedule", workers)
-		}
-		for i, b := range res.BCMT {
-			if b != ref.BCMT[i] {
-				t.Errorf("workers=%d: BCMT[%d] = %g != %g", workers, i, b, ref.BCMT[i])
-			}
-		}
-	}
-}
-
 // batchSpyOracle wraps a BatchOracle and records how the generator queried
 // it, so tests can assert the batched path actually engaged.
 type batchSpyOracle struct {
@@ -472,6 +448,7 @@ type batchSpyOracle struct {
 	single     atomic.Int64
 	batches    atomic.Int64
 	batchedSes atomic.Int64
+	firstBatch [][]int
 }
 
 func (b *batchSpyOracle) BlockTemps(active []int) ([]float64, error) {
@@ -480,9 +457,90 @@ func (b *batchSpyOracle) BlockTemps(active []int) ([]float64, error) {
 }
 
 func (b *batchSpyOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
-	b.batches.Add(1)
+	if b.batches.Add(1) == 1 {
+		b.firstBatch = sessions
+	}
 	b.batchedSes.Add(int64(len(sessions)))
 	return b.inner.BlockTempsBatch(sessions)
+}
+
+func TestPhase1OneBatchCall(t *testing.T) {
+	// Phase 1 takes one route whatever BatchValidate says: a BatchOracle gets
+	// all n solos, in core order, in one BlockTempsBatch call, and no single
+	// query; the result matches a plain oracle's core-order loop exactly.
+	spec, sm, oracle := alphaGenSetup(t)
+	n := spec.NumCores()
+	plain, err := Generate(spec, sm, &recordingOracle{inner: oracle}, Config{TL: 165, STCL: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bv := range []bool{false, true} {
+		spy := &batchSpyOracle{inner: oracle.(BatchOracle)}
+		cfg := Config{TL: 165, STCL: 60, BatchValidate: bv}
+		var single, batches, batched int64 = -1, -1, -1
+		cfg.Progress = func(p ProgressInfo) {
+			if p.Phase == 1 {
+				single, batches, batched = spy.single.Load(), spy.batches.Load(), spy.batchedSes.Load()
+			}
+		}
+		res, err := Generate(spec, sm, spy, cfg)
+		if err != nil {
+			t.Fatalf("BatchValidate=%v: %v", bv, err)
+		}
+		if single != 0 || batches != 1 || batched != int64(n) {
+			t.Errorf("BatchValidate=%v: phase 1 issued %d single queries and %d batches of %d sessions, want 0, 1 and %d",
+				bv, single, batches, batched, n)
+		}
+		if got := spy.firstBatch; len(got) != n {
+			t.Errorf("BatchValidate=%v: first batch has %d sessions, want %d", bv, len(got), n)
+		} else {
+			for i, s := range got {
+				if len(s) != 1 || s[0] != i {
+					t.Errorf("BatchValidate=%v: first batch session %d = %v, want [%d]", bv, i, s, i)
+				}
+			}
+		}
+		if !reflect.DeepEqual(res, plain) {
+			t.Errorf("BatchValidate=%v: result differs from the plain oracle's", bv)
+		}
+	}
+}
+
+// soloFailOracle fails the solo query of every core in bad, so phase 1 has
+// more than one failure and must report the lowest-index one.
+type soloFailOracle struct {
+	inner Oracle
+	bad   map[int]bool
+}
+
+func (f *soloFailOracle) BlockTemps(active []int) ([]float64, error) {
+	if len(active) == 1 && f.bad[active[0]] {
+		return nil, fmt.Errorf("solo %d broken", active[0])
+	}
+	return f.inner.BlockTemps(active)
+}
+
+// soloFailBatchOracle adds a batch path that fails wholesale, naming no core.
+type soloFailBatchOracle struct{ soloFailOracle }
+
+func (f *soloFailBatchOracle) BlockTempsBatch([][]int) ([][]float64, error) {
+	return nil, errors.New("whole batch failed")
+}
+
+func TestPhase1LowestIndexError(t *testing.T) {
+	spec, sm, oracle := alphaGenSetup(t)
+	plain := soloFailOracle{inner: oracle, bad: map[int]bool{7: true, 3: true, 11: true}}
+	for name, o := range map[string]Oracle{
+		"plain":        &plain,
+		"failed batch": &soloFailBatchOracle{plain},
+		"memo":         NewCachedOracle(&plain),
+	} {
+		_, err := Generate(spec, sm, o, Config{TL: 165, STCL: 60})
+		want := "core: phase-1 simulation of core 3: solo 3 broken"
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", name, err, want)
+		}
+	}
 }
 
 func TestBatchValidateByteIdenticalResults(t *testing.T) {
@@ -555,13 +613,13 @@ func TestBatchValidateOracleErrorMatchesSerial(t *testing.T) {
 	// the deterministic failure at the same session the serial loop does.
 	spec, sm, oracle := alphaGenSetup(t)
 	serialFail := &failingOracle{inner: oracle, after: 20}
-	_, serialErr := Generate(spec, sm, serialFail, Config{TL: 165, STCL: 60, Phase1Workers: 1})
+	_, serialErr := Generate(spec, sm, serialFail, Config{TL: 165, STCL: 60})
 	if serialErr == nil {
 		t.Fatal("expected serial failure")
 	}
 	batchFail := &failingBatchOracle{failingOracle{inner: oracle, after: 20}}
 	_, batchErr := Generate(spec, sm, batchFail,
-		Config{TL: 165, STCL: 60, Phase1Workers: 1, BatchValidate: true})
+		Config{TL: 165, STCL: 60, BatchValidate: true})
 	if batchErr == nil {
 		t.Fatal("expected batched failure")
 	}
@@ -655,7 +713,6 @@ func TestEffortSumOverQueriedSessions(t *testing.T) {
 		{"pairs violate", &fakeOracle{solo: solo, coupling: 100, ambient: 45}, Config{TL: 150, STCL: 1e6}},
 	} {
 		rec := &recordingOracle{inner: tc.oracle}
-		tc.cfg.Phase1Workers = 1
 		res, err := Generate(spec, sm, rec, tc.cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -678,6 +735,56 @@ func TestEffortSumOverQueriedSessions(t *testing.T) {
 		}
 		if res.Effort == float64(res.Attempts) {
 			t.Errorf("%s: Effort equals Attempts; lengths should tell them apart", tc.name)
+		}
+	}
+}
+
+// poisonOracle overwrites core's temperature with val in every session of at
+// least minSize cores that has core active.
+type poisonOracle struct {
+	inner   Oracle
+	core    int
+	minSize int
+	val     float64
+}
+
+func (p *poisonOracle) BlockTemps(active []int) ([]float64, error) {
+	temps, err := p.inner.BlockTemps(active)
+	if err != nil || len(active) < p.minSize || !slices.Contains(active, p.core) {
+		return temps, err
+	}
+	temps[p.core] = p.val
+	return temps, nil
+}
+
+func TestNonFiniteTemperatureRejected(t *testing.T) {
+	// Claim C1 must not rest on a comparison NaN fails: a NaN or ±Inf
+	// temperature at an active core is an error naming the core and the
+	// session, never a committed (or AutoRaiseTL-raised) schedule.
+	spec, sm, oracle := alphaGenSetup(t)
+	for _, tc := range []struct {
+		name    string
+		minSize int
+		val     float64
+		want    string
+	}{
+		{"phase 1 NaN", 1, math.NaN(), "phase-1 simulation gave core 0 (" + spec.Test(0).Name + ") a non-finite temperature NaN in session [0]"},
+		{"phase 1 +Inf", 1, math.Inf(1), "phase-1 simulation gave core 0"},
+		{"phase 2 NaN", 2, math.NaN(), "phase-2 simulation gave core 0"},
+		{"phase 2 -Inf", 2, math.Inf(-1), "phase-2 simulation gave core 0 (" + spec.Test(0).Name + ") a non-finite temperature -Inf in session ["},
+	} {
+		poison := &poisonOracle{inner: oracle, core: 0, minSize: tc.minSize, val: tc.val}
+		for _, o := range []Oracle{poison, NewCachedOracle(poison)} {
+			for _, cfg := range []Config{
+				{TL: 165, STCL: 60},
+				{TL: 165, STCL: 60, BatchValidate: true, AutoRaiseTL: true},
+			} {
+				res, err := Generate(spec, sm, o, cfg)
+				if res != nil || !errors.Is(err, ErrCore) || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s (%T, %+v): res = %v, err = %v; want nil and ErrCore containing %q",
+						tc.name, o, cfg, res, err, tc.want)
+				}
+			}
 		}
 	}
 }

@@ -17,8 +17,8 @@ import (
 // machine.
 var gridWidths = []int{1, 4}
 
-// setGridWidth sets GOMAXPROCS, the width GridOracle.BlockTempsBatch fans out
-// to, and restores the original value when the test ends.
+// setGridWidth sets GOMAXPROCS, the width the oracles' BlockTempsBatch paths
+// fan out to, and restores the original value when the test ends.
 func setGridWidth(t *testing.T, width int) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(width)

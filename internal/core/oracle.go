@@ -1,9 +1,11 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/conc"
 	"repro/internal/power"
 	"repro/internal/thermal"
 )
@@ -13,10 +15,10 @@ import (
 // every block (°C). The generator treats it as expensive and minimises calls
 // to it; the session model exists precisely to avoid invoking it blindly.
 //
-// Implementations must be deterministic and safe for concurrent use: the
-// generator fans its phase-1 solo simulations across goroutines, and the
-// experiment sweeps share one oracle across grid cells. The production
-// implementation is SimOracle; tests substitute cheap fakes.
+// Implementations must be deterministic and safe for concurrent use: batch
+// paths fan single queries out across goroutines, and the experiment sweeps
+// and the schedule service share one oracle across concurrent generators.
+// The production implementation is SimOracle; tests substitute cheap fakes.
 type Oracle interface {
 	BlockTemps(active []int) ([]float64, error)
 }
@@ -35,18 +37,15 @@ type BatchOracle interface {
 	BlockTempsBatch(sessions [][]int) ([][]float64, error)
 }
 
-// blockTempsSerial answers a batch by looping single queries — the fallback
-// shared by every wrapper whose inner oracle has no batch fast path.
-func blockTempsSerial(o Oracle, sessions [][]int) ([][]float64, error) {
-	out := make([][]float64, len(sessions))
-	for i, s := range sessions {
-		temps, err := o.BlockTemps(s)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = temps
-	}
-	return out, nil
+// sweepBlockTemps answers a batch by fanning single queries out across
+// GOMAXPROCS goroutines (serially at GOMAXPROCS=1): the batch path of the
+// leaf oracles whose sessions share no solve work, and the fallback of every
+// wrapper whose inner oracle has no batch path. Results come back in index
+// order, and a failure reports the lowest-index error, as a loop would.
+func sweepBlockTemps(o Oracle, sessions [][]int) ([][]float64, error) {
+	return conc.Sweep(runtime.GOMAXPROCS(0), len(sessions), func(i int) ([]float64, error) {
+		return o.BlockTemps(sessions[i])
+	})
 }
 
 // SimOracle answers oracle queries with the full RC thermal model, injecting
@@ -102,12 +101,12 @@ func (o *SimOracle) BlockTemps(active []int) ([]float64, error) {
 	return out, nil
 }
 
-// BlockTempsBatch implements BatchOracle. Block-model solves are already
-// microseconds, so the batch is answered by the serial loop; the interface is
-// implemented so generators configured for batched validation work against
-// either oracle.
+// BlockTempsBatch implements BatchOracle. Each session is one independent
+// block-model solve, so the batch fans out across GOMAXPROCS goroutines;
+// only the misses of a memo above reach it, so this is where a cold
+// generator's phase 1 runs in parallel.
 func (o *SimOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
-	return blockTempsSerial(o, sessions)
+	return sweepBlockTemps(o, sessions)
 }
 
 // LazyOracle defers building its inner oracle to the first query: exactly
@@ -172,13 +171,13 @@ func (l *LazyOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
 	if b, ok := l.inner.(BatchOracle); ok {
 		return b.BlockTempsBatch(sessions)
 	}
-	return blockTempsSerial(l.inner, sessions)
+	return sweepBlockTemps(l.inner, sessions)
 }
 
 // CountingOracle wraps an Oracle and counts calls — used by tests and by the
 // experiment harness to cross-check the generator's own effort accounting.
-// The counter is atomic, so a CountingOracle may sit under the parallel
-// phase-1 loop or a concurrent sweep without racing.
+// The counter is atomic, so a CountingOracle may sit under a batch fan-out
+// or a concurrent sweep without racing.
 type CountingOracle struct {
 	Inner Oracle
 	calls atomic.Int64
@@ -197,7 +196,7 @@ func (c *CountingOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) 
 	if b, ok := c.Inner.(BatchOracle); ok {
 		return b.BlockTempsBatch(sessions)
 	}
-	return blockTempsSerial(c.Inner, sessions)
+	return sweepBlockTemps(c.Inner, sessions)
 }
 
 // Calls returns the number of sessions simulated so far.

@@ -67,4 +67,13 @@ func (o *TransientOracle) BlockTemps(active []int) ([]float64, error) {
 	return out, nil
 }
 
-var _ Oracle = (*TransientOracle)(nil)
+// BlockTempsBatch implements BatchOracle. A transient run integrates every
+// time step of the session and sessions share none of that work, so the
+// batch fans out across GOMAXPROCS goroutines (the model's cached
+// Crank–Nicolson operators are safe for concurrent use). Results are
+// bit-identical to BlockTemps, and a failure reports the lowest-index error.
+func (o *TransientOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
+	return sweepBlockTemps(o, sessions)
+}
+
+var _ BatchOracle = (*TransientOracle)(nil)

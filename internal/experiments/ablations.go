@@ -384,9 +384,6 @@ func RunScaling(sizes []int, seed int64, parallel bool) (*ScalingResult, error) 
 		if err != nil {
 			return ScalingRow{}, err
 		}
-		// Propagate the sweep's parallelism so Env.Generate keeps each
-		// cell's phase 1 serial instead of stacking a second fan-out level.
-		env.Parallel = parallel
 		res, err := env.Generate(core.Config{TL: 140, STCL: 60, AutoRaiseTL: true})
 		if err != nil {
 			return ScalingRow{}, err

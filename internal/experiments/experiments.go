@@ -186,19 +186,13 @@ func (e *Env) GenerateContext(ctx context.Context, cfg core.Config) (*core.Resul
 }
 
 // generateWith runs the generator against an arbitrary oracle (the transient
-// comparison substitutes its own). During a parallel sweep the grid cells
-// already occupy every core, so each cell's generator runs its Phase1Workers
-// sweep serially instead of stacking a second level of fan-out on top (results
-// are identical at any worker count).
+// comparison substitutes its own).
 func (e *Env) generateWith(oracle core.Oracle, cfg core.Config) (*core.Result, error) {
-	if e.Parallel && cfg.Phase1Workers == 0 {
-		cfg.Phase1Workers = 1
-	}
-	// Grid-resolution validation is simulation-dominated, so route phase 1
-	// and the phase-2 candidate chain through the oracle's batch path, which
-	// the grid oracle fans out across GOMAXPROCS goroutines even when
-	// Phase1Workers is 1 (results are byte-identical to per-candidate
-	// validation; oracles without a batch path ignore the flag).
+	// Grid-resolution validation is simulation-dominated, so route the
+	// phase-2 candidate chain through the oracle's batch path too, which the
+	// grid oracle fans out across GOMAXPROCS goroutines (results are
+	// byte-identical to per-candidate validation; oracles without a batch
+	// path ignore the flag).
 	if e.GridRes > 0 {
 		cfg.BatchValidate = true
 	}

@@ -11,10 +11,11 @@ import (
 // TestGridScheduleByteIdenticalAcrossPaths is the acceptance check of the
 // grid-scale fast path: the same workload validated on the same grid
 // discretisation must render the byte-identical schedule whether sessions
-// were validated one at a time, through the speculative batch, behind a memo
-// cache, or with parallel phase 1. GOMAXPROCS is forced to 4 so the batched
-// arm really fans its grid solves out across goroutines (GridOracle's batch
-// path runs at GOMAXPROCS width). CI runs this under -race.
+// were validated one at a time or through the speculative batch, with or
+// without a memo cache. GOMAXPROCS is forced to 4 so the batch calls (phase
+// 1 on every arm, the phase-2 chains on the batched one) really fan their
+// grid solves out across goroutines (GridOracle's batch path runs at
+// GOMAXPROCS width). CI runs this under -race.
 func TestGridScheduleByteIdenticalAcrossPaths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid-oracle generation in -short mode")
@@ -38,9 +39,8 @@ func TestGridScheduleByteIdenticalAcrossPaths(t *testing.T) {
 	}
 	oracle := core.NewGridOracle(gm, spec.Profile())
 	configs := map[string]core.Config{
-		"serial":          base,
-		"batched":         {TL: base.TL, STCL: base.STCL, BatchValidate: true},
-		"parallel-phase1": {TL: base.TL, STCL: base.STCL, Phase1Workers: 4},
+		"serial":  base,
+		"batched": {TL: base.TL, STCL: base.STCL, BatchValidate: true},
 	}
 	var want string
 	for name, cfg := range configs {

@@ -1,8 +1,11 @@
 package oraclestore
 
 import (
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -601,5 +604,54 @@ func TestStoreOracleBatch(t *testing.T) {
 				t.Fatalf("warm batch session %d block %d differs (want bit-exact)", i, b)
 			}
 		}
+	}
+}
+
+// TestAbsorbedNaNRecordRejectedByGenerator: the record format's CRC guards
+// the bytes, not the floats, so a record file carrying NaN temperatures
+// validates, merges and absorbs like any other. The generator is the check:
+// a run answered from such a record returns an error, not a schedule.
+func TestAbsorbedNaNRecordRejectedByGenerator(t *testing.T) {
+	desc, spec, m := alphaDesc(t)
+	srcStore, src := openSystem(t, t.TempDir())
+	defer srcStore.Close()
+	nan := make([]float64, m.NumBlocks())
+	for i := range nan {
+		nan[i] = math.NaN()
+	}
+	if err := src.Put([]int{4}, nan); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(src.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info, err := ValidateRecordFile(data); err != nil || info.Records != 1 {
+		t.Fatalf("ValidateRecordFile = (%+v, %v), want one valid record", info, err)
+	}
+
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sc, err := st.System(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added, err := sc.AbsorbRecords(data); err != nil || added != 1 {
+		t.Fatalf("AbsorbRecords = (%d, %v), want (1, nil)", added, err)
+	}
+	sm, err := core.NewSessionModel(m, spec.Profile(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := core.NewCachedOracle(sc.Wrap(core.NewSimOracle(m, spec.Profile())))
+	res, err := core.Generate(spec, sm, oracle, core.Config{TL: 165, STCL: 60})
+	if res != nil || !errors.Is(err, core.ErrCore) || !strings.Contains(err.Error(), "core 4") {
+		t.Fatalf("Generate = (%v, %v), want no result and an ErrCore naming core 4", res, err)
 	}
 }

@@ -182,7 +182,7 @@ func (m *metrics) render(tc tierCounters) string {
 	sb.WriteString("# HELP thermserve_grid_factors_live Distinct grid factors resident in the process; live systems with the same package, die size and resolution share one.\n")
 	sb.WriteString("# TYPE thermserve_grid_factors_live gauge\n")
 	fmt.Fprintf(&sb, "thermserve_grid_factors_live %d\n", tc.GridFactorsLive)
-	sb.WriteString("# HELP thermserve_gomaxprocs Goroutine width of the grid oracle's batch fan-out (runtime.GOMAXPROCS).\n")
+	sb.WriteString("# HELP thermserve_gomaxprocs Goroutine width of the oracles' batch fan-out: phase-1 misses and grid-fidelity phase-2 chains (runtime.GOMAXPROCS).\n")
 	sb.WriteString("# TYPE thermserve_gomaxprocs gauge\n")
 	fmt.Fprintf(&sb, "thermserve_gomaxprocs %d\n", runtime.GOMAXPROCS(0))
 	sb.WriteString("# HELP thermserve_store_files Record files in the persistent store.\n")
