@@ -210,8 +210,13 @@ func (tc ThermalChecker) Check(sc schedule.Schedule, tl float64) ([]SessionViola
 		}
 		mx, hot := math.Inf(-1), -1
 		for _, c := range sess.Cores() {
-			if temps[c] > mx {
-				mx, hot = temps[c], c
+			t := temps[c]
+			if math.IsNaN(t) || math.IsInf(t, 0) {
+				// A NaN never exceeds mx and would read as safe.
+				return nil, 0, fmt.Errorf("%w: session %d gave core %d a non-finite temperature %g", ErrBaseline, si, c, t)
+			}
+			if t > mx {
+				mx, hot = t, c
 			}
 		}
 		peak = math.Max(peak, mx)

@@ -251,3 +251,33 @@ func maxAt(temps []float64, cores []int) float64 {
 	}
 	return mx
 }
+
+// TestNonFiniteTemperatureRejectedByBaselines: a NaN compares false against
+// TL and would read as safe, and +Inf is no temperature either, so both
+// baseline consumers of an oracle fail with ErrBaseline when an active core's
+// temperature is non-finite — as the generator does.
+func TestNonFiniteTemperatureRejectedByBaselines(t *testing.T) {
+	spec, blockTemps := alphaOracle(t)
+	const poisoned = 2
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		oracle := func(active []int) ([]float64, error) {
+			temps, err := blockTemps(active)
+			if err != nil {
+				return nil, err
+			}
+			for _, c := range active {
+				if c == poisoned {
+					temps[c] = bad
+				}
+			}
+			return temps, nil
+		}
+		if _, err := OptimalThermal(spec, oracle, 165); !errors.Is(err, ErrBaseline) {
+			t.Errorf("OptimalThermal with a %g core: err = %v, want ErrBaseline", bad, err)
+		}
+		viol, _, err := ThermalChecker{BlockTemps: oracle}.Check(Sequential(spec), 165)
+		if !errors.Is(err, ErrBaseline) {
+			t.Errorf("Check with a %g core: violations %v, err = %v, want ErrBaseline", bad, viol, err)
+		}
+	}
+}

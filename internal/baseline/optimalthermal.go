@@ -81,10 +81,13 @@ func OptimalThermal(spec *testspec.Spec, blockTemps BlockTempsFunc, tl float64) 
 		}
 		ok := true
 		for _, c := range cores {
-			if temps[c] >= tl {
-				ok = false
-				break
+			t := temps[c]
+			if math.IsNaN(t) || math.IsInf(t, 0) {
+				// A NaN compares false against tl and would read as safe.
+				return schedule.Schedule{}, fmt.Errorf("%w: subset %b gave core %s a non-finite temperature %g",
+					ErrBaseline, m, spec.Test(c).Name, t)
 			}
+			ok = ok && t < tl
 		}
 		feasible[m] = ok
 		if bits.OnesCount(uint(m)) == 1 && !ok {

@@ -33,7 +33,8 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerPolicy tunes the per-store circuit breaker.
+// BreakerPolicy tunes a circuit breaker (a store's, a RecordLog's or a remote
+// node's).
 type BreakerPolicy struct {
 	// Failures is how many consecutive failed disk operations (append after
 	// retries, open, probe) trip the breaker open. 0 → 3.
@@ -43,9 +44,8 @@ type BreakerPolicy struct {
 	Probe time.Duration
 }
 
-// WithDefaults fills unset fields with the production defaults. Exported so
-// the remote tier's per-node breakers share the local store's policy.
-func (p BreakerPolicy) WithDefaults() BreakerPolicy {
+// withDefaults fills unset fields with the production defaults.
+func (p BreakerPolicy) withDefaults() BreakerPolicy {
 	if p.Failures <= 0 {
 		p.Failures = 3
 	}
@@ -55,12 +55,13 @@ func (p BreakerPolicy) WithDefaults() BreakerPolicy {
 	return p
 }
 
-// breaker is the classic three-state circuit breaker guarding the store's
-// disk path. Closed counts consecutive failures; at the threshold it opens
-// and the store degrades to memory-only. After the probe interval one caller
-// is let through (half-open); success closes the breaker, failure re-opens
-// it and restarts the timer.
-type breaker struct {
+// Breaker is the classic three-state circuit breaker. It guards a store's or
+// a RecordLog's disk path, and each remote store node. Closed counts
+// consecutive failures; at the threshold it opens and the guarded path
+// degrades (memory-only, or a cold remote). After the probe interval one
+// caller is let through (half-open); success closes the breaker, failure
+// re-opens it and restarts the timer. Safe for concurrent use.
+type Breaker struct {
 	policy BreakerPolicy
 
 	mu          sync.Mutex
@@ -71,14 +72,16 @@ type breaker struct {
 	lastErr     error
 }
 
-func newBreaker(policy BreakerPolicy) *breaker {
-	return &breaker{policy: policy.WithDefaults()}
+// NewBreaker returns a closed breaker; zero policy fields take the defaults.
+func NewBreaker(policy BreakerPolicy) *Breaker {
+	return &Breaker{policy: policy.withDefaults()}
 }
 
-// Allow reports whether the caller may touch the disk. In the open state it
-// flips to half-open once the probe interval has elapsed, admitting exactly
-// that caller as the trial; in half-open every other caller is refused.
-func (b *breaker) Allow() bool {
+// Allow reports whether the caller may touch the guarded path. In the open
+// state it flips to half-open once the probe interval has elapsed, admitting
+// exactly that caller as the trial; in half-open every other caller is
+// refused.
+func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -95,9 +98,9 @@ func (b *breaker) Allow() bool {
 	}
 }
 
-// Success records a disk operation that went through; it closes the breaker
+// Success records an operation that went through; it closes the breaker
 // and resets the failure streak.
-func (b *breaker) Success() {
+func (b *Breaker) Success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.state = BreakerClosed
@@ -105,10 +108,10 @@ func (b *breaker) Success() {
 	b.lastErr = nil
 }
 
-// Failure records a failed disk operation: it extends the streak and trips
+// Failure records a failed operation: it extends the streak and trips
 // the breaker when the streak reaches the threshold (immediately when the
 // failure was a half-open trial).
-func (b *breaker) Failure(err error) {
+func (b *Breaker) Failure(err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.consecutive++
@@ -123,7 +126,7 @@ func (b *breaker) Failure(err error) {
 }
 
 // State returns the current state without transitioning it.
-func (b *breaker) State() BreakerState {
+func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
@@ -131,7 +134,7 @@ func (b *breaker) State() BreakerState {
 
 // snapshot returns the state, streak, trip count and last error under one
 // lock acquisition.
-func (b *breaker) snapshot() (state BreakerState, consecutive int, opens int64, lastErr error) {
+func (b *Breaker) snapshot() (state BreakerState, consecutive int, opens int64, lastErr error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state, b.consecutive, b.opens, b.lastErr

@@ -54,7 +54,7 @@ func fileLastUse(fi fs.FileInfo) time.Time {
 func (s *Store) scanLocked() ([]FileStat, error) {
 	open := make(map[string]*SystemCache, len(s.systems))
 	for _, c := range s.systems {
-		open[c.path] = c
+		open[c.log.path] = c
 	}
 	var files []FileStat
 	err := filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
@@ -149,8 +149,8 @@ func (s *Store) Evict(budget int64) ([]FileStat, error) {
 	byPath := make(map[string]*SystemCache, len(s.systems))
 	keyByPath := make(map[string][32]byte, len(s.systems))
 	for k, c := range s.systems {
-		byPath[c.path] = c
-		keyByPath[c.path] = k
+		byPath[c.log.path] = c
+		keyByPath[c.log.path] = k
 	}
 	var evicted []FileStat
 	for _, f := range files {

@@ -1,8 +1,10 @@
 package oraclestore
 
 import (
+	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"time"
 )
 
@@ -76,4 +78,34 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 		return nil, err
 	}
 	return f, nil
+}
+
+// WriteFileAtomic publishes data at path so readers only ever observe whole
+// files: it writes a temp file in the same directory (creating the directory
+// if needed), fsyncs it and renames it into place.
+func WriteFileAtomic(fsys FS, path string, data []byte) error {
+	dir := filepath.Dir(path)
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("%w: %v", ErrStore, err)
+	}
+	tmp, err := fsys.CreateTemp(dir, ".tsoc-tmp-*")
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrStore, err)
+	}
+	defer fsys.Remove(tmp.Name()) // no-op after a successful rename
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return fmt.Errorf("%w: writing %s: %v", ErrStore, path, err)
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("%w: %v", ErrStore, err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("%w: %v", ErrStore, err)
+	}
+	if err := fsys.Rename(tmp.Name(), path); err != nil {
+		return fmt.Errorf("%w: %v", ErrStore, err)
+	}
+	return nil
 }

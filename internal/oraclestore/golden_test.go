@@ -1,7 +1,10 @@
 package oraclestore
 
 import (
+	"crypto/sha256"
 	"encoding/hex"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/testspec"
@@ -39,4 +42,64 @@ func TestGridDescGoldenAddress(t *testing.T) {
 			t.Errorf("%s: Key() = %s, want %s", c.backend, got, c.key)
 		}
 	}
+}
+
+// TestRecordFileAndJournalGoldenBytes pins the on-disk bytes of both
+// append-only formats: a record file written by a fixed sequence of Puts (one
+// of them a duplicate active set in another order, which must not append) and
+// a RecordLog written by a fixed sequence of Appends. Warm stores and job
+// journals written by earlier builds must keep loading, so any change to
+// these digests is a format change and must be made on purpose.
+func TestRecordFileAndJournalGoldenBytes(t *testing.T) {
+	dir := t.TempDir()
+	st, sc := openSystem(t, dir)
+	nb := sc.numBlocks
+	for _, p := range []struct {
+		active []int
+		seed   float64
+	}{
+		{[]int{0, 2}, 40},
+		{[]int{1}, 55.5},
+		{[]int{2, 0}, 99}, // same set as the first: no record
+		{[]int{3, 7, 5}, -1.25},
+		{[]int{14}, 1e300},
+	} {
+		if err := sc.Put(p.active, tempsFor(nb, p.seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileSHA256(t, sc.Path()); got != "f0a31002c1c71d1facd801086e0ad511608160616a1405e90f5351fbf6a264f3" {
+		t.Errorf("record file sha256 = %s", got)
+	}
+
+	logPath := filepath.Join(dir, "jobs.wal")
+	l, _ := openTestLog(t, logPath, RecordLogOptions{})
+	big := make([]byte, 300)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	for _, p := range [][]byte{[]byte("one"), []byte(`{"id":"two","state":"done"}`), big} {
+		if err := l.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileSHA256(t, logPath); got != "53f819a28ed6b31c42535e21ce83ef9b0b95e2dd219e2bdf650a54658aba39cb" {
+		t.Errorf("journal sha256 = %s", got)
+	}
+}
+
+func fileSHA256(t *testing.T, path string) string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:])
 }

@@ -1,9 +1,10 @@
 package oraclestore
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 )
 
 // This file is the byte-level half of the remote tier: whole record files
@@ -28,7 +29,9 @@ type RecordFileInfo struct {
 // ValidateRecordFile checks data against the record-file format: magic,
 // version, and every record's CRC and canonical core list. A torn tail is not
 // an error — it is reported via ValidLen, exactly as the loader would
-// truncate it. Only an unusable header fails.
+// truncate it. Only an unusable header fails. The header's block count is
+// not trusted: a record longer than the bytes left is a torn tail, found
+// before anything of its length is allocated.
 func ValidateRecordFile(data []byte) (RecordFileInfo, error) {
 	var info RecordFileInfo
 	if len(data) < headerLen {
@@ -37,10 +40,10 @@ func ValidateRecordFile(data []byte) (RecordFileInfo, error) {
 	if string(data[:8]) != string(fileMagic[:]) {
 		return info, fmt.Errorf("%w: bad record-file magic", ErrStore)
 	}
-	if v := leU32(data[8:12]); v != fileVersion {
+	if v := binary.LittleEndian.Uint32(data[8:12]); v != fileVersion {
 		return info, fmt.Errorf("%w: unsupported record-file version %d", ErrStore, v)
 	}
-	info.NumBlocks = int(leU32(data[12:16]))
+	info.NumBlocks = int(binary.LittleEndian.Uint32(data[12:16]))
 	if info.NumBlocks < 1 {
 		return info, fmt.Errorf("%w: implausible block count %d", ErrStore, info.NumBlocks)
 	}
@@ -54,28 +57,25 @@ func ValidateRecordFile(data []byte) (RecordFileInfo, error) {
 	return info, err
 }
 
-// leU32 reads a little-endian uint32 (binary.LittleEndian, spelled short).
-func leU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
 // walkRecords calls fn for every valid record of data (a header-checked
 // record file), stopping silently at the first invalid one — the torn-tail
-// rule. fn receives the decoded record and its raw encoded bytes.
+// rule, walked by the same reader the loader uses. fn receives the decoded
+// record and its raw encoded bytes.
 func walkRecords(data []byte, numBlocks int, fn func(rec record, raw []byte) error) error {
-	r := bufio.NewReaderSize(bytes.NewReader(data[headerLen:]), 1<<16)
-	scratch := make([]byte, 4+4*numBlocks+8*numBlocks+4)
+	var scratch []byte
 	off := headerLen
-	for {
-		rec, n, err := readRecord(r, scratch, numBlocks)
-		if err != nil {
-			return nil // io.EOF: clean end; anything else: torn tail, stop
+	_, err := walkFrames(bytes.NewReader(data[headerLen:]), int64(len(data)-headerLen), func(r io.Reader, left int64) (int, error) {
+		rec, n := readRecord(r, &scratch, numBlocks, left)
+		if n == 0 {
+			return 0, nil
 		}
 		if err := fn(rec, data[off:off+n]); err != nil {
-			return err
+			return 0, err
 		}
 		off += n
-	}
+		return n, nil
+	})
+	return err
 }
 
 // MergeRecordFiles unions incoming's records into existing, both whole record
@@ -144,7 +144,7 @@ func (c *SystemCache) AbsorbRecords(data []byte) (added int, err error) {
 		}
 		active := make([]int, len(rec.key)/4)
 		for i := range active {
-			active[i] = int(leU32([]byte(rec.key[4*i:])))
+			active[i] = int(binary.LittleEndian.Uint32([]byte(rec.key[4*i:])))
 		}
 		if err := c.Put(active, rec.temps); err != nil {
 			return err

@@ -1,21 +1,17 @@
 package oraclestore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
-	"time"
 )
 
-// RecordLog is the store's record discipline generalised to arbitrary
-// payloads: a crash-safe append-only log of CRC-framed byte frames, sharing
-// the system caches' filesystem seam, retry policy and degradation story.
-// The schedule service journals job state transitions through one.
+// RecordLog is a crash-safe append-only log of CRC-framed byte frames: the
+// same file discipline as the system record files (one appendLog serves
+// both), with a caller-defined payload. The schedule service journals job
+// state transitions through one.
 //
 // On-disk format, little-endian and append-only like the system record files:
 //
@@ -25,34 +21,24 @@ import (
 // The tag names the log's schema (callers hash a stable string into it), so a
 // log can never replay frames written by a different subsystem. Opening a log
 // replays every valid frame and truncates the first torn or corrupt one —
-// the same write-ahead-log recovery rule the system caches follow. Appends
-// are single writes on an O_APPEND descriptor, retried with backoff and
-// torn-tail healing; a log whose disk path keeps failing (or whose breaker is
-// open) degrades to memory-only — appends succeed but are counted as
-// unpersisted — instead of failing the caller.
+// the write-ahead-log recovery rule. Appends are single writes on an O_APPEND
+// descriptor, retried with backoff and torn-tail healing; a log whose disk
+// path keeps failing (or whose breaker is open) degrades to memory-only —
+// appends succeed but are counted as unpersisted — instead of failing the
+// caller. The log has its own breaker and counters, apart from any Store's.
 type RecordLog struct {
-	path  string
-	tag   [32]byte
-	fs    FS
-	retry RetryPolicy
-	brk   *breaker
-	fc    faultCounters
+	fc diskCounters
 
-	mu      sync.Mutex
-	f       File
-	memOnly bool
-	closed  bool
-
-	appended  int64 // frames written to disk by this handle
-	replayed  int   // frames replayed at open
-	recovered int64 // torn/corrupt bytes truncated at open
+	mu       sync.Mutex
+	log      *appendLog
+	closed   bool
+	replayed int // frames replayed at open
 }
 
 const (
-	recordLogVersion   = 1
-	recordLogHeaderLen = 8 + 4 + 32 // magic | version | tag
-	// maxFrameLen bounds a frame so a corrupt length word cannot make the
-	// loader allocate gigabytes; journal payloads are small JSON documents.
+	recordLogVersion = 1
+	// maxFrameLen bounds a frame's payload; journal payloads are small JSON
+	// documents.
 	maxFrameLen = 16 << 20
 )
 
@@ -81,33 +67,29 @@ func OpenRecordLog(path string, tag [32]byte, opts RecordLogOptions, replay func
 	if fsys == nil {
 		fsys = OSFS()
 	}
-	l := &RecordLog{
-		path:  path,
-		tag:   tag,
-		fs:    fsys,
-		retry: opts.Retry.withDefaults(),
-		brk:   newBreaker(opts.Breaker),
-	}
-	if err := fsys.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	// Like the system caches, a missing file is published complete (header
-	// included) via temp + atomic rename, so no reader can observe a partial
-	// header.
-	if _, err := fsys.Stat(path); os.IsNotExist(err) {
-		if err := createWithRawHeader(fsys, path, l.headerBytes()); err != nil {
-			return nil, err
+	l := &RecordLog{}
+	deps := logDeps{fs: fsys, retry: opts.Retry.withDefaults(), brk: NewBreaker(opts.Breaker), fc: &l.fc}
+	hdr := make([]byte, 0, 8+4+32) // magic | version | tag
+	hdr = append(hdr, recordLogMagic[:]...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, recordLogVersion)
+	hdr = append(hdr, tag[:]...)
+	log, _, err := openAppendLog(path, hdr, deps, func(r io.Reader, left int64) (int, error) {
+		payload, n := readFrame(r, left)
+		if n == 0 {
+			return 0, nil
 		}
-	}
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
+		if replay != nil {
+			if err := replay(payload); err != nil {
+				return 0, fmt.Errorf("replaying log frame: %v", err)
+			}
+		}
+		l.replayed++
+		return n, nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	l.f = f
-	if err := l.load(replay); err != nil {
-		f.Close()
 		return nil, err
 	}
+	l.log = log
 	return l, nil
 }
 
@@ -115,111 +97,33 @@ func OpenRecordLog(path string, tag [32]byte, opts RecordLogOptions, replay func
 // are counted as unpersisted, nothing survives the process. Used when the
 // caller has no durable directory configured.
 func NewMemRecordLog() *RecordLog {
-	return &RecordLog{
-		retry:   RetryPolicy{}.withDefaults(),
-		brk:     newBreaker(BreakerPolicy{}),
-		memOnly: true,
-	}
+	l := &RecordLog{}
+	l.log = memAppendLog("", logDeps{retry: RetryPolicy{}.withDefaults(), brk: NewBreaker(BreakerPolicy{}), fc: &l.fc})
+	return l
 }
 
-// headerBytes renders the fixed log header.
-func (l *RecordLog) headerBytes() []byte {
-	var hdr [recordLogHeaderLen]byte
-	copy(hdr[:8], recordLogMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:12], recordLogVersion)
-	copy(hdr[12:44], l.tag[:])
-	return hdr[:]
-}
-
-// load verifies the header, replays valid frames and truncates the tail at
-// the first invalid one, leaving the write offset at the end of the valid
-// prefix.
-func (l *RecordLog) load(replay func([]byte) error) error {
-	st, err := l.f.Stat()
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	if st.Size() < recordLogHeaderLen {
-		l.recovered += st.Size()
-		return l.reset()
-	}
-	r := bufio.NewReaderSize(io.NewSectionReader(l.f, 0, st.Size()), 1<<16)
-	var hdr [recordLogHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fmt.Errorf("%w: reading log header: %v", ErrStore, err)
-	}
-	ok := string(hdr[:8]) == string(recordLogMagic[:]) &&
-		binary.LittleEndian.Uint32(hdr[8:12]) == recordLogVersion &&
-		string(hdr[12:44]) == string(l.tag[:])
-	if !ok {
-		l.recovered += st.Size()
-		return l.reset()
-	}
-	good := int64(recordLogHeaderLen)
-	for {
-		payload, n, err := readFrame(r)
-		if err != nil {
-			if err != io.EOF {
-				l.recovered += st.Size() - good
-				if terr := l.f.Truncate(good); terr != nil {
-					return fmt.Errorf("%w: truncating corrupt log tail: %v", ErrStore, terr)
-				}
-			}
-			break
-		}
-		if replay != nil {
-			if rerr := replay(payload); rerr != nil {
-				return fmt.Errorf("%w: replaying log frame at offset %d: %v", ErrStore, good, rerr)
-			}
-		}
-		l.replayed++
-		good += int64(n)
-	}
-	if _, err := l.f.Seek(good, io.SeekStart); err != nil {
-		return fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	return nil
-}
-
-// reset truncates the file to zero and writes a fresh header.
-func (l *RecordLog) reset() error {
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	if _, err := l.f.Write(l.headerBytes()); err != nil {
-		return fmt.Errorf("%w: writing log header: %v", ErrStore, err)
-	}
-	return nil
-}
-
-// readFrame decodes one frame, returning its payload and consumed length.
-// A clean end of file yields io.EOF; any malformation yields a non-EOF error
-// (the loader truncates there).
-func readFrame(r *bufio.Reader) ([]byte, int, error) {
+// readFrame decodes one frame from r, which holds left more bytes, returning
+// its payload and encoded length; n == 0 at a clean end of file or a torn or
+// corrupt frame. A length word promising more than left is torn, found before
+// its buffer is allocated.
+func readFrame(r io.Reader, left int64) (payload []byte, n int) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		if err == io.EOF {
-			return nil, 0, io.EOF
-		}
-		return nil, 0, fmt.Errorf("short frame length: %w", err)
+		return nil, 0
 	}
-	n := int(binary.LittleEndian.Uint32(lenBuf[:]))
-	if n < 1 || n > maxFrameLen {
-		return nil, 0, fmt.Errorf("implausible frame length %d", n)
+	size := int(binary.LittleEndian.Uint32(lenBuf[:]))
+	if size < 1 || size > maxFrameLen || int64(size)+8 > left {
+		return nil, 0
 	}
-	buf := make([]byte, n+4)
+	buf := make([]byte, size+4)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, 0, fmt.Errorf("short frame body: %w", err)
+		return nil, 0
 	}
-	payload := buf[:n]
-	wantCRC := binary.LittleEndian.Uint32(buf[n:])
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return nil, 0, fmt.Errorf("frame CRC mismatch")
+	payload = buf[:size]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[size:]) {
+		return nil, 0
 	}
-	return payload, 4 + n + 4, nil
+	return payload, 4 + size + 4
 }
 
 // encodeFrame renders one frame: u32 len | payload | u32 crc.
@@ -246,28 +150,7 @@ func (l *RecordLog) Append(payload []byte) error {
 	if l.closed {
 		return fmt.Errorf("%w: record log is closed", ErrStore)
 	}
-	if l.memOnly {
-		l.fc.unpersisted.Add(1)
-		return nil
-	}
-	if !l.brk.Allow() {
-		l.fc.unpersisted.Add(1)
-		return nil
-	}
-	retired, err := appendWithHeal(l.f, l.retry, func() { l.fc.retries.Add(1) }, encodeFrame(payload))
-	if retired {
-		l.f.Close()
-		l.f = nil
-		l.memOnly = true
-	}
-	if err != nil {
-		l.brk.Failure(err)
-		l.fc.failures.Add(1)
-		l.fc.unpersisted.Add(1)
-		return nil
-	}
-	l.brk.Success()
-	l.appended++
+	_ = l.log.append(encodeFrame(payload)) // failures are counted, not returned
 	return nil
 }
 
@@ -275,13 +158,7 @@ func (l *RecordLog) Append(payload []byte) error {
 func (l *RecordLog) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	return nil
+	return l.log.sync()
 }
 
 // Close syncs and closes the log file; Append fails afterwards.
@@ -289,18 +166,7 @@ func (l *RecordLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.closed = true
-	if l.f == nil {
-		return nil
-	}
-	err := l.f.Sync()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.f = nil
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	return nil
+	return l.log.close()
 }
 
 // RecordLogStats is one log's durability snapshot.
@@ -328,13 +194,13 @@ func (l *RecordLog) Stats() RecordLogStats {
 	defer l.mu.Unlock()
 	return RecordLogStats{
 		Replayed:    l.replayed,
-		Recovered:   l.recovered,
-		Appended:    l.appended,
+		Recovered:   l.log.recovered,
+		Appended:    l.log.appended,
 		Retries:     l.fc.retries.Load(),
 		Failures:    l.fc.failures.Load(),
 		Unpersisted: l.fc.unpersisted.Load(),
-		MemOnly:     l.memOnly,
-		Breaker:     l.brk.State(),
+		MemOnly:     l.log.memOnly,
+		Breaker:     l.log.brk.State(),
 	}
 }
 
@@ -342,72 +208,8 @@ func (l *RecordLog) Stats() RecordLogStats {
 func (l *RecordLog) MemOnly() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.memOnly
+	return l.log.memOnly
 }
 
 // Path returns the log's file path, empty for a memory-only log.
-func (l *RecordLog) Path() string { return l.path }
-
-// createWithRawHeader publishes a fresh file carrying hdr atomically: header
-// written to a temp file in the same directory, fsynced, then renamed into
-// place. Shared by the system record files and RecordLogs.
-func createWithRawHeader(fsys FS, path string, hdr []byte) error {
-	tmp, err := fsys.CreateTemp(filepath.Dir(path), ".tsoc-tmp-*")
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	defer fsys.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(hdr); err != nil {
-		tmp.Close()
-		return fmt.Errorf("%w: writing header: %v", ErrStore, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	if err := fsys.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	return nil
-}
-
-// appendWithHeal writes buf at the end of f (an O_APPEND descriptor the
-// caller exclusively writes through), retrying transient failures under
-// retry. A partial (torn) write is healed before the retry by truncating the
-// file back to its pre-write size. If the truncate itself fails the file can
-// no longer be trusted not to carry garbage mid-stream: retired is returned
-// true and the caller must stop writing through f (the next load truncates
-// the torn tail by CRC, losing only what this process failed to persist
-// anyway). countRetry, when non-nil, is called once per retry.
-func appendWithHeal(f File, retry RetryPolicy, countRetry func(), buf []byte) (retired bool, err error) {
-	var lastErr error
-	for attempt := 0; attempt < retry.Attempts; attempt++ {
-		if attempt > 0 {
-			if countRetry != nil {
-				countRetry()
-			}
-			time.Sleep(retry.backoff(attempt - 1))
-		}
-		n, werr := f.Write(buf)
-		if werr == nil {
-			return false, nil
-		}
-		lastErr = werr
-		if n > 0 {
-			st, serr := f.Stat()
-			var terr error
-			if serr != nil {
-				terr = serr
-			} else {
-				terr = f.Truncate(st.Size() - int64(n))
-			}
-			if terr != nil {
-				return true, fmt.Errorf("append failed (%v); torn-tail truncate failed: %w", werr, terr)
-			}
-		}
-	}
-	return false, lastErr
-}
+func (l *RecordLog) Path() string { return l.log.path }

@@ -158,7 +158,7 @@ func (n *Node) handlePut(w http.ResponseWriter, r *http.Request, key [32]byte) {
 		return
 	}
 	if existing == nil || added > 0 {
-		if err := writeFileAtomic(path, merged); err != nil {
+		if err := oraclestore.WriteFileAtomic(oraclestore.OSFS(), path, merged); err != nil {
 			n.logf("thermstore: publish %x: %v", key[:4], err)
 			http.Error(w, "publish: "+err.Error(), http.StatusInternalServerError)
 			return
@@ -167,31 +167,4 @@ func (n *Node) handlePut(w http.ResponseWriter, r *http.Request, key [32]byte) {
 	mi, _ := oraclestore.ValidateRecordFile(merged)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]int{"records": mi.Records, "added": added})
-}
-
-// writeFileAtomic publishes data at path via temp file + fsync + rename in
-// the same directory, so readers only ever observe whole files.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, ".put-*.tmp")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmpName, path)
 }

@@ -11,10 +11,11 @@
 // sides re-verify every record's CRC on receipt, so a corrupted wire or disk
 // can lose warmth but never serve wrong temperatures.
 //
-// Fault discipline follows the local store's: every node has its own circuit
-// breaker (oraclestore.BreakerPolicy semantics), requests carry a short
-// timeout, and all failures degrade — the caller sees a cold cache, never an
-// error — so killing a node mid-sweep costs warmth on its key range only.
+// Fault discipline follows the local store's: every node has its own
+// oraclestore.Breaker (the type that guards the local disk), requests carry
+// a short timeout, and all failures degrade — the caller sees a cold cache,
+// never an error — so killing a node mid-sweep costs warmth on its key range
+// only.
 package remote
 
 import (
@@ -27,7 +28,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/oraclestore"
@@ -78,7 +78,7 @@ type Client struct {
 // clientNode is one physical node: its base URL and its breaker.
 type clientNode struct {
 	base string
-	brk  *nodeBreaker
+	brk  *oraclestore.Breaker
 }
 
 // ringPoint is one virtual node on the hash ring.
@@ -116,7 +116,7 @@ func NewClient(addrs []string, opts ClientOptions) (*Client, error) {
 		}
 		seen[base] = true
 		idx := len(c.nodes)
-		c.nodes = append(c.nodes, &clientNode{base: base, brk: newNodeBreaker(opts.Breaker)})
+		c.nodes = append(c.nodes, &clientNode{base: base, brk: oraclestore.NewBreaker(opts.Breaker)})
 		for v := 0; v < replicas; v++ {
 			h := sha256.Sum256([]byte(fmt.Sprintf("%s#%d", base, v)))
 			c.ring = append(c.ring, ringPoint{hash: binary.BigEndian.Uint64(h[:8]), node: idx})
@@ -257,65 +257,3 @@ func (c *Client) BreakerStates() map[string]oraclestore.BreakerState {
 }
 
 var _ oraclestore.RemoteTier = (*Client)(nil)
-
-// nodeBreaker is the per-node circuit breaker — the same closed / open /
-// half-open discipline as the local store's (one trial request after the
-// probe interval; its outcome closes or re-opens).
-type nodeBreaker struct {
-	policy oraclestore.BreakerPolicy
-
-	mu          sync.Mutex
-	state       oraclestore.BreakerState
-	consecutive int
-	openedAt    time.Time
-}
-
-func newNodeBreaker(policy oraclestore.BreakerPolicy) *nodeBreaker {
-	return &nodeBreaker{policy: policy.WithDefaults()}
-}
-
-// Allow reports whether the caller may issue a request; in the open state it
-// admits exactly one trial once the probe interval has elapsed.
-func (b *nodeBreaker) Allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case oraclestore.BreakerClosed:
-		return true
-	case oraclestore.BreakerOpen:
-		if time.Since(b.openedAt) >= b.policy.Probe {
-			b.state = oraclestore.BreakerHalfOpen
-			return true
-		}
-		return false
-	default: // half-open: a trial is already in flight
-		return false
-	}
-}
-
-// Success closes the breaker and resets the streak.
-func (b *nodeBreaker) Success() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.state = oraclestore.BreakerClosed
-	b.consecutive = 0
-}
-
-// Failure extends the streak, tripping open at the threshold (immediately
-// when the failure was the half-open trial).
-func (b *nodeBreaker) Failure(error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.consecutive++
-	if b.state == oraclestore.BreakerHalfOpen || b.consecutive >= b.policy.Failures {
-		b.state = oraclestore.BreakerOpen
-		b.openedAt = time.Now()
-	}
-}
-
-// State returns the current state without transitioning it.
-func (b *nodeBreaker) State() oraclestore.BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}

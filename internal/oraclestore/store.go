@@ -25,7 +25,20 @@
 // resumes — the classic write-ahead-log recovery rule. Records are
 // fixed-stride once the active-set size is read, so a loader may also mmap
 // the file and walk it in place; the stock loader streams it with one
-// buffered pass.
+// buffered pass. A record whose length (from its active count and the
+// header's block count) runs past the bytes left is a torn tail, found before
+// anything of that length is allocated, so a forged header arriving through
+// the remote tier cannot make the reader allocate from it.
+//
+// One file discipline. Record files and RecordLog journals (CRC-framed byte
+// payloads; the schedule service's job journal) sit on one unexported
+// appendLog: atomic creation with the header, header check and reset,
+// replay, torn-tail truncation, appends retried with torn-tail healing,
+// retirement to memory-only, Sync and Close. Each format supplies only its
+// header bytes and a frame reader. One Breaker type guards a store's disk, a
+// RecordLog's disk and each remote store node, and WriteFileAtomic is the one
+// temp-file-and-rename publish, used for new files here and for merged files
+// on cmd/thermstore nodes.
 //
 // Concurrency. A SystemCache is safe for concurrent use within one process.
 // The store does not lock files across handles or processes; instead the
@@ -54,7 +67,6 @@ import (
 	"math"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/floorplan"
 	"repro/internal/power"
@@ -203,19 +215,6 @@ func (d SystemDesc) Key() ([32]byte, error) {
 	return key, nil
 }
 
-// faultCounters aggregates disk-fault accounting across a store's caches —
-// the raw material of the service's degradation metrics.
-type faultCounters struct {
-	// retries counts append attempts repeated after a failed write.
-	retries atomic.Int64
-	// failures counts appends that exhausted their retry budget.
-	failures atomic.Int64
-	// unpersisted counts records memoized in RAM only, because the disk path
-	// failed or the breaker was open when they were produced. They answer
-	// warm for this process's lifetime but are lost on restart.
-	unpersisted atomic.Int64
-}
-
 // Store manages the cache directory and hands out one SystemCache per
 // distinct system key (shared within the process, so concurrent Envs over
 // the same system append through one descriptor).
@@ -231,8 +230,8 @@ type Store struct {
 	dir    string
 	fs     FS
 	retry  RetryPolicy
-	brk    *breaker
-	fc     faultCounters
+	brk    *Breaker
+	fc     diskCounters
 	remote RemoteTier
 	rc     remoteCounters
 
@@ -241,16 +240,12 @@ type Store struct {
 	// Lifetime eviction counters (see Evict).
 	evictedFiles int
 	evictedBytes int64
-	// appended totals the record bytes written through this Store's system
-	// caches — a cheap growth signal, so budget enforcers can skip the
-	// directory walk when nothing new has been persisted.
-	appended atomic.Int64
 }
 
 // AppendedBytes returns the total record bytes appended through this Store
 // since it was opened. It only ever grows; a caller that saw value v and
 // enforced its budget then may skip re-scanning until the value changes.
-func (s *Store) AppendedBytes() int64 { return s.appended.Load() }
+func (s *Store) AppendedBytes() int64 { return s.fc.appendedBytes.Load() }
 
 // StoreOptions tunes a store's fault-tolerance plumbing; the zero value is
 // the production default.
@@ -290,7 +285,7 @@ func OpenWithOptions(dir string, opts StoreOptions) (*Store, error) {
 		dir:     dir,
 		fs:      fsys,
 		retry:   opts.Retry.withDefaults(),
-		brk:     newBreaker(opts.Breaker),
+		brk:     NewBreaker(opts.Breaker),
 		remote:  opts.Remote,
 		systems: make(map[[32]byte]*SystemCache),
 	}, nil
@@ -348,15 +343,10 @@ func (s *Store) System(desc SystemDesc) (*SystemCache, error) {
 	return c, nil
 }
 
-// cacheDeps bundles the store-level plumbing every SystemCache shares.
-func (s *Store) cacheDeps() cacheDeps {
-	return cacheDeps{
-		fs:            s.fs,
-		retry:         s.retry,
-		brk:           s.brk,
-		fc:            &s.fc,
-		appendedBytes: &s.appended,
-	}
+// cacheDeps bundles the store-level plumbing every SystemCache shares: one
+// breaker and one set of counters per store.
+func (s *Store) cacheDeps() logDeps {
+	return logDeps{fs: s.fs, retry: s.retry, brk: s.brk, fc: &s.fc}
 }
 
 // StoreHealth is the fault-layer snapshot health endpoints report.
@@ -369,8 +359,8 @@ type StoreHealth struct {
 	BreakerOpens int64
 	// LastError is the most recent disk failure, empty when healthy.
 	LastError string
-	// AppendRetries / AppendFailures / Unpersisted aggregate the fault
-	// counters (see faultCounters) across every cache of this store.
+	// AppendRetries / AppendFailures / Unpersisted aggregate the disk
+	// counters (see diskCounters) across every cache of this store.
 	AppendRetries  int64
 	AppendFailures int64
 	Unpersisted    int64

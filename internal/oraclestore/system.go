@@ -1,14 +1,12 @@
 package oraclestore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,129 +22,62 @@ const (
 
 var fileMagic = [8]byte{'T', 'S', 'O', 'R', 'A', 'C', 'L', '1'}
 
-// cacheDeps is the store-level plumbing a SystemCache appends through: the
-// filesystem seam, the retry and breaker policies, and the shared counters.
-// Every field is optional (nil-safe), so direct-constructed caches in tests
-// behave like the pre-fault-layer code.
-type cacheDeps struct {
-	fs            FS
-	retry         RetryPolicy
-	brk           *breaker
-	fc            *faultCounters
-	appendedBytes *atomic.Int64
-}
-
-func (d cacheDeps) withDefaults() cacheDeps {
-	if d.fs == nil {
-		d.fs = OSFS()
-	}
-	d.retry = d.retry.withDefaults()
-	return d
-}
-
-func (d cacheDeps) allow() bool {
-	return d.brk == nil || d.brk.Allow()
-}
-
-func (d cacheDeps) success() {
-	if d.brk != nil {
-		d.brk.Success()
-	}
-}
-
-func (d cacheDeps) failure(err error) {
-	if d.brk != nil {
-		d.brk.Failure(err)
-	}
-}
-
-func (d cacheDeps) countRetry() {
-	if d.fc != nil {
-		d.fc.retries.Add(1)
-	}
-}
-
-func (d cacheDeps) countFailure() {
-	if d.fc != nil {
-		d.fc.failures.Add(1)
-	}
-}
-
-func (d cacheDeps) countUnpersisted() {
-	if d.fc != nil {
-		d.fc.unpersisted.Add(1)
-	}
-}
-
 // SystemCache is one system's on-disk memo table, fully mirrored in memory.
 // Get/Put are safe for concurrent use; Put appends one self-checksummed
 // record per distinct active set.
 //
-// A cache can run memory-only (memOnly): Get/Put work normally against the
-// RAM mirror but nothing touches disk. A cache is born memory-only when the
-// store's breaker was open (or the open failed) at System() time, and
-// becomes memory-only permanently if a torn append cannot be healed — the
-// one case where continuing to write would corrupt the file.
+// A cache can run memory-only: Get/Put work normally against the RAM mirror
+// but nothing touches disk. A cache is born memory-only when the store's
+// breaker was open (or the open failed) at System() time, and becomes
+// memory-only permanently if a torn append cannot be healed — the one case
+// where continuing to write would corrupt the file.
 type SystemCache struct {
-	path      string
 	key       [32]byte
 	numBlocks int
-	deps      cacheDeps
 
 	mu      sync.Mutex
-	f       File
+	log     *appendLog
 	mem     map[string][]float64
 	evicted bool
-	memOnly bool
 	// pushedSize is the file size at the last successful remote push; the
 	// file is dirty (PushRemote ships it) while it has grown past this.
 	pushedSize int64
 
 	hits, misses atomic.Int64
-	appended     atomic.Int64
 	lastUse      atomic.Int64 // unix nanos of the most recent open/Get/Put
 	loaded       int
-	dupes        int   // duplicate records deduped at load
-	recovered    int64 // corrupt tail bytes truncated at load
+	dupes        int // duplicate records deduped at load
 }
 
 // openSystemCache opens or creates the record file and loads every valid
 // record, truncating any torn or corrupt tail.
-func openSystemCache(path string, key [32]byte, numBlocks int, deps cacheDeps) (*SystemCache, error) {
-	deps = deps.withDefaults()
-	if err := deps.fs.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	// A missing file is created *with its header* via temp-file + atomic
-	// rename, so no handle can ever observe (or race to write) a partial
-	// header: two creators each publish a complete file and the second
-	// rename simply wins — the loser's handle appends to an unlinked inode,
-	// losing its records but corrupting nothing.
-	if _, err := deps.fs.Stat(path); os.IsNotExist(err) {
-		if err := createWithHeader(deps.fs, path, key, numBlocks); err != nil {
-			return nil, err
+func openSystemCache(path string, key [32]byte, numBlocks int, deps logDeps) (*SystemCache, error) {
+	c := &SystemCache{key: key, numBlocks: numBlocks, mem: make(map[string][]float64)}
+	var scratch []byte
+	log, healed, err := openAppendLog(path, headerBytes(key, numBlocks), deps, func(r io.Reader, left int64) (int, error) {
+		rec, n := readRecord(r, &scratch, numBlocks, left)
+		if n > 0 {
+			if _, ok := c.mem[rec.key]; ok {
+				// Racing handles can append the same answer twice (see the
+				// package doc); count the dedup so tests can assert a
+				// single-writer run produced none.
+				c.dupes++
+			}
+			c.mem[rec.key] = rec.temps
 		}
-	}
-	// O_APPEND: every record write lands atomically at the true end of the
-	// file, so a second handle on the same path (another Store in this or
-	// another process) can at worst append duplicate records — deduped at
-	// the next load — never overwrite bytes mid-record.
-	f, err := deps.fs.OpenFile(path, os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
+		return n, nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	c := &SystemCache{
-		path:      path,
-		key:       key,
-		numBlocks: numBlocks,
-		deps:      deps,
-		f:         f,
-		mem:       make(map[string][]float64),
-	}
-	if err := c.load(); err != nil {
-		f.Close()
 		return nil, err
 	}
+	if healed != nil {
+		// Recovery truncated or rewrote the file, refreshing its mtime — and
+		// off Linux mtime is the *whole* LRU clock (atime_other.go), so a
+		// healed-but-cold file would jump ahead of genuinely warm ones.
+		restoreTimes(deps.fs, path, healed)
+	}
+	c.log = log
+	c.loaded = len(c.mem)
 	c.touch()
 	return c, nil
 }
@@ -155,109 +86,27 @@ func openSystemCache(path string, key [32]byte, numBlocks int, deps cacheDeps) (
 // answer is memoized in RAM only (counted as unpersisted) and lost on
 // restart. Used when the store's breaker is open at System() time or the
 // on-disk open failed.
-func newMemOnlyCache(path string, key [32]byte, numBlocks int, deps cacheDeps) *SystemCache {
-	c := &SystemCache{
-		path:      path,
-		key:       key,
-		numBlocks: numBlocks,
-		deps:      deps.withDefaults(),
-		mem:       make(map[string][]float64),
-		memOnly:   true,
-	}
+func newMemOnlyCache(path string, key [32]byte, numBlocks int, deps logDeps) *SystemCache {
+	c := &SystemCache{key: key, numBlocks: numBlocks, log: memAppendLog(path, deps), mem: make(map[string][]float64)}
 	c.touch()
 	return c
+}
+
+// restoreTimes puts back the access and modification times st recorded —
+// best-effort, like the rest of the eviction clock.
+func restoreTimes(fsys FS, path string, st os.FileInfo) {
+	mt := st.ModTime()
+	at := mt
+	if a, ok := atime(st); ok {
+		at = a
+	}
+	_ = fsys.Chtimes(path, at, mt)
 }
 
 // touch records an access for the store's LRU eviction clock. The in-process
 // clock dominates filesystem timestamps (which noatime mounts freeze), so a
 // system a live handle keeps answering from never looks cold.
 func (c *SystemCache) touch() { c.lastUse.Store(time.Now().UnixNano()) }
-
-// load reads the header and every record, resetting an invalid header and
-// truncating at the first invalid record. On return the file offset sits at
-// the end of the valid prefix with everything after it discarded, so appends
-// resume from a consistent state.
-func (c *SystemCache) load() error {
-	st, err := c.f.Stat()
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	// Recovery truncates and rewrites the file, which refreshes its mtime —
-	// and off Linux mtime is the *whole* LRU clock (atime_other.go), so a
-	// healed-but-cold file would jump ahead of genuinely warm ones. Capture
-	// the pre-heal stamp so every recovery path below can restore it;
-	// best-effort, like the rest of the eviction clock.
-	restoreTimes := func() {
-		mt := st.ModTime()
-		at := mt
-		if a, ok := atime(st); ok {
-			at = a
-		}
-		_ = c.deps.fs.Chtimes(c.path, at, mt)
-	}
-	if st.Size() < headerLen {
-		// New file (or one that died before the header landed): start over.
-		c.recovered += st.Size()
-		if err := c.reset(); err != nil {
-			return err
-		}
-		if st.Size() > 0 {
-			restoreTimes()
-		}
-		return nil
-	}
-	r := bufio.NewReaderSize(io.NewSectionReader(c.f, 0, st.Size()), 1<<16)
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fmt.Errorf("%w: reading header: %v", ErrStore, err)
-	}
-	ok := string(hdr[:8]) == string(fileMagic[:]) &&
-		binary.LittleEndian.Uint32(hdr[8:12]) == fileVersion &&
-		int(binary.LittleEndian.Uint32(hdr[12:16])) == c.numBlocks &&
-		string(hdr[16:48]) == string(c.key[:])
-	if !ok {
-		// Wrong magic/version/shape/key: the cache is derived data, so the
-		// safe recovery is to discard it rather than answer for the wrong
-		// system.
-		c.recovered += st.Size()
-		if err := c.reset(); err != nil {
-			return err
-		}
-		restoreTimes()
-		return nil
-	}
-
-	good := int64(headerLen)
-	recBuf := make([]byte, 4+4*c.numBlocks+8*c.numBlocks+4) // worst-case record
-	for {
-		rec, n, err := readRecord(r, recBuf, c.numBlocks)
-		if err != nil {
-			// io.EOF: clean end. Anything else — short tail, CRC mismatch,
-			// non-canonical cores — is a torn or corrupt append: truncate it.
-			if err != io.EOF {
-				c.recovered += st.Size() - good
-				if err := c.f.Truncate(good); err != nil {
-					return fmt.Errorf("%w: truncating corrupt tail: %v", ErrStore, err)
-				}
-				restoreTimes()
-			}
-			break
-		}
-		if _, ok := c.mem[rec.key]; ok {
-			// Racing handles can append the same answer twice (see the
-			// package doc); count the dedup so tests can assert a
-			// single-writer run produced none.
-			c.dupes++
-		}
-		c.mem[rec.key] = rec.temps
-		good += int64(n)
-	}
-	c.loaded = len(c.mem)
-	if _, err := c.f.Seek(good, io.SeekStart); err != nil {
-		return fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	return nil
-}
 
 // headerBytes renders the fixed file header.
 func headerBytes(key [32]byte, numBlocks int) []byte {
@@ -269,66 +118,46 @@ func headerBytes(key [32]byte, numBlocks int) []byte {
 	return hdr[:]
 }
 
-// createWithHeader publishes a fresh record file atomically: header written
-// to a temp file in the same directory, fsynced, then renamed into place.
-func createWithHeader(fsys FS, path string, key [32]byte, numBlocks int) error {
-	return createWithRawHeader(fsys, path, headerBytes(key, numBlocks))
-}
-
-// reset truncates the file to zero and writes a fresh header.
-func (c *SystemCache) reset() error {
-	if err := c.f.Truncate(0); err != nil {
-		return fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	if _, err := c.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	if _, err := c.f.Write(headerBytes(c.key, c.numBlocks)); err != nil {
-		return fmt.Errorf("%w: writing header: %v", ErrStore, err)
-	}
-	return nil
-}
-
 type record struct {
 	key   string
 	temps []float64
 }
 
-// readRecord decodes one record, returning its consumed length. Any
-// malformation yields a non-EOF error; a clean end-of-file yields io.EOF.
-func readRecord(r *bufio.Reader, scratch []byte, numBlocks int) (record, int, error) {
+// readRecord decodes one record from r, which holds left more bytes,
+// returning it and its encoded length; n == 0 at a clean end of file or a
+// torn or corrupt record (short, CRC mismatch, non-canonical cores). scratch
+// is grown to the record's length only once left is known to hold it, so a
+// forged count allocates nothing.
+func readRecord(r io.Reader, scratch *[]byte, numBlocks int, left int64) (rec record, n int) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		if err == io.EOF {
-			return record{}, 0, io.EOF
-		}
-		return record{}, 0, fmt.Errorf("short record length: %w", err)
+		return record{}, 0
 	}
 	nActive := int(binary.LittleEndian.Uint32(lenBuf[:]))
 	if nActive < 1 || nActive > numBlocks {
-		return record{}, 0, fmt.Errorf("implausible active count %d", nActive)
+		return record{}, 0
 	}
 	need := 4 + 4*nActive + 8*numBlocks + 4
-	var buf []byte
-	if cap(scratch) >= need {
-		buf = scratch[:need]
-	} else {
-		buf = make([]byte, need)
+	if int64(need) > left {
+		return record{}, 0
 	}
+	if cap(*scratch) < need {
+		*scratch = make([]byte, need)
+	}
+	buf := (*scratch)[:need]
 	copy(buf, lenBuf[:])
 	if _, err := io.ReadFull(r, buf[4:]); err != nil {
-		return record{}, 0, fmt.Errorf("short record body: %w", err)
+		return record{}, 0
 	}
 	body := buf[:len(buf)-4]
-	wantCRC := binary.LittleEndian.Uint32(buf[len(buf)-4:])
-	if crc32.ChecksumIEEE(body) != wantCRC {
-		return record{}, 0, fmt.Errorf("record CRC mismatch")
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(buf[len(buf)-4:]) {
+		return record{}, 0
 	}
 	prev := -1
 	for i := 0; i < nActive; i++ {
 		cv := int(binary.LittleEndian.Uint32(body[4+4*i:]))
 		if cv <= prev || cv >= numBlocks {
-			return record{}, 0, fmt.Errorf("non-canonical core list")
+			return record{}, 0
 		}
 		prev = cv
 	}
@@ -337,7 +166,7 @@ func readRecord(r *bufio.Reader, scratch []byte, numBlocks int) (record, int, er
 	for i := range temps {
 		temps[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[toff+8*i:]))
 	}
-	return record{key: string(body[4 : 4+4*nActive]), temps: temps}, len(buf), nil
+	return record{key: string(body[4 : 4+4*nActive]), temps: temps}, need
 }
 
 // memKey canonicalises an active set into the sorted little-endian byte key
@@ -392,7 +221,7 @@ func (c *SystemCache) Get(active []int) ([]float64, bool) {
 // Put persists one answer. Re-putting a known set is a no-op; temps must
 // have one entry per block. The append is a single write on an O_APPEND
 // descriptor (atomically positioned at EOF by the kernel), guarded by the
-// cache's lock; a failed write is retried under the cache's RetryPolicy with
+// cache's lock; a failed write is retried under the store's RetryPolicy with
 // any torn tail truncated away first, so retries never land after garbage.
 //
 // Put degrades instead of failing: the answer is always memoized in RAM
@@ -413,7 +242,7 @@ func (c *SystemCache) Put(active []int, temps []float64) error {
 	c.touch()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f == nil && !c.memOnly {
+	if c.log.f == nil && !c.log.memOnly {
 		if c.evicted {
 			return fmt.Errorf("%w: cache was evicted", ErrStore)
 		}
@@ -426,15 +255,6 @@ func (c *SystemCache) Put(active []int, temps []float64) error {
 	copy(kept, temps)
 	c.mem[key] = kept
 
-	if c.memOnly {
-		c.deps.countUnpersisted()
-		return nil
-	}
-	if !c.deps.allow() {
-		// Breaker open: skip the disk without burning retries on it.
-		c.deps.countUnpersisted()
-		return nil
-	}
 	buf := make([]byte, 0, 4+4*len(sorted)+8*len(temps)+4)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sorted)))
 	for _, cv := range sorted {
@@ -444,51 +264,18 @@ func (c *SystemCache) Put(active []int, temps []float64) error {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t))
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	if err := c.appendLocked(buf); err != nil {
-		c.deps.failure(err)
-		c.deps.countFailure()
-		c.deps.countUnpersisted()
-		return nil
+	// An append that ultimately fails may still have healed torn bytes
+	// (truncate + rewrite), refreshing mtime without persisting anything, so
+	// that case restores the pre-append stamp; a *successful* append is a
+	// genuine use and keeps its fresh mtime.
+	var pre os.FileInfo
+	if c.log.f != nil {
+		pre, _ = c.log.f.Stat()
 	}
-	c.deps.success()
-	c.appended.Add(1)
-	if c.deps.appendedBytes != nil {
-		c.deps.appendedBytes.Add(int64(len(buf)))
+	if err := c.log.append(buf); err != nil && err != errSkipped && pre != nil {
+		restoreTimes(c.log.fs, c.log.path, pre)
 	}
 	return nil
-}
-
-// appendLocked writes one encoded record with retries and torn-tail healing
-// (see appendWithHeal) — legal because this handle is the only in-process
-// writer (the cache lock is held) and O_APPEND positioned the write at EOF.
-// An unhealable torn tail retires the file handle: the cache flips to
-// memory-only for the rest of its life rather than appending records a
-// future load would discard.
-func (c *SystemCache) appendLocked(buf []byte) error {
-	// An append that ultimately fails may still have healed torn bytes
-	// (truncate + rewrite), refreshing mtime without persisting anything.
-	// Capture the pre-append stamp so that case restores the LRU clock — a
-	// *successful* append is a genuine use and keeps its fresh mtime.
-	var preM, preA time.Time
-	havePre := false
-	if st, err := c.f.Stat(); err == nil {
-		preM = st.ModTime()
-		preA = preM
-		if a, ok := atime(st); ok {
-			preA = a
-		}
-		havePre = true
-	}
-	retired, err := appendWithHeal(c.f, c.deps.retry, c.deps.countRetry, buf)
-	if retired {
-		c.f.Close()
-		c.f = nil
-		c.memOnly = true
-	}
-	if err != nil && havePre {
-		_ = c.deps.fs.Chtimes(c.path, preA, preM)
-	}
-	return err
 }
 
 // Len returns the number of cached answers (loaded + appended).
@@ -508,10 +295,14 @@ func (c *SystemCache) Loaded() int { return c.loaded }
 func (c *SystemCache) Duplicates() int { return c.dupes }
 
 // Appended returns how many records this handle has written to disk.
-func (c *SystemCache) Appended() int64 { return c.appended.Load() }
+func (c *SystemCache) Appended() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.log.appended
+}
 
 // Recovered returns how many corrupt or torn bytes were discarded at load.
-func (c *SystemCache) Recovered() int64 { return c.recovered }
+func (c *SystemCache) Recovered() int64 { return c.log.recovered }
 
 // LastUse returns the time of the most recent open, Get or Put through this
 // handle — the in-process half of the store's LRU clock.
@@ -524,7 +315,7 @@ func (c *SystemCache) Key() [32]byte { return c.key }
 
 // SizeBytes returns the record file's current size, 0 once evicted.
 func (c *SystemCache) SizeBytes() int64 {
-	st, err := c.deps.withDefaults().fs.Stat(c.path)
+	st, err := c.log.fs.Stat(c.log.path)
 	if err != nil {
 		return 0
 	}
@@ -544,7 +335,7 @@ func (c *SystemCache) Evicted() bool {
 func (c *SystemCache) MemOnly() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.memOnly
+	return c.log.memOnly
 }
 
 // Evict closes the record file, deletes it from disk and drops the in-memory
@@ -560,18 +351,18 @@ func (c *SystemCache) Evict() error {
 		return nil
 	}
 	c.evicted = true
-	c.memOnly = false
+	c.log.memOnly = false
 	var err error
-	if c.f != nil {
-		err = c.f.Close()
-		c.f = nil
+	if c.log.f != nil {
+		err = c.log.f.Close()
+		c.log.f = nil
 	}
-	if rerr := c.deps.withDefaults().fs.Remove(c.path); rerr != nil && !os.IsNotExist(rerr) && err == nil {
+	if rerr := c.log.fs.Remove(c.log.path); rerr != nil && !os.IsNotExist(rerr) && err == nil {
 		err = rerr
 	}
 	c.mem = make(map[string][]float64)
 	if err != nil {
-		return fmt.Errorf("%w: evicting %s: %v", ErrStore, c.path, err)
+		return fmt.Errorf("%w: evicting %s: %v", ErrStore, c.log.path, err)
 	}
 	return nil
 }
@@ -583,15 +374,16 @@ func (c *SystemCache) Evict() error {
 func (c *SystemCache) dirtyFileBytes() (data []byte, size int64, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f == nil || c.memOnly || c.evicted {
+	f := c.log.f // nil while memory-only and once evicted or closed
+	if f == nil {
 		return nil, 0, false
 	}
-	st, err := c.f.Stat()
+	st, err := f.Stat()
 	if err != nil || st.Size() <= c.pushedSize {
 		return nil, 0, false
 	}
 	buf := make([]byte, st.Size())
-	if _, err := c.f.ReadAt(buf, 0); err != nil {
+	if _, err := f.ReadAt(buf, 0); err != nil {
 		return nil, 0, false
 	}
 	return buf, st.Size(), true
@@ -613,19 +405,13 @@ func (c *SystemCache) Stats() (hits, misses int64) {
 }
 
 // Path returns the record file path.
-func (c *SystemCache) Path() string { return c.path }
+func (c *SystemCache) Path() string { return c.log.path }
 
 // Sync flushes appended records to stable storage.
 func (c *SystemCache) Sync() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f == nil {
-		return nil
-	}
-	if err := c.f.Sync(); err != nil {
-		return fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	return nil
+	return c.log.sync()
 }
 
 // close syncs and closes the record file. Get keeps answering from memory;
@@ -633,18 +419,7 @@ func (c *SystemCache) Sync() error {
 func (c *SystemCache) close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f == nil {
-		return nil
-	}
-	err := c.f.Sync()
-	if cerr := c.f.Close(); err == nil {
-		err = cerr
-	}
-	c.f = nil
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	return nil
+	return c.log.close()
 }
 
 // storeOracle is the tier-2 oracle: answer from the SystemCache, otherwise
