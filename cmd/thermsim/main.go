@@ -109,7 +109,7 @@ func run(workload, flpPath, specPath, activeStr string, transient bool, duration
 			if err != nil {
 				return err
 			}
-			gres, err := gm.SteadyStateActive(pm, active)
+			gres, err := gm.SteadyState(pm)
 			if err != nil {
 				return err
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -13,8 +14,8 @@ import (
 // GridOracle answers oracle queries with a fine-grid discretisation instead
 // of the compact block model: each active core's test power is deposited over
 // its footprint on an nx×ny cell grid and the steady-state field is reduced
-// back to one temperature per block (the hottest cell inside the block — the
-// quantity a thermal-safety check cares about).
+// back to one temperature per active block (the hottest cell inside the
+// block — the quantity a thermal-safety check cares about).
 //
 // A grid query costs milliseconds where the block model costs microseconds,
 // which is exactly why it exists: it is the simulation-dominated oracle the
@@ -42,12 +43,13 @@ func NewGridOracle(gm *thermal.GridModel, prof *power.Profile) *GridOracle {
 // Grid returns the underlying grid model.
 func (o *GridOracle) Grid() *thermal.GridModel { return o.grid }
 
-// BlockTemps implements Oracle: solve the grid, then reduce each block to its
-// hottest covered cell. The per-candidate right-hand side only touches the
-// active cores' cell footprint, so the solve goes through the grid model's
-// sparse-RHS path (SteadyStateActive) — bit-identical to a dense-RHS solve,
-// with the forward triangular pass confined to the footprint's
-// elimination-tree reach.
+// BlockTemps implements Oracle: solve the grid, then reduce each active
+// block to its hottest covered cell; every passive entry is NaN. The
+// per-candidate right-hand side only touches the active cores' cell
+// footprint, so the solve goes through the grid model's sparse-RHS path
+// (SteadyStateActive), which confines both triangular passes to the
+// footprint's elimination-tree closure — bit-identical to a dense-RHS solve
+// at the active cells.
 func (o *GridOracle) BlockTemps(active []int) ([]float64, error) {
 	pmP := o.pmPool.Get().(*[]float64)
 	pm := *pmP
@@ -60,7 +62,7 @@ func (o *GridOracle) BlockTemps(active []int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return o.reduce(res), nil
+	return o.reduce(res, active), nil
 }
 
 // BlockTempsBatch implements BatchOracle. Solo sessions are solved alone on
@@ -72,10 +74,11 @@ func (o *GridOracle) BlockTemps(active []int) ([]float64, error) {
 // Solos and groups fan out across GOMAXPROCS goroutines; at GOMAXPROCS=1 the
 // call does the same solves as one serial loop plus one blocked pass.
 //
-// Every result is bit-identical to BlockTemps on its session, and results
-// come back in index order. Power maps are built up front in index order, so
-// an invalid session fails exactly as BlockTemps would on it, before any
-// solve starts; a failed solve reports the job with the lowest first session.
+// Every result is bit-identical to BlockTemps on its session, NaN at the
+// passive entries included, and results come back in index order. Power
+// maps are built up front in index order, so an invalid session fails
+// exactly as BlockTemps would on it, before any solve starts; a failed solve
+// reports the job with the lowest first session.
 func (o *GridOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
 	width := runtime.GOMAXPROCS(0)
 	pms := make([][]float64, len(sessions))
@@ -115,7 +118,7 @@ func (o *GridOracle) solveJob(out [][]float64, sessions [][]int, pms [][]float64
 		if err != nil {
 			return err
 		}
-		out[job[0]] = o.reduce(res)
+		out[job[0]] = o.reduce(res, s)
 		return nil
 	}
 	group := make([][]float64, len(job))
@@ -127,17 +130,21 @@ func (o *GridOracle) solveJob(out [][]float64, sessions [][]int, pms [][]float64
 		return err
 	}
 	for k, i := range job {
-		out[i] = o.reduce(results[k])
+		out[i] = o.reduce(results[k], sessions[i])
 	}
 	return nil
 }
 
-// reduce folds a grid field to one temperature per block (the hottest covered
-// cell).
-func (o *GridOracle) reduce(res *thermal.GridResult) []float64 {
-	n := o.grid.Floorplan().NumBlocks()
-	out := make([]float64, n)
-	for b := 0; b < n; b++ {
+// reduce folds a grid field to one temperature per active block (the
+// hottest covered cell) and NaN at every passive block, so a session's
+// answer is the same whether its field came from a closure solve or a
+// full blocked pass.
+func (o *GridOracle) reduce(res *thermal.GridResult, active []int) []float64 {
+	out := make([]float64, o.grid.Floorplan().NumBlocks())
+	for b := range out {
+		out[b] = math.NaN()
+	}
+	for _, b := range active {
 		out[b] = res.BlockMaxTemp(b)
 	}
 	return out

@@ -11,9 +11,14 @@ import (
 )
 
 // Oracle is the "accurate thermal simulation" of Algorithm 1: given the set
-// of concurrently tested cores, it returns the steady-state temperature of
-// every block (°C). The generator treats it as expensive and minimises calls
-// to it; the session model exists precisely to avoid invoking it blindly.
+// of concurrently tested cores, it returns a slice indexed by block whose
+// entries at the active cores are their steady-state temperatures (°C).
+// Entries outside active are unspecified — the grid oracle leaves them NaN,
+// the sparse block model solves only what the active cores need — so
+// callers read only active entries, as the paper's safety test does: a
+// session is safe when its hottest active core stays below TL. The
+// generator treats the oracle as expensive and minimises calls to it; the
+// session model exists precisely to avoid invoking it blindly.
 //
 // Implementations must be deterministic and safe for concurrent use: batch
 // paths fan single queries out across goroutines, and the experiment sweeps
@@ -28,8 +33,8 @@ type Oracle interface {
 // answer k sessions for less than k single queries — the grid oracle fans
 // them out across GOMAXPROCS goroutines and solves multi-core sessions in
 // shared blocked multi-RHS passes. Every result must be
-// bit-identical to the corresponding BlockTemps call, so callers may mix the
-// two paths freely. A batch error need not name the failing session: callers
+// bit-identical to the corresponding BlockTemps call at the active entries,
+// so callers may mix the two paths freely. A batch error need not name the failing session: callers
 // that need exact serial error semantics fall back to per-session BlockTemps
 // (the oracle is deterministic, so the error resurfaces at the same session).
 type BatchOracle interface {
@@ -82,9 +87,9 @@ func NewSimOracle(m *thermal.Model, prof *power.Profile) *SimOracle {
 }
 
 // BlockTemps implements Oracle. The power map's support is exactly the
-// active set, so sparse-backend models solve through the elimination-tree
-// reach of the active cores (SteadyStateActiveInto) — bit-identical to the
-// dense-RHS path, cheaper when few cores are active.
+// active set, so sparse-backend models solve over the elimination-tree
+// closure of the active cores (SteadyStateActiveInto) — bit-identical to the
+// dense-RHS path at the active cores, cheaper when few cores are active.
 func (o *SimOracle) BlockTemps(active []int) ([]float64, error) {
 	sc := o.scratch.Get().(*simScratch)
 	if err := o.profile.TestPowerMapInto(sc.pm, active); err != nil {

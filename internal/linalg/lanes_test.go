@@ -117,8 +117,47 @@ func checkLaneSchedule(t *testing.T, sym *CholSymbolic) {
 	}
 }
 
-// checkLanesBitIdentical compares SolveInto and SolveSparseInto on c against
-// solveSerial, bitwise, on dense and sparse right-hand sides.
+// closureOf marks, by original index, the elimination-tree closure of nz:
+// every index of nz and all of its etree ancestors.
+func closureOf(c *SparseCholesky, nz []int) []bool {
+	in := make([]bool, c.N())
+	for _, i := range nz {
+		for k := c.sym.pinv[i]; k != -1 && !in[c.sym.perm[k]]; k = c.sym.parent[k] {
+			in[c.sym.perm[k]] = true
+		}
+	}
+	return in
+}
+
+// closureShareOf is the share of L's non-zeros held by the closure's
+// columns — the quantity SolveSparseInto gates on.
+func closureShareOf(c *SparseCholesky, nz []int) float64 {
+	lnz := 0
+	for i, ok := range closureOf(c, nz) {
+		if k := c.sym.pinv[i]; ok {
+			lnz += c.lp[k+1] - c.lp[k]
+		}
+	}
+	return float64(lnz) / float64(c.NNZ())
+}
+
+// checkClosure asserts that a SolveSparseInto answer got is bitwise want on
+// the closure of nz and NaN everywhere else.
+func checkClosure(t *testing.T, name string, c *SparseCholesky, nz []int, got, want []float64) {
+	t.Helper()
+	for i, in := range closureOf(c, nz) {
+		if in && math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: SolveSparseInto differs on the closure at %d: %v vs %v", name, i, got[i], want[i])
+		}
+		if !in && !math.IsNaN(got[i]) {
+			t.Fatalf("%s: SolveSparseInto entry %d is off the closure but %v, want NaN", name, i, got[i])
+		}
+	}
+}
+
+// checkLanesBitIdentical compares SolveInto on c against solveSerial,
+// bitwise, on dense right-hand sides, and SolveSparseInto on sparse ones on
+// their closure.
 func checkLanesBitIdentical(t *testing.T, name string, c *SparseCholesky, rng *rand.Rand) {
 	t.Helper()
 	n := c.N()
@@ -153,7 +192,7 @@ func checkLanesBitIdentical(t *testing.T, name string, c *SparseCholesky, rng *r
 		if err := c.SolveSparseInto(got, sb, nz); err != nil {
 			t.Fatal(err)
 		}
-		same("SolveSparseInto", got, solveSerial(c, sb))
+		checkClosure(t, name, c, nz, got, solveSerial(c, sb))
 	}
 }
 
@@ -210,8 +249,8 @@ func forestSPD(comps int, rng *rand.Rand) (*Sparse, []int) {
 }
 
 // TestSparseCholeskyBackwardLanesBitIdentical: the lane-scheduled backward
-// pass answers bit-identically to the serial column loop through SolveInto
-// and SolveSparseInto — on nested-dissection grid factors (scalar and
+// pass answers bit-identically to the serial column loop through SolveInto,
+// and SolveSparseInto does on its closure — on nested-dissection grid factors (scalar and
 // supernodal, one and two layers), on the RCM default (which must fall back
 // to the serial loop), on postordered random forests, and on two factors
 // sharing one symbolic analysis under concurrent solves.
@@ -296,4 +335,82 @@ func TestSparseCholeskyBackwardLanesBitIdentical(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// patch lists the cells of the w×h rectangle at (x0, y0) on layer 0 of an
+// nx-wide grid — the footprint of one block's power deposit.
+func patch(nx, x0, y0, w, h int) []int {
+	var cells []int
+	for y := y0; y < y0+h; y++ {
+		for x := x0; x < x0+w; x++ {
+			cells = append(cells, y*nx+x)
+		}
+	}
+	return cells
+}
+
+// TestSolveSparseIntoClosureBitIdenticalND: SolveSparseInto on a
+// nested-dissection grid factor is bitwise solveSerial on the footprint's
+// elimination-tree closure and NaN off it — for footprints shaped like one,
+// two and many blocks, on scalar and supernodal factors of one- and
+// two-layer grids, aliased and not, with the pooled scratch reused between
+// calls. The footprints span the closure-share gate, so both the closure
+// loops and the masked full solve run.
+func TestSolveSparseIntoClosureBitIdenticalND(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	var below, above int
+	for _, d := range []int{24, 64} {
+		for layers := 1; layers <= 2; layers++ {
+			s, perm := layeredGrid(d, d, layers, rng)
+			sym, err := NewCholSymbolic(s, perm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			factors := map[string]*SparseCholesky{}
+			if d <= 24 { // the scalar kernel is slow at grid scale
+				if factors["scalar"], err = sym.Factorize(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if factors["supernodal"], err = sym.Supernodes(SupernodalOptions{}).Factorize(s); err != nil {
+				t.Fatal(err)
+			}
+			q := d / 4
+			footprints := map[string][]int{
+				"one cell":    {d*d/2 + d/2},
+				"corner":      patch(d, 0, 0, q, q),
+				"center":      patch(d, d/2-q/2, d/2-q/2, q, q),
+				"two blocks":  append(patch(d, 1, 2, q, q/2), patch(d, d-q, d-q, q, q)...),
+				"three quads": append(append(patch(d, 0, 0, d/2, d/2), patch(d, d/2, 0, d/2, d/2)...), patch(d, 0, d/2, d/2, d/2)...),
+				"die":         patch(d, 0, 0, d, d),
+			}
+			for fname, c := range factors {
+				for pname, nz := range footprints {
+					name := fmt.Sprintf("nd %dx%dx%d %s, %s", d, d, layers, fname, pname)
+					if closureShareOf(c, nz) > closureShare {
+						above++
+					} else {
+						below++
+					}
+					b := make([]float64, c.N())
+					for _, i := range nz {
+						b[i] = 1 + rng.Float64()
+					}
+					want := solveSerial(c, b)
+					got := make([]float64, c.N())
+					if err := c.SolveSparseInto(got, b, append(nz, nz[0])); err != nil {
+						t.Fatal(err)
+					}
+					checkClosure(t, name, c, nz, got, want)
+					if err := c.SolveSparseInto(b, b, nz); err != nil {
+						t.Fatal(err)
+					}
+					checkClosure(t, name+" aliased", c, nz, b, want)
+				}
+			}
+		}
+	}
+	if below == 0 || above == 0 {
+		t.Fatalf("footprints ran %d closure solves and %d masked full solves, want both", below, above)
+	}
 }

@@ -346,7 +346,7 @@ type SparseCholesky struct {
 	segs     [][]float64    // per-panel values (out-of-core); nil entry = spilled
 	spill    *spillStore    // nil unless some panel is on disk
 	pool     sync.Pool      // *[]float64 scratch, len n
-	spPool   sync.Pool      // *spScratch for sparse-RHS solves
+	spPool   sync.Pool      // *[]uint64 closure bitset for sparse-RHS solves
 	mrhsPool sync.Pool      // *[]float64 interleaved multi-RHS workspace
 
 	spillStats SpillStats
@@ -374,27 +374,14 @@ func (sym *CholSymbolic) newFactor(li []int, values bool) *SparseCholesky {
 		return &b
 	}
 	ch.spPool.New = func() any {
-		// mark starts zeroed and the stamp at 0, so the first use (stamp 1)
-		// sees every node unmarked; w relies on the all-zero-between-uses
-		// invariant SolveSparseInto maintains.
-		return &spScratch{w: make([]float64, n), mark: make([]int, n)}
+		b := make([]uint64, (n+63)/64)
+		return &b
 	}
 	ch.mrhsPool.New = func() any {
 		b := []float64(nil)
 		return &b
 	}
 	return ch
-}
-
-// spScratch is the pooled workspace of one sparse-RHS solve: w holds the
-// permuted work vector (all-zero between uses), mark/stamp implement the O(1)
-// reset of the reach traversal's visited set, and reach keeps its grown
-// capacity across calls.
-type spScratch struct {
-	w     []float64
-	mark  []int
-	reach []int
-	stamp int
 }
 
 // NewSparseCholesky analyses and factorizes s in one call under an RCM
@@ -605,21 +592,38 @@ func (c *SparseCholesky) backwardPair(w []float64, st laneStep) {
 	c.backwardRange(w, st.b0, jb+1)
 }
 
-// SolveSparseInto solves A·x = b for a *sparse* right-hand side: nz lists the
-// index of every (potentially) non-zero entry of b. Duplicates in nz are
-// harmless; an index missing from nz whose b entry is non-zero silently
-// yields a wrong answer, so nz must cover the support of b. Only the columns
-// in the elimination-tree reach of nz run the forward substitution
-// (Gilbert–Peierls: the pattern of y in L·y = P·b is the union of the etree
-// paths from supp(P·b) to the root), so a right-hand side touching one test
-// session's power footprint skips the forward work of every untouched
-// subtree. The backward pass still covers every column, because the
-// solution is dense; it is the same lane-scheduled pass SolveInto runs.
+// closureShare is the share of L's non-zeros past which SolveSparseInto
+// runs the full, lane-scheduled solve instead of the closure loops. On 64²
+// thermal grids the closure loops cost about 1.3× the full solve per
+// non-zero, so the two break even near three quarters (PERF.md, "Closure
+// solve").
+const closureShare = 0.75
+
+// SolveSparseInto solves A·x = b for a *sparse* right-hand side and returns
+// the solution only where it is cheap: nz lists the index of every
+// (potentially) non-zero entry of b, and dst is exact on the
+// elimination-tree closure of nz — every index of nz and all of its etree
+// ancestors — and NaN everywhere else. Duplicates in nz are harmless; an
+// index missing from nz whose b entry is non-zero silently yields a wrong
+// answer, so nz must cover the support of b.
 //
-// The result is bit-identical to SolveInto on the same b (the skipped columns
-// contribute exact zeros), so callers may mix the two paths freely. dst may
-// alias b; the call is allocation-free in steady state and safe for
-// concurrent use.
+// Both triangular passes run over the closure alone (Gilbert–Peierls for
+// the forward pass; Amestoy et al., "Parallel computation of entries of
+// A⁻¹", for the backward one). Column j of L updates only etree ancestors of
+// j, so the forward pass never leaves the closure; every row index of a
+// closure column is such an ancestor, so the backward pass over the closure,
+// descending, reads only closure entries. Each column keeps its order of
+// terms, so the closure entries are bit-identical to SolveInto on the same
+// b. A caller that reads the solution only at the support (a thermal query
+// reads only the active cells) skips every other column twice.
+//
+// Once the closure's columns hold a large share of L's non-zeros, the
+// closure loops, which test every column against the closure's bitset and
+// run one column at a time, cost more than the skipped columns save; past closureShare the full
+// lane-scheduled solve runs instead, and its answer is masked to the same
+// closure, so the result does not depend on which path ran. dst may alias
+// b; the call is allocation-free in steady state and safe for concurrent
+// use.
 func (c *SparseCholesky) SolveSparseInto(dst, b []float64, nz []int) error {
 	n := c.sym.n
 	if len(b) != n || len(dst) != n {
@@ -631,57 +635,62 @@ func (c *SparseCholesky) SolveSparseInto(dst, b []float64, nz []int) error {
 			return fmt.Errorf("%w: SolveSparseInto nz index %d out of range [0,%d)", ErrShape, i, n)
 		}
 	}
-	// An out-of-core factor has no flat lx for the reach-pruned loops to
-	// walk; the dense-RHS path streams panels and is bit-identical (the
-	// skipped columns contribute exact zeros either way).
-	if c.segs != nil {
-		return c.SolveInto(dst, b)
-	}
-	sc := c.spPool.Get().(*spScratch)
-	w, mark := sc.w, sc.mark
-	sc.stamp++
-	stamp := sc.stamp
-	reach := sc.reach[:0]
-	pinv, parent := c.sym.pinv, c.sym.parent
+	inp := c.spPool.Get().(*[]uint64)
+	defer c.spPool.Put(inp)
+	in := *inp
+	clear(in)
+	pinv, parent, lp := c.sym.pinv, c.sym.parent, c.lp
+	lnz := 0
 	for _, i := range nz {
-		for k := pinv[i]; k != -1 && mark[k] != stamp; k = parent[k] {
-			mark[k] = stamp
-			reach = append(reach, k)
+		for k := pinv[i]; k != -1 && !inSet(in, k); k = parent[k] {
+			in[k>>6] |= 1 << (uint(k) & 63)
+			lnz += lp[k+1] - lp[k]
 		}
 	}
-	// Bit-identity with SolveInto pins the forward pass to ascending column
-	// order, so the reach must be sorted; once the reach covers a sizeable
-	// share of the tree, the sort plus bookkeeping costs more than the
-	// skipped columns saved. Past that point hand the (identical) answer to
-	// the plain dense-RHS solve. The threshold is deliberately conservative:
-	// the fast path is for footprints that touch a corner of the die, where
-	// the reach is a few separators plus local subtrees.
-	if len(reach) > n/4 {
-		sc.reach = reach
-		c.spPool.Put(sc)
-		return c.SolveInto(dst, b)
+	wp := c.pool.Get().(*[]float64)
+	defer c.pool.Put(wp)
+	w, perm := *wp, c.sym.perm
+	for k, i := range perm { // the closure loops read only closure entries
+		w[k] = b[i]
 	}
-	sort.Ints(reach)
-	for _, i := range nz {
-		w[pinv[i]] = b[i]
+	if c.segs != nil || float64(lnz) > closureShare*float64(c.sym.LNNZ()) {
+		// An out-of-core factor always runs the full solve: it has no flat
+		// lx for the closure loops to walk.
+		if err := c.applyFactor(w, 1); err != nil {
+			return err
+		}
+	} else {
+		// Both passes visit the closure in column order, so their terms
+		// arrive as they do in SolveInto; scanning the set costs less than
+		// sorting the closure.
+		for j := range w {
+			if inSet(in, j) {
+				c.forwardColumn(w, j)
+			}
+		}
+		li, lx := c.li, c.lx
+		for j := len(w) - 1; j >= 0; j-- {
+			if !inSet(in, j) {
+				continue
+			}
+			s := w[j]
+			for p := lp[j] + 1; p < lp[j+1]; p++ {
+				s -= lx[p] * w[li[p]]
+			}
+			w[j] = s / lx[lp[j]]
+		}
 	}
-	// Forward: L·y = P·b over the reach only. Column j of L updates only
-	// etree ancestors of j, which are in the reach by closure, so no update
-	// escapes the set.
-	for _, j := range reach {
-		c.forwardColumn(w, j)
+	for k, i := range perm {
+		dst[i] = math.NaN()
+		if inSet(in, k) {
+			dst[i] = w[k]
+		}
 	}
-	// Backward: Lᵀ·z = y over every column — x has no useful sparsity.
-	c.backward(w)
-	perm := c.sym.perm
-	for k := 0; k < n; k++ {
-		dst[perm[k]] = w[k]
-		w[k] = 0 // restore the all-zero invariant before pooling
-	}
-	sc.reach = reach
-	c.spPool.Put(sc)
 	return nil
 }
+
+// inSet reports whether column k is in the bitset in.
+func inSet(in []uint64, k int) bool { return in[k>>6]>>(uint(k)&63)&1 != 0 }
 
 // SolveManyInto solves A·xᵣ = bᵣ for all right-hand sides b[0..k) in one
 // blocked pass over the factor: each column of L is loaded once and applied

@@ -33,6 +33,21 @@ type RecordFileInfo struct {
 // not trusted: a record longer than the bytes left is a torn tail, found
 // before anything of its length is allocated.
 func ValidateRecordFile(data []byte) (RecordFileInfo, error) {
+	info, err := readHeader(data)
+	if err != nil {
+		return info, err
+	}
+	err = walkRecords(data, info.NumBlocks, func(_ record, raw []byte) error {
+		info.Records++
+		info.ValidLen += int64(len(raw))
+		return nil
+	})
+	return info, err
+}
+
+// readHeader checks data's record-file header and returns its info with no
+// records counted and ValidLen at the header's end.
+func readHeader(data []byte) (RecordFileInfo, error) {
 	var info RecordFileInfo
 	if len(data) < headerLen {
 		return info, fmt.Errorf("%w: record file shorter than its header (%d bytes)", ErrStore, len(data))
@@ -49,12 +64,7 @@ func ValidateRecordFile(data []byte) (RecordFileInfo, error) {
 	}
 	copy(info.Key[:], data[16:48])
 	info.ValidLen = headerLen
-	err := walkRecords(data, info.NumBlocks, func(_ record, raw []byte) error {
-		info.Records++
-		info.ValidLen += int64(len(raw))
-		return nil
-	})
-	return info, err
+	return info, nil
 }
 
 // walkRecords calls fn for every valid record of data (a header-checked
@@ -84,30 +94,37 @@ func walkRecords(data []byte, numBlocks int, fn func(rec record, raw []byte) err
 // merging is deterministic and idempotent — the record-level half of the
 // remote tier's whole-file anti-entropy. A nil existing adopts incoming's
 // valid prefix. Torn tails on either side are dropped, never merged. Returns
-// the merged file and how many records incoming contributed.
-func MergeRecordFiles(existing, incoming []byte) (merged []byte, added int, err error) {
-	in, err := ValidateRecordFile(incoming)
-	if err != nil {
-		return nil, 0, err
-	}
+// the merged file, its record count and how many records incoming
+// contributed. Each input is walked once.
+func MergeRecordFiles(existing, incoming []byte) (merged []byte, records, added int, err error) {
 	if existing == nil {
+		in, err := ValidateRecordFile(incoming)
+		if err != nil {
+			return nil, 0, 0, err
+		}
 		out := make([]byte, in.ValidLen)
 		copy(out, incoming[:in.ValidLen])
-		return out, in.Records, nil
+		return out, in.Records, in.Records, nil
 	}
-	ex, err := ValidateRecordFile(existing)
+	in, err := readHeader(incoming)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
+	}
+	ex, err := readHeader(existing)
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	if ex.Key != in.Key || ex.NumBlocks != in.NumBlocks {
-		return nil, 0, fmt.Errorf("%w: merging record files for different systems", ErrStore)
+		return nil, 0, 0, fmt.Errorf("%w: merging record files for different systems", ErrStore)
 	}
-	seen := make(map[string]struct{}, ex.Records)
-	_ = walkRecords(existing, ex.NumBlocks, func(rec record, _ []byte) error {
+	seen := make(map[string]struct{})
+	_ = walkRecords(existing, ex.NumBlocks, func(rec record, raw []byte) error {
 		seen[rec.key] = struct{}{}
+		ex.Records++
+		ex.ValidLen += int64(len(raw))
 		return nil
 	})
-	out := make([]byte, ex.ValidLen, ex.ValidLen+(in.ValidLen-headerLen))
+	out := make([]byte, ex.ValidLen, ex.ValidLen+int64(len(incoming)-headerLen))
 	copy(out, existing[:ex.ValidLen])
 	_ = walkRecords(incoming, in.NumBlocks, func(rec record, raw []byte) error {
 		if _, dup := seen[rec.key]; dup {
@@ -118,7 +135,7 @@ func MergeRecordFiles(existing, incoming []byte) (merged []byte, added int, err 
 		added++
 		return nil
 	})
-	return out, added, nil
+	return out, ex.Records + added, added, nil
 }
 
 // AbsorbRecords merges a remote record file's answers into this cache through

@@ -43,7 +43,7 @@ func TestForgedLengthsAllocateNothing(t *testing.T) {
 	if err != nil || info.Records != 0 || info.ValidLen != headerLen {
 		t.Errorf("ValidateRecordFile = %+v, %v; want the header alone valid", info, err)
 	}
-	if n := allocBytes(func() { _, _, err = MergeRecordFiles(forged, forged) }); n >= 1<<20 {
+	if n := allocBytes(func() { _, _, _, err = MergeRecordFiles(forged, forged) }); n >= 1<<20 {
 		t.Errorf("MergeRecordFiles on a forged file allocated %d bytes", n)
 	}
 
@@ -116,14 +116,15 @@ func FuzzRecordFile(f *testing.F) {
 		if info.ValidLen < headerLen || info.ValidLen > int64(len(x)) {
 			t.Fatalf("ValidLen %d outside [%d, %d]", info.ValidLen, headerLen, len(x))
 		}
-		adopted, added, err := MergeRecordFiles(nil, x)
-		if err != nil || int64(len(adopted)) != info.ValidLen || added != info.Records {
-			t.Fatalf("MergeRecordFiles(nil, x) = %d bytes, %d added, %v; want %d bytes, %d added",
-				len(adopted), added, err, info.ValidLen, info.Records)
+		adopted, records, added, err := MergeRecordFiles(nil, x)
+		if err != nil || int64(len(adopted)) != info.ValidLen || records != info.Records || added != info.Records {
+			t.Fatalf("MergeRecordFiles(nil, x) = %d bytes, %d records, %d added, %v; want %d bytes, %d records and added",
+				len(adopted), records, added, err, info.ValidLen, info.Records)
 		}
-		merged, added, err := MergeRecordFiles(x, x)
-		if err != nil || added != 0 || int64(len(merged)) != info.ValidLen {
-			t.Fatalf("self-merge = %d bytes, %d added, %v; want %d bytes, 0 added", len(merged), added, err, info.ValidLen)
+		merged, records, added, err := MergeRecordFiles(x, x)
+		if err != nil || added != 0 || records != info.Records || int64(len(merged)) != info.ValidLen {
+			t.Fatalf("self-merge = %d bytes, %d records, %d added, %v; want %d bytes, %d records, 0 added",
+				len(merged), records, added, err, info.ValidLen, info.Records)
 		}
 	})
 }

@@ -152,7 +152,7 @@ func (n *Node) handlePut(w http.ResponseWriter, r *http.Request, key [32]byte) {
 		n.logf("thermstore: replacing invalid local file %x: %v", key[:4], verr)
 		existing = nil
 	}
-	merged, added, err := oraclestore.MergeRecordFiles(existing, body)
+	merged, records, added, err := oraclestore.MergeRecordFiles(existing, body)
 	if err != nil {
 		http.Error(w, "merge: "+err.Error(), http.StatusBadRequest)
 		return
@@ -164,7 +164,6 @@ func (n *Node) handlePut(w http.ResponseWriter, r *http.Request, key [32]byte) {
 			return
 		}
 	}
-	mi, _ := oraclestore.ValidateRecordFile(merged)
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]int{"records": mi.Records, "added": added})
+	json.NewEncoder(w).Encode(map[string]int{"records": records, "added": added})
 }

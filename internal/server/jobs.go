@@ -182,6 +182,22 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, jobStatusResponse(j.Snapshot()))
 }
 
+// lastEventID parses a Last-Event-ID header into the id to replay after.
+// An absent header replays everything, as does a negative id: ids never are
+// negative, and a full replay is what a client holding a
+// nonsense-but-numeric cursor needs. Anything but a decimal int64 is an
+// error, which the handler answers with 400 bad_cursor.
+func lastEventID(h string) (int64, error) {
+	if h == "" {
+		return 0, nil
+	}
+	v, err := strconv.ParseInt(h, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("Last-Event-ID %q: want a decimal event id", h)
+	}
+	return max(v, 0), nil
+}
+
 // handleJobEvents serves GET /v1/jobs/{id}/events as Server-Sent Events:
 // state transitions and generation progress, each with a monotonic event id.
 // A reconnecting client sends Last-Event-ID and replays everything it missed
@@ -198,23 +214,13 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			"response writer cannot stream")
 		return
 	}
-	var after int64
-	if h := r.Header.Get("Last-Event-ID"); h != "" {
-		v, err := strconv.ParseInt(h, 10, 64)
-		if err != nil {
-			// A malformed cursor silently replaying from 0 would hand a
-			// confused client every event again with no indication its header
-			// was ignored; refuse before committing to the SSE content type.
-			writeError(w, http.StatusBadRequest, "bad_cursor",
-				fmt.Sprintf("Last-Event-ID %q: want a decimal event id", h))
-			return
-		}
-		if v < 0 {
-			// Negative ids never exist; clamp to a full replay, which is what
-			// a client holding a nonsense-but-numeric cursor needs.
-			v = 0
-		}
-		after = v
+	after, err := lastEventID(r.Header.Get("Last-Event-ID"))
+	if err != nil {
+		// A malformed cursor silently replaying from 0 would hand a
+		// confused client every event again with no indication its header
+		// was ignored; refuse before committing to the SSE content type.
+		writeError(w, http.StatusBadRequest, "bad_cursor", err.Error())
+		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")

@@ -561,6 +561,37 @@ func TestJobEventsBadCursor(t *testing.T) {
 	}
 }
 
+// FuzzLastEventID: the Last-Event-ID parse never panics, and it yields either
+// a cursor ≥ 0 or an error (answered as 400 bad_cursor) with no cursor. A
+// header it accepts is the decimal int64 it read, clamped at 0.
+func FuzzLastEventID(f *testing.F) {
+	for _, h := range []string{"", "0", "17", "-3", "007", "+5", " 5", "5 ", "0x10", "1e3", "bogus",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808", "\x00", "١٢"} {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		v, err := lastEventID(h)
+		if err != nil {
+			if v != 0 || h == "" {
+				t.Fatalf("lastEventID(%q) = %d, %v: an error carries no cursor, and an absent header is none", h, v, err)
+			}
+			return
+		}
+		if v < 0 {
+			t.Fatalf("lastEventID(%q) = %d, want a cursor ≥ 0", h, v)
+		}
+		if h == "" {
+			if v != 0 {
+				t.Fatalf("absent header gave cursor %d, want 0", v)
+			}
+			return
+		}
+		if p, perr := strconv.ParseInt(h, 10, 64); perr != nil || max(p, 0) != v {
+			t.Fatalf("lastEventID(%q) = %d, but the header parses as %d, %v", h, v, p, perr)
+		}
+	})
+}
+
 // TestJobEventsNegativeCursorClamps: a negative Last-Event-ID is clamped to
 // zero, yielding the same full replay as a fresh subscription.
 func TestJobEventsNegativeCursorClamps(t *testing.T) {

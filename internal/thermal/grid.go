@@ -79,11 +79,11 @@ func (o GridOptions) Canonical() GridOptions {
 // supernodal panel kernel, out of core when GridOptions.PeakBytesBudget
 // demands it — so every SteadyState query costs two sparse triangular
 // solves, the backward one advancing two independent elimination subtrees
-// at once; SteadyStateActive further restricts the forward solve to the
-// elimination-tree reach of the active power footprint and
-// SteadyStateBatch amortises one factor pass over many queries. Together
-// these are what make per-session oracle sweeps over one floorplan cheap at
-// grid scale. Resolutions whose factor would exceed the fill budget fall back
+// at once; SteadyStateActive restricts both solves to the elimination-tree
+// closure of the active power footprint, answering only the cells a
+// validation query reads, and SteadyStateBatch amortises one factor pass
+// over many queries. Together these are what make per-session oracle sweeps
+// over one floorplan cheap at grid scale. Resolutions whose factor would exceed the fill budget fall back
 // to IC(0)-preconditioned conjugate gradients with pooled scratch. GridModel
 // is safe for concurrent queries.
 //
@@ -118,7 +118,6 @@ type GridModel struct {
 	precond linalg.Preconditioner  // CG preconditioner on the fallback path
 	cgPool  sync.Pool              // *linalg.CGScratch for the fallback
 	rhsPool sync.Pool              // *[]float64 node-vector buffers
-	nzPool  sync.Pool              // *[]int sparse-RHS support scratch
 
 	// cellPowerWeight[b] lists (cell, fraction) pairs: fraction of block
 	// b's power deposited in that cell.
@@ -186,12 +185,13 @@ func NewGridModelWithOptions(fp *floorplan.Floorplan, cfg PackageConfig, nx, ny 
 		return &b
 	}
 	g.cgPool.New = func() any { return &linalg.CGScratch{} }
-	g.nzPool.New = func() any {
-		b := []int(nil)
-		return &b
-	}
 	return g, nil
 }
+
+// supportPool holds SteadyStateActive's right-hand-side support lists
+// (*[]int). Every model shares it, so the model of a never-seen system
+// reuses the lists earlier models grew instead of growing its own.
+var supportPool = sync.Pool{New: func() any { return new([]int) }}
 
 // ndPerm is the geometric nested-dissection elimination order for the known
 // two-layer grid topology: recursive coordinate bisection over the nx×ny
@@ -556,11 +556,14 @@ func (g *GridModel) SteadyState(power []float64) (*GridResult, error) {
 
 // SteadyStateActive solves the grid for a power map whose only non-zero
 // entries are the blocks listed in active — the exact query shape of
-// Algorithm 1's validation oracle, where passive cores idle at zero power.
-// On the direct backend the right-hand side's support is the active blocks'
-// cell footprint, so the forward triangular solve is restricted to its
-// elimination-tree reach (SolveSparseInto) and untouched subtrees cost
-// nothing. The result is bit-identical to SteadyState on the same power map.
+// Algorithm 1's validation oracle, where passive cores idle at zero power
+// and only the active cores' temperatures are read. On the direct backend
+// the right-hand side's support is the active blocks' cell footprint, and
+// both triangular solves run over its elimination-tree closure alone
+// (SolveSparseInto). The result is bit-identical to SteadyState at every
+// cell of an active block and at the rest of the closure, and NaN at every
+// other node, so whole-die read-backs (MaxTemp, Heatmap) and passive blocks'
+// BlockMaxTemp are not meaningful; the CG fallback answers every node.
 // Blocks outside active must carry zero power; active may repeat a block.
 func (g *GridModel) SteadyStateActive(power []float64, active []int) (*GridResult, error) {
 	if len(power) != g.fp.NumBlocks() {
@@ -569,24 +572,14 @@ func (g *GridModel) SteadyStateActive(power []float64, active []int) (*GridResul
 	}
 	// Validate active before any backend dispatch, so a caller bug errors
 	// identically whether or not the fill budget forced the CG fallback.
-	foot := 0
 	for _, b := range active {
 		if b < 0 || b >= g.fp.NumBlocks() {
 			return nil, fmt.Errorf("%w: active block %d outside [0,%d)",
 				ErrPowerShape, b, g.fp.NumBlocks())
 		}
-		foot += len(g.blockCells[b])
 	}
 	if g.chol == nil {
 		return g.SteadyState(power) // CG fallback has no sparse-RHS fast path
-	}
-	// Pre-gate on the footprint alone: the elimination-tree reach is at
-	// least as large as the footprint, so once the active cells cover a
-	// quarter of the nodes the sparse path cannot win — skip the per-cell
-	// support list and the reach walk entirely (the answer is bit-identical
-	// either way).
-	if 4*foot > g.NumNodes() {
-		return g.SteadyState(power)
 	}
 	rhsP := g.rhsPool.Get().(*[]float64)
 	rhs := *rhsP
@@ -594,7 +587,7 @@ func (g *GridModel) SteadyStateActive(power []float64, active []int) (*GridResul
 		g.rhsPool.Put(rhsP)
 		return nil, err
 	}
-	nzP := g.nzPool.Get().(*[]int)
+	nzP := supportPool.Get().(*[]int)
 	nz := (*nzP)[:0]
 	for _, b := range active {
 		nz = append(nz, g.blockCells[b]...)
@@ -602,7 +595,7 @@ func (g *GridModel) SteadyStateActive(power []float64, active []int) (*GridResul
 	temps := make([]float64, len(rhs))
 	err := g.chol.SolveSparseInto(temps, rhs, nz)
 	*nzP = nz
-	g.nzPool.Put(nzP)
+	supportPool.Put(nzP)
 	g.rhsPool.Put(rhsP)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: grid solve: %w", err)

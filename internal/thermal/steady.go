@@ -50,11 +50,12 @@ func (m *Model) SteadyStateInto(temps, power []float64) error {
 
 // SteadyStateActiveInto is SteadyStateInto for a power map whose only
 // non-zero entries are the blocks listed in active — the query shape of the
-// validation oracle, where passive cores idle. On the sparse backend the
-// solve routes the right-hand side through the elimination-tree reach of the
-// active silicon nodes (SolveSparseInto); the dense backend ignores the hint.
-// Results are bit-identical to SteadyStateInto on the same power map. Blocks
-// outside active must carry zero power.
+// validation oracle, where passive cores idle and are not read. On the
+// sparse backend both triangular solves run over the elimination-tree
+// closure of the active silicon nodes (SolveSparseInto): temps is
+// bit-identical to SteadyStateInto at the active nodes and the rest of the
+// closure, and NaN at every other node. The dense backend ignores the hint
+// and fills every node. Blocks outside active must carry zero power.
 func (m *Model) SteadyStateActiveInto(temps, power []float64, active []int) error {
 	sp, ok := m.solver.(*linalg.SparseCholesky)
 	if !ok {

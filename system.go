@@ -167,7 +167,8 @@ func (s *System) SimulateSessionTransient(active []int, opts TransientOptions) (
 }
 
 // SessionMaxTemp returns the hottest active-core temperature of a session
-// (°C) — the quantity compared against TL.
+// (°C) — the quantity compared against TL. A NaN or ±Inf temperature at an
+// active core is an error, as it is to the generator and the baselines.
 func (s *System) SessionMaxTemp(active []int) (float64, error) {
 	temps, err := s.oracle.BlockTemps(active)
 	if err != nil {
@@ -175,6 +176,9 @@ func (s *System) SessionMaxTemp(active []int) (float64, error) {
 	}
 	mx := math.Inf(-1)
 	for _, c := range active {
+		if t := temps[c]; math.IsNaN(t) || math.IsInf(t, 0) {
+			return 0, fmt.Errorf("thermalsched: simulation gave core %d a non-finite temperature %g", c, t)
+		}
 		mx = math.Max(mx, temps[c])
 	}
 	return mx, nil
