@@ -3,6 +3,7 @@ package baseline
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -265,6 +266,7 @@ func TestNonFiniteTemperatureRejectedByBaselines(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
+			temps = slices.Clone(temps) // an answer is read-only
 			for _, c := range active {
 				if c == poisoned {
 					temps[c] = bad

@@ -25,7 +25,8 @@ import (
 // others wait for its result, which keeps the hit/miss counters deterministic
 // (misses == distinct active sets ever queried) regardless of scheduling.
 // Errors are memoized alongside results — the inner oracle is deterministic,
-// so retrying a failed key would only repeat the failure.
+// so retrying a failed key would only repeat the failure. A hit returns the
+// memo entry itself, never a copy: an answer is shared and read-only.
 type CachedOracle struct {
 	inner Oracle
 
@@ -107,8 +108,7 @@ func (c *CachedOracle) entryFor(active []int) (*cacheEntry, bool) {
 	return e, false
 }
 
-// BlockTemps implements Oracle. Results are returned as a fresh copy so
-// callers may mutate them freely without corrupting the cache.
+// BlockTemps implements Oracle, returning the memo entry itself.
 func (c *CachedOracle) BlockTemps(active []int) ([]float64, error) {
 	e, hit := c.entryFor(active)
 	if hit {
@@ -122,9 +122,7 @@ func (c *CachedOracle) BlockTemps(active []int) ([]float64, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	out := make([]float64, len(e.temps))
-	copy(out, e.temps)
-	return out, nil
+	return e.temps, nil
 }
 
 // BlockTempsBatch implements BatchOracle: the misses of one batch are
@@ -134,8 +132,9 @@ func (c *CachedOracle) BlockTemps(active []int) ([]float64, error) {
 // Hit/miss accounting is identical to querying the sessions one at a time —
 // each entryFor call counts exactly once, and a session repeated within the
 // batch hits the entry its first occurrence created. If the inner batch call
-// fails, the misses fall back to per-session queries so errors are memoized
-// per key exactly as on the serial path.
+// fails, or answers a different number of sessions than it was asked, the
+// misses fall back to per-session queries so errors are memoized per key
+// exactly as on the serial path.
 func (c *CachedOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
 	entries := make([]*cacheEntry, len(sessions))
 	var missIdx []int
@@ -169,8 +168,8 @@ func (c *CachedOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
 				e, kk, s := entries[i], k, sessions[i]
 				e.once.Do(func() {
 					batchOnce.Do(func() { res, batchErr = b.BlockTempsBatch(miss) })
-					if batchErr != nil {
-						// Whole-batch errors carry no per-session attribution;
+					if batchErr != nil || len(res) != len(miss) {
+						// A failed or short batch has no per-session attribution;
 						// rerun this key alone so its own error is memoized,
 						// exactly as the serial path would.
 						e.temps, e.err = c.inner.BlockTemps(s)
@@ -188,8 +187,7 @@ func (c *CachedOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
 		if e.err != nil {
 			return nil, e.err
 		}
-		out[i] = make([]float64, len(e.temps))
-		copy(out[i], e.temps)
+		out[i] = e.temps
 	}
 	return out, nil
 }

@@ -35,20 +35,28 @@ func TestCachedOracleKeysIgnoreOrder(t *testing.T) {
 	}
 }
 
-func TestCachedOracleReturnsCopies(t *testing.T) {
+// TestCachedOracleHitsShareFirstAnswer: answers are read-only and shared, so
+// a hit on either path hands out the backing array of the key's first answer
+// rather than a copy of it.
+func TestCachedOracleHitsShareFirstAnswer(t *testing.T) {
 	_, _, oracle := alphaGenSetup(t)
 	cached := NewCachedOracle(oracle)
 	a, err := cached.BlockTemps([]int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a[0] = -1000
 	b, err := cached.BlockTemps([]int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b[0] == -1000 {
-		t.Error("cache handed out its internal slice; mutation leaked")
+	batch, err := cached.BlockTempsBatch([][]int{{2}, {2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, hit := range [][]float64{b, batch[0], batch[1]} {
+		if &hit[0] != &a[0] || len(hit) != len(a) {
+			t.Errorf("hit %d is not the first answer's backing array", i)
+		}
 	}
 }
 
@@ -304,14 +312,14 @@ func TestCachedOracleBatch(t *testing.T) {
 			t.Fatalf("batch hit differs from warmed single query at block %d", b)
 		}
 	}
-	// Mutating a returned slice must not corrupt the cache.
-	got[1][0] = -1
+	// Hits share the answer the batch filled the entry with, by reference:
+	// the within-batch repeat and a later single query alike.
 	again, err := c.BlockTemps([]int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again[0] == -1 {
-		t.Error("batch result aliases the cache entry")
+	if &again[0] != &got[1][0] || &got[3][0] != &got[1][0] {
+		t.Error("a hit on {1} is not the batch's first answer's backing array")
 	}
 	// A second identical batch is all hits, no inner traffic.
 	before := c.Misses()
@@ -337,6 +345,46 @@ func TestCachedOracleBatchMemoizesErrors(t *testing.T) {
 	}
 	if boom.calls != calls {
 		t.Errorf("error was re-simulated: %d calls, want %d", boom.calls, calls)
+	}
+}
+
+// shortBatchOracle answers every single query like inner, but its batch path
+// drops the last session while reporting no error.
+type shortBatchOracle struct{ inner Oracle }
+
+func (o shortBatchOracle) BlockTemps(active []int) ([]float64, error) {
+	return o.inner.BlockTemps(active)
+}
+
+func (o shortBatchOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
+	out, err := sweepBlockTemps(o.inner, sessions)
+	return out[:len(out)-1], err
+}
+
+// TestCachedOracleBatchShortInnerResult: an inner batch that answers one
+// session too few, with a nil error, is a whole-batch failure, so every miss
+// falls back to its own query instead of panicking on the missing index.
+func TestCachedOracleBatchShortInnerResult(t *testing.T) {
+	inner := &fakeOracle{solo: []float64{90, 95, 100, 105}, coupling: 2, ambient: 40}
+	c := NewCachedOracle(shortBatchOracle{inner})
+	sessions := [][]int{{0}, {1, 2}, {3}}
+	got, err := c.BlockTempsBatch(sessions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(sessions) {
+		t.Fatalf("%d results for %d sessions", len(got), len(sessions))
+	}
+	for i, s := range sessions {
+		want, _ := inner.BlockTemps(s)
+		for b := range want {
+			if got[i][b] != want[b] {
+				t.Fatalf("session %v block %d: %g, want %g", s, b, got[i][b], want[b])
+			}
+		}
+	}
+	if hits, misses := c.Stats(); hits != 0 || misses != 3 {
+		t.Errorf("stats = (%d hits, %d misses), want (0, 3)", hits, misses)
 	}
 }
 

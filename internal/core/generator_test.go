@@ -753,6 +753,7 @@ func (p *poisonOracle) BlockTemps(active []int) ([]float64, error) {
 	if err != nil || len(active) < p.minSize || !slices.Contains(active, p.core) {
 		return temps, err
 	}
+	temps = slices.Clone(temps) // an answer is read-only
 	temps[p.core] = p.val
 	return temps, nil
 }

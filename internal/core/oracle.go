@@ -24,6 +24,9 @@ import (
 // paths fan single queries out across goroutines, and the experiment sweeps
 // and the schedule service share one oracle across concurrent generators.
 // The production implementation is SimOracle; tests substitute cheap fakes.
+// A returned slice, single or batched, belongs to the oracle stack: other
+// callers may get the same slice (the memo and store tiers hand hits out by
+// reference), and nobody may write to it.
 type Oracle interface {
 	BlockTemps(active []int) ([]float64, error)
 }

@@ -1,11 +1,14 @@
 package linalg
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
 )
 
@@ -359,4 +362,126 @@ func TestDefaultPanelWidth(t *testing.T) {
 			t.Fatalf("Canonical MaxPanel %d with 1 worker = %d, want 8", w, got)
 		}
 	}
+}
+
+// memSpillFile is an in-memory SpillFile: writes append at the seek offset,
+// reads follow *os.File's ReadAt contract (io.EOF on a short read).
+type memSpillFile struct {
+	b   []byte
+	pos int64
+}
+
+func (m *memSpillFile) Write(p []byte) (int, error) {
+	m.b = append(m.b[:m.pos], p...)
+	m.pos += int64(len(p))
+	return len(p), nil
+}
+
+func (m *memSpillFile) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, errors.New("memSpillFile: negative offset")
+	}
+	if off >= int64(len(m.b)) {
+		return 0, io.EOF
+	}
+	n := copy(p, m.b[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+func (m *memSpillFile) Seek(off int64, whence int) (int64, error) {
+	if whence != io.SeekStart {
+		return 0, errors.New("memSpillFile: only SeekStart")
+	}
+	m.pos = off
+	return off, nil
+}
+
+func (m *memSpillFile) Truncate(size int64) error {
+	m.b = m.b[:size]
+	return nil
+}
+
+func (m *memSpillFile) Close() error { return nil }
+func (m *memSpillFile) Sync() error  { return nil }
+func (m *memSpillFile) Name() string { return "mem" }
+
+// spillFrame is the frame writeFrame appends for seg as panel d.
+func spillFrame(t testing.TB, d int, seg []float64) []byte {
+	pbase := make([]int, d+2)
+	pbase[d+1] = len(seg)
+	segs := make([][]float64, d+1)
+	segs[d] = seg
+	f := &memSpillFile{}
+	ctl := &spillCtl{ss: &SuperSymbolic{ns: d + 1, pbase: pbase}, f: f, segs: segs, written: make([]int64, d+1)}
+	if err := ctl.writeFrame(d); err != nil {
+		t.Fatal(err)
+	}
+	return f.b
+}
+
+// FuzzSpillFrame reads arbitrary bytes as panel d's frame at offset off into
+// a count-float destination, the way a reload or streaming solve reads the
+// spill file back. readPanel must never panic, every error must wrap
+// ErrSpill, it may allocate no more than the destination's own size (plus an
+// error message), and a frame it accepts is exactly the frame writeFrame
+// writes for the decoded floats. The seeds are real frames — one spanning two
+// I/O chunks — which decode bit-identically, plus torn and forged variants.
+func FuzzSpillFrame(f *testing.F) {
+	seg := []float64{1.5, math.Copysign(0, -1), math.Inf(-1), math.Float64frombits(0x7ff8000000000abc), -3e300}
+	frame := spillFrame(f, 3, seg)
+	big := make([]float64, spillChunk+3)
+	for i := range big {
+		big[i] = float64(i) / 7
+	}
+	for _, c := range []struct {
+		frame []byte
+		want  []float64
+	}{{frame, seg}, {spillFrame(f, 0, big), big}} {
+		got := make([]float64, len(c.want))
+		d := int(c.frame[4])
+		sp := &spillStore{f: &memSpillFile{b: c.frame}, off: make([]int64, d+1)}
+		if err := sp.readPanel(d, got); err != nil {
+			f.Fatalf("a written frame of %d floats: %v", len(c.want), err)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(c.want[i]) {
+				f.Fatalf("float %d of %d decoded as %x, want %x", i, len(c.want), math.Float64bits(got[i]), math.Float64bits(c.want[i]))
+			}
+		}
+	}
+	f.Add(frame, uint8(3), uint32(len(seg)), uint16(0))
+	f.Add(frame, uint8(2), uint32(len(seg)), uint16(0))
+	f.Add(frame, uint8(3), uint32(len(seg)+1), uint16(0))
+	f.Add(frame[:len(frame)-3], uint8(3), uint32(len(seg)), uint16(0))
+	f.Add(append([]byte{0, 0}, frame...), uint8(3), uint32(len(seg)), uint16(2))
+	forged := bytes.Clone(frame)
+	forged[8], forged[9], forged[10], forged[11] = 0xff, 0xff, 0xff, 0x7f
+	f.Add(forged, uint8(3), uint32(1<<31-1), uint16(0))
+
+	f.Fuzz(func(t *testing.T, x []byte, d uint8, count uint32, off uint16) {
+		dst := make([]float64, count%(2*spillChunk+1))
+		offs := make([]int64, int(d)+1)
+		offs[d] = int64(off)
+		sp := &spillStore{f: &memSpillFile{b: x}, off: offs}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := sp.readPanel(int(d), dst)
+		runtime.ReadMemStats(&after)
+		if n, most := after.TotalAlloc-before.TotalAlloc, uint64(len(dst))*8+4096; n > most {
+			t.Errorf("reading into %d floats allocated %d bytes, over %d", len(dst), n, most)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrSpill) {
+				t.Fatalf("error %v does not wrap ErrSpill", err)
+			}
+			return
+		}
+		want := spillFrame(t, int(d), dst)
+		if got := x[off:min(len(x), int(off)+len(want))]; !bytes.Equal(got, want) {
+			t.Fatalf("accepted frame of %d bytes is not the frame written for its %d floats", len(got), len(dst))
+		}
+	})
 }

@@ -3,6 +3,7 @@ package oraclestore
 import (
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -37,7 +38,7 @@ func fillSynthetic(t *testing.T, dir string, n, r int) []string {
 		}
 		for j := 0; j < r; j++ {
 			temps[0] = float64(i*1000 + j)
-			if err := sc.Put([]int{j % 15}, temps); err != nil {
+			if err := sc.Put([]int{j % 15}, slices.Clone(temps)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -48,7 +49,7 @@ func localFile(t *testing.T, dir string, desc oraclestore.SystemDesc, puts [][]i
 		for i := range temps {
 			temps[i] = float64(len(active)*100 + i)
 		}
-		if err := sc.Put(active, temps); err != nil {
+		if err := sc.Put(active, slices.Clone(temps)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -55,10 +56,10 @@ func TestSystemCacheRoundTrip(t *testing.T) {
 			t.Fatalf("temps[%d] = %g, want %g (bit-exact persistence)", i, got[i], temps[i])
 		}
 	}
-	got[0] = -999
+	// The RAM mirror is the slice Put was given, handed out by reference.
 	again, _ := sc.Get([]int{0, 3, 7})
-	if again[0] == -999 {
-		t.Error("Get handed out the internal slice")
+	if &got[0] != &temps[0] || &again[0] != &temps[0] {
+		t.Error("a hit is not the first answer's backing array")
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -182,11 +183,11 @@ func TestTwoHandlesSameDirAppendSafely(t *testing.T) {
 	// Interleaved appends from both handles, including a duplicate key.
 	for i := 0; i < 5; i++ {
 		temps[0] = float64(i)
-		if err := scA.Put([]int{i}, temps); err != nil {
+		if err := scA.Put([]int{i}, slices.Clone(temps)); err != nil {
 			t.Fatal(err)
 		}
 		temps[0] = float64(i + 100)
-		if err := scB.Put([]int{i + 5}, temps); err != nil {
+		if err := scB.Put([]int{i + 5}, slices.Clone(temps)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -273,7 +274,7 @@ func TestCorruptTailTruncated(t *testing.T) {
 	temps := make([]float64, 15)
 	for i := 0; i < 5; i++ {
 		temps[0] = float64(i)
-		if err := sc.Put([]int{i}, temps); err != nil {
+		if err := sc.Put([]int{i}, slices.Clone(temps)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -306,7 +307,7 @@ func TestCorruptTailTruncated(t *testing.T) {
 	}
 	// The file must be append-consistent again.
 	temps[0] = 42
-	if err := sc2.Put([]int{4}, temps); err != nil {
+	if err := sc2.Put([]int{4}, slices.Clone(temps)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st2.Close(); err != nil {
@@ -486,7 +487,7 @@ func TestSystemCacheConcurrent(t *testing.T) {
 					return
 				}
 				temps[0] = float64((g + i) % 15)
-				if err := sc.Put(set, temps); err != nil {
+				if err := sc.Put(set, slices.Clone(temps)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -604,6 +605,50 @@ func TestStoreOracleBatch(t *testing.T) {
 				t.Fatalf("warm batch session %d block %d differs (want bit-exact)", i, b)
 			}
 		}
+	}
+}
+
+// shortBatch answers single queries like inner, but its batch path drops the
+// last session while reporting no error.
+type shortBatch struct{ inner core.Oracle }
+
+func (o shortBatch) BlockTemps(active []int) ([]float64, error) {
+	return o.inner.BlockTemps(active)
+}
+
+func (o shortBatch) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
+	out := make([][]float64, len(sessions)-1)
+	for i := range out {
+		temps, err := o.inner.BlockTemps(sessions[i])
+		if err != nil {
+			return nil, err
+		}
+		out[i] = temps
+	}
+	return out, nil
+}
+
+// TestStoreOracleBatchShortInnerResult: an inner batch that answers one
+// session too few, with a nil error, fails the store's batch with ErrStore
+// instead of panicking on the missing index, and persists nothing.
+func TestStoreOracleBatchShortInnerResult(t *testing.T) {
+	desc, spec, m := alphaDesc(t)
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sc, err := st.System(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := sc.Wrap(shortBatch{core.NewSimOracle(m, spec.Profile())}).(core.BatchOracle)
+	got, err := oracle.BlockTempsBatch([][]int{{0}, {1, 3}, {2}})
+	if !errors.Is(err, ErrStore) || got != nil {
+		t.Fatalf("short inner batch: got %d results, %v; want nil, an ErrStore error", len(got), err)
+	}
+	if sc.Len() != 0 {
+		t.Errorf("store holds %d records after a failed batch, want 0", sc.Len())
 	}
 }
 

@@ -197,8 +197,8 @@ func memKey(active []int, numBlocks int) (string, []int, error) {
 	return string(buf), sorted, nil
 }
 
-// Get returns the stored temperatures for an active set, or false. The slice
-// is a fresh copy.
+// Get returns the stored temperatures for an active set, or false: the
+// cache's own RAM mirror, shared with every caller and read-only.
 func (c *SystemCache) Get(active []int) ([]float64, bool) {
 	key, _, err := memKey(active, c.numBlocks)
 	if err != nil {
@@ -213,16 +213,16 @@ func (c *SystemCache) Get(active []int) ([]float64, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	out := make([]float64, len(temps))
-	copy(out, temps)
-	return out, true
+	return temps, true
 }
 
 // Put persists one answer. Re-putting a known set is a no-op; temps must
-// have one entry per block. The append is a single write on an O_APPEND
-// descriptor (atomically positioned at EOF by the kernel), guarded by the
-// cache's lock; a failed write is retried under the store's RetryPolicy with
-// any torn tail truncated away first, so retries never land after garbage.
+// have one entry per block, and it is kept as the RAM mirror Get hands out,
+// so nobody may write to it afterwards. The append is a single write on an
+// O_APPEND descriptor (atomically positioned at EOF by the kernel), guarded
+// by the cache's lock; a failed write is retried under the store's
+// RetryPolicy with any torn tail truncated away first, so retries never land
+// after garbage.
 //
 // Put degrades instead of failing: the answer is always memoized in RAM
 // before the disk is touched, and a disk failure (after retries) feeds the
@@ -251,9 +251,7 @@ func (c *SystemCache) Put(active []int, temps []float64) error {
 	if _, ok := c.mem[key]; ok {
 		return nil
 	}
-	kept := make([]float64, len(temps))
-	copy(kept, temps)
-	c.mem[key] = kept
+	c.mem[key] = temps
 
 	buf := make([]byte, 0, 4+4*len(sorted)+8*len(temps)+4)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sorted)))
@@ -463,7 +461,8 @@ func (o *storeOracle) BlockTemps(active []int) ([]float64, error) {
 // the inner oracle as one batch (which a grid oracle spreads over goroutines
 // and blocked passes) and each answer is persisted in index order after the
 // batch returns, so the hit/miss counters and the records on disk come out
-// exactly as if the sessions had been queried one at a time.
+// exactly as if the sessions had been queried one at a time. An inner batch
+// that answers a different number of sessions than it was asked is an error.
 func (o *storeOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
 	out := make([][]float64, len(sessions))
 	var missIdx []int
@@ -482,21 +481,20 @@ func (o *storeOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
 		miss[k] = sessions[i]
 	}
 	var res [][]float64
+	var err error
 	if b, ok := o.inner.(core.BatchOracle); ok {
-		r, err := b.BlockTempsBatch(miss)
-		if err != nil {
-			return nil, err
-		}
-		res = r
+		res, err = b.BlockTempsBatch(miss)
 	} else {
 		res = make([][]float64, len(miss))
-		for k, s := range miss {
-			temps, err := o.inner.BlockTemps(s)
-			if err != nil {
-				return nil, err
-			}
-			res[k] = temps
+		for k := 0; k < len(miss) && err == nil; k++ {
+			res[k], err = o.inner.BlockTemps(miss[k])
 		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(res) != len(miss) {
+		return nil, fmt.Errorf("%w: inner batch answered %d of %d sessions", ErrStore, len(res), len(miss))
 	}
 	for k, i := range missIdx {
 		out[i] = res[k]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -146,7 +147,7 @@ func TestOracleContractPassiveEntriesUnread(t *testing.T) {
 }
 
 // nanAt answers like its inner oracle except at core bad, which it reports
-// as NaN.
+// as NaN in a copy (an answer is read-only).
 type nanAt struct {
 	inner core.Oracle
 	bad   int
@@ -155,6 +156,7 @@ type nanAt struct {
 func (o nanAt) BlockTemps(active []int) ([]float64, error) {
 	temps, err := o.inner.BlockTemps(active)
 	if err == nil {
+		temps = slices.Clone(temps)
 		temps[o.bad] = math.NaN()
 	}
 	return temps, err
