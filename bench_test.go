@@ -1,12 +1,14 @@
 // Benchmarks regenerating every figure and table of the paper's evaluation,
-// plus the ablations of DESIGN.md §5 and microbenches of the hot kernels.
+// plus the ablations of internal/experiments/ablations.go and microbenches of
+// the hot kernels.
 //
 //	go test -bench=. -benchmem
 //
 // Each experiment bench reports the reproduced headline numbers as custom
 // metrics (schedule length, simulation effort, temperatures), so a bench run
 // doubles as a results table. Shapes, not absolute values, are the
-// comparison criterion against the paper — see EXPERIMENTS.md.
+// comparison criterion against the paper — see the internal/experiments
+// package documentation.
 package thermalsched_test
 
 import (

@@ -1,5 +1,5 @@
 // Command experiments regenerates the figures and tables of the DATE'05
-// paper plus the ablations catalogued in DESIGN.md.
+// paper plus the ablations of internal/experiments/ablations.go.
 //
 // Usage:
 //

@@ -7,7 +7,8 @@
 //	thermserve -addr :8080 -cachedir /var/cache/thermsched -store-budget 256M
 //	thermserve -smoke
 //
-// Endpoints: POST /v1/schedule, GET /v1/systems, GET /healthz, GET /metrics.
+// Endpoints: POST /v1/schedule, POST /v1/jobs, GET and DELETE /v1/jobs/{id},
+// GET /v1/jobs/{id}/events, GET /v1/systems, GET /healthz, GET /metrics.
 // With -cachedir every distinct session simulation persists to a
 // content-addressed store shared across restarts; -store-budget bounds that
 // directory with file-level LRU eviction. -smoke starts the server on an

@@ -1,10 +1,11 @@
 // Package experiments regenerates every figure and table of the DATE'05
-// evaluation plus the ablations listed in DESIGN.md. Each experiment returns
+// evaluation plus the ablations in ablations.go. Each experiment returns
 // a structured result with a text renderer, so the same code backs the
 // cmd/experiments CLI, the root-level benchmarks and the integration tests.
 //
 // Absolute temperatures depend on the reconstructed package and workload
-// (see DESIGN.md §3), so the results are compared with the paper in *shape*:
+// (see the calibration note on thermal.DefaultPackageConfig), so the results
+// are compared with the paper in *shape*:
 // orderings, monotone trends, crossovers and ratios.
 package experiments
 

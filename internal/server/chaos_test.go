@@ -243,6 +243,33 @@ func TestBadDeadlineHeaderRejected(t *testing.T) {
 	}
 }
 
+// TestZeroDeadlineHeaderDisablesDefault: an X-Request-Deadline of 0 or less
+// resolves to no deadline, so it switches off a server default that would
+// otherwise expire every request, and it wins over the body's deadline_ms.
+func TestZeroDeadlineHeaderDisablesDefault(t *testing.T) {
+	_, hs := newTestServer(t, Config{DefaultDeadline: time.Nanosecond})
+	if status, code, _ := postChaos(t, hs.URL, table1Request(), nil); status != http.StatusServiceUnavailable {
+		t.Fatalf("request under a 1ns default: status %d code %q, want 503", status, code)
+	}
+	withBody := table1Request()
+	withBody["deadline_ms"] = 1
+	for _, tc := range []struct {
+		header string
+		body   map[string]any
+	}{
+		{"0", table1Request()},
+		{"0s", table1Request()},
+		{"-1s", table1Request()},
+		{"-5", table1Request()},
+		{"0", withBody},
+	} {
+		status, code, _ := postChaos(t, hs.URL, tc.body, map[string]string{"X-Request-Deadline": tc.header})
+		if status != http.StatusOK {
+			t.Errorf("X-Request-Deadline %q (body %v): status %d code %q, want 200", tc.header, tc.body, status, code)
+		}
+	}
+}
+
 // TestMaxSystemsLRUDropsIdle: with MaxSystems 2, a third distinct system
 // LRU-drops the oldest idle one; the dropped system still answers when
 // re-requested (it rebuilds).

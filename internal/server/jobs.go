@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/jobs"
 )
 
@@ -289,88 +288,26 @@ func (s *Server) runJob(j *jobs.Job) {
 	// interrupt check.
 	j.SetCancel(cancelCause)
 
-	entry, env, warm, err := s.acquireSystem(p)
-	if err != nil {
-		s.jobs.SetFailed(j, fmt.Sprintf("building system: %v", err))
-		return
-	}
-	defer s.release(entry)
-
-	t0 := snapshotTiers(env)
-	// Progress events ride the generator's callback: phase/coverage from the
-	// generator, tier-hit deltas read from the live caches. Runs on the
-	// generation goroutine, so it must stay cheap — two atomic reads and one
-	// small marshal per committed session.
-	genCfg := p.genCfg
-	genCfg.Progress = func(pi core.ProgressInfo) {
-		t1 := snapshotTiers(env)
-		s.jobs.Progress(j, JobProgressEvent{
-			Phase:          pi.Phase,
-			Sessions:       pi.Sessions,
-			CoresScheduled: pi.CoresScheduled,
-			CoresTotal:     pi.CoresTotal,
-			Attempts:       pi.Attempts,
-			Violations:     pi.Violations,
-			Tier1Hits:      t1.h - t0.h,
-			Tier1Misses:    t1.m - t0.m,
-			Tier2Hits:      t1.sh - t0.sh,
-			Tier2Misses:    t1.sm - t0.sm,
-		})
-	}
-
-	var (
-		res      *core.Result
-		genErr   error
-		queueDur time.Duration
-		genDur   time.Duration
-	)
-	queued := time.Now()
-	// Jobs were admitted at POST time (MaxJobs); the pool's trusted path just
-	// bounds their simulation parallelism alongside synchronous traffic.
-	poolErr := s.pool.Do(ctx, func() {
-		queueDur = time.Since(queued)
-		s.jobs.SetRunning(j)
-		g0 := time.Now()
-		res, genErr = env.GenerateContext(ctx, genCfg)
-		genDur = time.Since(g0)
-	})
-	s.maybeEvict()
-	s.pushRemote()
-
-	if poolErr == nil && genErr == nil {
-		result := buildScheduleResult(req, p, res)
-		digest := resultDigest(result)
-		resp := ScheduleResponse{
-			Result: result,
-			Cache:  cacheInfo(env, warm, t0),
-			Timing: TimingInfo{
-				QueueMS:    float64(queueDur) / float64(time.Millisecond),
-				GenerateMS: float64(genDur) / float64(time.Millisecond),
-				TotalMS:    float64(time.Since(start)) / float64(time.Millisecond),
-			},
-		}
+	resp, err := s.generate(ctx, start, req, p, j)
+	var re *runError
+	switch cause := context.Cause(ctx); {
+	case err == nil:
 		full, err := json.Marshal(resp)
 		if err != nil {
 			s.jobs.SetFailed(j, fmt.Sprintf("encoding result: %v", err))
 			return
 		}
-		s.jobs.SetDone(j, full, digest)
-		return
-	}
-
-	runErr := genErr
-	if runErr == nil {
-		runErr = poolErr
-	}
-	switch cause := context.Cause(ctx); {
+		s.jobs.SetDone(j, full, resultDigest(resp.Result))
+	case errors.As(err, &re) && re.stage == "build":
+		s.jobs.SetFailed(j, fmt.Sprintf("building system: %v", err))
 	case errors.Is(cause, errDraining):
 		s.jobs.SetInterrupted(j, "interrupted by drain; will resume on restart")
 	case errors.Is(cause, errJobCancelled):
 		s.jobs.SetCancelled(j, "cancelled by client")
-	case errors.Is(cause, context.DeadlineExceeded) || errors.Is(runErr, context.DeadlineExceeded):
-		s.jobs.SetFailed(j, fmt.Sprintf("deadline expired: %v", runErr))
+	case errors.Is(cause, context.DeadlineExceeded) || errors.Is(err, context.DeadlineExceeded):
+		s.jobs.SetFailed(j, fmt.Sprintf("deadline expired: %v", err))
 	default:
-		s.jobs.SetFailed(j, runErr.Error())
+		s.jobs.SetFailed(j, err.Error())
 	}
 }
 

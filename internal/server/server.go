@@ -22,10 +22,14 @@
 //
 // Endpoints:
 //
-//	POST /v1/schedule  scheduling problem in, thermal-safe schedule out
-//	GET  /v1/systems   warm systems and store statistics
-//	GET  /healthz      readiness: ok|degraded, breaker state, queue occupancy
-//	GET  /metrics      Prometheus text: requests, latency, tiers, shedding, breaker
+//	POST   /v1/schedule          scheduling problem in, thermal-safe schedule out
+//	POST   /v1/jobs              the same problem as an async job: 202 + job id
+//	GET    /v1/jobs/{id}         job state; the schedule response once done
+//	DELETE /v1/jobs/{id}         cancel a queued or running job
+//	GET    /v1/jobs/{id}/events  job state and progress as Server-Sent Events
+//	GET    /v1/systems           warm systems and store statistics
+//	GET    /healthz              readiness: ok|degraded, breaker state, queue occupancy
+//	GET    /metrics              Prometheus text: requests, latency, tiers, shedding, breaker, jobs
 package server
 
 import (
@@ -36,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
-	"io"
 	"math"
 	"net/http"
 	"path/filepath"
@@ -636,23 +639,22 @@ func (s *Server) pushRemote() {
 
 // requestDeadline resolves a request's deadline: the X-Request-Deadline
 // header (a Go duration like "250ms", or a bare integer of milliseconds)
-// wins over the deadline_ms body field, which wins over the server default.
-// A non-positive resolved value means no deadline.
+// wins over the deadline_ms body field, which wins over the server default
+// (jobDeadline). A non-positive resolved value means no deadline, so a
+// header of "0" also switches the default off.
 func (s *Server) requestDeadline(r *http.Request, req *ScheduleRequest) (time.Duration, error) {
-	if h := r.Header.Get("X-Request-Deadline"); h != "" {
-		if d, err := time.ParseDuration(h); err == nil {
-			return d, nil
-		}
-		ms, err := strconv.ParseInt(h, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("X-Request-Deadline %q: want a duration (\"250ms\") or integer milliseconds", h)
-		}
-		return time.Duration(ms) * time.Millisecond, nil
+	h := r.Header.Get("X-Request-Deadline")
+	if h == "" {
+		return s.jobDeadline(req), nil
 	}
-	if req.DeadlineMS != 0 {
-		return time.Duration(req.DeadlineMS) * time.Millisecond, nil
+	if d, err := time.ParseDuration(h); err == nil {
+		return d, nil
 	}
-	return s.cfg.DefaultDeadline, nil
+	ms, err := strconv.ParseInt(h, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("X-Request-Deadline %q: want a duration (\"250ms\") or integer milliseconds", h)
+	}
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 // problem is a fully validated scheduling problem — the shared currency of
@@ -786,6 +788,90 @@ func (s *Server) acquireSystem(p *problem) (entry *systemEntry, env *experiments
 	return entry, env, warm, nil
 }
 
+// runError is a failed run: the stage it failed in ("build", "queue" or
+// "generate"), the time it spent there, and the cause.
+type runError struct {
+	stage   string
+	elapsed time.Duration
+	err     error
+}
+
+func (e *runError) Error() string { return e.err.Error() }
+func (e *runError) Unwrap() error { return e.err }
+
+// generate is the one generation path of synchronous requests and async
+// jobs: acquire the problem's system, run the generator on the pool, time
+// the queue wait and the generation, do the post-request store upkeep and
+// assemble the response. A synchronous request (j nil) passes admission
+// control; a job was admitted at submit time (MaxJobs), so it waits for a
+// worker instead of being shed, is marked running once it has one, and
+// streams progress events. Errors are *runError.
+func (s *Server) generate(ctx context.Context, start time.Time, req *ScheduleRequest, p *problem, j *jobs.Job) (*ScheduleResponse, error) {
+	entry, env, warm, err := s.acquireSystem(p)
+	if err != nil {
+		return nil, &runError{"build", 0, err}
+	}
+	defer s.release(entry)
+
+	t0 := snapshotTiers(env)
+	genCfg := p.genCfg
+	admit := s.pool.TryDo
+	if j != nil {
+		admit = s.pool.Do
+		// Progress events ride the generator's callback: phase/coverage from
+		// the generator, tier-hit deltas read from the live caches. Runs on
+		// the generation goroutine, so it must stay cheap — two atomic reads
+		// and one small marshal per committed session.
+		genCfg.Progress = func(pi core.ProgressInfo) {
+			t1 := snapshotTiers(env)
+			s.jobs.Progress(j, JobProgressEvent{
+				Phase:          pi.Phase,
+				Sessions:       pi.Sessions,
+				CoresScheduled: pi.CoresScheduled,
+				CoresTotal:     pi.CoresTotal,
+				Attempts:       pi.Attempts,
+				Violations:     pi.Violations,
+				Tier1Hits:      t1.h - t0.h,
+				Tier1Misses:    t1.m - t0.m,
+				Tier2Hits:      t1.sh - t0.sh,
+				Tier2Misses:    t1.sm - t0.sm,
+			})
+		}
+	}
+
+	var (
+		res              *core.Result
+		genErr           error
+		queueDur, genDur time.Duration
+	)
+	queued := time.Now()
+	if err := admit(ctx, func() {
+		queueDur = time.Since(queued)
+		if j != nil {
+			s.jobs.SetRunning(j)
+		}
+		g0 := time.Now()
+		res, genErr = env.GenerateContext(ctx, genCfg)
+		genDur = time.Since(g0)
+	}); err != nil {
+		return nil, &runError{"queue", time.Since(queued), err}
+	}
+	s.maybeEvict()
+	s.pushRemote()
+	if genErr != nil {
+		return nil, &runError{"generate", genDur, genErr}
+	}
+	return &ScheduleResponse{
+		Result: buildScheduleResult(req, p, res),
+		Cache:  cacheInfo(env, warm, t0),
+		Timing: TimingInfo{
+			QueueMS:    float64(queueDur) / float64(time.Millisecond),
+			GenerateMS: float64(genDur) / float64(time.Millisecond),
+			TotalMS:    float64(time.Since(start)) / float64(time.Millisecond),
+		},
+	}, nil
+}
+
 // handleSchedule serves POST /v1/schedule.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
@@ -818,83 +904,48 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	entry, env, warm, err := s.acquireSystem(p)
-	if err != nil {
+	resp, err := s.generate(ctx, start, req, p, nil)
+	if err == nil {
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	var re *runError
+	errors.As(err, &re)
+	spent := re.elapsed.Round(time.Millisecond)
+	switch {
+	case re.stage == "build":
 		writeError(w, http.StatusInternalServerError, "system_build_failed", err.Error())
-		return
+	case errors.Is(err, conc.ErrSaturated):
+		// Shed: the admission queue is full. Retry-After gives polite
+		// clients a backoff hint; the counter must match what clients
+		// observe (asserted by the chaos tests).
+		s.shed.Add(1)
+		w.Header().Set("Retry-After", retryAfterHint(s.pool.Queued(), s.pool.QueueDepth()))
+		writeError(w, http.StatusTooManyRequests, "saturated",
+			fmt.Sprintf("admission queue full (%d workers + %d queued); retry later",
+				s.pool.Workers(), s.pool.QueueDepth()))
+	case re.stage == "queue" && errors.Is(err, context.DeadlineExceeded):
+		s.dlQueued.Add(1)
+		writeError(w, http.StatusServiceUnavailable, "deadline_queued",
+			fmt.Sprintf("deadline expired after %s waiting for a worker", spent))
+	case re.stage == "queue":
+		// The client gave up while queued; 503 tells retrying proxies the
+		// pool was saturated.
+		writeError(w, http.StatusServiceUnavailable, "canceled",
+			fmt.Sprintf("request canceled while queued: %v", err))
+	case errors.Is(err, context.DeadlineExceeded):
+		s.dlGenerating.Add(1)
+		writeError(w, http.StatusServiceUnavailable, "deadline_generating",
+			fmt.Sprintf("deadline expired mid-generation after %s (everything simulated so far stays cached): %v",
+				spent, err))
+	case errors.Is(err, core.ErrInterrupted):
+		writeError(w, http.StatusServiceUnavailable, "canceled",
+			fmt.Sprintf("request canceled mid-generation: %v", err))
+	case errors.As(err, new(*core.MaxAttemptsError)):
+		writeError(w, http.StatusUnprocessableEntity, "max_attempts", err.Error())
+	default:
+		writeError(w, http.StatusUnprocessableEntity, "schedule_failed", err.Error())
 	}
-	defer s.release(entry)
-
-	t0 := snapshotTiers(env)
-
-	var (
-		res      *core.Result
-		genErr   error
-		queueDur time.Duration
-		genDur   time.Duration
-	)
-	queued := time.Now()
-	if err := s.pool.TryDo(ctx, func() {
-		queueDur = time.Since(queued)
-		t0 := time.Now()
-		res, genErr = env.GenerateContext(ctx, p.genCfg)
-		genDur = time.Since(t0)
-	}); err != nil {
-		switch {
-		case errors.Is(err, conc.ErrSaturated):
-			// Shed: the admission queue is full. Retry-After gives polite
-			// clients a backoff hint; the counter must match what clients
-			// observe (asserted by the chaos tests).
-			s.shed.Add(1)
-			w.Header().Set("Retry-After", retryAfterHint(s.pool.Queued(), s.pool.QueueDepth()))
-			writeError(w, http.StatusTooManyRequests, "saturated",
-				fmt.Sprintf("admission queue full (%d workers + %d queued); retry later",
-					s.pool.Workers(), s.pool.QueueDepth()))
-		case errors.Is(err, context.DeadlineExceeded):
-			s.dlQueued.Add(1)
-			writeError(w, http.StatusServiceUnavailable, "deadline_queued",
-				fmt.Sprintf("deadline expired after %s waiting for a worker", time.Since(queued).Round(time.Millisecond)))
-		default:
-			// The client gave up while queued; 503 tells retrying proxies the
-			// pool was saturated.
-			writeError(w, http.StatusServiceUnavailable, "canceled",
-				fmt.Sprintf("request canceled while queued: %v", err))
-		}
-		return
-	}
-	s.maybeEvict()
-	s.pushRemote()
-	if genErr != nil {
-		switch {
-		case errors.Is(genErr, context.DeadlineExceeded):
-			s.dlGenerating.Add(1)
-			writeError(w, http.StatusServiceUnavailable, "deadline_generating",
-				fmt.Sprintf("deadline expired mid-generation after %s (everything simulated so far stays cached): %v",
-					genDur.Round(time.Millisecond), genErr))
-		case errors.Is(genErr, core.ErrInterrupted):
-			writeError(w, http.StatusServiceUnavailable, "canceled",
-				fmt.Sprintf("request canceled mid-generation: %v", genErr))
-		default:
-			var ma *core.MaxAttemptsError
-			code, status := "schedule_failed", http.StatusUnprocessableEntity
-			if errors.As(genErr, &ma) {
-				code = "max_attempts"
-			}
-			writeError(w, status, code, genErr.Error())
-		}
-		return
-	}
-
-	resp := ScheduleResponse{
-		Result: buildScheduleResult(req, p, res),
-		Cache:  cacheInfo(env, warm, t0),
-		Timing: TimingInfo{
-			QueueMS:    float64(queueDur) / float64(time.Millisecond),
-			GenerateMS: float64(genDur) / float64(time.Millisecond),
-			TotalMS:    float64(time.Since(start)) / float64(time.Millisecond),
-		},
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleSystems serves GET /v1/systems.
@@ -1004,67 +1055,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		resp.Status = "draining"
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleMetrics serves GET /metrics.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	var tc tierCounters
-	s.mu.Lock()
-	tc.SystemsLive = len(s.systems)
-	tc.GridFactorsLive = thermal.LiveGridFactors()
-	for _, e := range s.systems {
-		if e.env == nil {
-			continue
-		}
-		h, m := e.env.Oracle.Stats()
-		tc.Tier1Hits += h
-		tc.Tier1Misses += m
-		if sc := e.env.StoreCache; sc != nil {
-			sh, sm := sc.Stats()
-			tc.Tier2Hits += sh
-			tc.Tier2Misses += sm
-		}
-		if fs, ok := e.env.GridFactorStats(); ok {
-			tc.Factors = append(tc.Factors, systemFactor{
-				Key:               fmt.Sprintf("%x", e.oracleKey),
-				Kernel:            fs.Mode,
-				FactorSeconds:     fs.FactorTime.Seconds(),
-				Panels:            fs.Panels,
-				PeakBytes:         fs.PeakFactorBytes,
-				PeakResidentBytes: fs.PeakResidentBytes,
-				SpilledPanels:     fs.SpilledPanels,
-				SpilledBytes:      fs.SpilledBytes,
-			})
-		}
-	}
-	s.mu.Unlock()
-	tc.Shed = s.shed.Load()
-	tc.DeadlineQueued = s.dlQueued.Load()
-	tc.DeadlineGenerating = s.dlGenerating.Load()
-	tc.SystemsDropped = s.systemsDropped.Load()
-	tc.IndexHits = s.indexHits.Load()
-	tc.IndexMisses = s.indexMisses.Load()
-	tc.QueueDepth = s.pool.Queued()
-	tc.QueueLimit = s.pool.QueueDepth()
-	jc := s.jobs.Counts()
-	tc.Jobs = &jc
-	js := s.jobs.JournalStats()
-	tc.JobJournal = &js
-	if s.store != nil {
-		if st, err := s.store.Stats(); err == nil {
-			tc.StoreFiles = st.Files
-			tc.StoreBytes = st.Bytes
-			tc.StoreEvictedFiles = st.EvictedFiles
-			tc.StoreEvictedBytes = st.EvictedBytes
-		}
-		h := s.store.Health()
-		tc.Breaker = &h
-		if s.store.HasRemote() {
-			rs := s.store.RemoteStats()
-			tc.Remote = &rs
-		}
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = io.WriteString(w, s.met.render(tc))
 }

@@ -313,6 +313,44 @@ func TestUnschedulableReturns422(t *testing.T) {
 	}
 }
 
+// TestServiceMaxAttemptsFailsBothPaths: a generation that trips its
+// max_attempts budget answers 422 max_attempts on /v1/schedule, and the same
+// request run as a job ends failed with the budget error.
+func TestServiceMaxAttemptsFailsBothPaths(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	req := table1Request()
+	req["max_attempts"] = 1
+	body, _ := json.Marshal(req)
+	status, e := postRaw(t, hs.URL+"/v1/schedule", string(body))
+	if status != http.StatusUnprocessableEntity || e.Error.Code != "max_attempts" {
+		t.Fatalf("sync: status %d %+v, want 422 max_attempts", status, e.Error)
+	}
+	st := awaitJob(t, hs.URL, postJob(t, hs.URL, req))
+	if st.State != "failed" || !strings.Contains(st.Error, "MaxAttempts=1") {
+		t.Fatalf("job: state %q error %q, want failed on MaxAttempts=1", st.State, st.Error)
+	}
+}
+
+// TestServiceSystemBuildFailedBothPaths: once the persistent store is closed
+// (Server.Close leaves it so while the handler stays mounted), a system that
+// is not yet live cannot open its record file: /v1/schedule answers 500
+// system_build_failed and the same request run as a job ends failed.
+func TestServiceSystemBuildFailedBothPaths(t *testing.T) {
+	srv, hs := newTestServer(t, Config{CacheDir: t.TempDir()})
+	if err := srv.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(table1Request())
+	status, e := postRaw(t, hs.URL+"/v1/schedule", string(body))
+	if status != http.StatusInternalServerError || e.Error.Code != "system_build_failed" {
+		t.Fatalf("sync: status %d %+v, want 500 system_build_failed", status, e.Error)
+	}
+	st := awaitJob(t, hs.URL, postJob(t, hs.URL, table1Request()))
+	if st.State != "failed" || !strings.HasPrefix(st.Error, "building system: ") {
+		t.Fatalf("job: state %q error %q, want failed building the system", st.State, st.Error)
+	}
+}
+
 // TestSystemsAndMetricsEndpoints: after traffic, /v1/systems lists the warm
 // system with its tier counters and /metrics exposes request counts, the
 // latency histogram, a non-zero tier-1 hit rate and the request index's

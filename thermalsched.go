@@ -127,7 +127,7 @@ const (
 func NewCachedOracle(inner Oracle) *CachedOracle { return core.NewCachedOracle(inner) }
 
 // DefaultPackage returns the calibrated package stack used by the paper
-// reproduction (see DESIGN.md §3 for the calibration rationale).
+// reproduction (the calibration note is on thermal.DefaultPackageConfig).
 func DefaultPackage() PackageConfig { return thermal.DefaultPackageConfig() }
 
 // AlphaWorkload returns the paper's evaluation workload: the reconstructed
