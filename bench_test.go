@@ -511,7 +511,8 @@ func BenchmarkGridSteadyState(b *testing.B) {
 // the 256×256 tentpole rung. The 1024×1024 rung (n2097k, ~2.1M nodes)
 // factors out of core under a 3 GiB peak-bytes budget and takes minutes — it
 // only runs with THERM_BENCH_1024=1. Sub-benchmarks keep their historical
-// "/supernodal" suffix so reports compare against earlier BENCH_*.json runs.
+// "/supernodal" suffix: the CI bench gate pairs rows by name with the parent
+// commit's, and a renamed row is reported, not gated.
 func BenchmarkGridFactor(b *testing.B) {
 	for _, c := range []struct {
 		name string

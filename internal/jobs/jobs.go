@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/oraclestore"
@@ -235,9 +234,7 @@ type Manager struct {
 	jobs       map[string]*Job
 	order      []string // insertion order, for deterministic resume
 	drainCause error
-
-	active                                                         atomic.Int64
-	queued, running, done, failed, cancelled, interrupted, resumed atomic.Int64
+	counts     Counters
 }
 
 // journalTag names the journal schema; bump the string to invalidate old
@@ -333,7 +330,7 @@ func (m *Manager) replay(payload []byte) error {
 		}
 		m.jobs[rec.ID] = j
 		m.order = append(m.order, rec.ID)
-		m.active.Add(1)
+		m.counts.Active++
 		return nil
 	}
 	j.state = rec.State
@@ -355,7 +352,7 @@ func (m *Manager) replay(payload []byte) error {
 			close(j.done)
 		}
 		if rec.State.Terminal() {
-			m.active.Add(-1)
+			m.counts.Active--
 		}
 	}
 	return nil
@@ -403,7 +400,7 @@ func (m *Manager) Submit(payload json.RawMessage) *Job {
 	m.mu.Lock()
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
-	m.active.Add(1)
+	m.counts.Active++
 	m.journalLocked(journalRecord{ID: j.id, State: StateAccepted, Time: now, Request: payload})
 	m.publishStateLocked(j)
 	m.mu.Unlock()
@@ -425,8 +422,9 @@ func (m *Manager) Jobs() []string {
 	return append([]string(nil), m.order...)
 }
 
-// transition journals and publishes one state change. mutate runs under the
-// lock after the state is set, to attach transition-specific fields.
+// transition journals, counts and publishes one state change. mutate runs
+// under the lock after the state is set, to attach transition-specific
+// fields. A refused transition changes nothing, counters included.
 func (m *Manager) transition(j *Job, state State, rec journalRecord, mutate func()) {
 	now := time.Now().UTC()
 	rec.ID = j.id
@@ -446,12 +444,29 @@ func (m *Manager) transition(j *Job, state State, rec journalRecord, mutate func
 	if mutate != nil {
 		mutate()
 	}
+	switch state {
+	case StateQueued:
+		m.counts.Queued++
+		if rec.Resumed {
+			m.counts.Resumed++
+		}
+	case StateRunning:
+		m.counts.Running++
+	case StateDone:
+		m.counts.Done++
+	case StateFailed:
+		m.counts.Failed++
+	case StateCancelled:
+		m.counts.Cancelled++
+	case StateInterrupted:
+		m.counts.Interrupted++
+	}
 	m.journalLocked(rec)
 	m.publishStateLocked(j)
 	if state.final() {
 		close(j.done)
 		if state.Terminal() {
-			m.active.Add(-1)
+			m.counts.Active--
 		}
 	}
 	m.mu.Unlock()
@@ -459,26 +474,20 @@ func (m *Manager) transition(j *Job, state State, rec journalRecord, mutate func
 
 // SetQueued marks the job waiting for its runner.
 func (m *Manager) SetQueued(j *Job) {
-	m.queued.Add(1)
 	m.transition(j, StateQueued, journalRecord{}, nil)
 }
 
 // Requeue marks a replayed job queued again with the resumed flag, counting
 // it as a resume. The server calls this once per Resumable job on restart.
 func (m *Manager) Requeue(j *Job) {
-	m.queued.Add(1)
-	m.resumed.Add(1)
 	m.transition(j, StateQueued, journalRecord{Resumed: true}, func() {
 		j.resumed = true
 		// The job may have been left final-in-process (interrupted) by the
 		// previous run's drain; its replay closed done. Re-arm it for the
-		// fresh run.
+		// fresh run. Active already counts it: interrupted is not terminal.
 		select {
 		case <-j.done:
 			j.done = make(chan struct{})
-			if j.state == StateInterrupted { // re-activated
-				m.active.Add(1)
-			}
 		default:
 		}
 	})
@@ -486,14 +495,12 @@ func (m *Manager) Requeue(j *Job) {
 
 // SetRunning marks the job generating.
 func (m *Manager) SetRunning(j *Job) {
-	m.running.Add(1)
 	m.transition(j, StateRunning, journalRecord{}, nil)
 }
 
 // SetDone records the result (the full response body the GET endpoint will
 // return) and its digest (SHA-256 of the deterministic result section).
 func (m *Manager) SetDone(j *Job, result json.RawMessage, digest string) {
-	m.done.Add(1)
 	m.transition(j, StateDone, journalRecord{Result: result, Digest: digest}, func() {
 		j.result = result
 		j.digest = digest
@@ -502,20 +509,17 @@ func (m *Manager) SetDone(j *Job, result json.RawMessage, digest string) {
 
 // SetFailed records a failure.
 func (m *Manager) SetFailed(j *Job, msg string) {
-	m.failed.Add(1)
 	m.transition(j, StateFailed, journalRecord{Error: msg}, func() { j.errMsg = msg })
 }
 
 // SetCancelled records a client cancellation.
 func (m *Manager) SetCancelled(j *Job, msg string) {
-	m.cancelled.Add(1)
 	m.transition(j, StateCancelled, journalRecord{Error: msg}, func() { j.errMsg = msg })
 }
 
 // SetInterrupted records a drain interruption; the journal record is what a
 // restarted server resumes from.
 func (m *Manager) SetInterrupted(j *Job, msg string) {
-	m.interrupted.Add(1)
 	m.transition(j, StateInterrupted, journalRecord{Error: msg}, func() { j.errMsg = msg })
 }
 
@@ -597,16 +601,9 @@ func (m *Manager) Draining() (bool, error) {
 
 // Counts returns the lifetime transition counters.
 func (m *Manager) Counts() Counters {
-	return Counters{
-		Queued:      m.queued.Load(),
-		Running:     m.running.Load(),
-		Done:        m.done.Load(),
-		Failed:      m.failed.Load(),
-		Cancelled:   m.cancelled.Load(),
-		Interrupted: m.interrupted.Load(),
-		Resumed:     m.resumed.Load(),
-		Active:      m.active.Load(),
-	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.counts
 }
 
 // JournalStats exposes the journal's durability counters.

@@ -274,6 +274,29 @@ func TestFinalTransitionWinsRace(t *testing.T) {
 	}
 }
 
+// TestRefusedTransitionNotCounted: a transition refused because the job is
+// already final leaves every counter as the accepted ones set it, so a
+// /metrics read never shows one job as both done and cancelled, or as both
+// done and active.
+func TestRefusedTransitionNotCounted(t *testing.T) {
+	m := openTestManager(t, "", Config{})
+	defer m.Close()
+	j := m.Submit(json.RawMessage(`{}`))
+	m.SetDone(j, json.RawMessage(`{}`), "d")
+	m.SetCancelled(j, "client cancel")
+	m.SetInterrupted(j, "draining")
+	m.SetFailed(j, "late")
+	m.SetRunning(j)
+	m.SetQueued(j)
+	m.Requeue(j)
+	if c := m.Counts(); c != (Counters{Done: 1}) {
+		t.Fatalf("counts after refused transitions: %+v, want only Done 1", c)
+	}
+	if st := j.Snapshot(); st.State != StateDone {
+		t.Fatalf("state: %+v", st)
+	}
+}
+
 func TestJournalFaultDegradesMemoryOnly(t *testing.T) {
 	ffs := oraclestore.NewFaultFS(nil)
 	path := filepath.Join(t.TempDir(), "jobs.wal")
