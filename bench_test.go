@@ -26,7 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/oraclestore"
-	"repro/internal/power"
 	"repro/internal/server"
 	"repro/internal/thermal"
 )
@@ -606,14 +605,15 @@ func BenchmarkGridSteady(b *testing.B) {
 			for i := range pm {
 				pm[i] = spec.Test(i).Power / 3
 			}
-			b.ReportMetric(float64(gm.NumNodes()), "nodes")
-			b.ReportMetric(float64(gm.FactorNNZ()), "factor_nnz")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := gm.SteadyState(pm); err != nil {
 					b.Fatal(err)
 				}
 			}
+			// After the loop: ResetTimer drops metrics reported before it.
+			b.ReportMetric(float64(gm.NumNodes()), "nodes")
+			b.ReportMetric(float64(gm.FactorNNZ()), "factor_nnz")
 		})
 	}
 }
@@ -649,40 +649,14 @@ func BenchmarkGridSteadyBatch(b *testing.B) {
 	b.ReportMetric(float64(perQuery.Nanoseconds()), "ns/query")
 }
 
-// table1GridModes are the two validation strategies the grid benchmarks
-// compare; both render byte-identical schedules:
-//
-//   - per-candidate: one solve per phase-2 candidate, in the generator's
-//     goroutine
-//   - batched:       each speculative phase-2 chain goes to
-//     GridOracle.BlockTempsBatch, which fans it out across GOMAXPROCS and
-//     groups the multi-core sessions into blocked multi-RHS passes
-//
-// Phase 1 takes the same route in both: its solos go to BlockTempsBatch in
-// one call.
-func table1GridModes(gm *thermal.GridModel, prof *power.Profile) []struct {
-	name   string
-	oracle core.Oracle
-	batch  bool
-} {
-	return []struct {
-		name   string
-		oracle core.Oracle
-		batch  bool
-	}{
-		{"per-candidate", core.NewGridOracle(gm, prof), false},
-		{"batched", core.NewGridOracle(gm, prof), true},
-	}
-}
-
 // BenchmarkTable1CellGridCold is the acceptance benchmark of the grid-scale
 // candidate evaluation: one cold Table 1 cell (TL=165, STCL=60) validated on
-// a 96×96 grid-resolution oracle (18 434 nodes — the regime the fast path
-// targets) with an empty memo cache per iteration; the factorization happens
-// outside the timer, so the candidate-scan cost is what moves. Cold is where
-// batching pays: the whole phase-2 chain is fresh, so its sessions are solved
-// concurrently by the grid oracle's fan-out (solos on the sparse-RHS route,
-// multi-core sessions sharing blocked passes).
+// a 96×96 grid-resolution oracle (18 434 nodes) with an empty memo cache per
+// iteration; the factorization happens outside the timer, so the
+// candidate-scan cost is what moves. Phase 1's solos go to the grid oracle's
+// batch path in one call and fan out across GOMAXPROCS; each phase-2
+// candidate is one sparse-RHS solve on the generator's goroutine. The
+// sub-benchmark keeps its per-candidate name so rows compare across commits.
 func BenchmarkTable1CellGridCold(b *testing.B) {
 	const gridRes = 96
 	spec := thermalsched.AlphaWorkload()
@@ -695,26 +669,22 @@ func BenchmarkTable1CellGridCold(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range table1GridModes(gm, spec.Profile()) {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := core.Generate(env.Spec, env.SM, core.NewCachedOracle(mode.oracle),
-					core.Config{TL: 165, STCL: 60, BatchValidate: mode.batch})
-				if err != nil {
-					b.Fatal(err)
-				}
+	oracle := core.NewGridOracle(gm, spec.Profile())
+	b.Run("per-candidate", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_, err := core.Generate(env.Spec, env.SM, core.NewCachedOracle(oracle),
+				core.Config{TL: 165, STCL: 60})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkTable1GridOracle sweeps the full 81-cell Table 1 grid on the same
 // 96×96 oracle with one shared memo cache per iteration. The cache collapses
-// ~1100 generator attempts to ~120 distinct simulations and — unlike the
-// cold-cell bench — hands the batched mode almost nothing to fan out:
-// fresh sessions surface one at a time (as chain heads) once the cache is
-// warm, so per-candidate and batched bracket a few percent of each other and
-// the sparse-RHS solo path carries the win.
+// ~1100 generator attempts to ~120 distinct simulations, so the sparse-RHS
+// solves of the fresh sessions carry the cost.
 func BenchmarkTable1GridOracle(b *testing.B) {
 	const gridRes = 96
 	spec := thermalsched.AlphaWorkload()
@@ -727,20 +697,18 @@ func BenchmarkTable1GridOracle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range table1GridModes(gm, spec.Profile()) {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cache := core.NewCachedOracle(mode.oracle)
-				for _, tl := range experiments.Table1TLs {
-					for _, stcl := range experiments.STCLs {
-						_, err := core.Generate(env.Spec, env.SM, cache,
-							core.Config{TL: tl, STCL: stcl, BatchValidate: mode.batch})
-						if err != nil {
-							b.Fatal(err)
-						}
+	oracle := core.NewGridOracle(gm, spec.Profile())
+	b.Run("per-candidate", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			cache := core.NewCachedOracle(oracle)
+			for _, tl := range experiments.Table1TLs {
+				for _, stcl := range experiments.STCLs {
+					_, err := core.Generate(env.Spec, env.SM, cache, core.Config{TL: tl, STCL: stcl})
+					if err != nil {
+						b.Fatal(err)
 					}
 				}
 			}
-		})
-	}
+		}
+	})
 }

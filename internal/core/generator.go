@@ -22,8 +22,6 @@ type Config struct {
 	WeightGrowth float64
 	// Order is the candidate scan order; default OrderByTCDesc.
 	Order OrderPolicy
-	// STCScale divides the raw STC; 0 → DefaultSTCScale.
-	STCScale float64
 	// AutoRaiseTL implements the "or increase TL" arm of Algorithm 1 line 5:
 	// when a core's solo test already violates TL, raise the effective TL
 	// just above the worst BCMT instead of failing. Off by default — the
@@ -31,22 +29,13 @@ type Config struct {
 	// reporting which cores are infeasible.
 	AutoRaiseTL bool
 	// MaxAttempts bounds the number of candidate-session simulations as a
-	// safety valve; 0 → 100000. Exceeding it returns a *MaxAttemptsError.
+	// safety valve; 0 → 100000, negative is invalid. Exceeding it returns a
+	// *MaxAttemptsError.
 	MaxAttempts int
-	// BatchValidate makes phase 2 speculate: it builds the whole chain of
-	// follow-on sessions its candidate would unlock (weights only change on
-	// a violation, so the chain is exact until the first failure) and
-	// validates the chain's tail in one BlockTempsBatch call when the oracle
-	// implements BatchOracle — at grid resolution, one call the grid oracle
-	// fans out across GOMAXPROCS goroutines, with multi-core sessions
-	// sharing blocked multi-RHS passes, so the chain's solves run
-	// concurrently instead of one after another.
-	// Results are byte-identical to serial validation: the consumption loop
-	// replays the chain in order, commits the validated prefix, and discards
-	// everything after the first violation, which is exactly what the serial
-	// loop would have simulated. Off by default: with a microsecond block
-	// oracle the discarded speculative work costs more than it saves. Phase 1
-	// does not depend on it (see Run).
+	// BatchValidate is ignored: phase 2 simulates one candidate session at
+	// a time, and phase 1 always batches its solos when the oracle can.
+	//
+	// Deprecated: ignored.
 	BatchValidate bool
 	// Interrupt, when non-nil, is polled before phase 1 and before every
 	// phase-2 candidate build; a non-nil return aborts the run with an error
@@ -85,9 +74,6 @@ func (c Config) withDefaults() Config {
 	if c.WeightGrowth == 0 {
 		c.WeightGrowth = 1.1
 	}
-	if c.STCScale == 0 {
-		c.STCScale = DefaultSTCScale
-	}
 	if c.MaxAttempts == 0 {
 		c.MaxAttempts = 100000
 	}
@@ -109,6 +95,9 @@ func (c Config) validate() error {
 	}
 	if c.WeightGrowth <= 1 {
 		return fmt.Errorf("%w: WeightGrowth = %g must be > 1", ErrCore, c.WeightGrowth)
+	}
+	if c.MaxAttempts < 0 {
+		return fmt.Errorf("%w: MaxAttempts = %d must be >= 0", ErrCore, c.MaxAttempts)
 	}
 	return nil
 }
@@ -319,19 +308,22 @@ func (g *Generator) Run() (*Result, error) {
 
 	sched := schedule.New()
 	builder := newSessionBuilder(g.sm)
-	batch, _ := g.oracle.(BatchOracle)
-	speculate := g.cfg.BatchValidate && batch != nil
-	var remScratch []bool
-	var chainScratch []pendingSession
 	sessionAttempts := 0
-
-	// consume validates one built session against its temperatures with
-	// bookkeeping identical to the serial loop: count the attempt, accrue
-	// effort, trip the budget, and either commit (line 17) or grow the
-	// offenders' weights (line 20). It reports whether the session was
-	// committed; a false return with nil error is a violation.
-	consume := func(ps pendingSession, temps []float64) (bool, error) {
-		if ps.forced {
+	for left > 0 {
+		if err := g.interrupted(); err != nil {
+			return nil, err
+		}
+		// Lines 9–15 build the candidate; line 16 simulates it once. The
+		// session aliases the builder until the next buildSession call.
+		session, stc, forced, err := g.buildSession(builder, order, remaining, weights)
+		if err != nil {
+			return nil, err
+		}
+		temps, err := g.oracle.BlockTemps(session)
+		if err != nil {
+			return nil, fmt.Errorf("core: session simulation: %w", err)
+		}
+		if forced {
 			res.ForcedSingletons++
 		}
 		res.Attempts++
@@ -339,7 +331,7 @@ func (g *Generator) Run() (*Result, error) {
 		// The attempt's length is its longest test, a max that ignores member
 		// order, so discarded attempts never pay for a sorted Session.
 		var length float64
-		for _, c := range ps.cores {
+		for _, c := range session {
 			if l := g.spec.Test(c).Length; l > length {
 				length = l
 			}
@@ -352,7 +344,7 @@ func (g *Generator) Run() (*Result, error) {
 					unsched = append(unsched, i)
 				}
 			}
-			return false, &MaxAttemptsError{
+			return nil, &MaxAttemptsError{
 				MaxAttempts: g.cfg.MaxAttempts,
 				Attempts:    res.Attempts,
 				Sessions:    len(res.Records),
@@ -361,10 +353,10 @@ func (g *Generator) Run() (*Result, error) {
 		}
 		valid := true
 		sessionMax := math.Inf(-1)
-		for _, c := range ps.cores {
+		for _, c := range session {
 			t := temps[c]
 			if math.IsNaN(t) || math.IsInf(t, 0) {
-				return false, g.nonFinite(2, c, ps.cores, t)
+				return nil, g.nonFinite(2, c, session, t)
 			}
 			sessionMax = math.Max(sessionMax, t)
 			if t >= tl {
@@ -374,25 +366,25 @@ func (g *Generator) Run() (*Result, error) {
 		}
 		if !valid {
 			res.Violations++
-			return false, nil
+			continue // line 9: rebuild from scratch
 		}
-		sess, err := schedule.NewSession(ps.cores...)
+		sess, err := schedule.NewSession(session...)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
 		sched = sched.Append(sess)
 		res.Records = append(res.Records, SessionRecord{
 			Session:  sess,
-			STC:      ps.stc,
+			STC:      stc,
 			MaxTemp:  sessionMax,
 			Attempts: sessionAttempts,
 		})
 		res.MaxTemp = math.Max(res.MaxTemp, sessionMax)
 		sessionAttempts = 0
-		for _, c := range ps.cores {
+		for _, c := range session {
 			remaining[c] = false
 		}
-		left -= len(ps.cores)
+		left -= len(session)
 		g.progress(ProgressInfo{
 			Phase:          2,
 			Sessions:       len(res.Records),
@@ -401,66 +393,6 @@ func (g *Generator) Run() (*Result, error) {
 			Attempts:       res.Attempts,
 			Violations:     res.Violations,
 		})
-		return true, nil
-	}
-
-	for left > 0 {
-		if err := g.interrupted(); err != nil {
-			return nil, err
-		}
-		// Build the candidate session — and, when batch-validating, the
-		// whole optimistic chain of follow-on sessions it unlocks (weights
-		// only change on a violation, so the chain is exact until one).
-		chain, err := g.buildChain(builder, order, remaining, weights,
-			&remScratch, &chainScratch, speculate)
-		if err != nil {
-			return nil, err
-		}
-		// The chain head is validated on its own: right after a weight
-		// change it is the likeliest candidate of the whole run to violate,
-		// and spending one plain query on it means a violation streak never
-		// discards a speculative batch. The tail — the low-risk follow-ons —
-		// is what rides the blocked multi-RHS pass.
-		temps, err := g.oracle.BlockTemps(chain[0].cores)
-		if err != nil {
-			return nil, fmt.Errorf("core: session simulation: %w", err)
-		}
-		ok, err := consume(chain[0], temps)
-		if err != nil {
-			return nil, err
-		}
-		if !ok || len(chain) == 1 {
-			continue // line 9: rebuild from scratch (or chain exhausted)
-		}
-		tail := make([][]int, len(chain)-1)
-		for i := range tail {
-			tail[i] = chain[i+1].cores
-		}
-		// A whole-batch error is not attributable to one session; discard
-		// the batch so the loop below re-queries per session, which
-		// reproduces the serial error at the session the serial run would
-		// have failed on (the oracle is deterministic). The length check
-		// guards against an implementation returning a short result
-		// alongside its error.
-		batched, berr := batch.BlockTempsBatch(tail)
-		if berr != nil || len(batched) != len(tail) {
-			batched = nil
-		}
-		for i := 1; i < len(chain); i++ {
-			var t []float64
-			if batched != nil {
-				t = batched[i-1]
-			} else if t, err = g.oracle.BlockTemps(chain[i].cores); err != nil {
-				return nil, fmt.Errorf("core: session simulation: %w", err)
-			}
-			ok, err := consume(chain[i], t)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break // discard the rest: it was built under stale weights
-			}
-		}
 	}
 
 	res.Schedule = sched
@@ -513,66 +445,6 @@ func (g *Generator) runPhase1(n int, bcmt []float64) error {
 func (g *Generator) nonFinite(phase, core int, session []int, t float64) error {
 	return fmt.Errorf("%w: phase-%d simulation gave core %d (%s) a non-finite temperature %g in session %v",
 		ErrCore, phase, core, g.spec.Test(core).Name, t, session)
-}
-
-// pendingSession is one built-but-not-yet-validated session: an owned copy of
-// its core set, its weighted STC at build time, and whether the liveness
-// guard forced it to a singleton.
-type pendingSession struct {
-	cores  []int
-	stc    float64
-	forced bool
-}
-
-// buildChain builds the next candidate session for the current (remaining,
-// weights) state — and, when speculate is set, the entire chain of follow-on
-// sessions that would be built if every one of them validates. The chain is
-// exact, not a guess: weights only change when a validation fails, so until
-// the first violation the serial loop would construct precisely these
-// sessions. remScratch and chainScratch are reused across iterations; the
-// serial (non-speculative) path allocates nothing — its single chain entry
-// aliases the builder, valid until the next buildSession call, preserving the
-// allocation-free hot loop the incremental session builder bought.
-func (g *Generator) buildChain(b *sessionBuilder, order []int, remaining []bool,
-	weights []float64, remScratch *[]bool, chainScratch *[]pendingSession,
-	speculate bool) ([]pendingSession, error) {
-	chain := (*chainScratch)[:0]
-	if !speculate {
-		session, stc, forcedOne, err := g.buildSession(b, order, remaining, weights)
-		if err != nil {
-			return nil, err
-		}
-		chain = append(chain, pendingSession{cores: session, stc: stc, forced: forcedOne})
-		*chainScratch = chain
-		return chain, nil
-	}
-	rem := *remScratch
-	if cap(rem) < len(remaining) {
-		rem = make([]bool, len(remaining))
-	}
-	rem = rem[:len(remaining)]
-	copy(rem, remaining)
-	*remScratch = rem
-	left := 0
-	for _, r := range rem {
-		if r {
-			left++
-		}
-	}
-	for left > 0 {
-		session, stc, forcedOne, err := g.buildSession(b, order, rem, weights)
-		if err != nil {
-			return nil, err
-		}
-		cores := append([]int(nil), session...)
-		chain = append(chain, pendingSession{cores: cores, stc: stc, forced: forcedOne})
-		for _, c := range cores {
-			rem[c] = false
-		}
-		left -= len(cores)
-	}
-	*chainScratch = chain
-	return chain, nil
 }
 
 // buildSession implements lines 9–15: scan the unscheduled cores in candidate

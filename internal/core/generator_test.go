@@ -70,6 +70,7 @@ func TestConfigValidation(t *testing.T) {
 		{TL: 150, STCL: 0},
 		{TL: 150, STCL: 50, WeightGrowth: 0.9},
 		{TL: 150, STCL: 50, WeightGrowth: 1},
+		{TL: 150, STCL: 50, MaxAttempts: -1},
 	}
 	for i, cfg := range cases {
 		if _, err := NewGenerator(spec, sm, oracle, cfg); !errors.Is(err, ErrCore) {
@@ -465,44 +466,45 @@ func (b *batchSpyOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) 
 }
 
 func TestPhase1OneBatchCall(t *testing.T) {
-	// Phase 1 takes one route whatever BatchValidate says: a BatchOracle gets
-	// all n solos, in core order, in one BlockTempsBatch call, and no single
-	// query; the result matches a plain oracle's core-order loop exactly.
+	// A BatchOracle gets all n solos, in core order, in one BlockTempsBatch
+	// call, and no single query; the result matches a plain oracle's
+	// core-order loop exactly.
 	spec, sm, oracle := alphaGenSetup(t)
 	n := spec.NumCores()
 	plain, err := Generate(spec, sm, &recordingOracle{inner: oracle}, Config{TL: 165, STCL: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bv := range []bool{false, true} {
-		spy := &batchSpyOracle{inner: oracle.(BatchOracle)}
-		cfg := Config{TL: 165, STCL: 60, BatchValidate: bv}
-		var single, batches, batched int64 = -1, -1, -1
-		cfg.Progress = func(p ProgressInfo) {
-			if p.Phase == 1 {
-				single, batches, batched = spy.single.Load(), spy.batches.Load(), spy.batchedSes.Load()
+	spy := &batchSpyOracle{inner: oracle.(BatchOracle)}
+	cfg := Config{TL: 165, STCL: 60}
+	var single, batches, batched int64 = -1, -1, -1
+	cfg.Progress = func(p ProgressInfo) {
+		if p.Phase == 1 {
+			single, batches, batched = spy.single.Load(), spy.batches.Load(), spy.batchedSes.Load()
+		}
+	}
+	res, err := Generate(spec, sm, spy, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single != 0 || batches != 1 || batched != int64(n) {
+		t.Errorf("phase 1 issued %d single queries and %d batches of %d sessions, want 0, 1 and %d",
+			single, batches, batched, n)
+	}
+	if got := spy.firstBatch; len(got) != n {
+		t.Errorf("first batch has %d sessions, want %d", len(got), n)
+	} else {
+		for i, s := range got {
+			if len(s) != 1 || s[0] != i {
+				t.Errorf("first batch session %d = %v, want [%d]", i, s, i)
 			}
 		}
-		res, err := Generate(spec, sm, spy, cfg)
-		if err != nil {
-			t.Fatalf("BatchValidate=%v: %v", bv, err)
-		}
-		if single != 0 || batches != 1 || batched != int64(n) {
-			t.Errorf("BatchValidate=%v: phase 1 issued %d single queries and %d batches of %d sessions, want 0, 1 and %d",
-				bv, single, batches, batched, n)
-		}
-		if got := spy.firstBatch; len(got) != n {
-			t.Errorf("BatchValidate=%v: first batch has %d sessions, want %d", bv, len(got), n)
-		} else {
-			for i, s := range got {
-				if len(s) != 1 || s[0] != i {
-					t.Errorf("BatchValidate=%v: first batch session %d = %v, want [%d]", bv, i, s, i)
-				}
-			}
-		}
-		if !reflect.DeepEqual(res, plain) {
-			t.Errorf("BatchValidate=%v: result differs from the plain oracle's", bv)
-		}
+	}
+	if got := spy.batches.Load(); got != 1 {
+		t.Errorf("run issued %d batches, want phase 1's one", got)
+	}
+	if !reflect.DeepEqual(res, plain) {
+		t.Error("result differs from the plain oracle's")
 	}
 }
 
@@ -541,107 +543,6 @@ func TestPhase1LowestIndexError(t *testing.T) {
 			t.Errorf("%s: err = %v, want %q", name, err, want)
 		}
 	}
-}
-
-func TestBatchValidateByteIdenticalResults(t *testing.T) {
-	// The contract of Config.BatchValidate: speculative chain construction
-	// plus batched oracle calls must leave every Result field — schedule,
-	// records, attempts, effort, violations, forced singletons — exactly as
-	// the serial loop produces, including on violation-heavy operating
-	// points where most of the speculative chain is discarded.
-	spec, sm, oracle := alphaGenSetup(t)
-	for _, cfg := range []Config{
-		{TL: 165, STCL: 60},
-		{TL: 145, STCL: 100}, // violation-heavy: chains are rebuilt repeatedly
-		{TL: 185, STCL: 20},  // singleton-heavy: long chains, no violations
-	} {
-		serial, err := Generate(spec, sm, oracle, cfg)
-		if err != nil {
-			t.Fatalf("serial %+v: %v", cfg, err)
-		}
-		bcfg := cfg
-		bcfg.BatchValidate = true
-		spy := &batchSpyOracle{inner: oracle.(BatchOracle)}
-		batched, err := Generate(spec, sm, spy, bcfg)
-		if err != nil {
-			t.Fatalf("batched %+v: %v", cfg, err)
-		}
-		if !reflect.DeepEqual(serial, batched) {
-			t.Errorf("TL=%g STCL=%g: batched result differs from serial\nserial:  %s\nbatched: %s",
-				cfg.TL, cfg.STCL, serial.Describe(spec), batched.Describe(spec))
-		}
-		if spy.batches.Load() == 0 {
-			t.Errorf("TL=%g STCL=%g: batch path never engaged", cfg.TL, cfg.STCL)
-		}
-		// Through a memoizing cache as the experiment environments wire it.
-		cached, err := Generate(spec, sm, NewCachedOracle(oracle), bcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(serial, cached) {
-			t.Errorf("TL=%g STCL=%g: cached batched result differs from serial", cfg.TL, cfg.STCL)
-		}
-	}
-}
-
-func TestBatchValidateWithoutBatchOracleFallsBack(t *testing.T) {
-	// A BatchValidate config against an oracle with no batch path must run —
-	// and produce — exactly the serial flow.
-	spec, sm, oracle := alphaGenSetup(t)
-	solo := make([]float64, spec.NumCores())
-	for i := range solo {
-		solo[i] = 90 + float64(i)
-	}
-	fake := &fakeOracle{solo: solo, coupling: 3, ambient: 45}
-	serial, err := Generate(spec, sm, fake, Config{TL: 165, STCL: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched, err := Generate(spec, sm, fake, Config{TL: 165, STCL: 60, BatchValidate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, batched) {
-		t.Error("BatchValidate against a plain Oracle changed the result")
-	}
-	_ = oracle
-}
-
-func TestBatchValidateOracleErrorMatchesSerial(t *testing.T) {
-	// An oracle failure mid-run must surface the same error with and without
-	// batching: the batch path falls back to per-session queries, which hit
-	// the deterministic failure at the same session the serial loop does.
-	spec, sm, oracle := alphaGenSetup(t)
-	serialFail := &failingOracle{inner: oracle, after: 20}
-	_, serialErr := Generate(spec, sm, serialFail, Config{TL: 165, STCL: 60})
-	if serialErr == nil {
-		t.Fatal("expected serial failure")
-	}
-	batchFail := &failingBatchOracle{failingOracle{inner: oracle, after: 20}}
-	_, batchErr := Generate(spec, sm, batchFail,
-		Config{TL: 165, STCL: 60, BatchValidate: true})
-	if batchErr == nil {
-		t.Fatal("expected batched failure")
-	}
-	if serialErr.Error() != batchErr.Error() {
-		t.Errorf("batched error %q differs from serial %q", batchErr, serialErr)
-	}
-}
-
-// failingBatchOracle exposes a batch path whose calls fail wholesale once the
-// inner budget is exhausted, forcing the generator's per-session fallback.
-type failingBatchOracle struct{ failingOracle }
-
-func (f *failingBatchOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
-	out := make([][]float64, len(sessions))
-	for i, s := range sessions {
-		temps, err := f.BlockTemps(s)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = temps
-	}
-	return out, nil
 }
 
 func TestMaxAttemptsStructuredError(t *testing.T) {
@@ -778,7 +679,7 @@ func TestNonFiniteTemperatureRejected(t *testing.T) {
 		for _, o := range []Oracle{poison, NewCachedOracle(poison)} {
 			for _, cfg := range []Config{
 				{TL: 165, STCL: 60},
-				{TL: 165, STCL: 60, BatchValidate: true, AutoRaiseTL: true},
+				{TL: 165, STCL: 60, AutoRaiseTL: true},
 			} {
 				res, err := Generate(spec, sm, o, cfg)
 				if res != nil || !errors.Is(err, ErrCore) || !strings.Contains(err.Error(), tc.want) {

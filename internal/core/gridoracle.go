@@ -2,11 +2,8 @@ package core
 
 import (
 	"math"
-	"runtime"
-	"slices"
 	"sync"
 
-	"repro/internal/conc"
 	"repro/internal/power"
 	"repro/internal/thermal"
 )
@@ -65,80 +62,16 @@ func (o *GridOracle) BlockTemps(active []int) ([]float64, error) {
 	return o.reduce(res, active), nil
 }
 
-// BlockTempsBatch implements BatchOracle. Solo sessions are solved alone on
-// the sparse-RHS path: a one-core footprint's elimination-tree reach is a
-// sliver of the factor, which beats any dense amortisation. Multi-core
-// sessions are split into at most GOMAXPROCS contiguous groups, and each group
-// rides one blocked multi-RHS pass (GridModel.SteadyStateBatch), so the
-// multi-megabyte factor streams once per group instead of once per session.
-// Solos and groups fan out across GOMAXPROCS goroutines; at GOMAXPROCS=1 the
-// call does the same solves as one serial loop plus one blocked pass.
-//
-// Every result is bit-identical to BlockTemps on its session, NaN at the
-// passive entries included, and results come back in index order. Power
-// maps are built up front in index order, so an invalid session fails
-// exactly as BlockTemps would on it, before any solve starts; a failed solve
-// reports the job with the lowest first session.
+// BlockTempsBatch implements BatchOracle by fanning BlockTemps out across
+// GOMAXPROCS goroutines. Its one caller is phase 1, whose one-core sessions
+// each reach a sliver of the factor on the sparse-RHS path, which beats any
+// blocked multi-RHS pass over the whole factor.
 func (o *GridOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
-	width := runtime.GOMAXPROCS(0)
-	pms := make([][]float64, len(sessions))
-	var jobs [][]int // session indices; a multi-core job is one blocked pass
-	var multi []int
-	for i, s := range sessions {
-		pms[i] = make([]float64, o.grid.Floorplan().NumBlocks())
-		if err := o.profile.TestPowerMapInto(pms[i], s); err != nil {
-			return nil, err
-		}
-		if len(s) > 1 {
-			multi = append(multi, i)
-		} else {
-			jobs = append(jobs, []int{i})
-		}
-	}
-	groups := min(width, len(multi))
-	for g := 0; g < groups; g++ {
-		jobs = append(jobs, multi[g*len(multi)/groups:(g+1)*len(multi)/groups])
-	}
-	slices.SortFunc(jobs, func(a, b []int) int { return a[0] - b[0] })
-	out := make([][]float64, len(sessions))
-	_, err := conc.Sweep(width, len(jobs), func(j int) (struct{}, error) {
-		return struct{}{}, o.solveJob(out, sessions, pms, jobs[j])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// solveJob answers one BlockTempsBatch job into out: a solo session through
-// the sparse-RHS path, multi-core sessions through one blocked pass.
-func (o *GridOracle) solveJob(out [][]float64, sessions [][]int, pms [][]float64, job []int) error {
-	if s := sessions[job[0]]; len(s) <= 1 {
-		res, err := o.grid.SteadyStateActive(pms[job[0]], s)
-		if err != nil {
-			return err
-		}
-		out[job[0]] = o.reduce(res, s)
-		return nil
-	}
-	group := make([][]float64, len(job))
-	for k, i := range job {
-		group[k] = pms[i]
-	}
-	results, err := o.grid.SteadyStateBatch(group)
-	if err != nil {
-		return err
-	}
-	for k, i := range job {
-		out[i] = o.reduce(results[k], sessions[i])
-	}
-	return nil
+	return sweepBlockTemps(o, sessions)
 }
 
 // reduce folds a grid field to one temperature per active block (the
-// hottest covered cell) and NaN at every passive block, so a session's
-// answer is the same whether its field came from a closure solve or a
-// full blocked pass.
+// hottest covered cell) and NaN at every passive block.
 func (o *GridOracle) reduce(res *thermal.GridResult, active []int) []float64 {
 	out := make([]float64, o.grid.Floorplan().NumBlocks())
 	for b := range out {

@@ -32,14 +32,14 @@ type Oracle interface {
 }
 
 // BatchOracle is the optional batching extension of Oracle: simulate several
-// sessions in one call. Handing an implementation the whole batch lets it
-// answer k sessions for less than k single queries — the grid oracle fans
-// them out across GOMAXPROCS goroutines and solves multi-core sessions in
-// shared blocked multi-RHS passes. Every result must be
-// bit-identical to the corresponding BlockTemps call at the active entries,
-// so callers may mix the two paths freely. A batch error need not name the failing session: callers
-// that need exact serial error semantics fall back to per-session BlockTemps
-// (the oracle is deterministic, so the error resurfaces at the same session).
+// sessions in one call. The generator's phase 1 hands its n solo sessions
+// over in one call, so a cache tier can answer its hits in place and forward
+// only the misses, and the leaf oracles fan those out across GOMAXPROCS
+// goroutines. Every result must be bit-identical to the corresponding
+// BlockTemps call at the active entries, so callers may mix the two paths
+// freely. A batch error need not name the failing session: callers that need
+// exact serial error semantics fall back to per-session BlockTemps (the
+// oracle is deterministic, so the error resurfaces at the same session).
 type BatchOracle interface {
 	Oracle
 	BlockTempsBatch(sessions [][]int) ([][]float64, error)

@@ -173,7 +173,7 @@ func Figure1Env() (*Env, error) { return NewEnv(testspec.Figure1()) }
 // Generate runs the thermal-aware generator in this environment with the
 // shared memoized oracle.
 func (e *Env) Generate(cfg core.Config) (*core.Result, error) {
-	return e.generateWith(e.Oracle, cfg)
+	return core.Generate(e.Spec, e.SM, e.Oracle, cfg)
 }
 
 // GenerateContext is Generate with a cancellation point: the generator polls
@@ -183,21 +183,7 @@ func (e *Env) Generate(cfg core.Config) (*core.Result, error) {
 // memoized and persisted.
 func (e *Env) GenerateContext(ctx context.Context, cfg core.Config) (*core.Result, error) {
 	cfg.Interrupt = ctx.Err
-	return e.generateWith(e.Oracle, cfg)
-}
-
-// generateWith runs the generator against an arbitrary oracle (the transient
-// comparison substitutes its own).
-func (e *Env) generateWith(oracle core.Oracle, cfg core.Config) (*core.Result, error) {
-	// Grid-resolution validation is simulation-dominated, so route the
-	// phase-2 candidate chain through the oracle's batch path too, which the
-	// grid oracle fans out across GOMAXPROCS goroutines (results are
-	// byte-identical to per-candidate validation; oracles without a batch
-	// path ignore the flag).
-	if e.GridRes > 0 {
-		cfg.BatchValidate = true
-	}
-	return core.Generate(e.Spec, e.SM, oracle, cfg)
+	return e.Generate(cfg)
 }
 
 // The paper's parameter grids.

@@ -51,7 +51,7 @@ func RunOracleComparison(env *Env) (*OracleResult, error) {
 		if err != nil {
 			return OracleRow{}, fmt.Errorf("experiments: oracle cmp steady TL=%g STCL=%g: %w", tl, stcl, err)
 		}
-		transient, err := env.generateWith(cachedTransient, cfg)
+		transient, err := core.Generate(env.Spec, env.SM, cachedTransient, cfg)
 		if err != nil {
 			return OracleRow{}, fmt.Errorf("experiments: oracle cmp transient TL=%g STCL=%g: %w", tl, stcl, err)
 		}

@@ -9,13 +9,12 @@ import (
 )
 
 // TestGridScheduleByteIdenticalAcrossPaths is the acceptance check of the
-// grid-scale fast path: the same workload validated on the same grid
-// discretisation must render the byte-identical schedule whether sessions
-// were validated one at a time or through the speculative batch, with or
-// without a memo cache. GOMAXPROCS is forced to 4 so the batch calls (phase
-// 1 on every arm, the phase-2 chains on the batched one) really fan their
-// grid solves out across goroutines (GridOracle's batch path runs at
-// GOMAXPROCS width). CI runs this under -race.
+// grid-scale path: the same workload validated on the same grid
+// discretisation must render the byte-identical schedule whether the grid
+// oracle is queried directly or through a memo cache. GOMAXPROCS is forced
+// to 4 so phase 1's batch call really fans its grid solves out across
+// goroutines (GridOracle's batch path runs at GOMAXPROCS width). CI runs
+// this under -race.
 func TestGridScheduleByteIdenticalAcrossPaths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid-oracle generation in -short mode")
@@ -31,33 +30,26 @@ func TestGridScheduleByteIdenticalAcrossPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := core.Config{TL: 165, STCL: 60}
+	cfg := core.Config{TL: 165, STCL: 60}
 
 	gm, err := thermal.NewGridModel(spec.Floorplan(), pkg, 24, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
 	oracle := core.NewGridOracle(gm, spec.Profile())
-	configs := map[string]core.Config{
-		"serial":  base,
-		"batched": {TL: base.TL, STCL: base.STCL, BatchValidate: true},
-	}
 	var want string
-	for name, cfg := range configs {
-		for _, o := range []core.Oracle{oracle, core.NewCachedOracle(oracle)} {
-			res, err := core.Generate(spec, sm, o, cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			got := res.Describe(spec)
-			if want == "" {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Errorf("%s (%T) schedule differs:\n--- want ---\n%s\n--- got ---\n%s",
-					name, o, want, got)
-			}
+	for _, o := range []core.Oracle{oracle, core.NewCachedOracle(oracle)} {
+		res, err := core.Generate(spec, sm, o, cfg)
+		if err != nil {
+			t.Fatalf("%T: %v", o, err)
+		}
+		got := res.Describe(spec)
+		if want == "" {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Errorf("%T schedule differs:\n--- want ---\n%s\n--- got ---\n%s", o, want, got)
 		}
 	}
 }

@@ -149,6 +149,9 @@ func (r *ScheduleRequest) scheduleConfig() (core.Config, error) {
 	if r.GridRes < 0 {
 		return cfg, fmt.Errorf("grid_res = %d must be >= 0", r.GridRes)
 	}
+	if r.MaxAttempts < 0 {
+		return cfg, fmt.Errorf("max_attempts = %d must be >= 0", r.MaxAttempts)
+	}
 	if r.Order != "" {
 		found := false
 		for _, p := range core.OrderPolicies() {

@@ -204,7 +204,7 @@ thermserve_systems_live 3
 # HELP thermserve_grid_factors_live Distinct grid factors resident in the process; live systems with the same package, die size and resolution share one.
 # TYPE thermserve_grid_factors_live gauge
 thermserve_grid_factors_live 2
-# HELP thermserve_gomaxprocs Goroutine width of the oracles' batch fan-out: phase-1 misses and grid-fidelity phase-2 chains (runtime.GOMAXPROCS).
+# HELP thermserve_gomaxprocs Goroutine width of the oracles' batch fan-out of phase-1 misses (runtime.GOMAXPROCS).
 # TYPE thermserve_gomaxprocs gauge
 thermserve_gomaxprocs X
 # HELP thermserve_store_files Record files in the persistent store.

@@ -179,7 +179,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"tier_hit_rate", "gauge", "Hit fraction by tier since start.", rates},
 		{"systems_live", "gauge", "Warm systems held in memory.", one(live)},
 		{"grid_factors_live", "gauge", "Distinct grid factors resident in the process; live systems with the same package, die size and resolution share one.", one(factorsLive)},
-		{"gomaxprocs", "gauge", "Goroutine width of the oracles' batch fan-out: phase-1 misses and grid-fidelity phase-2 chains (runtime.GOMAXPROCS).", one(runtime.GOMAXPROCS(0))},
+		{"gomaxprocs", "gauge", "Goroutine width of the oracles' batch fan-out of phase-1 misses (runtime.GOMAXPROCS).", one(runtime.GOMAXPROCS(0))},
 		{"store_files", "gauge", "Record files in the persistent store.", one(st.Files)},
 		{"store_bytes", "gauge", "Bytes used by the persistent store.", one(st.Bytes)},
 		{"store_evicted_files_total", "counter", "Record files evicted since start.", one(st.EvictedFiles)},

@@ -73,12 +73,10 @@ func TestOracleAnswersNotWritten(t *testing.T) {
 	stack := sc.Wrap(rec)
 	w := withOracle(sys, stack)
 
-	for _, batched := range []bool{false, true} {
-		for _, tl := range []float64{100, 150} {
-			cfg := core.Config{TL: tl, STCL: 60, BatchValidate: batched, AutoRaiseTL: true}
-			if _, err := core.Generate(spec, w.sm, w.oracle, cfg); err != nil {
-				t.Fatalf("batched %v, TL %g: %v", batched, tl, err)
-			}
+	for _, tl := range []float64{100, 150} {
+		cfg := core.Config{TL: tl, STCL: 60, AutoRaiseTL: true}
+		if _, err := core.Generate(spec, w.sm, w.oracle, cfg); err != nil {
+			t.Fatalf("TL %g: %v", tl, err)
 		}
 	}
 	var sessions []schedule.Session
@@ -106,7 +104,7 @@ func TestOracleAnswersNotWritten(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cfg := core.Config{TL: 150, STCL: 60, BatchValidate: g == 1, AutoRaiseTL: true}
+			cfg := core.Config{TL: 150, STCL: 60, AutoRaiseTL: true}
 			_, errs[g] = core.Generate(spec, warm.sm, warm.oracle, cfg)
 		}()
 	}

@@ -57,7 +57,7 @@ func withOracle(s *System, o core.Oracle) *System {
 // TestOracleContractPassiveEntriesUnread: every consumer of an Oracle reads
 // it only at the active cores, so an oracle that leaves every passive entry
 // NaN changes no answer — not the generator's schedule, effort or
-// violations (serial and batched validation), not the baseline checker's
+// violations, not the baseline checker's
 // verdicts and peak, not the optimal thermal schedule, and not
 // System.SessionMaxTemp.
 func TestOracleContractPassiveEntriesUnread(t *testing.T) {
@@ -69,26 +69,24 @@ func TestOracleContractPassiveEntriesUnread(t *testing.T) {
 	spec := sys.spec
 
 	rejected := 0
-	for _, batched := range []bool{false, true} {
-		for _, stcl := range []float64{30, 60, 150} {
-			cfg := core.Config{TL: 150, STCL: stcl, BatchValidate: batched, AutoRaiseTL: true}
-			want, err := core.Generate(spec, sys.sm, sys.sim, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := core.Generate(spec, masked.sm, masked.oracle, cfg)
-			if err != nil {
-				t.Fatalf("batched %v, STCL %g: %v", batched, stcl, err)
-			}
-			if g, w := got.Describe(spec), want.Describe(spec); g != w {
-				t.Errorf("batched %v, STCL %g: schedule differs:\n--- want ---\n%s\n--- got ---\n%s", batched, stcl, w, g)
-			}
-			if got.Attempts != want.Attempts || got.Violations != want.Violations {
-				t.Errorf("batched %v, STCL %g: %d attempts, %d violations, want %d, %d",
-					batched, stcl, got.Attempts, got.Violations, want.Attempts, want.Violations)
-			}
-			rejected += want.Violations
+	for _, stcl := range []float64{30, 60, 150} {
+		cfg := core.Config{TL: 150, STCL: stcl, AutoRaiseTL: true}
+		want, err := core.Generate(spec, sys.sm, sys.sim, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		got, err := core.Generate(spec, masked.sm, masked.oracle, cfg)
+		if err != nil {
+			t.Fatalf("STCL %g: %v", stcl, err)
+		}
+		if g, w := got.Describe(spec), want.Describe(spec); g != w {
+			t.Errorf("STCL %g: schedule differs:\n--- want ---\n%s\n--- got ---\n%s", stcl, w, g)
+		}
+		if got.Attempts != want.Attempts || got.Violations != want.Violations {
+			t.Errorf("STCL %g: %d attempts, %d violations, want %d, %d",
+				stcl, got.Attempts, got.Violations, want.Attempts, want.Violations)
+		}
+		rejected += want.Violations
 	}
 	if rejected == 0 {
 		t.Error("no generated session was rejected, so no violation verdict was compared")
