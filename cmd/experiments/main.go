@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/experiments"
-	"repro/internal/linalg"
 	"repro/internal/oraclestore"
 	"repro/internal/oraclestore/remote"
 	"repro/internal/testspec"
@@ -37,20 +36,13 @@ import (
 type options struct {
 	parallel   bool
 	gridres    []int
-	panel      linalg.SupernodalOptions
-	fillBudget int
-	peakBytes  int64
-	spillDir   string
+	fillBudget int                 // -run gridres only: kept out of the -gridoracle store key
+	grid       thermal.GridOptions // every grid model of the run: peak bytes, spill dir
 	cacheDir   string
 	gridOracle int
 	fleetSize  int
 	fleetSeed  int64
 	storeNodes []string
-}
-
-// grid returns the solver options every grid model of this run is built with.
-func (o options) grid() thermal.GridOptions {
-	return thermal.GridOptions{Panel: o.panel, PeakBytesBudget: o.peakBytes, SpillDir: o.spillDir}
 }
 
 func main() {
@@ -65,16 +57,11 @@ func main() {
 		fillBudget = flag.Int("fillbudget", 0,
 			"factor fill budget (non-zeros) for -run gridres grid models; 0 = default 2^24, "+
 				"past it the model falls back to preconditioned CG")
-		panelWidth = flag.String("panel", "",
-			"max supernodal panel width in columns: a positive integer, or empty for the default (8 on one CPU, 32 on more)")
 		peakBytes = flag.String("peak-bytes", "",
 			"grid factorization peak memory with optional K/M/G suffix, e.g. 2G; "+
 				"over it, factor panels spill to disk and stream back during solves (empty: unbounded)")
 		spillDir = flag.String("spill-dir", "",
 			"directory for out-of-core factor panel files (empty: os.TempDir)")
-		relax = flag.Float64("relax", -1,
-			"relaxed-amalgamation pad budget as a fraction of a panel's packed entries "+
-				"(negative = default 0.10, 0 disables padding)")
 		cacheDir = flag.String("cachedir", "",
 			"directory of the persistent oracle store; repeated runs warm-start from it across processes")
 		gridOracle = flag.Int("gridoracle", 0,
@@ -93,11 +80,6 @@ func main() {
 	ladder, err := parseGridRes(*gridres)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	width, err := cliutil.ParsePanelWidth(*panelWidth)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: -panel:", err)
 		os.Exit(1)
 	}
 	peak, err := cliutil.ParseByteSize(*peakBytes)
@@ -133,10 +115,8 @@ func main() {
 	runErr := run(*which, options{
 		parallel:   *parallel,
 		gridres:    ladder,
-		panel:      panelOptions(width, *relax),
 		fillBudget: *fillBudget,
-		peakBytes:  peak,
-		spillDir:   *spillDir,
+		grid:       thermal.GridOptions{PeakBytesBudget: peak, SpillDir: *spillDir},
 		cacheDir:   *cacheDir,
 		gridOracle: *gridOracle,
 		fleetSize:  *fleetSize,
@@ -175,22 +155,6 @@ func writeHeapProfile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// panelOptions maps the -panel/-relax knobs onto SupernodalOptions: the flag
-// sentinel for "default" is -relax < 0, while SupernodalOptions uses zero for
-// default and negatives for "off", so -relax 0 translates to disabling both
-// pad budgets.
-func panelOptions(width int, relax float64) linalg.SupernodalOptions {
-	opts := linalg.SupernodalOptions{MaxPanel: width}
-	switch {
-	case relax < 0: // default ratio
-	case relax == 0:
-		opts.RelaxRatio, opts.RelaxZeros = -1, -1
-	default:
-		opts.RelaxRatio = relax
-	}
-	return opts
 }
 
 // parseGridRes parses the -gridres ladder; empty selects the default rungs.
@@ -244,7 +208,7 @@ func run(which string, opts options) error {
 		env, err = experiments.NewEnvWithOptions(testspec.Alpha21364(), thermal.DefaultPackageConfig(), experiments.EnvOptions{
 			Store:   store,
 			GridRes: opts.gridOracle,
-			Grid:    opts.grid(),
+			Grid:    opts.grid,
 		})
 		if err != nil {
 			return err
@@ -334,12 +298,9 @@ func run(which string, opts options) error {
 	}
 	if wants("gridres") {
 		ran = true
-		res, err := experiments.RunGridScale(env, opts.gridres, experiments.GridScaleOptions{
-			FillBudget: opts.fillBudget,
-			Panel:      opts.panel,
-			PeakBytes:  opts.peakBytes,
-			SpillDir:   opts.spillDir,
-		})
+		grid := opts.grid
+		grid.FillBudget = opts.fillBudget
+		res, err := experiments.RunGridScale(env, opts.gridres, grid)
 		if err != nil {
 			return err
 		}
@@ -364,7 +325,7 @@ func run(which string, opts options) error {
 			Parallel:  opts.parallel,
 			Store:     store,
 			GridRes:   opts.gridOracle,
-			Grid:      opts.grid(),
+			Grid:      opts.grid,
 		}
 		res, err := fl.Run()
 		if err != nil {

@@ -24,8 +24,8 @@
 //
 // Memory discipline: -peak-bytes caps each grid system's resident
 // factorization working set (finished factor panels spill to -spill-dir and
-// stream back during solves, bit-identical), and -panel caps the supernodal
-// panel width.
+// stream back during solves, bit-identical). The supernodal panel width
+// follows GOMAXPROCS: 8 columns on one CPU, 32 on more.
 package main
 
 import (
@@ -61,7 +61,6 @@ func main() {
 		drainTO     = flag.Duration("drain-timeout", 10*time.Second, "on shutdown, how long running async jobs may finish before being interrupted (journaled for resume; 0: interrupt immediately)")
 		peakBytes   = flag.String("peak-bytes", "", "per-system peak factorization memory with optional K/M/G suffix, e.g. 2G; over it, factor panels spill to disk (empty: unbounded)")
 		spillDir    = flag.String("spill-dir", "", "directory for out-of-core factor panel files (empty: os.TempDir)")
-		panel       = flag.String("panel", "", "supernodal panel width: a positive integer, or empty for the default (8 on one CPU, 32 on more)")
 		quiet       = flag.Bool("q", false, "suppress per-request logging")
 		smoke       = flag.Bool("smoke", false, "self-check: serve one cold and one warm request plus one async job, then exit")
 	)
@@ -77,13 +76,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "thermserve: -peak-bytes:", err)
 		os.Exit(1)
 	}
-	panelWidth, err := cliutil.ParsePanelWidth(*panel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "thermserve: -panel:", err)
-		os.Exit(1)
-	}
-	grid := thermal.GridOptions{PeakBytesBudget: peak, SpillDir: *spillDir}
-	grid.Panel.MaxPanel = panelWidth
 	var nodes []string
 	for _, a := range strings.Split(*storeNodes, ",") {
 		if a = strings.TrimSpace(a); a != "" {
@@ -98,7 +90,7 @@ func main() {
 		QueueDepth:      *queueDepth,
 		MaxSystems:      *maxSystems,
 		DefaultDeadline: *deadline,
-		Grid:            grid,
+		Grid:            thermal.GridOptions{PeakBytesBudget: peak, SpillDir: *spillDir},
 	}
 	if !*quiet {
 		cfg.Logf = func(format string, args ...any) {

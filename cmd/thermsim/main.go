@@ -16,52 +16,31 @@ import (
 	"time"
 
 	"repro/internal/cliutil"
-	"repro/internal/linalg"
 	"repro/internal/thermal"
 )
 
 func main() {
 	var (
-		workload   = flag.String("workload", "", "builtin workload: alpha21364 or figure1")
-		flpPath    = flag.String("flp", "", "floorplan file (HotSpot .flp format)")
-		specPath   = flag.String("spec", "", "test spec file (name functional test seconds)")
-		activeStr  = flag.String("active", "", "comma-separated core names under test (empty = all)")
-		transient  = flag.Bool("transient", false, "run a transient instead of steady state")
-		duration   = flag.Float64("duration", 5, "transient duration (s)")
-		step       = flag.Float64("step", 0, "transient step (s), 0 = auto")
-		grid       = flag.Int("grid", 0, "also solve an N×N grid model and print its heatmap")
-		gridFill   = flag.Int("fillbudget", 0, "grid factor fill budget in non-zeros; 0 = default 2^24")
-		panelWidth = flag.String("panel", "", "max supernodal panel width in columns: a positive integer, or empty for the default (8 on one CPU, 32 on more)")
-		relax      = flag.Float64("relax", -1,
-			"relaxed-amalgamation pad budget as a fraction of a panel's packed entries "+
-				"(negative = default 0.10, 0 disables padding)")
+		workload  = flag.String("workload", "", "builtin workload: alpha21364 or figure1")
+		flpPath   = flag.String("flp", "", "floorplan file (HotSpot .flp format)")
+		specPath  = flag.String("spec", "", "test spec file (name functional test seconds)")
+		activeStr = flag.String("active", "", "comma-separated core names under test (empty = all)")
+		transient = flag.Bool("transient", false, "run a transient instead of steady state")
+		duration  = flag.Float64("duration", 5, "transient duration (s)")
+		step      = flag.Float64("step", 0, "transient step (s), 0 = auto")
+		grid      = flag.Int("grid", 0, "also solve an N×N grid model and print its heatmap")
+		gridFill  = flag.Int("fillbudget", 0, "grid factor fill budget in non-zeros; 0 = default 2^24")
 		peakBytes = flag.String("peak-bytes", "", "grid factorization peak memory with optional K/M/G suffix, e.g. 2G; over it, factor panels spill to disk (empty: unbounded)")
 		spillDir  = flag.String("spill-dir", "", "directory for out-of-core factor panel files (empty: os.TempDir)")
 	)
 	flag.Parse()
 
-	width, err := cliutil.ParsePanelWidth(*panelWidth)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "thermsim: -panel:", err)
-		os.Exit(1)
-	}
 	peak, err := cliutil.ParseByteSize(*peakBytes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "thermsim: -peak-bytes:", err)
 		os.Exit(1)
 	}
-	panel := linalg.SupernodalOptions{MaxPanel: width}
-	switch {
-	case *relax < 0: // keep the canonical default ratio
-	case *relax == 0:
-		panel.RelaxRatio, panel.RelaxZeros = -1, -1
-	default:
-		panel.RelaxRatio = *relax
-	}
-	gopts := thermal.GridOptions{
-		FillBudget: *gridFill, Panel: panel,
-		PeakBytesBudget: peak, SpillDir: *spillDir,
-	}
+	gopts := thermal.GridOptions{FillBudget: *gridFill, PeakBytesBudget: peak, SpillDir: *spillDir}
 	if err := run(*workload, *flpPath, *specPath, *activeStr, *transient, *duration, *step, *grid, gopts); err != nil {
 		fmt.Fprintln(os.Stderr, "thermsim:", err)
 		os.Exit(1)

@@ -1,11 +1,12 @@
 // Package cliutil holds the workload-loading and flag-parsing logic shared
 // by the command line tools: resolving builtin workloads by name, reading
-// floorplan and test-spec files from disk, and the shared flag syntaxes
-// (byte sizes, panel widths).
+// floorplan and test-spec files from disk, and the shared byte-size flag
+// syntax.
 package cliutil
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -15,8 +16,9 @@ import (
 )
 
 // ParseByteSize reads "262144", "256K", "64M" or "2G" (case-insensitive,
-// optional trailing "B") into bytes; empty means unbounded (0). The shared
-// syntax of -store-budget and -peak-bytes.
+// optional trailing "B") into bytes; empty means unbounded (0). A size past
+// math.MaxInt64 bytes is an error, not a wrapped value. The shared syntax of
+// -store-budget and -peak-bytes.
 func ParseByteSize(s string) (int64, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -36,22 +38,10 @@ func ParseByteSize(s string) (int64, error) {
 	if err != nil || n < 0 {
 		return 0, fmt.Errorf("invalid byte size %q (want e.g. 262144, 256K, 64M)", s)
 	}
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("byte size %q overflows int64", s)
+	}
 	return n * mult, nil
-}
-
-// ParsePanelWidth reads a -panel flag value: "" or "0" selects the host
-// default (linalg.DefaultPanelWidth) and a positive integer an explicit
-// width.
-func ParsePanelWidth(s string) (int, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("invalid panel width %q (want a positive integer)", s)
-	}
-	return n, nil
 }
 
 // BuiltinWorkloads lists the workload names LoadWorkload accepts without

@@ -19,6 +19,9 @@ func TestParseByteSize(t *testing.T) {
 		{"-1", 0, true},
 		{"64X", 0, true},
 		{"lots", 0, true},
+		{"8589934591G", 8589934591 << 30, false},
+		{"8589934592G", 0, true},
+		{"17179869184G", 0, true},
 	}
 	for _, tc := range cases {
 		got, err := ParseByteSize(tc.in)
@@ -28,32 +31,6 @@ func TestParseByteSize(t *testing.T) {
 		}
 		if !tc.wantErr && got != tc.want {
 			t.Errorf("ParseByteSize(%q) = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
-func TestParsePanelWidth(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    int
-		wantErr bool
-	}{
-		{"", 0, false},
-		{"0", 0, false},
-		{" 8 ", 8, false},
-		{"32", 32, false},
-		{"-4", 0, true},
-		{"wide", 0, true},
-		{"auto", 0, true},
-	}
-	for _, tc := range cases {
-		got, err := ParsePanelWidth(tc.in)
-		if (err != nil) != tc.wantErr {
-			t.Errorf("ParsePanelWidth(%q) err = %v, wantErr %v", tc.in, err, tc.wantErr)
-			continue
-		}
-		if !tc.wantErr && got != tc.want {
-			t.Errorf("ParsePanelWidth(%q) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }

@@ -13,10 +13,10 @@ import (
 	"repro/internal/thermal"
 )
 
-// gridWidths are the GOMAXPROCS values the batch tests run at: 1 puts every
-// dense session in one blocked pass on one goroutine, and 4 splits them into
-// groups that run concurrently with the lone sessions, even on a single-CPU
-// machine.
+// gridWidths are the GOMAXPROCS values the batch tests run at: 1 answers
+// every session in order on one goroutine, and 4 fans the per-session
+// solves out across four goroutines that run concurrently, even on a
+// single-CPU machine.
 var gridWidths = []int{1, 4}
 
 // setGridWidth sets GOMAXPROCS, the width the oracles' BlockTempsBatch paths
@@ -77,8 +77,8 @@ func testGridOracleBatchBitIdentical(t *testing.T) {
 			solos[i] = []int{i}
 			all[i] = i
 		}
-		// Solo sessions are solved alone; the multi-core ones share blocked
-		// passes, one group at width 1 and up to four at width 4.
+		// Every session, solo or multi-core, is its own BlockTemps solve:
+		// in order at width 1, up to four at once at width 4.
 		batches := map[string][][]int{
 			"all-solo": solos,
 			"mixed":    {{0}, {1, 3}, all, {2}, {n - 1, 0, 4}, {5}},
@@ -125,8 +125,8 @@ func TestGridOracleBatchLowestIndexError(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	// Multi-core sessions on both sides of the failing ones ride blocked
-	// passes, which must not mask or reorder the per-session error.
+	// Sessions on both sides of the failing ones are solved concurrently,
+	// which must not mask or reorder the per-session error.
 	sessions := [][]int{{0}, all, {1}, {2, 3}, {0, n + 3}, all[1:], {4}, {n + 9}, all[2:], {5}, all[3:], all}
 	for _, width := range gridWidths {
 		setGridWidth(t, width)

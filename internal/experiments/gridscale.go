@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/linalg"
 	"repro/internal/thermal"
 )
 
@@ -61,22 +60,6 @@ type GridScaleResult struct {
 	Points   []GridScalePoint
 }
 
-// GridScaleOptions tunes the ladder.
-type GridScaleOptions struct {
-	// FillBudget overrides the factor fill budget (0 keeps the default), so
-	// fine rungs can be pushed past — or pinned under — the stock bound.
-	FillBudget int
-	// Panel tunes the supernodal panel geometry (zero value = canonical
-	// defaults).
-	Panel linalg.SupernodalOptions
-	// PeakBytes caps each rung's resident factorization working set; over it,
-	// finished factor panels spill to SpillDir and stream back during solves
-	// (bit-identical). 0 = unbounded.
-	PeakBytes int64
-	// SpillDir roots the out-of-core panel files; empty = os.TempDir.
-	SpillDir string
-}
-
 // RunGridScale generates the TL=165/STCL=60 Table 1 schedule in env, then
 // re-simulates its sessions on each grid resolution, reporting backend
 // choice, factorization fill and the per-query vs batched solve
@@ -84,8 +67,10 @@ type GridScaleOptions struct {
 // backend: per-query time should stay near-linear in the node count because
 // the factorization is built once and reused, and the batched column should
 // sit well under the per-query one because all sessions stream the factor
-// once.
-func RunGridScale(env *Env, resolutions []int, opts GridScaleOptions) (*GridScaleResult, error) {
+// once. opts builds every rung's grid model: a FillBudget can push fine
+// rungs past, or pin them under, the stock bound, and a PeakBytesBudget
+// factors them out of core (bit-identical).
+func RunGridScale(env *Env, resolutions []int, opts thermal.GridOptions) (*GridScaleResult, error) {
 	const tl, stcl = 165, 60
 	res, err := env.Generate(core.Config{TL: tl, STCL: stcl})
 	if err != nil {
@@ -99,9 +84,7 @@ func RunGridScale(env *Env, resolutions []int, opts GridScaleOptions) (*GridScal
 			return nil, fmt.Errorf("experiments: grid resolution %d too small", r)
 		}
 		start := time.Now()
-		gm, err := thermal.NewGridModelWithOptions(env.Spec.Floorplan(), env.Model.Config(), r, r,
-			thermal.GridOptions{FillBudget: opts.FillBudget, Panel: opts.Panel,
-				PeakBytesBudget: opts.PeakBytes, SpillDir: opts.SpillDir})
+		gm, err := thermal.NewGridModelWithOptions(env.Spec.Floorplan(), env.Model.Config(), r, r, opts)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %d×%d grid: %w", r, r, err)
 		}

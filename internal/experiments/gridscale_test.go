@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/thermal"
 )
 
 func TestRunGridScale(t *testing.T) {
@@ -13,7 +15,7 @@ func TestRunGridScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunGridScale(env, []int{8, 16}, GridScaleOptions{})
+	res, err := RunGridScale(env, []int{8, 16}, thermal.GridOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestRunGridScaleFillBudgetFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunGridScale(env, []int{12}, GridScaleOptions{FillBudget: 256})
+	res, err := RunGridScale(env, []int{12}, thermal.GridOptions{FillBudget: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,6 +152,9 @@ func (r *ScheduleRequest) scheduleConfig() (core.Config, error) {
 	if r.MaxAttempts < 0 {
 		return cfg, fmt.Errorf("max_attempts = %d must be >= 0", r.MaxAttempts)
 	}
+	if r.WeightGrowth != 0 && !(r.WeightGrowth > 1) {
+		return cfg, fmt.Errorf("weight_growth = %g must be > 1 (0 = default 1.1)", r.WeightGrowth)
+	}
 	if r.Order != "" {
 		found := false
 		for _, p := range core.OrderPolicies() {

@@ -5,12 +5,10 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/linalg"
-	"repro/internal/thermal"
 )
 
 // goldenRemote is an in-memory store-cluster tier with deterministic faults:
@@ -62,13 +60,14 @@ func maskTimings(text string) string {
 // Only timing-dependent values are masked.
 func TestSystemsAndMetricsExpositionGolden(t *testing.T) {
 	waitNoGridFactors(t)
+	// One CPU fixes the serial 8-wide panel geometry, so panel counts and
+	// peak bytes are the same on every host.
+	old := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 	srv, hs := newTestServer(t, Config{
 		CacheDir:    t.TempDir(),
 		QueueDepth:  -1,
 		StoreRemote: &goldenRemote{files: make(map[[32]byte][]byte)},
-		// A fixed serial panel geometry keeps panel counts and peak bytes
-		// the same on every host.
-		Grid: thermal.GridOptions{Panel: linalg.SupernodalOptions{MaxPanel: 8, Workers: 1}},
 	})
 
 	// Build the grid system with the larger key first, so the exposition's

@@ -289,6 +289,7 @@ func TestJobSubmitValidates(t *testing.T) {
 		{`{"workload":"alpha21364","tl_celsius":165,"stcl":60,"nope":1}`, "bad_json"},
 		{`{"workload":"alpha21364","stcl":60}`, "bad_config"},
 		{`{"workload":"alpha21364","tl_celsius":165,"stcl":60,"max_attempts":-1}`, "bad_config"},
+		{`{"workload":"alpha21364","tl_celsius":165,"stcl":60,"weight_growth":1}`, "bad_config"},
 		{`{"workload":"nonesuch","tl_celsius":165,"stcl":60}`, "bad_workload"},
 		{`{"workload":"alpha21364","tl_celsius":165,"stcl":60} {"stcl":-1}`, "bad_json"},
 		{oversizedBody(), "body_too_large"},

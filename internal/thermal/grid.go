@@ -23,15 +23,13 @@ const DefaultGridFillBudget = 1 << 24
 
 // GridOptions tunes the grid model's solver construction. The model always
 // factors under the geometric nested-dissection ordering with the supernodal
-// panel kernel; these options bound its memory and shape its panels.
+// panel kernel, whose panel shape follows GOMAXPROCS
+// (linalg.DefaultPanelWidth); these options bound its memory.
 type GridOptions struct {
 	// FillBudget caps the factor non-zeros the direct backend may allocate
 	// before the model falls back to IC(0)-preconditioned CG. 0 selects
 	// DefaultGridFillBudget.
 	FillBudget int
-	// Panel tunes the supernodal kernel (panel width, relaxed-amalgamation
-	// bounds, factorization workers). Zero fields take the linalg defaults.
-	Panel linalg.SupernodalOptions
 	// PeakBytesBudget caps the resident bytes the direct backend may hold
 	// while factoring (indices + resident panel values + frontal scratch).
 	// When the in-core estimate exceeds it, the supernodal kernel factors
@@ -49,15 +47,14 @@ type GridOptions struct {
 }
 
 // Canonical resolves the option defaults (zero budget →
-// DefaultGridFillBudget, canonical panel geometry). It is the single source
-// of truth for what a zero GridOptions means: NewGridModelWithOptions builds
-// from it, and the oracle store derives its content-address from it. Only
-// FillBudget can change solver round-off (by flipping the model onto the CG
-// fallback), so it alone versions the content-address — Panel and the
-// peak-bytes/spill knobs select bit-identical execution strategies, so
-// cached results remain valid across them by construction.
+// DefaultGridFillBudget). It is the single source of truth for what a zero
+// GridOptions means: NewGridModelWithOptions builds from it, and the oracle
+// store derives its content-address from it. Only FillBudget can change
+// solver round-off (by flipping the model onto the CG fallback), so it alone
+// versions the content-address — the peak-bytes/spill knobs, like the
+// host's panel shape, select bit-identical execution strategies, so cached
+// results remain valid across them by construction.
 func (o GridOptions) Canonical() GridOptions {
-	o.Panel = o.Panel.Canonical()
 	if o.FillBudget == 0 {
 		o.FillBudget = DefaultGridFillBudget
 	}
@@ -105,7 +102,6 @@ type GridModel struct {
 	cellW      float64
 	cellH      float64
 	sys        *linalg.Sparse
-	panelOpts  linalg.SupernodalOptions
 	fillBudget int
 	peakBudget int64 // resident-bytes bound; 0 = unbudgeted
 	spillDir   string
@@ -158,7 +154,6 @@ func NewGridModelWithOptions(fp *floorplan.Floorplan, cfg PackageConfig, nx, ny 
 		ny:         ny,
 		cellW:      die.W / float64(nx),
 		cellH:      die.H / float64(ny),
-		panelOpts:  opts.Panel,
 		fillBudget: opts.FillBudget,
 		peakBudget: opts.PeakBytesBudget,
 		spillDir:   opts.SpillDir,
@@ -214,7 +209,7 @@ func (g *GridModel) buildSolver() error {
 		return fmt.Errorf("%w: grid system not SPD: %v", ErrModel, err)
 	}
 	if sym.LNNZ() <= g.fillBudget {
-		ss := sym.Supernodes(g.panelOpts)
+		ss := sym.Supernodes(linalg.SupernodalOptions{})
 		start := time.Now() // numeric factorization only — symbolic and partition excluded
 		inCore := int64(sym.LNNZ())*16 + ss.WorkspaceBytes()
 		var ch *linalg.SparseCholesky

@@ -18,8 +18,7 @@ type gridFactorKey struct {
 	dieW, dieH uint64
 	nx, ny     int
 	fillBudget int
-	panel      linalg.SupernodalOptions // RelaxRatio zeroed; its bits are in relax
-	relax      uint64
+	panelWidth int // the host's default panel width, so FactorStats match it
 }
 
 // newGridFactorKey keys a grid model's matrix and factor; opts must already
@@ -31,10 +30,8 @@ func newGridFactorKey(cfg PackageConfig, dieW, dieH float64, nx, ny int, opts Gr
 		nx:         nx,
 		ny:         ny,
 		fillBudget: opts.FillBudget,
-		panel:      opts.Panel,
-		relax:      math.Float64bits(opts.Panel.RelaxRatio),
+		panelWidth: linalg.DefaultPanelWidth(0),
 	}
-	k.panel.RelaxRatio = 0 // a NaN would make the key unequal to itself
 	for i, v := range [...]float64{
 		cfg.DieThickness, cfg.KSilicon, cfg.TIMThickness, cfg.KTIM,
 		cfg.SpreaderSide, cfg.SpreaderThickness, cfg.KSpreader,

@@ -63,8 +63,8 @@ func sameSparseBits(a, b *linalg.Sparse) bool {
 // TestGridFactorKeyGuard perturbs every PackageConfig field by reflection:
 // the share key must change exactly when the assembled matrix bits change,
 // so a field added later cannot slip past it. A 1-ULP change of the die's
-// width or height, the resolution, the fill budget and every panel option
-// must change the key too.
+// width or height, the resolution, the fill budget and the host's panel
+// width must change the key too.
 func TestGridFactorKeyGuard(t *testing.T) {
 	const n = 8
 	fp := floorplan.Alpha21364()
@@ -123,26 +123,15 @@ func TestGridFactorKeyGuard(t *testing.T) {
 			t.Errorf("%s: key unchanged", name)
 		}
 	}
-	pv := reflect.ValueOf(&opts.Panel).Elem()
-	for i := 0; i < pv.NumField(); i++ {
-		o := opts
-		f := reflect.ValueOf(&o.Panel).Elem().Field(i)
-		switch f.Kind() {
-		case reflect.Int:
-			f.SetInt(f.Int() + 1)
-		case reflect.Float64:
-			f.SetFloat(math.Nextafter(f.Float(), 1))
-		default:
-			t.Fatalf("Panel.%s: unhandled kind %v", pv.Type().Field(i).Name, f.Kind())
-		}
-		if newGridFactorKey(base, die.W, die.H, n, n, o) == baseKey {
-			t.Errorf("Panel.%s: key unchanged", pv.Type().Field(i).Name)
-		}
-	}
-	nan := opts
-	nan.Panel.RelaxRatio = math.NaN()
-	if k := newGridFactorKey(base, die.W, die.H, n, n, nan); k != k {
-		t.Error("NaN RelaxRatio makes the key unequal to itself")
+	// The key carries the host's panel width, so a model built under another
+	// GOMAXPROCS never reports another width's FactorStats.
+	old := runtime.GOMAXPROCS(1)
+	serial := newGridFactorKey(base, die.W, die.H, n, n, opts)
+	runtime.GOMAXPROCS(2)
+	multi := newGridFactorKey(base, die.W, die.H, n, n, opts)
+	runtime.GOMAXPROCS(old)
+	if serial == multi {
+		t.Error("panel width: key unchanged between GOMAXPROCS 1 and 2")
 	}
 }
 

@@ -249,18 +249,9 @@ func TestGridPeakBudgetAcceptance(t *testing.T) {
 }
 
 // TestGridOptionsCanonicalSpill pins the canonicalization of the memory
-// knobs and panel width: an explicit width survives, a negative one takes
-// the default, and negative budgets clear to zero.
+// knobs: negative budgets clear to zero.
 func TestGridOptionsCanonicalSpill(t *testing.T) {
-	c := GridOptions{Panel: linalg.SupernodalOptions{MaxPanel: 16}}.Canonical()
-	if c.Panel.MaxPanel != 16 {
-		t.Fatalf("explicit width canonical = %d, want 16", c.Panel.MaxPanel)
-	}
-	c = GridOptions{Panel: linalg.SupernodalOptions{MaxPanel: -1, Workers: 1}}.Canonical()
-	if want := linalg.DefaultPanelWidth(1); c.Panel.MaxPanel != want {
-		t.Fatalf("negative width canonical = %d, want %d", c.Panel.MaxPanel, want)
-	}
-	c = GridOptions{PeakBytesBudget: -5}.Canonical()
+	c := GridOptions{PeakBytesBudget: -5}.Canonical()
 	if c.PeakBytesBudget != 0 {
 		t.Fatalf("negative budget canonical = %d, want 0", c.PeakBytesBudget)
 	}
