@@ -49,7 +49,7 @@ func TestOptimalThermalProducesSafeMinimalSchedule(t *testing.T) {
 	// Minimality cross-check: merging the first two sessions must violate
 	// (otherwise the DP missed a shorter schedule).
 	if sc.NumSessions() >= 2 {
-		merged := append(sc.Session(0).Cores(), sc.Session(1).Cores()...)
+		merged := append(sc.Sessions()[0].Cores(), sc.Sessions()[1].Cores()...)
 		temps, err := blockTemps(merged)
 		if err != nil {
 			t.Fatal(err)

@@ -192,13 +192,6 @@ func (c *CachedOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
 	return out, nil
 }
 
-// Hits returns how many queries were answered from the cache.
-func (c *CachedOracle) Hits() int64 { return c.hits.Load() }
-
-// Misses returns how many queries ran the inner simulation — one per
-// distinct active set.
-func (c *CachedOracle) Misses() int64 { return c.misses.Load() }
-
 // Stats returns (hits, misses) as one consistent-enough snapshot for
 // reporting.
 func (c *CachedOracle) Stats() (hits, misses int64) {

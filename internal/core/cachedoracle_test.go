@@ -9,9 +9,37 @@ import (
 	"testing"
 )
 
+// countingOracle wraps an Oracle and counts calls, to cross-check the
+// generator's own effort accounting and the caches' hit paths. The counter
+// is atomic, so a countingOracle may sit under a batch fan-out or a
+// concurrent sweep without racing.
+type countingOracle struct {
+	Inner Oracle
+	calls atomic.Int64
+}
+
+// BlockTemps implements Oracle.
+func (c *countingOracle) BlockTemps(active []int) ([]float64, error) {
+	c.calls.Add(1)
+	return c.Inner.BlockTemps(active)
+}
+
+// BlockTempsBatch implements BatchOracle; a k-session batch counts as k
+// simulations, so Calls keeps meaning "sessions simulated" on either path.
+func (c *countingOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
+	c.calls.Add(int64(len(sessions)))
+	if b, ok := c.Inner.(BatchOracle); ok {
+		return b.BlockTempsBatch(sessions)
+	}
+	return sweepBlockTemps(c.Inner, sessions)
+}
+
+// Calls returns the number of sessions simulated so far.
+func (c *countingOracle) Calls() int64 { return c.calls.Load() }
+
 func TestCachedOracleKeysIgnoreOrder(t *testing.T) {
 	_, _, oracle := alphaGenSetup(t)
-	counting := &CountingOracle{Inner: oracle}
+	counting := &countingOracle{Inner: oracle}
 	cached := NewCachedOracle(counting)
 
 	a, err := cached.BlockTemps([]int{0, 3, 5})
@@ -68,7 +96,7 @@ func TestCachedOracleMidSetMaskKey(t *testing.T) {
 	for i := range solo {
 		solo[i] = 100 + float64(i)
 	}
-	inner := &CountingOracle{Inner: &fakeOracle{solo: solo, coupling: 1, ambient: 45}}
+	inner := &countingOracle{Inner: &fakeOracle{solo: solo, coupling: 1, ambient: 45}}
 	cached := NewCachedOracle(inner)
 	if _, err := cached.BlockTemps([]int{70, 2, 199, 65}); err != nil {
 		t.Fatal(err)
@@ -92,7 +120,7 @@ func TestCachedOracleBigSetFallback(t *testing.T) {
 	for i := range solo {
 		solo[i] = 100 + float64(i)
 	}
-	inner := &CountingOracle{Inner: &fakeOracle{solo: solo, coupling: 1, ambient: 45}}
+	inner := &countingOracle{Inner: &fakeOracle{solo: solo, coupling: 1, ambient: 45}}
 	cached := NewCachedOracle(inner)
 	if _, err := cached.BlockTemps([]int{280, 2, 65}); err != nil {
 		t.Fatal(err)
@@ -151,7 +179,7 @@ func TestCachedOracleConcurrentDedup(t *testing.T) {
 	// must run exactly once per distinct key and every caller must see the
 	// same temperatures.
 	_, _, oracle := alphaGenSetup(t)
-	counting := &CountingOracle{Inner: oracle}
+	counting := &countingOracle{Inner: oracle}
 	cached := NewCachedOracle(counting)
 
 	sessions := [][]int{{0}, {1}, {0, 1}, {2, 7, 11}, {3, 4}}
@@ -247,7 +275,7 @@ func TestCountingOracleConcurrent(t *testing.T) {
 	// increments (this is a data race with a plain int field; run under
 	// -race in CI).
 	_, _, oracle := alphaGenSetup(t)
-	counting := &CountingOracle{Inner: oracle}
+	counting := &countingOracle{Inner: oracle}
 	const goroutines = 8
 	const calls = 25
 	var wg sync.WaitGroup
@@ -322,11 +350,11 @@ func TestCachedOracleBatch(t *testing.T) {
 		t.Error("a hit on {1} is not the batch's first answer's backing array")
 	}
 	// A second identical batch is all hits, no inner traffic.
-	before := c.Misses()
+	before := c.misses.Load()
 	if _, err := c.BlockTempsBatch(sessions); err != nil {
 		t.Fatal(err)
 	}
-	if c.Misses() != before {
+	if c.misses.Load() != before {
 		t.Error("repeat batch re-simulated cached sessions")
 	}
 }

@@ -316,7 +316,7 @@ func TestMaxAttemptsGuard(t *testing.T) {
 
 func TestCountingOracleMatchesAttempts(t *testing.T) {
 	spec, sm, oracle := alphaGenSetup(t)
-	counting := &CountingOracle{Inner: oracle}
+	counting := &countingOracle{Inner: oracle}
 	res, err := Generate(spec, sm, counting, Config{TL: 165, STCL: 60})
 	if err != nil {
 		t.Fatal(err)

@@ -190,7 +190,7 @@ func TestGridOracleUnderCachedOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counting := &CountingOracle{Inner: NewGridOracle(gm, spec.Profile())}
+	counting := &countingOracle{Inner: NewGridOracle(gm, spec.Profile())}
 	cached := NewCachedOracle(counting)
 	a, err := cached.BlockTemps([]int{1, 4})
 	if err != nil {

@@ -182,36 +182,7 @@ func (l *LazyOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
 	return sweepBlockTemps(l.inner, sessions)
 }
 
-// CountingOracle wraps an Oracle and counts calls — used by tests and by the
-// experiment harness to cross-check the generator's own effort accounting.
-// The counter is atomic, so a CountingOracle may sit under a batch fan-out
-// or a concurrent sweep without racing.
-type CountingOracle struct {
-	Inner Oracle
-	calls atomic.Int64
-}
-
-// BlockTemps implements Oracle.
-func (c *CountingOracle) BlockTemps(active []int) ([]float64, error) {
-	c.calls.Add(1)
-	return c.Inner.BlockTemps(active)
-}
-
-// BlockTempsBatch implements BatchOracle; a k-session batch counts as k
-// simulations, so Calls keeps meaning "sessions simulated" on either path.
-func (c *CountingOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
-	c.calls.Add(int64(len(sessions)))
-	if b, ok := c.Inner.(BatchOracle); ok {
-		return b.BlockTempsBatch(sessions)
-	}
-	return sweepBlockTemps(c.Inner, sessions)
-}
-
-// Calls returns the number of sessions simulated so far.
-func (c *CountingOracle) Calls() int64 { return c.calls.Load() }
-
 var (
 	_ BatchOracle = (*SimOracle)(nil)
 	_ BatchOracle = (*LazyOracle)(nil)
-	_ BatchOracle = (*CountingOracle)(nil)
 )

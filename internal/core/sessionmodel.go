@@ -37,7 +37,6 @@ type SessionModel struct {
 	vert  []float64       // vertical resistance to thermal ground, K/W
 	rim   []float64       // die-boundary path, K/W (+Inf for interior cores)
 	lat   [][]lateralEdge // lateral resistances to neighbours
-	names []string
 
 	// Precomputed conductance sums for the O(degree) incremental session
 	// builder: gBase is the always-grounded part (vertical + rim paths) and
@@ -68,7 +67,6 @@ func NewSessionModel(m *thermal.Model, prof *power.Profile, scale float64) (*Ses
 		vert:     make([]float64, n),
 		rim:      make([]float64, n),
 		lat:      make([][]lateralEdge, n),
-		names:    m.Floorplan().Names(),
 		gBase:    make([]float64, n),
 		latTotal: make([]float64, n),
 	}
@@ -98,9 +96,6 @@ func NewSessionModel(m *thermal.Model, prof *power.Profile, scale float64) (*Ses
 
 // NumCores returns the number of cores in the model.
 func (sm *SessionModel) NumCores() int { return sm.n }
-
-// Scale returns the STC normalisation divisor.
-func (sm *SessionModel) Scale() float64 { return sm.scale }
 
 // EquivalentR returns Rth(i) with respect to the session described by the
 // active mask: the parallel combination of core i's vertical path, its die
@@ -185,9 +180,3 @@ func (sm *SessionModel) STC(session []int, weights []float64) (float64, error) {
 	}
 	return mx, nil
 }
-
-// CoreName returns core i's display name.
-func (sm *SessionModel) CoreName(i int) string { return sm.names[i] }
-
-// TestPower returns core i's test power (W).
-func (sm *SessionModel) TestPower(i int) float64 { return sm.power[i] }

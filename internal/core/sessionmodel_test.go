@@ -59,7 +59,7 @@ func TestEquivalentRBounds(t *testing.T) {
 		vert := m.VerticalR(i)
 		limit := vert
 		if rim, ok := m.RimR(i); ok {
-			limit = thermal.ParallelR(vert, rim)
+			limit = 1 / (1/vert + 1/rim)
 		}
 		if r <= 0 || r > limit+1e-12 {
 			t.Errorf("core %d: Rth = %g outside (0, %g]", i, r, limit)
@@ -216,8 +216,8 @@ func TestSTCScaleDivides(t *testing.T) {
 	if math.Abs(ra/50-rb) > 1e-9*ra {
 		t.Errorf("scale not a pure divisor: raw %g, scaled %g", ra, rb)
 	}
-	if b.Scale() != 50 {
-		t.Errorf("Scale() = %g, want 50", b.Scale())
+	if b.scale != 50 {
+		t.Errorf("scale = %g, want 50", b.scale)
 	}
 }
 
@@ -258,11 +258,8 @@ func TestSoloTCAndAccessors(t *testing.T) {
 		if sm.SoloTC(i) <= 0 {
 			t.Errorf("SoloTC(%d) = %g, want > 0", i, sm.SoloTC(i))
 		}
-		if sm.CoreName(i) != spec.Test(i).Name {
-			t.Errorf("CoreName(%d) = %q, want %q", i, sm.CoreName(i), spec.Test(i).Name)
-		}
-		if sm.TestPower(i) != spec.Test(i).Power {
-			t.Errorf("TestPower(%d) mismatch", i)
+		if sm.power[i] != spec.Test(i).Power {
+			t.Errorf("power[%d] mismatch", i)
 		}
 	}
 }

@@ -21,16 +21,6 @@ type ClaimsResult struct {
 	Claims []Claim
 }
 
-// AllPass reports whether every claim holds.
-func (c *ClaimsResult) AllPass() bool {
-	for _, cl := range c.Claims {
-		if !cl.Pass {
-			return false
-		}
-	}
-	return true
-}
-
 // Render formats the claim checklist.
 func (c *ClaimsResult) Render() string {
 	var sb strings.Builder

@@ -165,9 +165,6 @@ func (e *Env) GridFactorStats() (thermal.GridFactorStats, bool) {
 	return thermal.GridFactorStats{}, false
 }
 
-// AlphaEnv is the canonical evaluation environment (15-core Alpha 21364).
-func AlphaEnv() (*Env, error) { return NewEnv(testspec.Alpha21364()) }
-
 // Figure1Env is the motivational 7-core SoC environment.
 func Figure1Env() (*Env, error) { return NewEnv(testspec.Figure1()) }
 

@@ -4,16 +4,28 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/testspec"
 )
 
 // The Alpha environment is expensive enough to share across tests; it is
 // immutable after construction.
 var sharedEnv *Env
 
+// allPass reports whether every claim holds.
+func allPass(c *ClaimsResult) bool {
+	for _, cl := range c.Claims {
+		if !cl.Pass {
+			return false
+		}
+	}
+	return true
+}
+
 func env(t *testing.T) *Env {
 	t.Helper()
 	if sharedEnv == nil {
-		e, err := AlphaEnv()
+		e, err := NewEnv(testspec.Alpha21364())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +77,7 @@ func TestRunTable1AndClaims(t *testing.T) {
 		t.Fatalf("rows = %d, want %d", len(grid.Rows), len(Table1TLs)*len(STCLs))
 	}
 	claims := CheckClaims(grid)
-	if !claims.AllPass() {
+	if !allPass(claims) {
 		t.Errorf("paper claims failed:\n%s", claims.Render())
 	}
 	if grid.Row(145, 20) == nil || grid.Row(185, 100) == nil {
@@ -243,7 +255,7 @@ func TestScalingSpecDeterministic(t *testing.T) {
 	}
 	// Factors must stay inside the paper's envelope.
 	for i := 0; i < a.NumCores(); i++ {
-		f := a.Profile().TestFactor(i)
+		f := a.Profile().Test(i) / a.Profile().Functional(i)
 		if f < 1.5 || f > 8 {
 			t.Errorf("core %d factor %.2f outside [1.5, 8]", i, f)
 		}
@@ -271,7 +283,7 @@ func TestCheckClaimsDetectsBadGrids(t *testing.T) {
 		{TL: 185, STCL: 100, Length: 9, Effort: 20, MaxTemp: 184},
 	}}
 	claims := CheckClaims(bad)
-	if claims.AllPass() {
+	if allPass(claims) {
 		t.Fatal("claims passed on a corrupt grid")
 	}
 	failing := map[string]bool{}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/oraclestore"
+	"repro/internal/testspec"
 )
 
 func TestDefaultFleetDeterministic(t *testing.T) {
@@ -186,7 +187,7 @@ func TestEnvWithStoreMatchesPlainEnv(t *testing.T) {
 	// The store must be invisible to results: a store-backed Table 1 equals
 	// the plain one bit-for-bit, cold and warm.
 	dir := t.TempDir()
-	plainEnv, err := AlphaEnv()
+	plainEnv, err := NewEnv(testspec.Alpha21364())
 	if err != nil {
 		t.Fatal(err)
 	}

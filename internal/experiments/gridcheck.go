@@ -41,6 +41,7 @@ func RunGridCheck(env *Env, n int) (*GridCheckResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer grid.Close()
 	sessions := [][]string{
 		{"IntExec"},
 		{"IntReg", "IntExec"},

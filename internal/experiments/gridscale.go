@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/schedule"
 	"repro/internal/thermal"
 )
 
@@ -23,6 +24,7 @@ type GridScalePoint struct {
 	Backend    string        // thermal.GridModel.SolverBackend()
 	BuildTime  time.Duration // model assembly + symbolic + numeric factorization
 	FactorTime time.Duration // numeric factorization alone (inside BuildTime)
+	Shared     bool          // the rung reused a live model's factor: no numeric work
 	SolveTime  time.Duration // total per-query steady-state solve time across all sessions
 	BatchTime  time.Duration // the same sessions through one SteadyStateBatch call
 	Queries    int           // session count
@@ -78,69 +80,83 @@ func RunGridScale(env *Env, resolutions []int, opts thermal.GridOptions) (*GridS
 	}
 	sessions := res.Schedule.Sessions()
 	out := &GridScaleResult{TL: tl, STCL: stcl, Sessions: len(sessions)}
-	prof := env.Spec.Profile()
 	for _, r := range resolutions {
 		if r < 2 {
 			return nil, fmt.Errorf("experiments: grid resolution %d too small", r)
 		}
-		start := time.Now()
-		gm, err := thermal.NewGridModelWithOptions(env.Spec.Floorplan(), env.Model.Config(), r, r, opts)
+		pt, err := runGridRung(env, r, opts, sessions)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %d×%d grid: %w", r, r, err)
-		}
-		fs := gm.FactorStats()
-		pt := GridScalePoint{
-			Res:        r,
-			Nodes:      gm.NumNodes(),
-			NNZ:        gm.NNZ(),
-			FactorNNZ:  gm.FactorNNZ(),
-			Panels:     fs.Panels,
-			Backend:    gm.SolverBackend(),
-			BuildTime:  time.Since(start),
-			FactorTime: fs.FactorTime,
-			Queries:    len(sessions),
-
-			SpilledPanels: fs.SpilledPanels,
-			SpilledBytes:  fs.SpilledBytes,
-			PeakResident:  fs.PeakResidentBytes,
-		}
-		pms := make([][]float64, 0, len(sessions))
-		peaks := make([]float64, 0, len(sessions))
-		for _, s := range sessions {
-			pm, err := prof.TestPowerMap(s.Cores())
-			if err != nil {
-				return nil, err
-			}
-			pms = append(pms, pm)
-			t0 := time.Now()
-			gr, err := gm.SteadyState(pm)
-			pt.SolveTime += time.Since(t0)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %d×%d grid solve: %w", r, r, err)
-			}
-			peaks = append(peaks, gr.MaxTemp())
-			if mt := gr.MaxTemp(); mt > pt.PeakT {
-				pt.PeakT = mt
-			}
-		}
-		t0 := time.Now()
-		batch, err := gm.SteadyStateBatch(pms)
-		pt.BatchTime = time.Since(t0)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %d×%d grid batch solve: %w", r, r, err)
-		}
-		// The batched pass must reproduce the per-query answers bit for bit —
-		// cheap to verify here, and it keeps every ladder run an end-to-end
-		// identity check of the fast path.
-		for i, gr := range batch {
-			if gr.MaxTemp() != peaks[i] {
-				return nil, fmt.Errorf("experiments: %d×%d batched solve diverged at session %d: %g vs %g",
-					r, r, i, gr.MaxTemp(), peaks[i])
-			}
+			return nil, err
 		}
 		out.Points = append(out.Points, pt)
 	}
 	return out, nil
+}
+
+// runGridRung builds one r×r grid model, times its build and the sessions'
+// per-query and batched solves, and closes the model before returning so
+// the next rung, or a later run at this resolution, factors afresh instead
+// of sharing this rung's factor.
+func runGridRung(env *Env, r int, opts thermal.GridOptions, sessions []schedule.Session) (GridScalePoint, error) {
+	start := time.Now()
+	gm, err := thermal.NewGridModelWithOptions(env.Spec.Floorplan(), env.Model.Config(), r, r, opts)
+	if err != nil {
+		return GridScalePoint{}, fmt.Errorf("experiments: %d×%d grid: %w", r, r, err)
+	}
+	defer gm.Close()
+	fs := gm.FactorStats()
+	pt := GridScalePoint{
+		Res:        r,
+		Nodes:      gm.NumNodes(),
+		NNZ:        gm.NNZ(),
+		FactorNNZ:  gm.FactorNNZ(),
+		Panels:     fs.Panels,
+		Backend:    gm.SolverBackend(),
+		BuildTime:  time.Since(start),
+		FactorTime: fs.FactorTime,
+		Shared:     fs.Shared,
+		Queries:    len(sessions),
+
+		SpilledPanels: fs.SpilledPanels,
+		SpilledBytes:  fs.SpilledBytes,
+		PeakResident:  fs.PeakResidentBytes,
+	}
+	prof := env.Spec.Profile()
+	pms := make([][]float64, 0, len(sessions))
+	peaks := make([]float64, 0, len(sessions))
+	for _, s := range sessions {
+		pm, err := prof.TestPowerMap(s.Cores())
+		if err != nil {
+			return GridScalePoint{}, err
+		}
+		pms = append(pms, pm)
+		t0 := time.Now()
+		gr, err := gm.SteadyState(pm)
+		pt.SolveTime += time.Since(t0)
+		if err != nil {
+			return GridScalePoint{}, fmt.Errorf("experiments: %d×%d grid solve: %w", r, r, err)
+		}
+		peaks = append(peaks, gr.MaxTemp())
+		if mt := gr.MaxTemp(); mt > pt.PeakT {
+			pt.PeakT = mt
+		}
+	}
+	t0 := time.Now()
+	batch, err := gm.SteadyStateBatch(pms)
+	pt.BatchTime = time.Since(t0)
+	if err != nil {
+		return GridScalePoint{}, fmt.Errorf("experiments: %d×%d grid batch solve: %w", r, r, err)
+	}
+	// The batched pass must reproduce the per-query answers bit for bit —
+	// cheap to verify here, and it keeps every ladder run an end-to-end
+	// identity check of the fast path.
+	for i, gr := range batch {
+		if gr.MaxTemp() != peaks[i] {
+			return GridScalePoint{}, fmt.Errorf("experiments: %d×%d batched solve diverged at session %d: %g vs %g",
+				r, r, i, gr.MaxTemp(), peaks[i])
+		}
+	}
+	return pt, nil
 }
 
 // Render formats the ladder as a table.
@@ -155,10 +171,14 @@ func (g *GridScaleResult) Render() string {
 		if p.SpilledPanels > 0 {
 			resident = fmt.Sprintf("%d", p.PeakResident)
 		}
+		numeric := p.FactorTime.Round(time.Microsecond).String()
+		if p.Shared {
+			numeric = "shared"
+		}
 		fmt.Fprintf(&sb, "%3dx%-3d %8d %9d %10d %7d %7d %10s %16s %12s %12s %12s %12s %9.2f\n",
 			p.Res, p.Res, p.Nodes, p.NNZ, p.FactorNNZ, p.Panels,
 			p.SpilledPanels, resident, p.Backend,
-			p.BuildTime.Round(time.Microsecond), p.FactorTime.Round(time.Microsecond),
+			p.BuildTime.Round(time.Microsecond), numeric,
 			p.PerQuery().Round(time.Microsecond),
 			p.PerQueryBatched().Round(time.Microsecond), p.PeakT)
 	}

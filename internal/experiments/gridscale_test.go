@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/testspec"
 	"repro/internal/thermal"
 )
 
@@ -11,7 +12,7 @@ func TestRunGridScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid ladder in -short mode")
 	}
-	env, err := AlphaEnv()
+	env, err := NewEnv(testspec.Alpha21364())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,13 +59,26 @@ func TestRunGridScale(t *testing.T) {
 			t.Errorf("Render missing %q:\n%s", want, text)
 		}
 	}
+	// A gridcheck run at the same resolution closes its model, so the ladder
+	// rung after it times a factorization of its own instead of sharing the
+	// gridcheck factor.
+	if _, err := RunGridCheck(env, 16); err != nil {
+		t.Fatal(err)
+	}
+	again, err := RunGridScale(env, []int{16}, thermal.GridOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := again.Points[0]; p.Shared || p.FactorTime <= 0 {
+		t.Errorf("16x16 rung after gridcheck: shared %v, numeric %v; want its own factorization", p.Shared, p.FactorTime)
+	}
 }
 
 func TestRunGridScaleFillBudgetFallback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid ladder in -short mode")
 	}
-	env, err := AlphaEnv()
+	env, err := NewEnv(testspec.Alpha21364())
 	if err != nil {
 		t.Fatal(err)
 	}

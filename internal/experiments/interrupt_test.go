@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/testspec"
 )
 
 // TestGenerateInterruptMidRun: an Interrupt hook that starts failing after a
@@ -14,7 +15,7 @@ import (
 // before the abort stays memoized, and a clean rerun finishes from that warm
 // state.
 func TestGenerateInterruptMidRun(t *testing.T) {
-	env, err := AlphaEnv()
+	env, err := NewEnv(testspec.Alpha21364())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestGenerateInterruptMidRun(t *testing.T) {
 // interrupt hook — a cancelled context aborts generation with both
 // sentinels observable.
 func TestGenerateContextCancelled(t *testing.T) {
-	env, err := AlphaEnv()
+	env, err := NewEnv(testspec.Alpha21364())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/testspec"
 )
 
 // TestGenerateProgressCallbacks pins the Config.Progress contract the job
@@ -11,7 +12,7 @@ import (
 // committed session with monotonically growing coverage, ending fully
 // scheduled — and wiring the callback does not change the schedule.
 func TestGenerateProgressCallbacks(t *testing.T) {
-	env, err := AlphaEnv()
+	env, err := NewEnv(testspec.Alpha21364())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -23,7 +24,8 @@ func TestBlockModelStoreFileDeterministic(t *testing.T) {
 	}
 	var want []byte
 	for run := 0; run < 3; run++ {
-		st, err := oraclestore.Open(t.TempDir())
+		dir := t.TempDir()
+		st, err := oraclestore.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,11 +39,15 @@ func TestBlockModelStoreFileDeterministic(t *testing.T) {
 		if n := env.StoreCache.Len(); n <= spec.NumCores() {
 			t.Fatalf("run %d persisted %d records, want more than the %d solos", run, n, spec.NumCores())
 		}
-		path := env.StoreCache.Path()
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(path)
+		// The run opened one system, so the store holds one record file.
+		paths, err := filepath.Glob(filepath.Join(dir, "*", "*.tsoc"))
+		if err != nil || len(paths) != 1 {
+			t.Fatalf("run %d record files = %v (%v), want exactly one", run, paths, err)
+		}
+		got, err := os.ReadFile(paths[0])
 		if err != nil {
 			t.Fatal(err)
 		}

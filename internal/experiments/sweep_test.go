@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/testspec"
 )
 
 // forceParallelism raises GOMAXPROCS so the worker-pool paths genuinely run
@@ -81,11 +83,11 @@ func TestTable1SerialParallelByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 1 grid twice in -short mode")
 	}
-	serialEnv, err := AlphaEnv()
+	serialEnv, err := NewEnv(testspec.Alpha21364())
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallelEnv, err := AlphaEnv()
+	parallelEnv, err := NewEnv(testspec.Alpha21364())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,9 +95,6 @@ func sortRim(rs []RimContact) {
 	}
 }
 
-// Floorplan returns the floorplan this graph was built from.
-func (a *Adjacency) Floorplan() *Floorplan { return a.fp }
-
 // Neighbors returns the lateral neighbours of block i in ascending index
 // order. The returned slice is shared; callers must not mutate it.
 func (a *Adjacency) Neighbors(i int) []Neighbor { return a.neighbors[i] }
@@ -105,30 +102,6 @@ func (a *Adjacency) Neighbors(i int) []Neighbor { return a.neighbors[i] }
 // Rim returns block i's die-boundary contacts. The returned slice is shared;
 // callers must not mutate it.
 func (a *Adjacency) Rim(i int) []RimContact { return a.rim[i] }
-
-// Degree returns the number of lateral neighbours of block i.
-func (a *Adjacency) Degree(i int) int { return len(a.neighbors[i]) }
-
-// AreNeighbors reports whether blocks i and j share an edge.
-func (a *Adjacency) AreNeighbors(i, j int) bool {
-	for _, n := range a.neighbors[i] {
-		if n.Index == j {
-			return true
-		}
-	}
-	return false
-}
-
-// SharedLen returns the shared boundary length between blocks i and j, or 0
-// when they are not adjacent.
-func (a *Adjacency) SharedLen(i, j int) float64 {
-	for _, n := range a.neighbors[i] {
-		if n.Index == j {
-			return n.SharedLen
-		}
-	}
-	return 0
-}
 
 // Validate cross-checks internal symmetry invariants: if j is a neighbour of
 // i, i must be a neighbour of j with identical shared length and opposite

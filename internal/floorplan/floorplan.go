@@ -131,15 +131,6 @@ func (fp *Floorplan) IndexOf(name string) (int, error) {
 	return i, nil
 }
 
-// Names returns the block names in declaration order.
-func (fp *Floorplan) Names() []string {
-	out := make([]string, len(fp.blocks))
-	for i, b := range fp.blocks {
-		out[i] = b.Name
-	}
-	return out
-}
-
 // TotalBlockArea returns the summed block area (m²).
 func (fp *Floorplan) TotalBlockArea() float64 {
 	var sum float64

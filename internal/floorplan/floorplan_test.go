@@ -77,10 +77,6 @@ func TestLookupAndAccessors(t *testing.T) {
 	if _, err := fp.IndexOf("nope"); !errors.Is(err, ErrUnknownBlock) {
 		t.Errorf("IndexOf(nope) err = %v, want ErrUnknownBlock", err)
 	}
-	names := fp.Names()
-	if len(names) != 3 || names[0] != "A" || names[2] != "C" {
-		t.Errorf("Names = %v", names)
-	}
 	if got := fp.TotalBlockArea(); math.Abs(got-16e-6) > 1e-15 {
 		t.Errorf("TotalBlockArea = %g, want 16e-6", got)
 	}
@@ -103,6 +99,17 @@ func TestLookupAndAccessors(t *testing.T) {
 	}
 }
 
+// sharedLen returns the shared boundary length between blocks i and j, or 0
+// when they are not adjacent.
+func sharedLen(a *Adjacency, i, j int) float64 {
+	for _, n := range a.Neighbors(i) {
+		if n.Index == j {
+			return n.SharedLen
+		}
+	}
+	return 0
+}
+
 func TestAdjacencySimple(t *testing.T) {
 	fp := simplePlan(t)
 	adj := NewAdjacency(fp)
@@ -112,22 +119,22 @@ func TestAdjacencySimple(t *testing.T) {
 	a, _ := fp.IndexOf("A")
 	b, _ := fp.IndexOf("B")
 	c, _ := fp.IndexOf("C")
-	if !adj.AreNeighbors(a, b) || !adj.AreNeighbors(a, c) || !adj.AreNeighbors(b, c) {
+	if sharedLen(adj, a, b) == 0 || sharedLen(adj, a, c) == 0 || sharedLen(adj, b, c) == 0 {
 		t.Fatalf("expected all pairs adjacent: %s", adj.Describe())
 	}
 	// A touches B along x=2mm for y in [0,2mm].
-	if got := adj.SharedLen(a, b); math.Abs(got-2e-3) > 1e-12 {
-		t.Errorf("SharedLen(A,B) = %g, want 2e-3", got)
+	if got := sharedLen(adj, a, b); math.Abs(got-2e-3) > 1e-12 {
+		t.Errorf("sharedLen(A,B) = %g, want 2e-3", got)
 	}
 	// A touches C along x=2mm for y in [2mm,4mm].
-	if got := adj.SharedLen(a, c); math.Abs(got-2e-3) > 1e-12 {
-		t.Errorf("SharedLen(A,C) = %g, want 2e-3", got)
+	if got := sharedLen(adj, a, c); math.Abs(got-2e-3) > 1e-12 {
+		t.Errorf("sharedLen(A,C) = %g, want 2e-3", got)
 	}
-	if got := adj.SharedLen(b, c); math.Abs(got-2e-3) > 1e-12 {
-		t.Errorf("SharedLen(B,C) = %g, want 2e-3", got)
+	if got := sharedLen(adj, b, c); math.Abs(got-2e-3) > 1e-12 {
+		t.Errorf("sharedLen(B,C) = %g, want 2e-3", got)
 	}
-	if adj.Degree(a) != 2 {
-		t.Errorf("Degree(A) = %d, want 2", adj.Degree(a))
+	if len(adj.Neighbors(a)) != 2 {
+		t.Errorf("neighbours of A = %d, want 2", len(adj.Neighbors(a)))
 	}
 	// Every block touches the die boundary in this plan.
 	for i := 0; i < fp.NumBlocks(); i++ {
@@ -145,9 +152,6 @@ func TestAdjacencySimple(t *testing.T) {
 	}
 	if math.Abs(west-4e-3) > 1e-12 {
 		t.Errorf("A west rim = %g, want 4e-3", west)
-	}
-	if adj.Floorplan() != fp {
-		t.Error("Floorplan() identity lost")
 	}
 	if !strings.Contains(adj.Describe(), "RIM") {
 		t.Error("Describe() missing rim annotations")
@@ -186,14 +190,14 @@ func TestAlpha21364(t *testing.T) {
 	ic, _ := fp.IndexOf("Icache")
 	dc, _ := fp.IndexOf("Dcache")
 	l2, _ := fp.IndexOf("L2Base")
-	if !adj.AreNeighbors(ic, dc) {
+	if sharedLen(adj, ic, dc) == 0 {
 		t.Error("Icache and Dcache should be adjacent")
 	}
-	if !adj.AreNeighbors(ic, l2) {
+	if sharedLen(adj, ic, l2) == 0 {
 		t.Error("Icache should touch L2Base")
 	}
 	fpAdd, _ := fp.IndexOf("FPAdd")
-	if adj.AreNeighbors(fpAdd, l2) {
+	if sharedLen(adj, fpAdd, l2) > 0 {
 		t.Error("FPAdd should not touch L2Base")
 	}
 	// The area skew the evaluation depends on: largest block (L2Base) is much
@@ -209,7 +213,7 @@ func TestAlpha21364(t *testing.T) {
 	}
 	// Every block must be connected (no isolated islands in a tiling).
 	for i := 0; i < fp.NumBlocks(); i++ {
-		if adj.Degree(i) == 0 {
+		if len(adj.Neighbors(i)) == 0 {
 			t.Errorf("block %s isolated", fp.Block(i).Name)
 		}
 	}
@@ -380,14 +384,6 @@ func TestRandomErrors(t *testing.T) {
 	// Impossible: min dimension too large for the requested count.
 	if _, err := Random(RandomOptions{Blocks: 1000, DieW: 1e-3, DieH: 1e-3, MinDim: 0.4e-3}); err == nil {
 		t.Error("unsatisfiable MinDim should fail")
-	}
-}
-
-func TestSortedNames(t *testing.T) {
-	fp := simplePlan(t)
-	got := SortedNames(fp)
-	if got[0] != "A" || got[1] != "B" || got[2] != "C" {
-		t.Errorf("SortedNames = %v", got)
 	}
 }
 

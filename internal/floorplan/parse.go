@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -84,12 +83,4 @@ func Format(fp *Floorplan) string {
 	// strings.Builder writes never fail.
 	_ = Write(&sb, fp)
 	return sb.String()
-}
-
-// SortedNames returns the block names sorted lexicographically. Handy for
-// stable diagnostics.
-func SortedNames(fp *Floorplan) []string {
-	names := fp.Names()
-	sort.Strings(names)
-	return names
 }

@@ -25,12 +25,6 @@ type Point struct {
 	X, Y float64
 }
 
-// Add returns the translation of p by q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns the vector from q to p.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
@@ -44,24 +38,12 @@ type Interval struct {
 	Lo, Hi float64
 }
 
-// Valid reports whether the interval is non-degenerate (Hi >= Lo within Eps).
-func (iv Interval) Valid() bool { return iv.Hi >= iv.Lo-Eps }
-
 // Len returns the length of the interval, never negative.
 func (iv Interval) Len() float64 {
 	if iv.Hi <= iv.Lo {
 		return 0
 	}
 	return iv.Hi - iv.Lo
-}
-
-// Mid returns the midpoint of the interval.
-func (iv Interval) Mid() float64 { return (iv.Lo + iv.Hi) / 2 }
-
-// Contains reports whether x lies inside the interval (inclusive, with Eps
-// slack at the endpoints).
-func (iv Interval) Contains(x float64) bool {
-	return x >= iv.Lo-Eps && x <= iv.Hi+Eps
 }
 
 // Overlap returns the length of the intersection of two intervals. A shared
@@ -75,31 +57,12 @@ func (iv Interval) Overlap(other Interval) float64 {
 	return hi - lo
 }
 
-// Intersect returns the intersection interval and whether it is non-empty
-// (positive length).
-func (iv Interval) Intersect(other Interval) (Interval, bool) {
-	lo := math.Max(iv.Lo, other.Lo)
-	hi := math.Min(iv.Hi, other.Hi)
-	if hi <= lo {
-		return Interval{}, false
-	}
-	return Interval{lo, hi}, true
-}
-
 // Rect is an axis-aligned rectangle described by its lower-left corner (X, Y)
 // and its positive width W and height H. This mirrors the HotSpot ".flp"
 // convention ("<width> <height> <left-x> <bottom-y>").
 type Rect struct {
 	X, Y float64 // lower-left corner
 	W, H float64 // extents; must be > 0 for a valid block
-}
-
-// RectFromCorners builds the rectangle spanning the two given corner points in
-// any order.
-func RectFromCorners(a, b Point) Rect {
-	x0, x1 := math.Min(a.X, b.X), math.Max(a.X, b.X)
-	y0, y1 := math.Min(a.Y, b.Y), math.Max(a.Y, b.Y)
-	return Rect{X: x0, Y: y0, W: x1 - x0, H: y1 - y0}
 }
 
 // Valid reports whether the rectangle has strictly positive area and finite
@@ -116,20 +79,6 @@ func (r Rect) Valid() bool {
 // Area returns the area of the rectangle (m²).
 func (r Rect) Area() float64 { return r.W * r.H }
 
-// Perimeter returns the perimeter length (m).
-func (r Rect) Perimeter() float64 { return 2 * (r.W + r.H) }
-
-// AspectRatio returns max(W,H)/min(W,H); 1 for a square. Returns +Inf for a
-// degenerate rectangle.
-func (r Rect) AspectRatio() float64 {
-	lo := math.Min(r.W, r.H)
-	hi := math.Max(r.W, r.H)
-	if lo <= 0 {
-		return math.Inf(1)
-	}
-	return hi / lo
-}
-
 // Center returns the centroid of the rectangle.
 func (r Rect) Center() Point { return Point{r.X + r.W/2, r.Y + r.H/2} }
 
@@ -145,22 +94,11 @@ func (r Rect) MaxX() float64 { return r.X + r.W }
 // MaxY returns the top edge coordinate.
 func (r Rect) MaxY() float64 { return r.Y + r.H }
 
-// ContainsPoint reports whether p lies inside the rectangle (inclusive).
-func (r Rect) ContainsPoint(p Point) bool {
-	return r.XSpan().Contains(p.X) && r.YSpan().Contains(p.Y)
-}
-
 // ContainsRect reports whether other lies fully inside r (inclusive, with Eps
 // slack).
 func (r Rect) ContainsRect(other Rect) bool {
 	return other.X >= r.X-Eps && other.Y >= r.Y-Eps &&
 		other.MaxX() <= r.MaxX()+Eps && other.MaxY() <= r.MaxY()+Eps
-}
-
-// OverlapArea returns the area of the intersection of the two rectangles.
-// Touching along an edge or corner yields zero.
-func (r Rect) OverlapArea(other Rect) float64 {
-	return r.XSpan().Overlap(other.XSpan()) * r.YSpan().Overlap(other.YSpan())
 }
 
 // Overlaps reports whether the interiors of the rectangles intersect with

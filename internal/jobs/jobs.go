@@ -124,10 +124,6 @@ type Job struct {
 // ID returns the job's identifier.
 func (j *Job) ID() string { return j.id }
 
-// Done returns a channel closed when the job reaches a final state in this
-// process (terminal or interrupted).
-func (j *Job) Done() <-chan struct{} { return j.done }
-
 // Status is a consistent read of one job.
 type Status struct {
 	ID      string
@@ -415,13 +411,6 @@ func (m *Manager) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs returns every tracked job id in submission order.
-func (m *Manager) Jobs() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]string(nil), m.order...)
-}
-
 // transition journals, counts and publishes one state change. mutate runs
 // under the lock after the state is set, to attach transition-specific
 // fields. A refused transition changes nothing, counters included.
@@ -590,13 +579,6 @@ func (m *Manager) CancelActive(cause error) int {
 		c(cause)
 	}
 	return len(cancels)
-}
-
-// Draining reports whether CancelActive has been called, and with what cause.
-func (m *Manager) Draining() (bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.drainCause != nil, m.drainCause
 }
 
 // Counts returns the lifetime transition counters.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/oraclestore"
+	"repro/internal/oraclestore/faultfs"
 )
 
 func openTestManager(t *testing.T, path string, cfg Config) *Manager {
@@ -40,7 +41,7 @@ func TestJobLifecycleJournaledAndReplayed(t *testing.T) {
 	m.SetDone(j, result, "abc123")
 
 	select {
-	case <-j.Done():
+	case <-j.done:
 	default:
 		t.Fatal("Done channel not closed after SetDone")
 	}
@@ -128,7 +129,7 @@ func TestReplayReportsInterruptedJobsResumable(t *testing.T) {
 		t.Fatalf("after Requeue: %+v", st)
 	}
 	select {
-	case <-res[0].Done():
+	case <-res[0].done:
 		t.Fatal("Done channel should be re-armed after Requeue")
 	default:
 	}
@@ -138,7 +139,7 @@ func TestReplayReportsInterruptedJobsResumable(t *testing.T) {
 	m2.SetRunning(res[0])
 	m2.SetDone(res[0], json.RawMessage(`{"ok":1}`), "x")
 	select {
-	case <-res[0].Done():
+	case <-res[0].done:
 	default:
 		t.Fatal("Done not closed after resumed job finished")
 	}
@@ -246,8 +247,11 @@ func TestCancelActiveAndLateRegistration(t *testing.T) {
 	if got != cause {
 		t.Fatalf("cancel cause = %v", got)
 	}
-	if draining, c := m.Draining(); !draining || c != cause {
-		t.Fatalf("Draining = %v, %v", draining, c)
+	m.mu.Lock()
+	drainCause := m.drainCause
+	m.mu.Unlock()
+	if drainCause != cause {
+		t.Fatalf("drain cause = %v, want %v", drainCause, cause)
 	}
 	// A hook registered after the drain fires immediately.
 	late := m.Submit(json.RawMessage(`{}`))
@@ -298,7 +302,7 @@ func TestRefusedTransitionNotCounted(t *testing.T) {
 }
 
 func TestJournalFaultDegradesMemoryOnly(t *testing.T) {
-	ffs := oraclestore.NewFaultFS(nil)
+	ffs := faultfs.New(nil)
 	path := filepath.Join(t.TempDir(), "jobs.wal")
 	var logged []string
 	m := openTestManager(t, path, Config{
@@ -309,7 +313,7 @@ func TestJournalFaultDegradesMemoryOnly(t *testing.T) {
 	})
 	defer m.Close()
 	j := m.Submit(json.RawMessage(`{"n":1}`))
-	ffs.Inject(Fault{Op: oraclestore.OpAppend, Err: syscall.ENOSPC})
+	ffs.Inject(faultfs.Fault{Op: faultfs.OpAppend, Err: syscall.ENOSPC})
 	m.SetQueued(j) // append fails, breaker trips, transition still lands
 	m.SetRunning(j)
 	if st := j.Snapshot(); st.State != StateRunning {
@@ -322,13 +326,10 @@ func TestJournalFaultDegradesMemoryOnly(t *testing.T) {
 	ffs.Clear()
 }
 
-// Fault is re-exported for test brevity.
-type Fault = oraclestore.Fault
-
 func TestOpenUnreadableJournalDegradesMemoryOnly(t *testing.T) {
-	ffs := oraclestore.NewFaultFS(nil)
-	ffs.Inject(Fault{Op: oraclestore.OpOpen, Err: syscall.EACCES})
-	ffs.Inject(Fault{Op: oraclestore.OpCreate, Err: syscall.EACCES})
+	ffs := faultfs.New(nil)
+	ffs.Inject(faultfs.Fault{Op: faultfs.OpOpen, Err: syscall.EACCES})
+	ffs.Inject(faultfs.Fault{Op: faultfs.OpCreate, Err: syscall.EACCES})
 	var logged int
 	m := openTestManager(t, filepath.Join(t.TempDir(), "jobs.wal"), Config{
 		FS:    ffs,

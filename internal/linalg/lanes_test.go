@@ -120,7 +120,7 @@ func checkLaneSchedule(t *testing.T, sym *CholSymbolic) {
 // closureOf marks, by original index, the elimination-tree closure of nz:
 // every index of nz and all of its etree ancestors.
 func closureOf(c *SparseCholesky, nz []int) []bool {
-	in := make([]bool, c.N())
+	in := make([]bool, c.sym.n)
 	for _, i := range nz {
 		for k := c.sym.pinv[i]; k != -1 && !in[c.sym.perm[k]]; k = c.sym.parent[k] {
 			in[c.sym.perm[k]] = true
@@ -160,7 +160,7 @@ func checkClosure(t *testing.T, name string, c *SparseCholesky, nz []int, got, w
 // their closure.
 func checkLanesBitIdentical(t *testing.T, name string, c *SparseCholesky, rng *rand.Rand) {
 	t.Helper()
-	n := c.N()
+	n := c.sym.n
 	same := func(how string, got, want []float64) {
 		t.Helper()
 		for i := range want {
@@ -205,18 +205,18 @@ func forestSPD(comps int, rng *rand.Rand) (*Sparse, []int) {
 	for c := 0; c < comps; c++ {
 		p := randConductance(5+rng.Intn(60), rng)
 		parts = append(parts, p)
-		n += p.N()
+		n += p.n
 	}
 	b := NewSparseBuilder(n)
 	off := 0
 	for _, p := range parts {
-		for i := 0; i < p.N(); i++ {
+		for i := 0; i < p.n; i++ {
 			cols, vals := p.RowNZ(i)
 			for k, j := range cols {
 				b.Add(off+i, off+j, vals[k])
 			}
 		}
-		off += p.N()
+		off += p.n
 	}
 	s := b.Build()
 	natural := make([]int, n)
@@ -392,12 +392,12 @@ func TestSolveSparseIntoClosureBitIdenticalND(t *testing.T) {
 					} else {
 						below++
 					}
-					b := make([]float64, c.N())
+					b := make([]float64, c.sym.n)
 					for _, i := range nz {
 						b[i] = 1 + rng.Float64()
 					}
 					want := solveSerial(c, b)
-					got := make([]float64, c.N())
+					got := make([]float64, c.sym.n)
 					if err := c.SolveSparseInto(got, b, append(nz, nz[0])); err != nil {
 						t.Fatal(err)
 					}

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,12 +19,12 @@ func randomSPD(n int, rng *rand.Rand) *Matrix {
 		}
 	}
 	mt := m.Transpose()
-	spd, err := mt.MulMat(m)
-	if err != nil {
-		panic(err)
-	}
+	spd := NewSquare(n)
 	for i := 0; i < n; i++ {
-		spd.Add(i, i, float64(n))
+		for j := 0; j < n; j++ {
+			spd.Set(i, j, Dot(mt.Row(i), mt.Row(j)))
+		}
+		spd.add(i, i, float64(n))
 	}
 	return spd
 }
@@ -36,6 +37,116 @@ func randomVec(n int, rng *rand.Rand) []float64 {
 	return v
 }
 
+// fromRows builds a matrix from row slices of one length.
+func fromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
+// add adds v to the element at row i, column j.
+func (m *Matrix) add(i, j int, v float64) { m.data[i*m.cols+j] += v }
+
+// residual returns b - A·x.
+func residual(a *Matrix, x, b []float64) []float64 {
+	ax, err := a.MulVec(x)
+	if err != nil {
+		panic(err)
+	}
+	r := make([]float64, len(b))
+	for i := range r {
+		r[i] = b[i] - ax[i]
+	}
+	return r
+}
+
+// normInf returns the max-absolute-value norm of a vector.
+func normInf(v []float64) float64 {
+	var mx float64
+	for _, x := range v {
+		mx = math.Max(mx, math.Abs(x))
+	}
+	return mx
+}
+
+var errSingular = errors.New("linalg: matrix is singular to working precision")
+
+// luFactor is an LU factorization with partial pivoting, P·A = L·U: an
+// independent dense reference for the Cholesky solvers.
+type luFactor struct {
+	n    int
+	lu   *Matrix // packed L (unit diagonal, below) and U (on/above diagonal)
+	perm []int   // row permutation: solution uses b[perm[i]]
+}
+
+// newLU factorizes a square matrix with partial pivoting. It returns
+// errSingular when a pivot underflows the working precision.
+func newLU(a *Matrix) (*luFactor, error) {
+	n := a.rows
+	lu := NewSquare(n)
+	copy(lu.data, a.data)
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	for k := 0; k < n; k++ {
+		// Partial pivot: largest |entry| in column k at or below the diagonal.
+		p := k
+		mx := math.Abs(lu.At(k, k))
+		for i := k + 1; i < n; i++ {
+			if a := math.Abs(lu.At(i, k)); a > mx {
+				mx, p = a, i
+			}
+		}
+		if mx < 1e-300 {
+			return nil, fmt.Errorf("%w: pivot %g at column %d", errSingular, mx, k)
+		}
+		if p != k {
+			rk, rp := lu.Row(k), lu.Row(p)
+			for j := range rk {
+				rk[j], rp[j] = rp[j], rk[j]
+			}
+			perm[k], perm[p] = perm[p], perm[k]
+		}
+		pivot := lu.At(k, k)
+		for i := k + 1; i < n; i++ {
+			f := lu.At(i, k) / pivot
+			lu.Set(i, k, f)
+			ri, rk := lu.Row(i), lu.Row(k)
+			for j := k + 1; j < n; j++ {
+				ri[j] -= f * rk[j]
+			}
+		}
+	}
+	return &luFactor{n: n, lu: lu, perm: perm}, nil
+}
+
+// solve returns x with A·x = b.
+func (f *luFactor) solve(b []float64) []float64 {
+	x := make([]float64, f.n)
+	// Forward substitution with permuted b (L has unit diagonal).
+	for i := 0; i < f.n; i++ {
+		s := b[f.perm[i]]
+		ri := f.lu.Row(i)
+		for k := 0; k < i; k++ {
+			s -= ri[k] * x[k]
+		}
+		x[i] = s
+	}
+	// Backward substitution on U.
+	for i := f.n - 1; i >= 0; i-- {
+		ri := f.lu.Row(i)
+		s := x[i]
+		for k := i + 1; k < f.n; k++ {
+			s -= ri[k] * x[k]
+		}
+		x[i] = s / ri[i]
+	}
+	return x
+}
+
 func TestNewMatrixPanicsOnBadShape(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -45,24 +156,11 @@ func TestNewMatrixPanicsOnBadShape(t *testing.T) {
 	NewMatrix(0, 3)
 }
 
-func TestFromRows(t *testing.T) {
-	m, err := FromRows([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(1, 0) != 3 || m.At(0, 1) != 2 {
-		t.Errorf("FromRows content wrong: %v", m)
-	}
-	if _, err := FromRows([][]float64{{1, 2}, {3}}); !errors.Is(err, ErrShape) {
-		t.Errorf("ragged rows: err = %v, want ErrShape", err)
-	}
-	if _, err := FromRows(nil); !errors.Is(err, ErrShape) {
-		t.Errorf("nil rows: err = %v, want ErrShape", err)
-	}
-}
-
 func TestIdentityMulVec(t *testing.T) {
-	id := Identity(4)
+	id := NewSquare(4)
+	for i := 0; i < 4; i++ {
+		id.Set(i, i, 1)
+	}
 	x := []float64{1, 2, 3, 4}
 	y, err := id.MulVec(x)
 	if err != nil {
@@ -75,26 +173,6 @@ func TestIdentityMulVec(t *testing.T) {
 	}
 	if _, err := id.MulVec([]float64{1}); !errors.Is(err, ErrShape) {
 		t.Errorf("short vector: err = %v, want ErrShape", err)
-	}
-}
-
-func TestMulMatAgainstHand(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := FromRows([][]float64{{5, 6}, {7, 8}})
-	c, err := a.MulMat(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{{19, 22}, {43, 50}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if c.At(i, j) != want[i][j] {
-				t.Errorf("C[%d][%d] = %g, want %g", i, j, c.At(i, j), want[i][j])
-			}
-		}
-	}
-	if _, err := a.MulMat(NewMatrix(3, 2)); !errors.Is(err, ErrShape) {
-		t.Errorf("shape mismatch: err = %v, want ErrShape", err)
 	}
 }
 
@@ -118,7 +196,7 @@ func TestTransposeInvolution(t *testing.T) {
 
 func TestCholeskyKnownSystem(t *testing.T) {
 	// A = [[4,2],[2,3]], b = [10, 8] → x = [1.75, 1.5]
-	a, _ := FromRows([][]float64{{4, 2}, {2, 3}})
+	a := fromRows([][]float64{{4, 2}, {2, 3}})
 	ch, err := NewCholesky(a)
 	if err != nil {
 		t.Fatal(err)
@@ -133,11 +211,11 @@ func TestCholeskyKnownSystem(t *testing.T) {
 }
 
 func TestCholeskyRejectsNonSPD(t *testing.T) {
-	asym, _ := FromRows([][]float64{{1, 2}, {3, 4}})
+	asym := fromRows([][]float64{{1, 2}, {3, 4}})
 	if _, err := NewCholesky(asym); !errors.Is(err, ErrNotSPD) {
 		t.Errorf("asymmetric: err = %v, want ErrNotSPD", err)
 	}
-	indef, _ := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	indef := fromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
 	if _, err := NewCholesky(indef); !errors.Is(err, ErrNotSPD) {
 		t.Errorf("indefinite: err = %v, want ErrNotSPD", err)
 	}
@@ -154,16 +232,11 @@ func TestCholeskyFactorReconstructs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := ch.L()
-	llt, err := l.MulMat(l.Transpose())
-	if err != nil {
-		t.Fatal(err)
-	}
 	scale := a.MaxAbs()
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 8; j++ {
-			if math.Abs(llt.At(i, j)-a.At(i, j)) > 1e-10*scale {
-				t.Fatalf("L·Lᵀ differs from A at (%d,%d): %g vs %g", i, j, llt.At(i, j), a.At(i, j))
+			if llt := Dot(ch.l.Row(i), ch.l.Row(j)); math.Abs(llt-a.At(i, j)) > 1e-10*scale {
+				t.Fatalf("L·Lᵀ differs from A at (%d,%d): %g vs %g", i, j, llt, a.At(i, j))
 			}
 		}
 	}
@@ -171,38 +244,21 @@ func TestCholeskyFactorReconstructs(t *testing.T) {
 
 func TestLUKnownSystem(t *testing.T) {
 	// Requires pivoting: first pivot is 0.
-	a, _ := FromRows([][]float64{{0, 1}, {1, 0}})
-	f, err := NewLU(a)
+	a := fromRows([][]float64{{0, 1}, {1, 0}})
+	f, err := newLU(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := f.Solve([]float64{2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := f.solve([]float64{2, 3})
 	if math.Abs(x[0]-3) > 1e-12 || math.Abs(x[1]-2) > 1e-12 {
 		t.Errorf("x = %v, want [3 2]", x)
-	}
-	if d := f.Det(); math.Abs(d-(-1)) > 1e-12 {
-		t.Errorf("Det = %g, want -1", d)
 	}
 }
 
 func TestLUSingular(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := NewLU(a); !errors.Is(err, ErrSingular) {
-		t.Errorf("singular: err = %v, want ErrSingular", err)
-	}
-}
-
-func TestLUDeterminant(t *testing.T) {
-	a, _ := FromRows([][]float64{{2, 0, 0}, {0, 3, 0}, {0, 0, 4}})
-	f, err := NewLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := f.Det(); math.Abs(d-24) > 1e-12 {
-		t.Errorf("Det = %g, want 24", d)
+	a := fromRows([][]float64{{1, 2}, {2, 4}})
+	if _, err := newLU(a); !errors.Is(err, errSingular) {
+		t.Errorf("singular: err = %v, want errSingular", err)
 	}
 }
 
@@ -219,11 +275,7 @@ func TestSolveSPDResidualProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Residual(a, x, b)
-		if err != nil {
-			return false
-		}
-		return NormInf(res) <= 1e-8*(1+NormInf(b))
+		return normInf(residual(a, x, b)) <= 1e-8*(1+normInf(b))
 	}
 	cfg := &quick.Config{MaxCount: 40, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
@@ -241,10 +293,11 @@ func TestLUAndCholeskyAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		xl, err := Solve(a, b)
+		f, err := newLU(a)
 		if err != nil {
 			t.Fatal(err)
 		}
+		xl := f.solve(b)
 		for i := range xc {
 			if math.Abs(xc[i]-xl[i]) > 1e-7*(1+math.Abs(xc[i])) {
 				t.Fatalf("trial %d: solvers disagree at %d: %g vs %g", trial, i, xc[i], xl[i])
@@ -253,64 +306,7 @@ func TestLUAndCholeskyAgree(t *testing.T) {
 	}
 }
 
-func TestSolveManyMatchesSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := randomSPD(6, rng)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewMatrix(6, 3)
-	for j := 0; j < 3; j++ {
-		for i := 0; i < 6; i++ {
-			b.Set(i, j, rng.NormFloat64())
-		}
-	}
-	x, err := ch.SolveMany(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < 3; j++ {
-		col := make([]float64, 6)
-		for i := 0; i < 6; i++ {
-			col[i] = b.At(i, j)
-		}
-		xj, err := ch.Solve(col)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 6; i++ {
-			if math.Abs(x.At(i, j)-xj[i]) > 1e-12 {
-				t.Fatalf("SolveMany col %d row %d: %g vs %g", j, i, x.At(i, j), xj[i])
-			}
-		}
-	}
-}
-
-func TestDiagonalAndDominance(t *testing.T) {
-	a, _ := FromRows([][]float64{{4, -1, -1}, {-1, 3, -1}, {-1, -1, 5}})
-	d := a.Diagonal()
-	if d[0] != 4 || d[1] != 3 || d[2] != 5 {
-		t.Errorf("Diagonal = %v", d)
-	}
-	if !a.IsDiagonallyDominant() {
-		t.Error("dominant matrix not recognised")
-	}
-	weak, _ := FromRows([][]float64{{1, -2}, {-2, 1}})
-	if weak.IsDiagonallyDominant() {
-		t.Error("non-dominant matrix reported dominant")
-	}
-	// All rows exactly balanced: not *strictly* dominant anywhere.
-	tie, _ := FromRows([][]float64{{1, -1}, {-1, 1}})
-	if tie.IsDiagonallyDominant() {
-		t.Error("balanced matrix should not count as dominant")
-	}
-}
-
 func TestVectorHelpers(t *testing.T) {
-	if got := NormInf([]float64{1, -5, 3}); got != 5 {
-		t.Errorf("NormInf = %g, want 5", got)
-	}
 	if got := Norm2([]float64{3, 4}); math.Abs(got-5) > 1e-12 {
 		t.Errorf("Norm2 = %g, want 5", got)
 	}
@@ -343,11 +339,11 @@ func TestAXPYPanicsOnMismatch(t *testing.T) {
 }
 
 func TestIsSymmetric(t *testing.T) {
-	sym, _ := FromRows([][]float64{{1, 2}, {2, 1}})
+	sym := fromRows([][]float64{{1, 2}, {2, 1}})
 	if !sym.IsSymmetric(1e-12) {
 		t.Error("symmetric matrix not recognised")
 	}
-	asym, _ := FromRows([][]float64{{1, 2}, {2.1, 1}})
+	asym := fromRows([][]float64{{1, 2}, {2.1, 1}})
 	if asym.IsSymmetric(1e-12) {
 		t.Error("asymmetric matrix reported symmetric")
 	}
@@ -359,24 +355,8 @@ func TestIsSymmetric(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	a := Identity(2)
-	b := a.Clone()
-	b.Set(0, 0, 42)
-	if a.At(0, 0) != 1 {
-		t.Error("Clone is not deep")
-	}
-}
-
-func TestResidualShapeError(t *testing.T) {
-	a := Identity(2)
-	if _, err := Residual(a, []float64{1, 2}, []float64{1}); !errors.Is(err, ErrShape) {
-		t.Errorf("Residual mismatch: err = %v, want ErrShape", err)
-	}
-}
-
 func TestStringForms(t *testing.T) {
-	small := Identity(2)
+	small := NewSquare(2)
 	if small.String() == "" {
 		t.Error("String() empty for small matrix")
 	}
@@ -419,12 +399,8 @@ func TestCholeskySolveIntoMatchesSolve(t *testing.T) {
 			}
 		}
 		// Residual check against the original system.
-		r, err := Residual(a, dst, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if NormInf(r) > 1e-8*NormInf(b) {
-			t.Errorf("n=%d: residual %g too large", n, NormInf(r))
+		if r := normInf(residual(a, dst, b)); r > 1e-8*normInf(b) {
+			t.Errorf("n=%d: residual %g too large", n, r)
 		}
 	}
 }

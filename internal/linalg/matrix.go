@@ -1,12 +1,11 @@
 // Package linalg implements the small dense linear-algebra kernel needed by
-// the compact thermal model: column-major-free dense matrices, Cholesky and
-// LU factorizations, triangular solves and a couple of vector helpers.
+// the compact thermal model: column-major-free dense matrices, the Cholesky
+// factorization, triangular solves and a couple of vector helpers.
 //
 // The steady-state thermal problem is G·T = P where G is the (symmetric,
 // strictly diagonally dominant, hence positive definite) thermal conductance
 // matrix of the RC network with the ambient node eliminated. Cholesky is the
-// natural factorization; LU with partial pivoting is provided as a fallback
-// for general systems and as an independent cross-check in tests.
+// natural factorization.
 //
 // Matrices here are dense because compact thermal models at block granularity
 // are small (tens to a few hundred nodes); a sparse solver would be wasted
@@ -19,10 +18,6 @@ import (
 	"math"
 	"strings"
 )
-
-// ErrSingular is returned when a factorization encounters an (effectively)
-// singular matrix.
-var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 
 // ErrNotSPD is returned by Cholesky when the matrix is not symmetric positive
 // definite.
@@ -50,55 +45,14 @@ func NewMatrix(rows, cols int) *Matrix {
 // NewSquare allocates a zeroed n×n matrix.
 func NewSquare(n int) *Matrix { return NewMatrix(n, n) }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewSquare(n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
-// FromRows builds a matrix from row slices; all rows must share one length.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, fmt.Errorf("%w: empty row set", ErrShape)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			return nil, fmt.Errorf("%w: row %d has %d entries, want %d", ErrShape, i, len(r), m.cols)
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m, nil
-}
-
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
 // At returns the element at row i, column j.
 func (m *Matrix) At(i, j int) float64 { return m.data[i*m.cols+j] }
 
 // Set assigns the element at row i, column j.
 func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 
-// Add adds v to the element at row i, column j. The conductance-matrix
-// assembly is a long sequence of stencil additions, so this is a primitive.
-func (m *Matrix) Add(i, j int, v float64) { m.data[i*m.cols+j] += v }
-
 // Row returns a live view of row i (mutations are visible in the matrix).
 func (m *Matrix) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := &Matrix{rows: m.rows, cols: m.cols, data: make([]float64, len(m.data))}
-	copy(c.data, m.data)
-	return c
-}
 
 // IsSquare reports whether the matrix is square.
 func (m *Matrix) IsSquare() bool { return m.rows == m.cols }
@@ -151,28 +105,6 @@ func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 	return y, nil
 }
 
-// MulMat computes M·B, returning a new matrix.
-func (m *Matrix) MulMat(b *Matrix) (*Matrix, error) {
-	if m.cols != b.rows {
-		return nil, fmt.Errorf("%w: MulMat %d×%d by %d×%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := NewMatrix(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			orow := out.Row(i)
-			for j, v := range brow {
-				orow[j] += a * v
-			}
-		}
-	}
-	return out, nil
-}
-
 // Transpose returns Mᵀ as a new matrix.
 func (m *Matrix) Transpose() *Matrix {
 	t := NewMatrix(m.cols, m.rows)
@@ -199,43 +131,4 @@ func (m *Matrix) String() string {
 		}
 	}
 	return b.String()
-}
-
-// Diagonal returns a copy of the main diagonal of a square matrix.
-func (m *Matrix) Diagonal() []float64 {
-	n := m.rows
-	if m.cols < n {
-		n = m.cols
-	}
-	d := make([]float64, n)
-	for i := range d {
-		d[i] = m.At(i, i)
-	}
-	return d
-}
-
-// IsDiagonallyDominant reports whether |a_ii| >= Σ_{j≠i}|a_ij| for all rows,
-// with strict inequality in at least one row. This is the structural property
-// that makes assembled conductance matrices SPD.
-func (m *Matrix) IsDiagonallyDominant() bool {
-	if !m.IsSquare() {
-		return false
-	}
-	strict := false
-	for i := 0; i < m.rows; i++ {
-		var off float64
-		for j := 0; j < m.cols; j++ {
-			if j != i {
-				off += math.Abs(m.At(i, j))
-			}
-		}
-		d := math.Abs(m.At(i, i))
-		if d < off-1e-12*(d+off) {
-			return false
-		}
-		if d > off+1e-12*(d+off) {
-			strict = true
-		}
-	}
-	return strict
 }

@@ -227,7 +227,7 @@ func TestSolveManyIntoChunkRemaindersBitIdentical(t *testing.T) {
 		if spilled.SpillStats().SpilledPanels == 0 {
 			t.Fatalf("%d²: budget %d spilled nothing", d, budget)
 		}
-		n := s.N()
+		n := s.n
 		for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17} {
 			bs, want := make([][]float64, k), make([][]float64, k)
 			for r := range bs {

@@ -154,33 +154,3 @@ func hubPartition(s *Sparse) (deg []int, hub []bool, hubs []int) {
 	})
 	return deg, hub, hubs
 }
-
-// Bandwidth returns the half-bandwidth of s under the given ordering
-// (perm[k] = original index placed k-th; nil means the identity): the largest
-// |pos(i) − pos(j)| over stored entries. Diagnostics and ordering tests use
-// it to quantify how well an ordering compacts the profile.
-func (s *Sparse) Bandwidth(perm []int) int {
-	pos := make([]int, s.n)
-	if perm == nil {
-		for i := range pos {
-			pos[i] = i
-		}
-	} else {
-		for k, old := range perm {
-			pos[old] = k
-		}
-	}
-	band := 0
-	for i := 0; i < s.n; i++ {
-		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-			d := pos[i] - pos[s.cols[k]]
-			if d < 0 {
-				d = -d
-			}
-			if d > band {
-				band = d
-			}
-		}
-	}
-	return band
-}

@@ -90,127 +90,9 @@ func (c *Cholesky) SolveInto(dst, b []float64) error {
 	return nil
 }
 
-// SolveMany solves A·X = B column-wise, reusing the factorization.
-func (c *Cholesky) SolveMany(b *Matrix) (*Matrix, error) {
-	if b.rows != c.n {
-		return nil, fmt.Errorf("%w: SolveMany with %d rows, n=%d", ErrShape, b.rows, c.n)
-	}
-	out := NewMatrix(b.rows, b.cols)
-	col := make([]float64, c.n)
-	for j := 0; j < b.cols; j++ {
-		for i := 0; i < c.n; i++ {
-			col[i] = b.At(i, j)
-		}
-		x, err := c.Solve(col)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < c.n; i++ {
-			out.Set(i, j, x[i])
-		}
-	}
-	return out, nil
-}
-
-// L returns a copy of the lower-triangular factor.
-func (c *Cholesky) L() *Matrix { return c.l.Clone() }
-
-// LU is an LU factorization with partial pivoting: P·A = L·U.
-type LU struct {
-	n    int
-	lu   *Matrix // packed L (unit diagonal, below) and U (on/above diagonal)
-	perm []int   // row permutation: solution uses b[perm[i]]
-	sign int     // permutation parity, for Det
-}
-
-// NewLU factorizes a general square matrix with partial pivoting. It returns
-// ErrSingular when a pivot underflows the working precision.
-func NewLU(a *Matrix) (*LU, error) {
-	if !a.IsSquare() {
-		return nil, fmt.Errorf("%w: LU of %d×%d", ErrShape, a.rows, a.cols)
-	}
-	n := a.rows
-	lu := a.Clone()
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sign := 1
-	for k := 0; k < n; k++ {
-		// Partial pivot: largest |entry| in column k at or below the diagonal.
-		p := k
-		mx := math.Abs(lu.At(k, k))
-		for i := k + 1; i < n; i++ {
-			if a := math.Abs(lu.At(i, k)); a > mx {
-				mx, p = a, i
-			}
-		}
-		if mx < 1e-300 {
-			return nil, fmt.Errorf("%w: pivot %g at column %d", ErrSingular, mx, k)
-		}
-		if p != k {
-			rk, rp := lu.Row(k), lu.Row(p)
-			for j := range rk {
-				rk[j], rp[j] = rp[j], rk[j]
-			}
-			perm[k], perm[p] = perm[p], perm[k]
-			sign = -sign
-		}
-		pivot := lu.At(k, k)
-		for i := k + 1; i < n; i++ {
-			f := lu.At(i, k) / pivot
-			lu.Set(i, k, f)
-			if f == 0 {
-				continue
-			}
-			ri, rk := lu.Row(i), lu.Row(k)
-			for j := k + 1; j < n; j++ {
-				ri[j] -= f * rk[j]
-			}
-		}
-	}
-	return &LU{n: n, lu: lu, perm: perm, sign: sign}, nil
-}
-
-// Solve returns x with A·x = b.
-func (f *LU) Solve(b []float64) ([]float64, error) {
-	if len(b) != f.n {
-		return nil, fmt.Errorf("%w: LU.Solve with len(b)=%d, n=%d", ErrShape, len(b), f.n)
-	}
-	x := make([]float64, f.n)
-	// Forward substitution with permuted b (L has unit diagonal).
-	for i := 0; i < f.n; i++ {
-		s := b[f.perm[i]]
-		ri := f.lu.Row(i)
-		for k := 0; k < i; k++ {
-			s -= ri[k] * x[k]
-		}
-		x[i] = s
-	}
-	// Backward substitution on U.
-	for i := f.n - 1; i >= 0; i-- {
-		ri := f.lu.Row(i)
-		s := x[i]
-		for k := i + 1; k < f.n; k++ {
-			s -= ri[k] * x[k]
-		}
-		x[i] = s / ri[i]
-	}
-	return x, nil
-}
-
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // SolveSPD solves A·x = b for a symmetric positive definite A, with one step
-// of iterative refinement to sharpen the residual. This is the entry point
-// the thermal solver uses.
+// of iterative refinement to sharpen the residual. It is the dense reference
+// the sparse and grid solvers are cross-validated against in tests.
 func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
 	ch, err := NewCholesky(a)
 	if err != nil {
@@ -237,42 +119,6 @@ func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
 		x[i] += dx[i]
 	}
 	return x, nil
-}
-
-// Solve solves a general square system A·x = b via LU with partial pivoting.
-func Solve(a *Matrix, b []float64) ([]float64, error) {
-	f, err := NewLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
-// Residual returns b - A·x.
-func Residual(a *Matrix, x, b []float64) ([]float64, error) {
-	ax, err := a.MulVec(x)
-	if err != nil {
-		return nil, err
-	}
-	if len(b) != len(ax) {
-		return nil, fmt.Errorf("%w: Residual with len(b)=%d, rows=%d", ErrShape, len(b), len(ax))
-	}
-	r := make([]float64, len(b))
-	for i := range r {
-		r[i] = b[i] - ax[i]
-	}
-	return r, nil
-}
-
-// NormInf returns the max-absolute-value norm of a vector.
-func NormInf(v []float64) float64 {
-	var mx float64
-	for _, x := range v {
-		if a := math.Abs(x); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // Norm2 returns the Euclidean norm of a vector.

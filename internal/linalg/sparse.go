@@ -89,9 +89,6 @@ type Sparse struct {
 	vals   []float64
 }
 
-// N returns the dimension.
-func (s *Sparse) N() int { return s.n }
-
 // NNZ returns the number of stored non-zeros.
 func (s *Sparse) NNZ() int { return len(s.vals) }
 

@@ -104,14 +104,14 @@ func TestCGMatchesCholeskyOnConductanceMatrix(t *testing.T) {
 		}
 		g := rng.Float64() + 0.01
 		b.AddConductance(i, j, g)
-		dense.Add(i, i, g)
-		dense.Add(j, j, g)
-		dense.Add(i, j, -g)
-		dense.Add(j, i, -g)
+		dense.add(i, i, g)
+		dense.add(j, j, g)
+		dense.add(i, j, -g)
+		dense.add(j, i, -g)
 	}
 	for i := 0; i < n; i++ {
 		b.AddGround(i, 0.1)
-		dense.Add(i, i, 0.1)
+		dense.add(i, i, 0.1)
 	}
 	s := b.Build()
 	if !s.IsSymmetricSparse(1e-12) {
@@ -135,7 +135,7 @@ func TestCGMatchesCholeskyOnConductanceMatrix(t *testing.T) {
 
 func TestCGOnGridLaplacian(t *testing.T) {
 	s := buildLaplacian(20, 20)
-	rhs := make([]float64, s.N())
+	rhs := make([]float64, s.n)
 	rhs[210] = 1 // point source
 	x, err := s.SolveCG(rhs, CGOptions{Tol: 1e-11})
 	if err != nil {
@@ -171,7 +171,7 @@ func TestCGErrors(t *testing.T) {
 		t.Errorf("short rhs: err = %v, want ErrShape", err)
 	}
 	// Zero rhs short-circuits to zero solution.
-	x, err := s.SolveCG(make([]float64, s.N()), CGOptions{})
+	x, err := s.SolveCG(make([]float64, s.n), CGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestCGErrors(t *testing.T) {
 		t.Error("zero rhs should give zero solution")
 	}
 	// Iteration starvation.
-	rhs := make([]float64, s.N())
+	rhs := make([]float64, s.n)
 	rhs[3] = 1
 	if _, err := s.SolveCG(rhs, CGOptions{MaxIter: 1, Tol: 1e-14}); !errors.Is(err, ErrNoConverge) {
 		t.Errorf("starved CG: err = %v, want ErrNoConverge", err)

@@ -217,13 +217,6 @@ func backwardLanes(parent []int) []laneStep {
 // diagonal) — the exact fill, known before any numeric work.
 func (sym *CholSymbolic) LNNZ() int { return sym.colPtr[sym.n] }
 
-// N returns the matrix dimension.
-func (sym *CholSymbolic) N() int { return sym.n }
-
-// Perm returns the fill-reducing permutation (new position → original index).
-// The slice is shared; treat it as read-only.
-func (sym *CholSymbolic) Perm() []int { return sym.perm }
-
 // samePattern reports whether s has the pattern the symbolic analysis was
 // computed for. The common case — matrices produced by MapValues — shares the
 // underlying index slices, making the check O(1).
@@ -395,9 +388,6 @@ func NewSparseCholesky(s *Sparse) (*SparseCholesky, error) {
 	}
 	return sym.Factorize(s)
 }
-
-// N returns the dimension.
-func (c *SparseCholesky) N() int { return c.sym.n }
 
 // NNZ returns the non-zero count of the factor L (including the diagonal).
 func (c *SparseCholesky) NNZ() int { return c.sym.LNNZ() }
@@ -743,10 +733,6 @@ func (c *SparseCholesky) SolveManyInto(dst, b [][]float64) error {
 	c.mrhsPool.Put(wp)
 	return nil
 }
-
-// Panels returns the supernode partition the factor was built with, or nil
-// for a scalar up-looking factor.
-func (c *SparseCholesky) Panels() *SuperSymbolic { return c.panels }
 
 // PreferredBatchWidth returns the multi-RHS chunk width that best feeds this
 // factor's solve kernel. Wider chunks amortize each factor load over more

@@ -61,6 +61,27 @@ func TestRCMIsPermutation(t *testing.T) {
 	}
 }
 
+// bandwidth returns the half-bandwidth of s under the ordering perm
+// (perm[k] = original index placed k-th; nil means the identity): the
+// largest |pos(i) − pos(j)| over stored entries.
+func bandwidth(s *Sparse, perm []int) int {
+	pos := make([]int, s.n)
+	for k := range pos {
+		pos[k] = k
+	}
+	for k, old := range perm {
+		pos[old] = k
+	}
+	band := 0
+	for i := 0; i < s.n; i++ {
+		cols, _ := s.RowNZ(i)
+		for _, j := range cols {
+			band = max(band, pos[i]-pos[j], pos[j]-pos[i])
+		}
+	}
+	return band
+}
+
 func TestRCMReducesLaplacianBandwidth(t *testing.T) {
 	// Scramble a grid Laplacian's natural order, then check RCM recovers a
 	// bandwidth close to the grid width (natural order gives nx).
@@ -69,15 +90,15 @@ func TestRCMReducesLaplacianBandwidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shuffle := rng.Perm(nx * ny)
 	b := NewSparseBuilder(nx * ny)
-	for i := 0; i < base.N(); i++ {
+	for i := 0; i < base.n; i++ {
 		cols, vals := base.RowNZ(i)
 		for k, j := range cols {
 			b.Add(shuffle[i], shuffle[j], vals[k])
 		}
 	}
 	s := b.Build()
-	before := s.Bandwidth(nil)
-	after := s.Bandwidth(RCM(s))
+	before := bandwidth(s, nil)
+	after := bandwidth(s, RCM(s))
 	if after >= before {
 		t.Fatalf("RCM bandwidth %d did not improve on scrambled %d", after, before)
 	}
@@ -134,7 +155,7 @@ func TestSparseCholeskyLaplacianResidual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rhs := make([]float64, s.N())
+	rhs := make([]float64, s.n)
 	rhs[210] = 1
 	x, err := ch.Solve(rhs)
 	if err != nil {
@@ -179,9 +200,9 @@ func TestSparseCholeskySolveIntoAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rhs := make([]float64, s.N())
+	rhs := make([]float64, s.n)
 	rhs[7] = 1
-	dst := make([]float64, s.N())
+	dst := make([]float64, s.n)
 	if err := ch.SolveInto(dst, rhs); err != nil { // warm the pool
 		t.Fatal(err)
 	}
@@ -201,7 +222,7 @@ func TestSparseCholeskyConcurrentSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rhs := make([]float64, s.N())
+	rhs := make([]float64, s.n)
 	rhs[100] = 2
 	want, err := ch.Solve(rhs)
 	if err != nil {
@@ -212,7 +233,7 @@ func TestSparseCholeskyConcurrentSolves(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			dst := make([]float64, s.N())
+			dst := make([]float64, s.n)
 			for it := 0; it < 50; it++ {
 				if err := ch.SolveInto(dst, rhs); err != nil {
 					t.Error(err)
@@ -301,7 +322,7 @@ func TestCholSymbolicFactorizeReuse(t *testing.T) {
 
 func TestCholSymbolicExplicitPermutation(t *testing.T) {
 	s := buildLaplacian(6, 6)
-	n := s.N()
+	n := s.n
 	identity := make([]int, n)
 	for i := range identity {
 		identity[i] = i
@@ -340,14 +361,14 @@ func TestRCMOrderingReducesFill(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	shuffle := rng.Perm(nx * ny)
 	b := NewSparseBuilder(nx * ny)
-	for i := 0; i < base.N(); i++ {
+	for i := 0; i < base.n; i++ {
 		cols, vals := base.RowNZ(i)
 		for k, j := range cols {
 			b.Add(shuffle[i], shuffle[j], vals[k])
 		}
 	}
 	s := b.Build()
-	identity := make([]int, s.N())
+	identity := make([]int, s.n)
 	for i := range identity {
 		identity[i] = i
 	}
@@ -370,16 +391,16 @@ func TestIC0PreconditionerAcceleratesCG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rhs := make([]float64, s.N())
+	rhs := make([]float64, s.n)
 	rhs[450] = 1
 	rhs[10] = -0.5
 
-	xJac := make([]float64, s.N())
+	xJac := make([]float64, s.n)
 	itJac, err := s.SolveCGInto(xJac, rhs, CGOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	xIC := make([]float64, s.N())
+	xIC := make([]float64, s.n)
 	itIC, err := s.SolveCGInto(xIC, rhs, CGOptions{Tol: 1e-10, Precond: ic})
 	if err != nil {
 		t.Fatal(err)
@@ -408,14 +429,14 @@ func TestIC0RejectsIndefinite(t *testing.T) {
 
 func TestSolveCGIntoScratchReuse(t *testing.T) {
 	s := buildLaplacian(20, 20)
-	rhs := make([]float64, s.N())
+	rhs := make([]float64, s.n)
 	rhs[210] = 1
 	want, err := s.SolveCG(rhs, CGOptions{Tol: 1e-11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sc CGScratch
-	dst := make([]float64, s.N())
+	dst := make([]float64, s.n)
 	for call := 0; call < 3; call++ { // scratch reuse must not perturb results
 		iters, err := s.SolveCGInto(dst, rhs, CGOptions{Tol: 1e-11, Scratch: &sc})
 		if err != nil {
@@ -432,9 +453,9 @@ func TestSolveCGIntoScratchReuse(t *testing.T) {
 
 func TestSolveCGIntoScratchAllocFree(t *testing.T) {
 	s := buildLaplacian(12, 12)
-	rhs := make([]float64, s.N())
+	rhs := make([]float64, s.n)
 	rhs[60] = 1
-	dst := make([]float64, s.N())
+	dst := make([]float64, s.n)
 	var sc CGScratch
 	if _, err := s.SolveCGInto(dst, rhs, CGOptions{Tol: 1e-8, Scratch: &sc}); err != nil {
 		t.Fatal(err)

@@ -130,7 +130,7 @@ func checkPartition(t *testing.T, ss *SuperSymbolic) {
 	if ss.first[0] != 0 || ss.first[ss.ns] != n {
 		t.Fatalf("panels do not tile [0,%d): first=%v", n, ss.first)
 	}
-	opts := ss.Options()
+	opts := ss.opts
 	var padTotal int64
 	for s := 0; s < ss.ns; s++ {
 		f, l := ss.first[s], ss.first[s+1]

@@ -351,79 +351,3 @@ func TestDescForBlockModelMatchesBuiltModel(t *testing.T) {
 }
 
 var _ core.Oracle = (*fixedOracle)(nil)
-
-// TestStoreEvictHealedFileStaysCold: torn-tail recovery truncates and seeks
-// the file, which would refresh its mtime — and off Linux mtime is the whole
-// LRU clock. The heal path must restore the pre-heal timestamp so a
-// healed-but-cold file is still the first eviction victim, not promoted
-// ahead of genuinely warm files.
-func TestStoreEvictHealedFileStaysCold(t *testing.T) {
-	dir := t.TempDir()
-	paths := fillSynthetic(t, dir, 3, 4)
-	// Tear the oldest file's tail, as a crash mid-append would.
-	f, err := os.OpenFile(paths[0], os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{9, 9, 9}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	stampAges(t, paths)
-	preHeal, err := os.Stat(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Heal in a first process: opening the system truncates the torn tail.
-	ffs := NewFaultFS(OSFS())
-	st, err := OpenWithOptions(dir, StoreOptions{FS: ffs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := st.System(syntheticDesc(t, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Recovered() != 3 || sc.Loaded() != 4 {
-		t.Fatalf("Recovered/Loaded = %d/%d, want 3/4", sc.Recovered(), sc.Loaded())
-	}
-	if n := ffs.OpCount(OpChtimes); n == 0 {
-		t.Fatal("heal did not restore the file timestamp (no Chtimes issued)")
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := os.Stat(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fi.ModTime().Equal(preHeal.ModTime()) {
-		t.Fatalf("healed mtime = %v, want pre-heal %v", fi.ModTime(), preHeal.ModTime())
-	}
-
-	// A later process under budget pressure: the healed file is still the
-	// coldest and must go first.
-	st2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	var keep int64
-	for _, p := range paths[1:] {
-		fi, err := os.Stat(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keep += fi.Size()
-	}
-	evicted, err := st2.Evict(keep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evicted) != 1 || evicted[0].Path != paths[0] {
-		t.Fatalf("evicted %v, want exactly the healed-but-cold file %s", evicted, paths[0])
-	}
-}

@@ -1,15 +1,21 @@
-package oraclestore
+package oraclestore_test
 
 import (
+	"os"
+	"path/filepath"
 	"syscall"
 	"testing"
 	"time"
+
+	. "repro/internal/oraclestore"
+	"repro/internal/oraclestore/faultfs"
 )
 
-// faultStore opens a store over a FaultFS with fast, deterministic policies.
-func faultStore(t *testing.T, dir string, retry RetryPolicy, brk BreakerPolicy) (*Store, *FaultFS) {
+// faultStore opens a store over a faultfs.FaultFS with fast, deterministic
+// policies.
+func faultStore(t *testing.T, dir string, retry RetryPolicy, brk BreakerPolicy) (*Store, *faultfs.FaultFS) {
 	t.Helper()
-	ffs := NewFaultFS(nil)
+	ffs := faultfs.New(nil)
 	st, err := OpenWithOptions(dir, StoreOptions{FS: ffs, Retry: retry, Breaker: brk})
 	if err != nil {
 		t.Fatal(err)
@@ -18,29 +24,21 @@ func faultStore(t *testing.T, dir string, retry RetryPolicy, brk BreakerPolicy) 
 	return st, ffs
 }
 
-func tempsFor(nb int, seed float64) []float64 {
-	out := make([]float64, nb)
-	for i := range out {
-		out[i] = seed + float64(i)
-	}
-	return out
-}
-
 // TestAppendRetriesTransientFault: a single injected EIO on the append is
 // absorbed by the retry loop — the Put succeeds, the record lands on disk,
 // and a clean reload recovers nothing.
 func TestAppendRetriesTransientFault(t *testing.T) {
 	dir := t.TempDir()
 	st, ffs := faultStore(t, dir, RetryPolicy{Attempts: 4, Base: time.Microsecond, Cap: time.Microsecond}, BreakerPolicy{})
-	desc, _, _ := alphaDesc(t)
+	desc, _, _ := AlphaDesc(t)
 	sc, err := st.System(desc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nb := desc.Floorplan.NumBlocks()
 
-	ffs.Inject(Fault{Op: OpAppend, Err: syscall.EIO, Count: 1})
-	if err := sc.Put([]int{0, 2}, tempsFor(nb, 50)); err != nil {
+	ffs.Inject(faultfs.Fault{Op: faultfs.OpAppend, Err: syscall.EIO, Count: 1})
+	if err := sc.Put([]int{0, 2}, TempsFor(nb, 50)); err != nil {
 		t.Fatalf("Put with one transient fault: %v", err)
 	}
 	h := st.Health()
@@ -74,18 +72,18 @@ func TestAppendRetriesTransientFault(t *testing.T) {
 func TestTornAppendHealedBeforeRetry(t *testing.T) {
 	dir := t.TempDir()
 	st, ffs := faultStore(t, dir, RetryPolicy{Attempts: 4, Base: time.Microsecond, Cap: time.Microsecond}, BreakerPolicy{})
-	desc, _, _ := alphaDesc(t)
+	desc, _, _ := AlphaDesc(t)
 	sc, err := st.System(desc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nb := desc.Floorplan.NumBlocks()
 
-	ffs.Inject(Fault{Op: OpAppend, Err: syscall.EIO, TornBytes: 7, Count: 2})
-	if err := sc.Put([]int{1}, tempsFor(nb, 60)); err != nil {
+	ffs.Inject(faultfs.Fault{Op: faultfs.OpAppend, Err: syscall.EIO, TornBytes: 7, Count: 2})
+	if err := sc.Put([]int{1}, TempsFor(nb, 60)); err != nil {
 		t.Fatalf("Put with torn faults: %v", err)
 	}
-	if got := ffs.OpCount(OpTruncate); got != 2 {
+	if got := ffs.OpCount(faultfs.OpTruncate); got != 2 {
 		t.Errorf("truncate ops = %d, want 2 (one per torn attempt)", got)
 	}
 	st.Close()
@@ -116,27 +114,27 @@ func TestBreakerOpensAndServesMemoryOnly(t *testing.T) {
 	st, ffs := faultStore(t, dir,
 		RetryPolicy{Attempts: 1, Base: time.Microsecond, Cap: time.Microsecond},
 		BreakerPolicy{Failures: 2, Probe: time.Hour})
-	desc, _, _ := alphaDesc(t)
+	desc, _, _ := AlphaDesc(t)
 	sc, err := st.System(desc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nb := desc.Floorplan.NumBlocks()
 
-	ffs.Inject(Fault{Op: OpAppend, Err: syscall.EIO})
+	ffs.Inject(faultfs.Fault{Op: faultfs.OpAppend, Err: syscall.EIO})
 	for i := 0; i < 2; i++ {
-		if err := sc.Put([]int{i}, tempsFor(nb, float64(40+i))); err != nil {
+		if err := sc.Put([]int{i}, TempsFor(nb, float64(40+i))); err != nil {
 			t.Fatalf("Put %d: %v (disk failure must degrade, not error)", i, err)
 		}
 	}
 	if got := st.Health().Breaker; got != BreakerOpen {
 		t.Fatalf("breaker = %v after %d failed appends, want open", got, 2)
 	}
-	appendsBefore := ffs.OpCount(OpAppend)
-	if err := sc.Put([]int{5}, tempsFor(nb, 70)); err != nil {
+	appendsBefore := ffs.OpCount(faultfs.OpAppend)
+	if err := sc.Put([]int{5}, TempsFor(nb, 70)); err != nil {
 		t.Fatalf("Put under open breaker: %v", err)
 	}
-	if got := ffs.OpCount(OpAppend); got != appendsBefore {
+	if got := ffs.OpCount(faultfs.OpAppend); got != appendsBefore {
 		t.Errorf("open breaker still touched disk: appends %d -> %d", appendsBefore, got)
 	}
 	for i, want := range map[int]float64{0: 40, 1: 41, 5: 70} {
@@ -162,15 +160,15 @@ func TestProbeClosesBreakerAndPersistenceResumes(t *testing.T) {
 	st, ffs := faultStore(t, dir,
 		RetryPolicy{Attempts: 1, Base: time.Microsecond, Cap: time.Microsecond},
 		BreakerPolicy{Failures: 1, Probe: 5 * time.Millisecond})
-	desc, _, _ := alphaDesc(t)
+	desc, _, _ := AlphaDesc(t)
 	sc, err := st.System(desc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nb := desc.Floorplan.NumBlocks()
 
-	ffs.Inject(Fault{Op: OpAppend, Err: syscall.EIO})
-	_ = sc.Put([]int{0}, tempsFor(nb, 40))
+	ffs.Inject(faultfs.Fault{Op: faultfs.OpAppend, Err: syscall.EIO})
+	_ = sc.Put([]int{0}, TempsFor(nb, 40))
 	if got := st.Health().Breaker; got != BreakerOpen {
 		t.Fatalf("breaker = %v, want open", got)
 	}
@@ -186,7 +184,7 @@ func TestProbeClosesBreakerAndPersistenceResumes(t *testing.T) {
 	if got := st.Probe(); got != BreakerClosed {
 		t.Fatalf("Probe after fault cleared = %v, want closed", got)
 	}
-	if err := sc.Put([]int{3}, tempsFor(nb, 55)); err != nil {
+	if err := sc.Put([]int{3}, TempsFor(nb, 55)); err != nil {
 		t.Fatalf("Put after recovery: %v", err)
 	}
 	if sc.Appended() != 1 {
@@ -216,10 +214,10 @@ func TestProbeClosesBreakerAndPersistenceResumes(t *testing.T) {
 func TestSystemOpenFailureDegradesToMemoryOnly(t *testing.T) {
 	dir := t.TempDir()
 	st, ffs := faultStore(t, dir, RetryPolicy{}, BreakerPolicy{})
-	desc, _, _ := alphaDesc(t)
+	desc, _, _ := AlphaDesc(t)
 	nb := desc.Floorplan.NumBlocks()
 
-	ffs.Inject(Fault{Op: OpCreate, Err: syscall.ENOSPC})
+	ffs.Inject(faultfs.Fault{Op: faultfs.OpCreate, Err: syscall.ENOSPC})
 	sc, err := st.System(desc)
 	if err != nil {
 		t.Fatalf("System with failing disk: %v (must degrade, not error)", err)
@@ -227,7 +225,7 @@ func TestSystemOpenFailureDegradesToMemoryOnly(t *testing.T) {
 	if !sc.MemOnly() {
 		t.Fatal("cache not memory-only after open failure")
 	}
-	if err := sc.Put([]int{0}, tempsFor(nb, 42)); err != nil {
+	if err := sc.Put([]int{0}, TempsFor(nb, 42)); err != nil {
 		t.Fatalf("Put on degraded cache: %v", err)
 	}
 	if _, ok := sc.Get([]int{0}); !ok {
@@ -247,16 +245,16 @@ func TestUnhealableTornAppendRetiresFile(t *testing.T) {
 	st, ffs := faultStore(t, dir,
 		RetryPolicy{Attempts: 2, Base: time.Microsecond, Cap: time.Microsecond},
 		BreakerPolicy{})
-	desc, _, _ := alphaDesc(t)
+	desc, _, _ := AlphaDesc(t)
 	sc, err := st.System(desc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nb := desc.Floorplan.NumBlocks()
 
-	ffs.Inject(Fault{Op: OpAppend, Err: syscall.EIO, TornBytes: 3})
-	ffs.Inject(Fault{Op: OpTruncate, Err: syscall.EIO})
-	if err := sc.Put([]int{0}, tempsFor(nb, 48)); err != nil {
+	ffs.Inject(faultfs.Fault{Op: faultfs.OpAppend, Err: syscall.EIO, TornBytes: 3})
+	ffs.Inject(faultfs.Fault{Op: faultfs.OpTruncate, Err: syscall.EIO})
+	if err := sc.Put([]int{0}, TempsFor(nb, 48)); err != nil {
 		t.Fatalf("Put must absorb the failure: %v", err)
 	}
 	if !sc.MemOnly() {
@@ -281,5 +279,133 @@ func TestUnhealableTornAppendRetiresFile(t *testing.T) {
 	}
 	if sc2.Loaded() != 0 || sc2.Recovered() != 3 {
 		t.Errorf("reload: loaded=%d recovered=%d, want 0 records and 3 torn bytes", sc2.Loaded(), sc2.Recovered())
+	}
+}
+
+func TestRecordLogAppendRetriesTransientFault(t *testing.T) {
+	ffs := faultfs.New(nil)
+	path := filepath.Join(t.TempDir(), "test.wal")
+	l, _ := OpenTestLog(t, path, RecordLogOptions{FS: ffs, Retry: RetryPolicy{Attempts: 4}})
+	ffs.Inject(faultfs.Fault{Op: faultfs.OpAppend, Err: syscall.EIO, Count: 2})
+	if err := l.Append([]byte("persisted-after-retries")); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	st := l.Stats()
+	if st.Appended != 1 || st.Retries < 2 || st.Failures != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+	l.Close()
+	l2, frames := OpenTestLog(t, path, RecordLogOptions{})
+	defer l2.Close()
+	if len(frames) != 1 || string(frames[0]) != "persisted-after-retries" {
+		t.Fatalf("replay: %q", frames)
+	}
+}
+
+func TestRecordLogDegradesMemoryOnly(t *testing.T) {
+	ffs := faultfs.New(nil)
+	path := filepath.Join(t.TempDir(), "test.wal")
+	l, _ := OpenTestLog(t, path, RecordLogOptions{
+		FS:      ffs,
+		Retry:   RetryPolicy{Attempts: 1},
+		Breaker: BreakerPolicy{Failures: 2},
+	})
+	if err := l.Append([]byte("good")); err != nil {
+		t.Fatal(err)
+	}
+	ffs.Inject(faultfs.Fault{Op: faultfs.OpAppend, Err: syscall.ENOSPC})
+	// Appends degrade (nil error) instead of failing; the second failure
+	// trips the breaker, so the third append never touches the disk.
+	for i := 0; i < 3; i++ {
+		if err := l.Append([]byte("lost")); err != nil {
+			t.Fatalf("degraded Append %d: %v", i, err)
+		}
+	}
+	st := l.Stats()
+	if st.Failures != 2 || st.Unpersisted != 3 || st.Breaker != BreakerOpen {
+		t.Fatalf("stats after fault storm: %+v", st)
+	}
+	ffs.Clear()
+	l.Close()
+	l2, frames := OpenTestLog(t, path, RecordLogOptions{})
+	defer l2.Close()
+	if len(frames) != 1 || string(frames[0]) != "good" {
+		t.Fatalf("replay after degraded appends: %q", frames)
+	}
+}
+
+// TestStoreEvictHealedFileStaysCold: torn-tail recovery truncates and seeks
+// the file, which would refresh its mtime — and off Linux mtime is the whole
+// LRU clock. The heal path must restore the pre-heal timestamp so a
+// healed-but-cold file is still the first eviction victim, not promoted
+// ahead of genuinely warm files.
+func TestStoreEvictHealedFileStaysCold(t *testing.T) {
+	dir := t.TempDir()
+	paths := FillSynthetic(t, dir, 3, 4)
+	// Tear the oldest file's tail, as a crash mid-append would.
+	f, err := os.OpenFile(paths[0], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{9, 9, 9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	StampAges(t, paths)
+	preHeal, err := os.Stat(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Heal in a first process: opening the system truncates the torn tail.
+	ffs := faultfs.New(OSFS())
+	st, err := OpenWithOptions(dir, StoreOptions{FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := st.System(SyntheticDesc(t, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Recovered() != 3 || sc.Loaded() != 4 {
+		t.Fatalf("Recovered/Loaded = %d/%d, want 3/4", sc.Recovered(), sc.Loaded())
+	}
+	if n := ffs.OpCount(faultfs.OpChtimes); n == 0 {
+		t.Fatal("heal did not restore the file timestamp (no Chtimes issued)")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fi.ModTime().Equal(preHeal.ModTime()) {
+		t.Fatalf("healed mtime = %v, want pre-heal %v", fi.ModTime(), preHeal.ModTime())
+	}
+
+	// A later process under budget pressure: the healed file is still the
+	// coldest and must go first.
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	var keep int64
+	for _, p := range paths[1:] {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep += fi.Size()
+	}
+	evicted, err := st2.Evict(keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evicted) != 1 || evicted[0].Path != paths[0] {
+		t.Fatalf("evicted %v, want exactly the healed-but-cold file %s", evicted, paths[0])
 	}
 }

@@ -1,10 +1,17 @@
-package oraclestore
+// Package faultfs is a fault-injecting oraclestore.FS for tests: it drives
+// the store, the job journal and the out-of-core factorization through EIO
+// storms, full disks, torn appends and slow devices deterministically. Only
+// tests import it, so no binary carries it.
+package faultfs
 
 import (
 	"math/rand"
 	"os"
 	"sync"
 	"time"
+
+	"repro/internal/linalg"
+	"repro/internal/oraclestore"
 )
 
 // FaultOp names one class of filesystem operation a Fault can target.
@@ -73,13 +80,12 @@ type faultState struct {
 	fired int
 }
 
-// FaultFS wraps an FS and injects configured faults — by operation kind,
-// count or probability — so tests can drive the store through EIO storms,
-// full disks, torn appends and slow devices deterministically. All methods
-// are safe for concurrent use; the probability stream is seeded (Seed) so a
-// given arrangement of faults replays identically.
+// FaultFS wraps an oraclestore.FS and injects configured faults — by
+// operation kind, count or probability. All methods are safe for concurrent
+// use; the probability stream is seeded (Seed) so a given arrangement of
+// faults replays identically.
 type FaultFS struct {
-	inner FS
+	inner oraclestore.FS
 
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -88,11 +94,10 @@ type FaultFS struct {
 	injected int64
 }
 
-// NewFaultFS wraps inner (nil selects the real filesystem) with no faults
-// armed.
-func NewFaultFS(inner FS) *FaultFS {
+// New wraps inner (nil selects the real filesystem) with no faults armed.
+func New(inner oraclestore.FS) *FaultFS {
 	if inner == nil {
-		inner = OSFS()
+		inner = oraclestore.OSFS()
 	}
 	return &FaultFS{
 		inner: inner,
@@ -178,18 +183,18 @@ func (f *FaultFS) apply(op FaultOp, fn func() error) error {
 	return fn()
 }
 
-// MkdirAll implements FS (never faulted: directory creation is part of store
-// bootstrap, whose failure is an ordinary Open error).
+// MkdirAll implements oraclestore.FS (never faulted: directory creation is
+// part of store bootstrap, whose failure is an ordinary Open error).
 func (f *FaultFS) MkdirAll(path string, perm os.FileMode) error {
 	return f.inner.MkdirAll(path, perm)
 }
 
-// Stat implements FS.
+// Stat implements oraclestore.FS.
 func (f *FaultFS) Stat(name string) (os.FileInfo, error) { return f.inner.Stat(name) }
 
-// CreateTemp implements FS.
-func (f *FaultFS) CreateTemp(dir, pattern string) (File, error) {
-	var file File
+// CreateTemp implements oraclestore.FS.
+func (f *FaultFS) CreateTemp(dir, pattern string) (oraclestore.File, error) {
+	var file oraclestore.File
 	err := f.apply(OpCreate, func() error {
 		var e error
 		file, e = f.inner.CreateTemp(dir, pattern)
@@ -201,9 +206,9 @@ func (f *FaultFS) CreateTemp(dir, pattern string) (File, error) {
 	return &faultFile{f: file, fs: f}, nil
 }
 
-// OpenFile implements FS.
-func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	var file File
+// OpenFile implements oraclestore.FS.
+func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (oraclestore.File, error) {
+	var file oraclestore.File
 	err := f.apply(OpOpen, func() error {
 		var e error
 		file, e = f.inner.OpenFile(name, flag, perm)
@@ -215,26 +220,26 @@ func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error
 	return &faultFile{f: file, fs: f}, nil
 }
 
-// Rename implements FS.
+// Rename implements oraclestore.FS.
 func (f *FaultFS) Rename(oldpath, newpath string) error {
 	return f.apply(OpRename, func() error { return f.inner.Rename(oldpath, newpath) })
 }
 
-// Remove implements FS.
+// Remove implements oraclestore.FS.
 func (f *FaultFS) Remove(name string) error {
 	return f.apply(OpRemove, func() error { return f.inner.Remove(name) })
 }
 
-// Chtimes implements FS.
+// Chtimes implements oraclestore.FS.
 func (f *FaultFS) Chtimes(name string, atime, mtime time.Time) error {
 	return f.apply(OpChtimes, func() error { return f.inner.Chtimes(name, atime, mtime) })
 }
 
-// faultFile wraps a File, routing Write/Sync/Truncate through the fault
+// faultFile wraps an oraclestore.File, routing Write/Sync/Truncate through the fault
 // rules. Reads pass through untouched — the store's read path is in-memory
 // after load, and load corruption is better exercised with real torn files.
 type faultFile struct {
-	f  File
+	f  oraclestore.File
 	fs *FaultFS
 }
 
@@ -274,3 +279,22 @@ func (w *faultFile) Seek(offset int64, whence int) (int64, error) {
 func (w *faultFile) Close() error               { return w.f.Close() }
 func (w *faultFile) Name() string               { return w.f.Name() }
 func (w *faultFile) Stat() (os.FileInfo, error) { return w.f.Stat() }
+
+// spillFS adapts an oraclestore.FS to the factorization layer's
+// linalg.SpillFS, so out-of-core panel spilling runs through the same fault
+// rules as the record files. oraclestore.File structurally satisfies
+// linalg.SpillFile; only CreateTemp's return type needs the shim.
+type spillFS struct{ fs oraclestore.FS }
+
+// AsSpillFS wraps fs for linalg's out-of-core factorization.
+func AsSpillFS(fs oraclestore.FS) linalg.SpillFS { return spillFS{fs} }
+
+func (s spillFS) MkdirAll(path string, perm os.FileMode) error { return s.fs.MkdirAll(path, perm) }
+func (s spillFS) Remove(name string) error                     { return s.fs.Remove(name) }
+func (s spillFS) CreateTemp(dir, pattern string) (linalg.SpillFile, error) {
+	f, err := s.fs.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}

@@ -10,8 +10,8 @@ import (
 
 // FS is the filesystem seam every store disk operation goes through. The
 // production implementation (osFS) forwards to the os package; tests inject
-// a FaultFS to exercise the store's degradation paths — EIO storms, ENOSPC,
-// torn appends, latency — without a real failing disk.
+// a faultfs.FaultFS to exercise the store's degradation paths — EIO storms,
+// ENOSPC, torn appends, latency — without a real failing disk.
 //
 // The seam deliberately covers only the operations the record format's
 // crash-safety story depends on: file creation (temp + rename), append

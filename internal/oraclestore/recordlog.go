@@ -203,13 +203,3 @@ func (l *RecordLog) Stats() RecordLogStats {
 		Breaker:     l.log.brk.State(),
 	}
 }
-
-// MemOnly reports whether the log is running degraded.
-func (l *RecordLog) MemOnly() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.log.memOnly
-}
-
-// Path returns the log's file path, empty for a memory-only log.
-func (l *RecordLog) Path() string { return l.log.path }

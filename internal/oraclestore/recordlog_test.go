@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"os"
 	"path/filepath"
-	"syscall"
 	"testing"
 )
 
@@ -123,58 +122,6 @@ func TestRecordLogWrongTagResets(t *testing.T) {
 	}
 	if st := l2.Stats(); st.Recovered == 0 {
 		t.Fatalf("wrong-tag open should count recovered bytes: %+v", st)
-	}
-}
-
-func TestRecordLogAppendRetriesTransientFault(t *testing.T) {
-	ffs := NewFaultFS(nil)
-	path := filepath.Join(t.TempDir(), "test.wal")
-	l, _ := openTestLog(t, path, RecordLogOptions{FS: ffs, Retry: RetryPolicy{Attempts: 4}})
-	ffs.Inject(Fault{Op: OpAppend, Err: syscall.EIO, Count: 2})
-	if err := l.Append([]byte("persisted-after-retries")); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
-	st := l.Stats()
-	if st.Appended != 1 || st.Retries < 2 || st.Failures != 0 {
-		t.Fatalf("stats: %+v", st)
-	}
-	l.Close()
-	l2, frames := openTestLog(t, path, RecordLogOptions{})
-	defer l2.Close()
-	if len(frames) != 1 || string(frames[0]) != "persisted-after-retries" {
-		t.Fatalf("replay: %q", frames)
-	}
-}
-
-func TestRecordLogDegradesMemoryOnly(t *testing.T) {
-	ffs := NewFaultFS(nil)
-	path := filepath.Join(t.TempDir(), "test.wal")
-	l, _ := openTestLog(t, path, RecordLogOptions{
-		FS:      ffs,
-		Retry:   RetryPolicy{Attempts: 1},
-		Breaker: BreakerPolicy{Failures: 2},
-	})
-	if err := l.Append([]byte("good")); err != nil {
-		t.Fatal(err)
-	}
-	ffs.Inject(Fault{Op: OpAppend, Err: syscall.ENOSPC})
-	// Appends degrade (nil error) instead of failing; the second failure
-	// trips the breaker, so the third append never touches the disk.
-	for i := 0; i < 3; i++ {
-		if err := l.Append([]byte("lost")); err != nil {
-			t.Fatalf("degraded Append %d: %v", i, err)
-		}
-	}
-	st := l.Stats()
-	if st.Failures != 2 || st.Unpersisted != 3 || st.Breaker != BreakerOpen {
-		t.Fatalf("stats after fault storm: %+v", st)
-	}
-	ffs.Clear()
-	l.Close()
-	l2, frames := openTestLog(t, path, RecordLogOptions{})
-	defer l2.Close()
-	if len(frames) != 1 || string(frames[0]) != "good" {
-		t.Fatalf("replay after degraded appends: %q", frames)
 	}
 }
 

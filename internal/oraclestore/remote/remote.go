@@ -47,7 +47,8 @@ const defaultTimeout = 5 * time.Second
 
 // defaultReplicas is the virtual-node count per physical node on the hash
 // ring; 64 keeps the key-range imbalance within a few percent for small
-// clusters without making ring construction noticeable.
+// clusters without making ring construction noticeable. Every client of a
+// cluster must agree on it, so it is a constant rather than an option.
 const defaultReplicas = 64
 
 // ClientOptions tunes the sharded store client; the zero value is the
@@ -58,9 +59,6 @@ type ClientOptions struct {
 	// Breaker is the per-node circuit-breaker policy (zero: 3 failures, 5s
 	// probe), same semantics as the local store's.
 	Breaker oraclestore.BreakerPolicy
-	// Replicas is the virtual-node count per node on the hash ring (0 → 64).
-	// All clients of one cluster must agree on it.
-	Replicas int
 	// Transport overrides the HTTP transport (tests inject an in-process
 	// httptest transport); nil uses http.DefaultTransport.
 	Transport http.RoundTripper
@@ -98,10 +96,6 @@ func NewClient(addrs []string, opts ClientOptions) (*Client, error) {
 	if opts.Timeout <= 0 {
 		opts.Timeout = defaultTimeout
 	}
-	replicas := opts.Replicas
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
 	c := &Client{
 		hc: &http.Client{Timeout: opts.Timeout, Transport: opts.Transport},
 	}
@@ -117,7 +111,7 @@ func NewClient(addrs []string, opts ClientOptions) (*Client, error) {
 		seen[base] = true
 		idx := len(c.nodes)
 		c.nodes = append(c.nodes, &clientNode{base: base, brk: oraclestore.NewBreaker(opts.Breaker)})
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < defaultReplicas; v++ {
 			h := sha256.Sum256([]byte(fmt.Sprintf("%s#%d", base, v)))
 			c.ring = append(c.ring, ringPoint{hash: binary.BigEndian.Uint64(h[:8]), node: idx})
 		}
@@ -153,19 +147,6 @@ func (c *Client) nodeFor(key [32]byte) *clientNode {
 		i = 0
 	}
 	return c.nodes[c.ring[i].node]
-}
-
-// NodeFor returns the base URL of the node that owns key — exported so tests
-// (and operators) can predict placement.
-func (c *Client) NodeFor(key [32]byte) string { return c.nodeFor(key).base }
-
-// Nodes returns the canonical base URLs, in construction order.
-func (c *Client) Nodes() []string {
-	out := make([]string, len(c.nodes))
-	for i, n := range c.nodes {
-		out[i] = n.base
-	}
-	return out
 }
 
 // recordURL is the resource path for a content address on its node.
@@ -244,16 +225,6 @@ func (c *Client) Push(key [32]byte, data []byte) error {
 	}
 	n.brk.Success()
 	return nil
-}
-
-// BreakerStates reports each node's breaker state keyed by base URL, for
-// health displays.
-func (c *Client) BreakerStates() map[string]oraclestore.BreakerState {
-	out := make(map[string]oraclestore.BreakerState, len(c.nodes))
-	for _, n := range c.nodes {
-		out[n.base] = n.brk.State()
-	}
-	return out
 }
 
 var _ oraclestore.RemoteTier = (*Client)(nil)

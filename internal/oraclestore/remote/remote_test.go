@@ -17,6 +17,10 @@ import (
 	"repro/internal/thermal"
 )
 
+// NodeFor returns the base URL of the node that owns key, so tests can
+// predict placement.
+func (c *Client) NodeFor(key [32]byte) string { return c.nodeFor(key).base }
+
 func alphaDesc(t *testing.T) oraclestore.SystemDesc {
 	t.Helper()
 	spec := testspec.Alpha21364()

@@ -1,4 +1,4 @@
-package oraclestore
+package oraclestore_test
 
 import (
 	"math"
@@ -6,9 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
+	. "repro/internal/oraclestore"
+	"repro/internal/oraclestore/faultfs"
 )
 
-func spillTestMatrix(t *testing.T, nx int) (*linalg.Sparse, *linalg.SuperSymbolic) {
+func spillTestMatrix(t *testing.T, nx int) (*linalg.Sparse, *linalg.CholSymbolic, *linalg.SuperSymbolic) {
 	t.Helper()
 	b := linalg.NewSparseBuilder(nx * nx)
 	for i := 0; i < nx; i++ {
@@ -28,15 +30,14 @@ func spillTestMatrix(t *testing.T, nx int) (*linalg.Sparse, *linalg.SuperSymboli
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, sym.Supernodes(linalg.SupernodalOptions{MaxPanel: 8, Workers: 1})
+	return s, sym, sym.Supernodes(linalg.SupernodalOptions{MaxPanel: 8, Workers: 1})
 }
 
 // spillBudget computes a budget tight enough to force spilling from public
 // surface only: the unspillable floor (index arrays + frontal scratch) plus a
 // quarter of the factor's values.
-func spillBudget(ss *linalg.SuperSymbolic) int64 {
-	sym := ss.Symbolic()
-	fixed := int64(sym.LNNZ())*8 + int64(sym.N()+1)*8 + ss.WorkspaceBytes()
+func spillBudget(sym *linalg.CholSymbolic, ss *linalg.SuperSymbolic, n int) int64 {
+	fixed := int64(sym.LNNZ())*8 + int64(n+1)*8 + ss.WorkspaceBytes()
 	return fixed + int64(sym.LNNZ())*2
 }
 
@@ -44,20 +45,21 @@ func spillBudget(ss *linalg.SuperSymbolic) int64 {
 // plus the in-core reference solution for one RHS.
 func runSpillThroughFS(t *testing.T, fs FS, dir string) (*linalg.SparseCholesky, []float64, []float64) {
 	t.Helper()
-	s, ss := spillTestMatrix(t, 40)
+	const nx = 40
+	s, sym, ss := spillTestMatrix(t, nx)
 	ref, err := ss.Factorize(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ch, err := ss.FactorizeSpill(s, linalg.SpillPolicy{
-		BudgetBytes: spillBudget(ss),
+		BudgetBytes: spillBudget(sym, ss, nx*nx),
 		Dir:         dir,
-		FS:          AsSpillFS(fs),
+		FS:          faultfs.AsSpillFS(fs),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 40 * 40
+	n := nx * nx
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = float64(i%17) - 8
@@ -87,8 +89,8 @@ func requireBitIdentical(t *testing.T, got, want []float64) {
 // back, and finish the factorization fully in core — bit-identical, budget
 // waived, Degraded reported.
 func TestSpillEIODegradesToInCore(t *testing.T) {
-	fs := NewFaultFS(nil)
-	fs.Inject(Fault{Op: OpAppend, Err: syscall.EIO})
+	fs := faultfs.New(nil)
+	fs.Inject(faultfs.Fault{Op: faultfs.OpAppend, Err: syscall.EIO})
 	ch, got, want := runSpillThroughFS(t, fs, t.TempDir())
 	defer ch.Close()
 	st := ch.SpillStats()
@@ -105,8 +107,8 @@ func TestSpillEIODegradesToInCore(t *testing.T) {
 // bytes then EIO). The writer's truncate-back healing plus the breaker must
 // still land a bit-identical in-core factor.
 func TestSpillTornWritesDegradeToInCore(t *testing.T) {
-	fs := NewFaultFS(nil)
-	fs.Inject(Fault{Op: OpAppend, Err: syscall.EIO, TornBytes: 7})
+	fs := faultfs.New(nil)
+	fs.Inject(faultfs.Fault{Op: faultfs.OpAppend, Err: syscall.EIO, TornBytes: 7})
 	ch, got, want := runSpillThroughFS(t, fs, t.TempDir())
 	defer ch.Close()
 	if !ch.SpillStats().Degraded {
@@ -118,8 +120,8 @@ func TestSpillTornWritesDegradeToInCore(t *testing.T) {
 // TestSpillTransientEIORetried arms a two-shot EIO: the in-line retries must
 // absorb it, spilling proceeds, and the run is NOT degraded.
 func TestSpillTransientEIORetried(t *testing.T) {
-	fs := NewFaultFS(nil)
-	fs.Inject(Fault{Op: OpAppend, Err: syscall.EIO, Count: 2})
+	fs := faultfs.New(nil)
+	fs.Inject(faultfs.Fault{Op: faultfs.OpAppend, Err: syscall.EIO, Count: 2})
 	ch, got, want := runSpillThroughFS(t, fs, t.TempDir())
 	defer ch.Close()
 	st := ch.SpillStats()

@@ -251,7 +251,7 @@ func (s *Store) AppendedBytes() int64 { return s.fc.appendedBytes.Load() }
 // the production default.
 type StoreOptions struct {
 	// FS is the filesystem seam; nil selects the real filesystem. Tests
-	// inject a FaultFS here.
+	// inject a faultfs.FaultFS here.
 	FS FS
 	// Retry is the append retry policy (zero: 4 attempts, 1ms base, 50ms cap).
 	Retry RetryPolicy
@@ -290,9 +290,6 @@ func OpenWithOptions(dir string, opts StoreOptions) (*Store, error) {
 		systems: make(map[[32]byte]*SystemCache),
 	}, nil
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // System opens (loading any prior records) or returns the already-open cache
 // for the described system.

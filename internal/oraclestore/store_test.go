@@ -25,6 +25,14 @@ func alphaDesc(t *testing.T) (SystemDesc, *testspec.Spec, *thermal.Model) {
 	return DescForModel(m, spec.Profile()), spec, m
 }
 
+func tempsFor(nb int, seed float64) []float64 {
+	out := make([]float64, nb)
+	for i := range out {
+		out[i] = seed + float64(i)
+	}
+	return out
+}
+
 func openSystem(t *testing.T, dir string) (*Store, *SystemCache) {
 	t.Helper()
 	desc, _, _ := alphaDesc(t)
@@ -419,7 +427,7 @@ func TestWrapLazySkipsBuildOnWarmStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	builds := 0
-	oracle := sc.WrapLazy(func() (core.Oracle, error) { builds++; return sim, nil })
+	oracle := sc.Wrap(core.NewLazyOracle(func() (core.Oracle, error) { builds++; return sim, nil }))
 	sessions := [][]int{{0}, {1, 2}, {3, 4, 5}}
 	want := make([][]float64, len(sessions))
 	for i, s := range sessions {
@@ -447,10 +455,10 @@ func TestWrapLazySkipsBuildOnWarmStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	warmBuilds := 0
-	warm := sc2.WrapLazy(func() (core.Oracle, error) {
+	warm := sc2.Wrap(core.NewLazyOracle(func() (core.Oracle, error) {
 		warmBuilds++
 		return core.NewSimOracle(m, spec.Profile()), nil
-	})
+	}))
 	for i, s := range sessions {
 		temps, err := warm.BlockTemps(s)
 		if err != nil {
@@ -591,7 +599,7 @@ func TestStoreOracleBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	builds := 0
-	warmOracle := sc2.WrapLazy(func() (core.Oracle, error) { builds++; return sim, nil }).(core.BatchOracle)
+	warmOracle := sc2.Wrap(core.NewLazyOracle(func() (core.Oracle, error) { builds++; return sim, nil })).(core.BatchOracle)
 	again, err := warmOracle.BlockTempsBatch(sessions)
 	if err != nil {
 		t.Fatal(err)

@@ -292,13 +292,6 @@ func (c *SystemCache) Loaded() int { return c.loaded }
 // produces zero; racing handles (see the package doc) can produce more.
 func (c *SystemCache) Duplicates() int { return c.dupes }
 
-// Appended returns how many records this handle has written to disk.
-func (c *SystemCache) Appended() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.log.appended
-}
-
 // Recovered returns how many corrupt or torn bytes were discarded at load.
 func (c *SystemCache) Recovered() int64 { return c.log.recovered }
 
@@ -307,9 +300,6 @@ func (c *SystemCache) Recovered() int64 { return c.log.recovered }
 func (c *SystemCache) LastUse() time.Time {
 	return time.Unix(0, c.lastUse.Load())
 }
-
-// Key returns the system's content address.
-func (c *SystemCache) Key() [32]byte { return c.key }
 
 // SizeBytes returns the record file's current size, 0 once evicted.
 func (c *SystemCache) SizeBytes() int64 {
@@ -402,9 +392,6 @@ func (c *SystemCache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// Path returns the record file path.
-func (c *SystemCache) Path() string { return c.log.path }
-
 // Sync flushes appended records to stable storage.
 func (c *SystemCache) Sync() error {
 	c.mu.Lock()
@@ -433,15 +420,6 @@ type storeOracle struct {
 // Wrap layers the cache over an existing oracle.
 func (c *SystemCache) Wrap(inner core.Oracle) core.Oracle {
 	return &storeOracle{cache: c, inner: inner}
-}
-
-// WrapLazy layers the cache over an oracle that is only constructed on the
-// first store miss (via core.LazyOracle). A fully warm run therefore never
-// pays the inner oracle's construction cost — for grid-resolution oracles
-// that is the sparse factorization, which dominates a warm process's
-// start-up.
-func (c *SystemCache) WrapLazy(build func() (core.Oracle, error)) core.Oracle {
-	return &storeOracle{cache: c, inner: core.NewLazyOracle(build)}
 }
 
 // BlockTemps implements core.Oracle.

@@ -13,8 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 
 	"repro/internal/floorplan"
 )
@@ -91,32 +89,9 @@ func (p *Profile) Functional(i int) float64 { return p.functional[i] }
 // Test returns core i's test power (W).
 func (p *Profile) Test(i int) float64 { return p.test[i] }
 
-// TestFactor returns core i's test/functional power ratio; +Inf when the
-// functional power is zero.
-func (p *Profile) TestFactor(i int) float64 {
-	if p.functional[i] == 0 {
-		return math.Inf(1)
-	}
-	return p.test[i] / p.functional[i]
-}
-
 // TestDensity returns core i's test power density (W/m²).
 func (p *Profile) TestDensity(i int) float64 {
 	return p.test[i] / p.fp.Block(i).Area()
-}
-
-// FunctionalTotal returns the chip's total functional power (W).
-func (p *Profile) FunctionalTotal() float64 { return sum(p.functional) }
-
-// TestTotal returns the chip's total power with every core in test mode (W).
-func (p *Profile) TestTotal() float64 { return sum(p.test) }
-
-func sum(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
 }
 
 // TestPowerMap returns the per-block power vector (W) for a test session in
@@ -161,54 +136,4 @@ func (p *Profile) SessionPower(active []int) float64 {
 		}
 	}
 	return s
-}
-
-// DensitySkew returns max/min test power density across cores, a measure of
-// how non-uniform the chip's thermal stress is (the paper's motivation needs
-// skew ≫ 1).
-func (p *Profile) DensitySkew() float64 {
-	mn, mx := math.Inf(1), 0.0
-	for i := range p.test {
-		d := p.TestDensity(i)
-		mn = math.Min(mn, d)
-		mx = math.Max(mx, d)
-	}
-	if mn == 0 {
-		return math.Inf(1)
-	}
-	return mx / mn
-}
-
-// Describe renders a per-core power report sorted by test power density.
-func (p *Profile) Describe() string {
-	type row struct {
-		name                string
-		functional, test    float64
-		factor, densityWcm2 float64
-	}
-	rows := make([]row, p.fp.NumBlocks())
-	for i := range rows {
-		rows[i] = row{
-			name:        p.fp.Block(i).Name,
-			functional:  p.functional[i],
-			test:        p.test[i],
-			factor:      p.TestFactor(i),
-			densityWcm2: p.TestDensity(i) * 1e-4,
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].densityWcm2 != rows[j].densityWcm2 {
-			return rows[i].densityWcm2 > rows[j].densityWcm2
-		}
-		return rows[i].name < rows[j].name
-	})
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-12s %10s %10s %8s %14s\n", "core", "Pfunc(W)", "Ptest(W)", "factor", "Ptest/A(W/cm²)")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-12s %10.2f %10.2f %8.2f %14.2f\n",
-			r.name, r.functional, r.test, r.factor, r.densityWcm2)
-	}
-	fmt.Fprintf(&sb, "totals: functional %.1f W, all-cores-test %.1f W, density skew %.1f×\n",
-		p.FunctionalTotal(), p.TestTotal(), p.DensitySkew())
-	return sb.String()
 }

@@ -3,7 +3,6 @@ package power
 import (
 	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/floorplan"
@@ -59,8 +58,8 @@ func TestFromFactors(t *testing.T) {
 		if got := p.Test(i); math.Abs(got-15) > 1e-12 {
 			t.Errorf("Test(%d) = %g, want 15", i, got)
 		}
-		if got := p.TestFactor(i); math.Abs(got-1.5) > 1e-12 {
-			t.Errorf("TestFactor(%d) = %g, want 1.5", i, got)
+		if got := p.Test(i) / p.Functional(i); math.Abs(got-1.5) > 1e-12 {
+			t.Errorf("test factor of core %d = %g, want 1.5", i, got)
 		}
 	}
 	fp := floorplan.Figure1SoC()
@@ -82,21 +81,6 @@ func TestFromFactors(t *testing.T) {
 	}
 }
 
-func TestTestFactorZeroFunctional(t *testing.T) {
-	fp := floorplan.Figure1SoC()
-	n := fp.NumBlocks()
-	functional := make([]float64, n)
-	test := make([]float64, n)
-	test[0] = 5
-	p, err := NewProfile(fp, functional, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(p.TestFactor(0), 1) {
-		t.Errorf("TestFactor with zero functional = %g, want +Inf", p.TestFactor(0))
-	}
-}
-
 func TestDensityAndTotals(t *testing.T) {
 	p := fig1Profile(t)
 	fp := p.Floorplan()
@@ -106,16 +90,6 @@ func TestDensityAndTotals(t *testing.T) {
 	ratio := p.TestDensity(c2) / p.TestDensity(c5)
 	if math.Abs(ratio-4) > 1e-9 {
 		t.Errorf("density ratio C2/C5 = %g, want 4", ratio)
-	}
-	if got := p.FunctionalTotal(); math.Abs(got-70) > 1e-9 {
-		t.Errorf("FunctionalTotal = %g, want 70", got)
-	}
-	if got := p.TestTotal(); math.Abs(got-105) > 1e-9 {
-		t.Errorf("TestTotal = %g, want 105", got)
-	}
-	// Skew spans C2 (densest, 5 mm²) to C1 (sparsest, 25 mm²) at equal power.
-	if got := p.DensitySkew(); math.Abs(got-5) > 1e-9 {
-		t.Errorf("DensitySkew = %g, want 5", got)
 	}
 }
 
@@ -150,31 +124,6 @@ func TestTestPowerMap(t *testing.T) {
 	}
 	if pm, err := p.TestPowerMap(nil); err != nil || len(pm) != fp.NumBlocks() {
 		t.Errorf("empty session map failed: %v", err)
-	}
-}
-
-func TestDensitySkewInfinite(t *testing.T) {
-	fp := floorplan.Figure1SoC()
-	n := fp.NumBlocks()
-	functional := make([]float64, n)
-	test := make([]float64, n)
-	test[0] = 5 // others zero → min density 0 → skew infinite
-	p, err := NewProfile(fp, functional, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(p.DensitySkew(), 1) {
-		t.Errorf("DensitySkew = %g, want +Inf", p.DensitySkew())
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	p := fig1Profile(t)
-	d := p.Describe()
-	for _, want := range []string{"core", "factor", "totals", "C2"} {
-		if !strings.Contains(d, want) {
-			t.Errorf("Describe() missing %q", want)
-		}
 	}
 }
 

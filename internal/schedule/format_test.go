@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestFormatParseRoundTrip(t *testing.T) {
 		t.Fatalf("sessions %d vs %d", back.NumSessions(), orig.NumSessions())
 	}
 	for i := 0; i < orig.NumSessions(); i++ {
-		a, b := orig.Session(i).Cores(), back.Session(i).Cores()
+		a, b := orig.Sessions()[i].Cores(), back.Sessions()[i].Cores()
 		if len(a) != len(b) {
 			t.Fatalf("session %d size drifted", i)
 		}
@@ -61,7 +62,7 @@ another: C5 C6 C7
 	if sc.NumSessions() != 3 {
 		t.Fatalf("sessions = %d, want 3", sc.NumSessions())
 	}
-	if !sc.Session(1).Contains(0) {
+	if !slices.Contains(sc.Sessions()[1].Cores(), 0) {
 		t.Error("session order not preserved")
 	}
 }

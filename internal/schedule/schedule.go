@@ -58,25 +58,6 @@ func (s Session) Cores() []int { return append([]int(nil), s.cores...) }
 // Size returns the number of cores in the session.
 func (s Session) Size() int { return len(s.cores) }
 
-// Contains reports whether the session includes core i.
-func (s Session) Contains(i int) bool {
-	k := sort.SearchInts(s.cores, i)
-	return k < len(s.cores) && s.cores[k] == i
-}
-
-// With returns a new session extended by core i. Adding a core already in
-// the session returns the session unchanged.
-func (s Session) With(i int) Session {
-	if s.Contains(i) {
-		return s
-	}
-	out := make([]int, 0, len(s.cores)+1)
-	out = append(out, s.cores...)
-	out = append(out, i)
-	sort.Ints(out)
-	return Session{cores: out}
-}
-
 // Length returns the session's duration under spec: the longest test among
 // its cores (s).
 func (s Session) Length(spec *testspec.Spec) float64 {
@@ -140,9 +121,6 @@ func (sc Schedule) Sessions() []Session { return append([]Session(nil), sc.sessi
 // NumSessions returns the number of sessions.
 func (sc Schedule) NumSessions() int { return len(sc.sessions) }
 
-// Session returns the i-th session.
-func (sc Schedule) Session(i int) Session { return sc.sessions[i] }
-
 // Length returns the schedule duration under spec: the sum of session
 // lengths (s). This is the paper's "test schedule length".
 func (sc Schedule) Length(spec *testspec.Spec) float64 {
@@ -163,16 +141,6 @@ func (sc Schedule) MaxSessionPower(spec *testspec.Spec) float64 {
 		}
 	}
 	return mx
-}
-
-// CoreSession returns the index of the session containing core c, or -1.
-func (sc Schedule) CoreSession(c int) int {
-	for i, s := range sc.sessions {
-		if s.Contains(c) {
-			return i
-		}
-	}
-	return -1
 }
 
 // Validate checks that the schedule tests every core of spec exactly once

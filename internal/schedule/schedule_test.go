@@ -36,26 +36,16 @@ func TestMustSessionPanics(t *testing.T) {
 }
 
 func TestSessionOps(t *testing.T) {
-	s := MustSession(1, 3)
-	if !s.Contains(1) || !s.Contains(3) || s.Contains(2) {
-		t.Error("Contains wrong")
-	}
-	s2 := s.With(2)
-	if s2.Size() != 3 || !s2.Contains(2) {
-		t.Errorf("With(2) = %v", s2)
-	}
+	s := MustSession(3, 1)
 	if s.Size() != 2 {
-		t.Error("With mutated the receiver")
-	}
-	if s3 := s.With(1); s3.Size() != 2 {
-		t.Error("With(existing) should be a no-op")
+		t.Errorf("Size = %d, want 2", s.Size())
 	}
 	if s.String() != "{1,3}" {
 		t.Errorf("String = %q", s.String())
 	}
 	// Cores() must be a copy.
 	s.Cores()[0] = 99
-	if !s.Contains(1) {
+	if s.Cores()[0] != 1 {
 		t.Error("Cores() leaks internal state")
 	}
 }
@@ -98,12 +88,6 @@ func TestScheduleMetricsAndValidate(t *testing.T) {
 	if err := sc.Validate(spec); err != nil {
 		t.Errorf("valid schedule rejected: %v", err)
 	}
-	if got := sc.CoreSession(7); got != 1 {
-		t.Errorf("CoreSession(7) = %d, want 1", got)
-	}
-	if got := sc.CoreSession(999); got != -1 {
-		t.Errorf("CoreSession(999) = %d, want -1", got)
-	}
 	if sc.MaxSessionPower(spec) <= 0 {
 		t.Error("MaxSessionPower should be positive")
 	}
@@ -133,7 +117,7 @@ func TestValidateFailures(t *testing.T) {
 		t.Errorf("cross-session duplicate: err = %v, want ErrDuplicate", err)
 	}
 	// Out-of-range core.
-	oob := New(full.With(n + 3))
+	oob := New(MustSession(append(all, n+3)...))
 	if err := oob.Validate(spec); !errors.Is(err, ErrUnknownCore) {
 		t.Errorf("out of range: err = %v, want ErrUnknownCore", err)
 	}
@@ -150,13 +134,13 @@ func TestAppendImmutable(t *testing.T) {
 	if sc.NumSessions() != 1 || sc2.NumSessions() != 2 {
 		t.Error("Append must not mutate the receiver")
 	}
-	if sc2.Session(1).Cores()[0] != 1 {
+	if sc2.Sessions()[1].Cores()[0] != 1 {
 		t.Error("Append content wrong")
 	}
 	// Sessions() must be a copy.
 	ss := sc2.Sessions()
 	ss[0] = MustSession(9)
-	if sc2.Session(0).Cores()[0] != 0 {
+	if sc2.Sessions()[0].Cores()[0] != 0 {
 		t.Error("Sessions() leaks internal state")
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/oraclestore"
+	"repro/internal/oraclestore/faultfs"
 	"repro/internal/thermal"
 )
 
@@ -335,7 +336,7 @@ func TestMaxSystemsLRUDropsIdle(t *testing.T) {
 // a clean reopen of the store finds zero corrupt bytes.
 func TestFaultSoakBreakerRecovery(t *testing.T) {
 	dir := t.TempDir()
-	ffs := oraclestore.NewFaultFS(nil)
+	ffs := faultfs.New(nil)
 	srv, hs := newTestServer(t, Config{
 		CacheDir:     dir,
 		Workers:      4,
@@ -354,7 +355,7 @@ func TestFaultSoakBreakerRecovery(t *testing.T) {
 	}
 
 	// EIO storm with torn half-writes on every append.
-	ffs.Inject(oraclestore.Fault{Op: oraclestore.OpAppend, Err: syscall.EIO, TornBytes: 9})
+	ffs.Inject(faultfs.Fault{Op: faultfs.OpAppend, Err: syscall.EIO, TornBytes: 9})
 
 	// New work (different STCL → new candidate sessions → new records) keeps
 	// succeeding while its spills fail, and trips the breaker.

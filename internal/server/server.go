@@ -116,7 +116,7 @@ type Config struct {
 	// StoreNodes (tests use in-process nodes); it wins over StoreNodes.
 	StoreRemote oraclestore.RemoteTier
 	// StoreFS injects a filesystem seam under the persistent store (tests use
-	// an oraclestore.FaultFS); nil selects the real filesystem.
+	// a faultfs.FaultFS); nil selects the real filesystem.
 	StoreFS oraclestore.FS
 	// StoreRetry / StoreBreaker tune the store's append retries and circuit
 	// breaker; zero values select the production defaults.

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 
 	"repro/internal/floorplan"
 	"repro/internal/power"
@@ -87,13 +86,6 @@ func (s *Spec) NumCores() int { return len(s.tests) }
 // Test returns core i's test descriptor.
 func (s *Spec) Test(i int) CoreTest { return s.tests[i] }
 
-// Tests returns a copy of all test descriptors in block order.
-func (s *Spec) Tests() []CoreTest {
-	out := make([]CoreTest, len(s.tests))
-	copy(out, s.tests)
-	return out
-}
-
 // TotalTestTime returns the sum of all test lengths — the length of a purely
 // sequential schedule (s).
 func (s *Spec) TotalTestTime() float64 {
@@ -114,16 +106,4 @@ func (s *Spec) MaxTestLength() float64 {
 		}
 	}
 	return mx
-}
-
-// Describe renders the test set.
-func (s *Spec) Describe() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "test spec %q: %d cores, sequential length %.1f s\n",
-		s.name, s.NumCores(), s.TotalTestTime())
-	fmt.Fprintf(&sb, "%-12s %10s %10s\n", "core", "len(s)", "Ptest(W)")
-	for _, ct := range s.tests {
-		fmt.Fprintf(&sb, "%-12s %10.2f %10.2f\n", ct.Name, ct.Length, ct.Power)
-	}
-	return sb.String()
 }

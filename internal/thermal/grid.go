@@ -341,9 +341,6 @@ func (g *GridModel) FactorStats() GridFactorStats {
 	return s
 }
 
-// FillBudget returns the factor-fill bound the direct backend was allowed.
-func (g *GridModel) FillBudget() int { return g.fillBudget }
-
 // Close releases what the solver backend holds beyond the model itself: the
 // spill file of an out-of-core factor, and this model's hold on a shared
 // in-core factor (the factor is freed with its last holder). It is
@@ -649,17 +646,8 @@ func (g *GridModel) SteadyStateBatch(powers [][]float64) ([]*GridResult, error) 
 	return out, nil
 }
 
-// NumCells returns the silicon cell count.
-func (g *GridModel) NumCells() int { return g.numCells() }
-
-// Dims returns the grid dimensions.
-func (g *GridModel) Dims() (nx, ny int) { return g.nx, g.ny }
-
 // Floorplan returns the discretised floorplan.
 func (g *GridModel) Floorplan() *floorplan.Floorplan { return g.fp }
-
-// Config returns the package configuration the grid was built with.
-func (g *GridModel) Config() PackageConfig { return g.cfg }
 
 // CellTemp returns the silicon temperature of cell (x, y) (°C).
 func (r *GridResult) CellTemp(x, y int) float64 {
@@ -667,9 +655,9 @@ func (r *GridResult) CellTemp(x, y int) float64 {
 }
 
 // BlockMaxTemp returns the hottest silicon cell overlapping block b (°C) —
-// the grid-resolution analogue of the block model's BlockTemp. The read-back
-// folds with the builtin max, which the compiler inlines (math.Max is an
-// assembly call on amd64). The two agree on every ±0 and ±Inf; a NaN cell
+// the grid-resolution analogue of a block model's BlockTemps entry. The
+// read-back folds with the builtin max, which the compiler inlines (math.Max
+// is an assembly call on amd64). The two agree on every ±0 and ±Inf; a NaN cell
 // makes the result NaN, where math.Max would let a +Inf cell win. A finite
 // solve produces neither.
 func (r *GridResult) BlockMaxTemp(b int) float64 {
@@ -688,15 +676,6 @@ func (r *GridResult) MaxTemp() float64 {
 		mx = max(mx, t)
 	}
 	return mx
-}
-
-// SinkTemp returns the heat-sink temperature (°C).
-func (r *GridResult) SinkTemp() float64 { return r.temps[r.model.sinkNode()] }
-
-// TotalHeatToAmbient returns the heat flow into the ambient (W), for energy
-// conservation checks.
-func (r *GridResult) TotalHeatToAmbient() float64 {
-	return (r.SinkTemp() - r.model.cfg.Ambient) / r.model.cfg.ConvectionR
 }
 
 // Heatmap renders the silicon temperature field as ASCII art, hottest cells

@@ -39,6 +39,12 @@ func TestNewGridModelValidation(t *testing.T) {
 	}
 }
 
+// totalHeatToAmbient returns the heat flow into the ambient (W), for energy
+// conservation checks.
+func totalHeatToAmbient(r *GridResult) float64 {
+	return (r.temps[r.model.sinkNode()] - r.model.cfg.Ambient) / r.model.cfg.ConvectionR
+}
+
 func TestGridEnergyConservation(t *testing.T) {
 	g := alphaGrid(t, 16, 16)
 	power := make([]float64, g.Floorplan().NumBlocks())
@@ -51,7 +57,7 @@ func TestGridEnergyConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := res.TotalHeatToAmbient(); math.Abs(out-total) > 1e-4*total {
+	if out := totalHeatToAmbient(res); math.Abs(out-total) > 1e-4*total {
 		t.Errorf("energy not conserved: in %.4f W, out %.4f W", total, out)
 	}
 }
@@ -236,11 +242,11 @@ func TestGridHeatmap(t *testing.T) {
 	if len(lines) != 22 {
 		t.Errorf("heatmap has %d lines, want 22", len(lines))
 	}
-	if nx, ny := g.Dims(); nx != 20 || ny != 20 {
-		t.Errorf("Dims = %d×%d", nx, ny)
+	if g.nx != 20 || g.ny != 20 {
+		t.Errorf("grid = %d×%d", g.nx, g.ny)
 	}
-	if g.NumCells() != 400 {
-		t.Errorf("NumCells = %d", g.NumCells())
+	if g.numCells() != 400 {
+		t.Errorf("numCells = %d", g.numCells())
 	}
 }
 
@@ -253,7 +259,7 @@ func TestGridReadBackBuiltinMaxMatchesMathMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := res.temps[:g.NumCells()]
+	cells := res.temps[:g.numCells()]
 	fields := map[string]func(i int) float64{
 		"signed zeros":   func(i int) float64 { return math.Copysign(0, float64(i%2)-0.5) },
 		"negative zeros": func(int) float64 { return math.Copysign(0, -1) },
@@ -438,8 +444,8 @@ func TestGridFillBudgetOption(t *testing.T) {
 	if direct.SolverBackend() != "sparse-cholesky" {
 		t.Fatalf("default options: backend %q", direct.SolverBackend())
 	}
-	if direct.FillBudget() != DefaultGridFillBudget {
-		t.Errorf("FillBudget = %d, want default %d", direct.FillBudget(), DefaultGridFillBudget)
+	if direct.fillBudget != DefaultGridFillBudget {
+		t.Errorf("fillBudget = %d, want default %d", direct.fillBudget, DefaultGridFillBudget)
 	}
 	// A starved budget forces the iterative fallback; answers must still
 	// agree with the direct backend.

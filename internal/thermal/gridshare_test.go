@@ -42,10 +42,11 @@ func assembled(fp *floorplan.Floorplan, cfg PackageConfig, nx, ny int) *linalg.S
 // sameSparseBits reports whether a and b have the same pattern and
 // bit-identical values.
 func sameSparseBits(a, b *linalg.Sparse) bool {
-	if a.N() != b.N() || a.NNZ() != b.NNZ() {
+	n := len(a.Diagonal()) // the dimension: one diagonal entry per row
+	if len(b.Diagonal()) != n || a.NNZ() != b.NNZ() {
 		return false
 	}
-	for i := 0; i < a.N(); i++ {
+	for i := 0; i < n; i++ {
 		ac, av := a.RowNZ(i)
 		bc, bv := b.RowNZ(i)
 		if !reflect.DeepEqual(ac, bc) {

@@ -364,27 +364,6 @@ func (m *Model) NumBlocks() int { return m.n }
 // NumNodes returns the total node count of the RC network.
 func (m *Model) NumNodes() int { return m.size }
 
-// Conductance returns a copy of the assembled conductance matrix (W/K) in
-// dense form, mainly for tests and diagnostics. On the sparse backend the
-// expansion costs O(size²); use ConductanceSparse for grid-scale models.
-func (m *Model) Conductance() *linalg.Matrix {
-	if m.g != nil {
-		return m.g.Clone()
-	}
-	return m.gs.Dense()
-}
-
-// ConductanceSparse returns the assembled conductance matrix in CSR form
-// (shared, immutable).
-func (m *Model) ConductanceSparse() *linalg.Sparse { return m.gs }
-
-// Capacitances returns a copy of the per-node heat capacities (J/K).
-func (m *Model) Capacitances() []float64 {
-	out := make([]float64, len(m.caps))
-	copy(out, m.caps)
-	return out
-}
-
 // expandPower pads a per-block power vector to the full node vector.
 func (m *Model) expandPower(power []float64) ([]float64, error) {
 	full := make([]float64, m.size)

@@ -1,10 +1,6 @@
 package thermal
 
-import (
-	"math"
-
-	"repro/internal/geom"
-)
+import "repro/internal/geom"
 
 // This file exposes the *component* thermal resistances of the RC network.
 // The DATE'05 test-session thermal model (internal/core) is built from
@@ -62,19 +58,4 @@ func (m *Model) RimR(i int) (float64, bool) {
 		return 0, false
 	}
 	return 1 / gSum, true
-}
-
-// ParallelR combines resistances in parallel; zero and infinite entries are
-// rejected by returning +Inf only when no finite positive resistance exists.
-func ParallelR(rs ...float64) float64 {
-	var g float64
-	for _, r := range rs {
-		if r > 0 && !math.IsInf(r, 1) {
-			g += 1 / r
-		}
-	}
-	if g == 0 {
-		return math.Inf(1)
-	}
-	return 1 / g
 }

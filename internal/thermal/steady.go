@@ -75,19 +75,11 @@ func (m *Model) SteadyStateActiveInto(temps, power []float64, active []int) erro
 	return nil
 }
 
-// BlockTemp returns the silicon temperature of block i (°C).
-func (r *SteadyResult) BlockTemp(i int) float64 { return r.temps[i] }
-
 // BlockTemps returns a copy of all silicon block temperatures (°C).
 func (r *SteadyResult) BlockTemps() []float64 {
 	out := make([]float64, r.model.n)
 	copy(out, r.temps[:r.model.n])
 	return out
-}
-
-// SpreaderTemp returns the spreader temperature under block i (°C).
-func (r *SteadyResult) SpreaderTemp(i int) float64 {
-	return r.temps[r.model.spreaderNode(i)]
 }
 
 // RimTemp returns the spreader rim temperature (°C).
@@ -121,14 +113,6 @@ func (r *SteadyResult) TotalPower() float64 {
 		s += p
 	}
 	return s
-}
-
-// HeatToAmbient returns the steady-state heat flow into the ambient (W),
-// computed from the sink temperature and the convection resistance. For a
-// correct solution this equals TotalPower (energy conservation); tests assert
-// it.
-func (r *SteadyResult) HeatToAmbient() float64 {
-	return (r.SinkTemp() - r.model.cfg.Ambient) / r.model.cfg.ConvectionR
 }
 
 // Describe renders a per-block temperature report, hottest first.
