@@ -23,15 +23,15 @@ import (
 // This realises the exploration the paper's conclusion proposes: trading
 // longer thermal simulations for shorter schedules.
 func (s *System) GenerateScheduleTransient(cfg ScheduleConfig, step float64) (*ScheduleResult, error) {
-	duration := s.spec.MaxTestLength()
-	oracle, err := core.NewTransientOracle(s.model, s.spec.Profile(), duration, step)
+	duration := s.env.Spec.MaxTestLength()
+	oracle, err := core.NewTransientOracle(s.env.Model, s.env.Spec.Profile(), duration, step)
 	if err != nil {
 		return nil, err
 	}
 	// Memoize within the run: forced singletons re-pose their phase-1 solo
 	// query, and transient validations are the most expensive oracle calls
 	// in the codebase.
-	return core.Generate(s.spec, s.sm, core.NewCachedOracle(oracle), cfg)
+	return core.Generate(s.env.Spec, s.env.SM, core.NewCachedOracle(oracle), cfg)
 }
 
 // OptimalThermalSchedule returns the provably minimum-session thermal-safe
@@ -39,7 +39,7 @@ func (s *System) GenerateScheduleTransient(cfg ScheduleConfig, step float64) (*S
 // core count, capped at baseline.OptimalThermalLimit cores; uniform test
 // lengths only). Intended for measuring the heuristic's optimality gap.
 func (s *System) OptimalThermalSchedule(tl float64) (Schedule, error) {
-	return baseline.OptimalThermal(s.spec, s.oracle.BlockTemps, tl)
+	return baseline.OptimalThermal(s.env.Spec, s.env.Oracle.BlockTemps, tl)
 }
 
 // ScheduleTransientResult reports a whole-schedule transient: sessions are
@@ -68,21 +68,21 @@ func (s *System) SimulateScheduleTransient(sc Schedule, gap, step float64) (*Sch
 	}
 	res := &ScheduleTransientResult{Peak: math.Inf(-1)}
 	var state []float64 // carried rise vector; nil = ambient
-	zeroPower := make([]float64, s.spec.NumCores())
+	zeroPower := make([]float64, s.env.Spec.NumCores())
 	for _, sess := range sc.Sessions() {
-		pm, err := s.spec.Profile().TestPowerMap(sess.Cores())
+		pm, err := s.env.Spec.Profile().TestPowerMap(sess.Cores())
 		if err != nil {
 			return nil, err
 		}
 		// Steady bound for this session (cold start assumption).
-		ss, err := s.model.SteadyState(pm)
+		ss, err := s.env.Model.SteadyState(pm)
 		if err != nil {
 			return nil, err
 		}
 		res.SteadyBound = math.Max(res.SteadyBound, ss.MaxTemp())
 
-		tr, err := s.model.Transient(pm, thermal.TransientOptions{
-			Duration:    sess.Length(s.spec),
+		tr, err := s.env.Model.Transient(pm, thermal.TransientOptions{
+			Duration:    sess.Length(s.env.Spec),
 			Step:        step,
 			InitialRise: state,
 		})
@@ -95,7 +95,7 @@ func (s *System) SimulateScheduleTransient(sc Schedule, gap, step float64) (*Sch
 		state = tr.FinalRise()
 
 		if gap > 0 {
-			cool, err := s.model.Transient(zeroPower, thermal.TransientOptions{
+			cool, err := s.env.Model.Transient(zeroPower, thermal.TransientOptions{
 				Duration:    gap,
 				Step:        step,
 				InitialRise: state,

@@ -13,7 +13,7 @@ import (
 // renders byte-identically to the single-store run — cold, and warm from a
 // fresh local dir with the answers fetched from the cluster — and with one
 // node dead the sweep still succeeds with the cold rows. Runs under -race in
-// CI ("sharded store identity" step).
+// CI.
 func TestShardedStoreByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4-scenario sharded fleet in -short mode")

@@ -1,11 +1,10 @@
 // Package faultfs is a fault-injecting oraclestore.FS for tests: it drives
 // the store, the job journal and the out-of-core factorization through EIO
-// storms, full disks, torn appends and slow devices deterministically. Only
-// tests import it, so no binary carries it.
+// storms, full disks and torn appends deterministically. Only tests import
+// it, so no binary carries it.
 package faultfs
 
 import (
-	"math/rand"
 	"os"
 	"sync"
 	"time"
@@ -50,45 +49,32 @@ func (o FaultOp) String() string {
 }
 
 // Fault is one armed failure rule. The zero value of every selector is the
-// permissive default: match every op of the kind, fire always, forever.
+// permissive default: match every op of the kind, fire forever.
 type Fault struct {
 	// Op selects the operations the fault applies to.
 	Op FaultOp
-	// Err is the error injected (syscall.EIO, syscall.ENOSPC, ...). May be
-	// nil for a latency-only fault.
+	// Err is the error injected (syscall.EIO, syscall.ENOSPC, ...).
 	Err error
 	// TornBytes, on OpAppend, writes that many bytes of the record to the
 	// real file before failing — a torn append, the crash mode the record
 	// format's CRC recovery exists for. 0 fails cleanly without writing.
 	TornBytes int
-	// Latency sleeps before the operation proceeds (or fails).
-	Latency time.Duration
-	// After skips the first After matching operations — count-based arming
-	// ("the 3rd append fails").
-	After int
 	// Count fires the fault at most Count times; 0 means until cleared.
 	Count int
-	// P fires the fault with probability P per matching op (seeded,
-	// deterministic rng); 0 means always.
-	P float64
 }
 
-// faultState tracks one armed fault's match and fire counts.
+// faultState tracks one armed fault's fire count.
 type faultState struct {
 	Fault
-	seen  int
 	fired int
 }
 
-// FaultFS wraps an oraclestore.FS and injects configured faults — by
-// operation kind, count or probability. All methods are safe for concurrent
-// use; the probability stream is seeded (Seed) so a given arrangement of
-// faults replays identically.
+// FaultFS wraps an oraclestore.FS and injects configured faults by
+// operation kind and count. All methods are safe for concurrent use.
 type FaultFS struct {
 	inner oraclestore.FS
 
 	mu       sync.Mutex
-	rng      *rand.Rand
 	faults   []*faultState
 	ops      map[FaultOp]int64
 	injected int64
@@ -101,16 +87,8 @@ func New(inner oraclestore.FS) *FaultFS {
 	}
 	return &FaultFS{
 		inner: inner,
-		rng:   rand.New(rand.NewSource(1)),
 		ops:   make(map[FaultOp]int64),
 	}
-}
-
-// Seed reseeds the probability stream.
-func (f *FaultFS) Seed(seed int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.rng = rand.New(rand.NewSource(seed))
 }
 
 // Inject arms a fault. Multiple faults may be armed; the first one that
@@ -136,7 +114,7 @@ func (f *FaultFS) Injected() int64 {
 }
 
 // OpCount returns how many operations of a kind have been issued (fired or
-// not) — the denominator for probability assertions.
+// not).
 func (f *FaultFS) OpCount(op FaultOp) int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -144,8 +122,8 @@ func (f *FaultFS) OpCount(op FaultOp) int64 {
 }
 
 // check records one operation and decides whether a fault fires, returning
-// the injected error, the torn-write byte count, and the latency to apply.
-func (f *FaultFS) check(op FaultOp) (err error, torn int, latency time.Duration) {
+// the injected error and the torn-write byte count.
+func (f *FaultFS) check(op FaultOp) (err error, torn int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.ops[op]++
@@ -153,31 +131,20 @@ func (f *FaultFS) check(op FaultOp) (err error, torn int, latency time.Duration)
 		if st.Op != OpAny && st.Op != op {
 			continue
 		}
-		st.seen++
-		if st.seen <= st.After {
-			continue
-		}
 		if st.Count > 0 && st.fired >= st.Count {
-			continue
-		}
-		if st.P > 0 && f.rng.Float64() >= st.P {
 			continue
 		}
 		st.fired++
 		f.injected++
-		return st.Err, st.TornBytes, st.Latency
+		return st.Err, st.TornBytes
 	}
-	return nil, 0, 0
+	return nil, 0
 }
 
-// apply runs the fault decision for op around fn: latency first, then either
-// the injected error or the real operation.
+// apply runs the fault decision for op around fn: either the injected error
+// or the real operation.
 func (f *FaultFS) apply(op FaultOp, fn func() error) error {
-	err, _, latency := f.check(op)
-	if latency > 0 {
-		time.Sleep(latency)
-	}
-	if err != nil {
+	if err, _ := f.check(op); err != nil {
 		return err
 	}
 	return fn()
@@ -244,10 +211,7 @@ type faultFile struct {
 }
 
 func (w *faultFile) Write(p []byte) (int, error) {
-	err, torn, latency := w.fs.check(OpAppend)
-	if latency > 0 {
-		time.Sleep(latency)
-	}
+	err, torn := w.fs.check(OpAppend)
 	if err != nil {
 		if torn > 0 {
 			if torn > len(p) {

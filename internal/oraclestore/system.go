@@ -436,8 +436,8 @@ func (o *storeOracle) BlockTemps(active []int) ([]float64, error) {
 }
 
 // BlockTempsBatch implements core.BatchOracle: store misses are forwarded to
-// the inner oracle as one batch (which a grid oracle spreads over goroutines
-// and blocked passes) and each answer is persisted in index order after the
+// the inner oracle as one batch (which a grid oracle spreads over
+// goroutines) and each answer is persisted in index order after the
 // batch returns, so the hit/miss counters and the records on disk come out
 // exactly as if the sessions had been queried one at a time. An inner batch
 // that answers a different number of sessions than it was asked is an error.

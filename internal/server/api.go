@@ -29,7 +29,8 @@ type ScheduleRequest struct {
 	// calibrated defaults.
 	Package *PackageSpec `json:"package,omitempty"`
 	// GridRes validates sessions on a GridRes×GridRes grid-resolution model
-	// instead of the compact block model; 0 keeps the block model.
+	// instead of the compact block model; 0 keeps the block model. Other
+	// values must lie in [2, maxGridRes].
 	GridRes int `json:"grid_res,omitempty"`
 
 	// TL is the maximum allowable temperature (°C). Required.
@@ -131,6 +132,12 @@ func (r *ScheduleRequest) resolveSpec() (*testspec.Spec, error) {
 	return spec, nil
 }
 
+// maxGridRes bounds a request's grid_res: the largest grid the out-of-core
+// acceptance rung (TestGridPeakBudgetAcceptance) factors. The grid's per-cell
+// maps and orderings grow with its square, so an unbounded value lets one
+// request exhaust the server's memory.
+const maxGridRes = 1024
+
 // scheduleConfig maps the request's generator knobs to core.Config.
 func (r *ScheduleRequest) scheduleConfig() (core.Config, error) {
 	cfg := core.Config{
@@ -146,8 +153,8 @@ func (r *ScheduleRequest) scheduleConfig() (core.Config, error) {
 	if !(r.STCL > 0) {
 		return cfg, fmt.Errorf("stcl = %g must be > 0", r.STCL)
 	}
-	if r.GridRes < 0 {
-		return cfg, fmt.Errorf("grid_res = %d must be >= 0", r.GridRes)
+	if r.GridRes != 0 && (r.GridRes < 2 || r.GridRes > maxGridRes) {
+		return cfg, fmt.Errorf("grid_res = %d must be 0 or in [2, %d]", r.GridRes, maxGridRes)
 	}
 	if r.MaxAttempts < 0 {
 		return cfg, fmt.Errorf("max_attempts = %d must be >= 0", r.MaxAttempts)

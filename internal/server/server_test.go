@@ -199,6 +199,8 @@ func TestScheduleHandlerBadRequests(t *testing.T) {
 		{"missing tl", `{"workload":"alpha21364","stcl":60}`, "bad_config"},
 		{"negative stcl", `{"workload":"alpha21364","tl_celsius":165,"stcl":-4}`, "bad_config"},
 		{"negative grid res", `{"workload":"alpha21364","tl_celsius":165,"stcl":60,"grid_res":-2}`, "bad_config"},
+		{"grid res one", `{"workload":"alpha21364","tl_celsius":165,"stcl":60,"grid_res":1}`, "bad_config"},
+		{"grid res above max", `{"workload":"alpha21364","tl_celsius":165,"stcl":60,"grid_res":1025}`, "bad_config"},
 		{"negative max attempts", `{"workload":"alpha21364","tl_celsius":165,"stcl":60,"max_attempts":-1}`, "bad_config"},
 		{"weight growth below one", `{"workload":"alpha21364","tl_celsius":165,"stcl":60,"weight_growth":0.5}`, "bad_config"},
 		{"unknown order", `{"workload":"alpha21364","tl_celsius":165,"stcl":60,"order":"alphabetical"}`, "bad_config"},

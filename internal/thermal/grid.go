@@ -78,11 +78,12 @@ func (o GridOptions) Canonical() GridOptions {
 // solves, the backward one advancing two independent elimination subtrees
 // at once; SteadyStateActive restricts both solves to the elimination-tree
 // closure of the active power footprint, answering only the cells a
-// validation query reads, and SteadyStateBatch amortises one factor pass
-// over many queries. Together these are what make per-session oracle sweeps
-// over one floorplan cheap at grid scale. Resolutions whose factor would exceed the fill budget fall back
-// to IC(0)-preconditioned conjugate gradients with pooled scratch. GridModel
-// is safe for concurrent queries.
+// validation query reads; that is what makes per-session oracle sweeps over
+// one floorplan cheap at grid scale. SteadyStateBatch amortises one factor
+// pass over many whole-field queries; the gridres ladder and a benchmark use
+// it. Resolutions whose factor would exceed the fill budget fall back to
+// IC(0)-preconditioned conjugate gradients with pooled scratch. GridModel is
+// safe for concurrent queries.
 //
 // The conductance matrix depends only on the package stack's conductances
 // and geometry, the die's width and height and the resolution — never on the

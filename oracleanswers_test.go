@@ -59,23 +59,23 @@ func TestOracleAnswersNotWritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := sys.spec
+	spec := sys.env.Spec
 	st, err := oraclestore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	sc, err := st.System(oraclestore.DescForModel(sys.model, spec.Profile()))
+	sc, err := st.System(oraclestore.DescForModel(sys.env.Model, spec.Profile()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &recordingOracle{inner: passiveNaN{sys.sim}}
+	rec := &recordingOracle{inner: passiveNaN{sys.env.Sim}}
 	stack := sc.Wrap(rec)
 	w := withOracle(sys, stack)
 
 	for _, tl := range []float64{100, 150} {
 		cfg := core.Config{TL: tl, STCL: 60, AutoRaiseTL: true}
-		if _, err := core.Generate(spec, w.sm, w.oracle, cfg); err != nil {
+		if _, err := core.Generate(spec, w.env.SM, w.env.Oracle, cfg); err != nil {
 			t.Fatalf("TL %g: %v", tl, err)
 		}
 	}
@@ -83,10 +83,10 @@ func TestOracleAnswersNotWritten(t *testing.T) {
 	for i := 0; i+1 < spec.NumCores(); i += 2 {
 		sessions = append(sessions, schedule.MustSession(i, i+1))
 	}
-	if _, _, err := (baseline.ThermalChecker{BlockTemps: w.oracle.BlockTemps}).Check(schedule.New(sessions...), 150); err != nil {
+	if _, _, err := (baseline.ThermalChecker{BlockTemps: w.env.Oracle.BlockTemps}).Check(schedule.New(sessions...), 150); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := baseline.OptimalThermal(spec, w.oracle.BlockTemps, 165); err != nil {
+	if _, err := baseline.OptimalThermal(spec, w.env.Oracle.BlockTemps, 165); err != nil {
 		t.Fatal(err)
 	}
 	for _, active := range [][]int{{0}, {3, 9}, {1, 4, 7, 13}} {
@@ -105,7 +105,7 @@ func TestOracleAnswersNotWritten(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			cfg := core.Config{TL: 150, STCL: 60, AutoRaiseTL: true}
-			_, errs[g] = core.Generate(spec, warm.sm, warm.oracle, cfg)
+			_, errs[g] = core.Generate(spec, warm.env.SM, warm.env.Oracle, cfg)
 		}()
 	}
 	wg.Wait()
@@ -117,7 +117,7 @@ func TestOracleAnswersNotWritten(t *testing.T) {
 	if hits, _ := sc.Stats(); hits == 0 {
 		t.Error("the store answered nothing, so its hand-outs were never checked")
 	}
-	if hits, _ := warm.oracle.Stats(); hits == 0 {
+	if hits, _ := warm.env.Oracle.Stats(); hits == 0 {
 		t.Error("the concurrent generators shared no memo entry")
 	}
 

@@ -49,9 +49,9 @@ func (o passiveNaN) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
 
 // withOracle returns a copy of s answering through o.
 func withOracle(s *System, o core.Oracle) *System {
-	w := *s
-	w.oracle = core.NewCachedOracle(o)
-	return &w
+	env := *s.env
+	env.Oracle = core.NewCachedOracle(o)
+	return &System{env: &env, store: s.store}
 }
 
 // TestOracleContractPassiveEntriesUnread: every consumer of an Oracle reads
@@ -65,17 +65,17 @@ func TestOracleContractPassiveEntriesUnread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	masked := withOracle(sys, passiveNaN{sys.sim})
-	spec := sys.spec
+	masked := withOracle(sys, passiveNaN{sys.env.Sim})
+	spec := sys.env.Spec
 
 	rejected := 0
 	for _, stcl := range []float64{30, 60, 150} {
 		cfg := core.Config{TL: 150, STCL: stcl, AutoRaiseTL: true}
-		want, err := core.Generate(spec, sys.sm, sys.sim, cfg)
+		want, err := core.Generate(spec, sys.env.SM, sys.env.Sim, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := core.Generate(spec, masked.sm, masked.oracle, cfg)
+		got, err := core.Generate(spec, masked.env.SM, masked.env.Oracle, cfg)
 		if err != nil {
 			t.Fatalf("STCL %g: %v", stcl, err)
 		}
@@ -100,11 +100,11 @@ func TestOracleContractPassiveEntriesUnread(t *testing.T) {
 	sc := schedule.New(sessions...)
 	violated := false
 	for _, tl := range []float64{100, 120, 150, 180} {
-		wantV, wantPeak, err := baseline.ThermalChecker{BlockTemps: sys.oracle.BlockTemps}.Check(sc, tl)
+		wantV, wantPeak, err := baseline.ThermalChecker{BlockTemps: sys.env.Oracle.BlockTemps}.Check(sc, tl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotV, gotPeak, err := baseline.ThermalChecker{BlockTemps: masked.oracle.BlockTemps}.Check(sc, tl)
+		gotV, gotPeak, err := baseline.ThermalChecker{BlockTemps: masked.env.Oracle.BlockTemps}.Check(sc, tl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,11 +117,11 @@ func TestOracleContractPassiveEntriesUnread(t *testing.T) {
 		t.Error("no session violated any TL, so the checker's verdicts were never compared")
 	}
 
-	want, err := baseline.OptimalThermal(spec, sys.oracle.BlockTemps, 165)
+	want, err := baseline.OptimalThermal(spec, sys.env.Oracle.BlockTemps, 165)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := baseline.OptimalThermal(spec, masked.oracle.BlockTemps, 165)
+	got, err := baseline.OptimalThermal(spec, masked.env.Oracle.BlockTemps, 165)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestSessionMaxTempRejectsNonFiniteActiveCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := withOracle(sys, nanAt{inner: sys.sim, bad: 2})
+	bad := withOracle(sys, nanAt{inner: sys.env.Sim, bad: 2})
 	if mx, err := bad.SessionMaxTemp([]int{0, 2, 5}); err == nil || !strings.Contains(err.Error(), "core 2") {
 		t.Errorf("NaN at active core 2: got %g, %v; want an error naming core 2", mx, err)
 	}

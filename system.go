@@ -7,10 +7,9 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/oraclestore"
 	"repro/internal/schedule"
-	"repro/internal/testspec"
-	"repro/internal/thermal"
 )
 
 // System bundles everything needed to schedule one SoC: the test spec, the
@@ -26,14 +25,8 @@ import (
 // (same floorplan geometry, package, powers and solver backend) warm-starts
 // from it without re-simulating. Call Close to flush the store.
 type System struct {
-	spec   *testspec.Spec
-	model  *thermal.Model
-	sm     *core.SessionModel
-	sim    *core.SimOracle
-	oracle *core.CachedOracle
-
-	store      *oraclestore.Store
-	storeCache *oraclestore.SystemCache
+	env   *experiments.Env
+	store *oraclestore.Store
 }
 
 // SystemOptions tunes System construction beyond the spec and package.
@@ -54,43 +47,31 @@ func NewSystem(spec *TestSpec, cfg PackageConfig) (*System, error) {
 }
 
 // NewSystemWithOptions builds a System with explicit options.
+//
+// The oracle stack is an experiments.Env over the block model. The store is
+// opened before the Env claims its system file and evicted to budget after,
+// so this system's own file is the last eviction candidate.
 func NewSystemWithOptions(spec *TestSpec, cfg PackageConfig, opts SystemOptions) (*System, error) {
-	model, err := thermal.NewModel(spec.Floorplan(), cfg)
-	if err != nil {
-		return nil, fmt.Errorf("thermalsched: building thermal model: %w", err)
-	}
-	sm, err := core.NewSessionModel(model, spec.Profile(), 0)
-	if err != nil {
-		return nil, fmt.Errorf("thermalsched: building session model: %w", err)
-	}
-	sim := core.NewSimOracle(model, spec.Profile())
-	s := &System{
-		spec:  spec,
-		model: model,
-		sm:    sm,
-		sim:   sim,
-	}
-	var inner core.Oracle = sim
+	s := &System{}
 	if opts.CacheDir != "" {
 		store, err := oraclestore.Open(opts.CacheDir)
 		if err != nil {
 			return nil, fmt.Errorf("thermalsched: opening oracle cache: %w", err)
 		}
-		sc, err := store.System(oraclestore.DescForModel(model, spec.Profile()))
-		if err != nil {
-			store.Close()
-			return nil, fmt.Errorf("thermalsched: opening oracle cache: %w", err)
-		}
-		if opts.StoreBudget > 0 {
-			if _, err := store.Evict(opts.StoreBudget); err != nil {
-				store.Close()
-				return nil, fmt.Errorf("thermalsched: evicting oracle cache to budget: %w", err)
-			}
-		}
-		s.store, s.storeCache = store, sc
-		inner = sc.Wrap(sim)
+		s.store = store
 	}
-	s.oracle = core.NewCachedOracle(inner)
+	env, err := experiments.NewEnvWithOptions(spec, cfg, experiments.EnvOptions{Store: s.store})
+	if err != nil {
+		s.Close()
+		return nil, fmt.Errorf("thermalsched: %w", err)
+	}
+	s.env = env
+	if s.store != nil && opts.StoreBudget > 0 {
+		if _, err := s.store.Evict(opts.StoreBudget); err != nil {
+			s.store.Close()
+			return nil, fmt.Errorf("thermalsched: evicting oracle cache to budget: %w", err)
+		}
+	}
 	return s, nil
 }
 
@@ -106,15 +87,15 @@ func (s *System) Close() error {
 
 // OracleStats returns the memoized oracle's (hits, misses) counters — misses
 // equal the number of distinct sessions ever simulated by this System.
-func (s *System) OracleStats() (hits, misses int64) { return s.oracle.Stats() }
+func (s *System) OracleStats() (hits, misses int64) { return s.env.Oracle.Stats() }
 
 // StoreStats returns the persistent tier's (hits, misses) counters: hits are
 // sessions answered from disk instead of simulation. Zero without CacheDir.
 func (s *System) StoreStats() (hits, misses int64) {
-	if s.storeCache == nil {
+	if s.env.StoreCache == nil {
 		return 0, 0
 	}
-	return s.storeCache.Stats()
+	return s.env.StoreCache.Stats()
 }
 
 // StoreUsage returns the persistent cache directory's record-file count and
@@ -132,45 +113,45 @@ func (s *System) StoreUsage() (files int, bytes int64) {
 }
 
 // Spec returns the test spec.
-func (s *System) Spec() *TestSpec { return s.spec }
+func (s *System) Spec() *TestSpec { return s.env.Spec }
 
 // Model returns the full RC thermal model.
-func (s *System) Model() *ThermalModel { return s.model }
+func (s *System) Model() *ThermalModel { return s.env.Model }
 
 // SessionModel returns the reduced session thermal model.
-func (s *System) SessionModel() *SessionModel { return s.sm }
+func (s *System) SessionModel() *SessionModel { return s.env.SM }
 
 // GenerateSchedule runs the paper's Algorithm 1 and returns the thermal-safe
 // schedule plus its effort accounting.
 func (s *System) GenerateSchedule(cfg ScheduleConfig) (*ScheduleResult, error) {
-	return core.Generate(s.spec, s.sm, s.oracle, cfg)
+	return core.Generate(s.env.Spec, s.env.SM, s.env.Oracle, cfg)
 }
 
 // SimulateSession returns the steady-state temperature field when exactly
 // the cores in active are testing (all others idle).
 func (s *System) SimulateSession(active []int) (*SteadyResult, error) {
-	pm, err := s.spec.Profile().TestPowerMap(active)
+	pm, err := s.env.Spec.Profile().TestPowerMap(active)
 	if err != nil {
 		return nil, err
 	}
-	return s.model.SteadyState(pm)
+	return s.env.Model.SteadyState(pm)
 }
 
 // SimulateSessionTransient integrates the session's thermal transient from
 // ambient.
 func (s *System) SimulateSessionTransient(active []int, opts TransientOptions) (*TransientResult, error) {
-	pm, err := s.spec.Profile().TestPowerMap(active)
+	pm, err := s.env.Spec.Profile().TestPowerMap(active)
 	if err != nil {
 		return nil, err
 	}
-	return s.model.Transient(pm, opts)
+	return s.env.Model.Transient(pm, opts)
 }
 
 // SessionMaxTemp returns the hottest active-core temperature of a session
 // (°C) — the quantity compared against TL. A NaN or ±Inf temperature at an
 // active core is an error, as it is to the generator and the baselines.
 func (s *System) SessionMaxTemp(active []int) (float64, error) {
-	temps, err := s.oracle.BlockTemps(active)
+	temps, err := s.env.Oracle.BlockTemps(active)
 	if err != nil {
 		return 0, err
 	}
@@ -187,31 +168,31 @@ func (s *System) SessionMaxTemp(active []int) (float64, error) {
 // STC evaluates the session thermal characteristic of a candidate session
 // with unit weights — the cheap score Algorithm 1 packs against.
 func (s *System) STC(active []int) (float64, error) {
-	return s.sm.STC(active, nil)
+	return s.env.SM.STC(active, nil)
 }
 
 // SequentialSchedule returns the trivially safe one-core-per-session
 // schedule.
 func (s *System) SequentialSchedule() Schedule {
-	return baseline.Sequential(s.spec)
+	return baseline.Sequential(s.env.Spec)
 }
 
 // PowerConstrainedSchedule runs the classic greedy power-capped scheduler
 // (first-fit decreasing under a chip power budget in watts).
 func (s *System) PowerConstrainedSchedule(budget float64) (Schedule, error) {
-	return baseline.GreedyPower(s.spec, budget)
+	return baseline.GreedyPower(s.env.Spec, budget)
 }
 
 // OptimalPowerSchedule returns the minimum-session schedule under the power
 // budget (exact subset DP; core count limited, uniform test lengths only).
 func (s *System) OptimalPowerSchedule(budget float64) (Schedule, error) {
-	return baseline.OptimalPower(s.spec, budget)
+	return baseline.OptimalPower(s.env.Spec, budget)
 }
 
 // CheckSchedule simulates every session of a schedule and reports the ones
 // that reach or exceed tl, plus the schedule's peak temperature.
 func (s *System) CheckSchedule(sc Schedule, tl float64) ([]SessionViolation, float64, error) {
-	checker := baseline.ThermalChecker{BlockTemps: s.oracle.BlockTemps}
+	checker := baseline.ThermalChecker{BlockTemps: s.env.Oracle.BlockTemps}
 	return checker.Check(sc, tl)
 }
 
