@@ -621,37 +621,6 @@ func BenchmarkGridSteady(b *testing.B) {
 	}
 }
 
-// BenchmarkGridSteadyBatch measures the blocked multi-RHS solve on the
-// 16k-node grid: the Table 1 schedule's seven sessions through one
-// SteadyStateBatch call, reported per session — the number to compare against
-// BenchmarkGridSteady/n16k's per-query path.
-func BenchmarkGridSteadyBatch(b *testing.B) {
-	fp := thermalsched.Alpha21364Floorplan()
-	gm, err := thermalsched.NewGridThermalModel(fp, thermalsched.DefaultPackage(), 90, 90)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := thermalsched.AlphaWorkload()
-	pms := make([][]float64, 7)
-	for s := range pms {
-		pm := make([]float64, fp.NumBlocks())
-		for i := range pm {
-			if i%len(pms) == s {
-				pm[i] = spec.Test(i).Power
-			}
-		}
-		pms[s] = pm
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gm.SteadyStateBatch(pms); err != nil {
-			b.Fatal(err)
-		}
-	}
-	perQuery := b.Elapsed() / time.Duration(b.N*len(pms))
-	b.ReportMetric(float64(perQuery.Nanoseconds()), "ns/query")
-}
-
 // BenchmarkTable1CellGridCold is the acceptance benchmark of the grid-scale
 // candidate evaluation: one cold Table 1 cell (TL=165, STCL=60) validated on
 // a 96×96 grid-resolution oracle (18 434 nodes) with an empty memo cache per

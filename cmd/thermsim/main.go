@@ -97,9 +97,9 @@ func run(workload, flpPath, specPath, activeStr string, transient bool, duration
 			// The CG fallback builds no factor; the header already names it.
 			fs := gm.FactorStats()
 			if fs.Panels > 0 {
-				fmt.Printf("factor: %s kernel, %v numeric, %d nnz, %d panels (max width %d, %d padded zeros), batch width %d\n",
+				fmt.Printf("factor: %s kernel, %v numeric, %d nnz, %d panels (max width %d, %d padded zeros)\n",
 					fs.Mode, fs.FactorTime.Round(time.Microsecond), fs.FactorNNZ,
-					fs.Panels, fs.MaxPanelWidth, fs.PaddedZeros, fs.BatchWidth)
+					fs.Panels, fs.MaxPanelWidth, fs.PaddedZeros)
 			}
 			switch {
 			case fs.SpilledPanels > 0:

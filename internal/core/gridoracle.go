@@ -64,8 +64,8 @@ func (o *GridOracle) BlockTemps(active []int) ([]float64, error) {
 
 // BlockTempsBatch implements BatchOracle by fanning BlockTemps out across
 // GOMAXPROCS goroutines. Its one caller is phase 1, whose one-core sessions
-// each reach a sliver of the factor on the sparse-RHS path, which beats any
-// blocked multi-RHS pass over the whole factor.
+// each reach only a sliver of the factor on the sparse-RHS path, so each
+// session is its own solve.
 func (o *GridOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
 	return sweepBlockTemps(o, sessions)
 }

@@ -13,8 +13,7 @@ import (
 // GridScalePoint is one rung of the grid-resolution ladder: the Table 1
 // schedule's sessions re-simulated on an n×n grid discretisation, with the
 // solver backend and timing split that tells direct-factor
-// amortisation from per-query cost — and the batched multi-RHS pass from the
-// per-query triangular solves it replaces.
+// amortisation from per-query cost.
 type GridScalePoint struct {
 	Res        int           // grid is Res×Res cells
 	Nodes      int           // total RC nodes (2·Res² + 2)
@@ -26,7 +25,6 @@ type GridScalePoint struct {
 	FactorTime time.Duration // numeric factorization alone (inside BuildTime)
 	Shared     bool          // the rung reused a live model's factor: no numeric work
 	SolveTime  time.Duration // total per-query steady-state solve time across all sessions
-	BatchTime  time.Duration // the same sessions through one SteadyStateBatch call
 	Queries    int           // session count
 	PeakT      float64       // hottest cell over all sessions, °C
 	// Out-of-core factorization under a peak-bytes budget.
@@ -44,15 +42,6 @@ func (p GridScalePoint) PerQuery() time.Duration {
 	return p.SolveTime / time.Duration(p.Queries)
 }
 
-// PerQueryBatched returns the amortized per-session solve time when all
-// sessions ride one blocked factor pass.
-func (p GridScalePoint) PerQueryBatched() time.Duration {
-	if p.Queries == 0 {
-		return 0
-	}
-	return p.BatchTime / time.Duration(p.Queries)
-}
-
 // GridScaleResult is the grid-resolution study: the Table 1 flow (generate a
 // schedule at the mid operating point, then validate every committed session)
 // run against increasingly fine grid models of the same package.
@@ -64,12 +53,10 @@ type GridScaleResult struct {
 
 // RunGridScale generates the TL=165/STCL=60 Table 1 schedule in env, then
 // re-simulates its sessions on each grid resolution, reporting backend
-// choice, factorization fill and the per-query vs batched solve
-// timings per rung. This is the scaling probe for the sparse steady-state
-// backend: per-query time should stay near-linear in the node count because
-// the factorization is built once and reused, and the batched column should
-// sit well under the per-query one because all sessions stream the factor
-// once. opts builds every rung's grid model: a FillBudget can push fine
+// choice, factorization fill and the per-query solve timing per rung. This
+// is the scaling probe for the sparse steady-state backend: per-query time
+// should stay near-linear in the node count because the factorization is
+// built once and reused. opts builds every rung's grid model: a FillBudget can push fine
 // rungs past, or pin them under, the stock bound, and a PeakBytesBudget
 // factors them out of core (bit-identical).
 func RunGridScale(env *Env, resolutions []int, opts thermal.GridOptions) (*GridScaleResult, error) {
@@ -94,7 +81,7 @@ func RunGridScale(env *Env, resolutions []int, opts thermal.GridOptions) (*GridS
 }
 
 // runGridRung builds one r×r grid model, times its build and the sessions'
-// per-query and batched solves, and closes the model before returning so
+// per-query solves, and closes the model before returning so
 // the next rung, or a later run at this resolution, factors afresh instead
 // of sharing this rung's factor.
 func runGridRung(env *Env, r int, opts thermal.GridOptions, sessions []schedule.Session) (GridScalePoint, error) {
@@ -122,38 +109,19 @@ func runGridRung(env *Env, r int, opts thermal.GridOptions, sessions []schedule.
 		PeakResident:  fs.PeakResidentBytes,
 	}
 	prof := env.Spec.Profile()
-	pms := make([][]float64, 0, len(sessions))
-	peaks := make([]float64, 0, len(sessions))
 	for _, s := range sessions {
 		pm, err := prof.TestPowerMap(s.Cores())
 		if err != nil {
 			return GridScalePoint{}, err
 		}
-		pms = append(pms, pm)
 		t0 := time.Now()
 		gr, err := gm.SteadyState(pm)
 		pt.SolveTime += time.Since(t0)
 		if err != nil {
 			return GridScalePoint{}, fmt.Errorf("experiments: %d×%d grid solve: %w", r, r, err)
 		}
-		peaks = append(peaks, gr.MaxTemp())
 		if mt := gr.MaxTemp(); mt > pt.PeakT {
 			pt.PeakT = mt
-		}
-	}
-	t0 := time.Now()
-	batch, err := gm.SteadyStateBatch(pms)
-	pt.BatchTime = time.Since(t0)
-	if err != nil {
-		return GridScalePoint{}, fmt.Errorf("experiments: %d×%d grid batch solve: %w", r, r, err)
-	}
-	// The batched pass must reproduce the per-query answers bit for bit —
-	// cheap to verify here, and it keeps every ladder run an end-to-end
-	// identity check of the fast path.
-	for i, gr := range batch {
-		if gr.MaxTemp() != peaks[i] {
-			return GridScalePoint{}, fmt.Errorf("experiments: %d×%d batched solve diverged at session %d: %g vs %g",
-				r, r, i, gr.MaxTemp(), peaks[i])
 		}
 	}
 	return pt, nil
@@ -164,8 +132,8 @@ func (g *GridScaleResult) Render() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Grid-resolution ladder — Table 1 schedule (TL=%.0f, STCL=%.0f, %d sessions) on n×n grids\n",
 		g.TL, g.STCL, g.Sessions)
-	fmt.Fprintf(&sb, "%6s %8s %9s %10s %7s %7s %10s %16s %12s %12s %12s %12s %9s\n",
-		"grid", "nodes", "nnz", "factor", "panels", "spilled", "resident", "backend", "build", "numeric", "per-query", "batch/query", "peak °C")
+	fmt.Fprintf(&sb, "%6s %8s %9s %10s %7s %7s %10s %16s %12s %12s %12s %9s\n",
+		"grid", "nodes", "nnz", "factor", "panels", "spilled", "resident", "backend", "build", "numeric", "per-query", "peak °C")
 	for _, p := range g.Points {
 		resident := "-"
 		if p.SpilledPanels > 0 {
@@ -175,12 +143,11 @@ func (g *GridScaleResult) Render() string {
 		if p.Shared {
 			numeric = "shared"
 		}
-		fmt.Fprintf(&sb, "%3dx%-3d %8d %9d %10d %7d %7d %10s %16s %12s %12s %12s %12s %9.2f\n",
+		fmt.Fprintf(&sb, "%3dx%-3d %8d %9d %10d %7d %7d %10s %16s %12s %12s %12s %9.2f\n",
 			p.Res, p.Res, p.Nodes, p.NNZ, p.FactorNNZ, p.Panels,
 			p.SpilledPanels, resident, p.Backend,
 			p.BuildTime.Round(time.Microsecond), numeric,
-			p.PerQuery().Round(time.Microsecond),
-			p.PerQueryBatched().Round(time.Microsecond), p.PeakT)
+			p.PerQuery().Round(time.Microsecond), p.PeakT)
 	}
 	return sb.String()
 }

@@ -135,42 +135,6 @@ func BenchmarkCholeskySolveSparseND(b *testing.B) {
 	}
 }
 
-// BenchmarkCholeskySolveManyND times the blocked multi-RHS pass (the panel
-// kernel) on the same factor as BenchmarkCholeskySolveSparseND, with k dense
-// right-hand sides per call; ns/rhs is the figure to set against one
-// SolveInto.
-func BenchmarkCholeskySolveManyND(b *testing.B) {
-	for _, n := range []int{4096, 16384} {
-		for _, k := range []int{4, 16} {
-			b.Run(fmt.Sprintf("n%d/k%d", n, k), func(b *testing.B) {
-				nx, ny := benchDims(n)
-				s := buildLaplacian(nx, ny)
-				sym, err := NewCholSymbolic(s, NestedDissectionGrid(nx, ny, 1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				ch, err := sym.Supernodes(SupernodalOptions{}).Factorize(s)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rhs, dst := make([][]float64, k), make([][]float64, k)
-				for r := range rhs {
-					rhs[r] = make([]float64, n)
-					rhs[r][(r+1)*n/(k+1)] = 1
-					dst[r] = make([]float64, n)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := ch.SolveManyInto(dst, rhs); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/rhs")
-			})
-		}
-	}
-}
-
 // BenchmarkSolveCGJacobi and BenchmarkSolveCGIC0 time the iterative fallback
 // per query at the grid solver's production tolerance, for the PERF.md
 // direct-vs-iterative comparison.

@@ -131,73 +131,11 @@ func TestSolveSparseIntoBitIdenticalToSolveInto(t *testing.T) {
 	}
 }
 
-func TestSolveManyIntoBitIdenticalToSolveInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	for _, ord := range solveOrderings {
-		s := randConductance(257, rng)
-		ch := factorWith(t, s, ord.perm(257))
-		for _, k := range []int{0, 1, 2, 5, 17} {
-			bs := make([][]float64, k)
-			want := make([][]float64, k)
-			got := make([][]float64, k)
-			for r := 0; r < k; r++ {
-				bs[r] = make([]float64, 257)
-				for i := range bs[r] {
-					bs[r][i] = rng.NormFloat64()
-				}
-				want[r] = make([]float64, 257)
-				got[r] = make([]float64, 257)
-				if err := ch.SolveInto(want[r], bs[r]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := ch.SolveManyInto(got, bs); err != nil {
-				t.Fatal(err)
-			}
-			for r := 0; r < k; r++ {
-				for i := range want[r] {
-					if math.Float64bits(want[r][i]) != math.Float64bits(got[r][i]) {
-						t.Fatalf("%s k=%d: rhs %d differs at index %d: %g vs %g",
-							ord.name, k, r, i, got[r][i], want[r][i])
-					}
-				}
-			}
-		}
-		// dst aliasing b, as the grid batch path uses it.
-		alias := make([][]float64, 3)
-		want := make([][]float64, 3)
-		for r := range alias {
-			alias[r] = make([]float64, 257)
-			want[r] = make([]float64, 257)
-			for i := range alias[r] {
-				alias[r][i] = rng.NormFloat64()
-			}
-			if err := ch.SolveInto(want[r], alias[r]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := ch.SolveManyInto(alias, alias); err != nil {
-			t.Fatal(err)
-		}
-		for r := range alias {
-			for i := range alias[r] {
-				if math.Float64bits(alias[r][i]) != math.Float64bits(want[r][i]) {
-					t.Fatalf("%s aliased batch differs at rhs %d index %d", ord.name, r, i)
-				}
-			}
-		}
-		if err := ch.SolveManyInto(make([][]float64, 2), make([][]float64, 3)); err == nil {
-			t.Error("mismatched batch shapes should fail")
-		}
-	}
-}
-
-// TestSolveManyIntoChunkRemaindersBitIdentical: the panel kernel runs four
-// right-hand sides at a time and the remainder one at a time, so every batch
-// width from 1 to 9, and 16 and 17, must answer bit for bit like SolveInto —
-// on two-layer nested-dissection grids with a hub, over uniform and padded
-// panels, with the factor in core and streamed from a spill file.
-func TestSolveManyIntoChunkRemaindersBitIdentical(t *testing.T) {
+// TestSpilledSolveIntoNDGridBitIdentical: the out-of-core solve streams each
+// panel and runs its columns at segment offsets, so on two-layer
+// nested-dissection grids with a hub, over uniform and padded panels, a
+// spilled factor must answer bit for bit like the in-core factor.
+func TestSpilledSolveIntoNDGridBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, d := range []int{24, 64} {
 		s, perm := layeredGrid(d, d, 2, rng)
@@ -228,37 +166,20 @@ func TestSolveManyIntoChunkRemaindersBitIdentical(t *testing.T) {
 			t.Fatalf("%d²: budget %d spilled nothing", d, budget)
 		}
 		n := s.n
-		for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17} {
-			bs, want := make([][]float64, k), make([][]float64, k)
-			for r := range bs {
-				bs[r] = make([]float64, n)
-				for i := range bs[r] {
-					bs[r][i] = rng.NormFloat64()
-				}
-				want[r] = make([]float64, n)
-				if err := inCore.SolveInto(want[r], bs[r]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, f := range []struct {
-				name string
-				ch   *SparseCholesky
-			}{{"in core", inCore}, {"spilled", spilled}} {
-				got := make([][]float64, k)
-				for r := range got {
-					got[r] = make([]float64, n)
-				}
-				if err := f.ch.SolveManyInto(got, bs); err != nil {
-					t.Fatal(err)
-				}
-				for r := range got {
-					for i := range got[r] {
-						if math.Float64bits(got[r][i]) != math.Float64bits(want[r][i]) {
-							t.Fatalf("%s %d² k=%d: rhs %d differs from SolveInto at %d: %v vs %v",
-								f.name, d, k, r, i, got[r][i], want[r][i])
-						}
-					}
-				}
+		b, want, got := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		if err := inCore.SolveInto(want, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := spilled.SolveInto(got, b); err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%d²: spilled SolveInto differs from in core at %d: %v vs %v",
+					d, i, got[i], want[i])
 			}
 		}
 		if err := spilled.Close(); err != nil {

@@ -331,16 +331,15 @@ func (sym *CholSymbolic) Factorize(s *Sparse) (*SparseCholesky, error) {
 // and streamed back per solve pass; all solve entry points answer
 // bit-identically either way. Close such a factor to release the spill file.
 type SparseCholesky struct {
-	sym      *CholSymbolic
-	panels   *SuperSymbolic // non-nil when built by SuperSymbolic.Factorize
-	lp       []int          // column pointers (shared with sym.colPtr)
-	li       []int          // row indices
-	lx       []float64      // flat values; nil for out-of-core factors
-	segs     [][]float64    // per-panel values (out-of-core); nil entry = spilled
-	spill    *spillStore    // nil unless some panel is on disk
-	pool     sync.Pool      // *[]float64 scratch, len n
-	spPool   sync.Pool      // *[]uint64 closure bitset for sparse-RHS solves
-	mrhsPool sync.Pool      // *[]float64 interleaved multi-RHS workspace
+	sym    *CholSymbolic
+	panels *SuperSymbolic // non-nil when built by SuperSymbolic.Factorize
+	lp     []int          // column pointers (shared with sym.colPtr)
+	li     []int          // row indices
+	lx     []float64      // flat values; nil for out-of-core factors
+	segs   [][]float64    // per-panel values (out-of-core); nil entry = spilled
+	spill  *spillStore    // nil unless some panel is on disk
+	pool   sync.Pool      // *[]float64 scratch, len n
+	spPool sync.Pool      // *[]uint64 closure bitset for sparse-RHS solves
 
 	spillStats SpillStats
 }
@@ -368,10 +367,6 @@ func (sym *CholSymbolic) newFactor(li []int, values bool) *SparseCholesky {
 	}
 	ch.spPool.New = func() any {
 		b := make([]uint64, (n+63)/64)
-		return &b
-	}
-	ch.mrhsPool.New = func() any {
-		b := []float64(nil)
 		return &b
 	}
 	return ch
@@ -436,7 +431,8 @@ func (c *SparseCholesky) Solve(b []float64) ([]float64, error) {
 
 // SolveInto solves A·x = b into dst, mirroring the dense Cholesky API; an
 // in-core factor runs the column loops, with the backward pass lane-paired
-// over disjoint elimination subtrees (see applyFactor). dst may alias
+// over disjoint elimination subtrees, and an out-of-core factor streams its
+// panels through the same per-column operations (see applyFactor). dst may alias
 // b: the right-hand side is fully gathered into an internal work vector
 // before dst is written. The work vector is pooled, so the call is
 // allocation-free in steady state and safe for concurrent use.
@@ -452,7 +448,7 @@ func (c *SparseCholesky) SolveInto(dst, b []float64) error {
 	for k := 0; k < n; k++ {
 		w[k] = b[perm[k]]
 	}
-	if err := c.applyFactor(w, 1); err != nil {
+	if err := c.applyFactor(w); err != nil {
 		c.pool.Put(wp)
 		return err
 	}
@@ -464,53 +460,21 @@ func (c *SparseCholesky) SolveInto(dst, b []float64) error {
 }
 
 // applyFactor runs the forward (L·y = w) and backward (Lᵀ·z = y) triangular
-// solves in place on w, which holds k interleaved right-hand sides in permuted
-// order (entry j of RHS r at w[j*k+r]). One RHS on an in-core factor runs
-// the column loops, which beat the panel kernel at k = 1: forwardColumn over
-// each column sliced once, and the lane-scheduled backward pass, which
-// advances two independent subtrees at once. Batches and out-of-core factors
-// run the panel kernel, which keeps four right-hand sides' running sums in
-// registers, or interleaved column loops on a scalar factor. All apply every
+// solves in place on one permuted right-hand side w. An in-core factor runs
+// the column loops: forwardColumn over each column sliced once, and the
+// lane-scheduled backward pass, which advances two independent subtrees at
+// once. An out-of-core factor runs the same column loops panel at a time
+// over streamed value segments (SuperSymbolic.apply). Both apply every
 // per-entry operation in the same order, so they are bit-identical. Only the
 // out-of-core streaming path can fail.
-func (c *SparseCholesky) applyFactor(w []float64, k int) error {
-	n := c.sym.n
-	if k == 1 && c.segs == nil {
-		for j := 0; j < n; j++ {
-			c.forwardColumn(w, j)
-		}
-		c.backward(w)
-		return nil
+func (c *SparseCholesky) applyFactor(w []float64) error {
+	if c.segs != nil {
+		return c.panels.apply(c, w)
 	}
-	if c.panels != nil {
-		return c.panels.apply(c, w, k)
+	for j := range w {
+		c.forwardColumn(w, j)
 	}
-	for j := 0; j < n; j++ {
-		base := j * k
-		d := c.lx[c.lp[j]]
-		for r := 0; r < k; r++ {
-			w[base+r] /= d
-		}
-		for p := c.lp[j] + 1; p < c.lp[j+1]; p++ {
-			ib, v := c.li[p]*k, c.lx[p]
-			for r := 0; r < k; r++ {
-				w[ib+r] -= v * w[base+r]
-			}
-		}
-	}
-	for j := n - 1; j >= 0; j-- {
-		base := j * k
-		for p := c.lp[j] + 1; p < c.lp[j+1]; p++ {
-			ib, v := c.li[p]*k, c.lx[p]
-			for r := 0; r < k; r++ {
-				w[base+r] -= v * w[ib+r]
-			}
-		}
-		d := c.lx[c.lp[j]]
-		for r := 0; r < k; r++ {
-			w[base+r] /= d
-		}
-	}
+	c.backward(w)
 	return nil
 }
 
@@ -646,7 +610,7 @@ func (c *SparseCholesky) SolveSparseInto(dst, b []float64, nz []int) error {
 	if c.segs != nil || float64(lnz) > closureShare*float64(c.sym.LNNZ()) {
 		// An out-of-core factor always runs the full solve: it has no flat
 		// lx for the closure loops to walk.
-		if err := c.applyFactor(w, 1); err != nil {
+		if err := c.applyFactor(w); err != nil {
 			return err
 		}
 	} else {
@@ -681,76 +645,3 @@ func (c *SparseCholesky) SolveSparseInto(dst, b []float64, nz []int) error {
 
 // inSet reports whether column k is in the bitset in.
 func inSet(in []uint64, k int) bool { return in[k>>6]>>(uint(k)&63)&1 != 0 }
-
-// SolveManyInto solves A·xᵣ = bᵣ for all right-hand sides b[0..k) in one
-// blocked pass over the factor: each column of L is loaded once and applied
-// to all k work vectors (interleaved layout), so the memory traffic over a
-// multi-megabyte factor — the cost that dominates grid-scale solves — is paid
-// once instead of k times. On a supernodal factor the panel kernel keeps the
-// running sums of four right-hand sides at a time in registers and solves a
-// remainder of k mod 4 one at a time. Every solution is bit-identical to a
-// SolveInto on its own right-hand side (per-vector operations run in the same
-// order), so batched and per-query paths may be mixed freely. dst[r] may
-// alias b[r]; the workspace is pooled, so the call is allocation-free in
-// steady state and safe for concurrent use.
-func (c *SparseCholesky) SolveManyInto(dst, b [][]float64) error {
-	if len(dst) != len(b) {
-		return fmt.Errorf("%w: SolveManyInto with %d dst vectors, %d rhs", ErrShape, len(dst), len(b))
-	}
-	k := len(b)
-	if k == 0 {
-		return nil
-	}
-	n := c.sym.n
-	for r := 0; r < k; r++ {
-		if len(b[r]) != n || len(dst[r]) != n {
-			return fmt.Errorf("%w: SolveManyInto rhs %d has len(dst)=%d, len(b)=%d, n=%d",
-				ErrShape, r, len(dst[r]), len(b[r]), n)
-		}
-	}
-	wp := c.mrhsPool.Get().(*[]float64)
-	if cap(*wp) < k*n {
-		*wp = make([]float64, k*n)
-	}
-	w := (*wp)[:k*n]
-	perm := c.sym.perm
-	for j := 0; j < n; j++ {
-		pj, base := perm[j], j*k
-		for r := 0; r < k; r++ {
-			w[base+r] = b[r][pj]
-		}
-	}
-	if err := c.applyFactor(w, k); err != nil {
-		c.mrhsPool.Put(wp)
-		return err
-	}
-	for j := 0; j < n; j++ {
-		pj, base := perm[j], j*k
-		for r := 0; r < k; r++ {
-			dst[r][pj] = w[base+r]
-		}
-	}
-	c.mrhsPool.Put(wp)
-	return nil
-}
-
-// PreferredBatchWidth returns the multi-RHS chunk width that best feeds this
-// factor's solve kernel. Wider chunks amortize each factor load over more
-// right-hand sides, but the interleaved panel rows and the packed below-row
-// buffer (maxRows·k doubles) must stay cache-resident or the blocked backward
-// pass thrashes; the heuristic targets that streaming working set at ≤256 KiB
-// and clamps to [8, 32] in multiples of four so the per-RHS inner loops
-// unroll cleanly. Scalar factors keep the historical width of 16.
-func (c *SparseCholesky) PreferredBatchWidth() int {
-	if c.panels == nil {
-		return 16
-	}
-	k := 32768 / (c.panels.maxRows + 32)
-	if k < 8 {
-		k = 8
-	}
-	if k > 32 {
-		k = 32
-	}
-	return k &^ 3
-}

@@ -518,7 +518,7 @@ func (ctl *spillCtl) seg(d int) ([]float64, int, error) {
 // ErrPeakBudget. Persistent spill-write failures degrade the run to fully
 // in-core (see SpillStats.Degraded) rather than failing it.
 //
-// The returned factor answers SolveInto/SolveManyInto/SolveSparseInto
+// The returned factor answers SolveInto and SolveSparseInto
 // bit-identically to an in-core factor, streaming spilled panels per solve
 // pass. Callers should Close it to release the spill file promptly; a
 // finalizer covers factors dropped without Close.

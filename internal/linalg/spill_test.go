@@ -106,7 +106,7 @@ func TestSpilledSolveBitIdentical(t *testing.T) {
 		}
 	}
 
-	// SolveInto, SolveManyInto and SolveSparseInto all stream identically.
+	// SolveInto and SolveSparseInto both stream identically.
 	rhs := make([][]float64, 4)
 	for r := range rhs {
 		rhs[r] = make([]float64, n)
@@ -126,25 +126,6 @@ func TestSpilledSolveBitIdentical(t *testing.T) {
 		for i := range got {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("SolveInto rhs %d entry %d: %x vs %x", r, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-			}
-		}
-	}
-	wantM := make([][]float64, len(rhs))
-	gotM := make([][]float64, len(rhs))
-	for r := range rhs {
-		wantM[r] = make([]float64, n)
-		gotM[r] = make([]float64, n)
-	}
-	if err := inCore.SolveManyInto(wantM, rhs); err != nil {
-		t.Fatal(err)
-	}
-	if err := spilled.SolveManyInto(gotM, rhs); err != nil {
-		t.Fatal(err)
-	}
-	for r := range rhs {
-		for i := range gotM[r] {
-			if math.Float64bits(gotM[r][i]) != math.Float64bits(wantM[r][i]) {
-				t.Fatalf("SolveManyInto rhs %d entry %d differs", r, i)
 			}
 		}
 	}

@@ -583,192 +583,45 @@ func (ss *SuperSymbolic) factorPanel(sn int, s *Sparse, lp, li []int, sc *superS
 	return nil
 }
 
-// apply runs the forward and backward triangular solves panel-at-a-time on
-// the interleaved k-RHS workspace w (entry j of RHS r at w[j*k+r]). Uniform
-// panels run dense: the block triangle needs no row indices at all, and the
-// below-row updates stream the factor's packed column tails — the forward
-// pass row-outer (each below row's panel coefficients gathered once), the
-// backward pass against a gather of the below rows' solution values. Every
-// sum that runs down a column or across a row — the forward pass's below
-// rows, both backward passes — goes through subRows/subRowsAt, which keep
-// four right-hand sides' running sums in registers instead of storing each
-// partial sum back to w. Every per-entry operation order matches the
-// per-column loops exactly (block terms before below terms, source columns
-// ascending), so results are bit-identical to the scalar solve paths. It
-// serves batches (k > 1) and out-of-core factors; in-core single-RHS solves
-// run the column loops (see applyFactor).
-//
-// Out-of-core factors stream each spilled panel's value segment into a pooled
-// buffer as the pass reaches it (so each pass touches one panel at a time and
-// the resident overhead per solve is one max-size segment); in-core factors
-// index the single lx array with offset 0, which the compiler folds away.
-func (ss *SuperSymbolic) apply(c *SparseCholesky, w []float64, k int) error {
+// apply runs the forward and backward triangular solves on one permuted
+// right-hand side w for an out-of-core factor, panel at a time: each pass
+// streams a spilled panel's value segment into a pooled buffer as it reaches
+// the panel (so the resident overhead per solve is one max-size segment) and
+// runs that panel's columns as the in-core column loops do, indexing the
+// segment at p-off. Every entry receives the same subtractions in the same
+// order as SolveInto on an in-core factor, so the results are bit-identical.
+func (ss *SuperSymbolic) apply(c *SparseCholesky, w []float64) error {
 	lp, li := c.lp, c.li
-	sp := c.mrhsPool.Get().(*[]float64)
-	need := ss.maxW + ss.maxRows*k
-	if cap(*sp) < need {
-		*sp = make([]float64, need)
-	}
-	scratch := (*sp)[:need]
-	vb, packed := scratch[:ss.maxW], scratch[ss.maxW:]
 	var segBuf *[]float64
 	if c.spill != nil {
 		segBuf = c.spill.pool.Get().(*[]float64)
-	}
-	release := func() {
-		if segBuf != nil {
-			c.spill.pool.Put(segBuf)
-		}
-		c.mrhsPool.Put(sp)
+		defer c.spill.pool.Put(segBuf)
 	}
 	for sn := 0; sn < ss.ns; sn++ {
-		f, l := ss.first[sn], ss.first[sn+1]
-		lx, off := c.lx, 0
-		if c.segs != nil {
-			var err error
-			if lx, off, err = c.panelVals(sn, segBuf); err != nil {
-				release()
-				return err
-			}
+		lx, off, err := c.panelVals(sn, segBuf)
+		if err != nil {
+			return err
 		}
-		if !ss.uniform[sn] {
-			for j := f; j < l; j++ {
-				pj := lp[j] - off
-				y := w[j*k : j*k+k]
-				d := lx[pj]
-				for r := range y {
-					y[r] /= d
-				}
-				for p := lp[j] + 1; p < lp[j+1]; p++ {
-					row, v := w[li[p]*k:][:len(y)], lx[p-off]
-					for r, yr := range y {
-						row[r] -= v * yr
-					}
-				}
+		for j := ss.first[sn]; j < ss.first[sn+1]; j++ {
+			yj := w[j] / lx[lp[j]-off]
+			w[j] = yj
+			for p := lp[j] + 1; p < lp[j+1]; p++ {
+				w[li[p]] -= lx[p-off] * yj
 			}
-			continue
-		}
-		rowsB := ss.rows[ss.rptr[sn]:ss.rptr[sn+1]]
-		for j := f; j < l; j++ {
-			pj := lp[j] - off
-			y := w[j*k : j*k+k]
-			d := lx[pj]
-			for r := range y {
-				y[r] /= d
-			}
-			p := pj + 1
-			for i := j + 1; i < l; i++ {
-				row, v := w[i*k:][:len(y)], lx[p]
-				p++
-				for r, yr := range y {
-					row[r] -= v * yr
-				}
-			}
-		}
-		vr := vb[:l-f]
-		for t, row := range rowsB {
-			for j := f; j < l; j++ {
-				vr[j-f] = lx[lp[j]+1+(l-1-j)+t-off]
-			}
-			rb := int(row) * k
-			subRows(w[rb:rb+k], vr, w[f*k:], k)
 		}
 	}
 	for sn := ss.ns - 1; sn >= 0; sn-- {
-		f, l := ss.first[sn], ss.first[sn+1]
-		lx, off := c.lx, 0
-		if c.segs != nil {
-			var err error
-			if lx, off, err = c.panelVals(sn, segBuf); err != nil {
-				release()
-				return err
-			}
+		lx, off, err := c.panelVals(sn, segBuf)
+		if err != nil {
+			return err
 		}
-		if !ss.uniform[sn] {
-			for j := l - 1; j >= f; j-- {
-				pj, pe := lp[j]-off, lp[j+1]-off
-				x := w[j*k : j*k+k]
-				subRowsAt(x, lx[pj+1:pe], li[lp[j]+1:lp[j+1]], w, k)
-				d := lx[pj]
-				for r := range x {
-					x[r] /= d
-				}
+		for j := ss.first[sn+1] - 1; j >= ss.first[sn]; j-- {
+			s := w[j]
+			for p := lp[j] + 1; p < lp[j+1]; p++ {
+				s -= lx[p-off] * w[li[p]]
 			}
-			continue
-		}
-		rowsB := ss.rows[ss.rptr[sn]:ss.rptr[sn+1]]
-		nb := len(rowsB)
-		pk := packed[:nb*k]
-		for t, row := range rowsB {
-			copy(pk[t*k:t*k+k], w[int(row)*k:int(row)*k+k])
-		}
-		for j := l - 1; j >= f; j-- {
-			pj, m := lp[j]-off, l-1-j
-			x := w[j*k : j*k+k]
-			subRows(x, lx[pj+1:pj+1+m], w[(j+1)*k:], k)
-			subRows(x, lx[pj+1+m:pj+1+m+nb], pk, k)
-			d := lx[pj]
-			for r := range x {
-				x[r] /= d
-			}
+			w[j] = s / lx[lp[j]-off]
 		}
 	}
-	release()
 	return nil
-}
-
-// subRows subtracts Σ_q vals[q]·src[q·k+r] from dst[r] for every r, each
-// sum's terms in ascending q — the order of the per-column loops, so the
-// result is bit-identical to them. Four right-hand sides' running sums stay
-// in registers at a time, the remainder runs one at a time.
-func subRows(dst, vals, src []float64, k int) {
-	r := 0
-	for ; r+4 <= len(dst); r += 4 {
-		d := dst[r : r+4 : r+4]
-		s0, s1, s2, s3 := d[0], d[1], d[2], d[3]
-		o := r
-		for _, v := range vals {
-			x := src[o : o+4 : o+4]
-			s0 -= v * x[0]
-			s1 -= v * x[1]
-			s2 -= v * x[2]
-			s3 -= v * x[3]
-			o += k
-		}
-		d[0], d[1], d[2], d[3] = s0, s1, s2, s3
-	}
-	for ; r < len(dst); r++ {
-		s, o := dst[r], r
-		for _, v := range vals {
-			s -= v * src[o]
-			o += k
-		}
-		dst[r] = s
-	}
-}
-
-// subRowsAt is subRows with source row q at w[rows[q]·k:].
-func subRowsAt(dst, vals []float64, rows []int, w []float64, k int) {
-	rows = rows[:len(vals)]
-	r := 0
-	for ; r+4 <= len(dst); r += 4 {
-		d := dst[r : r+4 : r+4]
-		s0, s1, s2, s3 := d[0], d[1], d[2], d[3]
-		for q, v := range vals {
-			o := rows[q]*k + r
-			x := w[o : o+4 : o+4]
-			s0 -= v * x[0]
-			s1 -= v * x[1]
-			s2 -= v * x[2]
-			s3 -= v * x[3]
-		}
-		d[0], d[1], d[2], d[3] = s0, s1, s2, s3
-	}
-	for ; r < len(dst); r++ {
-		s := dst[r]
-		for q, v := range vals {
-			s -= v * w[rows[q]*k+r]
-		}
-		dst[r] = s
-	}
 }

@@ -74,45 +74,24 @@ func TestSupernodalBitIdentical(t *testing.T) {
 			requireSameFactor(t, scalar, super)
 			_ = oi
 
-			// Solves must match bit for bit too: single RHS and batched,
-			// scalar path vs panel path.
+			// Solves must match bit for bit too: scalar factor vs supernodal factor.
 			n := c.s.n
-			k := 5
-			b := make([][]float64, k)
-			xScalar := make([][]float64, k)
-			xSuper := make([][]float64, k)
-			for r := 0; r < k; r++ {
-				b[r] = make([]float64, n)
-				for i := range b[r] {
-					b[r][i] = rng.NormFloat64()
-				}
-				xScalar[r] = make([]float64, n)
-				xSuper[r] = make([]float64, n)
+			b := make([]float64, n)
+			for i := range b {
+				b[i] = rng.NormFloat64()
 			}
-			if err := scalar.SolveInto(xScalar[0], b[0]); err != nil {
+			xScalar := make([]float64, n)
+			xSuper := make([]float64, n)
+			if err := scalar.SolveInto(xScalar, b); err != nil {
 				t.Fatal(err)
 			}
-			if err := super.SolveInto(xSuper[0], b[0]); err != nil {
+			if err := super.SolveInto(xSuper, b); err != nil {
 				t.Fatal(err)
 			}
-			for i := range xScalar[0] {
-				if math.Float64bits(xScalar[0][i]) != math.Float64bits(xSuper[0][i]) {
+			for i := range xScalar {
+				if math.Float64bits(xScalar[i]) != math.Float64bits(xSuper[i]) {
 					t.Fatalf("%s opts[%d]: SolveInto differs at %d: %g vs %g",
-						c.name, oi, i, xScalar[0][i], xSuper[0][i])
-				}
-			}
-			if err := scalar.SolveManyInto(xScalar, b); err != nil {
-				t.Fatal(err)
-			}
-			if err := super.SolveManyInto(xSuper, b); err != nil {
-				t.Fatal(err)
-			}
-			for r := 0; r < k; r++ {
-				for i := range xScalar[r] {
-					if math.Float64bits(xScalar[r][i]) != math.Float64bits(xSuper[r][i]) {
-						t.Fatalf("%s opts[%d]: SolveManyInto rhs %d differs at %d",
-							c.name, oi, r, i)
-					}
+						c.name, oi, i, xScalar[i], xSuper[i])
 				}
 			}
 		}

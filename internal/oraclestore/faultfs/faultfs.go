@@ -6,6 +6,7 @@ package faultfs
 
 import (
 	"os"
+	"strconv"
 	"sync"
 	"time"
 
@@ -16,11 +17,11 @@ import (
 // FaultOp names one class of filesystem operation a Fault can target.
 type FaultOp int
 
+// The operations start at 1, so a Fault that leaves Op unset names none of
+// them and Inject rejects it.
 const (
-	// OpAny matches every operation below.
-	OpAny FaultOp = iota
 	// OpOpen is FS.OpenFile — opening a record file.
-	OpOpen
+	OpOpen FaultOp = iota + 1
 	// OpCreate is FS.CreateTemp — the first half of atomic file creation
 	// (and of the health probe).
 	OpCreate
@@ -39,19 +40,22 @@ const (
 	OpChtimes
 )
 
-var faultOpNames = [...]string{"any", "open", "create", "rename", "remove", "append", "sync", "truncate", "chtimes"}
+var faultOpNames = [...]string{"open", "create", "rename", "remove", "append", "sync", "truncate", "chtimes"}
 
 func (o FaultOp) String() string {
-	if int(o) < len(faultOpNames) {
-		return faultOpNames[o]
+	if o.valid() {
+		return faultOpNames[o-OpOpen]
 	}
 	return "unknown"
 }
 
-// Fault is one armed failure rule. The zero value of every selector is the
-// permissive default: match every op of the kind, fire forever.
+// valid reports whether o is one of the named operations.
+func (o FaultOp) valid() bool { return o >= OpOpen && o <= OpChtimes }
+
+// Fault is one armed failure rule against one kind of operation; Count's
+// zero value fires forever.
 type Fault struct {
-	// Op selects the operations the fault applies to.
+	// Op selects the operations the fault applies to. It must be set.
 	Op FaultOp
 	// Err is the error injected (syscall.EIO, syscall.ENOSPC, ...).
 	Err error
@@ -92,8 +96,12 @@ func New(inner oraclestore.FS) *FaultFS {
 }
 
 // Inject arms a fault. Multiple faults may be armed; the first one that
-// matches and fires wins per operation.
+// matches and fires wins per operation. It panics when fault.Op is not one
+// of the named operations.
 func (f *FaultFS) Inject(fault Fault) {
+	if !fault.Op.valid() {
+		panic("faultfs: Inject with unnamed operation " + strconv.Itoa(int(fault.Op)))
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.faults = append(f.faults, &faultState{Fault: fault})
@@ -128,7 +136,7 @@ func (f *FaultFS) check(op FaultOp) (err error, torn int) {
 	defer f.mu.Unlock()
 	f.ops[op]++
 	for _, st := range f.faults {
-		if st.Op != OpAny && st.Op != op {
+		if st.Op != op {
 			continue
 		}
 		if st.Count > 0 && st.fired >= st.Count {

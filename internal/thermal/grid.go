@@ -73,15 +73,15 @@ func (o GridOptions) Canonical() GridOptions {
 //
 // The steady-state backend is a sparse Cholesky factored once at
 // construction — under the geometric nested-dissection ordering, with the
-// supernodal panel kernel, out of core when GridOptions.PeakBytesBudget
-// demands it — so every SteadyState query costs two sparse triangular
-// solves, the backward one advancing two independent elimination subtrees
-// at once; SteadyStateActive restricts both solves to the elimination-tree
-// closure of the active power footprint, answering only the cells a
-// validation query reads; that is what makes per-session oracle sweeps over
-// one floorplan cheap at grid scale. SteadyStateBatch amortises one factor
-// pass over many whole-field queries; the gridres ladder and a benchmark use
-// it. Resolutions whose factor would exceed the fill budget fall back to
+// supernodal factorization kernel, out of core when
+// GridOptions.PeakBytesBudget demands it — so every SteadyState query costs
+// two sparse triangular solves on its one right-hand side, the backward one
+// advancing two independent elimination subtrees at once; SteadyStateActive
+// restricts both solves to the elimination-tree closure of the active power
+// footprint, answering only the cells a validation query reads; that is what
+// makes per-session oracle sweeps over one floorplan cheap at grid scale.
+// Many queries fan out as concurrent solves against the one factor.
+// Resolutions whose factor would exceed the fill budget fall back to
 // IC(0)-preconditioned conjugate gradients with pooled scratch. GridModel is
 // safe for concurrent queries.
 //
@@ -107,7 +107,6 @@ type GridModel struct {
 	peakBudget int64 // resident-bytes bound; 0 = unbudgeted
 	spillDir   string
 	spillFS    linalg.SpillFS
-	batchWidth int // resolved multi-RHS chunk width
 	stats      GridFactorStats
 	share      *factorRef // hold on the process-wide factor; nil when per-model
 
@@ -169,11 +168,6 @@ func NewGridModelWithOptions(fp *floorplan.Floorplan, cfg PackageConfig, nx, ny 
 		}
 	} else if err := g.shareSolver(newGridFactorKey(cfg, die.W, die.H, nx, ny, opts)); err != nil {
 		return nil, err
-	}
-	// Resolve the multi-RHS chunk width once the factor's panel geometry is
-	// known (see PreferredBatchWidth for the cache reasoning).
-	if g.chol != nil {
-		g.batchWidth = g.chol.PreferredBatchWidth()
 	}
 	size := 2*g.numCells() + 2
 	g.rhsPool.New = func() any {
@@ -330,17 +324,11 @@ type GridFactorStats struct {
 	// SpillDegraded reports that spill I/O failures forced the breaker: the
 	// factor completed fully in core with the budget waived.
 	SpillDegraded bool
-	// BatchWidth is the resolved SteadyStateBatch chunk width.
-	BatchWidth int
 }
 
 // FactorStats returns the factorization cost profile recorded at
 // construction.
-func (g *GridModel) FactorStats() GridFactorStats {
-	s := g.stats
-	s.BatchWidth = g.batchWidth
-	return s
-}
+func (g *GridModel) FactorStats() GridFactorStats { return g.stats }
 
 // Close releases what the solver backend holds beyond the model itself: the
 // spill file of an out-of-core factor, and this model's hold on a shared
@@ -597,54 +585,6 @@ func (g *GridModel) SteadyStateActive(power []float64, active []int) (*GridResul
 		temps[i] += g.cfg.Ambient
 	}
 	return &GridResult{model: g, temps: temps}, nil
-}
-
-// SteadyStateBatch solves many power maps against the shared factorization
-// with blocked multi-RHS triangular passes (SolveManyInto): the factor is
-// streamed once per chunk of queries instead of once per query. The chunk
-// width is tuned from the factor's panel geometry at construction
-// (SparseCholesky.PreferredBatchWidth — wide enough to amortise factor
-// traffic, narrow enough that the interleaved panel workspace stays
-// cache-resident). Every result is bit-identical to the corresponding
-// SteadyState call at any width; on the CG fallback the maps are solved one
-// at a time.
-func (g *GridModel) SteadyStateBatch(powers [][]float64) ([]*GridResult, error) {
-	out := make([]*GridResult, len(powers))
-	if g.chol == nil {
-		for i, pm := range powers {
-			r, err := g.SteadyState(pm)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
-	vecs := make([][]float64, len(powers))
-	for i, pm := range powers {
-		if len(pm) != g.fp.NumBlocks() {
-			return nil, fmt.Errorf("%w: batch entry %d has %d entries, floorplan has %d blocks",
-				ErrPowerShape, i, len(pm), g.fp.NumBlocks())
-		}
-		v := make([]float64, g.NumNodes())
-		if err := g.depositPower(v, pm); err != nil {
-			return nil, err
-		}
-		vecs[i] = v
-	}
-	for lo := 0; lo < len(vecs); lo += g.batchWidth {
-		hi := min(lo+g.batchWidth, len(vecs))
-		if err := g.chol.SolveManyInto(vecs[lo:hi], vecs[lo:hi]); err != nil {
-			return nil, fmt.Errorf("thermal: grid batch solve: %w", err)
-		}
-	}
-	for i, v := range vecs {
-		for j := range v {
-			v[j] += g.cfg.Ambient
-		}
-		out[i] = &GridResult{model: g, temps: v}
-	}
-	return out, nil
 }
 
 // Floorplan returns the discretised floorplan.

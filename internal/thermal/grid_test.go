@@ -379,12 +379,11 @@ func checkActiveField(t *testing.T, name string, g *GridModel, active []int, got
 	return nan
 }
 
-func TestGridSteadyStateActiveAndBatchBitIdentical(t *testing.T) {
+func TestGridSteadyStateActiveBitIdentical(t *testing.T) {
 	// The sparse-RHS path must reproduce SteadyState bit for bit at the
-	// active cells, and the blocked multi-RHS path everywhere — that
-	// identity is what lets the oracle mix them freely without perturbing
-	// schedules. Off its elimination-tree closure the sparse-RHS field is
-	// NaN; a solo's closure leaves part of the die out.
+	// active cells — that identity is what lets the oracle mix them freely
+	// without perturbing schedules. Off its elimination-tree closure the
+	// sparse-RHS field is NaN; a solo's closure leaves part of the die out.
 	g := alphaGrid(t, 24, 24)
 	nb := g.Floorplan().NumBlocks()
 	sessions := [][]int{{0}, {3, 7}, {1, 2, 11}, {0, 5, 8, 14}, {4}}
@@ -412,25 +411,8 @@ func TestGridSteadyStateActiveAndBatchBitIdentical(t *testing.T) {
 			t.Errorf("session %d: solo answered all %d nodes, want NaN off its closure", i, len(res.temps))
 		}
 	}
-	batch, err := g.SteadyStateBatch(powers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range batch {
-		for j := range batch[i].temps {
-			if batch[i].temps[j] != want[i].temps[j] {
-				t.Fatalf("session %d: SteadyStateBatch differs at node %d", i, j)
-			}
-		}
-	}
 	if _, err := g.SteadyStateActive(powers[0], []int{nb}); err == nil {
 		t.Error("out-of-range active block should fail")
-	}
-	if _, err := g.SteadyStateBatch([][]float64{make([]float64, nb+1)}); err == nil {
-		t.Error("mis-shaped batch entry should fail")
-	}
-	if empty, err := g.SteadyStateBatch(nil); err != nil || len(empty) != 0 {
-		t.Errorf("empty batch: %v, %v", empty, err)
 	}
 }
 
@@ -469,13 +451,10 @@ func TestGridFillBudgetOption(t *testing.T) {
 	if d := math.Abs(dres.MaxTemp() - tres.MaxTemp()); d > 1e-5 {
 		t.Errorf("fallback disagrees with direct backend by %g K", d)
 	}
-	// SteadyStateActive and SteadyStateBatch degrade to the plain path on
-	// the fallback rather than failing.
+	// SteadyStateActive degrades to the plain path on the fallback rather
+	// than failing.
 	if _, err := tiny.SteadyStateActive(pm, []int{0, 6}); err != nil {
 		t.Errorf("SteadyStateActive on fallback: %v", err)
-	}
-	if _, err := tiny.SteadyStateBatch([][]float64{pm}); err != nil {
-		t.Errorf("SteadyStateBatch on fallback: %v", err)
 	}
 }
 
@@ -521,37 +500,6 @@ func TestGridFactorStats(t *testing.T) {
 	}
 	if st.PeakFactorBytes < int64(st.FactorNNZ)*16 {
 		t.Errorf("PeakFactorBytes = %d < factor storage %d", st.PeakFactorBytes, st.FactorNNZ*16)
-	}
-	if st.BatchWidth < 4 || st.BatchWidth > 64 {
-		t.Errorf("BatchWidth = %d out of sane range", st.BatchWidth)
-	}
-	if st.BatchWidth%4 != 0 {
-		t.Errorf("BatchWidth = %d not a multiple of 4", st.BatchWidth)
-	}
-
-	// BatchWidth+1 maps make SteadyStateBatch run one full chunk and a
-	// one-RHS remainder; every answer matches a lone SteadyState bitwise.
-	powers := make([][]float64, st.BatchWidth+1)
-	for k := range powers {
-		powers[k] = make([]float64, g.Floorplan().NumBlocks())
-		for i := range powers[k] {
-			powers[k][i] = float64((i+k)%5) + 1
-		}
-	}
-	batch, err := g.SteadyStateBatch(powers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, pm := range powers {
-		lone, err := g.SteadyState(pm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range lone.temps {
-			if math.Float64bits(batch[k].temps[j]) != math.Float64bits(lone.temps[j]) {
-				t.Fatalf("batch entry %d of %d differs from SteadyState at node %d", k, len(powers), j)
-			}
-		}
 	}
 }
 

@@ -136,12 +136,12 @@ func TestGridFactorKeyGuard(t *testing.T) {
 	}
 }
 
-// gridAnswers are one model's SteadyState, SteadyStateActive and
-// SteadyStateBatch node temperatures on fixed power maps.
+// gridAnswers are one model's SteadyState and SteadyStateActive node
+// temperatures on fixed power maps.
 func gridAnswers(t *testing.T, g *GridModel) [][]float64 {
 	t.Helper()
 	nb := g.Floorplan().NumBlocks()
-	var maps, out [][]float64
+	var out [][]float64
 	for s := 0; s < 3; s++ {
 		pm := make([]float64, nb)
 		pa := make([]float64, nb) // two active blocks, the rest idle
@@ -161,14 +161,7 @@ func gridAnswers(t *testing.T, g *GridModel) [][]float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		maps, out = append(maps, pm), append(out, r.temps, ra.temps)
-	}
-	rs, err := g.SteadyStateBatch(maps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rs {
-		out = append(out, r.temps)
+		out = append(out, r.temps, ra.temps)
 	}
 	return out
 }
@@ -191,8 +184,8 @@ func sameBits(a, b [][]float64) bool {
 }
 
 // TestGridSharedFactorBitIdentical: a model answering from a shared factor
-// and one that factored afresh give bitwise-equal SteadyState,
-// SteadyStateActive and SteadyStateBatch results — for alpha, and for a
+// and one that factored afresh give bitwise-equal SteadyState and
+// SteadyStateActive results — for alpha, and for a
 // random SoC on the same 16 mm die at a different ambient.
 func TestGridSharedFactorBitIdentical(t *testing.T) {
 	const n = 20
@@ -356,9 +349,10 @@ func TestGridFactorNotSharedWhenSpilledOrFallback(t *testing.T) {
 
 // TestGridSharedFactorBackwardLanesBitIdentical: single-query solves on a
 // factor shared through the grid factor cache run the lane-paired backward
-// pass; they must match the blocked multi-RHS pass (the panel kernel, which
-// has no lanes) bit for bit, on the model that factored and on the one that
-// reused the factor, through both SteadyState and SteadyStateActive.
+// pass; they must match a per-model factor forced out of core (whose solves
+// stream panels through per-panel column loops, with no lanes) bit for bit,
+// on the model that factored and on the one that reused the factor, through
+// both SteadyState and SteadyStateActive.
 func TestGridSharedFactorBackwardLanesBitIdentical(t *testing.T) {
 	const n = 48
 	waitLiveGridFactors(t, 0)
@@ -379,9 +373,18 @@ func TestGridSharedFactorBackwardLanesBitIdentical(t *testing.T) {
 		t.Fatal("second model did not reuse the first model's factor")
 	}
 	nb := alpha.NumBlocks()
+	budget := spillBudgetFor(g1)
 	for _, g := range []*GridModel{g1, g2} {
-		var maps [][]float64
-		var single []*GridResult
+		ref, err := NewGridModelWithOptions(alpha, g.cfg, n, n, GridOptions{
+			PeakBytesBudget: budget,
+			SpillDir:        t.TempDir(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := ref.FactorStats(); st.Shared || st.SpilledPanels == 0 {
+			t.Fatalf("reference model %+v, want a per-model factor with spilled panels", st)
+		}
 		for b := 0; b < nb; b++ {
 			pm := make([]float64, nb)
 			pm[b] = 1 + float64(b%5)
@@ -389,7 +392,11 @@ func TestGridSharedFactorBackwardLanesBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			maps, single = append(maps, pm), append(single, r)
+			want, err := ref.SteadyState(pm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkActiveField(t, fmt.Sprintf("ambient %v, map %d", g.cfg.Ambient, b), g, []int{b}, r.temps, want.temps)
 		}
 		all := make([]float64, nb)
 		for b := range all {
@@ -399,18 +406,15 @@ func TestGridSharedFactorBackwardLanesBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		maps, single = append(maps, all), append(single, r)
-		batch, err := g.SteadyStateBatch(maps)
+		want, err := ref.SteadyState(all)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range single {
-			name := fmt.Sprintf("ambient %v, map %d", g.cfg.Ambient, i)
-			if i < nb {
-				checkActiveField(t, name, g, []int{i}, single[i].temps, batch[i].temps)
-			} else if !sameBits([][]float64{single[i].temps}, [][]float64{batch[i].temps}) {
-				t.Fatalf("%s: single-query solve differs from the blocked pass", name)
-			}
+		if !sameBits([][]float64{r.temps}, [][]float64{want.temps}) {
+			t.Fatalf("ambient %v: shared-factor solve differs from the out-of-core factor", g.cfg.Ambient)
+		}
+		if err := ref.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
