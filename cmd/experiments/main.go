@@ -36,7 +36,6 @@ import (
 type options struct {
 	parallel   bool
 	gridres    []int
-	fillBudget int                 // -run gridres only: kept out of the -gridoracle store key
 	grid       thermal.GridOptions // every grid model of the run: peak bytes, spill dir
 	cacheDir   string
 	gridOracle int
@@ -54,12 +53,9 @@ func main() {
 		gridres = flag.String("gridres", "",
 			"comma-separated grid-resolution ladder for -run gridres (e.g. 32,64,128); "+
 				"runs the Table 1 flow per resolution and prints solver backend and factor/solve timings")
-		fillBudget = flag.Int("fillbudget", 0,
-			"factor fill budget (non-zeros) for -run gridres grid models; 0 = default 2^24, "+
-				"past it the model falls back to preconditioned CG")
 		peakBytes = flag.String("peak-bytes", "",
 			"grid factorization peak memory with optional K/M/G suffix, e.g. 2G; "+
-				"over it, factor panels spill to disk and stream back during solves (empty: unbounded)")
+				"when set, the grid always factors, spilling panels to disk past it (empty: no budget; grids past 2^24 factor non-zeros solve by CG)")
 		spillDir = flag.String("spill-dir", "",
 			"directory for out-of-core factor panel files (empty: os.TempDir)")
 		cacheDir = flag.String("cachedir", "",
@@ -115,7 +111,6 @@ func main() {
 	runErr := run(*which, options{
 		parallel:   *parallel,
 		gridres:    ladder,
-		fillBudget: *fillBudget,
 		grid:       thermal.GridOptions{PeakBytesBudget: peak, SpillDir: *spillDir},
 		cacheDir:   *cacheDir,
 		gridOracle: *gridOracle,
@@ -298,9 +293,7 @@ func run(which string, opts options) error {
 	}
 	if wants("gridres") {
 		ran = true
-		grid := opts.grid
-		grid.FillBudget = opts.fillBudget
-		res, err := experiments.RunGridScale(env, opts.gridres, grid)
+		res, err := experiments.RunGridScale(env, opts.gridres, opts.grid)
 		if err != nil {
 			return err
 		}

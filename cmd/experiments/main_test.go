@@ -3,6 +3,8 @@ package main
 import (
 	"path/filepath"
 	"testing"
+
+	"repro/internal/thermal"
 )
 
 func TestRunSingleExperiments(t *testing.T) {
@@ -25,10 +27,10 @@ func TestRunGridResLadder(t *testing.T) {
 	if err := run("gridres", options{gridres: []int{8, 12}}); err != nil {
 		t.Errorf("run(gridres): %v", err)
 	}
-	// A starved fill budget must degrade the ladder to the CG fallback, not
-	// fail it.
-	if err := run("gridres", options{gridres: []int{8}, fillBudget: 128}); err != nil {
-		t.Errorf("run(gridres, fillbudget 128): %v", err)
+	// A peak-bytes budget below the out-of-core floor must degrade the
+	// ladder to an in-core factor, not fail it.
+	if err := run("gridres", options{gridres: []int{8}, grid: thermal.GridOptions{PeakBytesBudget: 128}}); err != nil {
+		t.Errorf("run(gridres, peak-bytes 128): %v", err)
 	}
 }
 

@@ -24,7 +24,9 @@
 //
 // Memory discipline: -peak-bytes caps each grid system's resident
 // factorization working set (finished factor panels spill to -spill-dir and
-// stream back during solves, bit-identical). The supernodal panel width
+// stream back during solves, bit-identical). Under a budget every grid
+// system factors, whatever its resolution; without one, grids past 2^24
+// factor non-zeros solve by CG. The supernodal panel width
 // follows GOMAXPROCS: 8 columns on one CPU, 32 on more.
 package main
 
@@ -59,7 +61,7 @@ func main() {
 		maxSystems  = flag.Int("max-systems", 0, "max live simulated systems in RAM, LRU-dropping idle ones (0: unbounded)")
 		deadline    = flag.Duration("deadline", 0, "default per-request deadline, e.g. 2s (0: none; clients override via X-Request-Deadline or deadline_ms)")
 		drainTO     = flag.Duration("drain-timeout", 10*time.Second, "on shutdown, how long running async jobs may finish before being interrupted (journaled for resume; 0: interrupt immediately)")
-		peakBytes   = flag.String("peak-bytes", "", "per-system peak factorization memory with optional K/M/G suffix, e.g. 2G; over it, factor panels spill to disk (empty: unbounded)")
+		peakBytes   = flag.String("peak-bytes", "", "per-system peak factorization memory with optional K/M/G suffix, e.g. 2G; when set, the grid always factors, spilling panels to disk past it (empty: no budget; grids past 2^24 factor non-zeros solve by CG)")
 		spillDir    = flag.String("spill-dir", "", "directory for out-of-core factor panel files (empty: os.TempDir)")
 		quiet       = flag.Bool("q", false, "suppress per-request logging")
 		smoke       = flag.Bool("smoke", false, "self-check: serve one cold and one warm request plus one async job, then exit")

@@ -29,8 +29,7 @@ func main() {
 		duration  = flag.Float64("duration", 5, "transient duration (s)")
 		step      = flag.Float64("step", 0, "transient step (s), 0 = auto")
 		grid      = flag.Int("grid", 0, "also solve an N×N grid model and print its heatmap")
-		gridFill  = flag.Int("fillbudget", 0, "grid factor fill budget in non-zeros; 0 = default 2^24")
-		peakBytes = flag.String("peak-bytes", "", "grid factorization peak memory with optional K/M/G suffix, e.g. 2G; over it, factor panels spill to disk (empty: unbounded)")
+		peakBytes = flag.String("peak-bytes", "", "grid factorization peak memory with optional K/M/G suffix, e.g. 2G; when set, the grid always factors, spilling panels to disk past it (empty: no budget; grids past 2^24 factor non-zeros solve by CG)")
 		spillDir  = flag.String("spill-dir", "", "directory for out-of-core factor panel files (empty: os.TempDir)")
 	)
 	flag.Parse()
@@ -40,7 +39,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "thermsim: -peak-bytes:", err)
 		os.Exit(1)
 	}
-	gopts := thermal.GridOptions{FillBudget: *gridFill, PeakBytesBudget: peak, SpillDir: *spillDir}
+	gopts := thermal.GridOptions{PeakBytesBudget: peak, SpillDir: *spillDir}
 	if err := run(*workload, *flpPath, *specPath, *activeStr, *transient, *duration, *step, *grid, gopts); err != nil {
 		fmt.Fprintln(os.Stderr, "thermsim:", err)
 		os.Exit(1)
@@ -106,7 +105,7 @@ func run(workload, flpPath, specPath, activeStr string, transient bool, duration
 				fmt.Printf("spill: %d panels (%d bytes) out of core, peak resident %d of %d bytes\n",
 					fs.SpilledPanels, fs.SpilledBytes, fs.PeakResidentBytes, fs.PeakFactorBytes)
 			case fs.SpillDegraded:
-				fmt.Println("spill: degraded — spill device failed, factored in core (budget waived)")
+				fmt.Println("spill: degraded — spill device failed or budget below the out-of-core floor, factored in core (budget waived)")
 			}
 			fmt.Print(gres.Heatmap())
 		}

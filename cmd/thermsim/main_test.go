@@ -37,15 +37,16 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 }
 
 func TestRunSteadyStateGridOptions(t *testing.T) {
-	// The default options print the supernodal factor line; a starved fill
-	// budget (CG fallback) builds no factor, so it prints none — the header
-	// already names the cg-ic0 backend.
+	// The default options print the supernodal factor line; a peak-bytes
+	// budget below the out-of-core floor still factors, in core, and says
+	// the budget was waived.
 	for _, c := range []struct {
-		opts       thermal.GridOptions
-		wantFactor bool
+		opts thermal.GridOptions
+		want []string
 	}{
-		{thermal.GridOptions{}, true},
-		{thermal.GridOptions{FillBudget: 256}, false},
+		{thermal.GridOptions{}, []string{"sparse-cholesky backend", "factor: supernodal kernel"}},
+		{thermal.GridOptions{PeakBytesBudget: 4096},
+			[]string{"sparse-cholesky backend", "factor: supernodal kernel", "spill: degraded"}},
 	} {
 		out, err := captureStdout(t, func() error {
 			return run("alpha21364", "", "", "IntExec", false, 0, 0, 12, c.opts)
@@ -53,17 +54,10 @@ func TestRunSteadyStateGridOptions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("grid options %+v: %v", c.opts, err)
 		}
-		if c.wantFactor {
-			if !strings.Contains(out, "factor: supernodal kernel") {
-				t.Errorf("grid options %+v: no supernodal factor line in:\n%s", c.opts, out)
+		for _, w := range c.want {
+			if !strings.Contains(out, w) {
+				t.Errorf("grid options %+v: no %q in:\n%s", c.opts, w, out)
 			}
-			continue
-		}
-		if !strings.Contains(out, "cg-ic0 backend") {
-			t.Errorf("grid options %+v: header does not name cg-ic0:\n%s", c.opts, out)
-		}
-		if strings.Contains(out, "factor:") {
-			t.Errorf("grid options %+v: CG fallback printed a factor line:\n%s", c.opts, out)
 		}
 	}
 }

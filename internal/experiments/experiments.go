@@ -71,10 +71,11 @@ type EnvOptions struct {
 	// GridRes, when > 0, validates sessions on a GridRes×GridRes
 	// grid-resolution thermal model instead of the block model.
 	GridRes int
-	// Grid tunes the grid oracle's solver (fill budget, peak-bytes budget,
-	// spill directory). The zero value is the canonical default. Only the
-	// round-off-relevant FillBudget enters the store key — the other knobs
-	// are bit-identical execution strategies, so cached results stay shared
+	// Grid tunes the grid oracle's solver (peak-bytes budget, spill
+	// directory). The zero value is the canonical default. Only whether a
+	// budget is set enters the store key (a budgeted model always answers
+	// from the factor) — the budget's size and the spill directory are
+	// bit-identical execution strategies, so cached results stay shared
 	// across them.
 	Grid thermal.GridOptions
 }
@@ -119,10 +120,10 @@ func NewEnvWithOptions(spec *testspec.Spec, cfg thermal.PackageConfig, opts EnvO
 	if opts.GridRes > 0 {
 		n, gopts := opts.GridRes, opts.Grid
 		// The store key is derived from the same (canonical) grid options the
-		// oracle is built with, so a round-off-changing wiring (ordering,
-		// fill budget) cannot silently share a file, while bit-identical
-		// kernel choices (peak-bytes budget, the host's panel shape)
-		// deliberately do share.
+		// oracle is built with, so a round-off-changing choice (budgeted or
+		// not: CG past the fill cap or always the factor) cannot silently
+		// share a file, while bit-identical kernel choices (the budget's
+		// size, the host's panel shape) deliberately do share.
 		env.StoreDesc = oraclestore.DescForGrid(spec.Floorplan(), cfg, spec.Profile(),
 			n, n, gopts)
 		// Defer the grid factorization to the first query even without a

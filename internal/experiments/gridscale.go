@@ -56,9 +56,9 @@ type GridScaleResult struct {
 // choice, factorization fill and the per-query solve timing per rung. This
 // is the scaling probe for the sparse steady-state backend: per-query time
 // should stay near-linear in the node count because the factorization is
-// built once and reused. opts builds every rung's grid model: a FillBudget can push fine
-// rungs past, or pin them under, the stock bound, and a PeakBytesBudget
-// factors them out of core (bit-identical).
+// built once and reused. opts builds every rung's grid model: a
+// PeakBytesBudget makes every rung factor, out of core (bit-identical) when
+// the in-core bytes exceed it.
 func RunGridScale(env *Env, resolutions []int, opts thermal.GridOptions) (*GridScaleResult, error) {
 	const tl, stcl = 165, 60
 	res, err := env.Generate(core.Config{TL: tl, STCL: stcl})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -71,7 +72,10 @@ func TestRunGridScale(t *testing.T) {
 	}
 }
 
-func TestRunGridScaleFillBudgetFallback(t *testing.T) {
+// TestRunGridScaleBudgetedRung: a rung under a peak-bytes budget below the
+// out-of-core floor still factors (in core, budget waived) and reports the
+// unbudgeted rung's peak bit for bit.
+func TestRunGridScaleBudgetedRung(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid ladder in -short mode")
 	}
@@ -79,12 +83,19 @@ func TestRunGridScaleFillBudgetFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunGridScale(env, []int{12}, thermal.GridOptions{FillBudget: 256})
-	if err != nil {
-		t.Fatal(err)
+	var peaks []float64
+	for _, opts := range []thermal.GridOptions{{}, {PeakBytesBudget: 256}} {
+		res, err := RunGridScale(env, []int{12}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := res.Points[0]
+		if p.Backend != "sparse-cholesky" || p.FactorNNZ == 0 {
+			t.Errorf("%+v: backend %q factor %d, want a sparse-cholesky factor", opts, p.Backend, p.FactorNNZ)
+		}
+		peaks = append(peaks, p.PeakT)
 	}
-	p := res.Points[0]
-	if p.Backend != "cg-ic0" || p.FactorNNZ != 0 {
-		t.Errorf("starved budget: backend %q factor %d, want cg-ic0 fallback", p.Backend, p.FactorNNZ)
+	if math.Float64bits(peaks[0]) != math.Float64bits(peaks[1]) {
+		t.Errorf("budgeted rung peak %v, unbudgeted %v; want bit-identical", peaks[1], peaks[0])
 	}
 }

@@ -165,33 +165,6 @@ type Preconditioner interface {
 	Apply(z, r []float64)
 }
 
-// JacobiPrecond is the diagonal (Jacobi) preconditioner. Thermal conductance
-// matrices are strictly diagonally dominant, so it is cheap and effective;
-// it is also the default SolveCG falls back to when CGOptions.Precond is nil.
-type JacobiPrecond struct {
-	invDiag []float64
-}
-
-// NewJacobiPrecond builds the diagonal preconditioner of s. It returns
-// ErrNotSPD when a diagonal entry is not positive.
-func NewJacobiPrecond(s *Sparse) (*JacobiPrecond, error) {
-	invDiag := s.Diagonal()
-	for i, d := range invDiag {
-		if d <= 0 {
-			return nil, fmt.Errorf("%w: non-positive diagonal %g at %d", ErrNotSPD, d, i)
-		}
-		invDiag[i] = 1 / d
-	}
-	return &JacobiPrecond{invDiag: invDiag}, nil
-}
-
-// Apply implements Preconditioner.
-func (j *JacobiPrecond) Apply(z, r []float64) {
-	for i := range z {
-		z[i] = j.invDiag[i] * r[i]
-	}
-}
-
 // IC0 is a zero-fill incomplete Cholesky preconditioner: an approximate
 // factor L with exactly the lower-triangular pattern of A, so Apply costs one
 // forward and one backward sweep over nnz(tril(A)). On M-matrices such as
@@ -206,7 +179,7 @@ type IC0 struct {
 
 // NewIC0 computes the IC(0) factor of the SPD matrix s. It returns ErrNotSPD
 // when the incomplete factorization hits a non-positive pivot (possible for
-// SPD matrices that are not M-matrices; callers should fall back to Jacobi).
+// SPD matrices that are not M-matrices).
 func NewIC0(s *Sparse) (*IC0, error) {
 	n := s.n
 	ic := &IC0{n: n, rowPtr: make([]int, n+1)}

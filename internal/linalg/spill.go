@@ -16,7 +16,7 @@ import (
 // ErrPeakBudget reports that a peak-bytes budget is infeasible: the
 // unspillable working set (factor indices plus the frontal scratch) or a
 // single panel pair needed by one left-looking step cannot fit. Callers fall
-// back to an unbudgeted factorization or an iterative solver.
+// back to an unbudgeted, in-core factorization.
 var ErrPeakBudget = errors.New("linalg: peak-bytes budget infeasible")
 
 // ErrSpill wraps spill-file I/O failures (torn frames, CRC mismatches, read

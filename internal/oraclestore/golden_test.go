@@ -3,16 +3,18 @@ package oraclestore
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/testspec"
 	"repro/internal/thermal"
 )
 
 // TestGridDescGoldenAddress pins the content address of the alpha21364 grid
-// oracle at 48×48, with the default solver options and with a starved fill
+// oracle at 48×48, with the default solver options and under a peak-bytes
 // budget. Every record file written by a grid-fidelity run lives under one of
 // these keys, so a change to the backend string or the hash layout would
 // silently orphan warm stores; any such change must bump the address on
@@ -27,8 +29,8 @@ func TestGridDescGoldenAddress(t *testing.T) {
 	}{
 		{thermal.GridOptions{}, "grid-nd-48x48",
 			"6a4eb0ca13e79dd351a58e3ea20ae44ecca58e7b352ccc824478b66acd75e31b"},
-		{thermal.GridOptions{FillBudget: 256}, "grid-nd-48x48-fb256",
-			"8ebbd5a5d661fe6a029195150d54c5e2a7c2ebf217c8442ae779fd9ec025eb07"},
+		{thermal.GridOptions{PeakBytesBudget: 1 << 30}, "grid-nd-48x48-budgeted",
+			"b08a210b8425165ca9605bc59ee6212a8f48f2feebcb7783ca63aa7441de37d9"},
 	} {
 		desc := DescForGrid(spec.Floorplan(), cfg, spec.Profile(), 48, 48, c.opts)
 		if desc.Backend != c.backend {
@@ -41,6 +43,88 @@ func TestGridDescGoldenAddress(t *testing.T) {
 		if got := hex.EncodeToString(key[:]); got != c.key {
 			t.Errorf("%s: Key() = %s, want %s", c.backend, got, c.key)
 		}
+	}
+}
+
+// TestGridDescEqualKeysAnswerBitIdentical holds DescForGrid to its promise
+// on the grid oracle itself: alpha at 48×48 with no budget, a budget below
+// the out-of-core floor, a spill-forcing budget and a budget that fits in
+// core. Any two of them with equal keys must answer every solo session and
+// the all-core session bit for bit.
+func TestGridDescEqualKeysAnswerBitIdentical(t *testing.T) {
+	const n = 48
+	spec := testspec.Alpha21364()
+	fp, prof := spec.Floorplan(), spec.Profile()
+	cfg := thermal.DefaultPackageConfig()
+	var sessions [][]int
+	var all []int
+	for b := 0; b < fp.NumBlocks(); b++ {
+		sessions = append(sessions, []int{b})
+		all = append(all, b)
+	}
+	sessions = append(sessions, all)
+
+	base, err := thermal.NewGridModel(fp, cfg, n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	// Feasible (index arrays + column pointers + frontal scratch) with a
+	// quarter of the factor values resident, so most panels spill.
+	st := base.FactorStats()
+	scratch := st.PeakFactorBytes - int64(st.FactorNNZ)*16
+	spill := int64(st.FactorNNZ)*10 + int64(base.NumNodes()+1)*8 + scratch
+
+	type answers struct {
+		budget int64
+		key    [32]byte
+		temps  [][]float64
+	}
+	var seen []answers
+	pairs := 0
+	for _, budget := range []int64{0, 4096, spill, 1 << 40} {
+		opts := thermal.GridOptions{PeakBytesBudget: budget, SpillDir: t.TempDir()}
+		key, err := DescForGrid(fp, cfg, prof, n, n, opts).Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gm, err := thermal.NewGridModelWithOptions(fp, cfg, n, n, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if budget == spill && gm.FactorStats().SpilledPanels == 0 {
+			t.Fatalf("budget %d spilled nothing: %+v", budget, gm.FactorStats())
+		}
+		a := answers{budget: budget, key: key}
+		o := core.NewGridOracle(gm, prof)
+		for _, s := range sessions {
+			temps, err := o.BlockTemps(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.temps = append(a.temps, temps)
+		}
+		if err := gm.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, prev := range seen {
+			if prev.key != a.key {
+				continue
+			}
+			pairs++
+			for i, s := range sessions {
+				for _, b := range s {
+					if math.Float64bits(prev.temps[i][b]) != math.Float64bits(a.temps[i][b]) {
+						t.Errorf("budgets %d and %d share a key but differ on session %v at block %d: %v vs %v",
+							prev.budget, budget, s, b, prev.temps[i][b], a.temps[i][b])
+					}
+				}
+			}
+		}
+		seen = append(seen, a)
+	}
+	if pairs == 0 {
+		t.Fatal("no two option sets shared a key; the check compared nothing")
 	}
 }
 

@@ -91,10 +91,11 @@ type SystemDesc struct {
 	// answers, e.g. "dense-cholesky", "sparse-cholesky" (block models, from
 	// Model.SolverBackend) or "grid-nd-48x48" (grid oracles, from DescForGrid
 	// — the concrete solver, its nested-dissection ordering and its fixed
-	// tolerance are deterministic functions of the dimensions, so they are
-	// folded in implicitly; anyone changing GridModel's ordering, default
-	// fill budget or CG tolerance must also version this string or old
-	// files will answer with different round-off).
+	// tolerance are deterministic functions of the dimensions and of whether
+	// a peak-bytes budget is set, so they are folded in implicitly; anyone
+	// changing GridModel's ordering, fill cap or CG tolerance must also
+	// version this string or old files will answer with different
+	// round-off).
 	// Different backends differ in discretisation and round-off, so their
 	// answers must not share a file.
 	Backend string
@@ -134,17 +135,18 @@ func DescForBlockModel(fp *floorplan.Floorplan, cfg thermal.PackageConfig, prof 
 // the grid model's one elimination ordering, geometric nested dissection;
 // keys written under the earlier implicit-RCM scheme ("grid-NxN") are left
 // behind rather than mixed in. Of the *canonical* options
-// (thermal.GridOptions.Canonical) only the fill budget can change the
-// solve's round-off, by flipping the model onto the CG fallback, so a
-// non-default budget is folded in as a "-fb" suffix; default keys stay
-// stable across budget-constant releases. The concrete solver is a
-// deterministic function of these inputs plus the dimensions, so equal names
-// guarantee bit-equal answers.
+// (thermal.GridOptions.Canonical) only whether a peak-bytes budget is set
+// can change the solve's round-off: an unbudgeted model past the fill cap
+// answers from CG, a budgeted one always from the factor. So a budgeted
+// model's name carries a "-budgeted" suffix, and unbudgeted keys stay
+// stable. The budget's size and the spill knobs only choose between
+// bit-identical in-core and out-of-core factors. The concrete solver is a
+// deterministic function of these inputs plus the dimensions, so equal
+// names guarantee bit-equal answers.
 func DescForGrid(fp *floorplan.Floorplan, cfg thermal.PackageConfig, prof *power.Profile, nx, ny int, opts thermal.GridOptions) SystemDesc {
-	opts = opts.Canonical()
 	backend := fmt.Sprintf("grid-nd-%dx%d", nx, ny)
-	if opts.FillBudget != thermal.DefaultGridFillBudget {
-		backend = fmt.Sprintf("%s-fb%d", backend, opts.FillBudget)
+	if opts.Canonical().PeakBytesBudget > 0 {
+		backend += "-budgeted"
 	}
 	return SystemDesc{
 		Floorplan: fp,

@@ -97,11 +97,12 @@ type Config struct {
 	// MaxJobs bounds concurrently tracked non-terminal async jobs; beyond it
 	// POST /v1/jobs sheds with 429. 0 → 1024.
 	MaxJobs int
-	// Grid tunes every grid-resolution system the server builds: the fill
-	// budget plus the memory discipline (PeakBytesBudget caps the resident
-	// factorization working set, SpillDir roots the out-of-core panel
-	// files). The supernodal panel shape follows GOMAXPROCS. The zero value
-	// is the canonical default.
+	// Grid tunes every grid-resolution system the server builds: its memory
+	// discipline (PeakBytesBudget caps the resident factorization working
+	// set, SpillDir roots the out-of-core panel files). Under a budget every
+	// grid system factors; without one, grids past the fill cap solve by
+	// CG. The supernodal panel shape follows GOMAXPROCS. The zero value is
+	// the canonical default.
 	Grid thermal.GridOptions
 	// Logf receives one line per served request; nil disables logging.
 	Logf func(format string, args ...any)

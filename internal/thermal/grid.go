@@ -12,30 +12,30 @@ import (
 	"repro/internal/linalg"
 )
 
-// DefaultGridFillBudget bounds the sparse Cholesky fill GridModel will accept
-// before falling back to preconditioned CG when GridOptions.FillBudget is
-// unset: 2²⁴ factor entries is roughly 200 MB, which comfortably covers the
-// 256×256 grid (131k nodes) under the geometric nested-dissection ordering
-// while keeping pathological resolutions from exhausting memory. The
-// symbolic analysis reports the exact fill before any numeric work, so the
-// decision is free.
-const DefaultGridFillBudget = 1 << 24
+// gridFillCap bounds the sparse Cholesky fill an unbudgeted GridModel will
+// accept before falling back to preconditioned CG: 2²⁴ factor entries is
+// roughly 200 MB, which comfortably covers the 256×256 grid (131k nodes)
+// under the geometric nested-dissection ordering while keeping pathological
+// resolutions from exhausting memory. The symbolic analysis reports the
+// exact fill before any numeric work, so the decision is free. It is a
+// variable only so in-package tests can reach the CG tier on small grids.
+var gridFillCap = 1 << 24
 
 // GridOptions tunes the grid model's solver construction. The model always
 // factors under the geometric nested-dissection ordering with the supernodal
 // panel kernel, whose panel shape follows GOMAXPROCS
 // (linalg.DefaultPanelWidth); these options bound its memory.
 type GridOptions struct {
-	// FillBudget caps the factor non-zeros the direct backend may allocate
-	// before the model falls back to IC(0)-preconditioned CG. 0 selects
-	// DefaultGridFillBudget.
-	FillBudget int
 	// PeakBytesBudget caps the resident bytes the direct backend may hold
 	// while factoring (indices + resident panel values + frontal scratch).
-	// When the in-core estimate exceeds it, the supernodal kernel factors
-	// out of core, spilling finished panels to SpillDir and streaming them
-	// back per solve — bit-identical to in-core. 0 disables the budget; a
-	// budget no out-of-core schedule can meet falls back to CG.
+	// 0 leaves the factor unbudgeted: it is built in core while its fill is
+	// at most 2²⁴ non-zeros, and past that the model solves with
+	// IC(0)-preconditioned CG. A budget > 0 alone decides: the factor is
+	// built in core when the in-core bytes fit, and otherwise out of core,
+	// spilling finished panels to SpillDir and streaming them back per
+	// solve — bit-identical to in-core. A budget below even the out-of-core
+	// floor is waived: the factor is built in core and FactorStats reports
+	// SpillDegraded.
 	PeakBytesBudget int64
 	// SpillDir is where spilled panel files live ("" = the OS temp dir).
 	// Files are unlinked at creation where the platform allows, so crashes
@@ -46,18 +46,16 @@ type GridOptions struct {
 	SpillFS linalg.SpillFS
 }
 
-// Canonical resolves the option defaults (zero budget →
-// DefaultGridFillBudget). It is the single source of truth for what a zero
-// GridOptions means: NewGridModelWithOptions builds from it, and the oracle
-// store derives its content-address from it. Only FillBudget can change
-// solver round-off (by flipping the model onto the CG fallback), so it alone
-// versions the content-address — the peak-bytes/spill knobs, like the
-// host's panel shape, select bit-identical execution strategies, so cached
-// results remain valid across them by construction.
+// Canonical resolves the option defaults (a negative budget → 0, no
+// budget). It is the single source of truth for what a GridOptions means:
+// NewGridModelWithOptions builds from it, and the oracle store derives its
+// content-address from it. Whether a budget is set changes the solver (an
+// unbudgeted model past the fill cap runs CG; a budgeted one always
+// factors), so it versions the content-address; the budget's size, the
+// spill knobs and the host's panel shape select bit-identical execution
+// strategies of the factor, so cached results remain valid across them by
+// construction.
 func (o GridOptions) Canonical() GridOptions {
-	if o.FillBudget == 0 {
-		o.FillBudget = DefaultGridFillBudget
-	}
 	if o.PeakBytesBudget < 0 {
 		o.PeakBytesBudget = 0
 	}
@@ -81,7 +79,7 @@ func (o GridOptions) Canonical() GridOptions {
 // footprint, answering only the cells a validation query reads; that is what
 // makes per-session oracle sweeps over one floorplan cheap at grid scale.
 // Many queries fan out as concurrent solves against the one factor.
-// Resolutions whose factor would exceed the fill budget fall back to
+// Unbudgeted resolutions whose factor would exceed the fill cap fall back to
 // IC(0)-preconditioned conjugate gradients with pooled scratch. GridModel is
 // safe for concurrent queries.
 //
@@ -103,7 +101,6 @@ type GridModel struct {
 	cellW      float64
 	cellH      float64
 	sys        *linalg.Sparse
-	fillBudget int
 	peakBudget int64 // resident-bytes bound; 0 = unbudgeted
 	spillDir   string
 	spillFS    linalg.SpillFS
@@ -111,7 +108,7 @@ type GridModel struct {
 	share      *factorRef // hold on the process-wide factor; nil when per-model
 
 	chol    *linalg.SparseCholesky // direct backend; nil → iterative fallback
-	precond linalg.Preconditioner  // CG preconditioner on the fallback path
+	precond *linalg.IC0            // CG preconditioner on the fallback path
 	cgPool  sync.Pool              // *linalg.CGScratch for the fallback
 	rhsPool sync.Pool              // *[]float64 node-vector buffers
 
@@ -128,7 +125,7 @@ type cellShare struct {
 }
 
 // NewGridModel discretises fp's die into an nx×ny grid under cfg with
-// default solver options (nested-dissection ordering, default fill budget).
+// default solver options (nested-dissection ordering, no peak-bytes budget).
 func NewGridModel(fp *floorplan.Floorplan, cfg PackageConfig, nx, ny int) (*GridModel, error) {
 	return NewGridModelWithOptions(fp, cfg, nx, ny, GridOptions{})
 }
@@ -154,7 +151,6 @@ func NewGridModelWithOptions(fp *floorplan.Floorplan, cfg PackageConfig, nx, ny 
 		ny:         ny,
 		cellW:      die.W / float64(nx),
 		cellH:      die.H / float64(ny),
-		fillBudget: opts.FillBudget,
 		peakBudget: opts.PeakBytesBudget,
 		spillDir:   opts.SpillDir,
 		spillFS:    opts.SpillFS,
@@ -166,7 +162,7 @@ func NewGridModelWithOptions(fp *floorplan.Floorplan, cfg PackageConfig, nx, ny 
 		if err := g.buildSolver(); err != nil {
 			return nil, err
 		}
-	} else if err := g.shareSolver(newGridFactorKey(cfg, die.W, die.H, nx, ny, opts)); err != nil {
+	} else if err := g.shareSolver(newGridFactorKey(cfg, die.W, die.H, nx, ny)); err != nil {
 		return nil, err
 	}
 	size := 2*g.numCells() + 2
@@ -195,95 +191,76 @@ func (g *GridModel) ndPerm() []int {
 }
 
 // buildSolver factorizes the assembled system once under the geometric
-// nested-dissection ordering with the supernodal panel kernel — the symbolic
-// analysis predicts the exact fill, steering oversized grids onto the
-// preconditioned CG fallback instead of an out-of-memory factor.
+// nested-dissection ordering with the supernodal panel kernel. Unbudgeted,
+// the symbolic analysis predicts the exact fill, steering oversized grids
+// onto the preconditioned CG fallback instead of an out-of-memory factor;
+// under a peak-bytes budget the bytes alone decide between an in-core and an
+// out-of-core factor.
 func (g *GridModel) buildSolver() error {
 	sym, err := linalg.NewCholSymbolic(g.sys, g.ndPerm())
 	if err != nil {
 		return fmt.Errorf("%w: grid system not SPD: %v", ErrModel, err)
 	}
-	if sym.LNNZ() <= g.fillBudget {
-		ss := sym.Supernodes(linalg.SupernodalOptions{})
-		start := time.Now() // numeric factorization only — symbolic and partition excluded
-		inCore := int64(sym.LNNZ())*16 + ss.WorkspaceBytes()
-		var ch *linalg.SparseCholesky
-		if g.peakBudget > 0 && inCore > g.peakBudget {
-			// The in-core working set exceeds the peak-bytes budget: factor
-			// out of core, spilling finished panels to disk.
-			ch, err = ss.FactorizeSpill(g.sys, linalg.SpillPolicy{
-				BudgetBytes: g.peakBudget,
-				Dir:         g.spillDir,
-				FS:          g.spillFS,
-			})
-			if err != nil && errors.Is(err, linalg.ErrSpill) {
-				// Spill I/O failed before the factor completed (the breaker
-				// covers write failures; this is e.g. an unreadable reload):
-				// availability over budget — retry fully in core.
-				ch, err = ss.Factorize(g.sys)
-				if err == nil {
-					g.stats.SpillDegraded = true
-				}
-			}
-			if errors.Is(err, linalg.ErrPeakBudget) {
-				// No out-of-core schedule fits (indices + scratch alone
-				// exceed the budget): fall through to the CG tier.
-				err = nil
-				ch = nil
-			}
-		} else {
-			ch, err = ss.Factorize(g.sys)
-		}
-		if err != nil {
+	if g.peakBudget == 0 && sym.LNNZ() > gridFillCap {
+		// Iterative fallback: IC(0) cannot break down on conductance
+		// matrices (M-matrices), so a failure means the system is not SPD.
+		if g.precond, err = linalg.NewIC0(g.sys); err != nil {
 			return fmt.Errorf("%w: grid system not SPD: %v", ErrModel, err)
 		}
-		if ch != nil {
-			st := ch.SpillStats()
-			g.stats.Panels = ss.Panels()
-			g.stats.MaxPanelWidth = ss.MaxPanelWidth()
-			g.stats.PaddedZeros = ss.PaddedZeros()
-			g.stats.PeakFactorBytes = inCore
-			g.stats.PeakResidentBytes = inCore
-			if st.SpilledPanels > 0 || st.Degraded {
-				g.stats.PeakResidentBytes = st.PeakResidentBytes
-				g.stats.SpilledPanels = st.SpilledPanels
-				g.stats.SpilledBytes = st.SpilledBytes
-				g.stats.SpillDegraded = g.stats.SpillDegraded || st.Degraded
-			}
-			g.chol = ch
-			g.stats.Mode = "supernodal"
-			g.stats.FactorNNZ = sym.LNNZ()
-			g.stats.FactorTime = time.Since(start)
-			return nil
-		}
+		return nil
 	}
-	// Iterative fallback: IC(0) cannot break down on conductance matrices
-	// (M-matrices), but guard anyway and degrade to Jacobi.
-	if ic, err := linalg.NewIC0(g.sys); err == nil {
-		g.precond = ic
-	} else if jac, err := linalg.NewJacobiPrecond(g.sys); err == nil {
-		g.precond = jac
+	ss := sym.Supernodes(linalg.SupernodalOptions{})
+	start := time.Now() // numeric factorization only — symbolic and partition excluded
+	inCore := int64(sym.LNNZ())*16 + ss.WorkspaceBytes()
+	var ch *linalg.SparseCholesky
+	if g.peakBudget > 0 && inCore > g.peakBudget {
+		// The in-core working set exceeds the peak-bytes budget: factor
+		// out of core, spilling finished panels to disk.
+		ch, err = ss.FactorizeSpill(g.sys, linalg.SpillPolicy{
+			BudgetBytes: g.peakBudget,
+			Dir:         g.spillDir,
+			FS:          g.spillFS,
+		})
+		if errors.Is(err, linalg.ErrSpill) || errors.Is(err, linalg.ErrPeakBudget) {
+			// Spill I/O failed before the factor completed (the breaker
+			// covers write failures; this is e.g. an unreadable reload), or
+			// no out-of-core schedule fits (indices + scratch alone exceed
+			// the budget): availability over budget — factor fully in core.
+			ch, err = ss.Factorize(g.sys)
+			g.stats.SpillDegraded = true
+		}
 	} else {
+		ch, err = ss.Factorize(g.sys)
+	}
+	if err != nil {
 		return fmt.Errorf("%w: grid system not SPD: %v", ErrModel, err)
 	}
+	st := ch.SpillStats()
+	g.stats.Panels = ss.Panels()
+	g.stats.MaxPanelWidth = ss.MaxPanelWidth()
+	g.stats.PaddedZeros = ss.PaddedZeros()
+	g.stats.PeakFactorBytes = inCore
+	g.stats.PeakResidentBytes = inCore
+	if st.SpilledPanels > 0 || st.Degraded {
+		g.stats.PeakResidentBytes = st.PeakResidentBytes
+		g.stats.SpilledPanels = st.SpilledPanels
+		g.stats.SpilledBytes = st.SpilledBytes
+		g.stats.SpillDegraded = g.stats.SpillDegraded || st.Degraded
+	}
+	g.chol = ch
+	g.stats.Mode = "supernodal"
+	g.stats.FactorNNZ = sym.LNNZ()
+	g.stats.FactorTime = time.Since(start)
 	return nil
 }
 
 // SolverBackend reports the steady-state backend this grid resolution ended
-// up with: "sparse-cholesky" or the iterative fallback ("cg-ic0",
-// "cg-jacobi").
+// up with: "sparse-cholesky", or "cg-ic0" on the iterative fallback.
 func (g *GridModel) SolverBackend() string {
-	switch {
-	case g.chol != nil:
+	if g.chol != nil {
 		return "sparse-cholesky"
-	case g.precond != nil:
-		if _, ok := g.precond.(*linalg.IC0); ok {
-			return "cg-ic0"
-		}
-		return "cg-jacobi"
-	default:
-		return "unknown"
 	}
+	return "cg-ic0"
 }
 
 // GridFactorStats describes the one-time factorization cost behind a grid
@@ -302,7 +279,7 @@ type GridFactorStats struct {
 	// with a bit-identical matrix built; the remaining fields describe that
 	// shared factor.
 	Shared bool
-	// FactorNNZ is the factor's non-zero count (== FillBudget gate input).
+	// FactorNNZ is the factor's non-zero count (the fill-cap gate input).
 	FactorNNZ int
 	// Panels, MaxPanelWidth and PaddedZeros describe the supernode
 	// partition.
@@ -321,8 +298,9 @@ type GridFactorStats struct {
 	// spill file during an out-of-core factorization (zero in core).
 	SpilledPanels int
 	SpilledBytes  int64
-	// SpillDegraded reports that spill I/O failures forced the breaker: the
-	// factor completed fully in core with the budget waived.
+	// SpillDegraded reports that the factor completed fully in core with the
+	// budget waived: spill I/O failures forced the breaker, or the budget
+	// was below the out-of-core floor (index arrays plus frontal scratch).
 	SpillDegraded bool
 }
 
@@ -497,7 +475,7 @@ type GridResult struct {
 // SteadyState solves the grid for a per-block power map (W). Block power is
 // deposited uniformly over the block footprint. The factorization built at
 // construction is reused, so a query costs two sparse triangular solves (or
-// one preconditioned CG run past the factor budget). The backward solve
+// one preconditioned CG run past the fill cap). The backward solve
 // interleaves pairs of disjoint nested-dissection subtrees, bit-identical to
 // a plain column loop. Scratch vectors are pooled, leaving the returned
 // temperature field as the only allocation.
@@ -552,7 +530,7 @@ func (g *GridModel) SteadyStateActive(power []float64, active []int) (*GridResul
 			ErrPowerShape, len(power), g.fp.NumBlocks())
 	}
 	// Validate active before any backend dispatch, so a caller bug errors
-	// identically whether or not the fill budget forced the CG fallback.
+	// identically whether or not the fill cap forced the CG fallback.
 	for _, b := range active {
 		if b < 0 || b >= g.fp.NumBlocks() {
 			return nil, fmt.Errorf("%w: active block %d outside [0,%d)",

@@ -306,7 +306,7 @@ func TestGridReadBackBuiltinMaxMatchesMathMax(t *testing.T) {
 func TestGridOrderingFillReduction(t *testing.T) {
 	// The acceptance bar of the nested-dissection fast path: at 128×128 the
 	// ND factor holds at most half the non-zeros of the RCM factor, and a
-	// 256×256 grid fits the default fill budget that RCM blows through.
+	// 256×256 grid fits the unbudgeted fill cap that RCM blows through.
 	// Both checks run on the symbolic analysis alone — exact fill counts,
 	// no numeric factorization — so the test stays fast under -race.
 	fp := floorplan.Alpha21364()
@@ -316,7 +316,6 @@ func TestGridOrderingFillReduction(t *testing.T) {
 		g := &GridModel{
 			fp: fp, cfg: cfg, nx: res, ny: res,
 			cellW: die.W / float64(res), cellH: die.H / float64(res),
-			fillBudget: DefaultGridFillBudget,
 		}
 		g.mapBlocks()
 		g.assemble()
@@ -348,9 +347,9 @@ func TestGridOrderingFillReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("256×256: nd fill %d (budget %d)", nd256.LNNZ(), DefaultGridFillBudget)
-	if nd256.LNNZ() > DefaultGridFillBudget {
-		t.Errorf("256×256 ND fill %d exceeds the default budget %d", nd256.LNNZ(), DefaultGridFillBudget)
+	t.Logf("256×256: nd fill %d (cap %d)", nd256.LNNZ(), gridFillCap)
+	if nd256.LNNZ() > gridFillCap {
+		t.Errorf("256×256 ND fill %d exceeds the unbudgeted fill cap %d", nd256.LNNZ(), gridFillCap)
 	}
 }
 
@@ -416,28 +415,31 @@ func TestGridSteadyStateActiveBitIdentical(t *testing.T) {
 	}
 }
 
-func TestGridFillBudgetOption(t *testing.T) {
-	fp := floorplan.Alpha21364()
-	cfg := DefaultPackageConfig()
-	direct, err := NewGridModelWithOptions(fp, cfg, 16, 16, GridOptions{})
-	if err != nil {
-		t.Fatal(err)
+// cgGridModel builds an unbudgeted alpha grid model on the CG tier: the fill
+// cap is lowered below any factor's fill for the build, which then takes the
+// fallback an unbudgeted grid past 2²⁴ factor non-zeros gets. A live shared
+// factor of the same key would be reused instead, so none may exist.
+func cgGridModel(t *testing.T, nx, ny int) *GridModel {
+	t.Helper()
+	waitLiveGridFactors(t, 0)
+	defer func(c int) { gridFillCap = c }(gridFillCap)
+	gridFillCap = 0
+	g := alphaGrid(t, nx, ny)
+	if g.SolverBackend() != "cg-ic0" || g.FactorNNZ() != 0 {
+		t.Fatalf("fill cap 0: backend %q factor %d, want the cg-ic0 fallback", g.SolverBackend(), g.FactorNNZ())
 	}
+	return g
+}
+
+// TestGridFillCapFallsBackToCG: past the fill cap an unbudgeted model solves
+// by CG, and its answers agree with the direct backend.
+func TestGridFillCapFallsBackToCG(t *testing.T) {
+	tiny := cgGridModel(t, 16, 16)
+	direct := alphaGrid(t, 16, 16)
 	if direct.SolverBackend() != "sparse-cholesky" {
 		t.Fatalf("default options: backend %q", direct.SolverBackend())
 	}
-	if direct.fillBudget != DefaultGridFillBudget {
-		t.Errorf("fillBudget = %d, want default %d", direct.fillBudget, DefaultGridFillBudget)
-	}
-	// A starved budget forces the iterative fallback; answers must still
-	// agree with the direct backend.
-	tiny, err := NewGridModelWithOptions(fp, cfg, 16, 16, GridOptions{FillBudget: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tiny.SolverBackend() != "cg-ic0" || tiny.FactorNNZ() != 0 {
-		t.Fatalf("starved budget: backend %q factor %d", tiny.SolverBackend(), tiny.FactorNNZ())
-	}
+	fp := direct.Floorplan()
 	pm := make([]float64, fp.NumBlocks())
 	pm[0], pm[6] = 25, 18
 	dres, err := direct.SteadyState(pm)
@@ -461,14 +463,7 @@ func TestGridFillBudgetOption(t *testing.T) {
 func TestGridSteadyStateActiveValidatesOnFallback(t *testing.T) {
 	// Caller bugs must surface identically on both backends: the CG
 	// fallback used to skip active-list validation entirely.
-	tiny, err := NewGridModelWithOptions(floorplan.Alpha21364(), DefaultPackageConfig(),
-		12, 12, GridOptions{FillBudget: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tiny.SolverBackend() != "cg-ic0" {
-		t.Fatalf("backend %q, want cg-ic0", tiny.SolverBackend())
-	}
+	tiny := cgGridModel(t, 12, 12)
 	pm := make([]float64, tiny.Floorplan().NumBlocks())
 	if _, err := tiny.SteadyStateActive(pm, []int{999}); !errors.Is(err, ErrPowerShape) {
 		t.Errorf("out-of-range active on fallback: err = %v, want ErrPowerShape", err)

@@ -17,19 +17,16 @@ type gridFactorKey struct {
 	pkg        [10]uint64 // math.Float64bits of the conductance/geometry fields
 	dieW, dieH uint64
 	nx, ny     int
-	fillBudget int
 	panelWidth int // the host's default panel width, so FactorStats match it
 }
 
-// newGridFactorKey keys a grid model's matrix and factor; opts must already
-// be canonical.
-func newGridFactorKey(cfg PackageConfig, dieW, dieH float64, nx, ny int, opts GridOptions) gridFactorKey {
+// newGridFactorKey keys an unbudgeted grid model's matrix and factor.
+func newGridFactorKey(cfg PackageConfig, dieW, dieH float64, nx, ny int) gridFactorKey {
 	k := gridFactorKey{
 		dieW:       math.Float64bits(dieW),
 		dieH:       math.Float64bits(dieH),
 		nx:         nx,
 		ny:         ny,
-		fillBudget: opts.FillBudget,
 		panelWidth: linalg.DefaultPanelWidth(0),
 	}
 	for i, v := range [...]float64{
@@ -49,7 +46,7 @@ type sharedFactor struct {
 	once    sync.Once
 	sys     *linalg.Sparse
 	chol    *linalg.SparseCholesky
-	precond linalg.Preconditioner
+	precond *linalg.IC0
 	stats   GridFactorStats
 	err     error
 	refs    int // guarded by sharedFactors.mu

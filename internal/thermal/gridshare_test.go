@@ -64,15 +64,14 @@ func sameSparseBits(a, b *linalg.Sparse) bool {
 // TestGridFactorKeyGuard perturbs every PackageConfig field by reflection:
 // the share key must change exactly when the assembled matrix bits change,
 // so a field added later cannot slip past it. A 1-ULP change of the die's
-// width or height, the resolution, the fill budget and the host's panel
-// width must change the key too.
+// width or height, the resolution and the host's panel width must change
+// the key too.
 func TestGridFactorKeyGuard(t *testing.T) {
 	const n = 8
 	fp := floorplan.Alpha21364()
 	die := fp.Die()
-	opts := GridOptions{}.Canonical()
 	base := DefaultPackageConfig()
-	baseKey := newGridFactorKey(base, die.W, die.H, n, n, opts)
+	baseKey := newGridFactorKey(base, die.W, die.H, n, n)
 	baseSys := assembled(fp, base, n, n)
 
 	rv := reflect.ValueOf(&base).Elem()
@@ -85,7 +84,7 @@ func TestGridFactorKeyGuard(t *testing.T) {
 		cfg := base
 		f := reflect.ValueOf(&cfg).Elem().Field(i)
 		f.SetFloat(f.Float() * 1.25)
-		keyChanged := newGridFactorKey(cfg, die.W, die.H, n, n, opts) != baseKey
+		keyChanged := newGridFactorKey(cfg, die.W, die.H, n, n) != baseKey
 		matrixChanged := !sameSparseBits(assembled(fp, cfg, n, n), baseSys)
 		if keyChanged != matrixChanged {
 			t.Errorf("%s: key changed %v, matrix changed %v", name, keyChanged, matrixChanged)
@@ -110,15 +109,14 @@ func TestGridFactorKeyGuard(t *testing.T) {
 		if sameSparseBits(assembled(wide, base, n, n), baseSys) {
 			t.Errorf("die %v: matrix bits unchanged by a 1-ULP die", d)
 		}
-		if newGridFactorKey(base, d.W, d.H, n, n, opts) == baseKey {
+		if newGridFactorKey(base, d.W, d.H, n, n) == baseKey {
 			t.Errorf("die %v: key unchanged by a 1-ULP die", d)
 		}
 	}
 
 	for name, k := range map[string]gridFactorKey{
-		"nx":         newGridFactorKey(base, die.W, die.H, n+1, n, opts),
-		"ny":         newGridFactorKey(base, die.W, die.H, n, n+1, opts),
-		"FillBudget": newGridFactorKey(base, die.W, die.H, n, n, GridOptions{FillBudget: 1 << 20}.Canonical()),
+		"nx": newGridFactorKey(base, die.W, die.H, n+1, n),
+		"ny": newGridFactorKey(base, die.W, die.H, n, n+1),
 	} {
 		if k == baseKey {
 			t.Errorf("%s: key unchanged", name)
@@ -127,9 +125,9 @@ func TestGridFactorKeyGuard(t *testing.T) {
 	// The key carries the host's panel width, so a model built under another
 	// GOMAXPROCS never reports another width's FactorStats.
 	old := runtime.GOMAXPROCS(1)
-	serial := newGridFactorKey(base, die.W, die.H, n, n, opts)
+	serial := newGridFactorKey(base, die.W, die.H, n, n)
 	runtime.GOMAXPROCS(2)
-	multi := newGridFactorKey(base, die.W, die.H, n, n, opts)
+	multi := newGridFactorKey(base, die.W, die.H, n, n)
 	runtime.GOMAXPROCS(old)
 	if serial == multi {
 		t.Error("panel width: key unchanged between GOMAXPROCS 1 and 2")
@@ -331,14 +329,8 @@ func TestGridFactorNotSharedWhenSpilledOrFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer budgeted.Close()
-	cg, err := NewGridModelWithOptions(fp, DefaultPackageConfig(), 16, 16, GridOptions{FillBudget: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cg := cgGridModel(t, 16, 16)
 	defer cg.Close()
-	if cg.SolverBackend() != "cg-ic0" {
-		t.Fatalf("backend %q, want cg-ic0", cg.SolverBackend())
-	}
 	if got := LiveGridFactors(); got != 0 {
 		t.Errorf("LiveGridFactors = %d, want 0 for budgeted and fallback models", got)
 	}
