@@ -597,8 +597,7 @@ func BenchmarkGridFactor(b *testing.B) {
 // BenchmarkGridSteady is the sparse-backend scaling ladder: amortized
 // per-query steady-state solves on ~1k/4k/16k-node grid models with the
 // factorization built once outside the timed loop (the oracle usage
-// pattern). CI smokes the smallest rung; PERF.md records the full ladder
-// against the legacy per-query CG numbers.
+// pattern). CI smokes the smallest rung; PERF.md records the full ladder.
 func BenchmarkGridSteady(b *testing.B) {
 	for _, c := range []struct {
 		name string

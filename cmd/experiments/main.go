@@ -54,8 +54,8 @@ func main() {
 			"comma-separated grid-resolution ladder for -run gridres (e.g. 32,64,128); "+
 				"runs the Table 1 flow per resolution and prints solver backend and factor/solve timings")
 		peakBytes = flag.String("peak-bytes", "",
-			"grid factorization peak memory with optional K/M/G suffix, e.g. 2G; "+
-				"when set, the grid always factors, spilling panels to disk past it (empty: no budget; grids past 2^24 factor non-zeros solve by CG)")
+			"grid factorization peak memory with optional K/M/G suffix, e.g. 512M; "+
+				"the factor spills panels to disk past it (empty: 2G)")
 		spillDir = flag.String("spill-dir", "",
 			"directory for out-of-core factor panel files (empty: os.TempDir)")
 		cacheDir = flag.String("cachedir", "",

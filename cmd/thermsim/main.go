@@ -29,7 +29,7 @@ func main() {
 		duration  = flag.Float64("duration", 5, "transient duration (s)")
 		step      = flag.Float64("step", 0, "transient step (s), 0 = auto")
 		grid      = flag.Int("grid", 0, "also solve an N×N grid model and print its heatmap")
-		peakBytes = flag.String("peak-bytes", "", "grid factorization peak memory with optional K/M/G suffix, e.g. 2G; when set, the grid always factors, spilling panels to disk past it (empty: no budget; grids past 2^24 factor non-zeros solve by CG)")
+		peakBytes = flag.String("peak-bytes", "", "grid factorization peak memory with optional K/M/G suffix, e.g. 512M; the factor spills panels to disk past it (empty: 2G)")
 		spillDir  = flag.String("spill-dir", "", "directory for out-of-core factor panel files (empty: os.TempDir)")
 	)
 	flag.Parse()
@@ -93,13 +93,10 @@ func run(workload, flpPath, specPath, activeStr string, transient bool, duration
 			}
 			fmt.Printf("\ngrid model (%d×%d, nd ordering, %s backend): max %.2f °C (block model: %.2f °C)\n",
 				grid, grid, gm.SolverBackend(), gres.MaxTemp(), res.MaxTemp())
-			// The CG fallback builds no factor; the header already names it.
 			fs := gm.FactorStats()
-			if fs.Panels > 0 {
-				fmt.Printf("factor: %s kernel, %v numeric, %d nnz, %d panels (max width %d, %d padded zeros)\n",
-					fs.Mode, fs.FactorTime.Round(time.Microsecond), fs.FactorNNZ,
-					fs.Panels, fs.MaxPanelWidth, fs.PaddedZeros)
-			}
+			fmt.Printf("factor: %s kernel, %v numeric, %d nnz, %d panels (max width %d, %d padded zeros)\n",
+				fs.Mode, fs.FactorTime.Round(time.Microsecond), fs.FactorNNZ,
+				fs.Panels, fs.MaxPanelWidth, fs.PaddedZeros)
 			switch {
 			case fs.SpilledPanels > 0:
 				fmt.Printf("spill: %d panels (%d bytes) out of core, peak resident %d of %d bytes\n",

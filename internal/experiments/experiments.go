@@ -72,11 +72,10 @@ type EnvOptions struct {
 	// grid-resolution thermal model instead of the block model.
 	GridRes int
 	// Grid tunes the grid oracle's solver (peak-bytes budget, spill
-	// directory). The zero value is the canonical default. Only whether a
-	// budget is set enters the store key (a budgeted model always answers
-	// from the factor) — the budget's size and the spill directory are
-	// bit-identical execution strategies, so cached results stay shared
-	// across them.
+	// directory). The zero value is the canonical default: a 2 GiB budget.
+	// No option enters the store key — the budget and the spill directory
+	// are bit-identical execution strategies of the one factor, so cached
+	// results stay shared across them.
 	Grid thermal.GridOptions
 }
 
@@ -119,11 +118,9 @@ func NewEnvWithOptions(spec *testspec.Spec, cfg thermal.PackageConfig, opts EnvO
 	var inner core.Oracle = sim
 	if opts.GridRes > 0 {
 		n, gopts := opts.GridRes, opts.Grid
-		// The store key is derived from the same (canonical) grid options the
-		// oracle is built with, so a round-off-changing choice (budgeted or
-		// not: CG past the fill cap or always the factor) cannot silently
-		// share a file, while bit-identical kernel choices (the budget's
-		// size, the host's panel shape) deliberately do share.
+		// The store key depends on the resolution alone: the grid options
+		// (the budget, the spill directory, the host's panel shape) select
+		// bit-identical executions of one factor, so they share a file.
 		env.StoreDesc = oraclestore.DescForGrid(spec.Floorplan(), cfg, spec.Profile(),
 			n, n, gopts)
 		// Defer the grid factorization to the first query even without a

@@ -18,8 +18,8 @@ type GridScalePoint struct {
 	Res        int           // grid is Res×Res cells
 	Nodes      int           // total RC nodes (2·Res² + 2)
 	NNZ        int           // conductance matrix non-zeros
-	FactorNNZ  int           // Cholesky factor non-zeros (0 on the CG fallback)
-	Panels     int           // supernodal panel count (0 on the CG fallback)
+	FactorNNZ  int           // Cholesky factor non-zeros
+	Panels     int           // supernodal panel count
 	Backend    string        // thermal.GridModel.SolverBackend()
 	BuildTime  time.Duration // model assembly + symbolic + numeric factorization
 	FactorTime time.Duration // numeric factorization alone (inside BuildTime)
@@ -31,6 +31,7 @@ type GridScalePoint struct {
 	SpilledPanels int   // factor panels spilled to disk (0 in core)
 	SpilledBytes  int64 // bytes written to the spill file
 	PeakResident  int64 // peak resident factorization bytes
+	Degraded      bool  // the budget was waived: the factor was built in core
 }
 
 // PerQuery returns the amortized per-session solve time on the per-query
@@ -56,9 +57,9 @@ type GridScaleResult struct {
 // choice, factorization fill and the per-query solve timing per rung. This
 // is the scaling probe for the sparse steady-state backend: per-query time
 // should stay near-linear in the node count because the factorization is
-// built once and reused. opts builds every rung's grid model: a
-// PeakBytesBudget makes every rung factor, out of core (bit-identical) when
-// the in-core bytes exceed it.
+// built once and reused. opts builds every rung's grid model: a rung
+// factors out of core (bit-identical) when its in-core bytes exceed the
+// peak-bytes budget, 2 GiB unless PeakBytesBudget sets one.
 func RunGridScale(env *Env, resolutions []int, opts thermal.GridOptions) (*GridScaleResult, error) {
 	const tl, stcl = 165, 60
 	res, err := env.Generate(core.Config{TL: tl, STCL: stcl})
@@ -107,6 +108,7 @@ func runGridRung(env *Env, r int, opts thermal.GridOptions, sessions []schedule.
 		SpilledPanels: fs.SpilledPanels,
 		SpilledBytes:  fs.SpilledBytes,
 		PeakResident:  fs.PeakResidentBytes,
+		Degraded:      fs.SpillDegraded,
 	}
 	prof := env.Spec.Profile()
 	for _, s := range sessions {
@@ -136,7 +138,10 @@ func (g *GridScaleResult) Render() string {
 		"grid", "nodes", "nnz", "factor", "panels", "spilled", "resident", "backend", "build", "numeric", "per-query", "peak °C")
 	for _, p := range g.Points {
 		resident := "-"
-		if p.SpilledPanels > 0 {
+		switch {
+		case p.Degraded:
+			resident = "waived"
+		case p.SpilledPanels > 0:
 			resident = fmt.Sprintf("%d", p.PeakResident)
 		}
 		numeric := p.FactorTime.Round(time.Microsecond).String()

@@ -99,3 +99,37 @@ func TestRunGridScaleBudgetedRung(t *testing.T) {
 		t.Errorf("budgeted rung peak %v, unbudgeted %v; want bit-identical", peaks[1], peaks[0])
 	}
 }
+
+// TestGridScaleRenderWaivedBudget: a 16×16 rung under a 4 KiB budget, below
+// the out-of-core floor, prints "waived" in the resident column; every other
+// column but the timings matches the unbudgeted rung's row, which prints "-".
+func TestGridScaleRenderWaivedBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("grid ladder in -short mode")
+	}
+	env, err := NewEnv(testspec.Alpha21364())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]string
+	for _, opts := range []thermal.GridOptions{{}, {PeakBytesBudget: 4 << 10}} {
+		res, err := RunGridScale(env, []int{16}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(res.Render()), "\n")
+		rows = append(rows, strings.Fields(lines[len(lines)-1]))
+	}
+	const resident = 6
+	if got := rows[0][resident]; got != "-" {
+		t.Errorf("unbudgeted resident column %q, want -", got)
+	}
+	if got := rows[1][resident]; got != "waived" {
+		t.Errorf("4 KiB budget resident column %q, want waived", got)
+	}
+	for _, col := range []int{0, 1, 2, 3, 4, 5, 7, 11} {
+		if rows[0][col] != rows[1][col] {
+			t.Errorf("column %d: %q unbudgeted, %q under 4 KiB", col, rows[0][col], rows[1][col])
+		}
+	}
+}

@@ -134,44 +134,3 @@ func BenchmarkCholeskySolveSparseND(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSolveCGJacobi and BenchmarkSolveCGIC0 time the iterative fallback
-// per query at the grid solver's production tolerance, for the PERF.md
-// direct-vs-iterative comparison.
-func BenchmarkSolveCGJacobi(b *testing.B) {
-	benchCG(b, false)
-}
-
-func BenchmarkSolveCGIC0(b *testing.B) {
-	benchCG(b, true)
-}
-
-func benchCG(b *testing.B, ic0 bool) {
-	for _, n := range []int{1024, 4096, 16384} {
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			nx, ny := benchDims(n)
-			s := buildLaplacian(nx, ny)
-			opts := CGOptions{Tol: 1e-9, Scratch: &CGScratch{}}
-			if ic0 {
-				ic, err := NewIC0(s)
-				if err != nil {
-					b.Fatal(err)
-				}
-				opts.Precond = ic
-			}
-			rhs := make([]float64, n)
-			rhs[n/2] = 1
-			dst := make([]float64, n)
-			iters := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				it, err := s.SolveCGInto(dst, rhs, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				iters = it
-			}
-			b.ReportMetric(float64(iters), "iters")
-		})
-	}
-}

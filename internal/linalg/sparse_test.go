@@ -90,109 +90,6 @@ func TestSparseMulVecMatchesDense(t *testing.T) {
 	}
 }
 
-func TestCGMatchesCholeskyOnConductanceMatrix(t *testing.T) {
-	// Assemble a random conductance network (SPD by construction) both
-	// sparsely and densely; CG and Cholesky must agree.
-	rng := rand.New(rand.NewSource(21))
-	const n = 30
-	b := NewSparseBuilder(n)
-	dense := NewSquare(n)
-	for k := 0; k < 120; k++ {
-		i, j := rng.Intn(n), rng.Intn(n)
-		if i == j {
-			continue
-		}
-		g := rng.Float64() + 0.01
-		b.AddConductance(i, j, g)
-		dense.add(i, i, g)
-		dense.add(j, j, g)
-		dense.add(i, j, -g)
-		dense.add(j, i, -g)
-	}
-	for i := 0; i < n; i++ {
-		b.AddGround(i, 0.1)
-		dense.add(i, i, 0.1)
-	}
-	s := b.Build()
-	if !s.IsSymmetricSparse(1e-12) {
-		t.Fatal("assembled conductance matrix not symmetric")
-	}
-	rhs := randomVec(n, rng)
-	xc, err := s.SolveCG(rhs, CGOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	xd, err := SolveSPD(dense, rhs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range xc {
-		if math.Abs(xc[i]-xd[i]) > 1e-6*(1+math.Abs(xd[i])) {
-			t.Fatalf("CG and Cholesky differ at %d: %g vs %g", i, xc[i], xd[i])
-		}
-	}
-}
-
-func TestCGOnGridLaplacian(t *testing.T) {
-	s := buildLaplacian(20, 20)
-	rhs := make([]float64, s.n)
-	rhs[210] = 1 // point source
-	x, err := s.SolveCG(rhs, CGOptions{Tol: 1e-11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Residual check.
-	ax, err := s.MulVec(x, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res float64
-	for i := range ax {
-		res = math.Max(res, math.Abs(ax[i]-rhs[i]))
-	}
-	if res > 1e-9 {
-		t.Errorf("residual %g too large", res)
-	}
-	// Maximum principle: the solution peaks at the source.
-	peak, peakIdx := 0.0, -1
-	for i, v := range x {
-		if v > peak {
-			peak, peakIdx = v, i
-		}
-	}
-	if peakIdx != 210 {
-		t.Errorf("solution peaks at %d, want the source 210", peakIdx)
-	}
-}
-
-func TestCGErrors(t *testing.T) {
-	s := buildLaplacian(4, 4)
-	if _, err := s.SolveCG([]float64{1}, CGOptions{}); !errors.Is(err, ErrShape) {
-		t.Errorf("short rhs: err = %v, want ErrShape", err)
-	}
-	// Zero rhs short-circuits to zero solution.
-	x, err := s.SolveCG(make([]float64, s.n), CGOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Norm2(x) != 0 {
-		t.Error("zero rhs should give zero solution")
-	}
-	// Iteration starvation.
-	rhs := make([]float64, s.n)
-	rhs[3] = 1
-	if _, err := s.SolveCG(rhs, CGOptions{MaxIter: 1, Tol: 1e-14}); !errors.Is(err, ErrNoConverge) {
-		t.Errorf("starved CG: err = %v, want ErrNoConverge", err)
-	}
-	// Indefinite matrix (negative diagonal) rejected.
-	bad := NewSparseBuilder(2)
-	bad.Add(0, 0, -1)
-	bad.Add(1, 1, 1)
-	if _, err := bad.Build().SolveCG([]float64{1, 1}, CGOptions{}); !errors.Is(err, ErrNotSPD) {
-		t.Errorf("indefinite: err = %v, want ErrNotSPD", err)
-	}
-}
-
 func TestSparseDiagonal(t *testing.T) {
 	b := NewSparseBuilder(3)
 	b.Add(0, 0, 2)

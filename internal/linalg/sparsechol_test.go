@@ -384,88 +384,3 @@ func TestRCMOrderingReducesFill(t *testing.T) {
 		t.Errorf("RCM fill %d not below scrambled fill %d", symRCM.LNNZ(), symID.LNNZ())
 	}
 }
-
-func TestIC0PreconditionerAcceleratesCG(t *testing.T) {
-	s := buildLaplacian(30, 30)
-	ic, err := NewIC0(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rhs := make([]float64, s.n)
-	rhs[450] = 1
-	rhs[10] = -0.5
-
-	xJac := make([]float64, s.n)
-	itJac, err := s.SolveCGInto(xJac, rhs, CGOptions{Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	xIC := make([]float64, s.n)
-	itIC, err := s.SolveCGInto(xIC, rhs, CGOptions{Tol: 1e-10, Precond: ic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxAbsDiff(xJac, xIC); d > 1e-7 {
-		t.Errorf("Jacobi and IC0 solutions differ by %g", d)
-	}
-	if itIC >= itJac {
-		t.Errorf("IC0 iterations %d not below Jacobi %d", itIC, itJac)
-	}
-	// The factor must reproduce A approximately: on the Laplacian pattern
-	// with no fill the relative residual of L·Lᵀ vs A stays moderate.
-	if _, err := NewIC0(buildLaplacian(2, 2)); err != nil {
-		t.Errorf("tiny IC0: %v", err)
-	}
-}
-
-func TestIC0RejectsIndefinite(t *testing.T) {
-	b := NewSparseBuilder(2)
-	b.Add(0, 0, -1)
-	b.Add(1, 1, 1)
-	if _, err := NewIC0(b.Build()); !errors.Is(err, ErrNotSPD) {
-		t.Errorf("indefinite: err = %v, want ErrNotSPD", err)
-	}
-}
-
-func TestSolveCGIntoScratchReuse(t *testing.T) {
-	s := buildLaplacian(20, 20)
-	rhs := make([]float64, s.n)
-	rhs[210] = 1
-	want, err := s.SolveCG(rhs, CGOptions{Tol: 1e-11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sc CGScratch
-	dst := make([]float64, s.n)
-	for call := 0; call < 3; call++ { // scratch reuse must not perturb results
-		iters, err := s.SolveCGInto(dst, rhs, CGOptions{Tol: 1e-11, Scratch: &sc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if iters <= 0 {
-			t.Fatalf("call %d: iteration count %d", call, iters)
-		}
-		if d := maxAbsDiff(dst, want); d > 1e-12 {
-			t.Fatalf("call %d: scratch solve differs by %g", call, d)
-		}
-	}
-}
-
-func TestSolveCGIntoScratchAllocFree(t *testing.T) {
-	s := buildLaplacian(12, 12)
-	rhs := make([]float64, s.n)
-	rhs[60] = 1
-	dst := make([]float64, s.n)
-	var sc CGScratch
-	if _, err := s.SolveCGInto(dst, rhs, CGOptions{Tol: 1e-8, Scratch: &sc}); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := s.SolveCGInto(dst, rhs, CGOptions{Tol: 1e-8, Scratch: &sc}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("SolveCGInto with scratch allocates %.1f objects per call, want 0", allocs)
-	}
-}

@@ -15,7 +15,7 @@ import (
 
 // TestGridDescGoldenAddress pins the content address of the alpha21364 grid
 // oracle at 48×48, with the default solver options and under a peak-bytes
-// budget. Every record file written by a grid-fidelity run lives under one of
+// budget, which does not change it. Every record file written by a grid-fidelity run lives under one of
 // these keys, so a change to the backend string or the hash layout would
 // silently orphan warm stores; any such change must bump the address on
 // purpose and update these constants with it.
@@ -29,8 +29,8 @@ func TestGridDescGoldenAddress(t *testing.T) {
 	}{
 		{thermal.GridOptions{}, "grid-nd-48x48",
 			"6a4eb0ca13e79dd351a58e3ea20ae44ecca58e7b352ccc824478b66acd75e31b"},
-		{thermal.GridOptions{PeakBytesBudget: 1 << 30}, "grid-nd-48x48-budgeted",
-			"b08a210b8425165ca9605bc59ee6212a8f48f2feebcb7783ca63aa7441de37d9"},
+		{thermal.GridOptions{PeakBytesBudget: 1 << 30}, "grid-nd-48x48",
+			"6a4eb0ca13e79dd351a58e3ea20ae44ecca58e7b352ccc824478b66acd75e31b"},
 	} {
 		desc := DescForGrid(spec.Floorplan(), cfg, spec.Profile(), 48, 48, c.opts)
 		if desc.Backend != c.backend {

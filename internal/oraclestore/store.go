@@ -90,10 +90,9 @@ type SystemDesc struct {
 	// Backend identifies the solver configuration that produced the cached
 	// answers, e.g. "dense-cholesky", "sparse-cholesky" (block models, from
 	// Model.SolverBackend) or "grid-nd-48x48" (grid oracles, from DescForGrid
-	// — the concrete solver, its nested-dissection ordering and its fixed
-	// tolerance are deterministic functions of the dimensions and of whether
-	// a peak-bytes budget is set, so they are folded in implicitly; anyone
-	// changing GridModel's ordering, fill cap or CG tolerance must also
+	// — the concrete solver and its nested-dissection ordering are
+	// deterministic functions of the dimensions, so they are folded in
+	// implicitly; anyone changing GridModel's ordering or solver must also
 	// version this string or old files will answer with different
 	// round-off).
 	// Different backends differ in discretisation and round-off, so their
@@ -128,25 +127,32 @@ func DescForBlockModel(fp *floorplan.Floorplan, cfg thermal.PackageConfig, prof 
 	}
 }
 
+// cholCells is the cell count from which a grid oracle's address carries the
+// "-chol" suffix. Unbudgeted grids past 2²⁴ factor non-zeros once answered
+// by conjugate gradients, and their old unsuffixed record files may hold
+// those bits. The fill depends only on nx and ny (the floorplan never enters
+// the matrix pattern), and every grid that was past that fill has at least
+// 100,000 cells: 331×331 is under it, 332×332 over, and rectangles of about
+// 108k cells stay under. So the suffix covers them all, and a few factored
+// grids below the fill with them.
+const cholCells = 100_000
+
 // DescForGrid describes the grid-resolution oracle (core.GridOracle) of an
-// nx×ny discretisation under the given solver options — without needing the
-// grid model built, so a lazily-constructed oracle can be content-addressed
-// before paying for its factorization. The "nd" in the backend name records
-// the grid model's one elimination ordering, geometric nested dissection;
-// keys written under the earlier implicit-RCM scheme ("grid-NxN") are left
-// behind rather than mixed in. Of the *canonical* options
-// (thermal.GridOptions.Canonical) only whether a peak-bytes budget is set
-// can change the solve's round-off: an unbudgeted model past the fill cap
-// answers from CG, a budgeted one always from the factor. So a budgeted
-// model's name carries a "-budgeted" suffix, and unbudgeted keys stay
-// stable. The budget's size and the spill knobs only choose between
-// bit-identical in-core and out-of-core factors. The concrete solver is a
-// deterministic function of these inputs plus the dimensions, so equal
-// names guarantee bit-equal answers.
+// nx×ny discretisation — without needing the grid model built, so a
+// lazily-constructed oracle can be content-addressed before paying for its
+// factorization. The "nd" in the backend name records the grid model's one
+// elimination ordering, geometric nested dissection; keys written under the
+// earlier implicit-RCM scheme ("grid-NxN") are left behind rather than mixed
+// in. Every answer comes from the one sparse Cholesky factor, in core or out
+// of core, so opts never changes an answer's bits and does not enter the
+// address. Grids of at least cholCells cells carry a "-chol" suffix, which
+// leaves behind files their earlier iterative solver wrote. The concrete
+// solver is a deterministic function of the dimensions, so equal names
+// guarantee bit-equal answers.
 func DescForGrid(fp *floorplan.Floorplan, cfg thermal.PackageConfig, prof *power.Profile, nx, ny int, opts thermal.GridOptions) SystemDesc {
 	backend := fmt.Sprintf("grid-nd-%dx%d", nx, ny)
-	if opts.Canonical().PeakBytesBudget > 0 {
-		backend += "-budgeted"
+	if nx*ny >= cholCells {
+		backend += "-chol"
 	}
 	return SystemDesc{
 		Floorplan: fp,

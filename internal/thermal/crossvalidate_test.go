@@ -10,9 +10,9 @@ import (
 )
 
 // These tests are the solver cross-validation the sparse backend rests on:
-// the same grid conductance system solved by dense Cholesky, sparse Cholesky
-// and preconditioned CG must agree to 1e-8 across fuzzed floorplans and
-// package configurations. CI runs them under -race (the grid solver shares
+// the same grid conductance system solved by dense Cholesky and sparse
+// Cholesky must agree to 1e-8 across fuzzed floorplans and package
+// configurations. CI runs them under -race (the grid solver shares
 // pooled scratch between concurrent queries).
 
 // fuzzConfig perturbs the default package within physically valid ranges.
@@ -32,9 +32,9 @@ func fuzzConfig(rng *rand.Rand) PackageConfig {
 	return cfg
 }
 
-// solveThreeWays solves sys·x = rhs with the three backends and returns the
-// largest pairwise deviation, scaled for comparison against 1e-8.
-func solveThreeWays(t *testing.T, sys *linalg.Sparse, rhs []float64) float64 {
+// solveDenseSparse solves sys·x = rhs by dense and by sparse Cholesky and
+// returns their largest deviation, scaled for comparison against 1e-8.
+func solveDenseSparse(t *testing.T, sys *linalg.Sparse, rhs []float64) float64 {
 	t.Helper()
 	dense, err := linalg.SolveSPD(sys.Dense(), rhs)
 	if err != nil {
@@ -48,21 +48,12 @@ func solveThreeWays(t *testing.T, sys *linalg.Sparse, rhs []float64) float64 {
 	if err != nil {
 		t.Fatalf("sparse solve: %v", err)
 	}
-	ic, err := linalg.NewIC0(sys)
-	if err != nil {
-		t.Fatalf("IC0: %v", err)
-	}
-	cg := make([]float64, len(rhs))
-	if _, err := sys.SolveCGInto(cg, rhs, linalg.CGOptions{Tol: 1e-13, Precond: ic}); err != nil {
-		t.Fatalf("CG solve: %v", err)
-	}
 	var scaleMax, dev float64
 	for i := range dense {
 		scaleMax = math.Max(scaleMax, math.Abs(dense[i]))
 	}
 	for i := range dense {
 		dev = math.Max(dev, math.Abs(dense[i]-sparse[i]))
-		dev = math.Max(dev, math.Abs(dense[i]-cg[i]))
 	}
 	return dev / (1 + scaleMax)
 }
@@ -90,7 +81,7 @@ func TestGridSolversCrossValidate(t *testing.T) {
 				rhs[cs.cell] += p * cs.frac
 			}
 		}
-		if dev := solveThreeWays(t, gm.sys, rhs); dev > 1e-8 {
+		if dev := solveDenseSparse(t, gm.sys, rhs); dev > 1e-8 {
 			t.Errorf("trial %d (%d blocks, %dx%d grid): solver deviation %g > 1e-8",
 				trial, blocks, nx, ny, dev)
 		}
@@ -115,7 +106,7 @@ func TestBlockModelSolversCrossValidate(t *testing.T) {
 		for i := 0; i < m.NumBlocks(); i++ {
 			rhs[i] = 25 * rng.Float64()
 		}
-		if dev := solveThreeWays(t, m.gs, rhs); dev > 1e-8 {
+		if dev := solveDenseSparse(t, m.gs, rhs); dev > 1e-8 {
 			t.Errorf("trial %d: solver deviation %g > 1e-8", trial, dev)
 		}
 	}
@@ -182,9 +173,9 @@ func TestGridOrderingsCrossValidate(t *testing.T) {
 	}
 }
 
-func TestGridSteadyStateMatchesLegacyCG(t *testing.T) {
-	// The factored grid backend must reproduce what a from-scratch CG solve
-	// at the old per-query tolerance produced, on the stock floorplan.
+func TestGridSteadyStateMatchesDense(t *testing.T) {
+	// The factored grid backend must reproduce a dense Cholesky solve of the
+	// same system on the stock floorplan.
 	g := alphaGrid(t, 12, 12)
 	pm := make([]float64, g.Floorplan().NumBlocks())
 	pm[0], pm[3] = 20, 35
@@ -198,14 +189,14 @@ func TestGridSteadyStateMatchesLegacyCG(t *testing.T) {
 			rhs[cs.cell] += p * cs.frac
 		}
 	}
-	rise, err := g.sys.SolveCG(rhs, linalg.CGOptions{Tol: 1e-9})
+	rise, err := linalg.SolveSPD(g.sys.Dense(), rhs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range rise {
 		want := g.cfg.Ambient + rise[i]
 		if got := res.temps[i]; math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
-			t.Fatalf("node %d: factored backend %g vs CG %g", i, got, want)
+			t.Fatalf("node %d: factored backend %g vs dense %g", i, got, want)
 		}
 	}
 	if got := g.SolverBackend(); got != "sparse-cholesky" {
@@ -299,7 +290,7 @@ func TestSparseBackendTransientMatchesSteadyState(t *testing.T) {
 }
 
 // FuzzGridSolverAgreement derives a grid configuration from fuzz input and
-// checks the dense/sparse/CG agreement property on it. The seed corpus runs
+// checks the dense/sparse agreement property on it. The seed corpus runs
 // in regular test invocations; go test -fuzz explores further.
 func FuzzGridSolverAgreement(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(4), uint8(5))
@@ -325,7 +316,7 @@ func FuzzGridSolverAgreement(f *testing.F) {
 				rhs[cs.cell] += p * cs.frac
 			}
 		}
-		if dev := solveThreeWays(t, gm.sys, rhs); dev > 1e-8 {
+		if dev := solveDenseSparse(t, gm.sys, rhs); dev > 1e-8 {
 			t.Errorf("%d blocks, %dx%d grid: solver deviation %g > 1e-8", blocks, nx, ny, dev)
 		}
 	})

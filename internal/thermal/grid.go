@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -12,30 +13,26 @@ import (
 	"repro/internal/linalg"
 )
 
-// gridFillCap bounds the sparse Cholesky fill an unbudgeted GridModel will
-// accept before falling back to preconditioned CG: 2²⁴ factor entries is
-// roughly 200 MB, which comfortably covers the 256×256 grid (131k nodes)
-// under the geometric nested-dissection ordering while keeping pathological
-// resolutions from exhausting memory. The symbolic analysis reports the
-// exact fill before any numeric work, so the decision is free. It is a
-// variable only so in-package tests can reach the CG tier on small grids.
-var gridFillCap = 1 << 24
+// defaultPeakBudget is the peak-bytes budget of a model whose
+// GridOptions.PeakBytesBudget is 0: 2 GiB. It sits above the out-of-core
+// floor (factor row indices plus frontal scratch) of every grid up to
+// 1024×1024 (1.65 GiB there), so those grids spill rather than waive it,
+// and grids up to about 800×800 (1.87 GiB in core) factor fully in core.
+// It is a variable only so in-package tests can make small grids spill.
+var defaultPeakBudget int64 = 2 << 30
 
 // GridOptions tunes the grid model's solver construction. The model always
 // factors under the geometric nested-dissection ordering with the supernodal
 // panel kernel, whose panel shape follows GOMAXPROCS
 // (linalg.DefaultPanelWidth); these options bound its memory.
 type GridOptions struct {
-	// PeakBytesBudget caps the resident bytes the direct backend may hold
-	// while factoring (indices + resident panel values + frontal scratch).
-	// 0 leaves the factor unbudgeted: it is built in core while its fill is
-	// at most 2²⁴ non-zeros, and past that the model solves with
-	// IC(0)-preconditioned CG. A budget > 0 alone decides: the factor is
-	// built in core when the in-core bytes fit, and otherwise out of core,
-	// spilling finished panels to SpillDir and streaming them back per
-	// solve — bit-identical to in-core. A budget below even the out-of-core
-	// floor is waived: the factor is built in core and FactorStats reports
-	// SpillDegraded.
+	// PeakBytesBudget caps the resident bytes the factorization may hold
+	// (indices + resident panel values + frontal scratch); 0 means the
+	// default of 2 GiB. The factor is built in core when the in-core bytes
+	// fit, and otherwise out of core, spilling finished panels to SpillDir
+	// and streaming them back per solve — bit-identical to in-core. A budget
+	// below even the out-of-core floor is waived: the factor is built in
+	// core and FactorStats reports SpillDegraded.
 	PeakBytesBudget int64
 	// SpillDir is where spilled panel files live ("" = the OS temp dir).
 	// Files are unlinked at creation where the platform allows, so crashes
@@ -46,15 +43,10 @@ type GridOptions struct {
 	SpillFS linalg.SpillFS
 }
 
-// Canonical resolves the option defaults (a negative budget → 0, no
-// budget). It is the single source of truth for what a GridOptions means:
-// NewGridModelWithOptions builds from it, and the oracle store derives its
-// content-address from it. Whether a budget is set changes the solver (an
-// unbudgeted model past the fill cap runs CG; a budgeted one always
-// factors), so it versions the content-address; the budget's size, the
-// spill knobs and the host's panel shape select bit-identical execution
-// strategies of the factor, so cached results remain valid across them by
-// construction.
+// Canonical resolves the option defaults (a negative budget → 0, the
+// default budget). NewGridModelWithOptions builds from it. No option changes
+// an answer's bits: the budget, the spill knobs and the host's panel shape
+// select bit-identical execution strategies of the one factor.
 func (o GridOptions) Canonical() GridOptions {
 	if o.PeakBytesBudget < 0 {
 		o.PeakBytesBudget = 0
@@ -71,17 +63,16 @@ func (o GridOptions) Canonical() GridOptions {
 //
 // The steady-state backend is a sparse Cholesky factored once at
 // construction — under the geometric nested-dissection ordering, with the
-// supernodal factorization kernel, out of core when
-// GridOptions.PeakBytesBudget demands it — so every SteadyState query costs
-// two sparse triangular solves on its one right-hand side, the backward one
-// advancing two independent elimination subtrees at once; SteadyStateActive
+// supernodal factorization kernel, out of core when the peak-bytes budget
+// (GridOptions.PeakBytesBudget, 2 GiB by default) demands it — so every
+// SteadyState query costs two sparse triangular solves on its one
+// right-hand side, the backward one advancing two independent elimination
+// subtrees at once; SteadyStateActive
 // restricts both solves to the elimination-tree closure of the active power
 // footprint, answering only the cells a validation query reads; that is what
 // makes per-session oracle sweeps over one floorplan cheap at grid scale.
 // Many queries fan out as concurrent solves against the one factor.
-// Unbudgeted resolutions whose factor would exceed the fill cap fall back to
-// IC(0)-preconditioned conjugate gradients with pooled scratch. GridModel is
-// safe for concurrent queries.
+// GridModel is safe for concurrent queries.
 //
 // The conductance matrix depends only on the package stack's conductances
 // and geometry, the die's width and height and the resolution — never on the
@@ -89,8 +80,9 @@ func (o GridOptions) Canonical() GridOptions {
 // solver options match shares one process-wide factor, built once even under
 // concurrent construction (FactorStats().Shared). The shared factor lives
 // while some model holds it; Close, or a cleanup when the model is dropped,
-// releases the hold. Models under a peak-bytes budget or a custom SpillFS,
-// whose factor may own a spill file, and the CG fallback stay per-model.
+// releases the hold, and the last release closes the factor with its spill
+// file, if it spilled under the default budget. Models under an explicit
+// peak-bytes budget or a custom SpillFS stay per-model.
 //
 // Node layout for nc = nx·ny cells: [0, nc) silicon, [nc, 2nc) spreader,
 // 2nc rim, 2nc+1 sink; ambient is the eliminated ground.
@@ -101,16 +93,14 @@ type GridModel struct {
 	cellW      float64
 	cellH      float64
 	sys        *linalg.Sparse
-	peakBudget int64 // resident-bytes bound; 0 = unbudgeted
+	peakBudget int64 // resident-bytes bound
 	spillDir   string
 	spillFS    linalg.SpillFS
 	stats      GridFactorStats
 	share      *factorRef // hold on the process-wide factor; nil when per-model
 
-	chol    *linalg.SparseCholesky // direct backend; nil → iterative fallback
-	precond *linalg.IC0            // CG preconditioner on the fallback path
-	cgPool  sync.Pool              // *linalg.CGScratch for the fallback
-	rhsPool sync.Pool              // *[]float64 node-vector buffers
+	chol    *linalg.SparseCholesky
+	rhsPool sync.Pool // *[]float64 node-vector buffers
 
 	// cellPowerWeight[b] lists (cell, fraction) pairs: fraction of block
 	// b's power deposited in that cell.
@@ -125,7 +115,8 @@ type cellShare struct {
 }
 
 // NewGridModel discretises fp's die into an nx×ny grid under cfg with
-// default solver options (nested-dissection ordering, no peak-bytes budget).
+// default solver options (nested-dissection ordering, the default peak-bytes
+// budget).
 func NewGridModel(fp *floorplan.Floorplan, cfg PackageConfig, nx, ny int) (*GridModel, error) {
 	return NewGridModelWithOptions(fp, cfg, nx, ny, GridOptions{})
 }
@@ -151,13 +142,14 @@ func NewGridModelWithOptions(fp *floorplan.Floorplan, cfg PackageConfig, nx, ny 
 		ny:         ny,
 		cellW:      die.W / float64(nx),
 		cellH:      die.H / float64(ny),
-		peakBudget: opts.PeakBytesBudget,
+		peakBudget: cmp.Or(opts.PeakBytesBudget, defaultPeakBudget),
 		spillDir:   opts.SpillDir,
 		spillFS:    opts.SpillFS,
 	}
 	g.mapBlocks()
 	if opts.PeakBytesBudget > 0 || opts.SpillFS != nil {
-		// A possibly spilled factor owns its file, so it stays per-model.
+		// An explicitly budgeted factor stays per-model: the key does not
+		// record the budget.
 		g.assemble()
 		if err := g.buildSolver(); err != nil {
 			return nil, err
@@ -170,7 +162,6 @@ func NewGridModelWithOptions(fp *floorplan.Floorplan, cfg PackageConfig, nx, ny 
 		b := make([]float64, size)
 		return &b
 	}
-	g.cgPool.New = func() any { return &linalg.CGScratch{} }
 	return g, nil
 }
 
@@ -191,29 +182,19 @@ func (g *GridModel) ndPerm() []int {
 }
 
 // buildSolver factorizes the assembled system once under the geometric
-// nested-dissection ordering with the supernodal panel kernel. Unbudgeted,
-// the symbolic analysis predicts the exact fill, steering oversized grids
-// onto the preconditioned CG fallback instead of an out-of-memory factor;
-// under a peak-bytes budget the bytes alone decide between an in-core and an
-// out-of-core factor.
+// nested-dissection ordering with the supernodal panel kernel. The symbolic
+// analysis predicts the exact in-core bytes, and the peak-bytes budget alone
+// decides between an in-core and an out-of-core factor.
 func (g *GridModel) buildSolver() error {
 	sym, err := linalg.NewCholSymbolic(g.sys, g.ndPerm())
 	if err != nil {
 		return fmt.Errorf("%w: grid system not SPD: %v", ErrModel, err)
 	}
-	if g.peakBudget == 0 && sym.LNNZ() > gridFillCap {
-		// Iterative fallback: IC(0) cannot break down on conductance
-		// matrices (M-matrices), so a failure means the system is not SPD.
-		if g.precond, err = linalg.NewIC0(g.sys); err != nil {
-			return fmt.Errorf("%w: grid system not SPD: %v", ErrModel, err)
-		}
-		return nil
-	}
 	ss := sym.Supernodes(linalg.SupernodalOptions{})
 	start := time.Now() // numeric factorization only — symbolic and partition excluded
 	inCore := int64(sym.LNNZ())*16 + ss.WorkspaceBytes()
 	var ch *linalg.SparseCholesky
-	if g.peakBudget > 0 && inCore > g.peakBudget {
+	if inCore > g.peakBudget {
 		// The in-core working set exceeds the peak-bytes budget: factor
 		// out of core, spilling finished panels to disk.
 		ch, err = ss.FactorizeSpill(g.sys, linalg.SpillPolicy{
@@ -254,22 +235,15 @@ func (g *GridModel) buildSolver() error {
 	return nil
 }
 
-// SolverBackend reports the steady-state backend this grid resolution ended
-// up with: "sparse-cholesky", or "cg-ic0" on the iterative fallback.
-func (g *GridModel) SolverBackend() string {
-	if g.chol != nil {
-		return "sparse-cholesky"
-	}
-	return "cg-ic0"
-}
+// SolverBackend names the steady-state backend: "sparse-cholesky", in core
+// or out of core alike.
+func (g *GridModel) SolverBackend() string { return "sparse-cholesky" }
 
 // GridFactorStats describes the one-time factorization cost behind a grid
 // model's direct backend — the construction-side numbers the benchmarks and
-// the service /metrics endpoint share a vocabulary for. The zero value means
-// the model runs the iterative fallback and never built a factor.
+// the service /metrics endpoint share a vocabulary for.
 type GridFactorStats struct {
-	// Mode is the kernel that built the factor: "supernodal", or "" on the
-	// CG fallback.
+	// Mode is the kernel that built the factor: "supernodal".
 	Mode string
 	// FactorTime is the numeric factorization alone (ordering, symbolic
 	// analysis and supernode partition excluded), so it times the kernel.
@@ -279,7 +253,7 @@ type GridFactorStats struct {
 	// with a bit-identical matrix built; the remaining fields describe that
 	// shared factor.
 	Shared bool
-	// FactorNNZ is the factor's non-zero count (the fill-cap gate input).
+	// FactorNNZ is the factor's non-zero count.
 	FactorNNZ int
 	// Panels, MaxPanelWidth and PaddedZeros describe the supernode
 	// partition.
@@ -291,8 +265,9 @@ type GridFactorStats struct {
 	// what a fully in-core factorization costs.
 	PeakFactorBytes int64
 	// PeakResidentBytes is what the factorization actually held resident:
-	// equal to PeakFactorBytes in core, and at most the configured
-	// PeakBytesBudget when the out-of-core path spilled (unless degraded).
+	// equal to PeakFactorBytes in core, and at most the peak-bytes budget
+	// (the 2 GiB default when none is set) when the out-of-core path spilled
+	// (unless degraded).
 	PeakResidentBytes int64
 	// SpilledPanels / SpilledBytes count the factor panels written to the
 	// spill file during an out-of-core factorization (zero in core).
@@ -309,29 +284,20 @@ type GridFactorStats struct {
 func (g *GridModel) FactorStats() GridFactorStats { return g.stats }
 
 // Close releases what the solver backend holds beyond the model itself: the
-// spill file of an out-of-core factor, and this model's hold on a shared
-// in-core factor (the factor is freed with its last holder). It is
-// idempotent and must not race in-flight queries. Models dropped without
-// Close are covered by a finalizer and a cleanup, but long-lived servers that
-// evict systems should call it promptly.
+// spill file of a per-model out-of-core factor, or this model's hold on a
+// shared factor (the factor and its spill file are freed with its last
+// holder). It is idempotent and must not race in-flight queries. Models
+// dropped without Close are covered by a finalizer and a cleanup, but
+// long-lived servers that evict systems should call it promptly.
 func (g *GridModel) Close() error {
 	if g.share != nil {
-		g.share.release()
-	}
-	if g.chol == nil {
-		return nil
+		return g.share.release()
 	}
 	return g.chol.Close()
 }
 
-// FactorNNZ returns the non-zero count of the cached Cholesky factor, or 0 on
-// the iterative fallback.
-func (g *GridModel) FactorNNZ() int {
-	if g.chol == nil {
-		return 0
-	}
-	return g.chol.NNZ()
-}
+// FactorNNZ returns the non-zero count of the cached Cholesky factor.
+func (g *GridModel) FactorNNZ() int { return g.chol.NNZ() }
 
 // NNZ returns the non-zero count of the assembled conductance matrix.
 func (g *GridModel) NNZ() int { return g.sys.NNZ() }
@@ -450,7 +416,7 @@ func (g *GridModel) assemble() {
 
 // depositPower zeroes rhs (length NumNodes) and deposits each block's power
 // uniformly over its silicon footprint — the one right-hand-side assembly
-// both the factored and the baseline CG query paths share.
+// SteadyState and SteadyStateActive share.
 func (g *GridModel) depositPower(rhs, power []float64) error {
 	for i := range rhs {
 		rhs[i] = 0
@@ -474,8 +440,8 @@ type GridResult struct {
 
 // SteadyState solves the grid for a per-block power map (W). Block power is
 // deposited uniformly over the block footprint. The factorization built at
-// construction is reused, so a query costs two sparse triangular solves (or
-// one preconditioned CG run past the fill cap). The backward solve
+// construction is reused, so a query costs two sparse triangular solves. The
+// backward solve
 // interleaves pairs of disjoint nested-dissection subtrees, bit-identical to
 // a plain column loop. Scratch vectors are pooled, leaving the returned
 // temperature field as the only allocation.
@@ -491,18 +457,7 @@ func (g *GridModel) SteadyState(power []float64) (*GridResult, error) {
 		return nil, err
 	}
 	temps := make([]float64, len(rhs))
-	var err error
-	if g.chol != nil {
-		err = g.chol.SolveInto(temps, rhs)
-	} else {
-		sc := g.cgPool.Get().(*linalg.CGScratch)
-		_, err = g.sys.SolveCGInto(temps, rhs, linalg.CGOptions{
-			Tol:     1e-9,
-			Precond: g.precond,
-			Scratch: sc,
-		})
-		g.cgPool.Put(sc)
-	}
+	err := g.chol.SolveInto(temps, rhs)
 	g.rhsPool.Put(rhsP)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: grid solve: %w", err)
@@ -516,29 +471,24 @@ func (g *GridModel) SteadyState(power []float64) (*GridResult, error) {
 // SteadyStateActive solves the grid for a power map whose only non-zero
 // entries are the blocks listed in active — the exact query shape of
 // Algorithm 1's validation oracle, where passive cores idle at zero power
-// and only the active cores' temperatures are read. On the direct backend
-// the right-hand side's support is the active blocks' cell footprint, and
+// and only the active cores' temperatures are read. The right-hand side's
+// support is the active blocks' cell footprint, and
 // both triangular solves run over its elimination-tree closure alone
 // (SolveSparseInto). The result is bit-identical to SteadyState at every
 // cell of an active block and at the rest of the closure, and NaN at every
 // other node, so whole-die read-backs (MaxTemp, Heatmap) and passive blocks'
-// BlockMaxTemp are not meaningful; the CG fallback answers every node.
-// Blocks outside active must carry zero power; active may repeat a block.
+// BlockMaxTemp are not meaningful. Blocks outside active must carry zero
+// power; active may repeat a block.
 func (g *GridModel) SteadyStateActive(power []float64, active []int) (*GridResult, error) {
 	if len(power) != g.fp.NumBlocks() {
 		return nil, fmt.Errorf("%w: got %d entries, floorplan has %d blocks",
 			ErrPowerShape, len(power), g.fp.NumBlocks())
 	}
-	// Validate active before any backend dispatch, so a caller bug errors
-	// identically whether or not the fill cap forced the CG fallback.
 	for _, b := range active {
 		if b < 0 || b >= g.fp.NumBlocks() {
 			return nil, fmt.Errorf("%w: active block %d outside [0,%d)",
 				ErrPowerShape, b, g.fp.NumBlocks())
 		}
-	}
-	if g.chol == nil {
-		return g.SteadyState(power) // CG fallback has no sparse-RHS fast path
 	}
 	rhsP := g.rhsPool.Get().(*[]float64)
 	rhs := *rhsP

@@ -305,8 +305,8 @@ func TestGridReadBackBuiltinMaxMatchesMathMax(t *testing.T) {
 
 func TestGridOrderingFillReduction(t *testing.T) {
 	// The acceptance bar of the nested-dissection fast path: at 128×128 the
-	// ND factor holds at most half the non-zeros of the RCM factor, and a
-	// 256×256 grid fits the unbudgeted fill cap that RCM blows through.
+	// ND factor holds at most half the non-zeros of the RCM factor, and the
+	// 256×256 factor's values fit in core under the default budget.
 	// Both checks run on the symbolic analysis alone — exact fill counts,
 	// no numeric factorization — so the test stays fast under -race.
 	fp := floorplan.Alpha21364()
@@ -347,9 +347,10 @@ func TestGridOrderingFillReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("256×256: nd fill %d (cap %d)", nd256.LNNZ(), gridFillCap)
-	if nd256.LNNZ() > gridFillCap {
-		t.Errorf("256×256 ND fill %d exceeds the unbudgeted fill cap %d", nd256.LNNZ(), gridFillCap)
+	values := int64(nd256.LNNZ()) * 16
+	t.Logf("256×256: nd fill %d (%d value bytes, default budget %d)", nd256.LNNZ(), values, defaultPeakBudget)
+	if values > defaultPeakBudget {
+		t.Errorf("256×256 ND factor values %d B exceed the default budget %d B", values, defaultPeakBudget)
 	}
 }
 
@@ -412,61 +413,6 @@ func TestGridSteadyStateActiveBitIdentical(t *testing.T) {
 	}
 	if _, err := g.SteadyStateActive(powers[0], []int{nb}); err == nil {
 		t.Error("out-of-range active block should fail")
-	}
-}
-
-// cgGridModel builds an unbudgeted alpha grid model on the CG tier: the fill
-// cap is lowered below any factor's fill for the build, which then takes the
-// fallback an unbudgeted grid past 2²⁴ factor non-zeros gets. A live shared
-// factor of the same key would be reused instead, so none may exist.
-func cgGridModel(t *testing.T, nx, ny int) *GridModel {
-	t.Helper()
-	waitLiveGridFactors(t, 0)
-	defer func(c int) { gridFillCap = c }(gridFillCap)
-	gridFillCap = 0
-	g := alphaGrid(t, nx, ny)
-	if g.SolverBackend() != "cg-ic0" || g.FactorNNZ() != 0 {
-		t.Fatalf("fill cap 0: backend %q factor %d, want the cg-ic0 fallback", g.SolverBackend(), g.FactorNNZ())
-	}
-	return g
-}
-
-// TestGridFillCapFallsBackToCG: past the fill cap an unbudgeted model solves
-// by CG, and its answers agree with the direct backend.
-func TestGridFillCapFallsBackToCG(t *testing.T) {
-	tiny := cgGridModel(t, 16, 16)
-	direct := alphaGrid(t, 16, 16)
-	if direct.SolverBackend() != "sparse-cholesky" {
-		t.Fatalf("default options: backend %q", direct.SolverBackend())
-	}
-	fp := direct.Floorplan()
-	pm := make([]float64, fp.NumBlocks())
-	pm[0], pm[6] = 25, 18
-	dres, err := direct.SteadyState(pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tres, err := tiny.SteadyState(pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := math.Abs(dres.MaxTemp() - tres.MaxTemp()); d > 1e-5 {
-		t.Errorf("fallback disagrees with direct backend by %g K", d)
-	}
-	// SteadyStateActive degrades to the plain path on the fallback rather
-	// than failing.
-	if _, err := tiny.SteadyStateActive(pm, []int{0, 6}); err != nil {
-		t.Errorf("SteadyStateActive on fallback: %v", err)
-	}
-}
-
-func TestGridSteadyStateActiveValidatesOnFallback(t *testing.T) {
-	// Caller bugs must surface identically on both backends: the CG
-	// fallback used to skip active-list validation entirely.
-	tiny := cgGridModel(t, 12, 12)
-	pm := make([]float64, tiny.Floorplan().NumBlocks())
-	if _, err := tiny.SteadyStateActive(pm, []int{999}); !errors.Is(err, ErrPowerShape) {
-		t.Errorf("out-of-range active on fallback: err = %v, want ErrPowerShape", err)
 	}
 }
 

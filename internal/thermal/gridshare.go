@@ -9,8 +9,9 @@ import (
 )
 
 // gridFactorKey is exactly what assemble and buildSolver read, as exact bits:
-// two in-core grid models with equal keys assemble bit-identical matrices and
-// factor them identically, so they can share one factor. The capacitances and
+// two grid models under the default budget with equal keys assemble
+// bit-identical matrices and factor them identically, so they can share one
+// factor. The capacitances and
 // Ambient are absent on purpose: the steady state never reads the former, and
 // ambient is added after the solve. Block layout enters only mapBlocks.
 type gridFactorKey struct {
@@ -43,13 +44,12 @@ func newGridFactorKey(cfg PackageConfig, dieW, dieH float64, nx, ny int) gridFac
 // every live GridModel with the same key. once makes concurrent cold builds
 // of one key factor exactly once without a global lock across the build.
 type sharedFactor struct {
-	once    sync.Once
-	sys     *linalg.Sparse
-	chol    *linalg.SparseCholesky
-	precond *linalg.IC0
-	stats   GridFactorStats
-	err     error
-	refs    int // guarded by sharedFactors.mu
+	once  sync.Once
+	sys   *linalg.Sparse
+	chol  *linalg.SparseCholesky
+	stats GridFactorStats
+	err   error
+	refs  int // guarded by sharedFactors.mu
 }
 
 // sharedFactors maps each key to its resident factor. An entry lives only
@@ -66,22 +66,28 @@ type factorRef struct {
 	once sync.Once
 }
 
-// release drops the hold, idempotently, and evicts the entry with its last
-// holder.
-func (r *factorRef) release() {
+// release drops the hold, idempotently. The last holder evicts the entry
+// and closes the factor, which removes its spill file if it spilled.
+func (r *factorRef) release() (err error) {
 	r.once.Do(func() {
 		sharedFactors.mu.Lock()
-		defer sharedFactors.mu.Unlock()
-		if r.f.refs--; r.f.refs == 0 && sharedFactors.m[r.key] == r.f {
+		r.f.refs--
+		last := r.f.refs == 0
+		if last && sharedFactors.m[r.key] == r.f {
 			delete(sharedFactors.m, r.key)
 		}
+		sharedFactors.mu.Unlock()
+		if last && r.f.err == nil {
+			err = r.f.chol.Close()
+		}
 	})
+	return err
 }
 
 // shareSolver gives g the factor of key k, building it (assembly, ordering,
 // symbolic analysis, supernode partition, numeric factorization) only when no
-// live model holds it. A build error or a CG fallback is not kept: the next
-// model with this key builds afresh.
+// live model holds it. A build error is not kept: the next model with this
+// key builds afresh.
 func (g *GridModel) shareSolver(k gridFactorKey) error {
 	sharedFactors.mu.Lock()
 	f := sharedFactors.m[k]
@@ -97,20 +103,17 @@ func (g *GridModel) shareSolver(k gridFactorKey) error {
 		built = true
 		g.assemble()
 		f.err = g.buildSolver()
-		f.sys, f.chol, f.precond, f.stats = g.sys, g.chol, g.precond, g.stats
+		f.sys, f.chol, f.stats = g.sys, g.chol, g.stats
 	})
 	ref := &factorRef{key: k, f: f}
-	if f.chol == nil {
-		ref.release()
-	} else {
-		g.share = ref
-		runtime.AddCleanup(g, (*factorRef).release, ref)
-	}
 	if f.err != nil {
+		ref.release()
 		return f.err
 	}
-	g.sys, g.chol, g.precond, g.stats = f.sys, f.chol, f.precond, f.stats
-	if !built && g.chol != nil {
+	g.share = ref
+	runtime.AddCleanup(g, func(r *factorRef) { r.release() }, ref)
+	g.sys, g.chol, g.stats = f.sys, f.chol, f.stats
+	if !built {
 		g.stats.Shared = true
 		g.stats.FactorTime = 0
 	}

@@ -318,24 +318,94 @@ func TestGridFactorDroppedWithoutClose(t *testing.T) {
 	waitLiveGridFactors(t, 0)
 }
 
-// TestGridFactorNotSharedWhenSpilledOrFallback: a model under a peak-bytes
-// budget keeps its own factor, and the CG fallback leaves no entry behind.
+// TestGridFactorNotSharedWhenSpilledOrFallback: a model under an explicit
+// peak-bytes budget keeps its own factor.
 func TestGridFactorNotSharedWhenSpilledOrFallback(t *testing.T) {
 	waitLiveGridFactors(t, 0)
-	fp := floorplan.Alpha21364()
-	budgeted, err := NewGridModelWithOptions(fp, DefaultPackageConfig(), 16, 16,
+	budgeted, err := NewGridModelWithOptions(floorplan.Alpha21364(), DefaultPackageConfig(), 16, 16,
 		GridOptions{PeakBytesBudget: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer budgeted.Close()
-	cg := cgGridModel(t, 16, 16)
-	defer cg.Close()
 	if got := LiveGridFactors(); got != 0 {
-		t.Errorf("LiveGridFactors = %d, want 0 for budgeted and fallback models", got)
+		t.Errorf("LiveGridFactors = %d, want 0 for a budgeted model", got)
 	}
-	if budgeted.FactorStats().Shared || cg.FactorStats().Shared {
-		t.Errorf("budgeted %+v / fallback %+v stats, want unshared", budgeted.FactorStats(), cg.FactorStats())
+	if budgeted.FactorStats().Shared {
+		t.Errorf("budgeted stats %+v, want unshared", budgeted.FactorStats())
+	}
+}
+
+// TestGridSharedSpilledFactorOutlivesClose: with the default budget lowered
+// so an unbudgeted 16×16 grid spills, two models of one key share the
+// spilled factor, and closing one leaves the other answering bit-identically
+// to an in-core model, also under concurrent queries; the last Close evicts
+// the entry.
+func TestGridSharedSpilledFactorOutlivesClose(t *testing.T) {
+	const n = 16
+	waitLiveGridFactors(t, 0)
+	fp, cfg := floorplan.Alpha21364(), DefaultPackageConfig()
+	inCore, err := NewGridModelWithOptions(fp, cfg, n, n, GridOptions{PeakBytesBudget: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inCore.Close()
+	want := gridAnswers(t, inCore)
+
+	defer func(b int64) { defaultPeakBudget = b }(defaultPeakBudget)
+	defaultPeakBudget = spillBudgetFor(inCore)
+	opts := GridOptions{SpillDir: t.TempDir()}
+	first, err := NewGridModelWithOptions(fp, cfg, n, n, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := NewGridModelWithOptions(fp, cfg, n, n, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := first.FactorStats(); st.SpilledPanels == 0 || st.SpillDegraded || st.Shared {
+		t.Fatalf("first model under budget %d: %+v, want an unshared spilled factor", defaultPeakBudget, st)
+	}
+	if st := second.FactorStats(); !st.Shared || st.SpilledPanels == 0 {
+		t.Fatalf("second model: %+v, want the shared spilled factor", st)
+	}
+	if got := LiveGridFactors(); got != 1 {
+		t.Fatalf("LiveGridFactors = %d with two holders of one key, want 1", got)
+	}
+	// Both holders stream the one spill file at once.
+	pm := make([]float64, fp.NumBlocks())
+	pm[0], pm[6] = 25, 18
+	ref, err := inCore.SteadyState(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, g := range []*GridModel{first, second, first, second} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := g.SteadyState(pm)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !sameBits([][]float64{res.temps}, [][]float64{ref.temps}) {
+				t.Error("concurrent spilled solve differs from in core")
+			}
+		}()
+	}
+	wg.Wait()
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(gridAnswers(t, second), want) {
+		t.Error("after the first holder's Close, the shared spilled factor answers differently from in core")
+	}
+	if err := second.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := LiveGridFactors(); got != 0 {
+		t.Errorf("LiveGridFactors = %d after the last Close, want 0", got)
 	}
 }
 

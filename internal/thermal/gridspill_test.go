@@ -192,12 +192,14 @@ func TestGridSpillBrokenFSDegradesInCore(t *testing.T) {
 	}
 }
 
-// TestGridPeakBudgetAcceptance is the tentpole acceptance rung: a 1024×1024
-// grid (~2.1M nodes) factors and solves within a 3 GiB peak-bytes budget by
-// spilling factor panels out of core. It takes minutes and only runs with
-// THERM_ACCEPT_1024=1 (CI gates it exactly like the fill-acceptance step);
-// bit-identity of the spilled solve path is pinned by the smaller rungs
-// above, which do run under -race.
+// TestGridPeakBudgetAcceptance is the out-of-core acceptance rung: a
+// 1024×1024 grid (~2.1M nodes) factors and solves within a 3 GiB peak-bytes
+// budget by spilling factor panels out of core, and then, with that model
+// closed, within the 2 GiB default budget of an unbudgeted model, answering
+// the same maximum temperature bit for bit. It takes minutes and only runs
+// with THERM_ACCEPT_1024=1 (CI gates it exactly like the fill-acceptance
+// step); bit-identity of the spilled solve path is pinned by the smaller
+// rungs above, which do run under -race.
 func TestGridPeakBudgetAcceptance(t *testing.T) {
 	if os.Getenv("THERM_ACCEPT_1024") == "" {
 		t.Skip("set THERM_ACCEPT_1024=1 to run the 1024×1024 budget acceptance rung (minutes)")
@@ -205,42 +207,49 @@ func TestGridPeakBudgetAcceptance(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the 1024×1024 rung is a no-race acceptance run")
 	}
-	const budget = int64(3) << 30
+	const n = 1024
 	fp := floorplan.Alpha21364()
-	g, err := NewGridModelWithOptions(fp, DefaultPackageConfig(), 1024, 1024, GridOptions{
-		PeakBytesBudget: budget,
-		SpillDir:        t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	if g.SolverBackend() != "sparse-cholesky" {
-		t.Fatalf("backend %q, want sparse-cholesky", g.SolverBackend())
-	}
-	st := g.FactorStats()
-	t.Logf("1024×1024: %d nodes, %d factor nnz, %v numeric, %d/%d panels spilled (%d bytes), peak resident %d of budget %d",
-		g.NumNodes(), st.FactorNNZ, st.FactorTime, st.SpilledPanels, st.Panels,
-		st.SpilledBytes, st.PeakResidentBytes, budget)
-	if st.SpillDegraded {
-		t.Fatalf("degraded run: %+v", st)
-	}
-	if st.SpilledPanels == 0 {
-		t.Fatalf("the 1024 rung must not fit the %d budget in core: %+v", budget, st)
-	}
-	if st.PeakResidentBytes > budget {
-		t.Fatalf("peak resident %d exceeds budget %d", st.PeakResidentBytes, budget)
-	}
 	pm := make([]float64, fp.NumBlocks())
 	pm[0], pm[7] = 40, 25
-	res, err := g.SteadyState(pm)
-	if err != nil {
-		t.Fatal(err)
+	// solve builds the rung under opts, checks that it spilled within
+	// budget, and returns its maximum temperature with the model closed.
+	solve := func(opts GridOptions, budget int64) float64 {
+		t.Helper()
+		g, err := NewGridModelWithOptions(fp, DefaultPackageConfig(), n, n, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		st := g.FactorStats()
+		t.Logf("%d×%d: %d nodes, %d factor nnz, %v numeric, %d/%d panels spilled (%d bytes), peak resident %d of budget %d",
+			n, n, g.NumNodes(), st.FactorNNZ, st.FactorTime, st.SpilledPanels, st.Panels,
+			st.SpilledBytes, st.PeakResidentBytes, budget)
+		if st.SpillDegraded {
+			t.Fatalf("degraded run: %+v", st)
+		}
+		if st.SpilledPanels == 0 {
+			t.Fatalf("the 1024 rung must not fit the %d budget in core: %+v", budget, st)
+		}
+		if st.PeakResidentBytes > budget {
+			t.Fatalf("peak resident %d exceeds budget %d", st.PeakResidentBytes, budget)
+		}
+		res, err := g.SteadyState(pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mt := res.MaxTemp()
+		if math.IsNaN(mt) || mt <= DefaultPackageConfig().Ambient || mt > 500 {
+			t.Fatalf("implausible max temperature %g °C", mt)
+		}
+		t.Logf("steady state: max %.2f °C", mt)
+		return mt
 	}
-	if mt := res.MaxTemp(); math.IsNaN(mt) || mt <= DefaultPackageConfig().Ambient || mt > 500 {
-		t.Fatalf("implausible max temperature %g °C", mt)
+	const budget = int64(3) << 30
+	budgeted := solve(GridOptions{PeakBytesBudget: budget, SpillDir: t.TempDir()}, budget)
+	unbudgeted := solve(GridOptions{SpillDir: t.TempDir()}, defaultPeakBudget)
+	if math.Float64bits(budgeted) != math.Float64bits(unbudgeted) {
+		t.Fatalf("max temperature %v under the default budget, %v under 3 GiB", unbudgeted, budgeted)
 	}
-	t.Logf("steady state: max %.2f °C", res.MaxTemp())
 }
 
 // TestGridOptionsCanonicalSpill pins the canonicalization of the memory
