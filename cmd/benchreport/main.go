@@ -38,7 +38,7 @@ import (
 
 // defaultBench selects the tier-1 families: the scheduling-service hot paths
 // named in ROADMAP.md.
-const defaultBench = "^(BenchmarkGridFactor|BenchmarkGridSteady|BenchmarkTable1CellGridCold|BenchmarkFleetSweep|BenchmarkTable1WarmStore|BenchmarkJobSubmitWarm)$"
+const defaultBench = "^(BenchmarkGridFactor|BenchmarkGridSteady|BenchmarkTable1CellGridCold|BenchmarkFleetSweep|BenchmarkTable1WarmStore|BenchmarkJobSubmitWarm|BenchmarkScaling160)$"
 
 const (
 	// pairs is how many parent/head runs the gate makes of each binary.

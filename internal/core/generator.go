@@ -38,7 +38,7 @@ type Config struct {
 	// Deprecated: ignored.
 	BatchValidate bool
 	// Interrupt, when non-nil, is polled before phase 1 and before every
-	// phase-2 candidate build; a non-nil return aborts the run with an error
+	// phase-2 candidate; a non-nil return aborts the run with an error
 	// wrapping both *ErrInterrupted and the returned cause. Wire a request
 	// context's Err method here (Interrupt: ctx.Err) to give a generation a
 	// deadline or cancellation point: the abort lands between candidate
@@ -309,16 +309,22 @@ func (g *Generator) Run() (*Result, error) {
 	sched := schedule.New()
 	builder := newSessionBuilder(g.sm)
 	sessionAttempts := 0
+	var session []int
+	var stc float64
+	var forced, reuse bool
 	for left > 0 {
 		if err := g.interrupted(); err != nil {
 			return nil, err
 		}
 		// Lines 9–15 build the candidate; line 16 simulates it once. The
 		// session aliases the builder until the next buildSession call.
-		session, stc, forced, err := g.buildSession(builder, order, remaining, weights)
-		if err != nil {
-			return nil, err
+		if !reuse {
+			session, stc, forced, err = g.buildSession(builder, order, remaining, weights)
+			if err != nil {
+				return nil, err
+			}
 		}
+		reuse = false
 		temps, err := g.oracle.BlockTemps(session)
 		if err != nil {
 			return nil, fmt.Errorf("core: session simulation: %w", err)
@@ -366,7 +372,15 @@ func (g *Generator) Run() (*Result, error) {
 		}
 		if !valid {
 			res.Violations++
-			continue // line 9: rebuild from scratch
+			// Line 9 rebuilds from scratch. Only offenders' weights grew and
+			// no core left, so the scan would return this same candidate
+			// exactly when its STC under the grown weights is still within
+			// STCL (see sessionBuilder); then it is reused with that STC. A
+			// forced singleton never is: its term already exceeded STCL.
+			if t := builder.rescore(weights); t <= g.cfg.STCL {
+				stc, reuse = t, true
+			}
+			continue
 		}
 		sess, err := schedule.NewSession(session...)
 		if err != nil {

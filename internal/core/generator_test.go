@@ -4,12 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/floorplan"
+	"repro/internal/power"
+	"repro/internal/schedule"
 	"repro/internal/testspec"
 	"repro/internal/thermal"
 )
@@ -689,4 +693,270 @@ func TestNonFiniteTemperatureRejected(t *testing.T) {
 			}
 		}
 	}
+}
+
+// randomGenSetup builds a seeded random SoC of n cores shaped like the
+// scaling experiment's: 0.2–0.9 W/mm² functional power, tests 1.5–7× that
+// and at most 2.6 W/mm².
+func randomGenSetup(t *testing.T, n int, seed int64) (*testspec.Spec, *SessionModel, Oracle) {
+	t.Helper()
+	fp, err := floorplan.Random(floorplan.RandomOptions{Blocks: n, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed + 1))
+	functional := make([]float64, n)
+	factors := make([]float64, n)
+	for i := range functional {
+		density := (0.2 + 0.7*rng.Float64()) * 1e6
+		functional[i] = density * fp.Block(i).Area()
+		factors[i] = math.Max(1.5, math.Min(2.5+4.5*rng.Float64(), 2.6e6/density))
+	}
+	prof, err := power.FromFactors(fp, functional, factors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := testspec.UniformLength(fmt.Sprintf("random-%d-%d", n, seed), prof, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := thermal.NewModel(fp, thermal.DefaultPackageConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, err := NewSessionModel(m, prof, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec, sm, NewSimOracle(m, prof)
+}
+
+// rebuildEveryAttempt is Run with line 9 taken literally: every phase-2
+// attempt rebuilds its candidate from scratch. It returns how many of those
+// rebuilds returned the previous attempt's candidate, which Run reuses
+// instead.
+func rebuildEveryAttempt(g *Generator) (*Result, int, error) {
+	n := g.spec.NumCores()
+	res := &Result{BCMT: make([]float64, n), EffectiveTL: g.cfg.TL, FinalWeights: make([]float64, n)}
+	if err := g.runPhase1(n, res.BCMT); err != nil {
+		return nil, 0, err
+	}
+	var violation BCMTViolationError
+	for i, t := range res.BCMT {
+		if t >= g.cfg.TL {
+			violation.Cores = append(violation.Cores, i)
+			violation.Names = append(violation.Names, g.spec.Test(i).Name)
+			violation.Temps = append(violation.Temps, t)
+		}
+	}
+	if len(violation.Cores) > 0 {
+		if !g.cfg.AutoRaiseTL {
+			violation.TL = g.cfg.TL
+			return nil, 0, &violation
+		}
+		res.EffectiveTL = slices.Max(violation.Temps) + 1
+	}
+	tl := res.EffectiveTL
+	g.progress(ProgressInfo{Phase: 1, CoresTotal: n})
+
+	weights := make([]float64, n)
+	remaining := make([]bool, n)
+	for i := range weights {
+		weights[i], remaining[i] = 1, true
+	}
+	left := n
+	order, err := candidateOrder(g.cfg.Order, g.spec, g.sm)
+	if err != nil {
+		return nil, 0, err
+	}
+	sched := schedule.New()
+	builder := newSessionBuilder(g.sm)
+	sessionAttempts, sameAsPrev := 0, 0
+	var prev []int
+	for left > 0 {
+		session, stc, forced, err := g.buildSession(builder, order, remaining, weights)
+		if err != nil {
+			return nil, 0, err
+		}
+		if slices.Equal(session, prev) {
+			sameAsPrev++
+		}
+		temps, err := g.oracle.BlockTemps(session)
+		if err != nil {
+			return nil, 0, err
+		}
+		if forced {
+			res.ForcedSingletons++
+		}
+		res.Attempts++
+		sessionAttempts++
+		var length float64
+		for _, c := range session {
+			length = math.Max(length, g.spec.Test(c).Length)
+		}
+		res.Effort += length
+		valid := true
+		sessionMax := math.Inf(-1)
+		for _, c := range session {
+			sessionMax = math.Max(sessionMax, temps[c])
+			if temps[c] >= tl {
+				weights[c] *= g.cfg.WeightGrowth
+				valid = false
+			}
+		}
+		if !valid {
+			res.Violations++
+			prev = slices.Clone(session)
+			continue
+		}
+		prev = nil
+		sess, err := schedule.NewSession(session...)
+		if err != nil {
+			return nil, 0, err
+		}
+		sched = sched.Append(sess)
+		res.Records = append(res.Records, SessionRecord{Session: sess, STC: stc, MaxTemp: sessionMax, Attempts: sessionAttempts})
+		res.MaxTemp = math.Max(res.MaxTemp, sessionMax)
+		sessionAttempts = 0
+		for _, c := range session {
+			remaining[c] = false
+		}
+		left -= len(session)
+		g.progress(ProgressInfo{Phase: 2, Sessions: len(res.Records), CoresScheduled: n - left,
+			CoresTotal: n, Attempts: res.Attempts, Violations: res.Violations})
+	}
+	res.Schedule = sched
+	res.Length = sched.Length(g.spec)
+	copy(res.FinalWeights, weights)
+	return res, sameAsPrev, nil
+}
+
+// resultFloatBits lists every float of a Result as its bits, in a fixed
+// order, so two results can be compared bit for bit (reflect.DeepEqual
+// takes 0 == -0).
+func resultFloatBits(r *Result) []uint64 {
+	fs := []float64{r.Length, r.Effort, r.MaxTemp, r.EffectiveTL}
+	fs = append(append(fs, r.BCMT...), r.FinalWeights...)
+	for _, rec := range r.Records {
+		fs = append(fs, rec.STC, rec.MaxTemp)
+	}
+	bits := make([]uint64, len(fs))
+	for i, f := range fs {
+		bits[i] = math.Float64bits(f)
+	}
+	return bits
+}
+
+// coolingOracle answers a session 0.5 °C cooler each time it is asked
+// again. Against a deterministic oracle a reused candidate always violates
+// again; this one lets it commit, so its recorded STC is observable.
+type coolingOracle struct {
+	inner Oracle
+	asked map[string]int
+}
+
+func (o *coolingOracle) BlockTemps(active []int) ([]float64, error) {
+	temps, err := o.inner.BlockTemps(active)
+	if err != nil {
+		return nil, err
+	}
+	key := fmt.Sprint(active)
+	temps = slices.Clone(temps) // an answer is read-only
+	for _, c := range active {
+		temps[c] -= 0.5 * float64(o.asked[key])
+	}
+	o.asked[key]++
+	return temps, nil
+}
+
+// recordedRun is one generator run seen from outside: its result, the
+// sessions it asked the oracle about, its progress snapshots, and for the
+// reference loop how many rebuilds returned the previous candidate.
+type recordedRun struct {
+	res      *Result
+	queries  [][]int
+	progress []ProgressInfo
+	repeats  int
+}
+
+// runRecorded runs Run, or rebuildEveryAttempt when reference is set,
+// against oracle under cfg.
+func runRecorded(t *testing.T, name string, spec *testspec.Spec, sm *SessionModel,
+	oracle Oracle, cfg Config, reference bool) recordedRun {
+	t.Helper()
+	rec := &recordingOracle{inner: oracle}
+	var out recordedRun
+	cfg.Progress = func(p ProgressInfo) { out.progress = append(out.progress, p) }
+	g, err := NewGenerator(spec, sm, rec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reference {
+		out.res, out.repeats, err = rebuildEveryAttempt(g)
+	} else {
+		out.res, err = g.Run()
+	}
+	if err != nil {
+		t.Fatalf("%s (reference %v): %v", name, reference, err)
+	}
+	out.queries = rec.sessions
+	return out
+}
+
+// TestGeneratorMatchesRebuildEveryAttempt: reusing a candidate the scan
+// would rebuild changes nothing observable. Over 24 seeded random SoCs × 3
+// STCLs, with and without AutoRaiseTL, and with a deterministic and a
+// cooling oracle, Run and a loop that rebuilds on every attempt ask the
+// oracle the same sessions in the same order, report the same progress and
+// return the same Result, floats bit for bit.
+func TestGeneratorMatchesRebuildEveryAttempt(t *testing.T) {
+	sizes := []int{10, 20, 40, 80}
+	skipped := 0
+	for seed := int64(1); seed <= 24; seed++ {
+		spec, sm, sim := randomGenSetup(t, sizes[seed%4], seed)
+		var bcmtMax float64
+		bcmt := make([]float64, spec.NumCores())
+		for i := range bcmt {
+			temps, err := sim.BlockTemps([]int{i})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bcmt[i] = temps[i]
+			bcmtMax = math.Max(bcmtMax, temps[i])
+		}
+		slices.Sort(bcmt)
+		for _, stcl := range []float64{30, 60, 100} {
+			for _, cfg := range []Config{
+				{TL: bcmtMax + 3, STCL: stcl},
+				{TL: bcmt[len(bcmt)/2], STCL: stcl, AutoRaiseTL: true},
+			} {
+				for _, cooling := range []bool{false, true} {
+					name := fmt.Sprintf("seed %d, %d cores, STCL %g, AutoRaiseTL %v, cooling %v",
+						seed, spec.NumCores(), stcl, cfg.AutoRaiseTL, cooling)
+					newOracle := func() Oracle {
+						if cooling {
+							return &coolingOracle{inner: sim, asked: map[string]int{}}
+						}
+						return sim
+					}
+					got := runRecorded(t, name, spec, sm, newOracle(), cfg, false)
+					want := runRecorded(t, name, spec, sm, newOracle(), cfg, true)
+					skipped += want.repeats
+					if !reflect.DeepEqual(got.queries, want.queries) {
+						t.Fatalf("%s: oracle queries differ:\n got %v\nwant %v", name, got.queries, want.queries)
+					}
+					if !reflect.DeepEqual(got.progress, want.progress) {
+						t.Fatalf("%s: progress differs:\n got %v\nwant %v", name, got.progress, want.progress)
+					}
+					if !reflect.DeepEqual(got.res, want.res) || !slices.Equal(resultFloatBits(got.res), resultFloatBits(want.res)) {
+						t.Fatalf("%s: results differ:\n got %+v\nwant %+v", name, got.res, want.res)
+					}
+				}
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no attempt rebuilt its previous candidate; the reuse path went unexercised")
+	}
+	t.Logf("%d rebuilds returned the previous candidate", skipped)
 }

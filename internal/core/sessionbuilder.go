@@ -14,6 +14,12 @@ package core
 //     need re-evaluation.
 //   - Conductances only decrease as cores join, so every member's STC term
 //     is monotone non-decreasing and the running max never goes stale.
+//   - A term is also monotone non-decreasing in the member's weight. So when
+//     weights only grow and the remaining cores are unchanged, a fresh scan
+//     returns the same members in the same order, with the same maxTerm bits,
+//     exactly when rescore under the grown weights is still within the
+//     limit: every accepted step's max is at most those final terms, and
+//     every rejected step's max can only have grown.
 //
 // A builder is reused across sessions of one generator run; reset() clears
 // it in O(previous session size).
@@ -96,6 +102,19 @@ func (b *sessionBuilder) tryAdd(c int, weights []float64, limit float64) bool {
 	b.members = append(b.members, c)
 	b.maxTerm = newMax
 	return true
+}
+
+// rescore returns the weighted STC of the current members under weights: the
+// max of each member's term at its final conductance, the same values (and so
+// the same bits) a fresh scan that accepts these members ends on.
+func (b *sessionBuilder) rescore(weights []float64) float64 {
+	var mx float64
+	for _, m := range b.members {
+		if t := b.term(m, b.gsum[m], weights); t > mx {
+			mx = t
+		}
+	}
+	return mx
 }
 
 // soloTerm returns the weighted STC core c would have alone in a session.

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/testspec"
@@ -140,4 +141,71 @@ func TestForcedSingletonTinySTCL(t *testing.T) {
 				i, res.Records[i].STC, i-1, res.Records[i-1].STC)
 		}
 	}
+}
+
+// TestSessionBuilderRescoreMatchesRebuild checks the rule that lets the
+// generator skip a rebuild after a violation: once a random subset of a
+// candidate's members has its weight grown by 1.1, a fresh scan over the
+// same remaining cores returns the same members in the same order with the
+// same maxTerm bits when rescore is within STCL, and something else (other
+// members, or a forced singleton) when it is not.
+func TestSessionBuilderRescoreMatchesRebuild(t *testing.T) {
+	reused, rebuilt := 0, 0
+	for seed := int64(1); seed <= 12; seed++ {
+		_, sm, _ := randomGenSetup(t, []int{10, 20, 40, 80}[seed%4], seed)
+		n := sm.NumCores()
+		rng := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 60; trial++ {
+			weights := make([]float64, n)
+			remaining := make([]bool, n)
+			for i := range weights {
+				weights[i] = 1 + rng.Float64()
+				remaining[i] = rng.Intn(4) > 0
+			}
+			remaining[rng.Intn(n)] = true
+			order := rng.Perm(n)
+			g := &Generator{cfg: Config{STCL: 20 + 80*rng.Float64()}}
+
+			b := newSessionBuilder(sm)
+			session, _, forced, err := g.buildSession(b, order, remaining, weights)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev := slices.Clone(session)
+			weights[prev[rng.Intn(len(prev))]] *= 1.1
+			for _, c := range prev {
+				if rng.Intn(2) == 0 {
+					weights[c] *= 1.1
+				}
+			}
+			stc := b.rescore(weights)
+			if forced && stc <= g.cfg.STCL {
+				t.Fatalf("seed %d trial %d: forced singleton %v rescored %v <= STCL %v",
+					seed, trial, prev, stc, g.cfg.STCL)
+			}
+
+			fresh, freshSTC, freshForced, err := g.buildSession(newSessionBuilder(sm), order, remaining, weights)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := !freshForced && slices.Equal(fresh, prev)
+			if stc <= g.cfg.STCL {
+				reused++
+				if !same || math.Float64bits(freshSTC) != math.Float64bits(stc) {
+					t.Fatalf("seed %d trial %d: rescore %v <= STCL %v, but the rebuild gave %v (STC %v, forced %v), not %v",
+						seed, trial, stc, g.cfg.STCL, fresh, freshSTC, freshForced, prev)
+				}
+			} else {
+				rebuilt++
+				if same {
+					t.Fatalf("seed %d trial %d: rescore %v > STCL %v, but the rebuild gave the same %v",
+						seed, trial, stc, g.cfg.STCL, prev)
+				}
+			}
+		}
+	}
+	if reused == 0 || rebuilt == 0 {
+		t.Fatalf("%d reusable and %d rebuilt candidates; want both cases covered", reused, rebuilt)
+	}
+	t.Logf("%d reusable, %d rebuilt", reused, rebuilt)
 }

@@ -9,6 +9,15 @@ import (
 	"testing/quick"
 )
 
+// dot returns the inner product of two equal-length vectors.
+func dot(a, b []float64) float64 {
+	var s float64
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
+}
+
 // randomSPD builds a random symmetric positive definite n×n matrix as
 // Mᵀ·M + n·I, which is SPD by construction.
 func randomSPD(n int, rng *rand.Rand) *Matrix {
@@ -22,7 +31,7 @@ func randomSPD(n int, rng *rand.Rand) *Matrix {
 	spd := NewSquare(n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			spd.Set(i, j, Dot(mt.Row(i), mt.Row(j)))
+			spd.Set(i, j, dot(mt.Row(i), mt.Row(j)))
 		}
 		spd.add(i, i, float64(n))
 	}
@@ -235,7 +244,7 @@ func TestCholeskyFactorReconstructs(t *testing.T) {
 	scale := a.MaxAbs()
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 8; j++ {
-			if llt := Dot(ch.l.Row(i), ch.l.Row(j)); math.Abs(llt-a.At(i, j)) > 1e-10*scale {
+			if llt := dot(ch.l.Row(i), ch.l.Row(j)); math.Abs(llt-a.At(i, j)) > 1e-10*scale {
 				t.Fatalf("L·Lᵀ differs from A at (%d,%d): %g vs %g", i, j, llt, a.At(i, j))
 			}
 		}
@@ -307,26 +316,11 @@ func TestLUAndCholeskyAgree(t *testing.T) {
 }
 
 func TestVectorHelpers(t *testing.T) {
-	if got := Norm2([]float64{3, 4}); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Norm2 = %g, want 5", got)
-	}
-	if got := Dot([]float64{1, 2}, []float64{3, 4}); got != 11 {
-		t.Errorf("Dot = %g, want 11", got)
-	}
 	y := []float64{1, 1}
 	AXPY(2, []float64{1, 2}, y)
 	if y[0] != 3 || y[1] != 5 {
 		t.Errorf("AXPY result = %v, want [3 5]", y)
 	}
-}
-
-func TestDotPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Dot length mismatch should panic")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
 }
 
 func TestAXPYPanicsOnMismatch(t *testing.T) {

@@ -121,28 +121,6 @@ func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Norm2 returns the Euclidean norm of a vector.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// Dot returns the inner product of two equal-length vectors; it panics on a
-// length mismatch because that is always a programming error here.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: Dot of lengths %d and %d", len(a), len(b)))
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
 // AXPY computes y += alpha*x in place; it panics on a length mismatch.
 func AXPY(alpha float64, x, y []float64) {
 	if len(x) != len(y) {

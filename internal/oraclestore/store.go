@@ -98,8 +98,6 @@ type SystemDesc struct {
 	// Different backends differ in discretisation and round-off, so their
 	// answers must not share a file.
 	Backend string
-	// Tolerance is the iterative-solver tolerance, 0 for direct backends.
-	Tolerance float64
 }
 
 // DescForModel describes the block-model oracle of m with prof — the
@@ -216,7 +214,7 @@ func (d SystemDesc) Key() ([32]byte, error) {
 
 	wu(uint64(len(d.Backend)))
 	h.Write([]byte(d.Backend))
-	wf(d.Tolerance)
+	wf(0) // the slot of a retired solver tolerance, kept so addresses stay put
 
 	var key [32]byte
 	copy(key[:], h.Sum(nil))

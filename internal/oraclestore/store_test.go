@@ -251,10 +251,6 @@ func TestSystemKeyDistinguishesInputs(t *testing.T) {
 	backend.Backend = "grid-32x32/sparse-cholesky"
 	variants = append(variants, backend)
 
-	tol := desc
-	tol.Tolerance = 1e-6
-	variants = append(variants, tol)
-
 	fig1 := testspec.Figure1()
 	variants = append(variants, SystemDesc{
 		Floorplan: fig1.Floorplan(),
