@@ -295,6 +295,8 @@ func TestJobSubmitValidates(t *testing.T) {
 		{`{"workload":"nonesuch","tl_celsius":165,"stcl":60}`, "bad_workload"},
 		{`{"workload":"alpha21364","tl_celsius":165,"stcl":60} {"stcl":-1}`, "bad_json"},
 		{oversizedBody(), "body_too_large"},
+		{`{"workload": x` + strings.Repeat(" ", maxBodyBytes), "bad_json"},
+		{validPlusWhitespacePastLimit(), "body_too_large"},
 	} {
 		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {

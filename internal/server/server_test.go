@@ -208,6 +208,8 @@ func TestScheduleHandlerBadRequests(t *testing.T) {
 		{"trailing object", `{"workload":"alpha21364","tl_celsius":165,"stcl":60} {"stcl":-1}`, "bad_json"},
 		{"trailing garbage", `{"workload":"alpha21364","tl_celsius":165,"stcl":60}x`, "bad_json"},
 		{"body too large", oversizedBody(), "body_too_large"},
+		{"over limit, syntax error first", `{"workload": x` + strings.Repeat(" ", maxBodyBytes), "bad_json"},
+		{"over limit, whitespace after object", validPlusWhitespacePastLimit(), "body_too_large"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -233,6 +235,12 @@ func TestScheduleHandlerBadRequests(t *testing.T) {
 func oversizedBody() string {
 	return `{"workload":"alpha21364","tl_celsius":165,"stcl":60,"floorplan":"` +
 		strings.Repeat("x", maxBodyBytes) + `"}`
+}
+
+// validPlusWhitespacePastLimit is a valid request object followed by enough
+// whitespace to run the body past maxBodyBytes.
+func validPlusWhitespacePastLimit() string {
+	return `{"workload":"alpha21364","tl_celsius":165,"stcl":60}` + strings.Repeat(" ", maxBodyBytes)
 }
 
 // TestTrailingBodyWhitespaceAccepted: whitespace after the JSON object is
