@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -48,6 +49,11 @@ func trySchedule(h http.Handler, body map[string]any) (int, json.RawMessage, err
 	if err != nil {
 		return 0, nil, err
 	}
+	return tryScheduleRaw(h, raw)
+}
+
+// tryScheduleRaw is trySchedule for a body given as bytes.
+func tryScheduleRaw(h http.Handler, raw []byte) (int, json.RawMessage, error) {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(raw)))
 	if rec.Code != http.StatusOK {
@@ -66,12 +72,22 @@ func trySchedule(h http.Handler, body map[string]any) (int, json.RawMessage, err
 // is fatal.
 func serveSchedule(t *testing.T, h http.Handler, body map[string]any) json.RawMessage {
 	t.Helper()
-	code, result, err := trySchedule(h, body)
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serveScheduleRaw(t, h, raw)
+}
+
+// serveScheduleRaw is serveSchedule for a body given as bytes.
+func serveScheduleRaw(t *testing.T, h http.Handler, raw []byte) json.RawMessage {
+	t.Helper()
+	code, result, err := tryScheduleRaw(h, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code != http.StatusOK {
-		t.Fatalf("POST /v1/schedule status %d for %v", code, body)
+		t.Fatalf("POST /v1/schedule status %d for %.200s", code, raw)
 	}
 	return result
 }
@@ -99,16 +115,53 @@ func indexCounts(s *Server) (hits, misses int64) {
 }
 
 // checkIndexBound fails unless the index holds no more entries than there
-// are live systems, and returns both sizes.
-func checkIndexBound(t *testing.T, s *Server) (index, systems int) {
+// are live systems, every body-layer entry is kept by exactly one live
+// system, and no live system keeps more than maxBodyBytes of bodies. It
+// returns the sizes of the index, the body layer and the live map.
+func checkIndexBound(t *testing.T, s *Server) (index, bodies, systems int) {
 	t.Helper()
 	s.mu.Lock()
-	index, systems = len(s.index), len(s.systems)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	index, bodies, systems = len(s.index), len(s.bodies), len(s.systems)
 	if index > systems {
 		t.Errorf("request index holds %d entries for %d live systems", index, systems)
 	}
-	return index, systems
+	kept := make(map[*accepted]bool)
+	for _, e := range s.systems {
+		n := 0
+		for _, a := range e.bodies {
+			if a.owner != e || s.bodies[a.body] != a || kept[a] {
+				t.Errorf("a live system keeps a body entry the layer does not map to it alone")
+			}
+			kept[a] = true
+			n += len(a.body)
+		}
+		if n != e.bodyBytes || n > maxBodyBytes {
+			t.Errorf("a live system keeps %d bytes of bodies (it counts %d), bound %d", n, e.bodyBytes, maxBodyBytes)
+		}
+	}
+	if len(kept) != bodies {
+		t.Errorf("live systems keep %d body entries, the layer holds %d: an entry outlived its system", len(kept), bodies)
+	}
+	return index, bodies, systems
+}
+
+// keptBodies lists the bodies the server's one live system keeps, oldest
+// first.
+func keptBodies(t *testing.T, s *Server) []string {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.systems) != 1 {
+		t.Fatalf("%d live systems, want 1", len(s.systems))
+	}
+	var out []string
+	for _, e := range s.systems {
+		for _, a := range e.bodies {
+			out = append(out, a.body)
+		}
+	}
+	return out
 }
 
 // TestRequestIndexRepeatHits: a byte-identical repeat skips the parse through
@@ -134,8 +187,8 @@ func TestRequestIndexRepeatHits(t *testing.T) {
 			if !bytes.Equal(warm, fresh) || !bytes.Equal(cold, fresh) {
 				t.Errorf("result JSON differs from a fresh server's:\ncold:  %s\nwarm:  %s\nfresh: %s", cold, warm, fresh)
 			}
-			if index, systems := checkIndexBound(t, srv); index != 1 || systems != 1 {
-				t.Errorf("index/systems = %d/%d, want 1/1", index, systems)
+			if index, bodies, systems := checkIndexBound(t, srv); index != 1 || bodies != 1 || systems != 1 {
+				t.Errorf("index/bodies/systems = %d/%d/%d, want 1/1/1", index, bodies, systems)
 			}
 		})
 	}
@@ -214,10 +267,11 @@ func TestRequestIndexFieldEditsMiss(t *testing.T) {
 	})
 }
 
-// TestRequestIndexLeavesWithSystem: an index entry leaves exactly when its
-// system does — on the MaxSystems LRU drop, on store-budget eviction and on a
-// failed build — so the next identical request misses and rebuilds, and the
-// index never outgrows the live map.
+// TestRequestIndexLeavesWithSystem: an index entry and the system's
+// body-layer entries leave exactly when their system does — on the
+// MaxSystems LRU drop, on store-budget eviction and on a failed build — so
+// the next identical request misses both and rebuilds, and neither outgrows
+// the live map.
 func TestRequestIndexLeavesWithSystem(t *testing.T) {
 	t.Run("lru", func(t *testing.T) {
 		srv := newIndexServer(t, Config{MaxSystems: 1})
@@ -226,8 +280,8 @@ func TestRequestIndexLeavesWithSystem(t *testing.T) {
 		b["test_spec"] = strings.Replace(quadTestSpec, "1.0", "3.0", -1)
 		serveSchedule(t, h, a)
 		serveSchedule(t, h, b) // drops a's system
-		if index, systems := checkIndexBound(t, srv); index != 1 || systems != 1 {
-			t.Fatalf("after LRU drop: index/systems = %d/%d, want 1/1", index, systems)
+		if index, bodies, systems := checkIndexBound(t, srv); index != 1 || bodies != 1 || systems != 1 {
+			t.Fatalf("after LRU drop: index/bodies/systems = %d/%d/%d, want 1/1/1", index, bodies, systems)
 		}
 		serveSchedule(t, h, a)
 		if hits, misses := indexCounts(srv); hits != 0 || misses != 3 {
@@ -240,8 +294,8 @@ func TestRequestIndexLeavesWithSystem(t *testing.T) {
 		srv := newIndexServer(t, Config{CacheDir: t.TempDir(), StoreBudget: 1})
 		h := srv.Handler()
 		serveSchedule(t, h, quadBody())
-		if index, systems := checkIndexBound(t, srv); index != 0 || systems != 0 {
-			t.Fatalf("after eviction: index/systems = %d/%d, want 0/0", index, systems)
+		if index, bodies, systems := checkIndexBound(t, srv); index != 0 || bodies != 0 || systems != 0 {
+			t.Fatalf("after eviction: index/bodies/systems = %d/%d/%d, want 0/0/0", index, bodies, systems)
 		}
 		serveSchedule(t, h, quadBody())
 		if hits, misses := indexCounts(srv); hits != 0 || misses != 2 {
@@ -260,8 +314,8 @@ func TestRequestIndexLeavesWithSystem(t *testing.T) {
 			if status, _, err := trySchedule(h, quadBody()); err != nil || status != http.StatusInternalServerError {
 				t.Fatalf("build on a closed store %d: status %d (%v), want 500", i, status, err)
 			}
-			if index, systems := checkIndexBound(t, srv); index != 0 || systems != 0 {
-				t.Fatalf("after failed build %d: index/systems = %d/%d, want 0/0", i, index, systems)
+			if index, bodies, systems := checkIndexBound(t, srv); index != 0 || bodies != 0 || systems != 0 {
+				t.Fatalf("after failed build %d: index/bodies/systems = %d/%d/%d, want 0/0/0", i, index, bodies, systems)
 			}
 		}
 		if hits, misses := indexCounts(srv); hits != 0 || misses != 2 {
@@ -272,7 +326,7 @@ func TestRequestIndexLeavesWithSystem(t *testing.T) {
 
 // TestRequestIndexConcurrentIdentical: 32 goroutines post one body at once
 // (run under -race by CI); every answer is byte-identical to a fresh
-// server's and one index entry serves one live system.
+// server's, and one index entry and one body entry serve one live system.
 func TestRequestIndexConcurrentIdentical(t *testing.T) {
 	srv := newIndexServer(t, Config{})
 	h := srv.Handler()
@@ -305,15 +359,16 @@ func TestRequestIndexConcurrentIdentical(t *testing.T) {
 	if hits, misses := indexCounts(srv); hits+misses != n || misses < 1 {
 		t.Errorf("index hits/misses = %d/%d, want %d in all with at least one miss", hits, misses, n)
 	}
-	if index, systems := checkIndexBound(t, srv); index != 1 || systems != 1 {
-		t.Errorf("index/systems = %d/%d, want 1/1", index, systems)
+	if index, bodies, systems := checkIndexBound(t, srv); index != 1 || bodies != 1 || systems != 1 {
+		t.Errorf("index/bodies/systems = %d/%d/%d, want 1/1/1", index, bodies, systems)
 	}
 }
 
 // TestRequestIndexHashCollisionMisses: with every body forced onto one index
 // key, a second body whose fields differ still misses — a hash match alone
 // never returns a system — and each body answers exactly as on a fresh
-// server.
+// server. The re-requests of a change only stcl, so each is a new body that
+// passes the body layer and meets the forced collision in the index.
 func TestRequestIndexHashCollisionMisses(t *testing.T) {
 	srv := newIndexServer(t, Config{})
 	srv.indexHash = func(systemFields) uint64 { return 7 }
@@ -332,22 +387,83 @@ func TestRequestIndexHashCollisionMisses(t *testing.T) {
 	if bytes.Equal(gotA, gotB) {
 		t.Fatal("the two bodies give the same result; the test cannot tell them apart")
 	}
-	// b took the shared slot; a misses again, then takes it back and hits.
-	serveSchedule(t, h, a)
-	serveSchedule(t, h, a)
+	// b took the shared slot; a's system misses again, then takes it back
+	// and hits.
+	serveSchedule(t, h, withField(a, "stcl", 55))
+	serveSchedule(t, h, withField(a, "stcl", 50))
 	if hits, misses := indexCounts(srv); hits != 1 || misses != 3 {
-		t.Errorf("after re-requesting a: index hits/misses = %d/%d, want 1/3", hits, misses)
+		t.Errorf("after re-requesting a's system: index hits/misses = %d/%d, want 1/3", hits, misses)
 	}
-	if index, systems := checkIndexBound(t, srv); index != 1 || systems != 2 {
-		t.Errorf("index/systems = %d/%d, want 1/2", index, systems)
+	if index, bodies, systems := checkIndexBound(t, srv); index != 1 || bodies != 4 || systems != 2 {
+		t.Errorf("index/bodies/systems = %d/%d/%d, want 1/4/2", index, bodies, systems)
 	}
 }
 
-// FuzzScheduleRequest feeds arbitrary bytes through the request decoder and
-// resolves each decoded body twice through one server, the second time
-// through the request index. Neither step may panic, and the two resolves
-// must agree: the same error code, or the same system keys, spec name and
-// core count.
+// TestBodyLayerDropsOldestBody: one live system keeps at most maxBodyBytes
+// of bodies and drops its oldest first. Option-edited bodies padded with
+// trailing whitespace to just over a quarter of the bound leave room for
+// three. Every answer is byte-identical to a fresh server's, and a dropped
+// body posted again is a body-layer miss that is kept anew.
+func TestBodyLayerDropsOldestBody(t *testing.T) {
+	srv := newIndexServer(t, Config{})
+	h := srv.Handler()
+	pad := strings.Repeat(" ", maxBodyBytes/4)
+	var bodies []string
+	post := func(raw string) {
+		t.Helper()
+		got := serveScheduleRaw(t, h, []byte(raw))
+		if fresh := serveScheduleRaw(t, newIndexServer(t, Config{}).Handler(), []byte(raw)); !bytes.Equal(got, fresh) {
+			t.Errorf("result differs from a fresh server's:\ngot:   %s\nfresh: %s", got, fresh)
+		}
+		checkIndexBound(t, srv)
+	}
+	for i := 0; i < 6; i++ {
+		raw, err := json.Marshal(withField(quadBody(), "stcl", 50+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, string(raw)+pad)
+		post(bodies[i])
+		if want := bodies[max(0, i-2):]; !slices.Equal(keptBodies(t, srv), want) {
+			t.Fatalf("after body %d: the system keeps %d bodies, want bodies %d..%d in order",
+				i, len(keptBodies(t, srv)), max(0, i-2), i)
+		}
+	}
+	post(bodies[5])
+	post(bodies[0])
+	if want := []string{bodies[4], bodies[5], bodies[0]}; !slices.Equal(keptBodies(t, srv), want) {
+		t.Errorf("after re-posting a kept and a dropped body: want bodies 4, 5, 0 kept in order")
+	}
+	if hits, misses := indexCounts(srv); hits != 7 || misses != 1 {
+		t.Errorf("index hits/misses = %d/%d, want 7/1", hits, misses)
+	}
+}
+
+// postOutcome serves one POST /v1/schedule of raw in process and returns its
+// status and either the result section (200) or the error code.
+func postOutcome(h http.Handler, raw []byte) (int, string) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(raw)))
+	var envelope struct {
+		Result json.RawMessage `json:"result"`
+		Error  ErrorDetail     `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil {
+		return rec.Code, fmt.Sprintf("undecodable response %q", rec.Body.Bytes())
+	}
+	if rec.Code == http.StatusOK {
+		return rec.Code, string(envelope.Result)
+	}
+	return rec.Code, envelope.Error.Code
+}
+
+// FuzzScheduleRequest feeds arbitrary bytes to the schedule handler twice
+// through one server, so that a body the first pass accepts reaches the
+// second through the body layer. The passes must agree on the status and on
+// the error code or the result section. It then decodes each body and
+// resolves it twice, the second time through the request index: the two
+// resolves must agree on the error code, or on the system keys, spec name
+// and core count. Nothing may panic.
 func FuzzScheduleRequest(f *testing.F) {
 	for _, body := range []map[string]any{table1Request(), quadBody()} {
 		raw, err := json.Marshal(body)
@@ -364,22 +480,45 @@ func FuzzScheduleRequest(f *testing.F) {
 	f.Add(edited)
 	f.Add([]byte(`{"workload": "alpha21364", "tl_celsius": 165,`))
 	f.Add([]byte(`{"workload": "alpha21364", "tl_celsius": 165, "stcl": 60} {}`))
+	f.Add([]byte(`{"workload": "alpha21364", "tl_celsius": 60, "stcl": 60}`))
 
 	srv, err := New(Config{MaxSystems: 8})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { srv.Close() })
+	h := srv.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, err := decodeScheduleRequest(bytes.NewReader(body))
-		if err != nil {
+		req, decErr := decodeScheduleRequest(bytes.NewReader(body))
+		// A deadline makes the outcome depend on time, and a large grid or
+		// attempt budget costs seconds and gigabytes per generation: such
+		// bodies skip the handler passes.
+		if decErr != nil || !(req.DeadlineMS > 0 || req.MaxAttempts > 100000 ||
+			req.GridRes > 8 && req.GridRes <= maxGridRes) {
+			status1, out1 := postOutcome(h, body)
+			srv.mu.Lock()
+			_, kept := srv.bodies[string(body)]
+			srv.mu.Unlock()
+			if status1 == http.StatusOK && !kept {
+				t.Fatalf("the body layer did not keep an accepted body")
+			}
+			hits, _ := indexCounts(srv)
+			status2, out2 := postOutcome(h, body)
+			if status1 != status2 || out1 != out2 {
+				t.Fatalf("passes disagree: %d %s, then %d %s", status1, out1, status2, out2)
+			}
+			if got, _ := indexCounts(srv); kept && got != hits+1 {
+				t.Fatalf("the second pass of a kept body missed the body layer")
+			}
+		}
+		if decErr != nil {
 			return
 		}
 		p1, code1, err1 := srv.resolveProblem(req)
 		if err1 == nil {
 			// Take the system live (without building it) so its index entry
 			// answers the second resolve.
-			e, _ := srv.system(p1)
+			e, _ := srv.system(&accepted{body: string(body), req: req, p: p1})
 			srv.release(e)
 		}
 		hits, _ := indexCounts(srv)

@@ -45,18 +45,28 @@ func decodeScheduleRequest(body io.Reader) (*ScheduleRequest, error) {
 	return &req, nil
 }
 
-// readScheduleRequest decodes a POST body of at most maxBodyBytes and, when
-// raw is non-nil, copies the bytes it read into raw. On failure it writes the
-// error response itself — 413 body_too_large past the limit, 400 bad_json
-// otherwise — and returns false.
-func readScheduleRequest(w http.ResponseWriter, r *http.Request, raw io.Writer) (*ScheduleRequest, bool) {
-	var body io.Reader = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if raw != nil {
-		body = io.TeeReader(body, raw)
+// readScheduleRequest reads a POST body of at most maxBodyBytes whole. A body
+// the body layer holds comes back resolved; any other body is strictly
+// decoded and left for resolve. On failure it writes the error response
+// itself — 413 body_too_large past the limit, 400 bad_json otherwise — and
+// returns false.
+func (s *Server) readScheduleRequest(w http.ResponseWriter, r *http.Request) (*accepted, bool) {
+	raw, readErr := readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
+	if readErr == nil {
+		if a := s.lookupBody(raw); a != nil {
+			return a, true
+		}
+	}
+	// A miss decodes the bytes read followed by the read's error, so the
+	// decoder sees exactly what it saw reading the body itself: every
+	// accept/reject decision and error code stays the same.
+	var body io.Reader = bytes.NewReader(raw)
+	if readErr != nil {
+		body = io.MultiReader(body, errReader{readErr})
 	}
 	req, err := decodeScheduleRequest(body)
 	if err == nil {
-		return req, true
+		return &accepted{body: string(raw), req: req}, true
 	}
 	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
 		writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
@@ -66,6 +76,23 @@ func readScheduleRequest(w http.ResponseWriter, r *http.Request, raw io.Writer) 
 	}
 	return nil, false
 }
+
+// readBody reads body to its end. sizeHint (the request's Content-Length, -1
+// when unknown) presizes the buffer, so a body whose length is declared is
+// read without regrowth.
+func readBody(body io.Reader, sizeHint int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if sizeHint > 0 && sizeHint <= maxBodyBytes {
+		buf.Grow(int(sizeHint) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(body)
+	return buf.Bytes(), err
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // jobDeadline resolves an async job's per-run deadline. Only the body's
 // deadline_ms participates — the X-Request-Deadline header scopes the HTTP
@@ -83,12 +110,11 @@ func (s *Server) jobDeadline(req *ScheduleRequest) time.Duration {
 // synchronous endpoint), journal, 202 with the job id, and run in the
 // background.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	var body bytes.Buffer
-	req, ok := readScheduleRequest(w, r, &body)
+	a, ok := s.readScheduleRequest(w, r)
 	if !ok {
 		return
 	}
-	if _, code, err := s.resolveProblem(req); err != nil {
+	if code, err := s.resolve(a); err != nil {
 		writeError(w, http.StatusBadRequest, code, err.Error())
 		return
 	}
@@ -113,9 +139,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			"server is draining; not admitting new jobs")
 		return
 	}
-	// The job keeps its payload while it is retained; an exact-size copy
-	// does not pin the buffer's growth slack.
-	j := s.jobs.Submit(json.RawMessage(bytes.Clone(body.Bytes())))
+	// The job keeps its own exact-size copy of the body while it is
+	// retained.
+	j := s.jobs.Submit(json.RawMessage(a.body))
 	s.jobs.SetQueued(j)
 	s.jobsWG.Add(1)
 	s.drainMu.Unlock()
@@ -263,22 +289,28 @@ func (s *Server) runJob(j *jobs.Job) {
 	defer s.jobsWG.Done()
 	start := time.Now()
 
-	req, err := decodeScheduleRequest(bytes.NewReader(j.Snapshot().Request))
-	if err != nil {
-		// Unreachable for jobs submitted by this binary (validated on POST);
-		// reachable for a journal written by an older schema.
-		s.jobs.SetFailed(j, fmt.Sprintf("journaled request no longer decodes: %v", err))
-		return
+	// The journaled request is the submitted body byte for byte, so it
+	// shares the body layer with the synchronous endpoint.
+	raw := j.Snapshot().Request
+	a := s.lookupBody(raw)
+	if a == nil {
+		req, err := decodeScheduleRequest(bytes.NewReader(raw))
+		if err != nil {
+			// Unreachable for jobs submitted by this binary (validated on
+			// POST); reachable for a journal written by an older schema.
+			s.jobs.SetFailed(j, fmt.Sprintf("journaled request no longer decodes: %v", err))
+			return
+		}
+		a = &accepted{body: string(raw), req: req}
 	}
-	p, _, err := s.resolveProblem(req)
-	if err != nil {
+	if _, err := s.resolve(a); err != nil {
 		s.jobs.SetFailed(j, err.Error())
 		return
 	}
 
 	ctx, cancelCause := context.WithCancelCause(context.Background())
 	defer cancelCause(nil)
-	if d := s.jobDeadline(req); d > 0 {
+	if d := s.jobDeadline(a.req); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
@@ -288,7 +320,7 @@ func (s *Server) runJob(j *jobs.Job) {
 	// interrupt check.
 	j.SetCancel(cancelCause)
 
-	resp, err := s.generate(ctx, start, req, p, j)
+	resp, err := s.generate(ctx, start, a, j)
 	var re *runError
 	switch cause := context.Cause(ctx); {
 	case err == nil:

@@ -146,10 +146,19 @@ type Server struct {
 	// lengths (two specs may share oracle answers — same physics — while
 	// needing distinct schedules).
 	systems map[[32]byte]*systemEntry
+	// bodies is the body layer in front of the request index: it maps the
+	// exact bytes of an accepted request body to what they decoded and
+	// resolved to, so a byte-identical repeat skips the JSON decode and
+	// resolveProblem. The map hashes and compares the whole key, so a hit is
+	// an exact byte match. Live systems keep the entries, at most
+	// maxBodyBytes of bodies each (keepBodyLocked), and the entries leave
+	// with them (removeSystemLocked).
+	bodies map[string]*accepted
 	// index maps indexHash (a process-local maphash; tests replace it to
 	// force collisions) of a request's system fields to the entry they last
-	// resolved to. Each live system owns at most one entry, which leaves with
-	// it (removeSystemLocked).
+	// resolved to; a body-layer miss looks its system up here. Each live
+	// system owns at most one entry, which leaves with it
+	// (removeSystemLocked). A body-layer hit counts as an index hit.
 	index                  map[uint64]*indexEntry
 	indexHash              func(systemFields) uint64
 	indexHits, indexMisses atomic.Int64
@@ -190,6 +199,8 @@ type systemEntry struct {
 	lastUse   time.Time   // guarded by the server mu
 	inflight  int         // requests currently using this system; guarded by the server mu
 	ix        *indexEntry // the request-index entry this system owns; guarded by the server mu
+	bodies    []*accepted // the body-layer entries this system keeps, oldest first; guarded by the server mu
+	bodyBytes int         // the total length of those bodies; guarded by the server mu
 }
 
 // systemFields are the request fields that define a system. The strings
@@ -228,6 +239,7 @@ func New(cfg Config) (*Server, error) {
 		pool:    conc.NewQueuedPool(cfg.Workers, queueDepth),
 		met:     newMetrics(),
 		systems: make(map[[32]byte]*systemEntry),
+		bodies:  make(map[string]*accepted),
 		index:   make(map[uint64]*indexEntry),
 	}
 	seed := maphash.MakeSeed()
@@ -450,18 +462,21 @@ func systemKeys(spec *testspec.Spec, cfg thermal.PackageConfig, gridRes int, gri
 	return mapKey, oracleKey, nil
 }
 
-// system returns the live entry for a problem's system, creating a cold one
-// if needed; warm reports whether it already existed. Either way the entry
-// takes over p's request-index entry. The entry is returned with its
-// inflight count raised — callers must pair with release(e) — which is what
-// keeps MaxSystems eviction from dropping a system mid-request.
-func (s *Server) system(p *problem) (e *systemEntry, warm bool) {
+// system returns the live entry for a resolved request's system, creating a
+// cold one if needed; warm reports whether it already existed. Either way the
+// entry takes over the problem's request-index entry and keeps the body. The
+// entry is returned with its inflight count raised — callers must pair with
+// release(e) — which is what keeps MaxSystems eviction from dropping a system
+// mid-request.
+func (s *Server) system(a *accepted) (e *systemEntry, warm bool) {
+	p := a.p
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.systems[p.mapKey]; ok {
 		e.lastUse = time.Now()
 		e.inflight++
 		s.indexLocked(e, p.indexEntry)
+		s.keepBodyLocked(e, a)
 		return e, true
 	}
 	e = &systemEntry{
@@ -478,8 +493,53 @@ func (s *Server) system(p *problem) (e *systemEntry, warm bool) {
 	}
 	s.systems[p.mapKey] = e
 	s.indexLocked(e, p.indexEntry)
+	s.keepBodyLocked(e, a)
 	s.boundSystemsLocked()
 	return e, false
+}
+
+// keepBodyLocked adds a's body to the body layer as live system e's newest
+// entry, first dropping e's oldest entries until its bodies fit in
+// maxBodyBytes. A body the layer already holds (a hit, or a concurrent miss
+// that got there first) stays where it is; a longer one than maxBodyBytes
+// was never accepted over HTTP and is not kept. Callers hold s.mu.
+func (s *Server) keepBodyLocked(e *systemEntry, a *accepted) {
+	if a.owner != nil || len(a.body) > maxBodyBytes {
+		return
+	}
+	if _, ok := s.bodies[a.body]; ok {
+		return
+	}
+	n := 0
+	for ; e.bodyBytes+len(a.body) > maxBodyBytes; n++ {
+		s.dropBodyLocked(e.bodies[n])
+	}
+	clear(e.bodies[:n])
+	e.bodies = append(e.bodies[n:], a)
+	e.bodyBytes += len(a.body)
+	a.owner = e
+	s.bodies[a.body] = a
+}
+
+// dropBodyLocked removes one body-layer entry from the layer and from the
+// system that keeps it (the caller trims that system's list). Callers hold
+// s.mu.
+func (s *Server) dropBodyLocked(a *accepted) {
+	delete(s.bodies, a.body)
+	a.owner.bodyBytes -= len(a.body)
+	a.owner = nil
+}
+
+// lookupBody returns the body layer's entry for raw, or nil. A hit counts as
+// a request-index hit.
+func (s *Server) lookupBody(raw []byte) *accepted {
+	s.mu.Lock()
+	a := s.bodies[string(raw)]
+	s.mu.Unlock()
+	if a != nil {
+		s.indexHits.Add(1)
+	}
+	return a
 }
 
 // indexLocked makes ix the request-index entry of live system e in place of
@@ -500,10 +560,14 @@ func (s *Server) indexLocked(e *systemEntry, ix *indexEntry) {
 }
 
 // removeSystemLocked drops a live system together with its request-index
-// entry. Every removal goes through here: the MaxSystems bound, store
-// eviction and a failed build. Callers hold s.mu.
+// entry and its body-layer entries. Every removal goes through here: the
+// MaxSystems bound, store eviction and a failed build. Callers hold s.mu.
 func (s *Server) removeSystemLocked(key [32]byte, e *systemEntry) {
 	s.indexLocked(e, nil)
+	for _, a := range e.bodies {
+		s.dropBodyLocked(a)
+	}
+	e.bodies = nil
 	delete(s.systems, key)
 }
 
@@ -665,15 +729,40 @@ type problem struct {
 	genCfg core.Config
 }
 
+// accepted is one accepted request: its body bytes, their strict decode and,
+// once resolved, their problem. An entry of the body layer (Server.bodies) is
+// immutable but for owner and shared by every request that repeats its bytes
+// exactly.
+type accepted struct {
+	body  string
+	req   *ScheduleRequest
+	p     *problem
+	owner *systemEntry // the live system keeping this body-layer entry, or nil; guarded by the server mu
+}
+
+// resolve completes a decoded request with its problem; a body-layer hit
+// arrives resolved and costs nothing here. On failure the returned code is
+// the stable machine-readable error code (HTTP 400).
+func (s *Server) resolve(a *accepted) (string, error) {
+	if a.p != nil {
+		return "", nil
+	}
+	p, code, err := s.resolveProblem(a.req)
+	a.p = p
+	return code, err
+}
+
 // resolveProblem validates a decoded request into a problem; on failure the
-// returned code is the stable machine-readable error code (HTTP 400).
+// returned code is the stable machine-readable error code (HTTP 400). It runs
+// only on a body-layer miss: a byte-identical repeat of a body whose system
+// is still live reuses that body's problem and never decodes.
 //
-// A warm request skips resolveSpec and systemKeys: when its system fields
+// A miss can still skip resolveSpec and systemKeys: when its system fields
 // equal those of the index entry under their hash (a hash match alone never
 // counts), it reuses the entry's spec and keys. The generator options are
-// validated on every request, with the same error codes either way. A miss
-// resolves from scratch; its entry joins the index when acquireSystem takes
-// it live, and leaves when that system leaves the map.
+// validated on every call, with the same error codes either way. An index
+// miss resolves from scratch; its entry joins the index when acquireSystem
+// takes it live, and leaves when that system leaves the map.
 func (s *Server) resolveProblem(req *ScheduleRequest) (*problem, string, error) {
 	f := systemFields{req.Workload, req.Name, req.Floorplan, req.TestSpec,
 		req.Package.packageConfig(), req.GridRes}
@@ -765,10 +854,10 @@ func buildScheduleResult(req *ScheduleRequest, p *problem, res *core.Result) Sch
 	return result
 }
 
-// acquireSystem returns the built environment for a problem, building it cold
-// if needed; callers must s.release(entry) when done.
-func (s *Server) acquireSystem(p *problem) (entry *systemEntry, env *experiments.Env, warm bool, err error) {
-	entry, warm = s.system(p)
+// acquireSystem returns the built environment for a resolved request,
+// building it cold if needed; callers must s.release(entry) when done.
+func (s *Server) acquireSystem(a *accepted) (entry *systemEntry, env *experiments.Env, warm bool, err error) {
+	entry, warm = s.system(a)
 	entry.once.Do(func() {
 		env, err := entry.bld()
 		s.mu.Lock()
@@ -781,7 +870,7 @@ func (s *Server) acquireSystem(p *problem) (entry *systemEntry, env *experiments
 	env, buildErr := entry.env, entry.err
 	s.mu.Unlock()
 	if buildErr != nil {
-		s.dropSystem(p.mapKey, entry)
+		s.dropSystem(a.p.mapKey, entry)
 		s.release(entry)
 		return nil, nil, warm, buildErr
 	}
@@ -806,15 +895,15 @@ func (e *runError) Unwrap() error { return e.err }
 // control; a job was admitted at submit time (MaxJobs), so it waits for a
 // worker instead of being shed, is marked running once it has one, and
 // streams progress events. Errors are *runError.
-func (s *Server) generate(ctx context.Context, start time.Time, req *ScheduleRequest, p *problem, j *jobs.Job) (*ScheduleResponse, error) {
-	entry, env, warm, err := s.acquireSystem(p)
+func (s *Server) generate(ctx context.Context, start time.Time, a *accepted, j *jobs.Job) (*ScheduleResponse, error) {
+	entry, env, warm, err := s.acquireSystem(a)
 	if err != nil {
 		return nil, &runError{"build", 0, err}
 	}
 	defer s.release(entry)
 
 	t0 := snapshotTiers(env)
-	genCfg := p.genCfg
+	genCfg := a.p.genCfg
 	admit := s.pool.TryDo
 	if j != nil {
 		admit = s.pool.Do
@@ -862,7 +951,7 @@ func (s *Server) generate(ctx context.Context, start time.Time, req *ScheduleReq
 		return nil, &runError{"generate", genDur, genErr}
 	}
 	return &ScheduleResponse{
-		Result: buildScheduleResult(req, p, res),
+		Result: buildScheduleResult(a.req, a.p, res),
 		Cache:  cacheInfo(env, warm, t0),
 		Timing: TimingInfo{
 			QueueMS:    float64(queueDur) / float64(time.Millisecond),
@@ -880,17 +969,16 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			"server is draining; not admitting new work")
 		return
 	}
-	req, ok := readScheduleRequest(w, r, nil)
+	a, ok := s.readScheduleRequest(w, r)
 	if !ok {
 		return
 	}
-	deadline, err := s.requestDeadline(r, req)
+	deadline, err := s.requestDeadline(r, a.req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_deadline", err.Error())
 		return
 	}
-	p, code, err := s.resolveProblem(req)
-	if err != nil {
+	if code, err := s.resolve(a); err != nil {
 		writeError(w, http.StatusBadRequest, code, err.Error())
 		return
 	}
@@ -904,7 +992,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	resp, err := s.generate(ctx, start, req, p, nil)
+	resp, err := s.generate(ctx, start, a, nil)
 	if err == nil {
 		writeJSON(w, http.StatusOK, resp)
 		return
