@@ -164,9 +164,10 @@ func keptBodies(t *testing.T, s *Server) []string {
 	return out
 }
 
-// TestRequestIndexRepeatHits: a byte-identical repeat skips the parse through
-// the index and answers with the result JSON a fresh server gives, for a
-// builtin and an inline workload alike.
+// TestRequestIndexRepeatHits: a byte-identical repeat skips the decode and
+// the parse through the body layer, counts as an index hit and answers with
+// the result JSON a fresh server gives, for a builtin and an inline workload
+// alike.
 func TestRequestIndexRepeatHits(t *testing.T) {
 	for name, body := range map[string]map[string]any{
 		"builtin": table1Request(),
@@ -182,6 +183,20 @@ func TestRequestIndexRepeatHits(t *testing.T) {
 			warm := serveSchedule(t, h, body)
 			if hits, misses := indexCounts(srv); hits != 1 || misses != 1 {
 				t.Fatalf("repeat: index hits/misses = %d/%d, want 1/1", hits, misses)
+			}
+			// A repeat rejected for its deadline header never resolved, so
+			// it counts neither way.
+			raw, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			r := httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(raw))
+			r.Header.Set("X-Request-Deadline", "soon")
+			h.ServeHTTP(rec, r)
+			if hits, misses := indexCounts(srv); rec.Code != http.StatusBadRequest || hits != 1 || misses != 1 {
+				t.Fatalf("repeat with a bad deadline header: status %d, index hits/misses = %d/%d, want 400 and 1/1",
+					rec.Code, hits, misses)
 			}
 			fresh := freshResult(t, body)
 			if !bytes.Equal(warm, fresh) || !bytes.Equal(cold, fresh) {
@@ -436,6 +451,27 @@ func TestBodyLayerDropsOldestBody(t *testing.T) {
 	}
 	if hits, misses := indexCounts(srv); hits != 7 || misses != 1 {
 		t.Errorf("index hits/misses = %d/%d, want 7/1", hits, misses)
+	}
+}
+
+// TestBodyLayerNeedsWholeBody: a body cut off at maxBodyBytes is never a
+// body-layer hit, even when the bytes read equal an accepted body: a body of
+// exactly maxBodyBytes is accepted and kept, and the same bytes plus one
+// more space are still a 413 body_too_large.
+func TestBodyLayerNeedsWholeBody(t *testing.T) {
+	srv := newIndexServer(t, Config{})
+	h := srv.Handler()
+	raw, err := json.Marshal(table1Request())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := append(raw, strings.Repeat(" ", maxBodyBytes-len(raw))...)
+	serveScheduleRaw(t, h, full)
+	if _, bodies, _ := checkIndexBound(t, srv); bodies != 1 {
+		t.Fatalf("the layer holds %d bodies after a full-size accepted body, want 1", bodies)
+	}
+	if status, code := postOutcome(h, append(full, ' ')); status != http.StatusRequestEntityTooLarge || code != "body_too_large" {
+		t.Errorf("one byte past the limit: status %d code %q, want 413 body_too_large", status, code)
 	}
 }
 

@@ -530,16 +530,11 @@ func (s *Server) dropBodyLocked(a *accepted) {
 	a.owner = nil
 }
 
-// lookupBody returns the body layer's entry for raw, or nil. A hit counts as
-// a request-index hit.
+// lookupBody returns the body layer's entry for raw, or nil.
 func (s *Server) lookupBody(raw []byte) *accepted {
 	s.mu.Lock()
-	a := s.bodies[string(raw)]
-	s.mu.Unlock()
-	if a != nil {
-		s.indexHits.Add(1)
-	}
-	return a
+	defer s.mu.Unlock()
+	return s.bodies[string(raw)]
 }
 
 // indexLocked makes ix the request-index entry of live system e in place of
@@ -740,11 +735,14 @@ type accepted struct {
 	owner *systemEntry // the live system keeping this body-layer entry, or nil; guarded by the server mu
 }
 
-// resolve completes a decoded request with its problem; a body-layer hit
-// arrives resolved and costs nothing here. On failure the returned code is
-// the stable machine-readable error code (HTTP 400).
+// resolve completes a decoded request with its problem. A body-layer hit
+// arrives resolved and counts as a request-index hit here, where a miss
+// counts in resolveProblem, so both count only requests that got this far.
+// On failure the returned code is the stable machine-readable error code
+// (HTTP 400).
 func (s *Server) resolve(a *accepted) (string, error) {
 	if a.p != nil {
+		s.indexHits.Add(1)
 		return "", nil
 	}
 	p, code, err := s.resolveProblem(a.req)
