@@ -51,11 +51,6 @@ type Env struct {
 	// whether any query actually paid the grid factorization — false on a
 	// fully warm run.
 	Lazy *core.LazyOracle
-	// StoreDesc is the content-addressable identity of this Env's validation
-	// oracle — the same inputs the persistent store hashes into a file name.
-	// It is populated whether or not a store is attached, so callers (the
-	// schedule service) can key live environments by desc.Key().
-	StoreDesc oraclestore.SystemDesc
 	// GridRes is the validation-oracle grid resolution, 0 for block-model.
 	GridRes int
 	// Parallel fans experiment sweeps across GOMAXPROCS goroutines. Serial
@@ -112,17 +107,9 @@ func NewEnvWithOptions(spec *testspec.Spec, cfg thermal.PackageConfig, opts EnvO
 	// The inner (tier-3) oracle: the block simulator, or a lazily built
 	// grid-resolution simulator. Laziness matters with a store: a warm run
 	// that answers everything from disk never factors the grid at all.
-	// Either way the Env carries the oracle's content-addressable identity,
-	// so services can key live environments exactly like store files.
-	env.StoreDesc = oraclestore.DescForModel(m, spec.Profile())
 	var inner core.Oracle = sim
 	if opts.GridRes > 0 {
 		n, gopts := opts.GridRes, opts.Grid
-		// The store key depends on the resolution alone: the grid options
-		// (the budget, the spill directory, the host's panel shape) select
-		// bit-identical executions of one factor, so they share a file.
-		env.StoreDesc = oraclestore.DescForGrid(spec.Floorplan(), cfg, spec.Profile(),
-			n, n, gopts)
 		// Defer the grid factorization to the first query even without a
 		// store, so a fleet's env-construction loop stays cheap and the
 		// factorizations happen inside the pooled cell tasks.
@@ -141,13 +128,27 @@ func NewEnvWithOptions(spec *testspec.Spec, cfg thermal.PackageConfig, opts EnvO
 		return env, nil
 	}
 
-	sc, err := opts.Store.System(env.StoreDesc)
+	sc, err := opts.Store.System(OracleDesc(spec, cfg, opts))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: opening oracle store: %w", err)
 	}
 	env.StoreCache = sc
 	env.Oracle = core.NewCachedOracle(sc.Wrap(inner))
 	return env, nil
+}
+
+// OracleDesc describes the validation oracle of an Env built from spec, cfg
+// and opts — the grid model's at opts.GridRes, else the block model's —
+// without building it. Its key is the oracle's store address, so the schedule
+// service keys live environments by it before paying for their models. The
+// grid options (the budget, the spill directory, the host's panel shape)
+// select bit-identical executions of one factor, so they share an address.
+func OracleDesc(spec *testspec.Spec, cfg thermal.PackageConfig, opts EnvOptions) oraclestore.SystemDesc {
+	if opts.GridRes > 0 {
+		return oraclestore.DescForGrid(spec.Floorplan(), cfg, spec.Profile(),
+			opts.GridRes, opts.GridRes, opts.Grid)
+	}
+	return oraclestore.DescForBlockModel(spec.Floorplan(), cfg, spec.Profile())
 }
 
 // GridFactorStats returns the factor statistics of the grid oracle, when this

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/floorplan"
 	"repro/internal/testspec"
 	"repro/internal/thermal"
 )
@@ -327,26 +329,55 @@ func TestStoreEvictInProcessLRUClock(t *testing.T) {
 	}
 }
 
-// TestDescForBlockModelMatchesBuiltModel: the model-free description hashes
-// to the same content address as the built model's — the invariant the
-// schedule service's warm-map lookup relies on.
+// TestDescForBlockModelMatchesBuiltModel: a description read off a built
+// block model hashes to the same content address as the model-free one that
+// experiments.OracleDesc gives the schedule service and every Env — the
+// invariant the service's warm-map lookup relies on — and the model-free one
+// names the backend of its side of the dense/sparse cutoff: alpha (dense)
+// and an 80-block random floorplan (sparse). thermal's
+// TestNewModelBackendFollowsBlockCount pins NewModel's factorization to the
+// same name.
 func TestDescForBlockModelMatchesBuiltModel(t *testing.T) {
-	spec := testspec.Alpha21364()
+	fp, err := floorplan.Random(floorplan.RandomOptions{Blocks: 80, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines strings.Builder
+	for i := 0; i < fp.NumBlocks(); i++ {
+		fmt.Fprintf(&lines, "%s 2.0 6.0 1.0\n", fp.Block(i).Name)
+	}
+	random, err := testspec.ParseString(lines.String(), "random80", fp)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := thermal.DefaultPackageConfig()
-	m, err := thermal.NewModel(spec.Floorplan(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := DescForModel(m, spec.Profile()).Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := DescForBlockModel(spec.Floorplan(), cfg, spec.Profile()).Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("DescForBlockModel key %x != DescForModel key %x", b, a)
+	for _, c := range []struct {
+		spec    *testspec.Spec
+		backend string
+	}{
+		{testspec.Alpha21364(), "dense-cholesky"},
+		{random, "sparse-cholesky"},
+	} {
+		m, err := thermal.NewModel(c.spec.Floorplan(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		desc := DescForBlockModel(c.spec.Floorplan(), cfg, c.spec.Profile())
+		if desc.Backend != c.backend {
+			t.Errorf("%s: backend %q, want %q", c.spec.Name(), desc.Backend, c.backend)
+		}
+		built := SystemDesc{Floorplan: m.Floorplan(), Package: m.Config(), Profile: c.spec.Profile(), Backend: c.backend}
+		a, err := built.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := desc.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Errorf("%s: DescForBlockModel key %x != built model's key %x", c.spec.Name(), b, a)
+		}
 	}
 }
 

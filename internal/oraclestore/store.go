@@ -89,7 +89,7 @@ type SystemDesc struct {
 	Profile *power.Profile
 	// Backend identifies the solver configuration that produced the cached
 	// answers, e.g. "dense-cholesky", "sparse-cholesky" (block models, from
-	// Model.SolverBackend) or "grid-nd-48x48" (grid oracles, from DescForGrid
+	// thermal.SolverBackendForBlocks) or "grid-nd-48x48" (grid oracles, from DescForGrid
 	// — the concrete solver and its nested-dissection ordering are
 	// deterministic functions of the dimensions, so they are folded in
 	// implicitly; anyone changing GridModel's ordering or solver must also
@@ -100,22 +100,11 @@ type SystemDesc struct {
 	Backend string
 }
 
-// DescForModel describes the block-model oracle of m with prof — the
-// SimOracle configuration.
-func DescForModel(m *thermal.Model, prof *power.Profile) SystemDesc {
-	return SystemDesc{
-		Floorplan: m.Floorplan(),
-		Package:   m.Config(),
-		Profile:   prof,
-		Backend:   m.SolverBackend(),
-	}
-}
-
-// DescForBlockModel describes the block-model oracle of fp under cfg with
-// prof without building the model — the backend is a pure function of the
-// block count (thermal.SolverBackendForBlocks), so the content address is
-// available before the model's factorization is paid. Identical to
-// DescForModel over the built model.
+// DescForBlockModel describes the block-model oracle (core.SimOracle) of fp
+// under cfg with prof without building the model — the backend is a pure
+// function of the block count (thermal.SolverBackendForBlocks, the predicate
+// thermal.NewModel picks its factorization by), so the content address is
+// available before the model's factorization is paid.
 func DescForBlockModel(fp *floorplan.Floorplan, cfg thermal.PackageConfig, prof *power.Profile) SystemDesc {
 	return SystemDesc{
 		Floorplan: fp,

@@ -22,7 +22,7 @@ func alphaDesc(t *testing.T) (SystemDesc, *testspec.Spec, *thermal.Model) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return DescForModel(m, spec.Profile()), spec, m
+	return DescForBlockModel(m.Floorplan(), m.Config(), spec.Profile()), spec, m
 }
 
 func tempsFor(nb int, seed float64) []float64 {
@@ -232,7 +232,7 @@ func TestSystemKeyDistinguishesInputs(t *testing.T) {
 	}
 
 	// Same inputs → same key (content addressing is deterministic).
-	same, err := DescForModel(m, spec.Profile()).Key()
+	same, err := DescForBlockModel(m.Floorplan(), m.Config(), spec.Profile()).Key()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +515,7 @@ func BenchmarkSystemCacheGet(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	sc, err := st.System(DescForModel(m, spec.Profile()))
+	sc, err := st.System(DescForBlockModel(m.Floorplan(), m.Config(), spec.Profile()))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -116,8 +116,9 @@ func indexCounts(s *Server) (hits, misses int64) {
 
 // checkIndexBound fails unless the index holds no more entries than there
 // are live systems, every body-layer entry is kept by exactly one live
-// system, and no live system keeps more than maxBodyBytes of bodies. It
-// returns the sizes of the index, the body layer and the live map.
+// system, no live system keeps more than maxBodyBytes of bodies, and every
+// kept entry holds its problem in place of its decoded request. It returns
+// the sizes of the index, the body layer and the live map.
 func checkIndexBound(t *testing.T, s *Server) (index, bodies, systems int) {
 	t.Helper()
 	s.mu.Lock()
@@ -132,6 +133,9 @@ func checkIndexBound(t *testing.T, s *Server) (index, bodies, systems int) {
 		for _, a := range e.bodies {
 			if a.owner != e || s.bodies[a.body] != a || kept[a] {
 				t.Errorf("a live system keeps a body entry the layer does not map to it alone")
+			}
+			if a.req != nil || a.p == nil {
+				t.Errorf("a kept body entry still references its decoded request")
 			}
 			kept[a] = true
 			n += len(a.body)
@@ -274,6 +278,26 @@ func TestRequestIndexFieldEditsMiss(t *testing.T) {
 				t.Errorf("option edit %d: result differs from a fresh server's:\ngot:   %s\nfresh: %s", i, got, fresh)
 			}
 		}
+		// The base body reformatted has the same fields and knobs in new
+		// bytes: a body-layer miss that hits the index.
+		raw, err := json.MarshalIndent(base, "", "\t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.mu.Lock()
+		_, inLayer := srv.bodies[string(raw)]
+		srv.mu.Unlock()
+		if inLayer {
+			t.Fatal("the reformatted body is already in the body layer")
+		}
+		got := serveScheduleRaw(t, h, raw)
+		if hits, misses := indexCounts(srv); hits != int64(len(opts)+1) || misses != 1 {
+			t.Errorf("reformatted body: index hits/misses = %d/%d, want %d/1", hits, misses, len(opts)+1)
+		}
+		if fresh := serveScheduleRaw(t, newIndexServer(t, Config{}).Handler(), raw); !bytes.Equal(got, fresh) {
+			t.Errorf("reformatted body: result differs from a fresh server's:\ngot:   %s\nfresh: %s", got, fresh)
+		}
+		checkIndexBound(t, srv)
 		// A bad option is still rejected on a hit, with the miss path's code.
 		status, _, err := trySchedule(h, withField(base, "order", "sideways"))
 		if err != nil || status != http.StatusBadRequest {
@@ -376,41 +400,6 @@ func TestRequestIndexConcurrentIdentical(t *testing.T) {
 	}
 	if index, bodies, systems := checkIndexBound(t, srv); index != 1 || bodies != 1 || systems != 1 {
 		t.Errorf("index/bodies/systems = %d/%d/%d, want 1/1/1", index, bodies, systems)
-	}
-}
-
-// TestRequestIndexHashCollisionMisses: with every body forced onto one index
-// key, a second body whose fields differ still misses — a hash match alone
-// never returns a system — and each body answers exactly as on a fresh
-// server. The re-requests of a change only stcl, so each is a new body that
-// passes the body layer and meets the forced collision in the index.
-func TestRequestIndexHashCollisionMisses(t *testing.T) {
-	srv := newIndexServer(t, Config{})
-	srv.indexHash = func(systemFields) uint64 { return 7 }
-	h := srv.Handler()
-	a := quadBody()
-	b := withField(quadBody(), "test_spec", strings.Replace(quadTestSpec, "a 2.0 6.0 1.0", "a 2.0 6.0 2.0", 1))
-
-	gotA := serveSchedule(t, h, a)
-	gotB := serveSchedule(t, h, b)
-	if hits, misses := indexCounts(srv); hits != 0 || misses != 2 {
-		t.Fatalf("colliding bodies: index hits/misses = %d/%d, want 0/2", hits, misses)
-	}
-	if !bytes.Equal(gotA, freshResult(t, a)) || !bytes.Equal(gotB, freshResult(t, b)) {
-		t.Errorf("colliding bodies answered differently from a fresh server")
-	}
-	if bytes.Equal(gotA, gotB) {
-		t.Fatal("the two bodies give the same result; the test cannot tell them apart")
-	}
-	// b took the shared slot; a's system misses again, then takes it back
-	// and hits.
-	serveSchedule(t, h, withField(a, "stcl", 55))
-	serveSchedule(t, h, withField(a, "stcl", 50))
-	if hits, misses := indexCounts(srv); hits != 1 || misses != 3 {
-		t.Errorf("after re-requesting a's system: index hits/misses = %d/%d, want 1/3", hits, misses)
-	}
-	if index, bodies, systems := checkIndexBound(t, srv); index != 1 || bodies != 4 || systems != 2 {
-		t.Errorf("index/bodies/systems = %d/%d/%d, want 1/4/2", index, bodies, systems)
 	}
 }
 
@@ -554,7 +543,7 @@ func FuzzScheduleRequest(f *testing.F) {
 		if err1 == nil {
 			// Take the system live (without building it) so its index entry
 			// answers the second resolve.
-			e, _ := srv.system(&accepted{body: string(body), req: req, p: p1})
+			e, _ := srv.system(&accepted{body: string(body), p: p1})
 			srv.release(e)
 		}
 		hits, _ := indexCounts(srv)

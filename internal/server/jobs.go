@@ -45,28 +45,13 @@ func decodeScheduleRequest(body io.Reader) (*ScheduleRequest, error) {
 	return &req, nil
 }
 
-// readScheduleRequest reads a POST body of at most maxBodyBytes whole. A body
-// the body layer holds comes back resolved; any other body is strictly
-// decoded and left for resolve. On failure it writes the error response
-// itself — 413 body_too_large past the limit, 400 bad_json otherwise — and
-// returns false.
+// readScheduleRequest reads a POST body of at most maxBodyBytes whole and
+// accepts it. On failure it writes the error response itself — 413
+// body_too_large past the limit, 400 bad_json otherwise — and returns false.
 func (s *Server) readScheduleRequest(w http.ResponseWriter, r *http.Request) (*accepted, bool) {
-	raw, readErr := readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
-	if readErr == nil {
-		if a := s.lookupBody(raw); a != nil {
-			return a, true
-		}
-	}
-	// A miss decodes the bytes read followed by the read's error, so the
-	// decoder sees exactly what it saw reading the body itself: every
-	// accept/reject decision and error code stays the same.
-	var body io.Reader = bytes.NewReader(raw)
-	if readErr != nil {
-		body = io.MultiReader(body, errReader{readErr})
-	}
-	req, err := decodeScheduleRequest(body)
+	a, err := s.accept(readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength))
 	if err == nil {
-		return &accepted{body: string(raw), req: req}, true
+		return a, true
 	}
 	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
 		writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
@@ -75,6 +60,31 @@ func (s *Server) readScheduleRequest(w http.ResponseWriter, r *http.Request) (*a
 		writeError(w, http.StatusBadRequest, "bad_json", fmt.Sprintf("decoding request body: %v", err))
 	}
 	return nil, false
+}
+
+// accept turns a request body into an accepted request: the body layer's
+// entry when it holds these exact bytes, else their strict decode. readErr is
+// the error that ended reading the body, if any; a miss decodes the bytes
+// read followed by it, so the decoder sees exactly what it would see reading
+// the body itself and every accept/reject decision and error stays the same.
+func (s *Server) accept(raw []byte, readErr error) (*accepted, error) {
+	if readErr == nil {
+		s.mu.Lock()
+		a := s.bodies[string(raw)]
+		s.mu.Unlock()
+		if a != nil {
+			return a, nil
+		}
+	}
+	var body io.Reader = bytes.NewReader(raw)
+	if readErr != nil {
+		body = io.MultiReader(body, errReader{readErr})
+	}
+	req, err := decodeScheduleRequest(body)
+	if err != nil {
+		return nil, err
+	}
+	return &accepted{body: string(raw), deadlineMS: req.DeadlineMS, req: req}, nil
 }
 
 // readBody reads body to its end. sizeHint (the request's Content-Length, -1
@@ -99,9 +109,9 @@ func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 // exchange, and an async job outlives its submission request. The deadline
 // restarts on resume: it bounds one generation attempt, not wall time across
 // process restarts.
-func (s *Server) jobDeadline(req *ScheduleRequest) time.Duration {
-	if req.DeadlineMS != 0 {
-		return time.Duration(req.DeadlineMS) * time.Millisecond
+func (s *Server) jobDeadline(a *accepted) time.Duration {
+	if a.deadlineMS != 0 {
+		return time.Duration(a.deadlineMS) * time.Millisecond
 	}
 	return s.cfg.DefaultDeadline
 }
@@ -291,17 +301,12 @@ func (s *Server) runJob(j *jobs.Job) {
 
 	// The journaled request is the submitted body byte for byte, so it
 	// shares the body layer with the synchronous endpoint.
-	raw := j.Snapshot().Request
-	a := s.lookupBody(raw)
-	if a == nil {
-		req, err := decodeScheduleRequest(bytes.NewReader(raw))
-		if err != nil {
-			// Unreachable for jobs submitted by this binary (validated on
-			// POST); reachable for a journal written by an older schema.
-			s.jobs.SetFailed(j, fmt.Sprintf("journaled request no longer decodes: %v", err))
-			return
-		}
-		a = &accepted{body: string(raw), req: req}
+	a, err := s.accept(j.Snapshot().Request, nil)
+	if err != nil {
+		// Unreachable for jobs submitted by this binary (validated on POST);
+		// reachable for a journal written by an older schema.
+		s.jobs.SetFailed(j, fmt.Sprintf("journaled request no longer decodes: %v", err))
+		return
 	}
 	if _, err := s.resolve(a); err != nil {
 		s.jobs.SetFailed(j, err.Error())
@@ -310,7 +315,7 @@ func (s *Server) runJob(j *jobs.Job) {
 
 	ctx, cancelCause := context.WithCancelCause(context.Background())
 	defer cancelCause(nil)
-	if d := s.jobDeadline(a.req); d > 0 {
+	if d := s.jobDeadline(a); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()

@@ -39,7 +39,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"math"
 	"net/http"
 	"path/filepath"
@@ -147,20 +146,19 @@ type Server struct {
 	// needing distinct schedules).
 	systems map[[32]byte]*systemEntry
 	// bodies is the body layer in front of the request index: it maps the
-	// exact bytes of an accepted request body to what they decoded and
-	// resolved to, so a byte-identical repeat skips the JSON decode and
-	// resolveProblem. The map hashes and compares the whole key, so a hit is
-	// an exact byte match. Live systems keep the entries, at most
-	// maxBodyBytes of bodies each (keepBodyLocked), and the entries leave
-	// with them (removeSystemLocked).
+	// exact bytes of an accepted request body to what they resolved to, so
+	// a byte-identical repeat skips the JSON decode and resolveProblem. The
+	// map hashes and compares the whole key, so a hit is an exact byte
+	// match. Live systems keep the entries, at most maxBodyBytes of bodies
+	// each (keepBodyLocked), and the entries leave with them
+	// (removeSystemLocked).
 	bodies map[string]*accepted
-	// index maps indexHash (a process-local maphash; tests replace it to
-	// force collisions) of a request's system fields to the entry they last
-	// resolved to; a body-layer miss looks its system up here. Each live
-	// system owns at most one entry, which leaves with it
+	// index maps a request's system fields to the entry they last resolved
+	// to; a body-layer miss looks its system up here. The map hashes and
+	// compares the whole key, so a hit is an exact match of every field.
+	// Each live system owns at most one entry, which leaves with it
 	// (removeSystemLocked). A body-layer hit counts as an index hit.
-	index                  map[uint64]*indexEntry
-	indexHash              func(systemFields) uint64
+	index                  map[systemFields]*indexEntry
 	indexHits, indexMisses atomic.Int64
 
 	// evictSeen is the Store.AppendedBytes value at the last budget check:
@@ -203,9 +201,9 @@ type systemEntry struct {
 	bodyBytes int         // the total length of those bodies; guarded by the server mu
 }
 
-// systemFields are the request fields that define a system. The strings
-// compare byte for byte; pkg compares with ==, which is a bit comparison here
-// because packageConfig never yields -0 or NaN.
+// systemFields are the request fields that define a system: the request
+// index's key. The strings compare byte for byte; pkg compares with ==, which
+// is a bit comparison here because packageConfig never yields -0 or NaN.
 type systemFields struct {
 	workload, name, floorplan, testSpec string
 	pkg                                 thermal.PackageConfig
@@ -217,7 +215,6 @@ type systemFields struct {
 // floorplan and power profile it holds expose no mutators after parsing.
 type indexEntry struct {
 	systemFields
-	hash              uint64
 	spec              *testspec.Spec
 	mapKey, oracleKey [32]byte
 }
@@ -240,10 +237,8 @@ func New(cfg Config) (*Server, error) {
 		met:     newMetrics(),
 		systems: make(map[[32]byte]*systemEntry),
 		bodies:  make(map[string]*accepted),
-		index:   make(map[uint64]*indexEntry),
+		index:   make(map[systemFields]*indexEntry),
 	}
-	seed := maphash.MakeSeed()
-	s.indexHash = func(f systemFields) uint64 { return maphash.Comparable(seed, f) }
 	if len(cfg.StoreNodes) > 0 && cfg.CacheDir == "" {
 		return nil, fmt.Errorf("server: StoreNodes requires CacheDir (the sharded tier backs a local store)")
 	}
@@ -440,14 +435,8 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 // schedule (and so the live environment's spec) also depends on how long
 // each core tests.
 func systemKeys(spec *testspec.Spec, cfg thermal.PackageConfig, gridRes int, grid thermal.GridOptions) (mapKey, oracleKey [32]byte, err error) {
-	var desc oraclestore.SystemDesc
-	if gridRes > 0 {
-		desc = oraclestore.DescForGrid(spec.Floorplan(), cfg, spec.Profile(),
-			gridRes, gridRes, grid)
-	} else {
-		desc = oraclestore.DescForBlockModel(spec.Floorplan(), cfg, spec.Profile())
-	}
-	oracleKey, err = desc.Key()
+	oracleKey, err = experiments.OracleDesc(spec, cfg,
+		experiments.EnvOptions{GridRes: gridRes, Grid: grid}).Key()
 	if err != nil {
 		return mapKey, oracleKey, err
 	}
@@ -530,27 +519,20 @@ func (s *Server) dropBodyLocked(a *accepted) {
 	a.owner = nil
 }
 
-// lookupBody returns the body layer's entry for raw, or nil.
-func (s *Server) lookupBody(raw []byte) *accepted {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bodies[string(raw)]
-}
-
 // indexLocked makes ix the request-index entry of live system e in place of
 // its previous one (the most recent resolving body wins); nil only removes
-// it. A slot a colliding entry has since taken is left alone. Callers hold
-// s.mu.
+// it. Equal fields resolve to one system, so no other system's entry sits
+// under e's key. Callers hold s.mu.
 func (s *Server) indexLocked(e *systemEntry, ix *indexEntry) {
 	if e.ix == ix {
 		return
 	}
-	if old := e.ix; old != nil && s.index[old.hash] == old {
-		delete(s.index, old.hash)
+	if e.ix != nil {
+		delete(s.index, e.ix.systemFields)
 	}
 	e.ix = ix
 	if ix != nil {
-		s.index[ix.hash] = ix
+		s.index[ix.systemFields] = ix
 	}
 }
 
@@ -701,10 +683,10 @@ func (s *Server) pushRemote() {
 // wins over the deadline_ms body field, which wins over the server default
 // (jobDeadline). A non-positive resolved value means no deadline, so a
 // header of "0" also switches the default off.
-func (s *Server) requestDeadline(r *http.Request, req *ScheduleRequest) (time.Duration, error) {
+func (s *Server) requestDeadline(r *http.Request, a *accepted) (time.Duration, error) {
 	h := r.Header.Get("X-Request-Deadline")
 	if h == "" {
-		return s.jobDeadline(req), nil
+		return s.jobDeadline(a), nil
 	}
 	if d, err := time.ParseDuration(h); err == nil {
 		return d, nil
@@ -724,29 +706,32 @@ type problem struct {
 	genCfg core.Config
 }
 
-// accepted is one accepted request: its body bytes, their strict decode and,
-// once resolved, their problem. An entry of the body layer (Server.bodies) is
-// immutable but for owner and shared by every request that repeats its bytes
-// exactly.
+// accepted is one accepted request: its body bytes, its deadline_ms and
+// either its strict decode (req) or, once resolved, its problem (p). An entry
+// of the body layer (Server.bodies) is resolved, so it holds its bytes once
+// plus the index entry it resolved through, which bodies that differ only in
+// generator options share. It is immutable but for owner and shared by
+// every request that repeats its bytes exactly.
 type accepted struct {
-	body  string
-	req   *ScheduleRequest
-	p     *problem
-	owner *systemEntry // the live system keeping this body-layer entry, or nil; guarded by the server mu
+	body       string
+	deadlineMS int
+	req        *ScheduleRequest
+	p          *problem
+	owner      *systemEntry // the live system keeping this body-layer entry, or nil; guarded by the server mu
 }
 
-// resolve completes a decoded request with its problem. A body-layer hit
-// arrives resolved and counts as a request-index hit here, where a miss
-// counts in resolveProblem, so both count only requests that got this far.
-// On failure the returned code is the stable machine-readable error code
-// (HTTP 400).
+// resolve completes a decoded request with its problem and drops the decode.
+// A body-layer hit arrives resolved and counts as a request-index hit here,
+// where a miss counts in resolveProblem, so both count only requests that got
+// this far. On failure the returned code is the stable machine-readable error
+// code (HTTP 400).
 func (s *Server) resolve(a *accepted) (string, error) {
 	if a.p != nil {
 		s.indexHits.Add(1)
 		return "", nil
 	}
 	p, code, err := s.resolveProblem(a.req)
-	a.p = p
+	a.p, a.req = p, nil
 	return code, err
 }
 
@@ -755,21 +740,18 @@ func (s *Server) resolve(a *accepted) (string, error) {
 // only on a body-layer miss: a byte-identical repeat of a body whose system
 // is still live reuses that body's problem and never decodes.
 //
-// A miss can still skip resolveSpec and systemKeys: when its system fields
-// equal those of the index entry under their hash (a hash match alone never
-// counts), it reuses the entry's spec and keys. The generator options are
-// validated on every call, with the same error codes either way. An index
+// A miss can still skip resolveSpec and systemKeys: when the index holds its
+// system fields, it reuses their entry's spec and keys. The generator options
+// are validated on every call, with the same error codes either way. An index
 // miss resolves from scratch; its entry joins the index when acquireSystem
 // takes it live, and leaves when that system leaves the map.
 func (s *Server) resolveProblem(req *ScheduleRequest) (*problem, string, error) {
 	f := systemFields{req.Workload, req.Name, req.Floorplan, req.TestSpec,
 		req.Package.packageConfig(), req.GridRes}
-	h := s.indexHash(f)
 	s.mu.Lock()
-	ix := s.index[h]
+	ix := s.index[f]
 	s.mu.Unlock()
-	if ix == nil || ix.systemFields != f {
-		ix = nil
+	if ix == nil {
 		s.indexMisses.Add(1)
 	} else {
 		s.indexHits.Add(1)
@@ -793,7 +775,7 @@ func (s *Server) resolveProblem(req *ScheduleRequest) (*problem, string, error) 
 		if err != nil {
 			return nil, "bad_workload", err
 		}
-		ix = &indexEntry{systemFields: f, hash: h, spec: spec, mapKey: mapKey, oracleKey: oracleKey}
+		ix = &indexEntry{systemFields: f, spec: spec, mapKey: mapKey, oracleKey: oracleKey}
 	}
 	return &problem{indexEntry: ix, genCfg: genCfg}, "", nil
 }
@@ -829,12 +811,12 @@ func cacheInfo(env *experiments.Env, warm bool, t0 tierSnap) CacheInfo {
 }
 
 // buildScheduleResult assembles the deterministic result section.
-func buildScheduleResult(req *ScheduleRequest, p *problem, res *core.Result) ScheduleResult {
+func buildScheduleResult(p *problem, res *core.Result) ScheduleResult {
 	result := ScheduleResult{
 		Workload:         p.spec.Name(),
 		Cores:            p.spec.NumCores(),
-		TL:               req.TL,
-		STCL:             req.STCL,
+		TL:               p.genCfg.TL,
+		STCL:             p.genCfg.STCL,
 		EffectiveTL:      res.EffectiveTL,
 		GridRes:          p.gridRes,
 		Length:           res.Length,
@@ -949,7 +931,7 @@ func (s *Server) generate(ctx context.Context, start time.Time, a *accepted, j *
 		return nil, &runError{"generate", genDur, genErr}
 	}
 	return &ScheduleResponse{
-		Result: buildScheduleResult(a.req, a.p, res),
+		Result: buildScheduleResult(a.p, res),
 		Cache:  cacheInfo(env, warm, t0),
 		Timing: TimingInfo{
 			QueueMS:    float64(queueDur) / float64(time.Millisecond),
@@ -971,7 +953,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	deadline, err := s.requestDeadline(r, a.req)
+	deadline, err := s.requestDeadline(r, a)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_deadline", err.Error())
 		return

@@ -250,6 +250,30 @@ func (e *mismatchError) Error() string {
 	return "concurrent grid query mismatch"
 }
 
+// TestNewModelBackendFollowsBlockCount: NewModel factors with the backend
+// SolverBackendForBlocks names — the name a block model's store address
+// carries — on both sides of the node cutoff: 63 blocks are 128 nodes
+// (dense), 64 blocks 130 (sparse).
+func TestNewModelBackendFollowsBlockCount(t *testing.T) {
+	for _, blocks := range []int{63, 64} {
+		fp, err := floorplan.Random(floorplan.RandomOptions{Blocks: blocks, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewModel(fp, DefaultPackageConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := "dense-cholesky"
+		if _, sparse := m.solver.(*linalg.SparseCholesky); sparse {
+			got = "sparse-cholesky"
+		}
+		if want := SolverBackendForBlocks(blocks); got != want {
+			t.Errorf("%d blocks: NewModel factors %s, SolverBackendForBlocks names %s", blocks, got, want)
+		}
+	}
+}
+
 func TestSparseBackendTransientMatchesSteadyState(t *testing.T) {
 	// A floorplan large enough to cross the sparse cutoff, so the
 	// Crank–Nicolson cache runs on shared-symbolic sparse factors. The
@@ -264,8 +288,8 @@ func TestSparseBackendTransientMatchesSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.SolverBackend(); got != "sparse-cholesky" {
-		t.Fatalf("80-block model backend = %q, want sparse-cholesky", got)
+	if _, ok := m.solver.(*linalg.SparseCholesky); !ok {
+		t.Fatalf("80-block model factors with %T, want *linalg.SparseCholesky", m.solver)
 	}
 	power := make([]float64, m.NumBlocks())
 	for i := range power {

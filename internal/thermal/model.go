@@ -116,7 +116,7 @@ func NewModel(fp *floorplan.Floorplan, cfg PackageConfig) (*Model, error) {
 	// The assembled matrix is SPD by construction; failure here means a
 	// degenerate floorplan (e.g. zero-area blocks slipped past validation)
 	// and is reported, not panicked, to keep the CLI usable.
-	if m.size <= sparseNodeCutoff {
+	if denseBlocks(m.n) {
 		m.g = m.gs.Dense()
 		ch, err := linalg.NewCholesky(m.g)
 		if err != nil {
@@ -137,23 +137,21 @@ func NewModel(fp *floorplan.Floorplan, cfg PackageConfig) (*Model, error) {
 	return m, nil
 }
 
-// SolverBackend reports which steady-state backend the model picked:
-// "dense-cholesky" below the node cutoff, "sparse-cholesky" above it.
-func (m *Model) SolverBackend() string {
-	return SolverBackendForBlocks(m.n)
-}
-
-// SolverBackendForBlocks reports the backend a model over numBlocks blocks
-// will pick, without building it — the block model has 2n+2 nodes and the
-// choice depends only on that count. Callers that content-address oracle
+// SolverBackendForBlocks reports the backend NewModel picks for numBlocks
+// blocks, without building the model: "dense-cholesky" up to the node
+// cutoff, "sparse-cholesky" past it. Callers that content-address oracle
 // answers (internal/oraclestore) use this to derive a system's store key
 // before paying for the model.
 func SolverBackendForBlocks(numBlocks int) string {
-	if 2*numBlocks+2 <= sparseNodeCutoff {
+	if denseBlocks(numBlocks) {
 		return "dense-cholesky"
 	}
 	return "sparse-cholesky"
 }
+
+// denseBlocks reports whether a model over numBlocks blocks — 2n+2 nodes —
+// factors with the dense backend.
+func denseBlocks(numBlocks int) bool { return 2*numBlocks+2 <= sparseNodeCutoff }
 
 // spreaderNode returns the node index of the spreader cell under block i.
 func (m *Model) spreaderNode(i int) int { return m.n + i }

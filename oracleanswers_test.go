@@ -65,7 +65,7 @@ func TestOracleAnswersNotWritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	sc, err := st.System(oraclestore.DescForModel(sys.env.Model, spec.Profile()))
+	sc, err := st.System(oraclestore.DescForBlockModel(spec.Floorplan(), sys.env.Model.Config(), spec.Profile()))
 	if err != nil {
 		t.Fatal(err)
 	}
