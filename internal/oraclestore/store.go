@@ -89,8 +89,8 @@ type SystemDesc struct {
 	Profile *power.Profile
 	// Backend identifies the solver configuration that produced the cached
 	// answers, e.g. "dense-cholesky", "sparse-cholesky" (block models, from
-	// thermal.SolverBackendForBlocks) or "grid-nd-48x48" (grid oracles, from DescForGrid
-	// — the concrete solver and its nested-dissection ordering are
+	// thermal.SolverBackendForBlocks) or "grid-nd-48x48" (grid oracles, from
+	// DescForGrid — the concrete solver and its nested-dissection ordering are
 	// deterministic functions of the dimensions, so they are folded in
 	// implicitly; anyone changing GridModel's ordering or solver must also
 	// version this string or old files will answer with different
