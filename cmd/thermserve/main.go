@@ -25,8 +25,8 @@
 // Memory discipline: -peak-bytes caps each grid system's resident
 // factorization working set (finished factor panels spill to -spill-dir and
 // stream back during solves, bit-identical); without it the budget is
-// 2 GiB. The supernodal panel width follows GOMAXPROCS: 8 columns on one
-// CPU, 32 on more.
+// 2 GiB. Grid systems with the same package, die, resolution and memory
+// flags share one factor.
 package main
 
 import (

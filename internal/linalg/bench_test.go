@@ -118,7 +118,7 @@ func BenchmarkCholeskySolveSparseND(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ch, err := sym.Supernodes(SupernodalOptions{}).Factorize(s)
+			ch, err := sym.Supernodes().Factorize(s)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -275,7 +275,7 @@ func TestSparseCholeskyBackwardLanesBitIdentical(t *testing.T) {
 				}
 				checkLanesBitIdentical(t, name+" scalar", scalar, rng)
 			}
-			super, err := sym.Supernodes(SupernodalOptions{}).Factorize(s)
+			super, err := sym.Supernodes().Factorize(s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -322,7 +322,7 @@ func TestSparseCholeskyBackwardLanesBitIdentical(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	for f := 0; f < 2; f++ {
-		ch, err := sym.Supernodes(SupernodalOptions{}).Factorize(s)
+		ch, err := sym.Supernodes().Factorize(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +372,7 @@ func TestSolveSparseIntoClosureBitIdenticalND(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if factors["supernodal"], err = sym.Supernodes(SupernodalOptions{}).Factorize(s); err != nil {
+			if factors["supernodal"], err = sym.Supernodes().Factorize(s); err != nil {
 				t.Fatal(err)
 			}
 			q := d / 4

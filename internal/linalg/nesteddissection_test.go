@@ -143,7 +143,7 @@ func TestSpilledSolveIntoNDGridBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss := sym.Supernodes(SupernodalOptions{})
+		ss := sym.Supernodes()
 		uniform := 0
 		for _, u := range ss.uniform {
 			if u {

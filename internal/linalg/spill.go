@@ -508,9 +508,8 @@ func (ctl *spillCtl) seg(d int) ([]float64, int, error) {
 // the resident working set would exceed it and streaming them back on
 // demand. The factor's values are bit-identical to Factorize's (and to the
 // scalar kernel's): spilling moves bytes, never reorders an IEEE-754
-// operation. The numeric schedule is the serial ascending panel order —
-// out-of-core eviction needs the deterministic single-pass schedule, so
-// opts.Workers is ignored here.
+// operation. The numeric schedule is the serial ascending panel order:
+// out-of-core eviction needs the deterministic single-pass schedule.
 //
 // The managed budget covers the factor's index arrays, the resident panel
 // value segments, and the frontal scratch workspace; the input matrix and

@@ -65,7 +65,7 @@ func TestSpilledSolveBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sym.Supernodes(SupernodalOptions{MaxPanel: 8, Workers: 1})
+	ss := sym.Supernodes()
 	inCore, err := ss.Factorize(s)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestFactorizeSpillBudgetNeverExceeded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss := sym.Supernodes(SupernodalOptions{MaxPanel: panel, Workers: 1})
+		ss := sym.supernodes(panel, relaxZeros, relaxRatio)
 		fixed := spillFixedBytes(ss)
 		maxSeg := spillMaxSegBytes(ss)
 		// Headroom from just-feasible to roomy; rung 0 is below the floor and
@@ -246,7 +246,7 @@ func TestSpillTornFrameDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sym.Supernodes(SupernodalOptions{MaxPanel: 8, Workers: 1})
+	ss := sym.Supernodes()
 	fs := &keepFS{}
 	dir := t.TempDir()
 	budget := spillFixedBytes(ss) + 2*spillMaxSegBytes(ss)
@@ -291,7 +291,7 @@ func TestSpillCloseRemovesFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sym.Supernodes(SupernodalOptions{MaxPanel: 8, Workers: 1})
+	ss := sym.Supernodes()
 	dir := t.TempDir()
 	budget := spillFixedBytes(ss) + 2*spillMaxSegBytes(ss)
 	ch, err := ss.FactorizeSpill(s, SpillPolicy{BudgetBytes: budget, Dir: dir})
@@ -325,23 +325,6 @@ func TestSpillCloseRemovesFile(t *testing.T) {
 	}
 	if err := ch.SolveInto(x, b); err == nil {
 		t.Fatal("solve after Close should fail for a spilled factor")
-	}
-}
-
-// TestDefaultPanelWidth pins the static panel widths: 8 for a serial
-// factorization (the measured single-core winner), 32 with real parallelism,
-// and Canonical resolving a zero or negative width to them.
-func TestDefaultPanelWidth(t *testing.T) {
-	if got := DefaultPanelWidth(1); got != 8 {
-		t.Fatalf("DefaultPanelWidth(1) = %d, want 8", got)
-	}
-	if got := DefaultPanelWidth(4); got != 32 {
-		t.Fatalf("DefaultPanelWidth(4) = %d, want 32", got)
-	}
-	for _, w := range []int{0, -1} {
-		if got := (SupernodalOptions{MaxPanel: w, Workers: 1}).Canonical().MaxPanel; got != 8 {
-			t.Fatalf("Canonical MaxPanel %d with 1 worker = %d, want 8", w, got)
-		}
 	}
 }
 

@@ -10,64 +10,20 @@ import (
 	"repro/internal/conc"
 )
 
-// SupernodalOptions tunes the supernodal factorization kernel. The zero value
-// selects the defaults below; Canonical resolves them explicitly.
-type SupernodalOptions struct {
-	// MaxPanel caps the column count of a panel. Wider panels amortize more
-	// of the factor's memory traffic per load but grow the dense workspace
-	// quadratically; 32 keeps a 512×512-grid separator panel's frontal
-	// workspace inside L2, but the measured serial sweet spot is 8 (the
-	// 256×256 sweep shows 8 beating 32 by ~17% on one core). 0 (or a
-	// negative value) selects DefaultPanelWidth for the configured Workers.
-	MaxPanel int
-
-	// RelaxZeros and RelaxRatio bound relaxed amalgamation: two adjacent
-	// panels whose columns form one elimination-tree chain merge when the
-	// padded-zero slots the merge introduces stay within
-	// max(RelaxZeros, RelaxRatio·packedEntries) for the merged panel.
-	// Padding lives only in the per-task workspace — the CSC factor stores
-	// genuine entries only — so relaxation trades scratch zeros for fewer,
-	// wider panels. 0 selects 16 and 0.10; negative disables relaxation.
-	RelaxZeros int
-	RelaxRatio float64
-
-	// Workers bounds the etree-level task parallelism of Factorize.
-	// 0 selects GOMAXPROCS; 1 forces the serial schedule. The result is
-	// bit-identical regardless.
-	Workers int
-}
-
-// DefaultPanelWidth returns the static panel-width default for a
-// factorization bounded to the given worker count (0 = GOMAXPROCS). Serial
-// factorization is memory-traffic-bound and measures fastest with narrow
-// panels (the 256×256 sweep shows 8 beating 32 by ~17% on one core); with
-// real parallelism wider panels win by giving the etree scheduler
-// coarser-grained tasks and fewer panel loads per worker.
-func DefaultPanelWidth(workers int) int {
-	if workers == 1 || (workers <= 0 && runtime.GOMAXPROCS(0) == 1) {
-		return 8
-	}
-	return 32
-}
-
-// Canonical resolves defaulted fields. Workers is left as-is: it is resolved
-// at Factorize time against the live GOMAXPROCS.
-func (o SupernodalOptions) Canonical() SupernodalOptions {
-	if o.MaxPanel <= 0 {
-		o.MaxPanel = DefaultPanelWidth(o.Workers)
-	}
-	if o.RelaxZeros == 0 {
-		o.RelaxZeros = 16
-	} else if o.RelaxZeros < 0 {
-		o.RelaxZeros = 0
-	}
-	if o.RelaxRatio == 0 {
-		o.RelaxRatio = 0.10
-	} else if o.RelaxRatio < 0 {
-		o.RelaxRatio = 0
-	}
-	return o
-}
+// The supernode partition has one shape. Panels are at most panelWidth
+// columns wide: factorization is memory-traffic-bound, and on 64² to 256²
+// grids 8 beat 32 at GOMAXPROCS 1, 2 and 4 (PERF.md, "One panel shape").
+// Relaxed amalgamation merges two adjacent panels whose columns form one
+// elimination-tree chain while the padded-zero slots of the merged panel stay
+// within max(relaxZeros, relaxRatio·packed entries). Padding lives only in
+// the per-task workspace — the CSC factor stores genuine entries only — so
+// relaxation trades scratch zeros for fewer, wider panels. The shape never
+// changes a factor's bits.
+const (
+	panelWidth = 8
+	relaxZeros = 16
+	relaxRatio = 0.10
+)
 
 // SuperSymbolic extends a CholSymbolic with a supernode partition: maximal
 // runs of columns with (nearly) identical factor structure, grouped into
@@ -81,8 +37,7 @@ func (o SupernodalOptions) Canonical() SupernodalOptions {
 // provably stay exact zeros, so blocking and etree-parallel scheduling change
 // nothing in the bits.
 type SuperSymbolic struct {
-	sym  *CholSymbolic
-	opts SupernodalOptions
+	sym *CholSymbolic
 
 	ns      int     // panel count
 	first   []int   // len ns+1: panel s covers columns [first[s], first[s+1])
@@ -130,10 +85,17 @@ type superScratch struct {
 }
 
 // Supernodes builds the supernode partition for this symbolic analysis.
-func (sym *CholSymbolic) Supernodes(opts SupernodalOptions) *SuperSymbolic {
-	opts = opts.Canonical()
+func (sym *CholSymbolic) Supernodes() *SuperSymbolic {
+	return sym.supernodes(panelWidth, relaxZeros, relaxRatio)
+}
+
+// supernodes builds the partition with panels at most width columns wide and
+// the relaxation bound max(zeros, ratio·packed); zeros and ratio both <= 0
+// turn relaxation off. Supernodes passes the one shape; property tests vary
+// it.
+func (sym *CholSymbolic) supernodes(width, zeros int, ratio float64) *SuperSymbolic {
 	n := sym.n
-	ss := &SuperSymbolic{sym: sym, opts: opts}
+	ss := &SuperSymbolic{sym: sym}
 
 	// Replay the scalar factorization's fill symbolically to build li: for
 	// each row k, ereach(k) gives the columns that receive row k, and the
@@ -191,11 +153,11 @@ func (sym *CholSymbolic) Supernodes(opts SupernodalOptions) *SuperSymbolic {
 		for j := f; j < l; j++ {
 			gen += int64(counts(j))
 		}
-		// Split runs wider than MaxPanel into balanced chunks; a chunk of a
+		// Split runs wider than width into balanced chunks; a chunk of a
 		// fundamental run is itself padding-free (later chunk columns become
 		// genuine below rows of earlier chunks).
-		if w := l - f; w > opts.MaxPanel {
-			nchunks := (w + opts.MaxPanel - 1) / opts.MaxPanel
+		if w := l - f; w > width {
+			nchunks := (w + width - 1) / width
 			tail := belowOf(f, l)
 			for c := 0; c < nchunks; c++ {
 				a := f + c*w/nchunks
@@ -219,18 +181,18 @@ func (sym *CholSymbolic) Supernodes(opts SupernodalOptions) *SuperSymbolic {
 
 	// Relaxed amalgamation: greedily merge an adjacent pair whose columns
 	// stay one etree chain (parent of the left group's last column is the
-	// right group's first), whose merged width fits MaxPanel, and whose
+	// right group's first), whose merged width fits width, and whose
 	// padding stays within the relax bound. Merges are restricted to
 	// etree-adjacent pairs so every panel's columns form an etree path —
 	// that keeps the quotient supernodal etree a tree that preserves
 	// ancestor order, which the parallel schedule depends on.
-	relax := opts.RelaxZeros > 0 || opts.RelaxRatio > 0
+	relax := zeros > 0 || ratio > 0
 	merged := groups[:0]
 	for _, g := range groups {
 		for relax && len(merged) > 0 {
 			c := &merged[len(merged)-1]
 			w := g.l - c.f
-			if w > opts.MaxPanel || parent[c.l-1] != g.f {
+			if w > width || parent[c.l-1] != g.f {
 				break
 			}
 			// Merged below rows: the left group's rows past the right
@@ -263,8 +225,8 @@ func (sym *CholSymbolic) Supernodes(opts SupernodalOptions) *SuperSymbolic {
 			packed := int64(w)*int64(len(nb)) + int64(w)*int64(w+1)/2
 			gen := c.genuine + g.genuine
 			pad := packed - gen
-			bound := int64(opts.RelaxZeros)
-			if rb := int64(opts.RelaxRatio * float64(packed)); rb > bound {
+			bound := int64(zeros)
+			if rb := int64(ratio * float64(packed)); rb > bound {
 				bound = rb
 			}
 			if pad > bound {
@@ -399,9 +361,8 @@ func (ss *SuperSymbolic) WorkspaceBytes() int64 {
 
 // Factorize runs the supernodal numeric factorization of s. The result is
 // bit-identical to sym.Factorize(s) — same lp/li/lx down to the float bits —
-// but computed panel-at-a-time with dense inner loops and, when
-// opts.Workers > 1 (or 0 with GOMAXPROCS > 1), with independent elimination
-// subtrees factoring concurrently.
+// but computed panel-at-a-time with dense inner loops, with independent
+// elimination subtrees factoring concurrently across GOMAXPROCS workers.
 func (ss *SuperSymbolic) Factorize(s *Sparse) (*SparseCholesky, error) {
 	if !ss.sym.samePattern(s) {
 		return nil, fmt.Errorf("%w: matrix pattern differs from the symbolic analysis", ErrShape)
@@ -420,11 +381,7 @@ func (ss *SuperSymbolic) Factorize(s *Sparse) (*SparseCholesky, error) {
 		return err
 	}
 
-	workers := ss.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if err := conc.Tree(workers, ss.sparent, task); err != nil {
+	if err := conc.Tree(runtime.GOMAXPROCS(0), ss.sparent, task); err != nil {
 		return nil, err
 	}
 	return ch, nil

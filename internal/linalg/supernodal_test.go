@@ -8,9 +8,24 @@ import (
 	"testing"
 )
 
+// shape is one supernode-partition shape, as supernodes takes it; procs is
+// the GOMAXPROCS the numeric factorization runs under (0 leaves it as is).
+type shape struct {
+	width, zeros int
+	ratio        float64
+	procs        int
+}
+
+// oneShape is the shape Supernodes builds.
+var oneShape = shape{width: panelWidth, zeros: relaxZeros, ratio: relaxRatio}
+
+func (sh shape) of(sym *CholSymbolic) *SuperSymbolic {
+	return sym.supernodes(sh.width, sh.zeros, sh.ratio)
+}
+
 // factorPair builds the scalar and supernodal factors of s under perm and
 // fails the test unless both succeed.
-func factorPair(t *testing.T, s *Sparse, perm []int, opts SupernodalOptions) (*SparseCholesky, *SparseCholesky) {
+func factorPair(t *testing.T, s *Sparse, perm []int, sh shape) (*SparseCholesky, *SparseCholesky) {
 	t.Helper()
 	sym, err := NewCholSymbolic(s, perm)
 	if err != nil {
@@ -20,7 +35,10 @@ func factorPair(t *testing.T, s *Sparse, perm []int, opts SupernodalOptions) (*S
 	if err != nil {
 		t.Fatal(err)
 	}
-	super, err := sym.Supernodes(opts).Factorize(s)
+	if sh.procs > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(sh.procs))
+	}
+	super, err := sh.of(sym).Factorize(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,12 +79,12 @@ func TestSupernodalBitIdentical(t *testing.T) {
 		{"grid24x24-rcm", buildLaplacian(24, 24), nil},
 		{"grid40x40-nd", buildLaplacian(40, 40), NestedDissectionGrid(40, 40, 1)},
 	}
-	optsList := []SupernodalOptions{
-		{},                               // defaults
-		{Workers: 4},                     // parallel schedule
-		{MaxPanel: 4, Workers: 2},        // tiny panels
-		{RelaxZeros: -1, RelaxRatio: -1}, // relaxation off
-		{MaxPanel: 64, RelaxZeros: 64, Workers: 3}, // aggressive merging
+	optsList := []shape{
+		oneShape,                                // the one shape
+		{panelWidth, relaxZeros, relaxRatio, 4}, // parallel schedule
+		{4, relaxZeros, relaxRatio, 2},          // tiny panels
+		{panelWidth, 0, 0, 0},                   // relaxation off
+		{64, 64, relaxRatio, 3},                 // aggressive merging
 	}
 	for _, c := range cases {
 		for oi, opts := range optsList {
@@ -101,23 +119,22 @@ func TestSupernodalBitIdentical(t *testing.T) {
 // checkPartition asserts the structural invariants of a supernode partition:
 // panels tile the columns in order, each panel's columns form one etree
 // chain, below rows are ascending and past the block, the quotient tree
-// points upward, and relaxed padding respects the configured bound.
-func checkPartition(t *testing.T, ss *SuperSymbolic) {
+// points upward, and relaxed padding respects sh's bound.
+func checkPartition(t *testing.T, ss *SuperSymbolic, sh shape) {
 	t.Helper()
 	sym := ss.sym
 	n := sym.n
 	if ss.first[0] != 0 || ss.first[ss.ns] != n {
 		t.Fatalf("panels do not tile [0,%d): first=%v", n, ss.first)
 	}
-	opts := ss.opts
 	var padTotal int64
 	for s := 0; s < ss.ns; s++ {
 		f, l := ss.first[s], ss.first[s+1]
 		if l <= f {
 			t.Fatalf("panel %d empty: [%d,%d)", s, f, l)
 		}
-		if l-f > opts.MaxPanel {
-			t.Fatalf("panel %d width %d exceeds MaxPanel %d", s, l-f, opts.MaxPanel)
+		if l-f > sh.width {
+			t.Fatalf("panel %d width %d exceeds width %d", s, l-f, sh.width)
 		}
 		for j := f; j < l; j++ {
 			if int(ss.snode[j]) != s {
@@ -147,8 +164,8 @@ func checkPartition(t *testing.T, ss *SuperSymbolic) {
 		if pad < 0 {
 			t.Fatalf("panel %d: packed %d < genuine %d", s, packed, genuine)
 		}
-		bound := int64(opts.RelaxZeros)
-		if rb := int64(opts.RelaxRatio * float64(packed)); rb > bound {
+		bound := int64(sh.zeros)
+		if rb := int64(sh.ratio * float64(packed)); rb > bound {
 			bound = rb
 		}
 		if pad > 0 && pad > bound {
@@ -172,16 +189,16 @@ func TestSupernodePartitionProperties(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(300)
 		s := randConductance(n, rng)
-		opts := SupernodalOptions{
-			MaxPanel:   1 + rng.Intn(48),
-			RelaxZeros: rng.Intn(40) - 1,
-			RelaxRatio: float64(rng.Intn(30)-1) / 100,
+		sh := shape{
+			width: 1 + rng.Intn(48),
+			zeros: rng.Intn(40) - 1,
+			ratio: float64(rng.Intn(30)-1) / 100,
 		}
 		sym, err := NewCholSymbolic(s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkPartition(t, sym.Supernodes(opts))
+		checkPartition(t, sh.of(sym), sh)
 	}
 	for _, d := range [][2]int{{1, 1}, {1, 17}, {13, 13}, {32, 32}} {
 		s := buildLaplacian(d[0], d[1])
@@ -189,7 +206,7 @@ func TestSupernodePartitionProperties(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkPartition(t, sym.Supernodes(SupernodalOptions{}))
+		checkPartition(t, sym.Supernodes(), oneShape)
 	}
 }
 
@@ -207,9 +224,9 @@ func FuzzSupernodeDetection(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		opts := SupernodalOptions{MaxPanel: maxPanel%64 + 1, RelaxZeros: relaxZeros, RelaxRatio: float64(relaxPct) / 100}
-		ss := sym.Supernodes(opts)
-		checkPartition(t, ss)
+		sh := shape{width: 1 + (maxPanel%64+64)%64, zeros: relaxZeros, ratio: float64(relaxPct) / 100}
+		ss := sh.of(sym)
+		checkPartition(t, ss, sh)
 		scalar, err := sym.Factorize(s)
 		if err != nil {
 			t.Skip()
@@ -232,7 +249,7 @@ func TestSupernodalParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sym.Supernodes(SupernodalOptions{Workers: 4})
+	ss := sym.Supernodes()
 	ref, err := ss.Factorize(s)
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +293,9 @@ func TestSupernodalRejectsNonSPD(t *testing.T) {
 		t.Fatalf("scalar: got %v, want ErrNotSPD", scalarErr)
 	}
 	for _, workers := range []int{1, 4} {
-		_, superErr := sym.Supernodes(SupernodalOptions{Workers: workers}).Factorize(s)
+		old := runtime.GOMAXPROCS(workers)
+		_, superErr := sym.Supernodes().Factorize(s)
+		runtime.GOMAXPROCS(old)
 		if !errors.Is(superErr, ErrNotSPD) {
 			t.Fatalf("workers=%d: got %v, want ErrNotSPD", workers, superErr)
 		}
@@ -305,8 +324,8 @@ func TestSupernodal512Acceptance(t *testing.T) {
 	if got := sym.LNNZ(); got > 60<<20 {
 		t.Fatalf("512×512 ND fill %d exceeds the 60M-entry budget", got)
 	}
-	ss := sym.Supernodes(SupernodalOptions{})
-	checkPartition(t, ss)
+	ss := sym.Supernodes()
+	checkPartition(t, ss, oneShape)
 	n := nx * ny
 	if ss.Panels() >= n/2 {
 		t.Fatalf("supernode detection barely merged: %d panels for %d columns", ss.Panels(), n)

@@ -30,7 +30,7 @@ func spillTestMatrix(t *testing.T, nx int) (*linalg.Sparse, *linalg.CholSymbolic
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, sym, sym.Supernodes(linalg.SupernodalOptions{MaxPanel: 8, Workers: 1})
+	return s, sym, sym.Supernodes()
 }
 
 // spillBudget computes a budget tight enough to force spilling from public

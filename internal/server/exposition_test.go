@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"regexp"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -60,10 +59,6 @@ func maskTimings(text string) string {
 // Only timing-dependent values are masked.
 func TestSystemsAndMetricsExpositionGolden(t *testing.T) {
 	waitNoGridFactors(t)
-	// One CPU fixes the serial 8-wide panel geometry, so panel counts and
-	// peak bytes are the same on every host.
-	old := runtime.GOMAXPROCS(1)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 	srv, hs := newTestServer(t, Config{
 		CacheDir:    t.TempDir(),
 		QueueDepth:  -1,

@@ -87,3 +87,19 @@ func TestMetricsGridSpillStats(t *testing.T) {
 		t.Errorf("peak resident %d not below in-core peak %d", resident, peak)
 	}
 }
+
+// TestMetricsBudgetedGridFactorShared: under an explicit peak-bytes budget,
+// alpha at two ambients still shares one grid factor.
+func TestMetricsBudgetedGridFactorShared(t *testing.T) {
+	waitNoGridFactors(t)
+	_, hs := newTestServer(t, Config{Grid: thermal.GridOptions{PeakBytesBudget: 2 << 30}})
+	for _, ambient := range []float64{45, 50} {
+		req := table1Request()
+		req["grid_res"] = 32
+		req["package"] = map[string]any{"ambient_celsius": ambient}
+		postSchedule(t, hs.URL, req)
+	}
+	if got := fetchMetric(t, hs.URL, "thermserve_grid_factors_live"); got != 1 {
+		t.Errorf("thermserve_grid_factors_live = %v for two budgeted alpha grid systems, want 1", got)
+	}
+}

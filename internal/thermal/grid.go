@@ -1,7 +1,6 @@
 package thermal
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -23,35 +22,27 @@ var defaultPeakBudget int64 = 2 << 30
 
 // GridOptions tunes the grid model's solver construction. The model always
 // factors under the geometric nested-dissection ordering with the supernodal
-// panel kernel, whose panel shape follows GOMAXPROCS
-// (linalg.DefaultPanelWidth); these options bound its memory.
+// panel kernel; these options bound its memory. No option changes an answer's
+// bits: the budget and the spill knobs select bit-identical execution
+// strategies of the one factor.
 type GridOptions struct {
 	// PeakBytesBudget caps the resident bytes the factorization may hold
-	// (indices + resident panel values + frontal scratch); 0 means the
-	// default of 2 GiB. The factor is built in core when the in-core bytes
-	// fit, and otherwise out of core, spilling finished panels to SpillDir
-	// and streaming them back per solve — bit-identical to in-core. A budget
-	// below even the out-of-core floor is waived: the factor is built in
-	// core and FactorStats reports SpillDegraded.
+	// (indices + resident panel values + frontal scratch); 0 or a negative
+	// value means the default of 2 GiB. The factor is built in core when the
+	// in-core bytes fit, and otherwise out of core, spilling finished panels
+	// to SpillDir and streaming them back per solve — bit-identical to
+	// in-core. A budget below even the out-of-core floor is waived: the
+	// factor is built in core and FactorStats reports SpillDegraded.
 	PeakBytesBudget int64
 	// SpillDir is where spilled panel files live ("" = the OS temp dir).
 	// Files are unlinked at creation where the platform allows, so crashes
 	// leak no disk.
 	SpillDir string
 	// SpillFS overrides the spill filesystem seam (nil = real filesystem);
-	// tests inject fault-raising wrappers through it.
+	// tests inject fault-raising wrappers through it. It is part of the
+	// shared-factor key, so its dynamic type must be comparable: an empty
+	// struct or a pointer wrapper, as every seam in the repository is.
 	SpillFS linalg.SpillFS
-}
-
-// Canonical resolves the option defaults (a negative budget → 0, the
-// default budget). NewGridModelWithOptions builds from it. No option changes
-// an answer's bits: the budget, the spill knobs and the host's panel shape
-// select bit-identical execution strategies of the one factor.
-func (o GridOptions) Canonical() GridOptions {
-	if o.PeakBytesBudget < 0 {
-		o.PeakBytesBudget = 0
-	}
-	return o
 }
 
 // GridModel is the fine-grained counterpart of the block Model: the die is
@@ -77,30 +68,24 @@ func (o GridOptions) Canonical() GridOptions {
 // The conductance matrix depends only on the package stack's conductances
 // and geometry, the die's width and height and the resolution — never on the
 // block layout or the ambient. So every live model whose matrix bits and
-// solver options match shares one process-wide factor, built once even under
+// GridOptions match shares one process-wide factor, built once even under
 // concurrent construction (FactorStats().Shared). The shared factor lives
 // while some model holds it; Close, or a cleanup when the model is dropped,
 // releases the hold, and the last release closes the factor with its spill
-// file, if it spilled under the default budget. Models under an explicit
-// peak-bytes budget or a custom SpillFS stay per-model.
+// file, if it spilled.
 //
 // Node layout for nc = nx·ny cells: [0, nc) silicon, [nc, 2nc) spreader,
 // 2nc rim, 2nc+1 sink; ambient is the eliminated ground.
 type GridModel struct {
-	fp         *floorplan.Floorplan
-	cfg        PackageConfig
-	nx, ny     int
-	cellW      float64
-	cellH      float64
-	sys        *linalg.Sparse
-	peakBudget int64 // resident-bytes bound
-	spillDir   string
-	spillFS    linalg.SpillFS
-	stats      GridFactorStats
-	share      *factorRef // hold on the process-wide factor; nil when per-model
-
-	chol    *linalg.SparseCholesky
-	rhsPool sync.Pool // *[]float64 node-vector buffers
+	fp     *floorplan.Floorplan
+	cfg    PackageConfig
+	nx, ny int
+	cellW  float64
+	cellH  float64
+	sys    *linalg.Sparse
+	stats  GridFactorStats
+	share  *factorRef // hold on the process-wide factor
+	chol   *linalg.SparseCholesky
 
 	// cellPowerWeight[b] lists (cell, fraction) pairs: fraction of block
 	// b's power deposited in that cell.
@@ -134,33 +119,17 @@ func NewGridModelWithOptions(fp *floorplan.Floorplan, cfg PackageConfig, nx, ny 
 	if cfg.SpreaderSide < die.W || cfg.SpreaderSide < die.H {
 		return nil, fmt.Errorf("%w: spreader smaller than die", ErrModel)
 	}
-	opts = opts.Canonical()
 	g := &GridModel{
-		fp:         fp,
-		cfg:        cfg,
-		nx:         nx,
-		ny:         ny,
-		cellW:      die.W / float64(nx),
-		cellH:      die.H / float64(ny),
-		peakBudget: cmp.Or(opts.PeakBytesBudget, defaultPeakBudget),
-		spillDir:   opts.SpillDir,
-		spillFS:    opts.SpillFS,
+		fp:    fp,
+		cfg:   cfg,
+		nx:    nx,
+		ny:    ny,
+		cellW: die.W / float64(nx),
+		cellH: die.H / float64(ny),
 	}
 	g.mapBlocks()
-	if opts.PeakBytesBudget > 0 || opts.SpillFS != nil {
-		// An explicitly budgeted factor stays per-model: the key does not
-		// record the budget.
-		g.assemble()
-		if err := g.buildSolver(); err != nil {
-			return nil, err
-		}
-	} else if err := g.shareSolver(newGridFactorKey(cfg, die.W, die.H, nx, ny)); err != nil {
+	if err := g.shareSolver(newGridFactorKey(cfg, die.W, die.H, nx, ny, opts)); err != nil {
 		return nil, err
-	}
-	size := 2*g.numCells() + 2
-	g.rhsPool.New = func() any {
-		b := make([]float64, size)
-		return &b
 	}
 	return g, nil
 }
@@ -184,23 +153,24 @@ func (g *GridModel) ndPerm() []int {
 // buildSolver factorizes the assembled system once under the geometric
 // nested-dissection ordering with the supernodal panel kernel. The symbolic
 // analysis predicts the exact in-core bytes, and the peak-bytes budget alone
-// decides between an in-core and an out-of-core factor.
-func (g *GridModel) buildSolver() error {
+// decides between an in-core and an out-of-core factor. opts has its budget
+// resolved (newGridFactorKey).
+func (g *GridModel) buildSolver(opts GridOptions) error {
 	sym, err := linalg.NewCholSymbolic(g.sys, g.ndPerm())
 	if err != nil {
 		return fmt.Errorf("%w: grid system not SPD: %v", ErrModel, err)
 	}
-	ss := sym.Supernodes(linalg.SupernodalOptions{})
+	ss := sym.Supernodes()
 	start := time.Now() // numeric factorization only — symbolic and partition excluded
 	inCore := int64(sym.LNNZ())*16 + ss.WorkspaceBytes()
 	var ch *linalg.SparseCholesky
-	if inCore > g.peakBudget {
+	if inCore > opts.PeakBytesBudget {
 		// The in-core working set exceeds the peak-bytes budget: factor
 		// out of core, spilling finished panels to disk.
 		ch, err = ss.FactorizeSpill(g.sys, linalg.SpillPolicy{
-			BudgetBytes: g.peakBudget,
-			Dir:         g.spillDir,
-			FS:          g.spillFS,
+			BudgetBytes: opts.PeakBytesBudget,
+			Dir:         opts.SpillDir,
+			FS:          opts.SpillFS,
 		})
 		if errors.Is(err, linalg.ErrSpill) || errors.Is(err, linalg.ErrPeakBudget) {
 			// Spill I/O failed before the factor completed (the breaker
@@ -283,18 +253,12 @@ type GridFactorStats struct {
 // construction.
 func (g *GridModel) FactorStats() GridFactorStats { return g.stats }
 
-// Close releases what the solver backend holds beyond the model itself: the
-// spill file of a per-model out-of-core factor, or this model's hold on a
-// shared factor (the factor and its spill file are freed with its last
-// holder). It is idempotent and must not race in-flight queries. Models
-// dropped without Close are covered by a finalizer and a cleanup, but
-// long-lived servers that evict systems should call it promptly.
-func (g *GridModel) Close() error {
-	if g.share != nil {
-		return g.share.release()
-	}
-	return g.chol.Close()
-}
+// Close releases this model's hold on its shared factor; the factor and its
+// spill file, if it spilled, are freed with the last holder. It is
+// idempotent and must not race in-flight queries. Models dropped without
+// Close are covered by a cleanup, but long-lived servers that evict systems
+// should call it promptly.
+func (g *GridModel) Close() error { return g.share.release() }
 
 // FactorNNZ returns the non-zero count of the cached Cholesky factor.
 func (g *GridModel) FactorNNZ() int { return g.chol.NNZ() }
@@ -450,15 +414,16 @@ func (g *GridModel) SteadyState(power []float64) (*GridResult, error) {
 		return nil, fmt.Errorf("%w: got %d entries, floorplan has %d blocks",
 			ErrPowerShape, len(power), g.fp.NumBlocks())
 	}
-	rhsP := g.rhsPool.Get().(*[]float64)
+	rhsPool := &g.share.f.rhsPool
+	rhsP := rhsPool.Get().(*[]float64)
 	rhs := *rhsP
 	if err := g.depositPower(rhs, power); err != nil {
-		g.rhsPool.Put(rhsP)
+		rhsPool.Put(rhsP)
 		return nil, err
 	}
 	temps := make([]float64, len(rhs))
 	err := g.chol.SolveInto(temps, rhs)
-	g.rhsPool.Put(rhsP)
+	rhsPool.Put(rhsP)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: grid solve: %w", err)
 	}
@@ -490,10 +455,11 @@ func (g *GridModel) SteadyStateActive(power []float64, active []int) (*GridResul
 				ErrPowerShape, b, g.fp.NumBlocks())
 		}
 	}
-	rhsP := g.rhsPool.Get().(*[]float64)
+	rhsPool := &g.share.f.rhsPool
+	rhsP := rhsPool.Get().(*[]float64)
 	rhs := *rhsP
 	if err := g.depositPower(rhs, power); err != nil {
-		g.rhsPool.Put(rhsP)
+		rhsPool.Put(rhsP)
 		return nil, err
 	}
 	nzP := supportPool.Get().(*[]int)
@@ -505,7 +471,7 @@ func (g *GridModel) SteadyStateActive(power []float64, active []int) (*GridResul
 	err := g.chol.SolveSparseInto(temps, rhs, nz)
 	*nzP = nz
 	supportPool.Put(nzP)
-	g.rhsPool.Put(rhsP)
+	rhsPool.Put(rhsP)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: grid solve: %w", err)
 	}

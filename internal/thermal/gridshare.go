@@ -9,26 +9,28 @@ import (
 )
 
 // gridFactorKey is exactly what assemble and buildSolver read, as exact bits:
-// two grid models under the default budget with equal keys assemble
-// bit-identical matrices and factor them identically, so they can share one
-// factor. The capacitances and
+// two grid models with equal keys assemble bit-identical matrices and factor
+// them identically, so they can share one factor. The capacitances and
 // Ambient are absent on purpose: the steady state never reads the former, and
 // ambient is added after the solve. Block layout enters only mapBlocks.
 type gridFactorKey struct {
 	pkg        [10]uint64 // math.Float64bits of the conductance/geometry fields
 	dieW, dieH uint64
 	nx, ny     int
-	panelWidth int // the host's default panel width, so FactorStats match it
+	opts       GridOptions // budget resolved: 0 or negative is the default
 }
 
-// newGridFactorKey keys an unbudgeted grid model's matrix and factor.
-func newGridFactorKey(cfg PackageConfig, dieW, dieH float64, nx, ny int) gridFactorKey {
+// newGridFactorKey keys a grid model's matrix and factor.
+func newGridFactorKey(cfg PackageConfig, dieW, dieH float64, nx, ny int, opts GridOptions) gridFactorKey {
+	if opts.PeakBytesBudget <= 0 {
+		opts.PeakBytesBudget = defaultPeakBudget
+	}
 	k := gridFactorKey{
-		dieW:       math.Float64bits(dieW),
-		dieH:       math.Float64bits(dieH),
-		nx:         nx,
-		ny:         ny,
-		panelWidth: linalg.DefaultPanelWidth(0),
+		dieW: math.Float64bits(dieW),
+		dieH: math.Float64bits(dieH),
+		nx:   nx,
+		ny:   ny,
+		opts: opts,
 	}
 	for i, v := range [...]float64{
 		cfg.DieThickness, cfg.KSilicon, cfg.TIMThickness, cfg.KTIM,
@@ -43,13 +45,16 @@ func newGridFactorKey(cfg PackageConfig, dieW, dieH float64, nx, ny int) gridFac
 // sharedFactor is one process-wide assembled matrix and its factor, held by
 // every live GridModel with the same key. once makes concurrent cold builds
 // of one key factor exactly once without a global lock across the build.
+// rhsPool holds the node-vector scratch of its holders' solves, so a new
+// model on a live factor reuses vectors earlier models grew.
 type sharedFactor struct {
-	once  sync.Once
-	sys   *linalg.Sparse
-	chol  *linalg.SparseCholesky
-	stats GridFactorStats
-	err   error
-	refs  int // guarded by sharedFactors.mu
+	once    sync.Once
+	sys     *linalg.Sparse
+	chol    *linalg.SparseCholesky
+	stats   GridFactorStats
+	err     error
+	refs    int       // guarded by sharedFactors.mu
+	rhsPool sync.Pool // *[]float64 of NumNodes entries
 }
 
 // sharedFactors maps each key to its resident factor. An entry lives only
@@ -93,6 +98,11 @@ func (g *GridModel) shareSolver(k gridFactorKey) error {
 	f := sharedFactors.m[k]
 	if f == nil {
 		f = &sharedFactor{}
+		size := g.NumNodes()
+		f.rhsPool.New = func() any {
+			b := make([]float64, size)
+			return &b
+		}
 		sharedFactors.m[k] = f
 	}
 	f.refs++
@@ -102,7 +112,7 @@ func (g *GridModel) shareSolver(k gridFactorKey) error {
 	f.once.Do(func() {
 		built = true
 		g.assemble()
-		f.err = g.buildSolver()
+		f.err = g.buildSolver(k.opts)
 		f.sys, f.chol, f.stats = g.sys, g.chol, g.stats
 	})
 	ref := &factorRef{key: k, f: f}
@@ -122,7 +132,7 @@ func (g *GridModel) shareSolver(k gridFactorKey) error {
 
 // LiveGridFactors returns the number of distinct grid factors resident in
 // the process (builds in flight included). Models with the same package
-// stack, die size, resolution and solver options count once.
+// stack, die size, resolution and GridOptions count once.
 func LiveGridFactors() int {
 	sharedFactors.mu.Lock()
 	defer sharedFactors.mu.Unlock()

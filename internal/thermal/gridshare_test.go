@@ -64,14 +64,14 @@ func sameSparseBits(a, b *linalg.Sparse) bool {
 // TestGridFactorKeyGuard perturbs every PackageConfig field by reflection:
 // the share key must change exactly when the assembled matrix bits change,
 // so a field added later cannot slip past it. A 1-ULP change of the die's
-// width or height, the resolution and the host's panel width must change
-// the key too.
+// width or height, the resolution and each GridOptions field must change the
+// key too; a zero or negative budget is the default budget.
 func TestGridFactorKeyGuard(t *testing.T) {
 	const n = 8
 	fp := floorplan.Alpha21364()
 	die := fp.Die()
 	base := DefaultPackageConfig()
-	baseKey := newGridFactorKey(base, die.W, die.H, n, n)
+	baseKey := newGridFactorKey(base, die.W, die.H, n, n, GridOptions{})
 	baseSys := assembled(fp, base, n, n)
 
 	rv := reflect.ValueOf(&base).Elem()
@@ -84,7 +84,7 @@ func TestGridFactorKeyGuard(t *testing.T) {
 		cfg := base
 		f := reflect.ValueOf(&cfg).Elem().Field(i)
 		f.SetFloat(f.Float() * 1.25)
-		keyChanged := newGridFactorKey(cfg, die.W, die.H, n, n) != baseKey
+		keyChanged := newGridFactorKey(cfg, die.W, die.H, n, n, GridOptions{}) != baseKey
 		matrixChanged := !sameSparseBits(assembled(fp, cfg, n, n), baseSys)
 		if keyChanged != matrixChanged {
 			t.Errorf("%s: key changed %v, matrix changed %v", name, keyChanged, matrixChanged)
@@ -109,28 +109,63 @@ func TestGridFactorKeyGuard(t *testing.T) {
 		if sameSparseBits(assembled(wide, base, n, n), baseSys) {
 			t.Errorf("die %v: matrix bits unchanged by a 1-ULP die", d)
 		}
-		if newGridFactorKey(base, d.W, d.H, n, n) == baseKey {
+		if newGridFactorKey(base, d.W, d.H, n, n, GridOptions{}) == baseKey {
 			t.Errorf("die %v: key unchanged by a 1-ULP die", d)
 		}
 	}
 
 	for name, k := range map[string]gridFactorKey{
-		"nx": newGridFactorKey(base, die.W, die.H, n+1, n),
-		"ny": newGridFactorKey(base, die.W, die.H, n, n+1),
+		"nx": newGridFactorKey(base, die.W, die.H, n+1, n, GridOptions{}),
+		"ny": newGridFactorKey(base, die.W, die.H, n, n+1, GridOptions{}),
 	} {
 		if k == baseKey {
 			t.Errorf("%s: key unchanged", name)
 		}
 	}
-	// The key carries the host's panel width, so a model built under another
-	// GOMAXPROCS never reports another width's FactorStats.
-	old := runtime.GOMAXPROCS(1)
-	serial := newGridFactorKey(base, die.W, die.H, n, n)
-	runtime.GOMAXPROCS(2)
-	multi := newGridFactorKey(base, die.W, die.H, n, n)
-	runtime.GOMAXPROCS(old)
-	if serial == multi {
-		t.Error("panel width: key unchanged between GOMAXPROCS 1 and 2")
+
+	key := func(opts GridOptions) gridFactorKey {
+		return newGridFactorKey(base, die.W, die.H, n, n, opts)
+	}
+	for _, budget := range []int64{-5, defaultPeakBudget} {
+		if key(GridOptions{PeakBytesBudget: budget}) != baseKey {
+			t.Errorf("budget %d: key differs from the default budget's", budget)
+		}
+	}
+	for name, opts := range map[string]GridOptions{
+		"budget":    {PeakBytesBudget: 1 << 20},
+		"spill dir": {SpillDir: "spill"},
+		"spill fs":  {SpillFS: brokenSpillFS{}},
+	} {
+		if key(opts) == baseKey {
+			t.Errorf("%s: key unchanged", name)
+		}
+	}
+}
+
+// TestGridFactorGeometryIndependentOfGOMAXPROCS: the supernode partition has
+// one shape, so a grid factored at GOMAXPROCS 1 and at 2 reports the same
+// geometry and memory; only the timing may differ.
+func TestGridFactorGeometryIndependentOfGOMAXPROCS(t *testing.T) {
+	waitLiveGridFactors(t, 0)
+	geometry := func(procs int) GridFactorStats {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		g, err := NewGridModel(floorplan.Alpha21364(), DefaultPackageConfig(), 32, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := g.FactorStats()
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st.Shared {
+			t.Fatalf("GOMAXPROCS %d: the model reused a factor; want a fresh one", procs)
+		}
+		st.FactorTime = 0
+		return st
+	}
+	if serial, multi := geometry(1), geometry(2); serial != multi {
+		t.Errorf("factor stats differ:\nGOMAXPROCS 1: %+v\nGOMAXPROCS 2: %+v", serial, multi)
 	}
 }
 
@@ -318,21 +353,42 @@ func TestGridFactorDroppedWithoutClose(t *testing.T) {
 	waitLiveGridFactors(t, 0)
 }
 
-// TestGridFactorNotSharedWhenSpilledOrFallback: a model under an explicit
-// peak-bytes budget keeps its own factor.
-func TestGridFactorNotSharedWhenSpilledOrFallback(t *testing.T) {
+// TestGridBudgetedModelsShareFactor: two models under one explicit budget
+// share a factor and answer bit-identically; a model under another budget
+// gets its own.
+func TestGridBudgetedModelsShareFactor(t *testing.T) {
+	const n = 16
 	waitLiveGridFactors(t, 0)
-	budgeted, err := NewGridModelWithOptions(floorplan.Alpha21364(), DefaultPackageConfig(), 16, 16,
-		GridOptions{PeakBytesBudget: 1 << 40})
-	if err != nil {
-		t.Fatal(err)
+	fp, cfg := floorplan.Alpha21364(), DefaultPackageConfig()
+	warm := cfg
+	warm.Ambient = 52.5
+	build := func(cfg PackageConfig, budget int64) *GridModel {
+		t.Helper()
+		g, err := NewGridModelWithOptions(fp, cfg, n, n, GridOptions{PeakBytesBudget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { g.Close() })
+		return g
 	}
-	defer budgeted.Close()
-	if got := LiveGridFactors(); got != 0 {
-		t.Errorf("LiveGridFactors = %d, want 0 for a budgeted model", got)
+	first := build(cfg, 2<<30)
+	second := build(warm, 2<<30)
+	if first.FactorStats().Shared || !second.FactorStats().Shared || second.chol != first.chol {
+		t.Fatalf("equal budgets: first %+v, second %+v; want the second to share the first's factor",
+			first.FactorStats(), second.FactorStats())
 	}
-	if budgeted.FactorStats().Shared {
-		t.Errorf("budgeted stats %+v, want unshared", budgeted.FactorStats())
+	if got := LiveGridFactors(); got != 1 {
+		t.Errorf("LiveGridFactors = %d with two models under one budget, want 1", got)
+	}
+	fresh := build(warm, 1<<40)
+	if st := fresh.FactorStats(); st.Shared || fresh.chol == first.chol {
+		t.Errorf("another budget: %+v, want a factor of its own", st)
+	}
+	if got := LiveGridFactors(); got != 2 {
+		t.Errorf("LiveGridFactors = %d with two budgets, want 2", got)
+	}
+	if !sameBits(gridAnswers(t, second), gridAnswers(t, fresh)) {
+		t.Error("shared budgeted factor answers differ from a fresh factor's")
 	}
 }
 
@@ -349,11 +405,22 @@ func TestGridSharedSpilledFactorOutlivesClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer inCore.Close()
 	want := gridAnswers(t, inCore)
+	pm := make([]float64, fp.NumBlocks())
+	pm[0], pm[6] = 25, 18
+	ref, err := inCore.SteadyState(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := spillBudgetFor(inCore)
+	// The reference's factor is shared too: close it so the counts below
+	// see only the spilled one.
+	if err := inCore.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	defer func(b int64) { defaultPeakBudget = b }(defaultPeakBudget)
-	defaultPeakBudget = spillBudgetFor(inCore)
+	defaultPeakBudget = budget
 	opts := GridOptions{SpillDir: t.TempDir()}
 	first, err := NewGridModelWithOptions(fp, cfg, n, n, opts)
 	if err != nil {
@@ -373,12 +440,6 @@ func TestGridSharedSpilledFactorOutlivesClose(t *testing.T) {
 		t.Fatalf("LiveGridFactors = %d with two holders of one key, want 1", got)
 	}
 	// Both holders stream the one spill file at once.
-	pm := make([]float64, fp.NumBlocks())
-	pm[0], pm[6] = 25, 18
-	ref, err := inCore.SteadyState(pm)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var wg sync.WaitGroup
 	for _, g := range []*GridModel{first, second, first, second} {
 		wg.Add(1)
@@ -411,10 +472,10 @@ func TestGridSharedSpilledFactorOutlivesClose(t *testing.T) {
 
 // TestGridSharedFactorBackwardLanesBitIdentical: single-query solves on a
 // factor shared through the grid factor cache run the lane-paired backward
-// pass; they must match a per-model factor forced out of core (whose solves
-// stream panels through per-panel column loops, with no lanes) bit for bit,
-// on the model that factored and on the one that reused the factor, through
-// both SteadyState and SteadyStateActive.
+// pass; they must match a factor forced out of core by a tighter budget
+// (whose solves stream panels through per-panel column loops, with no lanes)
+// bit for bit, on the model that factored and on the one that reused the
+// factor, through both SteadyState and SteadyStateActive.
 func TestGridSharedFactorBackwardLanesBitIdentical(t *testing.T) {
 	const n = 48
 	waitLiveGridFactors(t, 0)

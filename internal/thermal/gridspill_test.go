@@ -251,12 +251,3 @@ func TestGridPeakBudgetAcceptance(t *testing.T) {
 		t.Fatalf("max temperature %v under the default budget, %v under 3 GiB", unbudgeted, budgeted)
 	}
 }
-
-// TestGridOptionsCanonicalSpill pins the canonicalization of the memory
-// knobs: negative budgets clear to zero.
-func TestGridOptionsCanonicalSpill(t *testing.T) {
-	c := GridOptions{PeakBytesBudget: -5}.Canonical()
-	if c.PeakBytesBudget != 0 {
-		t.Fatalf("negative budget canonical = %d, want 0", c.PeakBytesBudget)
-	}
-}
