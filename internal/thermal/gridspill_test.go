@@ -251,3 +251,29 @@ func TestGridPeakBudgetAcceptance(t *testing.T) {
 		t.Fatalf("max temperature %v under the default budget, %v under 3 GiB", unbudgeted, budgeted)
 	}
 }
+
+// TestGridOptionsCanonicalSpill pins the canonicalization of the memory
+// budget: a negative budget is the default budget, so a model built under one
+// shares the factor of an unbudgeted model of the same grid.
+func TestGridOptionsCanonicalSpill(t *testing.T) {
+	const n = 8
+	waitLiveGridFactors(t, 0)
+	fp, cfg := floorplan.Alpha21364(), DefaultPackageConfig()
+	build := func(budget int64) *GridModel {
+		t.Helper()
+		g, err := NewGridModelWithOptions(fp, cfg, n, n, GridOptions{PeakBytesBudget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { g.Close() })
+		return g
+	}
+	unbudgeted := build(0)
+	negative := build(-5)
+	if !negative.FactorStats().Shared || negative.chol != unbudgeted.chol {
+		t.Fatalf("budget -5: %+v, want the unbudgeted model's factor", negative.FactorStats())
+	}
+	if got := LiveGridFactors(); got != 1 {
+		t.Errorf("LiveGridFactors = %d, want 1", got)
+	}
+}
