@@ -546,20 +546,24 @@ func BenchmarkGridSteadyState(b *testing.B) {
 // BenchmarkGridFactor is the numeric-kernel ladder: full grid-model
 // construction (assembly + symbolic + numeric) per resolution, with the
 // supernodal numeric factorization alone reported as numeric_ms; n131k is
-// the 256×256 tentpole rung. The 1024×1024 rung (n2097k, ~2.1M nodes)
-// factors out of core under a 3 GiB peak-bytes budget and takes minutes — it
-// only runs with THERM_BENCH_1024=1. Sub-benchmarks keep their historical
-// "/supernodal" suffix: the CI bench gate pairs rows by name with the parent
-// commit's, and a renamed row is reported, not gated.
+// the 256×256 tentpole rung. Each iteration factors a rung runs times;
+// numeric_ms is the median of those factorizations and ns/op their mean, so
+// a -benchtime=1x run still reports a median, not one sample. The 1024×1024
+// rung (n2097k, ~2.1M nodes) factors out of core under a 3 GiB peak-bytes
+// budget and takes minutes — it only runs with THERM_BENCH_1024=1, once per
+// iteration. Sub-benchmarks keep their historical "/supernodal" suffix: the
+// CI bench gate pairs rows by name with the parent commit's, and a renamed
+// row is reported, not gated.
 func BenchmarkGridFactor(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		res  int
+		runs int
 		opts thermal.GridOptions
 	}{
-		{"n33k", 128, thermal.GridOptions{}},
-		{"n131k", 256, thermal.GridOptions{}},
-		{"n2097k", 1024, thermal.GridOptions{PeakBytesBudget: 3 << 30}},
+		{"n33k", 128, 5, thermal.GridOptions{}},
+		{"n131k", 256, 3, thermal.GridOptions{}},
+		{"n2097k", 1024, 1, thermal.GridOptions{PeakBytesBudget: 3 << 30}},
 	} {
 		gated := c.res >= 1024
 		b.Run(c.name+"/supernodal", func(b *testing.B) {
@@ -572,32 +576,38 @@ func BenchmarkGridFactor(b *testing.B) {
 				opts.SpillDir = b.TempDir()
 			}
 			// Let models dropped by earlier benchmarks release their shared
-			// factors, so every iteration below factors afresh.
+			// factors, so every factorization below is a fresh one.
 			for i := 0; i < 1000 && thermal.LiveGridFactors() > 0; i++ {
 				runtime.GC()
 				time.Sleep(time.Millisecond)
 			}
-			var numeric time.Duration
+			b.ResetTimer()
+			numeric := make([]time.Duration, 0, c.runs)
 			var fs thermal.GridFactorStats
 			for i := 0; i < b.N; i++ {
-				gm, err := thermal.NewGridModelWithOptions(fp, thermalsched.DefaultPackage(),
-					c.res, c.res, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got := gm.SolverBackend(); got != "sparse-cholesky" {
-					b.Fatalf("backend = %q, want sparse-cholesky", got)
-				}
-				fs = gm.FactorStats()
-				if fs.Shared {
-					b.Fatal("model reused a shared factor; this benchmark times real factorizations")
-				}
-				numeric += fs.FactorTime
-				if err := gm.Close(); err != nil {
-					b.Fatal(err)
+				for j := 0; j < c.runs; j++ {
+					gm, err := thermal.NewGridModelWithOptions(fp, thermalsched.DefaultPackage(),
+						c.res, c.res, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if got := gm.SolverBackend(); got != "sparse-cholesky" {
+						b.Fatalf("backend = %q, want sparse-cholesky", got)
+					}
+					fs = gm.FactorStats()
+					if fs.Shared {
+						b.Fatal("model reused a shared factor; this benchmark times real factorizations")
+					}
+					numeric = append(numeric, fs.FactorTime)
+					if err := gm.Close(); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
-			b.ReportMetric(float64(numeric.Microseconds())/1e3/float64(b.N), "numeric_ms")
+			b.StopTimer()
+			slices.Sort(numeric)
+			b.ReportMetric(float64(numeric[len(numeric)/2].Microseconds())/1e3, "numeric_ms")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(len(numeric)), "ns/op")
 			if opts.PeakBytesBudget > 0 {
 				if fs.SpillDegraded {
 					b.Fatalf("spill degraded: %+v", fs)

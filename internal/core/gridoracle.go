@@ -40,26 +40,26 @@ func NewGridOracle(gm *thermal.GridModel, prof *power.Profile) *GridOracle {
 // Grid returns the underlying grid model.
 func (o *GridOracle) Grid() *thermal.GridModel { return o.grid }
 
-// BlockTemps implements Oracle: solve the grid, then reduce each active
-// block to its hottest covered cell; every passive entry is NaN. The
-// per-candidate right-hand side only touches the active cores' cell
-// footprint, so the solve goes through the grid model's sparse-RHS path
-// (SteadyStateActive), which confines both triangular passes to the
-// footprint's elimination-tree closure — bit-identical to a dense-RHS solve
-// at the active cells.
+// BlockTemps implements Oracle: each active block's hottest covered cell,
+// NaN at every passive block. The grid model's ActiveBlockMax solves over
+// the active footprint's elimination-tree closure alone, bit-identical to a
+// full solve at the active cells, in a pooled vector, so the answer slice is
+// the query's one allocation.
 func (o *GridOracle) BlockTemps(active []int) ([]float64, error) {
 	pmP := o.pmPool.Get().(*[]float64)
+	defer o.pmPool.Put(pmP)
 	pm := *pmP
 	if err := o.profile.TestPowerMapInto(pm, active); err != nil {
-		o.pmPool.Put(pmP)
 		return nil, err
 	}
-	res, err := o.grid.SteadyStateActive(pm, active)
-	o.pmPool.Put(pmP)
-	if err != nil {
+	out := make([]float64, len(pm))
+	for b := range out {
+		out[b] = math.NaN()
+	}
+	if err := o.grid.ActiveBlockMax(out, pm, active); err != nil {
 		return nil, err
 	}
-	return o.reduce(res, active), nil
+	return out, nil
 }
 
 // BlockTempsBatch implements BatchOracle by fanning BlockTemps out across
@@ -68,19 +68,6 @@ func (o *GridOracle) BlockTemps(active []int) ([]float64, error) {
 // session is its own solve.
 func (o *GridOracle) BlockTempsBatch(sessions [][]int) ([][]float64, error) {
 	return sweepBlockTemps(o, sessions)
-}
-
-// reduce folds a grid field to one temperature per active block (the
-// hottest covered cell) and NaN at every passive block.
-func (o *GridOracle) reduce(res *thermal.GridResult, active []int) []float64 {
-	out := make([]float64, o.grid.Floorplan().NumBlocks())
-	for b := range out {
-		out[b] = math.NaN()
-	}
-	for _, b := range active {
-		out[b] = res.BlockMaxTemp(b)
-	}
-	return out
 }
 
 var _ BatchOracle = (*GridOracle)(nil)

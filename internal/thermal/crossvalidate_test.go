@@ -81,7 +81,7 @@ func TestGridSolversCrossValidate(t *testing.T) {
 				rhs[cs.cell] += p * cs.frac
 			}
 		}
-		if dev := solveDenseSparse(t, gm.sys, rhs); dev > 1e-8 {
+		if dev := solveDenseSparse(t, gm.assemble(), rhs); dev > 1e-8 {
 			t.Errorf("trial %d (%d blocks, %dx%d grid): solver deviation %g > 1e-8",
 				trial, blocks, nx, ny, dev)
 		}
@@ -137,7 +137,8 @@ func TestGridOrderingsCrossValidate(t *testing.T) {
 				rhs[cs.cell] += p * cs.frac
 			}
 		}
-		dense, err := linalg.SolveSPD(gm.sys.Dense(), rhs)
+		sys := gm.assemble()
+		dense, err := linalg.SolveSPD(sys.Dense(), rhs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,14 +147,14 @@ func TestGridOrderingsCrossValidate(t *testing.T) {
 			scaleMax = math.Max(scaleMax, math.Abs(v))
 		}
 		solvers := map[string]*linalg.SparseCholesky{}
-		if solvers["rcm"], err = linalg.NewSparseCholesky(gm.sys); err != nil {
+		if solvers["rcm"], err = linalg.NewSparseCholesky(sys); err != nil {
 			t.Fatal(err)
 		}
-		geoSym, err := linalg.NewCholSymbolic(gm.sys, gm.ndPerm())
+		geoSym, err := linalg.NewCholSymbolic(sys, gm.ndPerm())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if solvers["nd-geometric"], err = geoSym.Factorize(gm.sys); err != nil {
+		if solvers["nd-geometric"], err = geoSym.Factorize(sys); err != nil {
 			t.Fatal(err)
 		}
 		for name, ch := range solvers {
@@ -189,7 +190,7 @@ func TestGridSteadyStateMatchesDense(t *testing.T) {
 			rhs[cs.cell] += p * cs.frac
 		}
 	}
-	rise, err := linalg.SolveSPD(g.sys.Dense(), rhs)
+	rise, err := linalg.SolveSPD(g.assemble().Dense(), rhs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +341,7 @@ func FuzzGridSolverAgreement(f *testing.F) {
 				rhs[cs.cell] += p * cs.frac
 			}
 		}
-		if dev := solveDenseSparse(t, gm.sys, rhs); dev > 1e-8 {
+		if dev := solveDenseSparse(t, gm.assemble(), rhs); dev > 1e-8 {
 			t.Errorf("%d blocks, %dx%d grid: solver deviation %g > 1e-8", blocks, nx, ny, dev)
 		}
 	})

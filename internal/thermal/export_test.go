@@ -16,8 +16,7 @@ func GridFactorFill(nx, ny int) (int, error) {
 	die := fp.Die()
 	g := &GridModel{fp: fp, cfg: DefaultPackageConfig(), nx: nx, ny: ny,
 		cellW: die.W / float64(nx), cellH: die.H / float64(ny)}
-	g.assemble()
-	sym, err := linalg.NewCholSymbolic(g.sys, g.ndPerm())
+	sym, err := linalg.NewCholSymbolic(g.assemble(), g.ndPerm())
 	if err != nil {
 		return 0, err
 	}

@@ -58,10 +58,10 @@ type GridOptions struct {
 // (GridOptions.PeakBytesBudget, 2 GiB by default) demands it — so every
 // SteadyState query costs two sparse triangular solves on its one
 // right-hand side, the backward one advancing two independent elimination
-// subtrees at once; SteadyStateActive
-// restricts both solves to the elimination-tree closure of the active power
-// footprint, answering only the cells a validation query reads; that is what
-// makes per-session oracle sweeps over one floorplan cheap at grid scale.
+// subtrees at once; ActiveBlockMax restricts both solves to the
+// elimination-tree closure of the active power footprint and reads only the
+// active blocks' hottest cells; that is what makes per-session oracle sweeps
+// over one floorplan cheap at grid scale.
 // Many queries fan out as concurrent solves against the one factor.
 // GridModel is safe for concurrent queries.
 //
@@ -82,7 +82,7 @@ type GridModel struct {
 	nx, ny int
 	cellW  float64
 	cellH  float64
-	sys    *linalg.Sparse
+	nnz    int // of the assembled matrix
 	stats  GridFactorStats
 	share  *factorRef // hold on the process-wide factor
 	chol   *linalg.SparseCholesky
@@ -134,7 +134,7 @@ func NewGridModelWithOptions(fp *floorplan.Floorplan, cfg PackageConfig, nx, ny 
 	return g, nil
 }
 
-// supportPool holds SteadyStateActive's right-hand-side support lists
+// supportPool holds ActiveBlockMax's right-hand-side support lists
 // (*[]int). Every model shares it, so the model of a never-seen system
 // reuses the lists earlier models grew instead of growing its own.
 var supportPool = sync.Pool{New: func() any { return new([]int) }}
@@ -150,13 +150,13 @@ func (g *GridModel) ndPerm() []int {
 	return append(perm, g.rimNode(), g.sinkNode())
 }
 
-// buildSolver factorizes the assembled system once under the geometric
+// buildSolver factorizes the assembled system sys once under the geometric
 // nested-dissection ordering with the supernodal panel kernel. The symbolic
 // analysis predicts the exact in-core bytes, and the peak-bytes budget alone
 // decides between an in-core and an out-of-core factor. opts has its budget
 // resolved (newGridFactorKey).
-func (g *GridModel) buildSolver(opts GridOptions) error {
-	sym, err := linalg.NewCholSymbolic(g.sys, g.ndPerm())
+func (g *GridModel) buildSolver(sys *linalg.Sparse, opts GridOptions) error {
+	sym, err := linalg.NewCholSymbolic(sys, g.ndPerm())
 	if err != nil {
 		return fmt.Errorf("%w: grid system not SPD: %v", ErrModel, err)
 	}
@@ -167,7 +167,7 @@ func (g *GridModel) buildSolver(opts GridOptions) error {
 	if inCore > opts.PeakBytesBudget {
 		// The in-core working set exceeds the peak-bytes budget: factor
 		// out of core, spilling finished panels to disk.
-		ch, err = ss.FactorizeSpill(g.sys, linalg.SpillPolicy{
+		ch, err = ss.FactorizeSpill(sys, linalg.SpillPolicy{
 			BudgetBytes: opts.PeakBytesBudget,
 			Dir:         opts.SpillDir,
 			FS:          opts.SpillFS,
@@ -177,11 +177,11 @@ func (g *GridModel) buildSolver(opts GridOptions) error {
 			// covers write failures; this is e.g. an unreadable reload), or
 			// no out-of-core schedule fits (indices + scratch alone exceed
 			// the budget): availability over budget — factor fully in core.
-			ch, err = ss.Factorize(g.sys)
+			ch, err = ss.Factorize(sys)
 			g.stats.SpillDegraded = true
 		}
 	} else {
-		ch, err = ss.Factorize(g.sys)
+		ch, err = ss.Factorize(sys)
 	}
 	if err != nil {
 		return fmt.Errorf("%w: grid system not SPD: %v", ErrModel, err)
@@ -264,7 +264,7 @@ func (g *GridModel) Close() error { return g.share.release() }
 func (g *GridModel) FactorNNZ() int { return g.chol.NNZ() }
 
 // NNZ returns the non-zero count of the assembled conductance matrix.
-func (g *GridModel) NNZ() int { return g.sys.NNZ() }
+func (g *GridModel) NNZ() int { return g.nnz }
 
 // NumNodes returns the total node count (silicon + spreader + rim + sink).
 func (g *GridModel) NumNodes() int { return 2*g.numCells() + 2 }
@@ -313,7 +313,7 @@ func (g *GridModel) mapBlocks() {
 }
 
 // assemble builds the sparse conductance matrix.
-func (g *GridModel) assemble() {
+func (g *GridModel) assemble() *linalg.Sparse {
 	cfg := g.cfg
 	die := g.fp.Die()
 	nc := g.numCells()
@@ -375,12 +375,12 @@ func (g *GridModel) assemble() {
 	b.AddConductance(g.rimNode(), g.sinkNode(), 1/rRim)
 	b.AddGround(g.sinkNode(), 1/cfg.ConvectionR)
 
-	g.sys = b.Build()
+	return b.Build()
 }
 
 // depositPower zeroes rhs (length NumNodes) and deposits each block's power
 // uniformly over its silicon footprint — the one right-hand-side assembly
-// SteadyState and SteadyStateActive share.
+// SteadyState and ActiveBlockMax share.
 func (g *GridModel) depositPower(rhs, power []float64) error {
 	for i := range rhs {
 		rhs[i] = 0
@@ -433,52 +433,51 @@ func (g *GridModel) SteadyState(power []float64) (*GridResult, error) {
 	return &GridResult{model: g, temps: temps}, nil
 }
 
-// SteadyStateActive solves the grid for a power map whose only non-zero
-// entries are the blocks listed in active — the exact query shape of
-// Algorithm 1's validation oracle, where passive cores idle at zero power
-// and only the active cores' temperatures are read. The right-hand side's
-// support is the active blocks' cell footprint, and
-// both triangular solves run over its elimination-tree closure alone
-// (SolveSparseInto). The result is bit-identical to SteadyState at every
-// cell of an active block and at the rest of the closure, and NaN at every
-// other node, so whole-die read-backs (MaxTemp, Heatmap) and passive blocks'
-// BlockMaxTemp are not meaningful. Blocks outside active must carry zero
-// power; active may repeat a block.
-func (g *GridModel) SteadyStateActive(power []float64, active []int) (*GridResult, error) {
-	if len(power) != g.fp.NumBlocks() {
-		return nil, fmt.Errorf("%w: got %d entries, floorplan has %d blocks",
-			ErrPowerShape, len(power), g.fp.NumBlocks())
+// ActiveBlockMax solves the grid for a power map whose only non-zero entries
+// are the blocks in active — Algorithm 1's validation query — and writes
+// each active block's hottest cell (°C) into dst[b], leaving the rest of dst
+// as it was. Both triangular solves run in place in a pooled node vector,
+// over the elimination-tree closure of the active cells alone
+// (SolveSparseInto), so the query allocates nothing. dst[b] is bit-identical
+// to SteadyState(power).BlockMaxTemp(b). Blocks outside active must carry
+// zero power; active may repeat a block.
+func (g *GridModel) ActiveBlockMax(dst, power []float64, active []int) error {
+	nb := g.fp.NumBlocks()
+	if len(power) != nb || len(dst) != nb {
+		return fmt.Errorf("%w: got %d power and %d result entries, floorplan has %d blocks",
+			ErrPowerShape, len(power), len(dst), nb)
 	}
 	for _, b := range active {
-		if b < 0 || b >= g.fp.NumBlocks() {
-			return nil, fmt.Errorf("%w: active block %d outside [0,%d)",
-				ErrPowerShape, b, g.fp.NumBlocks())
+		if b < 0 || b >= nb {
+			return fmt.Errorf("%w: active block %d outside [0,%d)", ErrPowerShape, b, nb)
 		}
 	}
 	rhsPool := &g.share.f.rhsPool
 	rhsP := rhsPool.Get().(*[]float64)
+	defer rhsPool.Put(rhsP)
 	rhs := *rhsP
 	if err := g.depositPower(rhs, power); err != nil {
-		rhsPool.Put(rhsP)
-		return nil, err
+		return err
 	}
 	nzP := supportPool.Get().(*[]int)
 	nz := (*nzP)[:0]
 	for _, b := range active {
 		nz = append(nz, g.blockCells[b]...)
 	}
-	temps := make([]float64, len(rhs))
-	err := g.chol.SolveSparseInto(temps, rhs, nz)
+	err := g.chol.SolveSparseInto(rhs, rhs, nz)
 	*nzP = nz
 	supportPool.Put(nzP)
-	rhsPool.Put(rhsP)
 	if err != nil {
-		return nil, fmt.Errorf("thermal: grid solve: %w", err)
+		return fmt.Errorf("thermal: grid solve: %w", err)
 	}
-	for i := range temps {
-		temps[i] += g.cfg.Ambient
+	for _, b := range active {
+		mx := math.Inf(-1)
+		for _, id := range g.blockCells[b] {
+			mx = max(mx, rhs[id]+g.cfg.Ambient)
+		}
+		dst[b] = mx
 	}
-	return &GridResult{model: g, temps: temps}, nil
+	return nil
 }
 
 // Floorplan returns the discretised floorplan.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/floorplan"
@@ -318,16 +319,16 @@ func TestGridOrderingFillReduction(t *testing.T) {
 			cellW: die.W / float64(res), cellH: die.H / float64(res),
 		}
 		g.mapBlocks()
-		g.assemble()
 		return g
 	}
 
 	g := build(128)
-	ndSym, err := linalg.NewCholSymbolic(g.sys, g.ndPerm())
+	sys := g.assemble()
+	ndSym, err := linalg.NewCholSymbolic(sys, g.ndPerm())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcmSym, err := linalg.NewCholSymbolic(g.sys, nil) // nil perm: hub-aware RCM
+	rcmSym, err := linalg.NewCholSymbolic(sys, nil) // nil perm: hub-aware RCM
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +344,7 @@ func TestGridOrderingFillReduction(t *testing.T) {
 		t.Skip("256×256 symbolic analysis skipped in -short mode and under -race")
 	}
 	g256 := build(256)
-	nd256, err := linalg.NewCholSymbolic(g256.sys, g256.ndPerm())
+	nd256, err := linalg.NewCholSymbolic(g256.assemble(), g256.ndPerm())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,39 +355,44 @@ func TestGridOrderingFillReduction(t *testing.T) {
 	}
 }
 
-// checkActiveField asserts that a SteadyStateActive field got is bitwise
-// want at every cell of the active blocks, and elsewhere either bitwise want
-// (the rest of the elimination-tree closure) or NaN. It returns the number
-// of NaN nodes.
-func checkActiveField(t *testing.T, name string, g *GridModel, active []int, got, want []float64) int {
-	t.Helper()
-	for _, b := range active {
-		for _, id := range g.blockCells[b] {
-			if math.Float64bits(got[id]) != math.Float64bits(want[id]) {
-				t.Fatalf("%s: active block %d differs at cell %d: %g vs %g", name, b, id, got[id], want[id])
-			}
-		}
+// nanBlocks returns an ActiveBlockMax destination for g with every entry
+// NaN, so entries the call must leave alone stay recognisable.
+func nanBlocks(g *GridModel) []float64 {
+	dst := make([]float64, g.Floorplan().NumBlocks())
+	for b := range dst {
+		dst[b] = math.NaN()
 	}
-	nan := 0
-	for j := range got {
-		switch {
-		case math.IsNaN(got[j]):
-			nan++
-		case math.Float64bits(got[j]) != math.Float64bits(want[j]):
-			t.Fatalf("%s: node %d is neither NaN nor the full solve's value: %g vs %g", name, j, got[j], want[j])
-		}
-	}
-	return nan
+	return dst
 }
 
-func TestGridSteadyStateActiveBitIdentical(t *testing.T) {
-	// The sparse-RHS path must reproduce SteadyState bit for bit at the
-	// active cells — that identity is what lets the oracle mix them freely
-	// without perturbing schedules. Off its elimination-tree closure the
-	// sparse-RHS field is NaN; a solo's closure leaves part of the die out.
+// blockMaxMismatch reports where an ActiveBlockMax answer got, written into
+// nanBlocks, departs from the full field want: each active block must be
+// bitwise want.BlockMaxTemp(b), and every other entry still NaN.
+func blockMaxMismatch(active []int, got []float64, want *GridResult) error {
+	isActive := make(map[int]bool, len(active))
+	for _, b := range active {
+		isActive[b] = true
+		if w := want.BlockMaxTemp(b); math.Float64bits(got[b]) != math.Float64bits(w) {
+			return fmt.Errorf("active block %d: %g, want BlockMaxTemp %g", b, got[b], w)
+		}
+	}
+	for b, v := range got {
+		if !isActive[b] && !math.IsNaN(v) {
+			return fmt.Errorf("passive block %d written: %g", b, v)
+		}
+	}
+	return nil
+}
+
+func TestGridActiveBlockMaxBitIdentical(t *testing.T) {
+	// The in-place sparse-RHS read-back must reproduce SteadyState's
+	// BlockMaxTemp bit for bit at every active block — that identity is
+	// what lets the oracle mix them freely without perturbing schedules —
+	// and leave every passive entry alone. Several goroutines query at once,
+	// as the oracle's batch fan-out does, sharing the model's pooled vectors.
 	g := alphaGrid(t, 24, 24)
 	nb := g.Floorplan().NumBlocks()
-	sessions := [][]int{{0}, {3, 7}, {1, 2, 11}, {0, 5, 8, 14}, {4}}
+	sessions := [][]int{{0}, {3, 7}, {1, 2, 11}, {0, 5, 8, 14}, {4}, {6, 6}}
 	powers := make([][]float64, len(sessions))
 	want := make([]*GridResult, len(sessions))
 	for i, act := range sessions {
@@ -401,18 +407,29 @@ func TestGridSteadyStateActiveBitIdentical(t *testing.T) {
 		}
 		want[i] = res
 	}
-	for i, act := range sessions {
-		res, err := g.SteadyStateActive(powers[i], act)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nan := checkActiveField(t, fmt.Sprintf("session %d", i), g, act, res.temps, want[i].temps)
-		if len(act) == 1 && nan == 0 {
-			t.Errorf("session %d: solo answered all %d nodes, want NaN off its closure", i, len(res.temps))
-		}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, act := range sessions {
+				got := nanBlocks(g)
+				if err := g.ActiveBlockMax(got, powers[i], act); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := blockMaxMismatch(act, got, want[i]); err != nil {
+					t.Errorf("session %d: %v", i, err)
+				}
+			}
+		}()
 	}
-	if _, err := g.SteadyStateActive(powers[0], []int{nb}); err == nil {
+	wg.Wait()
+	if err := g.ActiveBlockMax(nanBlocks(g), powers[0], []int{nb}); err == nil {
 		t.Error("out-of-range active block should fail")
+	}
+	if err := g.ActiveBlockMax(make([]float64, nb-1), powers[0], sessions[0]); err == nil {
+		t.Error("short destination should fail")
 	}
 }
 

@@ -42,14 +42,14 @@ func newGridFactorKey(cfg PackageConfig, dieW, dieH float64, nx, ny int, opts Gr
 	return k
 }
 
-// sharedFactor is one process-wide assembled matrix and its factor, held by
-// every live GridModel with the same key. once makes concurrent cold builds
-// of one key factor exactly once without a global lock across the build.
-// rhsPool holds the node-vector scratch of its holders' solves, so a new
-// model on a live factor reuses vectors earlier models grew.
+// sharedFactor is one process-wide factor, held by every live GridModel
+// with the same key. once makes concurrent cold builds of one key factor
+// exactly once without a global lock across the build. rhsPool holds the
+// node-vector scratch of its holders' solves, so a new model on a live
+// factor reuses vectors earlier models grew.
 type sharedFactor struct {
 	once    sync.Once
-	sys     *linalg.Sparse
+	nnz     int // of the assembled matrix, dropped once factored
 	chol    *linalg.SparseCholesky
 	stats   GridFactorStats
 	err     error
@@ -71,8 +71,12 @@ type factorRef struct {
 	once sync.Once
 }
 
-// release drops the hold, idempotently. The last holder evicts the entry
-// and closes the factor, which removes its spill file if it spilled.
+// release drops the hold, idempotently. The last holder evicts the entry,
+// closes the factor (removing its spill file, if any) and clears the entry's
+// pointer, which the models' cleanups would otherwise keep reachable. Then it
+// starts one collection in the background, or a heap goal set while the
+// factor was live stands until garbage outgrows it. It does not wait for
+// it: the server releases under its map lock.
 func (r *factorRef) release() (err error) {
 	r.once.Do(func() {
 		sharedFactors.mu.Lock()
@@ -82,9 +86,14 @@ func (r *factorRef) release() (err error) {
 			delete(sharedFactors.m, r.key)
 		}
 		sharedFactors.mu.Unlock()
-		if last && r.f.err == nil {
-			err = r.f.chol.Close()
+		if !last {
+			return
 		}
+		if r.f.err == nil {
+			err = r.f.chol.Close()
+			r.f.chol = nil
+		}
+		go runtime.GC()
 	})
 	return err
 }
@@ -111,9 +120,9 @@ func (g *GridModel) shareSolver(k gridFactorKey) error {
 	built := false
 	f.once.Do(func() {
 		built = true
-		g.assemble()
-		f.err = g.buildSolver(k.opts)
-		f.sys, f.chol, f.stats = g.sys, g.chol, g.stats
+		sys := g.assemble()
+		f.err = g.buildSolver(sys, k.opts)
+		f.nnz, f.chol, f.stats = sys.NNZ(), g.chol, g.stats
 	})
 	ref := &factorRef{key: k, f: f}
 	if f.err != nil {
@@ -122,7 +131,7 @@ func (g *GridModel) shareSolver(k gridFactorKey) error {
 	}
 	g.share = ref
 	runtime.AddCleanup(g, func(r *factorRef) { r.release() }, ref)
-	g.sys, g.chol, g.stats = f.sys, f.chol, f.stats
+	g.nnz, g.chol, g.stats = f.nnz, f.chol, f.stats
 	if !built {
 		g.stats.Shared = true
 		g.stats.FactorTime = 0

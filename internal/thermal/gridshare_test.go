@@ -1,13 +1,13 @@
 package thermal
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/floorplan"
 	"repro/internal/geom"
@@ -35,8 +35,7 @@ func assembled(fp *floorplan.Floorplan, cfg PackageConfig, nx, ny int) *linalg.S
 	die := fp.Die()
 	g := &GridModel{fp: fp, cfg: cfg, nx: nx, ny: ny,
 		cellW: die.W / float64(nx), cellH: die.H / float64(ny)}
-	g.assemble()
-	return g.sys
+	return g.assemble()
 }
 
 // sameSparseBits reports whether a and b have the same pattern and
@@ -169,8 +168,9 @@ func TestGridFactorGeometryIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// gridAnswers are one model's SteadyState and SteadyStateActive node
-// temperatures on fixed power maps.
+// gridAnswers are one model's SteadyState node temperatures and
+// ActiveBlockMax answers on fixed power maps; each answer is checked against
+// the model's own full field.
 func gridAnswers(t *testing.T, g *GridModel) [][]float64 {
 	t.Helper()
 	nb := g.Floorplan().NumBlocks()
@@ -190,11 +190,18 @@ func gridAnswers(t *testing.T, g *GridModel) [][]float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ra, err := g.SteadyStateActive(pa, active)
+		full, err := g.SteadyState(pa)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, r.temps, ra.temps)
+		ba := nanBlocks(g)
+		if err := g.ActiveBlockMax(ba, pa, active); err != nil {
+			t.Fatal(err)
+		}
+		if err := blockMaxMismatch(active, ba, full); err != nil {
+			t.Fatalf("%s, map %d: %v", g.Floorplan().Name(), s, err)
+		}
+		out = append(out, r.temps, ba)
 	}
 	return out
 }
@@ -218,7 +225,7 @@ func sameBits(a, b [][]float64) bool {
 
 // TestGridSharedFactorBitIdentical: a model answering from a shared factor
 // and one that factored afresh give bitwise-equal SteadyState and
-// SteadyStateActive results — for alpha, and for a
+// ActiveBlockMax results — for alpha, and for a
 // random SoC on the same 16 mm die at a different ambient.
 func TestGridSharedFactorBitIdentical(t *testing.T) {
 	const n = 20
@@ -475,7 +482,7 @@ func TestGridSharedSpilledFactorOutlivesClose(t *testing.T) {
 // pass; they must match a factor forced out of core by a tighter budget
 // (whose solves stream panels through per-panel column loops, with no lanes)
 // bit for bit, on the model that factored and on the one that reused the
-// factor, through both SteadyState and SteadyStateActive.
+// factor, through both SteadyState and ActiveBlockMax.
 func TestGridSharedFactorBackwardLanesBitIdentical(t *testing.T) {
 	const n = 48
 	waitLiveGridFactors(t, 0)
@@ -511,15 +518,17 @@ func TestGridSharedFactorBackwardLanesBitIdentical(t *testing.T) {
 		for b := 0; b < nb; b++ {
 			pm := make([]float64, nb)
 			pm[b] = 1 + float64(b%5)
-			r, err := g.SteadyStateActive(pm, []int{b})
-			if err != nil {
+			got := nanBlocks(g)
+			if err := g.ActiveBlockMax(got, pm, []int{b}); err != nil {
 				t.Fatal(err)
 			}
 			want, err := ref.SteadyState(pm)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkActiveField(t, fmt.Sprintf("ambient %v, map %d", g.cfg.Ambient, b), g, []int{b}, r.temps, want.temps)
+			if err := blockMaxMismatch([]int{b}, got, want); err != nil {
+				t.Fatalf("ambient %v, map %d: %v", g.cfg.Ambient, b, err)
+			}
 		}
 		all := make([]float64, nb)
 		for b := range all {
@@ -539,5 +548,32 @@ func TestGridSharedFactorBackwardLanesBitIdentical(t *testing.T) {
 		if err := ref.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestGridReleasedFactorCollected: when Close drops the last hold on a
+// factor, its memory is collected without the caller starting a collection,
+// because the release starts one in the background. The test never calls
+// runtime.GC, and its 21×17 grid is a key no other test builds, so its model
+// is the factor's only holder.
+func TestGridReleasedFactorCollected(t *testing.T) {
+	g, err := NewGridModel(floorplan.Alpha21364(), DefaultPackageConfig(), 21, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.FactorStats().Shared {
+		t.Fatal("the model reused a live factor; want it to be the only holder")
+	}
+	factor := weak.Make(g.chol)
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	g = nil
+	deadline := time.Now().Add(10 * time.Second)
+	for factor.Value() != nil {
+		if time.Now().After(deadline) {
+			t.Fatal("the released factor was still reachable 10 s after Close")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

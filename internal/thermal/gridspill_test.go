@@ -89,15 +89,19 @@ func TestGridSpillSolveBitIdentical(t *testing.T) {
 	for _, b := range active {
 		pmA[b] = 12.5
 	}
-	ra, err := base.SteadyStateActive(pmA, active)
+	full, err := base.SteadyState(pmA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsa, err := spill.SteadyStateActive(pmA, active)
-	if err != nil {
-		t.Fatal(err)
+	for name, g := range map[string]*GridModel{"unbudgeted": base, "spilled": spill} {
+		got := nanBlocks(g)
+		if err := g.ActiveBlockMax(got, pmA, active); err != nil {
+			t.Fatal(err)
+		}
+		if err := blockMaxMismatch(active, got, full); err != nil {
+			t.Fatalf("ActiveBlockMax, %s: %v", name, err)
+		}
 	}
-	requireSame("SteadyStateActive", ra, rsa)
 	if err := spill.Close(); err != nil {
 		t.Fatal(err)
 	}
