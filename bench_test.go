@@ -666,6 +666,64 @@ func BenchmarkGridSteady(b *testing.B) {
 	}
 }
 
+// BenchmarkGridSolve times one grid-oracle query (ActiveBlockMax: power
+// deposit, closure solve, read-back) on the 64×64 alpha grid for three
+// supports: a solo (IntReg), the blocks of the die's lower half, whose
+// closure reaches both subtrees below the top separator, and the full die.
+// Each iteration runs 41 queries; us_per_solve is the median over all of
+// them and ns/op their mean, so a -benchtime=1x run still reports a median.
+// Run it at -cpu 1,2: only at GOMAXPROCS ≥ 2 do the half and full supports
+// split across two goroutines.
+func BenchmarkGridSolve(b *testing.B) {
+	fp := thermalsched.Alpha21364Floorplan()
+	gm, err := thermal.NewGridModel(fp, thermalsched.DefaultPackage(), 64, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer gm.Close()
+	intReg, err := fp.IndexOf("IntReg")
+	if err != nil {
+		b.Fatal(err)
+	}
+	die := fp.Die()
+	var lower, all []int
+	for i := 0; i < fp.NumBlocks(); i++ {
+		all = append(all, i)
+		if fp.Block(i).Rect.Center().Y < die.Y+die.H/2 {
+			lower = append(lower, i)
+		}
+	}
+	spec := thermalsched.AlphaWorkload()
+	for _, c := range []struct {
+		name   string
+		active []int
+	}{{"solo", []int{intReg}}, {"half", lower}, {"full", all}} {
+		b.Run(c.name, func(b *testing.B) {
+			power := make([]float64, fp.NumBlocks())
+			for _, i := range c.active {
+				power[i] = spec.Test(i).Power
+			}
+			dst := make([]float64, fp.NumBlocks())
+			const runs = 41
+			times := make([]time.Duration, 0, runs*b.N)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < runs; j++ {
+					start := time.Now()
+					if err := gm.ActiveBlockMax(dst, power, c.active); err != nil {
+						b.Fatal(err)
+					}
+					times = append(times, time.Since(start))
+				}
+			}
+			b.StopTimer()
+			slices.Sort(times)
+			b.ReportMetric(float64(times[len(times)/2].Nanoseconds())/1e3, "us_per_solve")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(len(times)), "ns/op")
+		})
+	}
+}
+
 // BenchmarkTable1CellGridCold is the acceptance benchmark of the grid-scale
 // candidate evaluation: one cold Table 1 cell (TL=165, STCL=60) validated on
 // a 96×96 grid-resolution oracle (18 434 nodes) with an empty memo cache per

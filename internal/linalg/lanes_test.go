@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -84,37 +85,73 @@ func lanesPaired(sym *CholSymbolic) bool {
 	return false
 }
 
-// checkLaneSchedule asserts the lane schedule covers every column once and
+// checkSteps asserts that steps covers the columns [lo, hi) once each and
 // respects the elimination tree: a column's parent runs in an earlier step,
-// or in the same lane of the same step.
-func checkLaneSchedule(t *testing.T, sym *CholSymbolic) {
+// in the same lane of the same step, or at or above hi (the trunk a half's
+// schedule runs after).
+func checkSteps(t *testing.T, name string, sym *CholSymbolic, steps []laneStep, lo, hi int) {
 	t.Helper()
-	n := sym.n
-	step, lane := make([]int, n), make([]int, n)
+	step, lane := make([]int, hi), make([]int, hi)
 	for j := range step {
 		step[j] = -1
 	}
-	mark := func(s, l, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			if step[j] != -1 {
-				t.Fatalf("column %d scheduled twice", j)
+	mark := func(s, l, a, b int) {
+		for j := a; j < b; j++ {
+			if j < lo || j >= hi || step[j] != -1 {
+				t.Fatalf("%s: column %d scheduled twice or outside [%d, %d)", name, j, lo, hi)
 			}
 			step[j], lane[j] = s, l
 		}
 	}
-	for s, st := range sym.lanes {
+	for s, st := range steps {
 		mark(s, 0, st.a0, st.a1)
 		mark(s, 1, st.b0, st.b1)
 	}
-	for j, p := range sym.parent {
+	for j := lo; j < hi; j++ {
+		p := sym.parent[j]
 		if step[j] == -1 {
-			t.Fatalf("column %d never scheduled", j)
+			t.Fatalf("%s: column %d never scheduled", name, j)
 		}
-		if p != -1 && (step[p] > step[j] || step[p] == step[j] && lane[p] != lane[j]) {
-			t.Fatalf("column %d (step %d lane %d) runs before or beside its parent %d (step %d lane %d)",
-				j, step[j], lane[j], p, step[p], lane[p])
+		if p != -1 && p < hi && (step[p] > step[j] || step[p] == step[j] && lane[p] != lane[j]) {
+			t.Fatalf("%s: column %d (step %d lane %d) runs before or beside its parent %d (step %d lane %d)",
+				name, j, step[j], lane[j], p, step[p], lane[p])
 		}
 	}
+}
+
+// checkLaneSchedule asserts the lane schedule covers every column once and
+// respects the elimination tree (a nil schedule is the serial loop), and
+// that a split's halves are the two subtrees below the root trunk, each
+// with a schedule of its own.
+func checkLaneSchedule(t *testing.T, sym *CholSymbolic) {
+	t.Helper()
+	n := sym.n
+	if sym.lanes == nil {
+		if sym.split != nil {
+			t.Fatal("a split without a lane schedule")
+		}
+		return
+	}
+	checkSteps(t, "lanes", sym, sym.lanes, 0, n)
+	sp := sym.split
+	if sp == nil {
+		return
+	}
+	if sp.mid <= 0 || sp.top <= sp.mid || sp.top > n {
+		t.Fatalf("split halves [0, %d) and [%d, %d) of %d columns", sp.mid, sp.mid, sp.top, n)
+	}
+	for j := sp.top; j < n; j++ { // the trunk is one chain
+		if want := j + 1; j < n-1 && sym.parent[j] != want || j == n-1 && sym.parent[j] != -1 {
+			t.Fatalf("trunk column %d has parent %d", j, sym.parent[j])
+		}
+	}
+	for _, root := range []int{sp.mid - 1, sp.top - 1} {
+		if p := sym.parent[root]; sp.top < n && p != sp.top || sp.top == n && p != -1 {
+			t.Fatalf("half root %d has parent %d, want the trunk's lowest column %d", root, p, sp.top)
+		}
+	}
+	checkSteps(t, "half A", sym, sp.a, 0, sp.mid)
+	checkSteps(t, "half B", sym, sp.b, sp.mid, sp.top)
 }
 
 // closureOf marks, by original index, the elimination-tree closure of nz:
@@ -130,7 +167,7 @@ func closureOf(c *SparseCholesky, nz []int) []bool {
 }
 
 // closureShareOf is the share of L's non-zeros held by the closure's
-// columns — the quantity SolveSparseInto gates on.
+// columns.
 func closureShareOf(c *SparseCholesky, nz []int) float64 {
 	lnz := 0
 	for i, ok := range closureOf(c, nz) {
@@ -349,25 +386,81 @@ func patch(nx, x0, y0, w, h int) []int {
 	return cells
 }
 
+// closureBits is the bitset SolveSparseInto builds for nz, by permuted
+// column.
+func closureBits(c *SparseCholesky, nz []int) []uint64 {
+	in := make([]uint64, (c.sym.n+63)/64)
+	for i, ok := range closureOf(c, nz) {
+		if k := c.sym.pinv[i]; ok {
+			in[k>>6] |= 1 << (uint(k) & 63)
+		}
+	}
+	return in
+}
+
+// checkTrunkReplay asserts where a split factor's half B columns reach the
+// trunk rows, and that its packed replay copy holds exactly those entries.
+func checkTrunkReplay(t *testing.T, name string, c *SparseCholesky) {
+	t.Helper()
+	sp := c.sym.split
+	total := 0
+	for j := sp.mid; j < sp.top; j++ {
+		k := 0
+		for p := c.lp[j] + 1; p < c.lp[j+1]; p++ {
+			if c.li[p] >= sp.top {
+				k++
+			}
+		}
+		if c.lp[j+1]-k != sp.headEnd[j-sp.mid] {
+			t.Fatalf("%s: column %d has %d trunk-row entries, head ends at %d of [%d, %d)", name, j, k, sp.headEnd[j-sp.mid], c.lp[j], c.lp[j+1])
+		}
+		for p := c.lp[j+1] - k; p < c.lp[j+1]; p++ {
+			r, found := c.li[p]-sp.top, false
+			for e := c.trunk.ptr[r]; e < c.trunk.ptr[r+1]; e++ {
+				if int(c.trunk.cols[e]) == j {
+					found = math.Float64bits(c.trunk.vals[e]) == math.Float64bits(c.lx[p])
+				}
+			}
+			if !found {
+				t.Fatalf("%s: L(%d, %d) missing from the packed trunk rows", name, c.li[p], j)
+			}
+		}
+		total += k
+	}
+	if total != len(c.trunk.vals) {
+		t.Fatalf("%s: %d packed trunk-row entries, want %d", name, len(c.trunk.vals), total)
+	}
+}
+
 // TestSolveSparseIntoClosureBitIdenticalND: SolveSparseInto on a
-// nested-dissection grid factor is bitwise solveSerial on the footprint's
-// elimination-tree closure and NaN off it — for footprints shaped like one,
-// two and many blocks, on scalar and supernodal factors of one- and
-// two-layer grids, aliased and not, with the pooled scratch reused between
-// calls. The footprints span the closure-share gate, so both the closure
-// loops and the masked full solve run.
+// nested-dissection grid factor is bitwise solveSerial on the support's
+// elimination-tree closure and NaN off it, and SolveInto is bitwise
+// solveSerial everywhere — on scalar and supernodal factors of one- and
+// two-layer 24², 64² and 96² grids, for supports inside one of the two
+// subtrees below the root trunk, straddling both, on the trunk only, and on
+// every node, aliased and not, at GOMAXPROCS 1 (one goroutine) and 2 (the
+// straddling and full supports split across two), with the pooled scratch
+// reused between calls, and under concurrent solves on one shared factor.
+// The split threshold is lifted, so the 24² factors split too.
 func TestSolveSparseIntoClosureBitIdenticalND(t *testing.T) {
+	defer func(v int) { splitMinNNZ = v }(splitMinNNZ)
+	splitMinNNZ = 0
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(25))
-	var below, above int
-	for _, d := range []int{24, 64} {
+	for _, d := range []int{24, 64, 96} {
 		for layers := 1; layers <= 2; layers++ {
 			s, perm := layeredGrid(d, d, layers, rng)
 			sym, err := NewCholSymbolic(s, perm)
 			if err != nil {
 				t.Fatal(err)
 			}
+			sp := sym.split
+			if sp == nil {
+				t.Fatalf("nd %d², %d layers: no split", d, layers)
+			}
+			checkLaneSchedule(t, sym)
 			factors := map[string]*SparseCholesky{}
-			if d <= 24 { // the scalar kernel is slow at grid scale
+			if d <= 24 || d <= 64 && !raceEnabled { // the scalar kernel is slow at grid scale
 				if factors["scalar"], err = sym.Factorize(s); err != nil {
 					t.Fatal(err)
 				}
@@ -375,42 +468,113 @@ func TestSolveSparseIntoClosureBitIdenticalND(t *testing.T) {
 			if factors["supernodal"], err = sym.Supernodes().Factorize(s); err != nil {
 				t.Fatal(err)
 			}
+			// Supports by region, drawn in permuted columns: half A is
+			// [0, mid), half B [mid, top), the trunk [top, n).
+			pick := func(lo, hi, k int) []int {
+				var nz []int
+				for range k {
+					nz = append(nz, sym.perm[lo+rng.Intn(hi-lo)])
+				}
+				return nz
+			}
+			all := make([]int, sym.n)
+			for i := range all {
+				all[i] = i
+			}
+			type support struct {
+				name  string
+				nz    []int
+				split bool // whether the closure reaches both halves
+			}
+			supports := []support{
+				{"half A", pick(0, sp.mid, 3), false},
+				{"half B", pick(sp.mid, sp.top, 5), false},
+				{"both halves", append(pick(0, sp.mid, 4), pick(sp.mid, sp.top, 2)...), true},
+				{"trunk", pick(sp.top, sym.n, 2), false},
+				{"every node", all, true},
+			}
+			// Block-shaped footprints on the top layer; each splits when
+			// its closure has columns in both halves.
 			q := d / 4
-			footprints := map[string][]int{
-				"one cell":    {d*d/2 + d/2},
-				"corner":      patch(d, 0, 0, q, q),
-				"center":      patch(d, d/2-q/2, d/2-q/2, q, q),
-				"two blocks":  append(patch(d, 1, 2, q, q/2), patch(d, d-q, d-q, q, q)...),
-				"three quads": append(append(patch(d, 0, 0, d/2, d/2), patch(d, d/2, 0, d/2, d/2)...), patch(d, 0, d/2, d/2, d/2)...),
-				"die":         patch(d, 0, 0, d, d),
+			for _, fp := range []struct {
+				name string
+				nz   []int
+			}{
+				{"corner block", patch(d, 0, 0, q, q)},
+				{"center block", patch(d, d/2-q/2, d/2-q/2, q, q)},
+				{"two blocks", append(patch(d, 1, 2, q, q/2), patch(d, d-q, d-q, q, q)...)},
+				{"three quadrants", append(append(patch(d, 0, 0, d/2, d/2), patch(d, d/2, 0, d/2, d/2)...), patch(d, 0, d/2, d/2, d/2)...)},
+			} {
+				var inA, inB bool
+				for i, ok := range closureOf(factors["supernodal"], fp.nz) {
+					k := sym.pinv[i]
+					inA = inA || ok && k < sp.mid
+					inB = inB || ok && k >= sp.mid && k < sp.top
+				}
+				supports = append(supports, support{fp.name, fp.nz, inA && inB})
 			}
 			for fname, c := range factors {
-				for pname, nz := range footprints {
-					name := fmt.Sprintf("nd %dx%dx%d %s, %s", d, d, layers, fname, pname)
-					if closureShareOf(c, nz) > closureShare {
-						above++
-					} else {
-						below++
+				name := fmt.Sprintf("nd %d²×%d %s", d, layers, fname)
+				checkTrunkReplay(t, name, c)
+				for _, procs := range []int{1, 2} {
+					runtime.GOMAXPROCS(procs)
+					for _, sup := range supports {
+						name := fmt.Sprintf("%s, %s, GOMAXPROCS %d", name, sup.name, procs)
+						if got := c.splitFor(closureBits(c, sup.nz), 1) != nil; got != (sup.split && procs > 1) {
+							t.Fatalf("%s: split %v, want %v", name, got, sup.split && procs > 1)
+						}
+						b := make([]float64, c.sym.n)
+						for _, i := range sup.nz {
+							b[i] = 1 + rng.Float64()
+						}
+						want := solveSerial(c, b)
+						got := make([]float64, c.sym.n)
+						if err := c.SolveSparseInto(got, b, append(sup.nz, sup.nz[0])); err != nil {
+							t.Fatal(err)
+						}
+						checkClosure(t, name, c, sup.nz, got, want)
+						if err := c.SolveInto(got, b); err != nil {
+							t.Fatal(err)
+						}
+						checkClosure(t, name+" SolveInto", c, all, got, want)
+						if err := c.SolveSparseInto(b, b, sup.nz); err != nil {
+							t.Fatal(err)
+						}
+						checkClosure(t, name+" aliased", c, sup.nz, b, want)
 					}
+				}
+			}
+			// Concurrent solves on one factor; at GOMAXPROCS 4 two solves in
+			// flight both split.
+			runtime.GOMAXPROCS(4)
+			c := factors["supernodal"]
+			var wg sync.WaitGroup
+			for g, sup := range supports {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					r := rand.New(rand.NewSource(seed))
 					b := make([]float64, c.sym.n)
-					for _, i := range nz {
-						b[i] = 1 + rng.Float64()
+					for _, i := range sup.nz {
+						b[i] = 1 + r.Float64()
 					}
 					want := solveSerial(c, b)
 					got := make([]float64, c.sym.n)
-					if err := c.SolveSparseInto(got, b, append(nz, nz[0])); err != nil {
-						t.Fatal(err)
+					for range 4 {
+						if err := c.SolveSparseInto(got, b, sup.nz); err != nil {
+							t.Error(err)
+							return
+						}
+						for i, in := range closureOf(c, sup.nz) {
+							if in && math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+								t.Errorf("nd %d²×%d concurrent %s: differs at %d", d, layers, sup.name, i)
+								return
+							}
+						}
 					}
-					checkClosure(t, name, c, nz, got, want)
-					if err := c.SolveSparseInto(b, b, nz); err != nil {
-						t.Fatal(err)
-					}
-					checkClosure(t, name+" aliased", c, nz, b, want)
-				}
+				}(int64(g))
 			}
+			wg.Wait()
 		}
-	}
-	if below == 0 || above == 0 {
-		t.Fatalf("footprints ran %d closure solves and %d masked full solves, want both", below, above)
 	}
 }

@@ -10,6 +10,12 @@
 // Matrices here are dense because compact thermal models at block granularity
 // are small (tens to a few hundred nodes); a sparse solver would be wasted
 // complexity at this scale.
+//
+// The sparse Cholesky (SparseCholesky) serves the larger block models and the
+// fine grid. An in-core solve of a factor with at least 2¹⁷ non-zeros whose
+// elimination tree splits in two below its root trunk — a nested-dissection
+// grid — uses up to two goroutines when GOMAXPROCS ≥ 2 and no other solve is
+// running; it answers bit-identically on one. There is no knob.
 package linalg
 
 import (

@@ -97,9 +97,9 @@ func TestSolveSparseIntoBitIdenticalToSolveInto(t *testing.T) {
 			checkClosure(t, fmt.Sprintf("%s trial %d pooled re-solve", ord.name, trial), ch, nz[:2], got, want)
 		}
 	}
-	// A clustered footprint on a large grid keeps the closure far below the
-	// full-solve threshold, pinning the closure loops themselves (the
-	// random-graph trials above mostly exercise the masked full solve).
+	// A clustered footprint on a large grid keeps the closure to a small
+	// share of L, so the masked passes skip most lanes (the random-graph
+	// trials above mostly reach every column).
 	big := buildLaplacian(40, 40)
 	ch := factorWith(t, big, NestedDissectionGrid(40, 40, 1))
 	b := make([]float64, 1600)
@@ -115,8 +115,8 @@ func TestSolveSparseIntoBitIdenticalToSolveInto(t *testing.T) {
 	if err := ch.SolveSparseInto(got, b, nz); err != nil {
 		t.Fatal(err)
 	}
-	if sh := closureShareOf(ch, nz); sh > closureShare {
-		t.Fatalf("clustered footprint: closure holds %.2f of L, past the gate", sh)
+	if sh := closureShareOf(ch, nz); sh > 0.25 {
+		t.Fatalf("clustered footprint: closure holds %.2f of L, want a small share", sh)
 	}
 	checkClosure(t, "clustered footprint", ch, nz, got, want)
 	// Out-of-range nz must be rejected before any scratch is dirtied.

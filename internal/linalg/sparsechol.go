@@ -3,8 +3,12 @@ package linalg
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // CholSymbolic is the ordering-and-structure half of a sparse Cholesky
@@ -22,8 +26,10 @@ type CholSymbolic struct {
 	colPtr []int // column pointers of L (CSC), len n+1
 
 	// lanes schedules the single-RHS backward pass over disjoint subtrees
-	// of the elimination tree (see backwardLanes).
+	// of the elimination tree; split, when the tree has one, divides it into
+	// two halves a solve may run on two goroutines (see planLanes).
 	lanes []laneStep
+	split *solveSplit
 
 	// Permuted lower-triangular pattern of the input: row k holds the
 	// permuted columns j <= k, with cmap mapping each slot back into the
@@ -110,9 +116,12 @@ func NewCholSymbolic(s *Sparse, perm []int) (*CholSymbolic, error) {
 		}
 	}
 
+	sym.planLanes()
+
 	// Column counts of L by replaying the row patterns: row k of L is the
 	// union of the etree paths from the entries of row k of C up to k
-	// (ereach). Total work is O(nnz(L)).
+	// (ereach). Total work is O(nnz(L)). The trunk rows' patterns also
+	// tally half B's entries in trunk rows per column, for the split.
 	counts := make([]int, n)
 	wmark := make([]int, n)
 	for i := range wmark {
@@ -125,21 +134,31 @@ func NewCholSymbolic(s *Sparse, perm []int) (*CholSymbolic, error) {
 			for i := ci[p]; wmark[i] != k; i = sym.parent[i] {
 				wmark[i] = k
 				counts[i]++
+				if sp := sym.split; sp != nil && k >= sp.top && i >= sp.mid && i < sp.top {
+					sp.headEnd[i-sp.mid]++
+				}
 			}
 		}
 	}
 	for k := 0; k < n; k++ {
 		sym.colPtr[k+1] = sym.colPtr[k] + counts[k]
 	}
-	sym.lanes = backwardLanes(sym.parent)
+	if sp := sym.split; sp != nil && sym.LNNZ() < splitMinNNZ {
+		sym.split = nil
+	} else if sp != nil {
+		for j := sp.mid; j < sp.top; j++ { // from a tally of trunk-row entries
+			sp.headEnd[j-sp.mid] = sym.colPtr[j+1] - sp.headEnd[j-sp.mid]
+		}
+	}
 	return sym, nil
 }
 
-// laneDepth is how many etree branching levels backwardLanes splits before
-// it pairs whole subtrees. Each level re-aligns the two lanes of a pair on
-// matching separators; past a few levels the gain is flat (PERF.md,
-// "interleaved elimination subtrees").
-const laneDepth = 4
+// laneDepth is how many etree branching levels the lane schedules split
+// before they pair whole subtrees. Each level re-aligns the two lanes of a
+// pair on matching separators, and a masked solve skips a whole subtree off
+// its closure; past a few levels the gain is flat (PERF.md, "Two halves on
+// two goroutines").
+const laneDepth = 6
 
 // laneStep is one step of the backward pass: columns [a0, a1) descending,
 // interleaved in lockstep with columns [b0, b1) descending. The two ranges
@@ -147,25 +166,42 @@ const laneDepth = 4
 // reads a value the other writes; an empty B lane runs A alone.
 type laneStep struct{ a0, a1, b0, b1 int }
 
-// backwardLanes derives the backward pass's lane schedule from the
-// elimination tree alone, so every factor of one pattern shares it. Column j
-// of Lᵀ·z = y needs only its etree ancestors, so disjoint subtrees may run
-// interleaved. The schedule is level by level from the roots: the chain of
-// each frontier subtree down to its first branching node (the trunk), with
-// the trunks of one level paired, then the branching nodes' children as the
-// next frontier; at laneDepth the frontier subtrees are paired whole. Unless
-// the order is a postorder (every subtree a contiguous column range) and the
-// forest branches somewhere, the schedule is one serial step over all
-// columns.
-func backwardLanes(parent []int) []laneStep {
-	n := len(parent)
-	serial := []laneStep{{a1: n}}
+// splitMinNNZ is the factor size below which a solve never splits: on
+// smaller factors the second goroutine's start costs what the halves save
+// (PERF.md, "Two halves on two goroutines"). It is a variable only so
+// in-package tests can split small factors.
+var splitMinNNZ = 1 << 17
+
+// solveSplit divides a postordered elimination tree whose root trunk (its
+// root and the chain of single children below it, for the grid: sink, rim
+// and the top separator) branches into exactly two subtrees: half A is
+// columns [0, mid), half B is [mid, top) and the trunk is [top, n). The two
+// halves share no column and write no row of each other, so a solve can run
+// them on two goroutines (SparseCholesky.solve).
+type solveSplit struct {
+	mid, top int
+	a, b     []laneStep // each half's backward schedule, paired within the half
+	// headEnd[j-mid] is where column j of half B reaches the trunk rows:
+	// its entries from there on are the updates half B's forward pass
+	// defers.
+	headEnd []int
+}
+
+// planLanes derives the backward pass's lane schedules, and the split of the
+// tree into two halves, from the elimination tree alone, so every factor of
+// one pattern shares them. Column j of Lᵀ·z = y needs only its etree
+// ancestors, so disjoint subtrees may run interleaved. Unless the order is a
+// postorder (every subtree a contiguous column range) and the forest branches
+// somewhere, there is no schedule (the backward pass is one descending column
+// loop) and no split.
+func (sym *CholSymbolic) planLanes() {
+	n := sym.n
 	first := make([]int, n) // lowest column in each subtree
 	size := make([]int, n)
 	for j := range first {
 		first[j] = j
 	}
-	for j, p := range parent {
+	for j, p := range sym.parent {
 		size[j]++
 		if p != -1 {
 			size[p] += size[j]
@@ -174,18 +210,48 @@ func backwardLanes(parent []int) []laneStep {
 	}
 	for j := range first {
 		if first[j] != j-size[j]+1 {
-			return serial
+			return
 		}
 	}
 	// In a postorder the children of node r are r-1, first[r-1]-1, … down
 	// to first[r]; the roots are those of a virtual node n.
-	var frontier []int
+	var roots []int
 	for r := n - 1; r >= 0; r = first[r] - 1 {
-		frontier = append(frontier, r)
+		roots = append(roots, r)
 	}
-	var steps []laneStep
-	paired := false
-	for depth := 0; len(frontier) > 0; depth++ {
+	steps, paired := laneLevels(first, roots, 0)
+	if !paired {
+		return
+	}
+	sym.lanes = steps
+
+	// The trunk is the one root's chain of single children, or empty under
+	// a forest; its lowest node (or the virtual root) must have two children.
+	top := n
+	if first[n-1] == 0 {
+		for top = n - 1; top > 0 && first[top-1] == 0; top-- {
+		}
+	}
+	if top == 0 {
+		return
+	}
+	mid := first[top-1]
+	if mid == 0 || first[mid-1] != 0 {
+		return
+	}
+	a, _ := laneLevels(first, []int{mid - 1}, 1)
+	b, _ := laneLevels(first, []int{top - 1}, 1)
+	sym.split = &solveSplit{mid: mid, top: top, a: a, b: b, headEnd: make([]int, top-mid)}
+}
+
+// laneLevels schedules the subtrees rooted at frontier, which sit depth
+// branching levels below the roots, level by level: the chain of each
+// frontier subtree down to its first branching node (its trunk), with the
+// trunks of one level paired, then the branching nodes' children as the next
+// frontier; at laneDepth the frontier subtrees are paired whole, and an odd
+// one out runs alone. It reports whether any step runs two lanes.
+func laneLevels(first, frontier []int, depth int) (steps []laneStep, paired bool) {
+	for ; len(frontier) > 0; depth++ {
 		var next []int
 		for i, r := range frontier {
 			lo := r // the trunk: r and its chain of single children
@@ -207,10 +273,7 @@ func backwardLanes(parent []int) []laneStep {
 		}
 		frontier = next
 	}
-	if !paired {
-		return serial
-	}
-	return steps
+	return steps, paired
 }
 
 // LNNZ returns the number of non-zeros the factor L will have (including the
@@ -317,13 +380,14 @@ func (sym *CholSymbolic) Factorize(s *Sparse) (*SparseCholesky, error) {
 		ch.li[q] = k
 		ch.lx[q] = math.Sqrt(d)
 	}
+	ch.packTrunk()
 	return ch, nil
 }
 
 // SparseCholesky is the numeric factor P·A·Pᵀ = L·Lᵀ of a sparse SPD matrix,
 // stored column-compressed with the diagonal entry first in each column and
 // row indices ascending. It is immutable after construction and safe for
-// concurrent solves: the permuted work vector each solve needs comes from an
+// concurrent solves: the working set each solve needs comes from an
 // internal pool, so SolveInto allocates nothing in steady state.
 //
 // An out-of-core factor (built by FactorizeSpill) stores values per panel in
@@ -338,10 +402,84 @@ type SparseCholesky struct {
 	lx     []float64      // flat values; nil for out-of-core factors
 	segs   [][]float64    // per-panel values (out-of-core); nil entry = spilled
 	spill  *spillStore    // nil unless some panel is on disk
-	pool   sync.Pool      // *[]float64 scratch, len n
-	spPool sync.Pool      // *[]uint64 closure bitset for sparse-RHS solves
+	pool   *sync.Pool     // *solveScratch; apart, so a registered pool does not pin the factor
+	trunk  trunkReplay    // in-core factors of a tree with a split
 
 	spillStats SpillStats
+}
+
+// solveScratch is one solve's pooled working set: the permuted work vector,
+// the bitset of the columns the solve answers, and for a split solve its
+// factor, the phase each of its two goroutines has finished and the body of
+// the one that runs half B, bound at the scratch's first split so starting
+// it later allocates nothing. A pooled scratch holds no factor: the sync
+// package keeps every used pool reachable until two collections pass, and
+// the factor must not outlive its last holder by that long.
+type solveScratch struct {
+	w              []float64
+	in             []uint64
+	c              *SparseCholesky
+	stageA, stageB atomic.Int32
+	halfB          func()
+}
+
+// runHalfB is half B's goroutine of a split solve (see solve): its forward
+// pass, its share of the trunk-row replay and its backward pass, each after
+// half A's goroutine has finished the phase it depends on.
+func (s *solveScratch) runHalfB() {
+	c, sp := s.c, s.c.sym.split
+	c.forward(s.w, s.in, sp.mid, sp.top, sp.headEnd)
+	s.stageB.Store(1)
+	await(&s.stageA, 1)
+	c.replayTrunk(s.w, s.in, c.trunk.cut, len(c.trunk.ptr)-1)
+	s.stageB.Store(2)
+	await(&s.stageA, 2)
+	c.backward(s.w, s.in, sp.b)
+	s.stageB.Store(3)
+}
+
+// trunkReplay holds half B's entries in the trunk rows of a split tree,
+// row-major: trunk row top+r has the columns cols[ptr[r]:ptr[r+1]], ascending,
+// and their values in vals. A split solve's two goroutines replay them in
+// parallel, rows [0, cut) on half A's and the rest on half B's. The packed
+// copy costs 12 bytes per entry (about 7% of a 64² grid factor) and reads
+// sequentially where the entries in L are scattered over column tails.
+type trunkReplay struct {
+	ptr  []int
+	cols []int32
+	vals []float64
+	cut  int
+}
+
+// packTrunk builds the factor's trunkReplay once its values are final.
+func (c *SparseCholesky) packTrunk() {
+	sp := c.sym.split
+	if sp == nil {
+		return
+	}
+	t := &c.trunk
+	t.ptr = make([]int, c.sym.n-sp.top+1)
+	for j := sp.mid; j < sp.top; j++ {
+		for p := sp.headEnd[j-sp.mid]; p < c.lp[j+1]; p++ {
+			t.ptr[c.li[p]-sp.top+1]++
+		}
+	}
+	for r := 1; r < len(t.ptr); r++ {
+		t.ptr[r] += t.ptr[r-1]
+	}
+	total := t.ptr[len(t.ptr)-1]
+	t.cols, t.vals = make([]int32, total), make([]float64, total)
+	next := slices.Clone(t.ptr[:len(t.ptr)-1])
+	for j := sp.mid; j < sp.top; j++ {
+		for p := sp.headEnd[j-sp.mid]; p < c.lp[j+1]; p++ {
+			r := c.li[p] - sp.top
+			t.cols[next[r]], t.vals[next[r]] = int32(j), c.lx[p]
+			next[r]++
+		}
+	}
+	for t.cut < len(t.ptr)-1 && 2*t.ptr[t.cut] < total {
+		t.cut++
+	}
 }
 
 // newFactor builds the empty factor shell against this symbolic analysis.
@@ -361,14 +499,9 @@ func (sym *CholSymbolic) newFactor(li []int, values bool) *SparseCholesky {
 	if values {
 		ch.lx = make([]float64, sym.LNNZ())
 	}
-	ch.pool.New = func() any {
-		b := make([]float64, n)
-		return &b
-	}
-	ch.spPool.New = func() any {
-		b := make([]uint64, (n+63)/64)
-		return &b
-	}
+	ch.pool = &sync.Pool{New: func() any {
+		return &solveScratch{w: make([]float64, n), in: make([]uint64, (n+63)/64)}
+	}}
 	return ch
 }
 
@@ -429,12 +562,13 @@ func (c *SparseCholesky) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// SolveInto solves A·x = b into dst, mirroring the dense Cholesky API; an
-// in-core factor runs the column loops, with the backward pass lane-paired
-// over disjoint elimination subtrees, and an out-of-core factor streams its
-// panels through the same per-column operations (see applyFactor). dst may alias
-// b: the right-hand side is fully gathered into an internal work vector
-// before dst is written. The work vector is pooled, so the call is
+// SolveInto solves A·x = b into dst, mirroring the dense Cholesky API. It is
+// SolveSparseInto with every column in the closure: an in-core factor runs
+// the same one solve, which may run two halves of the elimination tree on a
+// second goroutine (see solve), and an out-of-core factor streams its panels
+// through the same per-column operations (SuperSymbolic.apply). dst may
+// alias b: the right-hand side is fully gathered into an internal work
+// vector before dst is written. The work vector is pooled, so the call is
 // allocation-free in steady state and safe for concurrent use.
 func (c *SparseCholesky) SolveInto(dst, b []float64) error {
 	n := c.sym.n
@@ -442,65 +576,229 @@ func (c *SparseCholesky) SolveInto(dst, b []float64) error {
 		return fmt.Errorf("%w: SparseCholesky.SolveInto with len(dst)=%d, len(b)=%d, n=%d",
 			ErrShape, len(dst), len(b), n)
 	}
-	wp := c.pool.Get().(*[]float64)
-	w := *wp
-	perm := c.sym.perm
-	for k := 0; k < n; k++ {
-		w[k] = b[perm[k]]
+	s := c.pool.Get().(*solveScratch)
+	defer c.pool.Put(s)
+	for i := range s.in {
+		s.in[i] = ^uint64(0)
 	}
-	if err := c.applyFactor(w); err != nil {
-		c.pool.Put(wp)
+	return c.solveOn(s, dst, b)
+}
+
+// SolveSparseInto solves A·x = b for a *sparse* right-hand side and returns
+// the solution only where it is cheap: nz lists the index of every
+// (potentially) non-zero entry of b, and dst is exact on the
+// elimination-tree closure of nz — every index of nz and all of its etree
+// ancestors — and NaN everywhere else. Duplicates in nz are harmless; an
+// index missing from nz whose b entry is non-zero silently yields a wrong
+// answer, so nz must cover the support of b.
+//
+// Both triangular passes are restricted to the closure (Gilbert–Peierls for
+// the forward pass; Amestoy et al., "Parallel computation of entries of
+// A⁻¹", for the backward one). Column j of L updates only etree ancestors of
+// j, so the forward pass never leaves the closure; every row index of a
+// closure column is such an ancestor, so the backward pass reads only
+// closure entries. Each column keeps its order of terms, so the closure
+// entries are bit-identical to SolveInto on the same b. A caller that reads
+// the solution only at the support (a thermal query reads only the active
+// cells) skips the other columns: all of them in the forward pass, and in
+// the backward pass every lane whose top column is off the closure (see
+// solve). An out-of-core factor runs its full streamed solve,
+// masked to the same closure. dst may alias b; the call is allocation-free
+// in steady state and safe for concurrent use.
+func (c *SparseCholesky) SolveSparseInto(dst, b []float64, nz []int) error {
+	n := c.sym.n
+	if len(b) != n || len(dst) != n {
+		return fmt.Errorf("%w: SparseCholesky.SolveSparseInto with len(dst)=%d, len(b)=%d, n=%d",
+			ErrShape, len(dst), len(b), n)
+	}
+	for _, i := range nz {
+		if i < 0 || i >= n {
+			return fmt.Errorf("%w: SolveSparseInto nz index %d out of range [0,%d)", ErrShape, i, n)
+		}
+	}
+	s := c.pool.Get().(*solveScratch)
+	defer c.pool.Put(s)
+	in := s.in
+	clear(in)
+	pinv, parent := c.sym.pinv, c.sym.parent
+	for _, i := range nz {
+		for k := pinv[i]; k != -1 && !inSet(in, k); k = parent[k] {
+			in[k>>6] |= 1 << (uint(k) & 63)
+		}
+	}
+	return c.solveOn(s, dst, b)
+}
+
+// solveOn gathers b into s.w in elimination order, solves on the bitset
+// s.in and writes dst: the solution on s.in, NaN elsewhere.
+func (c *SparseCholesky) solveOn(s *solveScratch, dst, b []float64) error {
+	perm := c.sym.perm
+	for k, i := range perm {
+		s.w[k] = b[i]
+	}
+	if err := c.solve(s); err != nil {
 		return err
 	}
-	for k := 0; k < n; k++ {
-		dst[perm[k]] = w[k]
+	for k, i := range perm {
+		dst[i] = math.NaN()
+		if inSet(s.in, k) {
+			dst[i] = s.w[k]
+		}
 	}
-	c.pool.Put(wp)
 	return nil
 }
 
-// applyFactor runs the forward (L·y = w) and backward (Lᵀ·z = y) triangular
-// solves in place on one permuted right-hand side w. An in-core factor runs
-// the column loops: forwardColumn over each column sliced once, and the
+// solve runs the forward (L·y = w) and backward (Lᵀ·z = y) triangular solves
+// in place on the permuted right-hand side s.w, exact on the columns of the
+// bitset s.in, which must be closed under etree ancestors. An out-of-core
+// factor runs every column, panel at a time over streamed value segments
+// (SuperSymbolic.apply); only it can fail.
+//
+// An in-core factor runs the forward pass over the closure's columns and the
 // lane-scheduled backward pass, which advances two independent subtrees at
-// once. An out-of-core factor runs the same column loops panel at a time
-// over streamed value segments (SuperSymbolic.apply). Both apply every
-// per-entry operation in the same order, so they are bit-identical. Only the
-// out-of-core streaming path can fail.
-func (c *SparseCholesky) applyFactor(w []float64) error {
+// once and skips every lane whose top column is off the closure. When the
+// elimination tree splits in two halves (solveSplit), the closure reaches
+// both and GOMAXPROCS leaves two processors to each solve in flight, the
+// halves run on two goroutines (this one runs half A, a second half B):
+//  1. Both halves' forward passes. Half A's writes the trunk rows directly;
+//     half B's defers its trunk-row updates.
+//  2. Half B's deferred updates, row by row in ascending column order after
+//     half A's, each goroutine taking about half of the trunk rows.
+//  3. The trunk's forward and backward passes, on half A's goroutine.
+//  4. Both halves' backward passes, which read only their own rows and the
+//     trunk's.
+//
+// Every entry receives the same operations in the same order on every path,
+// so the results are bit-identical to the serial column loops.
+func (c *SparseCholesky) solve(s *solveScratch) error {
+	w, in := s.w, s.in
 	if c.segs != nil {
 		return c.panels.apply(c, w)
 	}
-	for j := range w {
-		c.forwardColumn(w, j)
+	busy := solvesInFlight.Add(1)
+	defer solvesInFlight.Add(-1)
+	sp := c.splitFor(in, busy)
+	if sp == nil {
+		c.forward(w, in, 0, len(w), c.lp[1:])
+		c.backward(w, in, c.sym.lanes)
+		return nil
 	}
-	c.backward(w)
+	if s.halfB == nil {
+		s.halfB = s.runHalfB
+	}
+	s.c = c
+	s.stageA.Store(0)
+	s.stageB.Store(0)
+	go s.halfB()
+	c.forward(w, in, 0, sp.mid, c.lp[1:])
+	s.stageA.Store(1)
+	await(&s.stageB, 1)
+	c.replayTrunk(w, in, 0, c.trunk.cut)
+	await(&s.stageB, 2)
+	c.forward(w, in, sp.top, len(w), c.lp[sp.top+1:])
+	c.backwardRange(w, sp.top, len(w))
+	s.stageA.Store(2)
+	c.backward(w, in, sp.a)
+	await(&s.stageB, 3)
+	s.c = nil
 	return nil
 }
 
-// forwardColumn eliminates column j of L from one in-core permuted RHS w.
-// The column's values and rows are sliced once, so the per-entry loop keeps
-// them in registers and checks bounds only on w; the operations and their
-// order are those of the plain loop over lp[j]+1 … lp[j+1]-1.
-func (c *SparseCholesky) forwardColumn(w []float64, j int) {
-	p0, p1 := c.lp[j], c.lp[j+1]
-	yj := w[j] / c.lx[p0]
-	w[j] = yj
-	xs, is := c.lx[p0+1:p1], c.li[p0+1:p1]
-	for q, x := range xs {
-		w[is[q]] -= x * yj
+// await waits until stage reaches v. It yields the processor between looks
+// rather than parking: the other half of a split solve then runs even when
+// no other processor is free, and a waiter that stays runnable is not woken
+// through the operating system, which can cost tens of microseconds.
+func await(stage *atomic.Int32, v int32) {
+	for stage.Load() < v {
+		runtime.Gosched()
 	}
 }
 
-// backward solves Lᵀ·z = y in place on one in-core permuted RHS w, following
-// the symbolic analysis's lane schedule. Each column is a chain of dependent
-// subtractions, so a lone chain runs at floating-point latency; a paired step
-// advances two independent chains at once. Every column still applies the
-// same operations in the same order, so the result is bit-identical to the
-// serial loop.
-func (c *SparseCholesky) backward(w []float64) {
-	for _, st := range c.sym.lanes {
-		c.backwardPair(w, st)
+// solvesInFlight counts the in-core solves running in the process. It is
+// process-wide on purpose: it stands for the processors that solves on any
+// factor already occupy.
+var solvesInFlight atomic.Int32
+
+// splitFor returns the split a solve over the closure in runs on two
+// goroutines, or nil when it runs on one: the tree has no split, the closure
+// misses a half, or busy solves in flight (this one included) would leave
+// fewer than two processors each.
+func (c *SparseCholesky) splitFor(in []uint64, busy int32) *solveSplit {
+	sp := c.sym.split
+	if sp == nil || !inSet(in, sp.mid-1) || !inSet(in, sp.top-1) || 2*int(busy) > runtime.GOMAXPROCS(0) {
+		return nil
+	}
+	return sp
+}
+
+// forward runs the forward pass over the columns of [lo, hi) in the bitset
+// in, ascending; column j's entries end at ends[j-lo], which is lp[j+1] but
+// for half B of a split solve, whose trunk-row updates wait for
+// replayTrunk. A run of columns all in the bitset goes without a bit test
+// per column, and each column's values and rows are sliced once, so the
+// per-entry loop keeps them in registers and checks bounds only on w.
+func (c *SparseCholesky) forward(w []float64, in []uint64, lo, hi int, ends []int) {
+	lp, li, lx := c.lp, c.li, c.lx
+	for j := nextIn(in, lo); j < hi; j = nextIn(in, j) {
+		run := min(hi, j+bits.TrailingZeros64(^(in[j>>6]>>(uint(j)&63))))
+		for ; j < run; j++ {
+			p0, p1 := lp[j], ends[j-lo]
+			yj := w[j] / lx[p0]
+			w[j] = yj
+			xs, is := lx[p0+1:p1], li[p0+1:p1]
+			for q, x := range xs {
+				w[is[q]] -= x * yj
+			}
+		}
+	}
+}
+
+// replayTrunk applies half B's deferred updates to the trunk rows top+lo to
+// top+hi-1, row by row: each row continues from half A's terms with half B's
+// in ascending column order, the serial forward pass's order.
+func (c *SparseCholesky) replayTrunk(w []float64, in []uint64, lo, hi int) {
+	t, top := &c.trunk, c.sym.split.top
+	for r := lo; r < hi; r++ {
+		s := w[top+r]
+		cols, xs := t.cols[t.ptr[r]:t.ptr[r+1]], t.vals[t.ptr[r]:t.ptr[r+1]]
+		for e, x := range xs {
+			if j := int(cols[e]); inSet(in, j) {
+				s -= x * w[j]
+			}
+		}
+		w[top+r] = s
+	}
+}
+
+// backward solves Lᵀ·z = y in place on w over the lane schedule steps,
+// skipping each lane whose top column is off the bitset in: the closure is
+// closed under ancestors, so none of the lane's columns is in it. Each
+// column is a chain of dependent subtractions, so a lone chain runs at
+// floating-point latency; a paired step advances two independent chains at
+// once. A nil schedule (the order is not a postorder) is one descending loop
+// over the columns in in. Every column applies the same operations in the
+// same order on every path, so the result is bit-identical to the serial
+// loop.
+func (c *SparseCholesky) backward(w []float64, in []uint64, steps []laneStep) {
+	if steps == nil {
+		for j := len(w) - 1; j >= 0; j-- {
+			if inSet(in, j) {
+				c.backwardRange(w, j, j+1)
+			}
+		}
+		return
+	}
+	for _, st := range steps {
+		a := inSet(in, st.a1-1)
+		b := st.b1 > st.b0 && inSet(in, st.b1-1)
+		switch {
+		case a && b:
+			c.backwardPair(w, st)
+		case a:
+			c.backwardRange(w, st.a0, st.a1)
+		case b:
+			c.backwardRange(w, st.b0, st.b1)
+		}
 	}
 }
 
@@ -546,102 +844,22 @@ func (c *SparseCholesky) backwardPair(w []float64, st laneStep) {
 	c.backwardRange(w, st.b0, jb+1)
 }
 
-// closureShare is the share of L's non-zeros past which SolveSparseInto
-// runs the full, lane-scheduled solve instead of the closure loops. On 64²
-// thermal grids the closure loops cost about 1.3× the full solve per
-// non-zero, so the two break even near three quarters (PERF.md, "Closure
-// solve").
-const closureShare = 0.75
-
-// SolveSparseInto solves A·x = b for a *sparse* right-hand side and returns
-// the solution only where it is cheap: nz lists the index of every
-// (potentially) non-zero entry of b, and dst is exact on the
-// elimination-tree closure of nz — every index of nz and all of its etree
-// ancestors — and NaN everywhere else. Duplicates in nz are harmless; an
-// index missing from nz whose b entry is non-zero silently yields a wrong
-// answer, so nz must cover the support of b.
-//
-// Both triangular passes run over the closure alone (Gilbert–Peierls for
-// the forward pass; Amestoy et al., "Parallel computation of entries of
-// A⁻¹", for the backward one). Column j of L updates only etree ancestors of
-// j, so the forward pass never leaves the closure; every row index of a
-// closure column is such an ancestor, so the backward pass over the closure,
-// descending, reads only closure entries. Each column keeps its order of
-// terms, so the closure entries are bit-identical to SolveInto on the same
-// b. A caller that reads the solution only at the support (a thermal query
-// reads only the active cells) skips every other column twice.
-//
-// Once the closure's columns hold a large share of L's non-zeros, the
-// closure loops, which test every column against the closure's bitset and
-// run one column at a time, cost more than the skipped columns save; past closureShare the full
-// lane-scheduled solve runs instead, and its answer is masked to the same
-// closure, so the result does not depend on which path ran. dst may alias
-// b; the call is allocation-free in steady state and safe for concurrent
-// use.
-func (c *SparseCholesky) SolveSparseInto(dst, b []float64, nz []int) error {
-	n := c.sym.n
-	if len(b) != n || len(dst) != n {
-		return fmt.Errorf("%w: SparseCholesky.SolveSparseInto with len(dst)=%d, len(b)=%d, n=%d",
-			ErrShape, len(dst), len(b), n)
-	}
-	for _, i := range nz {
-		if i < 0 || i >= n {
-			return fmt.Errorf("%w: SolveSparseInto nz index %d out of range [0,%d)", ErrShape, i, n)
-		}
-	}
-	inp := c.spPool.Get().(*[]uint64)
-	defer c.spPool.Put(inp)
-	in := *inp
-	clear(in)
-	pinv, parent, lp := c.sym.pinv, c.sym.parent, c.lp
-	lnz := 0
-	for _, i := range nz {
-		for k := pinv[i]; k != -1 && !inSet(in, k); k = parent[k] {
-			in[k>>6] |= 1 << (uint(k) & 63)
-			lnz += lp[k+1] - lp[k]
-		}
-	}
-	wp := c.pool.Get().(*[]float64)
-	defer c.pool.Put(wp)
-	w, perm := *wp, c.sym.perm
-	for k, i := range perm { // the closure loops read only closure entries
-		w[k] = b[i]
-	}
-	if c.segs != nil || float64(lnz) > closureShare*float64(c.sym.LNNZ()) {
-		// An out-of-core factor always runs the full solve: it has no flat
-		// lx for the closure loops to walk.
-		if err := c.applyFactor(w); err != nil {
-			return err
-		}
-	} else {
-		// Both passes visit the closure in column order, so their terms
-		// arrive as they do in SolveInto; scanning the set costs less than
-		// sorting the closure.
-		for j := range w {
-			if inSet(in, j) {
-				c.forwardColumn(w, j)
-			}
-		}
-		li, lx := c.li, c.lx
-		for j := len(w) - 1; j >= 0; j-- {
-			if !inSet(in, j) {
-				continue
-			}
-			s := w[j]
-			for p := lp[j] + 1; p < lp[j+1]; p++ {
-				s -= lx[p] * w[li[p]]
-			}
-			w[j] = s / lx[lp[j]]
-		}
-	}
-	for k, i := range perm {
-		dst[i] = math.NaN()
-		if inSet(in, k) {
-			dst[i] = w[k]
-		}
-	}
-	return nil
-}
-
 // inSet reports whether column k is in the bitset in.
 func inSet(in []uint64, k int) bool { return in[k>>6]>>(uint(k)&63)&1 != 0 }
+
+// nextIn returns the lowest column k ≥ j in the bitset in, or a value of at
+// least 64·len(in) when there is none.
+func nextIn(in []uint64, j int) int {
+	i := j >> 6
+	if i >= len(in) {
+		return j
+	}
+	word := in[i] >> (uint(j) & 63)
+	for word == 0 {
+		if i++; i == len(in) {
+			return i << 6
+		}
+		word, j = in[i], i<<6
+	}
+	return j + bits.TrailingZeros64(word)
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -213,6 +214,45 @@ func TestSparseCholeskySolveIntoAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("SolveInto allocates %.1f objects per call, want 0", allocs)
+	}
+
+	// A split solve (two goroutines) allocates nothing either: half B's body
+	// is bound once per pooled scratch and the trunk rows are pre-packed.
+	// AllocsPerRun pins GOMAXPROCS to 1, which never splits, so count the
+	// process's mallocs around the calls instead. The race detector drops
+	// pooled items at random, so under -race the solves run unchecked.
+	defer func(v int) { splitMinNNZ = v }(splitMinNNZ)
+	splitMinNNZ = 0
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ch = factorWith(t, buildLaplacian(24, 24), NestedDissectionGrid(24, 24, 1))
+	all := make([]uint64, (ch.sym.n+63)/64)
+	for i := range all {
+		all[i] = ^uint64(0)
+	}
+	if ch.splitFor(all, 1) == nil {
+		t.Fatal("24² ND factor: no split")
+	}
+	rhs, dst = make([]float64, ch.sym.n), make([]float64, ch.sym.n)
+	rhs[7] = 1
+	nz := []int{7, ch.sym.n - 7}
+	solve := func() {
+		if err := ch.SolveInto(dst, rhs); err != nil {
+			t.Fatal(err)
+		}
+		if err := ch.SolveSparseInto(dst, rhs, nz); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 50
+	for range runs {
+		solve()
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / runs; per >= 1 && !raceEnabled {
+		t.Errorf("split solves allocate %.1f objects per pair of calls, want 0", per)
 	}
 }
 

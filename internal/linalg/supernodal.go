@@ -72,7 +72,7 @@ type SuperSymbolic struct {
 	maxRows int // max packed row count (block + below) over panels
 	maxW    int // max panel width
 
-	pool sync.Pool // *superScratch
+	pool *sync.Pool // *superScratch; apart, so a registered pool does not pin the analysis
 }
 
 // superScratch is one factorization task's workspace: the column-major frontal
@@ -334,13 +334,14 @@ func (sym *CholSymbolic) supernodes(width, zeros int, ratio float64) *SuperSymbo
 		}
 	}
 
-	ss.pool.New = func() any {
+	rows, width := ss.maxRows, ss.maxW
+	ss.pool = &sync.Pool{New: func() any {
 		return &superScratch{
-			W:     make([]float64, ss.maxRows*ss.maxW),
+			W:     make([]float64, rows*width),
 			local: make([]int32, n),
-			tloc:  make([]int32, ss.maxRows),
+			tloc:  make([]int32, rows),
 		}
-	}
+	}}
 	return ss
 }
 
@@ -384,6 +385,7 @@ func (ss *SuperSymbolic) Factorize(s *Sparse) (*SparseCholesky, error) {
 	if err := conc.Tree(runtime.GOMAXPROCS(0), ss.sparent, task); err != nil {
 		return nil, err
 	}
+	ch.packTrunk()
 	return ch, nil
 }
 

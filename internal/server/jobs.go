@@ -324,6 +324,9 @@ func (s *Server) runJob(j *jobs.Job) {
 	// SetCancel fires immediately and the generation exits at its first
 	// interrupt check.
 	j.SetCancel(cancelCause)
+	if s.cfg.jobRunning != nil {
+		s.cfg.jobRunning(j)
+	}
 
 	resp, err := s.generate(ctx, start, a, j)
 	var re *runError

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -252,7 +253,12 @@ func TestJobAsyncMatchesSync(t *testing.T) {
 // TestJobCancelViaDelete: DELETE interrupts a running generation through the
 // context plumbing; the job journals "cancelled" and a second DELETE is 409.
 func TestJobCancelViaDelete(t *testing.T) {
-	_, hs := newTestServer(t, Config{CacheDir: t.TempDir()})
+	// The job waits at the run seam until DELETE has been answered, so it
+	// cannot finish first however fast it solves.
+	deleted := make(chan struct{})
+	_, hs := newTestServer(t, Config{CacheDir: t.TempDir(), jobRunning: func(*jobs.Job) { <-deleted }})
+	release := sync.OnceFunc(func() { close(deleted) })
+	t.Cleanup(release)
 
 	id := postJob(t, hs.URL, gridJobRequest())
 	req, _ := http.NewRequest(http.MethodDelete, hs.URL+"/v1/jobs/"+id, nil)
@@ -264,6 +270,7 @@ func TestJobCancelViaDelete(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("DELETE status %d, want 202", resp.StatusCode)
 	}
+	release()
 	st := awaitJob(t, hs.URL, id)
 	if st.State != "cancelled" {
 		t.Fatalf("state after DELETE = %q (%s)", st.State, st.Error)

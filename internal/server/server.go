@@ -121,6 +121,10 @@ type Config struct {
 	// breaker; zero values select the production defaults.
 	StoreRetry   oraclestore.RetryPolicy
 	StoreBreaker oraclestore.BreakerPolicy
+
+	// jobRunning, when set, is called by each job run once DELETE and Drain
+	// can reach it and before it generates; tests hold a job there.
+	jobRunning func(*jobs.Job)
 }
 
 // Server answers schedule requests from warm oracle tiers. Create with New,

@@ -61,7 +61,11 @@ type GridOptions struct {
 // subtrees at once; ActiveBlockMax restricts both solves to the
 // elimination-tree closure of the active power footprint and reads only the
 // active blocks' hottest cells; that is what makes per-session oracle sweeps
-// over one floorplan cheap at grid scale.
+// over one floorplan cheap at grid scale. An in-core solve on a grid of
+// about 44×44 cells or finer, whose closure reaches both halves of the die
+// beside the top separator, runs the two halves on two goroutines when
+// GOMAXPROCS ≥ 2 and no other solve is running, bit-identically; there is
+// no knob.
 // Many queries fan out as concurrent solves against the one factor.
 // GridModel is safe for concurrent queries.
 //
@@ -254,14 +258,22 @@ type GridFactorStats struct {
 func (g *GridModel) FactorStats() GridFactorStats { return g.stats }
 
 // Close releases this model's hold on its shared factor; the factor and its
-// spill file, if it spilled, are freed with the last holder. It is
-// idempotent and must not race in-flight queries. Models dropped without
-// Close are covered by a cleanup, but long-lived servers that evict systems
-// should call it promptly.
-func (g *GridModel) Close() error { return g.share.release() }
+// spill file, if it spilled, are freed with the last holder. The model drops
+// its own reference to the factor first, so the collection the last release
+// starts can free it while the caller still holds the model; a query after
+// Close fails with ErrModel. Close is idempotent and must not race in-flight
+// queries. Models dropped without Close are covered by a cleanup, but
+// long-lived servers that evict systems should call it promptly.
+func (g *GridModel) Close() error {
+	g.chol = nil
+	return g.share.release()
+}
+
+// errClosed is the error of a query on a closed model.
+var errClosed = fmt.Errorf("%w: grid model is closed", ErrModel)
 
 // FactorNNZ returns the non-zero count of the cached Cholesky factor.
-func (g *GridModel) FactorNNZ() int { return g.chol.NNZ() }
+func (g *GridModel) FactorNNZ() int { return g.stats.FactorNNZ }
 
 // NNZ returns the non-zero count of the assembled conductance matrix.
 func (g *GridModel) NNZ() int { return g.nnz }
@@ -285,29 +297,46 @@ func (g *GridModel) cellRect(x, y int) (x0, y0, x1, y1 float64) {
 
 // mapBlocks computes the block→cell coverage fractions, testing only the
 // cells of each block's bounding box, widened by one cell against rounding.
+// A first pass counts the overlapping cells, so every block's two lists are
+// cut from two exactly sized arrays instead of growing one by one.
 func (g *GridModel) mapBlocks() {
 	n := g.fp.NumBlocks()
 	g.cellPowerWeight = make([][]cellShare, n)
 	g.blockCells = make([][]int, n)
 	die := g.fp.Die()
-	for b := 0; b < n; b++ {
-		r := g.fp.Block(b).Rect
-		area := r.Area()
-		x0, x1 := max(int((r.X-die.X)/g.cellW)-1, 0), min(int((r.MaxX()-die.X)/g.cellW)+2, g.nx)
-		y0, y1 := max(int((r.Y-die.Y)/g.cellH)-1, 0), min(int((r.MaxY()-die.Y)/g.cellH)+2, g.ny)
-		for y := y0; y < y1; y++ {
-			for x := x0; x < x1; x++ {
-				cx0, cy0, cx1, cy1 := g.cellRect(x, y)
-				ox := math.Min(cx1, r.MaxX()) - math.Max(cx0, r.X)
-				oy := math.Min(cy1, r.MaxY()) - math.Max(cy0, r.Y)
-				if ox <= 0 || oy <= 0 {
-					continue
+	var shares []cellShare
+	var cells []int
+	for pass := 0; pass < 2; pass++ {
+		k := 0
+		for b := 0; b < n; b++ {
+			r := g.fp.Block(b).Rect
+			area := r.Area()
+			x0, x1 := max(int((r.X-die.X)/g.cellW)-1, 0), min(int((r.MaxX()-die.X)/g.cellW)+2, g.nx)
+			y0, y1 := max(int((r.Y-die.Y)/g.cellH)-1, 0), min(int((r.MaxY()-die.Y)/g.cellH)+2, g.ny)
+			start := k
+			for y := y0; y < y1; y++ {
+				for x := x0; x < x1; x++ {
+					cx0, cy0, cx1, cy1 := g.cellRect(x, y)
+					ox := math.Min(cx1, r.MaxX()) - math.Max(cx0, r.X)
+					oy := math.Min(cy1, r.MaxY()) - math.Max(cy0, r.Y)
+					if ox <= 0 || oy <= 0 {
+						continue
+					}
+					if pass == 1 {
+						id := g.cellID(x, y)
+						shares[k] = cellShare{id, ox * oy / area}
+						cells[k] = id
+					}
+					k++
 				}
-				overlap := ox * oy
-				id := g.cellID(x, y)
-				g.cellPowerWeight[b] = append(g.cellPowerWeight[b], cellShare{id, overlap / area})
-				g.blockCells[b] = append(g.blockCells[b], id)
 			}
+			if pass == 1 {
+				g.cellPowerWeight[b] = shares[start:k:k]
+				g.blockCells[b] = cells[start:k:k]
+			}
+		}
+		if pass == 0 {
+			shares, cells = make([]cellShare, k), make([]int, k)
 		}
 	}
 }
@@ -405,14 +434,19 @@ type GridResult struct {
 // SteadyState solves the grid for a per-block power map (W). Block power is
 // deposited uniformly over the block footprint. The factorization built at
 // construction is reused, so a query costs two sparse triangular solves. The
-// backward solve
-// interleaves pairs of disjoint nested-dissection subtrees, bit-identical to
-// a plain column loop. Scratch vectors are pooled, leaving the returned
-// temperature field as the only allocation.
+// backward solve interleaves pairs of disjoint nested-dissection subtrees,
+// and both may split across two goroutines (see GridModel), bit-identical
+// to a plain column loop. Scratch vectors are pooled, leaving the returned
+// temperature field as the only allocation. It fails with ErrModel after
+// Close.
 func (g *GridModel) SteadyState(power []float64) (*GridResult, error) {
 	if len(power) != g.fp.NumBlocks() {
 		return nil, fmt.Errorf("%w: got %d entries, floorplan has %d blocks",
 			ErrPowerShape, len(power), g.fp.NumBlocks())
+	}
+	chol := g.chol
+	if chol == nil {
+		return nil, errClosed
 	}
 	rhsPool := &g.share.f.rhsPool
 	rhsP := rhsPool.Get().(*[]float64)
@@ -422,7 +456,7 @@ func (g *GridModel) SteadyState(power []float64) (*GridResult, error) {
 		return nil, err
 	}
 	temps := make([]float64, len(rhs))
-	err := g.chol.SolveInto(temps, rhs)
+	err := chol.SolveInto(temps, rhs)
 	rhsPool.Put(rhsP)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: grid solve: %w", err)
@@ -438,9 +472,11 @@ func (g *GridModel) SteadyState(power []float64) (*GridResult, error) {
 // each active block's hottest cell (°C) into dst[b], leaving the rest of dst
 // as it was. Both triangular solves run in place in a pooled node vector,
 // over the elimination-tree closure of the active cells alone
-// (SolveSparseInto), so the query allocates nothing. dst[b] is bit-identical
-// to SteadyState(power).BlockMaxTemp(b). Blocks outside active must carry
-// zero power; active may repeat a block.
+// (SolveSparseInto: every column off the closure is skipped in the forward
+// pass, every lane whose top column is off it in the backward pass), so the
+// query allocates nothing. dst[b] is bit-identical to
+// SteadyState(power).BlockMaxTemp(b). Blocks outside active must carry zero
+// power; active may repeat a block. It fails with ErrModel after Close.
 func (g *GridModel) ActiveBlockMax(dst, power []float64, active []int) error {
 	nb := g.fp.NumBlocks()
 	if len(power) != nb || len(dst) != nb {
@@ -451,6 +487,10 @@ func (g *GridModel) ActiveBlockMax(dst, power []float64, active []int) error {
 		if b < 0 || b >= nb {
 			return fmt.Errorf("%w: active block %d outside [0,%d)", ErrPowerShape, b, nb)
 		}
+	}
+	chol := g.chol
+	if chol == nil {
+		return errClosed
 	}
 	rhsPool := &g.share.f.rhsPool
 	rhsP := rhsPool.Get().(*[]float64)
@@ -464,7 +504,7 @@ func (g *GridModel) ActiveBlockMax(dst, power []float64, active []int) error {
 	for _, b := range active {
 		nz = append(nz, g.blockCells[b]...)
 	}
-	err := g.chol.SolveSparseInto(rhs, rhs, nz)
+	err := chol.SolveSparseInto(rhs, rhs, nz)
 	*nzP = nz
 	supportPool.Put(nzP)
 	if err != nil {

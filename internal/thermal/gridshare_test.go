@@ -1,13 +1,13 @@
 package thermal
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
-	"weak"
 
 	"repro/internal/floorplan"
 	"repro/internal/geom"
@@ -553,9 +553,14 @@ func TestGridSharedFactorBackwardLanesBitIdentical(t *testing.T) {
 
 // TestGridReleasedFactorCollected: when Close drops the last hold on a
 // factor, its memory is collected without the caller starting a collection,
-// because the release starts one in the background. The test never calls
-// runtime.GC, and its 21×17 grid is a key no other test builds, so its model
-// is the factor's only holder.
+// because the release starts one in the background — even though the caller
+// still holds the model and the factor has answered queries (its pooled
+// solve scratch must not keep it reachable). A query after Close fails
+// instead of panicking. The test never calls runtime.GC, and its 21×17 grid
+// is a key no other test builds, so its model is the factor's only holder.
+// It waits on a cleanup rather than polling a weak pointer: turning a weak
+// pointer strong during the mark phase marks the object, so a poll that
+// lands in the background collection would keep the factor alive.
 func TestGridReleasedFactorCollected(t *testing.T) {
 	g, err := NewGridModel(floorplan.Alpha21364(), DefaultPackageConfig(), 21, 17)
 	if err != nil {
@@ -564,16 +569,26 @@ func TestGridReleasedFactorCollected(t *testing.T) {
 	if g.FactorStats().Shared {
 		t.Fatal("the model reused a live factor; want it to be the only holder")
 	}
-	factor := weak.Make(g.chol)
+	power := make([]float64, g.Floorplan().NumBlocks())
+	power[0] = 1
+	if _, err := g.SteadyState(power); err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	runtime.AddCleanup(g.chol, func(c chan struct{}) { close(c) }, collected)
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	g = nil
-	deadline := time.Now().Add(10 * time.Second)
-	for factor.Value() != nil {
-		if time.Now().After(deadline) {
-			t.Fatal("the released factor was still reachable 10 s after Close")
-		}
-		time.Sleep(time.Millisecond)
+	if _, err := g.SteadyState(power); !errors.Is(err, ErrModel) {
+		t.Fatalf("SteadyState after Close: %v, want ErrModel", err)
 	}
+	if err := g.ActiveBlockMax(make([]float64, len(power)), power, []int{0}); !errors.Is(err, ErrModel) {
+		t.Fatalf("ActiveBlockMax after Close: %v, want ErrModel", err)
+	}
+	select {
+	case <-collected:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the released factor was still reachable 10 s after Close")
+	}
+	runtime.KeepAlive(g)
 }
