@@ -63,9 +63,12 @@ func ParseString(s, name string) (*Floorplan, error) {
 // Write renders the floorplan in the ".flp" format accepted by Parse. Blocks
 // appear in declaration order; the header records name, block count and die
 // size as comments. Coordinates use Go's shortest round-trip formatting, so
-// Parse(Format(fp)) reproduces every rectangle bit-exactly — which keeps the
-// content address of a floorplan stable across a text round trip (the
-// schedule service ships floorplans as ".flp" text and relies on this).
+// Parse(Format(fp)) reproduces every rectangle bit-exactly. The die does not
+// always survive: the text carries no die outline, so Parse takes the
+// blocks' bounding box, and an explicit die (floorplan.Random's, say) can
+// come back one ULP wider. Such a floorplan sent to the schedule service as
+// ".flp" text can then key a different grid factor and store address than
+// the same floorplan built in process.
 func Write(w io.Writer, fp *Floorplan) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# floorplan: %s\n", fp.Name())

@@ -401,7 +401,7 @@ type SparseCholesky struct {
 	li     []int          // row indices
 	lx     []float64      // flat values; nil for out-of-core factors
 	segs   [][]float64    // per-panel values (out-of-core); nil entry = spilled
-	spill  *spillStore    // nil unless some panel is on disk
+	spill  *spillStore    // the spill file of an out-of-core factor; nil in core
 	pool   *sync.Pool     // *solveScratch; apart, so a registered pool does not pin the factor
 	trunk  trunkReplay    // in-core factors of a tree with a split
 

@@ -20,7 +20,8 @@ import (
 var ErrPeakBudget = errors.New("linalg: peak-bytes budget infeasible")
 
 // ErrSpill wraps spill-file I/O failures (torn frames, CRC mismatches, read
-// errors) surfaced by out-of-core factorizations and solves.
+// errors) surfaced by solves on an out-of-core factor. FactorizeSpill does
+// not return it: a run the spill device fails is rebuilt in core.
 var ErrSpill = errors.New("linalg: spill file")
 
 // SpillFile is the per-handle filesystem surface the out-of-core
@@ -39,7 +40,7 @@ type SpillFile interface {
 
 // SpillFS is the filesystem seam spill files are created through. The
 // production implementation is the os package (OSSpillFS); tests inject
-// fault-raising wrappers to exercise the degrade-to-in-core discipline.
+// fault-raising wrappers to exercise the in-core rebuild on spill failures.
 type SpillFS interface {
 	MkdirAll(path string, perm os.FileMode) error
 	CreateTemp(dir, pattern string) (SpillFile, error)
@@ -77,7 +78,8 @@ type SpillPolicy struct {
 	FS SpillFS
 }
 
-// SpillStats describes what an out-of-core factorization actually did.
+// SpillStats describes what an out-of-core factorization actually did. It is
+// the zero value for a factor built in core because it fit the budget.
 type SpillStats struct {
 	// SpilledPanels / SpilledBytes count the distinct panels written to the
 	// spill file and their payload bytes (each panel is written at most
@@ -90,11 +92,12 @@ type SpillStats struct {
 	ReloadedPanels int
 	ReloadedBytes  int64
 	// PeakResidentBytes is the high-water mark of the managed working set.
-	// It never exceeds the budget unless Degraded is set.
+	// It never exceeds the budget.
 	PeakResidentBytes int64
-	// Degraded reports that persistent spill-write failures opened the
-	// breaker: spilling stopped, on-disk panels were read back, and the
-	// factorization completed fully in core — availability over budget.
+	// Degraded reports that the spill device failed the out-of-core run (a
+	// write still failing after three healed retries, a failed reload, or a
+	// spill file that could not be created) and the factor was rebuilt in
+	// core by Factorize, budget waived. The other fields are then zero.
 	Degraded bool
 }
 
@@ -262,10 +265,9 @@ type spillCtl struct {
 	managed int64 // fixed indices + resident segments + frontal scratch
 	peak    int64
 
-	f        SpillFile
-	fname    string // "" once unlinked
-	fsize    int64
-	degraded bool
+	f     SpillFile
+	fname string // "" once unlinked
+	fsize int64
 
 	ioBuf []byte
 	stats SpillStats
@@ -307,22 +309,17 @@ func (ctl *spillCtl) popVictim() (int, bool) {
 }
 
 // grow books need bytes into the managed working set, evicting
-// furthest-next-use panels first to stay within budget. Persistent spill
-// write failures open the breaker (degrade); an empty candidate set with the
-// budget still exceeded is an infeasible budget.
+// furthest-next-use panels first to stay within budget. An empty candidate
+// set with the budget still exceeded is an infeasible budget.
 func (ctl *spillCtl) grow(need int64) error {
-	for !ctl.degraded && ctl.managed+need > ctl.budget {
+	for ctl.managed+need > ctl.budget {
 		d, ok := ctl.popVictim()
 		if !ok {
 			return fmt.Errorf("%w: %d bytes needed at panel %d, %d managed of %d budget and nothing evictable",
 				ErrPeakBudget, need, ctl.cur, ctl.managed, ctl.budget)
 		}
 		if err := ctl.evict(d); err != nil {
-			// Breaker discipline: the spill device is failing writes after
-			// in-line heal + retries, so stop spilling and finish in core.
-			if derr := ctl.degrade(); derr != nil {
-				return derr
-			}
+			return err
 		}
 	}
 	ctl.managed += need
@@ -347,7 +344,7 @@ func (ctl *spillCtl) evict(d int) error {
 
 // writeFrame appends panel d's CRC-framed segment. A failed write is healed
 // by truncating back to the pre-frame offset and retried; three consecutive
-// failures give up (the caller opens the breaker).
+// failures give up (and FactorizeSpill rebuilds in core).
 func (ctl *spillCtl) writeFrame(d int) error {
 	if ctl.f == nil {
 		if err := ctl.openFile(); err != nil {
@@ -438,35 +435,6 @@ func (ctl *spillCtl) openFile() error {
 	return nil
 }
 
-// degrade opens the breaker after persistent spill-write failures: every
-// on-disk panel is read back into memory, the file is closed, and the
-// factorization continues fully in core with the budget waived.
-func (ctl *spillCtl) degrade() error {
-	ctl.degraded = true
-	ctl.stats.Degraded = true
-	for d := 0; d < ctl.ss.ns; d++ {
-		if ctl.segs[d] != nil || ctl.written[d] < 0 {
-			continue
-		}
-		seg := make([]float64, ctl.segFloats(d))
-		sp := spillStore{f: ctl.f, off: ctl.written}
-		if err := sp.readPanel(d, seg); err != nil {
-			return fmt.Errorf("degrading to in-core: %w", err)
-		}
-		ctl.segs[d] = seg
-		ctl.written[d] = -1
-		ctl.managed += ctl.segBytes(d)
-		if ctl.managed > ctl.peak {
-			ctl.peak = ctl.managed
-		}
-		if ctl.finished[d] {
-			ctl.h.push(evEntry{panel: int32(d), next: ctl.nextUse(d)})
-		}
-	}
-	ctl.closeFile()
-	return nil
-}
-
 func (ctl *spillCtl) closeFile() {
 	if ctl.f != nil {
 		ctl.f.Close()
@@ -491,7 +459,6 @@ func (ctl *spillCtl) seg(d int) ([]float64, int, error) {
 		if ctl.finished[d] {
 			sp := spillStore{f: ctl.f, off: ctl.written}
 			if err := sp.readPanel(d, seg); err != nil {
-				ctl.managed -= ctl.segBytes(d)
 				return nil, 0, err
 			}
 			ctl.stats.ReloadedPanels++
@@ -504,20 +471,25 @@ func (ctl *spillCtl) seg(d int) ([]float64, int, error) {
 }
 
 // FactorizeSpill runs the supernodal numeric factorization of s under an
-// explicit peak-bytes budget, spilling finished factor panels to disk when
-// the resident working set would exceed it and streaming them back on
-// demand. The factor's values are bit-identical to Factorize's (and to the
-// scalar kernel's): spilling moves bytes, never reorders an IEEE-754
-// operation. The numeric schedule is the serial ascending panel order:
-// out-of-core eviction needs the deterministic single-pass schedule.
+// explicit peak-bytes budget. It alone decides where the factor's panels
+// live, in one of three ways:
 //
-// The managed budget covers the factor's index arrays, the resident panel
-// value segments, and the frontal scratch workspace; the input matrix and
-// the symbolic analysis are the caller's. An infeasible budget returns
-// ErrPeakBudget. Persistent spill-write failures degrade the run to fully
-// in-core (see SpillStats.Degraded) rather than failing it.
+//   - The in-core bytes (InCoreBytes) fit the budget: it returns Factorize's
+//     factor.
+//   - The unspillable floor alone (the factor's index arrays plus the frontal
+//     scratch) exceeds the budget: it returns ErrPeakBudget.
+//   - Otherwise it factors out of core, spilling finished panels to disk when
+//     the resident working set would exceed the budget and streaming them
+//     back on demand; at least one panel ends on disk. If the spill device
+//     fails the run (see SpillStats.Degraded), the partial factor and its
+//     file are dropped and Factorize builds the factor in core, once.
 //
-// The returned factor answers SolveInto and SolveSparseInto
+// The out-of-core run also returns ErrPeakBudget when some left-looking step
+// cannot fit its panels. Its schedule is the serial ascending panel order,
+// which deterministic eviction needs. Every factor holds Factorize's bits:
+// spilling moves bytes, never reorders an IEEE-754 operation.
+//
+// An out-of-core factor answers SolveInto and SolveSparseInto
 // bit-identically to an in-core factor, streaming spilled panels per solve
 // pass. Callers should Close it to release the spill file promptly; a
 // finalizer covers factors dropped without Close.
@@ -528,6 +500,28 @@ func (ss *SuperSymbolic) FactorizeSpill(s *Sparse, pol SpillPolicy) (*SparseChol
 	if pol.BudgetBytes <= 0 {
 		return nil, fmt.Errorf("%w: BudgetBytes must be > 0, got %d", ErrShape, pol.BudgetBytes)
 	}
+	if ss.InCoreBytes() <= pol.BudgetBytes {
+		return ss.Factorize(s)
+	}
+	// The unspillable floor: factor row indices + column pointers + the one
+	// frontal scratch the serial schedule holds.
+	fixed := int64(len(ss.li))*8 + int64(len(ss.sym.colPtr))*8 + ss.WorkspaceBytes()
+	if fixed > pol.BudgetBytes {
+		return nil, fmt.Errorf("%w: indices and scratch need %d bytes, budget %d",
+			ErrPeakBudget, fixed, pol.BudgetBytes)
+	}
+	ch, err := ss.factorOutOfCore(s, pol, fixed)
+	if errors.Is(err, ErrSpill) {
+		if ch, err = ss.Factorize(s); err == nil {
+			ch.spillStats.Degraded = true
+		}
+	}
+	return ch, err
+}
+
+// factorOutOfCore is FactorizeSpill's out-of-core run from a managed working
+// set of fixed bytes. On failure it closes its spill file and keeps nothing.
+func (ss *SuperSymbolic) factorOutOfCore(s *Sparse, pol SpillPolicy, fixed int64) (*SparseCholesky, error) {
 	if pol.FS == nil {
 		pol.FS = OSSpillFS()
 	}
@@ -544,6 +538,8 @@ func (ss *SuperSymbolic) FactorizeSpill(s *Sparse, pol SpillPolicy) (*SparseChol
 		segs:     make([][]float64, ns),
 		written:  make([]int64, ns),
 		finished: make([]bool, ns),
+		managed:  fixed,
+		peak:     fixed,
 	}
 	for i := range ctl.written {
 		ctl.written[i] = -1
@@ -570,56 +566,32 @@ func (ss *SuperSymbolic) FactorizeSpill(s *Sparse, pol SpillPolicy) (*SparseChol
 		}
 	}
 
-	// The unspillable floor: factor row indices + column pointers + the one
-	// frontal scratch the serial schedule holds.
-	fixed := int64(len(ss.li))*8 + int64(len(ss.sym.colPtr))*8 + ss.WorkspaceBytes()
-	ctl.managed, ctl.peak = fixed, fixed
-	if fixed > ctl.budget {
-		return nil, fmt.Errorf("%w: indices and scratch need %d bytes, budget %d",
-			ErrPeakBudget, fixed, ctl.budget)
-	}
-
 	ch := ss.sym.newFactor(ss.li, false)
 	ch.panels = ss
-	lp, li := ch.lp, ch.li
-
 	sc := ss.pool.Get().(*superScratch)
+	defer ss.pool.Put(sc)
 	for sn := 0; sn < ns; sn++ {
 		ctl.cur = sn
-		if err := ss.factorPanel(sn, s, lp, li, sc, ctl.seg); err != nil {
-			ss.pool.Put(sc)
+		if err := ss.factorPanel(sn, s, ch.lp, ch.li, sc, ctl.seg); err != nil {
 			ctl.closeFile()
 			return nil, err
 		}
 		ctl.finished[sn] = true
 		ctl.h.push(evEntry{panel: int32(sn), next: ctl.nextUse(sn)})
 	}
-	ss.pool.Put(sc)
 
+	// The budget is below the in-core bytes, so some panel is on disk.
 	ch.segs = ctl.segs
 	ch.spillStats = ctl.stats
 	ch.spillStats.PeakResidentBytes = ctl.peak
-	spilled := false
-	for d := 0; d < ns; d++ {
-		if ctl.segs[d] == nil {
-			spilled = true
-			break
-		}
+	sp := &spillStore{fs: ctl.fs, f: ctl.f, name: ctl.fname, off: ctl.written, maxSeg: ctl.maxSegFloats()}
+	sp.pool.New = func() any {
+		b := make([]float64, sp.maxSeg)
+		return &b
 	}
-	if spilled {
-		sp := &spillStore{fs: ctl.fs, f: ctl.f, name: ctl.fname, off: ctl.written, maxSeg: ctl.maxSegFloats()}
-		sp.pool.New = func() any {
-			b := make([]float64, sp.maxSeg)
-			return &b
-		}
-		ch.spill = sp
-		// A dropped-without-Close factor must not leak the spill handle (the
-		// service LRU-evicts whole systems); Close remains the prompt path.
-		runtime.SetFinalizer(ch, func(c *SparseCholesky) { c.Close() })
-	} else {
-		// Everything ended resident (budget never bit after the final
-		// panels, or the run degraded): drop the file, serve purely in core.
-		ctl.closeFile()
-	}
+	ch.spill = sp
+	// A dropped-without-Close factor must not leak the spill handle (the
+	// service LRU-evicts whole systems); Close remains the prompt path.
+	runtime.SetFinalizer(ch, func(c *SparseCholesky) { c.Close() })
 	return ch, nil
 }

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"syscall"
 	"testing"
 )
 
@@ -325,6 +326,167 @@ func TestSpillCloseRemovesFile(t *testing.T) {
 	}
 	if err := ch.SolveInto(x, b); err == nil {
 		t.Fatal("solve after Close should fail for a spilled factor")
+	}
+}
+
+// failingSpillFS is a spill device that fails CreateTemp, or creates
+// in-memory files whose every write or every read fails with EIO.
+type failingSpillFS struct{ create, write, read bool }
+
+func (failingSpillFS) MkdirAll(string, os.FileMode) error { return nil }
+func (failingSpillFS) Remove(string) error                { return nil }
+func (f failingSpillFS) CreateTemp(string, string) (SpillFile, error) {
+	if f.create {
+		return nil, errors.New("spill device unavailable")
+	}
+	return &failingSpillFile{write: f.write, read: f.read}, nil
+}
+
+type failingSpillFile struct {
+	memSpillFile
+	write, read bool
+}
+
+func (f *failingSpillFile) Write(p []byte) (int, error) {
+	if f.write {
+		return 0, syscall.EIO
+	}
+	return f.memSpillFile.Write(p)
+}
+
+func (f *failingSpillFile) ReadAt(p []byte, off int64) (int, error) {
+	if f.read {
+		return 0, syscall.EIO
+	}
+	return f.memSpillFile.ReadAt(p, off)
+}
+
+// TestSpillFailureRebuildsInCore: an out-of-core run whose spill device
+// fails (every write after the healed retries, every reload, or the file's
+// creation) is rebuilt by Factorize. The factor keeps no panel segments or
+// spill file, reports only Degraded, holds Factorize's bits and answers
+// SolveInto and SolveSparseInto bit for bit, including a solve split across
+// two goroutines.
+func TestSpillFailureRebuildsInCore(t *testing.T) {
+	defer func(v int) { splitMinNNZ = v }(splitMinNNZ)
+	splitMinNNZ = 0
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	rng := rand.New(rand.NewSource(43))
+	s, perm := layeredGrid(32, 32, 2, rng)
+	sym, err := NewCholSymbolic(s, perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := sym.split
+	if sp == nil {
+		t.Fatal("32²×2 ND grid: no split")
+	}
+	ss := sym.Supernodes()
+	ref, err := ss.Factorize(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := spillFixedBytes(ss) + 2*spillMaxSegBytes(ss)
+	for _, tc := range []struct {
+		name string
+		fs   failingSpillFS
+	}{
+		{"write EIO", failingSpillFS{write: true}},
+		{"reload EIO", failingSpillFS{read: true}},
+		{"CreateTemp fails", failingSpillFS{create: true}},
+	} {
+		ch, err := ss.FactorizeSpill(s, SpillPolicy{BudgetBytes: budget, FS: tc.fs})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if st := ch.SpillStats(); st != (SpillStats{Degraded: true}) {
+			t.Fatalf("%s: stats %+v, want only Degraded", tc.name, st)
+		}
+		if ch.segs != nil || ch.spill != nil || len(ch.lx) != sym.LNNZ() {
+			t.Fatalf("%s: factor keeps %d segments, spill file %v, %d flat values of %d",
+				tc.name, len(ch.segs), ch.spill != nil, len(ch.lx), sym.LNNZ())
+		}
+		for p, x := range ref.lx {
+			if math.Float64bits(ch.lx[p]) != math.Float64bits(x) {
+				t.Fatalf("%s: value %d differs from Factorize's", tc.name, p)
+			}
+		}
+		nz := []int{sym.perm[rng.Intn(sp.mid)], sym.perm[sp.mid+rng.Intn(sp.top-sp.mid)]}
+		if ch.splitFor(closureBits(ch, nz), 1) == nil {
+			t.Fatalf("%s: a support in both halves does not split at GOMAXPROCS 2", tc.name)
+		}
+		b := make([]float64, sym.n)
+		for _, i := range nz {
+			b[i] = 1 + rng.Float64()
+		}
+		for _, sparse := range []bool{true, false} {
+			want, got := make([]float64, sym.n), make([]float64, sym.n)
+			solve := func(c *SparseCholesky, x []float64) error {
+				if sparse {
+					return c.SolveSparseInto(x, b, nz)
+				}
+				return c.SolveInto(x, b)
+			}
+			if err := solve(ref, want); err != nil {
+				t.Fatal(err)
+			}
+			if err := solve(ch, got); err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s (sparse %v): entry %d %x, Factorize's %x",
+						tc.name, sparse, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+		if err := ch.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFactorizeSpillInCoreWhenItFits: a budget at or above InCoreBytes gets
+// Factorize's factor and creates no spill file; one byte less factors out of
+// core and leaves at least one panel on disk.
+func TestFactorizeSpillInCoreWhenItFits(t *testing.T) {
+	s := spillTestGrid(24, 24, rand.New(rand.NewSource(9)))
+	sym, err := NewCholSymbolic(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := sym.Supernodes()
+	ref, err := ss.Factorize(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, budget := range []int64{ss.InCoreBytes(), ss.InCoreBytes() + 1, 1 << 40} {
+		ch, err := ss.FactorizeSpill(s, SpillPolicy{BudgetBytes: budget, Dir: dir, FS: failingSpillFS{create: true}})
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		if st := ch.SpillStats(); st != (SpillStats{}) || ch.segs != nil || ch.spill != nil {
+			t.Fatalf("budget %d (in core %d): stats %+v, out of core %v",
+				budget, ss.InCoreBytes(), st, ch.segs != nil)
+		}
+		for p, x := range ref.lx {
+			if math.Float64bits(ch.lx[p]) != math.Float64bits(x) {
+				t.Fatalf("budget %d: value %d differs from Factorize's", budget, p)
+			}
+		}
+	}
+	fs := &keepFS{}
+	ch, err := ss.FactorizeSpill(s, SpillPolicy{BudgetBytes: ss.InCoreBytes() - 1, Dir: dir, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ch.Close()
+	if st := ch.SpillStats(); st.SpilledPanels == 0 || st.Degraded {
+		t.Fatalf("budget one byte below in core: stats %+v, want spilled panels", st)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Fatalf("out-of-core run: spill files %v (err %v), want one", ents, err)
 	}
 }
 

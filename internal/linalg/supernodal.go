@@ -360,6 +360,13 @@ func (ss *SuperSymbolic) WorkspaceBytes() int64 {
 	return int64(ss.maxRows)*int64(ss.maxW)*8 + int64(ss.sym.n)*4 + int64(ss.maxRows)*4
 }
 
+// InCoreBytes returns what an in-core factorization holds resident: the
+// factor's row indices and values plus one frontal workspace. FactorizeSpill
+// factors in core exactly when this fits its budget.
+func (ss *SuperSymbolic) InCoreBytes() int64 {
+	return int64(ss.sym.LNNZ())*16 + ss.WorkspaceBytes()
+}
+
 // Factorize runs the supernodal numeric factorization of s. The result is
 // bit-identical to sym.Factorize(s) — same lp/li/lx down to the float bits —
 // but computed panel-at-a-time with dense inner loops, with independent

@@ -116,9 +116,10 @@ func indexCounts(s *Server) (hits, misses int64) {
 
 // checkIndexBound fails unless the index holds no more entries than there
 // are live systems, every body-layer entry is kept by exactly one live
-// system, no live system keeps more than maxBodyBytes of bodies, and every
-// kept entry holds its problem in place of its decoded request. It returns
-// the sizes of the index, the body layer and the live map.
+// system, no live system keeps more than maxBodyBytes of bodies plus the
+// floorplan and test-spec texts of the index entries they resolved through,
+// and every kept entry holds its problem in place of its decoded request. It
+// returns the sizes of the index, the body layer and the live map.
 func checkIndexBound(t *testing.T, s *Server) (index, bodies, systems int) {
 	t.Helper()
 	s.mu.Lock()
@@ -129,19 +130,30 @@ func checkIndexBound(t *testing.T, s *Server) (index, bodies, systems int) {
 	}
 	kept := make(map[*accepted]bool)
 	for _, e := range s.systems {
-		n := 0
+		n, held := 0, 0
+		entries := make(map[*indexEntry]bool)
 		for _, a := range e.bodies {
 			if a.owner != e || s.bodies[a.body] != a || kept[a] {
 				t.Errorf("a live system keeps a body entry the layer does not map to it alone")
 			}
 			if a.req != nil || a.p == nil {
 				t.Errorf("a kept body entry still references its decoded request")
+				continue
 			}
 			kept[a] = true
-			n += len(a.body)
+			texts := len(a.p.floorplan) + len(a.p.testSpec)
+			n += len(a.body) + texts
+			held += len(a.body)
+			if !entries[a.p.indexEntry] {
+				entries[a.p.indexEntry] = true
+				held += texts
+			}
 		}
-		if n != e.bodyBytes || n > maxBodyBytes {
-			t.Errorf("a live system keeps %d bytes of bodies (it counts %d), bound %d", n, e.bodyBytes, maxBodyBytes)
+		if n != e.bodyBytes {
+			t.Errorf("a live system counts %d kept bytes, its bodies and their entries' texts add up to %d", e.bodyBytes, n)
+		}
+		if held > maxBodyBytes {
+			t.Errorf("a live system holds %d bytes of bodies and index texts, bound %d", held, maxBodyBytes)
 		}
 	}
 	if len(kept) != bodies {
@@ -440,6 +452,36 @@ func TestBodyLayerDropsOldestBody(t *testing.T) {
 	}
 	if hits, misses := indexCounts(srv); hits != 7 || misses != 1 {
 		t.Errorf("index hits/misses = %d/%d, want 7/1", hits, misses)
+	}
+}
+
+// TestBodyLayerCountsIndexEntryTexts: quad bodies that differ only in name
+// resolve to one system through distinct request-index entries, each with
+// its own copy of the floorplan and test-spec texts, which stay alive while
+// the body is kept. With a floorplan padded by comment lines to under a
+// quarter of the bound, the bodies alone would fit four times over; counting
+// each body's entry texts keeps the system's bodies plus those texts within
+// maxBodyBytes, so it keeps the newest two.
+func TestBodyLayerCountsIndexEntryTexts(t *testing.T) {
+	srv := newIndexServer(t, Config{})
+	h := srv.Handler()
+	line := "# " + strings.Repeat("x", 1000) + "\n"
+	fp := quadFloorplan + strings.Repeat(line, maxBodyBytes/5/len(line))
+	var bodies []string
+	for i := range 4 {
+		raw, err := json.Marshal(withField(withField(quadBody(), "floorplan", fp), "name", fmt.Sprintf("quad%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, string(raw))
+		serveScheduleRaw(t, h, raw)
+		checkIndexBound(t, srv)
+	}
+	if 4*len(bodies[0]) > maxBodyBytes || 4*(len(bodies[0])+len(fp)) <= maxBodyBytes {
+		t.Fatalf("body of %d bytes with a %d-byte floorplan does not test the bound", len(bodies[0]), len(fp))
+	}
+	if got := keptBodies(t, srv); !slices.Equal(got, bodies[2:]) {
+		t.Errorf("the system keeps %d bodies, want the newest 2", len(got))
 	}
 }
 

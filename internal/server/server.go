@@ -154,8 +154,8 @@ type Server struct {
 	// a byte-identical repeat skips the JSON decode and resolveProblem. The
 	// map hashes and compares the whole key, so a hit is an exact byte
 	// match. Live systems keep the entries, at most maxBodyBytes of bodies
-	// each (keepBodyLocked), and the entries leave with them
-	// (removeSystemLocked).
+	// and their index entries' texts each (keepBodyLocked), and the entries
+	// leave with them (removeSystemLocked).
 	bodies map[string]*accepted
 	// index maps a request's system fields to the entry they last resolved
 	// to; a body-layer miss looks its system up here. The map hashes and
@@ -202,7 +202,7 @@ type systemEntry struct {
 	inflight  int         // requests currently using this system; guarded by the server mu
 	ix        *indexEntry // the request-index entry this system owns; guarded by the server mu
 	bodies    []*accepted // the body-layer entries this system keeps, oldest first; guarded by the server mu
-	bodyBytes int         // the total length of those bodies; guarded by the server mu
+	bodyBytes int         // the kept bytes of those bodies (keptBytes); guarded by the server mu
 }
 
 // systemFields are the request fields that define a system: the request
@@ -492,26 +492,35 @@ func (s *Server) system(a *accepted) (e *systemEntry, warm bool) {
 }
 
 // keepBodyLocked adds a's body to the body layer as live system e's newest
-// entry, first dropping e's oldest entries until its bodies fit in
+// entry, first dropping e's oldest entries until its kept bytes fit in
 // maxBodyBytes. A body the layer already holds (a hit, or a concurrent miss
-// that got there first) stays where it is; a longer one than maxBodyBytes
-// was never accepted over HTTP and is not kept. Callers hold s.mu.
+// that got there first) stays where it is; one whose kept bytes alone exceed
+// maxBodyBytes is not kept. Callers hold s.mu.
 func (s *Server) keepBodyLocked(e *systemEntry, a *accepted) {
-	if a.owner != nil || len(a.body) > maxBodyBytes {
+	size := a.keptBytes()
+	if a.owner != nil || size > maxBodyBytes {
 		return
 	}
 	if _, ok := s.bodies[a.body]; ok {
 		return
 	}
 	n := 0
-	for ; e.bodyBytes+len(a.body) > maxBodyBytes; n++ {
+	for ; e.bodyBytes+size > maxBodyBytes; n++ {
 		s.dropBodyLocked(e.bodies[n])
 	}
 	clear(e.bodies[:n])
 	e.bodies = append(e.bodies[n:], a)
-	e.bodyBytes += len(a.body)
+	e.bodyBytes += size
 	a.owner = e
 	s.bodies[a.body] = a
+}
+
+// keptBytes is what a kept body-layer entry holds alive: its body and the
+// floorplan and test-spec texts of the index entry it resolved through,
+// which outlive the system's own index slot while the body is kept. An entry
+// shared by several bodies is counted in each.
+func (a *accepted) keptBytes() int {
+	return len(a.body) + len(a.p.floorplan) + len(a.p.testSpec)
 }
 
 // dropBodyLocked removes one body-layer entry from the layer and from the
@@ -519,7 +528,7 @@ func (s *Server) keepBodyLocked(e *systemEntry, a *accepted) {
 // s.mu.
 func (s *Server) dropBodyLocked(a *accepted) {
 	delete(s.bodies, a.body)
-	a.owner.bodyBytes -= len(a.body)
+	a.owner.bodyBytes -= a.keptBytes()
 	a.owner = nil
 }
 

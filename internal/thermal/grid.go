@@ -28,11 +28,15 @@ var defaultPeakBudget int64 = 2 << 30
 type GridOptions struct {
 	// PeakBytesBudget caps the resident bytes the factorization may hold
 	// (indices + resident panel values + frontal scratch); 0 or a negative
-	// value means the default of 2 GiB. The factor is built in core when the
-	// in-core bytes fit, and otherwise out of core, spilling finished panels
-	// to SpillDir and streaming them back per solve — bit-identical to
-	// in-core. A budget below even the out-of-core floor is waived: the
-	// factor is built in core and FactorStats reports SpillDegraded.
+	// value means the default of 2 GiB. linalg's FactorizeSpill picks one of
+	// three cases: the factor is built in core when the in-core bytes fit;
+	// a budget below even the out-of-core floor (indices plus scratch) is
+	// waived, the factor built in core and SpillDegraded reported; otherwise
+	// it is built out of core, spilling finished panels to SpillDir and
+	// streaming them back per solve, bit-identical to in core. A spill
+	// device that fails that build makes it start over in core, once, also
+	// reported as SpillDegraded; such a model answers on the in-core solve
+	// path.
 	PeakBytesBudget int64
 	// SpillDir is where spilled panel files live ("" = the OS temp dir).
 	// Files are unlinked at creation where the platform allows, so crashes
@@ -155,10 +159,11 @@ func (g *GridModel) ndPerm() []int {
 }
 
 // buildSolver factorizes the assembled system sys once under the geometric
-// nested-dissection ordering with the supernodal panel kernel. The symbolic
-// analysis predicts the exact in-core bytes, and the peak-bytes budget alone
-// decides between an in-core and an out-of-core factor. opts has its budget
-// resolved (newGridFactorKey).
+// nested-dissection ordering with the supernodal panel kernel.
+// FactorizeSpill decides between an in-core and an out-of-core factor under
+// the peak-bytes budget; a budget below the out-of-core floor is waived and
+// the factor built in core. opts has its budget resolved
+// (newGridFactorKey).
 func (g *GridModel) buildSolver(sys *linalg.Sparse, opts GridOptions) error {
 	sym, err := linalg.NewCholSymbolic(sys, g.ndPerm())
 	if err != nil {
@@ -166,26 +171,14 @@ func (g *GridModel) buildSolver(sys *linalg.Sparse, opts GridOptions) error {
 	}
 	ss := sym.Supernodes()
 	start := time.Now() // numeric factorization only — symbolic and partition excluded
-	inCore := int64(sym.LNNZ())*16 + ss.WorkspaceBytes()
-	var ch *linalg.SparseCholesky
-	if inCore > opts.PeakBytesBudget {
-		// The in-core working set exceeds the peak-bytes budget: factor
-		// out of core, spilling finished panels to disk.
-		ch, err = ss.FactorizeSpill(sys, linalg.SpillPolicy{
-			BudgetBytes: opts.PeakBytesBudget,
-			Dir:         opts.SpillDir,
-			FS:          opts.SpillFS,
-		})
-		if errors.Is(err, linalg.ErrSpill) || errors.Is(err, linalg.ErrPeakBudget) {
-			// Spill I/O failed before the factor completed (the breaker
-			// covers write failures; this is e.g. an unreadable reload), or
-			// no out-of-core schedule fits (indices + scratch alone exceed
-			// the budget): availability over budget — factor fully in core.
-			ch, err = ss.Factorize(sys)
-			g.stats.SpillDegraded = true
-		}
-	} else {
+	ch, err := ss.FactorizeSpill(sys, linalg.SpillPolicy{
+		BudgetBytes: opts.PeakBytesBudget,
+		Dir:         opts.SpillDir,
+		FS:          opts.SpillFS,
+	})
+	if errors.Is(err, linalg.ErrPeakBudget) {
 		ch, err = ss.Factorize(sys)
+		g.stats.SpillDegraded = true
 	}
 	if err != nil {
 		return fmt.Errorf("%w: grid system not SPD: %v", ErrModel, err)
@@ -194,14 +187,14 @@ func (g *GridModel) buildSolver(sys *linalg.Sparse, opts GridOptions) error {
 	g.stats.Panels = ss.Panels()
 	g.stats.MaxPanelWidth = ss.MaxPanelWidth()
 	g.stats.PaddedZeros = ss.PaddedZeros()
-	g.stats.PeakFactorBytes = inCore
-	g.stats.PeakResidentBytes = inCore
-	if st.SpilledPanels > 0 || st.Degraded {
+	g.stats.PeakFactorBytes = ss.InCoreBytes()
+	g.stats.PeakResidentBytes = ss.InCoreBytes()
+	if st.SpilledPanels > 0 {
 		g.stats.PeakResidentBytes = st.PeakResidentBytes
 		g.stats.SpilledPanels = st.SpilledPanels
 		g.stats.SpilledBytes = st.SpilledBytes
-		g.stats.SpillDegraded = g.stats.SpillDegraded || st.Degraded
 	}
+	g.stats.SpillDegraded = g.stats.SpillDegraded || st.Degraded
 	g.chol = ch
 	g.stats.Mode = "supernodal"
 	g.stats.FactorNNZ = sym.LNNZ()
@@ -238,18 +231,19 @@ type GridFactorStats struct {
 	// per-worker frontal workspace the supernodal kernel holds transiently —
 	// what a fully in-core factorization costs.
 	PeakFactorBytes int64
-	// PeakResidentBytes is what the factorization actually held resident:
-	// equal to PeakFactorBytes in core, and at most the peak-bytes budget
-	// (the 2 GiB default when none is set) when the out-of-core path spilled
-	// (unless degraded).
+	// PeakResidentBytes is what the factor holds resident: equal to
+	// PeakFactorBytes in core (degraded included), and at most the
+	// peak-bytes budget (the 2 GiB default when none is set) when the
+	// out-of-core path spilled.
 	PeakResidentBytes int64
 	// SpilledPanels / SpilledBytes count the factor panels written to the
 	// spill file during an out-of-core factorization (zero in core).
 	SpilledPanels int
 	SpilledBytes  int64
-	// SpillDegraded reports that the factor completed fully in core with the
-	// budget waived: spill I/O failures forced the breaker, or the budget
-	// was below the out-of-core floor (index arrays plus frontal scratch).
+	// SpillDegraded reports that the factor was built in core with the
+	// budget waived: the budget was below the out-of-core floor (index
+	// arrays plus frontal scratch), or the spill device failed the
+	// out-of-core build and it was rebuilt in core.
 	SpillDegraded bool
 }
 
