@@ -315,23 +315,6 @@ func TestLUAndCholeskyAgree(t *testing.T) {
 	}
 }
 
-func TestVectorHelpers(t *testing.T) {
-	y := []float64{1, 1}
-	AXPY(2, []float64{1, 2}, y)
-	if y[0] != 3 || y[1] != 5 {
-		t.Errorf("AXPY result = %v, want [3 5]", y)
-	}
-}
-
-func TestAXPYPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("AXPY length mismatch should panic")
-		}
-	}()
-	AXPY(1, []float64{1}, []float64{1, 2})
-}
-
 func TestIsSymmetric(t *testing.T) {
 	sym := fromRows([][]float64{{1, 2}, {2, 1}})
 	if !sym.IsSymmetric(1e-12) {

@@ -120,13 +120,3 @@ func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
 	}
 	return x, nil
 }
-
-// AXPY computes y += alpha*x in place; it panics on a length mismatch.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: AXPY of lengths %d and %d", len(x), len(y)))
-	}
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
-}

@@ -85,9 +85,9 @@ func requireBitIdentical(t *testing.T, got, want []float64) {
 }
 
 // TestSpillEIODegradesToInCore arms a persistent EIO on every spill write:
-// the breaker discipline must give up on spilling, read any on-disk panels
-// back, and finish the factorization fully in core — bit-identical, budget
-// waived, Degraded reported.
+// once the retries are spent, the out-of-core run drops its segments and
+// file and the factor is rebuilt in core by Factorize — bit-identical,
+// budget waived, Degraded reported.
 func TestSpillEIODegradesToInCore(t *testing.T) {
 	fs := faultfs.New(nil)
 	fs.Inject(faultfs.Fault{Op: faultfs.OpAppend, Err: syscall.EIO})
@@ -104,8 +104,9 @@ func TestSpillEIODegradesToInCore(t *testing.T) {
 }
 
 // TestSpillTornWritesDegradeToInCore arms persistent torn appends (partial
-// bytes then EIO). The writer's truncate-back healing plus the breaker must
-// still land a bit-identical in-core factor.
+// bytes then EIO). The writer's truncate-back healing cannot land a frame, so
+// the run gives up spilling and Factorize rebuilds a bit-identical in-core
+// factor.
 func TestSpillTornWritesDegradeToInCore(t *testing.T) {
 	fs := faultfs.New(nil)
 	fs.Inject(faultfs.Fault{Op: faultfs.OpAppend, Err: syscall.EIO, TornBytes: 7})

@@ -229,12 +229,12 @@ thermserve_queue_limit -1
 # HELP thermserve_systems_dropped_total Idle live systems dropped by the max-systems LRU bound.
 # TYPE thermserve_systems_dropped_total counter
 thermserve_systems_dropped_total 5
-# HELP thermserve_request_index_hits_total Schedule and job requests whose system fields matched a live system, skipping the parse.
-# TYPE thermserve_request_index_hits_total counter
-thermserve_request_index_hits_total 3
-# HELP thermserve_request_index_misses_total Schedule and job requests resolved from scratch (parse and system keys).
-# TYPE thermserve_request_index_misses_total counter
-thermserve_request_index_misses_total 4
+# HELP thermserve_request_body_hits_total Schedule and job requests whose exact body a live system keeps, skipping the decode and the parse.
+# TYPE thermserve_request_body_hits_total counter
+thermserve_request_body_hits_total 3
+# HELP thermserve_request_body_misses_total Schedule and job requests decoded and resolved from scratch (parse and system keys).
+# TYPE thermserve_request_body_misses_total counter
+thermserve_request_body_misses_total 4
 # HELP thermserve_jobs_queued_total Async jobs queued since start (includes resumes).
 # TYPE thermserve_jobs_queued_total counter
 thermserve_jobs_queued_total 1

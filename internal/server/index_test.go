@@ -109,29 +109,24 @@ func freshResult(t *testing.T, body map[string]any) json.RawMessage {
 	return serveSchedule(t, newIndexServer(t, Config{}).Handler(), body)
 }
 
-// indexCounts reads the request-index hit and miss counters.
-func indexCounts(s *Server) (hits, misses int64) {
-	return s.indexHits.Load(), s.indexMisses.Load()
+// bodyCounts reads the body-layer hit and miss counters.
+func bodyCounts(s *Server) (hits, misses int64) {
+	return s.bodyHits.Load(), s.bodyMisses.Load()
 }
 
-// checkIndexBound fails unless the index holds no more entries than there
-// are live systems, every body-layer entry is kept by exactly one live
-// system, no live system keeps more than maxBodyBytes of bodies plus the
-// floorplan and test-spec texts of the index entries they resolved through,
-// and every kept entry holds its problem in place of its decoded request. It
-// returns the sizes of the index, the body layer and the live map.
-func checkIndexBound(t *testing.T, s *Server) (index, bodies, systems int) {
+// checkBodyBound fails unless every body-layer entry is kept by exactly one
+// live system, no live system keeps more than maxBodyBytes of bodies plus
+// the floorplan and test-spec texts of the specs they pin, and every kept
+// entry holds its problem in place of its decoded request. It returns the
+// sizes of the body layer and the live map.
+func checkBodyBound(t *testing.T, s *Server) (bodies, systems int) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	index, bodies, systems = len(s.index), len(s.bodies), len(s.systems)
-	if index > systems {
-		t.Errorf("request index holds %d entries for %d live systems", index, systems)
-	}
+	bodies, systems = len(s.bodies), len(s.systems)
 	kept := make(map[*accepted]bool)
 	for _, e := range s.systems {
-		n, held := 0, 0
-		entries := make(map[*indexEntry]bool)
+		n := 0
 		for _, a := range e.bodies {
 			if a.owner != e || s.bodies[a.body] != a || kept[a] {
 				t.Errorf("a live system keeps a body entry the layer does not map to it alone")
@@ -141,25 +136,19 @@ func checkIndexBound(t *testing.T, s *Server) (index, bodies, systems int) {
 				continue
 			}
 			kept[a] = true
-			texts := len(a.p.floorplan) + len(a.p.testSpec)
-			n += len(a.body) + texts
-			held += len(a.body)
-			if !entries[a.p.indexEntry] {
-				entries[a.p.indexEntry] = true
-				held += texts
-			}
+			n += len(a.body) + a.p.texts
 		}
 		if n != e.bodyBytes {
-			t.Errorf("a live system counts %d kept bytes, its bodies and their entries' texts add up to %d", e.bodyBytes, n)
+			t.Errorf("a live system counts %d kept bytes, its bodies and their texts add up to %d", e.bodyBytes, n)
 		}
-		if held > maxBodyBytes {
-			t.Errorf("a live system holds %d bytes of bodies and index texts, bound %d", held, maxBodyBytes)
+		if n > maxBodyBytes {
+			t.Errorf("a live system holds %d bytes of bodies and texts, bound %d", n, maxBodyBytes)
 		}
 	}
 	if len(kept) != bodies {
 		t.Errorf("live systems keep %d body entries, the layer holds %d: an entry outlived its system", len(kept), bodies)
 	}
-	return index, bodies, systems
+	return bodies, systems
 }
 
 // keptBodies lists the bodies the server's one live system keeps, oldest
@@ -181,9 +170,10 @@ func keptBodies(t *testing.T, s *Server) []string {
 }
 
 // TestRequestIndexRepeatHits: a byte-identical repeat skips the decode and
-// the parse through the body layer, counts as an index hit and answers with
-// the result JSON a fresh server gives, for a builtin and an inline workload
-// alike.
+// the parse through the body layer, counts as a body-layer hit and answers
+// with the result JSON a fresh server gives, for a builtin and an inline
+// workload alike. (The request index that once sat behind the body layer is
+// gone; the family keeps its name.)
 func TestRequestIndexRepeatHits(t *testing.T) {
 	for name, body := range map[string]map[string]any{
 		"builtin": table1Request(),
@@ -193,12 +183,12 @@ func TestRequestIndexRepeatHits(t *testing.T) {
 			srv := newIndexServer(t, Config{})
 			h := srv.Handler()
 			cold := serveSchedule(t, h, body)
-			if hits, misses := indexCounts(srv); hits != 0 || misses != 1 {
-				t.Fatalf("cold request: index hits/misses = %d/%d, want 0/1", hits, misses)
+			if hits, misses := bodyCounts(srv); hits != 0 || misses != 1 {
+				t.Fatalf("cold request: body hits/misses = %d/%d, want 0/1", hits, misses)
 			}
 			warm := serveSchedule(t, h, body)
-			if hits, misses := indexCounts(srv); hits != 1 || misses != 1 {
-				t.Fatalf("repeat: index hits/misses = %d/%d, want 1/1", hits, misses)
+			if hits, misses := bodyCounts(srv); hits != 1 || misses != 1 {
+				t.Fatalf("repeat: body hits/misses = %d/%d, want 1/1", hits, misses)
 			}
 			// A repeat rejected for its deadline header never resolved, so
 			// it counts neither way.
@@ -210,24 +200,25 @@ func TestRequestIndexRepeatHits(t *testing.T) {
 			r := httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(raw))
 			r.Header.Set("X-Request-Deadline", "soon")
 			h.ServeHTTP(rec, r)
-			if hits, misses := indexCounts(srv); rec.Code != http.StatusBadRequest || hits != 1 || misses != 1 {
-				t.Fatalf("repeat with a bad deadline header: status %d, index hits/misses = %d/%d, want 400 and 1/1",
+			if hits, misses := bodyCounts(srv); rec.Code != http.StatusBadRequest || hits != 1 || misses != 1 {
+				t.Fatalf("repeat with a bad deadline header: status %d, body hits/misses = %d/%d, want 400 and 1/1",
 					rec.Code, hits, misses)
 			}
 			fresh := freshResult(t, body)
 			if !bytes.Equal(warm, fresh) || !bytes.Equal(cold, fresh) {
 				t.Errorf("result JSON differs from a fresh server's:\ncold:  %s\nwarm:  %s\nfresh: %s", cold, warm, fresh)
 			}
-			if index, bodies, systems := checkIndexBound(t, srv); index != 1 || bodies != 1 || systems != 1 {
-				t.Errorf("index/bodies/systems = %d/%d/%d, want 1/1/1", index, bodies, systems)
+			if bodies, systems := checkBodyBound(t, srv); bodies != 1 || systems != 1 {
+				t.Errorf("bodies/systems = %d/%d, want 1/1", bodies, systems)
 			}
 		})
 	}
 }
 
-// TestRequestIndexFieldEditsMiss: one byte changed in any system-defining
-// field misses the index and resolves fresh, answering exactly as a fresh
-// server does; changing only generator options still hits.
+// TestRequestIndexFieldEditsMiss: any edit to a body misses the body layer
+// and resolves from scratch, answering exactly as a fresh server does: one
+// byte changed in any system-defining field, generator options alone, and
+// the same fields reformatted. A bad option is still a 400.
 func TestRequestIndexFieldEditsMiss(t *testing.T) {
 	base := quadBody()
 	edits := []struct {
@@ -244,7 +235,7 @@ func TestRequestIndexFieldEditsMiss(t *testing.T) {
 			map[string]any{"ambient_celsius": 46})},
 		{"grid_res", base, withField(base, "grid_res", 16)},
 		// "fig1" names the same builtin as "figure1": a miss that resolves to
-		// the live system and takes over its index entry.
+		// the live system.
 		{"workload", withField(table1Request(), "workload", "figure1"),
 			withField(table1Request(), "workload", "fig1")},
 	}
@@ -254,17 +245,17 @@ func TestRequestIndexFieldEditsMiss(t *testing.T) {
 			h := srv.Handler()
 			serveSchedule(t, h, e.base)
 			serveSchedule(t, h, e.base)
-			if hits, misses := indexCounts(srv); hits != 1 || misses != 1 {
-				t.Fatalf("base twice: index hits/misses = %d/%d, want 1/1", hits, misses)
+			if hits, misses := bodyCounts(srv); hits != 1 || misses != 1 {
+				t.Fatalf("base twice: body hits/misses = %d/%d, want 1/1", hits, misses)
 			}
 			got := serveSchedule(t, h, e.edit)
-			if hits, misses := indexCounts(srv); hits != 1 || misses != 2 {
-				t.Errorf("edited %s: index hits/misses = %d/%d, want 1/2", e.field, hits, misses)
+			if hits, misses := bodyCounts(srv); hits != 1 || misses != 2 {
+				t.Errorf("edited %s: body hits/misses = %d/%d, want 1/2", e.field, hits, misses)
 			}
 			if fresh := freshResult(t, e.edit); !bytes.Equal(got, fresh) {
 				t.Errorf("edited %s: result differs from a fresh server's:\ngot:   %s\nfresh: %s", e.field, got, fresh)
 			}
-			checkIndexBound(t, srv)
+			checkBodyBound(t, srv)
 		})
 	}
 
@@ -283,15 +274,15 @@ func TestRequestIndexFieldEditsMiss(t *testing.T) {
 		}
 		for i, body := range opts {
 			got := serveSchedule(t, h, body)
-			if hits, misses := indexCounts(srv); hits != int64(i+1) || misses != 1 {
-				t.Fatalf("option edit %d: index hits/misses = %d/%d, want %d/1", i, hits, misses, i+1)
+			if hits, misses := bodyCounts(srv); hits != 0 || misses != int64(i+2) {
+				t.Fatalf("option edit %d: body hits/misses = %d/%d, want 0/%d", i, hits, misses, i+2)
 			}
 			if fresh := freshResult(t, body); !bytes.Equal(got, fresh) {
 				t.Errorf("option edit %d: result differs from a fresh server's:\ngot:   %s\nfresh: %s", i, got, fresh)
 			}
 		}
 		// The base body reformatted has the same fields and knobs in new
-		// bytes: a body-layer miss that hits the index.
+		// bytes: a body-layer miss.
 		raw, err := json.MarshalIndent(base, "", "\t")
 		if err != nil {
 			t.Fatal(err)
@@ -303,26 +294,25 @@ func TestRequestIndexFieldEditsMiss(t *testing.T) {
 			t.Fatal("the reformatted body is already in the body layer")
 		}
 		got := serveScheduleRaw(t, h, raw)
-		if hits, misses := indexCounts(srv); hits != int64(len(opts)+1) || misses != 1 {
-			t.Errorf("reformatted body: index hits/misses = %d/%d, want %d/1", hits, misses, len(opts)+1)
+		if hits, misses := bodyCounts(srv); hits != 0 || misses != int64(len(opts)+2) {
+			t.Errorf("reformatted body: body hits/misses = %d/%d, want 0/%d", hits, misses, len(opts)+2)
 		}
 		if fresh := serveScheduleRaw(t, newIndexServer(t, Config{}).Handler(), raw); !bytes.Equal(got, fresh) {
 			t.Errorf("reformatted body: result differs from a fresh server's:\ngot:   %s\nfresh: %s", got, fresh)
 		}
-		checkIndexBound(t, srv)
-		// A bad option is still rejected on a hit, with the miss path's code.
+		checkBodyBound(t, srv)
+		// A bad option on a live system is still rejected.
 		status, _, err := trySchedule(h, withField(base, "order", "sideways"))
 		if err != nil || status != http.StatusBadRequest {
-			t.Errorf("bad order on an indexed system: status %d (%v), want 400", status, err)
+			t.Errorf("bad order on a live system: status %d (%v), want 400", status, err)
 		}
 	})
 }
 
-// TestRequestIndexLeavesWithSystem: an index entry and the system's
-// body-layer entries leave exactly when their system does — on the
-// MaxSystems LRU drop, on store-budget eviction and on a failed build — so
-// the next identical request misses both and rebuilds, and neither outgrows
-// the live map.
+// TestRequestIndexLeavesWithSystem: a system's body-layer entries leave
+// exactly when their system does — on the MaxSystems LRU drop, on
+// store-budget eviction and on a failed build — so the next identical
+// request misses and rebuilds, and the layer never outgrows the live map.
 func TestRequestIndexLeavesWithSystem(t *testing.T) {
 	t.Run("lru", func(t *testing.T) {
 		srv := newIndexServer(t, Config{MaxSystems: 1})
@@ -331,26 +321,26 @@ func TestRequestIndexLeavesWithSystem(t *testing.T) {
 		b["test_spec"] = strings.Replace(quadTestSpec, "1.0", "3.0", -1)
 		serveSchedule(t, h, a)
 		serveSchedule(t, h, b) // drops a's system
-		if index, bodies, systems := checkIndexBound(t, srv); index != 1 || bodies != 1 || systems != 1 {
-			t.Fatalf("after LRU drop: index/bodies/systems = %d/%d/%d, want 1/1/1", index, bodies, systems)
+		if bodies, systems := checkBodyBound(t, srv); bodies != 1 || systems != 1 {
+			t.Fatalf("after LRU drop: bodies/systems = %d/%d, want 1/1", bodies, systems)
 		}
 		serveSchedule(t, h, a)
-		if hits, misses := indexCounts(srv); hits != 0 || misses != 3 {
-			t.Errorf("dropped system's body: index hits/misses = %d/%d, want 0/3", hits, misses)
+		if hits, misses := bodyCounts(srv); hits != 0 || misses != 3 {
+			t.Errorf("dropped system's body: body hits/misses = %d/%d, want 0/3", hits, misses)
 		}
-		checkIndexBound(t, srv)
+		checkBodyBound(t, srv)
 	})
 
 	t.Run("store eviction", func(t *testing.T) {
 		srv := newIndexServer(t, Config{CacheDir: t.TempDir(), StoreBudget: 1})
 		h := srv.Handler()
 		serveSchedule(t, h, quadBody())
-		if index, bodies, systems := checkIndexBound(t, srv); index != 0 || bodies != 0 || systems != 0 {
-			t.Fatalf("after eviction: index/bodies/systems = %d/%d/%d, want 0/0/0", index, bodies, systems)
+		if bodies, systems := checkBodyBound(t, srv); bodies != 0 || systems != 0 {
+			t.Fatalf("after eviction: bodies/systems = %d/%d, want 0/0", bodies, systems)
 		}
 		serveSchedule(t, h, quadBody())
-		if hits, misses := indexCounts(srv); hits != 0 || misses != 2 {
-			t.Errorf("evicted system's body: index hits/misses = %d/%d, want 0/2", hits, misses)
+		if hits, misses := bodyCounts(srv); hits != 0 || misses != 2 {
+			t.Errorf("evicted system's body: body hits/misses = %d/%d, want 0/2", hits, misses)
 		}
 	})
 
@@ -365,19 +355,19 @@ func TestRequestIndexLeavesWithSystem(t *testing.T) {
 			if status, _, err := trySchedule(h, quadBody()); err != nil || status != http.StatusInternalServerError {
 				t.Fatalf("build on a closed store %d: status %d (%v), want 500", i, status, err)
 			}
-			if index, bodies, systems := checkIndexBound(t, srv); index != 0 || bodies != 0 || systems != 0 {
-				t.Fatalf("after failed build %d: index/bodies/systems = %d/%d/%d, want 0/0/0", i, index, bodies, systems)
+			if bodies, systems := checkBodyBound(t, srv); bodies != 0 || systems != 0 {
+				t.Fatalf("after failed build %d: bodies/systems = %d/%d, want 0/0", i, bodies, systems)
 			}
 		}
-		if hits, misses := indexCounts(srv); hits != 0 || misses != 2 {
-			t.Errorf("failed builds: index hits/misses = %d/%d, want 0/2", hits, misses)
+		if hits, misses := bodyCounts(srv); hits != 0 || misses != 2 {
+			t.Errorf("failed builds: body hits/misses = %d/%d, want 0/2", hits, misses)
 		}
 	})
 }
 
 // TestRequestIndexConcurrentIdentical: 32 goroutines post one body at once
 // (run under -race by CI); every answer is byte-identical to a fresh
-// server's, and one index entry and one body entry serve one live system.
+// server's, and one body entry serves one live system.
 func TestRequestIndexConcurrentIdentical(t *testing.T) {
 	srv := newIndexServer(t, Config{})
 	h := srv.Handler()
@@ -407,11 +397,11 @@ func TestRequestIndexConcurrentIdentical(t *testing.T) {
 			t.Errorf("request %d result differs from a fresh server's:\ngot:   %s\nfresh: %s", i, results[i], fresh)
 		}
 	}
-	if hits, misses := indexCounts(srv); hits+misses != n || misses < 1 {
-		t.Errorf("index hits/misses = %d/%d, want %d in all with at least one miss", hits, misses, n)
+	if hits, misses := bodyCounts(srv); hits+misses != n || misses < 1 {
+		t.Errorf("body hits/misses = %d/%d, want %d in all with at least one miss", hits, misses, n)
 	}
-	if index, bodies, systems := checkIndexBound(t, srv); index != 1 || bodies != 1 || systems != 1 {
-		t.Errorf("index/bodies/systems = %d/%d/%d, want 1/1/1", index, bodies, systems)
+	if bodies, systems := checkBodyBound(t, srv); bodies != 1 || systems != 1 {
+		t.Errorf("bodies/systems = %d/%d, want 1/1", bodies, systems)
 	}
 }
 
@@ -431,7 +421,7 @@ func TestBodyLayerDropsOldestBody(t *testing.T) {
 		if fresh := serveScheduleRaw(t, newIndexServer(t, Config{}).Handler(), []byte(raw)); !bytes.Equal(got, fresh) {
 			t.Errorf("result differs from a fresh server's:\ngot:   %s\nfresh: %s", got, fresh)
 		}
-		checkIndexBound(t, srv)
+		checkBodyBound(t, srv)
 	}
 	for i := 0; i < 6; i++ {
 		raw, err := json.Marshal(withField(quadBody(), "stcl", 50+i))
@@ -450,19 +440,19 @@ func TestBodyLayerDropsOldestBody(t *testing.T) {
 	if want := []string{bodies[4], bodies[5], bodies[0]}; !slices.Equal(keptBodies(t, srv), want) {
 		t.Errorf("after re-posting a kept and a dropped body: want bodies 4, 5, 0 kept in order")
 	}
-	if hits, misses := indexCounts(srv); hits != 7 || misses != 1 {
-		t.Errorf("index hits/misses = %d/%d, want 7/1", hits, misses)
+	if hits, misses := bodyCounts(srv); hits != 1 || misses != 7 {
+		t.Errorf("body hits/misses = %d/%d, want 1/7", hits, misses)
 	}
 }
 
-// TestBodyLayerCountsIndexEntryTexts: quad bodies that differ only in name
-// resolve to one system through distinct request-index entries, each with
-// its own copy of the floorplan and test-spec texts, which stay alive while
-// the body is kept. With a floorplan padded by comment lines to under a
-// quarter of the bound, the bodies alone would fit four times over; counting
-// each body's entry texts keeps the system's bodies plus those texts within
-// maxBodyBytes, so it keeps the newest two.
-func TestBodyLayerCountsIndexEntryTexts(t *testing.T) {
+// TestBodyLayerChargesKeptTexts: quad bodies that differ only in name
+// resolve to one system, each pinning its own parsed spec, which stays alive
+// while the body is kept and is charged as its floorplan and test-spec
+// texts. With a floorplan padded by comment lines to under a quarter of the
+// bound, the bodies alone would fit four times over; charging each body its
+// texts keeps the system's bodies plus those texts within maxBodyBytes, so
+// it keeps the newest two.
+func TestBodyLayerChargesKeptTexts(t *testing.T) {
 	srv := newIndexServer(t, Config{})
 	h := srv.Handler()
 	line := "# " + strings.Repeat("x", 1000) + "\n"
@@ -475,7 +465,7 @@ func TestBodyLayerCountsIndexEntryTexts(t *testing.T) {
 		}
 		bodies = append(bodies, string(raw))
 		serveScheduleRaw(t, h, raw)
-		checkIndexBound(t, srv)
+		checkBodyBound(t, srv)
 	}
 	if 4*len(bodies[0]) > maxBodyBytes || 4*(len(bodies[0])+len(fp)) <= maxBodyBytes {
 		t.Fatalf("body of %d bytes with a %d-byte floorplan does not test the bound", len(bodies[0]), len(fp))
@@ -498,7 +488,7 @@ func TestBodyLayerNeedsWholeBody(t *testing.T) {
 	}
 	full := append(raw, strings.Repeat(" ", maxBodyBytes-len(raw))...)
 	serveScheduleRaw(t, h, full)
-	if _, bodies, _ := checkIndexBound(t, srv); bodies != 1 {
+	if bodies, _ := checkBodyBound(t, srv); bodies != 1 {
 		t.Fatalf("the layer holds %d bodies after a full-size accepted body, want 1", bodies)
 	}
 	if status, code := postOutcome(h, append(full, ' ')); status != http.StatusRequestEntityTooLarge || code != "body_too_large" {
@@ -528,9 +518,8 @@ func postOutcome(h http.Handler, raw []byte) (int, string) {
 // through one server, so that a body the first pass accepts reaches the
 // second through the body layer. The passes must agree on the status and on
 // the error code or the result section. It then decodes each body and
-// resolves it twice, the second time through the request index: the two
-// resolves must agree on the error code, or on the system keys, spec name
-// and core count. Nothing may panic.
+// resolves it twice from scratch: the two resolves must agree on the error
+// code, or on the system keys, spec name and core count. Nothing may panic.
 func FuzzScheduleRequest(f *testing.F) {
 	for _, body := range []map[string]any{table1Request(), quadBody()} {
 		raw, err := json.Marshal(body)
@@ -569,35 +558,25 @@ func FuzzScheduleRequest(f *testing.F) {
 			if status1 == http.StatusOK && !kept {
 				t.Fatalf("the body layer did not keep an accepted body")
 			}
-			hits, _ := indexCounts(srv)
+			hits, _ := bodyCounts(srv)
 			status2, out2 := postOutcome(h, body)
 			if status1 != status2 || out1 != out2 {
 				t.Fatalf("passes disagree: %d %s, then %d %s", status1, out1, status2, out2)
 			}
-			if got, _ := indexCounts(srv); kept && got != hits+1 {
+			if got, _ := bodyCounts(srv); kept && got != hits+1 {
 				t.Fatalf("the second pass of a kept body missed the body layer")
 			}
 		}
 		if decErr != nil {
 			return
 		}
-		p1, code1, err1 := srv.resolveProblem(req)
-		if err1 == nil {
-			// Take the system live (without building it) so its index entry
-			// answers the second resolve.
-			e, _ := srv.system(&accepted{body: string(body), p: p1})
-			srv.release(e)
-		}
-		hits, _ := indexCounts(srv)
-		p2, code2, err2 := srv.resolveProblem(req)
+		p1, code1, err1 := resolveProblem(req)
+		p2, code2, err2 := resolveProblem(req)
 		if (err1 == nil) != (err2 == nil) || code1 != code2 {
 			t.Fatalf("resolves disagree: %q %v, then %q %v", code1, err1, code2, err2)
 		}
 		if err1 != nil {
 			return
-		}
-		if got, _ := indexCounts(srv); got != hits+1 {
-			t.Fatalf("second resolve of an accepted body missed the index")
 		}
 		if p1.mapKey != p2.mapKey || p1.oracleKey != p2.oracleKey ||
 			p1.spec.Name() != p2.spec.Name() || p1.spec.NumCores() != p2.spec.NumCores() {

@@ -190,8 +190,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"queue_depth", "gauge", "Schedule requests currently waiting for a worker.", one(s.pool.Queued())},
 		{"queue_limit", "gauge", "Admission-queue bound (-1 = unbounded).", one(s.pool.QueueDepth())},
 		{"systems_dropped_total", "counter", "Idle live systems dropped by the max-systems LRU bound.", one(s.systemsDropped.Load())},
-		{"request_index_hits_total", "counter", "Schedule and job requests whose system fields matched a live system, skipping the parse.", one(s.indexHits.Load())},
-		{"request_index_misses_total", "counter", "Schedule and job requests resolved from scratch (parse and system keys).", one(s.indexMisses.Load())},
+		{"request_body_hits_total", "counter", "Schedule and job requests whose exact body a live system keeps, skipping the decode and the parse.", one(s.bodyHits.Load())},
+		{"request_body_misses_total", "counter", "Schedule and job requests decoded and resolved from scratch (parse and system keys).", one(s.bodyMisses.Load())},
 		{"jobs_queued_total", "counter", "Async jobs queued since start (includes resumes).", one(jc.Queued)},
 		{"jobs_running_total", "counter", "Async jobs started running since start.", one(jc.Running)},
 		{"jobs_done_total", "counter", "Async jobs finished successfully since start.", one(jc.Done)},

@@ -149,21 +149,15 @@ type Server struct {
 	// lengths (two specs may share oracle answers — same physics — while
 	// needing distinct schedules).
 	systems map[[32]byte]*systemEntry
-	// bodies is the body layer in front of the request index: it maps the
-	// exact bytes of an accepted request body to what they resolved to, so
-	// a byte-identical repeat skips the JSON decode and resolveProblem. The
-	// map hashes and compares the whole key, so a hit is an exact byte
-	// match. Live systems keep the entries, at most maxBodyBytes of bodies
-	// and their index entries' texts each (keepBodyLocked), and the entries
-	// leave with them (removeSystemLocked).
-	bodies map[string]*accepted
-	// index maps a request's system fields to the entry they last resolved
-	// to; a body-layer miss looks its system up here. The map hashes and
-	// compares the whole key, so a hit is an exact match of every field.
-	// Each live system owns at most one entry, which leaves with it
-	// (removeSystemLocked). A body-layer hit counts as an index hit.
-	index                  map[systemFields]*indexEntry
-	indexHits, indexMisses atomic.Int64
+	// bodies is the body layer, the one request cache in front of the
+	// live map: it maps the exact bytes of an accepted request body to what
+	// they resolved to, so a byte-identical repeat skips the JSON decode
+	// and resolveProblem. The map hashes and compares the whole key, so a
+	// hit is an exact byte match. Live systems keep the entries, at most
+	// maxBodyBytes of bodies and their texts each (keepBodyLocked), and the
+	// entries leave with them (removeSystemLocked).
+	bodies               map[string]*accepted
+	bodyHits, bodyMisses atomic.Int64
 
 	// evictSeen is the Store.AppendedBytes value at the last budget check:
 	// when nothing new has been persisted since, the post-request eviction
@@ -200,27 +194,8 @@ type systemEntry struct {
 	gridRes   int
 	lastUse   time.Time   // guarded by the server mu
 	inflight  int         // requests currently using this system; guarded by the server mu
-	ix        *indexEntry // the request-index entry this system owns; guarded by the server mu
 	bodies    []*accepted // the body-layer entries this system keeps, oldest first; guarded by the server mu
 	bodyBytes int         // the kept bytes of those bodies (keptBytes); guarded by the server mu
-}
-
-// systemFields are the request fields that define a system: the request
-// index's key. The strings compare byte for byte; pkg compares with ==, which
-// is a bit comparison here because packageConfig never yields -0 or NaN.
-type systemFields struct {
-	workload, name, floorplan, testSpec string
-	pkg                                 thermal.PackageConfig
-	gridRes                             int
-}
-
-// indexEntry is what one request's system fields resolved to. It is
-// immutable and shared by every request that hits it: testspec.Spec and the
-// floorplan and power profile it holds expose no mutators after parsing.
-type indexEntry struct {
-	systemFields
-	spec              *testspec.Spec
-	mapKey, oracleKey [32]byte
 }
 
 // defaultQueueDepth is the admission bound when Config.QueueDepth is 0:
@@ -241,7 +216,6 @@ func New(cfg Config) (*Server, error) {
 		met:     newMetrics(),
 		systems: make(map[[32]byte]*systemEntry),
 		bodies:  make(map[string]*accepted),
-		index:   make(map[systemFields]*indexEntry),
 	}
 	if len(cfg.StoreNodes) > 0 && cfg.CacheDir == "" {
 		return nil, fmt.Errorf("server: StoreNodes requires CacheDir (the sharded tier backs a local store)")
@@ -438,9 +412,8 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 // per-core test lengths: oracle answers depend only on the physics, but the
 // schedule (and so the live environment's spec) also depends on how long
 // each core tests.
-func systemKeys(spec *testspec.Spec, cfg thermal.PackageConfig, gridRes int, grid thermal.GridOptions) (mapKey, oracleKey [32]byte, err error) {
-	oracleKey, err = experiments.OracleDesc(spec, cfg,
-		experiments.EnvOptions{GridRes: gridRes, Grid: grid}).Key()
+func systemKeys(spec *testspec.Spec, cfg thermal.PackageConfig, gridRes int) (mapKey, oracleKey [32]byte, err error) {
+	oracleKey, err = experiments.OracleDesc(spec, cfg, experiments.EnvOptions{GridRes: gridRes}).Key()
 	if err != nil {
 		return mapKey, oracleKey, err
 	}
@@ -457,10 +430,9 @@ func systemKeys(spec *testspec.Spec, cfg thermal.PackageConfig, gridRes int, gri
 
 // system returns the live entry for a resolved request's system, creating a
 // cold one if needed; warm reports whether it already existed. Either way the
-// entry takes over the problem's request-index entry and keeps the body. The
-// entry is returned with its inflight count raised — callers must pair with
-// release(e) — which is what keeps MaxSystems eviction from dropping a system
-// mid-request.
+// entry keeps the body. The entry is returned with its inflight count raised
+// — callers must pair with release(e) — which is what keeps MaxSystems
+// eviction from dropping a system mid-request.
 func (s *Server) system(a *accepted) (e *systemEntry, warm bool) {
 	p := a.p
 	s.mu.Lock()
@@ -468,7 +440,6 @@ func (s *Server) system(a *accepted) (e *systemEntry, warm bool) {
 	if e, ok := s.systems[p.mapKey]; ok {
 		e.lastUse = time.Now()
 		e.inflight++
-		s.indexLocked(e, p.indexEntry)
 		s.keepBodyLocked(e, a)
 		return e, true
 	}
@@ -485,7 +456,6 @@ func (s *Server) system(a *accepted) (e *systemEntry, warm bool) {
 			experiments.EnvOptions{Store: s.store, GridRes: p.gridRes, Grid: s.cfg.Grid})
 	}
 	s.systems[p.mapKey] = e
-	s.indexLocked(e, p.indexEntry)
 	s.keepBodyLocked(e, a)
 	s.boundSystemsLocked()
 	return e, false
@@ -516,11 +486,10 @@ func (s *Server) keepBodyLocked(e *systemEntry, a *accepted) {
 }
 
 // keptBytes is what a kept body-layer entry holds alive: its body and the
-// floorplan and test-spec texts of the index entry it resolved through,
-// which outlive the system's own index slot while the body is kept. An entry
-// shared by several bodies is counted in each.
+// parsed spec its problem pins, charged as the floorplan and test-spec texts
+// it was parsed from.
 func (a *accepted) keptBytes() int {
-	return len(a.body) + len(a.p.floorplan) + len(a.p.testSpec)
+	return len(a.body) + a.p.texts
 }
 
 // dropBodyLocked removes one body-layer entry from the layer and from the
@@ -532,28 +501,10 @@ func (s *Server) dropBodyLocked(a *accepted) {
 	a.owner = nil
 }
 
-// indexLocked makes ix the request-index entry of live system e in place of
-// its previous one (the most recent resolving body wins); nil only removes
-// it. Equal fields resolve to one system, so no other system's entry sits
-// under e's key. Callers hold s.mu.
-func (s *Server) indexLocked(e *systemEntry, ix *indexEntry) {
-	if e.ix == ix {
-		return
-	}
-	if e.ix != nil {
-		delete(s.index, e.ix.systemFields)
-	}
-	e.ix = ix
-	if ix != nil {
-		s.index[ix.systemFields] = ix
-	}
-}
-
-// removeSystemLocked drops a live system together with its request-index
-// entry and its body-layer entries. Every removal goes through here: the
-// MaxSystems bound, store eviction and a failed build. Callers hold s.mu.
+// removeSystemLocked drops a live system together with its body-layer
+// entries. Every removal goes through here: the MaxSystems bound, store
+// eviction and a failed build. Callers hold s.mu.
 func (s *Server) removeSystemLocked(key [32]byte, e *systemEntry) {
-	s.indexLocked(e, nil)
 	for _, a := range e.bodies {
 		s.dropBodyLocked(a)
 	}
@@ -712,19 +663,23 @@ func (s *Server) requestDeadline(r *http.Request, a *accepted) (time.Duration, e
 }
 
 // problem is a fully validated scheduling problem — the shared currency of
-// the synchronous handler and the async job runner. Its system half is a
-// request-index entry, possibly shared with earlier requests.
+// the synchronous handler and the async job runner. It is immutable:
+// testspec.Spec and the floorplan and power profile it holds expose no
+// mutators after parsing.
 type problem struct {
-	*indexEntry
-	genCfg core.Config
+	spec              *testspec.Spec
+	pkg               thermal.PackageConfig
+	gridRes           int
+	mapKey, oracleKey [32]byte
+	genCfg            core.Config
+	texts             int // len(floorplan)+len(test_spec) of the request
 }
 
 // accepted is one accepted request: its body bytes, its deadline_ms and
 // either its strict decode (req) or, once resolved, its problem (p). An entry
 // of the body layer (Server.bodies) is resolved, so it holds its bytes once
-// plus the index entry it resolved through, which bodies that differ only in
-// generator options share. It is immutable but for owner and shared by
-// every request that repeats its bytes exactly.
+// plus its problem. It is immutable but for owner and shared by every
+// request that repeats its bytes exactly.
 type accepted struct {
 	body       string
 	deadlineMS int
@@ -734,16 +689,16 @@ type accepted struct {
 }
 
 // resolve completes a decoded request with its problem and drops the decode.
-// A body-layer hit arrives resolved and counts as a request-index hit here,
-// where a miss counts in resolveProblem, so both count only requests that got
-// this far. On failure the returned code is the stable machine-readable error
-// code (HTTP 400).
+// A body-layer hit arrives resolved; a miss resolves from scratch. Both count
+// here, so both count only requests that got this far. On failure the
+// returned code is the stable machine-readable error code (HTTP 400).
 func (s *Server) resolve(a *accepted) (string, error) {
 	if a.p != nil {
-		s.indexHits.Add(1)
+		s.bodyHits.Add(1)
 		return "", nil
 	}
-	p, code, err := s.resolveProblem(a.req)
+	s.bodyMisses.Add(1)
+	p, code, err := resolveProblem(a.req)
 	a.p, a.req = p, nil
 	return code, err
 }
@@ -752,45 +707,25 @@ func (s *Server) resolve(a *accepted) (string, error) {
 // returned code is the stable machine-readable error code (HTTP 400). It runs
 // only on a body-layer miss: a byte-identical repeat of a body whose system
 // is still live reuses that body's problem and never decodes.
-//
-// A miss can still skip resolveSpec and systemKeys: when the index holds its
-// system fields, it reuses their entry's spec and keys. The generator options
-// are validated on every call, with the same error codes either way. An index
-// miss resolves from scratch; its entry joins the index when acquireSystem
-// takes it live, and leaves when that system leaves the map.
-func (s *Server) resolveProblem(req *ScheduleRequest) (*problem, string, error) {
-	f := systemFields{req.Workload, req.Name, req.Floorplan, req.TestSpec,
-		req.Package.packageConfig(), req.GridRes}
-	s.mu.Lock()
-	ix := s.index[f]
-	s.mu.Unlock()
-	if ix == nil {
-		s.indexMisses.Add(1)
-	} else {
-		s.indexHits.Add(1)
-	}
-	var spec *testspec.Spec
-	if ix == nil {
-		var err error
-		if spec, err = req.resolveSpec(); err != nil {
-			return nil, "bad_workload", err
-		}
+func resolveProblem(req *ScheduleRequest) (*problem, string, error) {
+	spec, err := req.resolveSpec()
+	if err != nil {
+		return nil, "bad_workload", err
 	}
 	genCfg, err := req.scheduleConfig()
 	if err != nil {
 		return nil, "bad_config", err
 	}
-	if err := f.pkg.Validate(); err != nil {
+	pkg := req.Package.packageConfig()
+	if err := pkg.Validate(); err != nil {
 		return nil, "bad_package", err
 	}
-	if ix == nil {
-		mapKey, oracleKey, err := systemKeys(spec, f.pkg, f.gridRes, s.cfg.Grid)
-		if err != nil {
-			return nil, "bad_workload", err
-		}
-		ix = &indexEntry{systemFields: f, spec: spec, mapKey: mapKey, oracleKey: oracleKey}
+	mapKey, oracleKey, err := systemKeys(spec, pkg, req.GridRes)
+	if err != nil {
+		return nil, "bad_workload", err
 	}
-	return &problem{indexEntry: ix, genCfg: genCfg}, "", nil
+	return &problem{spec: spec, pkg: pkg, gridRes: req.GridRes, mapKey: mapKey, oracleKey: oracleKey,
+		genCfg: genCfg, texts: len(req.Floorplan) + len(req.TestSpec)}, "", nil
 }
 
 // tierSnap is a point-in-time read of one system's cache counters, so a

@@ -365,8 +365,8 @@ func TestServiceSystemBuildFailedBothPaths(t *testing.T) {
 
 // TestSystemsAndMetricsEndpoints: after traffic, /v1/systems lists the warm
 // system with its tier counters and /metrics exposes request counts, the
-// latency histogram, a non-zero tier-1 hit rate and the request index's
-// hit and miss counts.
+// latency histogram, a non-zero tier-1 hit rate and the body layer's hit
+// and miss counts.
 func TestSystemsAndMetricsEndpoints(t *testing.T) {
 	_, hs := newTestServer(t, Config{CacheDir: t.TempDir()})
 	postSchedule(t, hs.URL, table1Request())
@@ -413,10 +413,9 @@ func TestSystemsAndMetricsEndpoints(t *testing.T) {
 		"thermserve_tier_hit_rate{tier=\"1\"}",
 		"thermserve_systems_live 1",
 		"thermserve_store_files 1",
-		// The second, byte-identical request found its system in the
-		// request index.
-		"thermserve_request_index_hits_total 1\n",
-		"thermserve_request_index_misses_total 1\n",
+		// The second, byte-identical request was a body-layer hit.
+		"thermserve_request_body_hits_total 1\n",
+		"thermserve_request_body_misses_total 1\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)

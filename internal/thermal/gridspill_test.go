@@ -155,9 +155,10 @@ func (brokenSpillFS) CreateTemp(string, string) (linalg.SpillFile, error) {
 	return nil, fmt.Errorf("spill device unavailable")
 }
 
-// TestGridSpillBrokenFSDegradesInCore: when the spill filesystem fails, the
-// breaker finishes the factorization fully in core (budget waived), the model
-// reports SpillDegraded, and answers stay bit-identical.
+// TestGridSpillBrokenFSDegradesInCore: when the spill file cannot be created,
+// the out-of-core run is dropped and the factor is rebuilt in core by
+// Factorize (budget waived), the model reports SpillDegraded, and answers
+// stay bit-identical.
 func TestGridSpillBrokenFSDegradesInCore(t *testing.T) {
 	fp := floorplan.Alpha21364()
 	cfg := DefaultPackageConfig()
